@@ -13,13 +13,19 @@ import csv
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 from . import causal as causal_mod
 from . import scenarios as scn
 from .dynamics import TRAJECTORY_COLUMNS, trajectory_rows
 from .errors import CapacityError, FairdynError, InfeasibilityError
 from .metrics import metric_report
-from .optimize import Constraint, constrained_policy, max_utility_policy
+from .optimize import (
+    Constraint,
+    constrained_policy,
+    max_utility_policy,
+    outcome_optimal_policy,
+)
 
 
 def _fmt(value) -> str:
@@ -78,8 +84,6 @@ def _cmd_metrics(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = scn.load_scenario(args.scenario)
     if args.steps is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, horizon=args.steps)
     traj = scn.run_scenario(cfg)
     _write_csv(args.out, TRAJECTORY_COLUMNS, trajectory_rows(traj))
@@ -88,21 +92,18 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_optimize(args) -> int:
     cfg = scn.load_scenario(args.scenario)
-    resolution = args.resolution if args.resolution else cfg.resolution
+    resolution = cfg.resolution if args.resolution is None else args.resolution
     if args.constraint == "none":
         policy = max_utility_policy(cfg.population, cfg.outcome, cfg.institution)
     elif args.constraint in ("dp", "eo"):
-        constraint = (
-            Constraint.DEMOGRAPHIC_PARITY
-            if args.constraint == "dp"
-            else Constraint.EQUAL_OPPORTUNITY
-        )
         policy = constrained_policy(
-            cfg.population, cfg.outcome, cfg.institution, constraint, resolution
+            cfg.population,
+            cfg.outcome,
+            cfg.institution,
+            Constraint(args.constraint),
+            resolution,
         ).policy
     else:  # outcome
-        from .optimize import outcome_optimal_policy
-
         target = cfg.policy_rule.target_group or cfg.declared_goal.target_group
         if target is None:
             target = cfg.population.groups[-1].group_id

@@ -65,11 +65,10 @@ def expected_delta(
     bin_index: int, group_id: str, outcome: OutcomeModel, grid: ScoreGrid
 ) -> float:
     """Expected score change of a selected individual at the given bin."""
-    rho = outcome.rho_for(group_id)
-    if not 0 <= bin_index < len(rho):
+    delta = outcome.score_change(group_id, grid)
+    if not 0 <= bin_index < len(delta):
         raise DomainError(f"bin index {bin_index} outside grid")
-    r = float(rho[bin_index])
-    return outcome.benefit(grid) * r + outcome.cost(grid) * (1.0 - r)
+    return float(delta[bin_index])
 
 
 def group_delta_mu(
@@ -87,12 +86,11 @@ def group_delta_mu(
     """
     pmf = group.pmf_array
     tau = policy.tau(group.group_id)
-    rho = outcome.rho_for(group.group_id)
-    if not len(pmf) == len(tau) == len(rho):
+    delta = outcome.score_change(group.group_id, grid)
+    if not len(pmf) == len(tau) == len(delta):
         raise DimensionError(
             f"group {group.group_id!r}: inconsistent vector lengths"
         )
-    delta = outcome.benefit(grid) * rho + outcome.cost(grid) * (1.0 - rho)
     total = float(pmf @ (tau * delta))
     if selected_only:
         accepted = float(pmf @ tau)

@@ -38,8 +38,9 @@ class OutcomeModel:
             raise DomainError("step counts must be nonnegative")
         for gid, r in self.rho.items():
             arr = np.asarray(r, dtype=float)
-            if np.any(arr < 0) or np.any(arr > 1):
-                raise DomainError(f"group {gid!r}: rho entries outside [0,1]")
+            # Written so that NaN fails the check too.
+            if not np.all((arr >= 0) & (arr <= 1)):
+                raise DomainError(f"group {gid!r}: rho entries outside [0,1] or NaN")
 
     def rho_for(self, group_id: str) -> np.ndarray:
         if group_id not in self.rho:
@@ -51,6 +52,11 @@ class OutcomeModel:
 
     def cost(self, grid: ScoreGrid) -> float:
         return -self.steps_down * grid.bin_width
+
+    def score_change(self, group_id: str, grid: ScoreGrid) -> np.ndarray:
+        """Expected score change of a selected individual at each bin."""
+        rho = self.rho_for(group_id)
+        return self.benefit(grid) * rho + self.cost(grid) * (1.0 - rho)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,13 @@ import numpy as np
 from .errors import DomainError, InfeasibilityError
 from .metrics import OutcomeModel
 from .policy import (
+    GroupThreshold,
     InstitutionModel,
     Policy,
+    RandomizedThresholdPolicy,
     institution_utility,
-    threshold_policy_for_rate,
+    threshold_levels,
+    threshold_values,
 )
 from .population import GroupState, Population
 
@@ -42,8 +45,7 @@ def max_utility_policy(
     """
     arrays = {}
     for g in pop.groups:
-        rho = outcome.rho_for(g.group_id)
-        u = inst.u_plus * rho + inst.u_minus * (1.0 - rho)
+        u = inst.per_bin_utility(outcome.rho_for(g.group_id))
         arrays[g.group_id] = (u > 0).astype(float)
     return Policy.from_arrays(arrays)
 
@@ -55,33 +57,36 @@ def rate_grid(resolution: float) -> np.ndarray:
     return np.linspace(0.0, 1.0, n + 1)
 
 
-def _rate_for_tpr(group: GroupState, rho: np.ndarray, target_tpr: float) -> float:
+def rates_for_tpr(
+    group: GroupState, rho: np.ndarray, tprs: np.ndarray
+) -> np.ndarray:
     """Acceptance rate of the top-down threshold policy whose true-positive
-    rate equals ``target_tpr``."""
+    rate equals each entry of ``tprs``, in one pass.
+
+    The same top-down search as :func:`threshold_levels`, run over the
+    qualified mass ``pmf * rho`` instead of the mass: bins that hold no
+    qualified mass are never the threshold, and a target the cumulative
+    qualified mass does not reach accepts the whole group.
+    """
     pmf = group.pmf_array
     qualified = float(pmf @ rho)
     if qualified <= 0:
-        raise DomainError(
-            f"group {group.group_id!r} has zero qualified mass"
-        )
-    need = target_tpr * qualified
-    got = 0.0
-    rate = 0.0
-    for i in range(len(pmf) - 1, -1, -1):
-        contrib = pmf[i] * rho[i]
-        if got + contrib >= need and contrib > 0:
-            frac = (need - got) / contrib
-            rate += frac * pmf[i]
-            return min(rate, 1.0)
-        got += contrib
-        rate += pmf[i]
-    return min(rate, 1.0)
-
-
-def threshold_policy_for_tpr(
-    group: GroupState, rho: np.ndarray, target_tpr: float
-):
-    return threshold_policy_for_rate(group, _rate_for_tpr(group, rho, target_tpr))
+        raise DomainError(f"group {group.group_id!r} has zero qualified mass")
+    need = np.asarray(tprs, dtype=float) * qualified
+    top_pmf = pmf[::-1]
+    top_contrib = top_pmf * rho[::-1]
+    got = np.cumsum(top_contrib)  # qualified mass of the top k+1 bins
+    rate = np.cumsum(top_pmf)  # mass of the top k+1 bins
+    candidates = np.flatnonzero(top_contrib > 0)
+    j = np.searchsorted(got[candidates], need, side="left")
+    k = candidates[np.minimum(j, len(candidates) - 1)]
+    got_above = np.concatenate(([0.0], got))[k]
+    rate_above = np.concatenate(([0.0], rate))[k]
+    frac = (need - got_above) / top_contrib[k]
+    rates = np.where(
+        j < len(candidates), rate_above + frac * top_pmf[k], rate[-1]
+    )
+    return np.minimum(rates, 1.0)
 
 
 @dataclass(frozen=True)
@@ -104,39 +109,41 @@ def constrained_policy(
     opportunity both share a true-positive rate. Each candidate level is
     realized exactly per group by a randomized threshold; the level with the
     highest institution utility wins, ties broken toward the larger level.
+    All levels are scored in one pass; only the winner is expanded.
     """
     if len(pop.groups) != 2:
         raise DomainError("constrained optimization needs exactly two groups")
-    if constraint is Constraint.EQUAL_OPPORTUNITY:
-        for g in pop.groups:
-            rho = outcome.rho_for(g.group_id)
+    levels = rate_grid(resolution)
+    utility = np.zeros(len(levels))
+    searched = []
+    for g in pop.groups:
+        rho = outcome.rho_for(g.group_id)
+        rates = levels
+        if constraint is Constraint.EQUAL_OPPORTUNITY:
             if np.any(np.diff(rho) < 0):
                 raise DomainError(
                     f"group {g.group_id!r}: rho must be nondecreasing in score "
                     "for equal-opportunity search"
                 )
-            if float(g.pmf_array @ rho) <= 0:
-                raise DomainError(
-                    f"group {g.group_id!r} has zero qualified mass"
-                )
-    best = None
-    for level in rate_grid(resolution):
-        arrays = {}
-        for g in pop.groups:
-            if constraint is Constraint.DEMOGRAPHIC_PARITY:
-                thp = threshold_policy_for_rate(g, float(level))
-            else:
-                thp = threshold_policy_for_tpr(
-                    g, outcome.rho_for(g.group_id), float(level)
-                )
-            arrays[g.group_id] = thp.expand(pop.grid).tau(g.group_id)
-        pol = Policy.from_arrays(arrays)
-        util = institution_utility(pol, pop, outcome, inst)
-        if best is None or util >= best.utility:
-            best = ConstrainedResult(pol, float(level), util)
-    if best is None:
-        raise InfeasibilityError("no feasible level on the rate grid")
-    return best
+            rates = rates_for_tpr(g, rho, levels)
+        pmf = g.pmf_array
+        bins, fractions = threshold_levels(pmf, rates)
+        utility = utility + g.proportion * threshold_values(
+            pmf, inst.per_bin_utility(rho), bins, fractions
+        )
+        searched.append((g.group_id, bins, fractions))
+    best = len(levels) - 1 - int(np.argmax(utility[::-1]))
+    policy = RandomizedThresholdPolicy(
+        {
+            gid: GroupThreshold(int(bins[best]), float(fractions[best]))
+            for gid, bins, fractions in searched
+        }
+    ).expand(pop.grid)
+    return ConstrainedResult(
+        policy,
+        float(levels[best]),
+        institution_utility(policy, pop, outcome, inst),
+    )
 
 
 def outcome_optimal_policy(
@@ -154,58 +161,50 @@ def outcome_optimal_policy(
     floor, and among those maximizes the target group's expected change.
     Ties break toward higher utility, then lower target acceptance rate.
     """
-    from .dynamics import group_delta_mu
-
-    pop.group(target_group)  # raises KeyError if unknown
+    target = pop.group(target_group)  # raises KeyError if unknown
     levels = rate_grid(resolution)
-    others = [g for g in pop.groups if g.group_id != target_group]
-    target = pop.group(target_group)
 
     # Per group the utility of a threshold policy at each rate is independent
     # of other groups, so evaluate each axis once.
     def axis(group: GroupState):
-        taus = []
-        utils = []
-        dmus = []
-        for level in levels:
-            tau = (
-                threshold_policy_for_rate(group, float(level))
-                .expand(pop.grid)
-                .tau(group.group_id)
-            )
-            pol = Policy.from_arrays({group.group_id: tau})
-            rho = outcome.rho_for(group.group_id)
-            per_bin = inst.u_plus * rho + inst.u_minus * (1.0 - rho)
-            utils.append(group.proportion * float(group.pmf_array @ (tau * per_bin)))
-            dmus.append(group_delta_mu(group, pol, outcome, pop.grid))
-            taus.append(tau)
-        return taus, np.array(utils), np.array(dmus)
+        pmf = group.pmf_array
+        bins, fractions = threshold_levels(pmf, levels)
+        per_bin = inst.per_bin_utility(outcome.rho_for(group.group_id))
+        utils = group.proportion * threshold_values(pmf, per_bin, bins, fractions)
+        return bins, fractions, utils
 
-    target_taus, target_utils, target_dmus = axis(target)
     # Other groups do not affect the objective: give each its utility-best
     # rate so the floor is as easy to satisfy as possible.
-    other_choice = {}
+    thresholds = {}
     other_util = 0.0
-    for g in others:
-        taus, utils, _ = axis(g)
+    for g in pop.groups:
+        if g.group_id == target_group:
+            continue
+        bins, fractions, utils = axis(g)
         k = int(np.argmax(utils))
-        other_choice[g.group_id] = taus[k]
+        thresholds[g.group_id] = GroupThreshold(int(bins[k]), float(fractions[k]))
         other_util += float(utils[k])
 
-    best = None  # (dmu, utility, -rate, index)
-    for i, level in enumerate(levels):
-        util = other_util + float(target_utils[i])
-        if util < utility_floor:
-            continue
-        key = (float(target_dmus[i]), util, -float(level))
-        if best is None or key > best[0]:
-            best = (key, i)
-    if best is None:
+    bins, fractions, target_utils = axis(target)
+    dmus = threshold_values(
+        target.pmf_array,
+        outcome.score_change(target_group, pop.grid),
+        bins,
+        fractions,
+    )
+    utils = other_util + target_utils
+    feasible = np.flatnonzero(utils >= utility_floor)
+    if len(feasible) == 0:
         max_util = other_util + float(target_utils.max())
         raise InfeasibilityError(
             f"utility floor {utility_floor} infeasible; maximum achievable "
             f"utility is {max_util:.12g}"
         )
-    arrays = dict(other_choice)
-    arrays[target_group] = target_taus[best[1]]
-    return Policy.from_arrays(arrays)
+    # lexsort sorts by its last key first, so the last index is the level
+    # with the largest (dmu, utility, -rate).
+    order = np.lexsort((-levels[feasible], utils[feasible], dmus[feasible]))
+    best = int(feasible[order[-1]])
+    thresholds[target_group] = GroupThreshold(
+        int(bins[best]), float(fractions[best])
+    )
+    return RandomizedThresholdPolicy(thresholds).expand(pop.grid)

@@ -40,8 +40,11 @@ class Policy:
         acc = {}
         for gid, tau in arrays.items():
             tau = np.asarray(tau, dtype=float)
-            if np.any(tau < 0) or np.any(tau > 1):
-                raise DomainError(f"group {gid!r}: acceptance entries outside [0,1]")
+            # Written so that NaN fails the check too.
+            if not np.all((tau >= 0) & (tau <= 1)):
+                raise DomainError(
+                    f"group {gid!r}: acceptance entries outside [0,1] or NaN"
+                )
             acc[gid] = tuple(float(v) for v in tau)
         return Policy(acc)
 
@@ -93,6 +96,10 @@ class InstitutionModel:
         if not (np.isfinite(self.u_plus) and np.isfinite(self.u_minus)):
             raise DomainError("institution utilities must be finite")
 
+    def per_bin_utility(self, rho: np.ndarray) -> np.ndarray:
+        """Expected utility of accepting one applicant at each bin."""
+        return self.u_plus * rho + self.u_minus * (1.0 - rho)
+
 
 def acceptance_rate(policy: Policy, group: GroupState) -> float:
     """Probability that a random member of the group is accepted."""
@@ -106,6 +113,47 @@ def acceptance_rate(policy: Policy, group: GroupState) -> float:
     return float(pmf @ tau)
 
 
+def threshold_levels(
+    pmf: np.ndarray, rates: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Threshold bin and boundary acceptance of the randomized threshold
+    policy at every acceptance rate in ``rates``, in one pass.
+
+    Acceptance mass is allocated from the highest score bin downward: every
+    bin above the threshold bin is accepted, the threshold bin with the
+    boundary acceptance, nothing below. The top-down cumulative mass is a
+    sequential sum, so each threshold equals the one a bin-by-bin scan finds.
+    Zero-mass bins repeat a cumulative value; the search takes the highest
+    bin that reaches the rate. Memory is O(len(rates) + len(pmf)).
+    """
+    rates = np.asarray(rates, dtype=float)
+    # Written so that NaN fails the check too.
+    if not np.all((rates >= 0.0) & (rates <= 1.0)):
+        raise DomainError(f"target rate outside [0,1] in {rates}")
+    n = len(pmf)
+    reach = np.cumsum(pmf[::-1])  # mass of the top k+1 bins
+    k = np.minimum(np.searchsorted(reach, rates, side="left"), n - 1)
+    bins = n - 1 - k
+    above = np.concatenate(([0.0], reach))[k]
+    mass = pmf[bins]
+    fractions = np.divide(
+        rates - above, mass, out=np.zeros_like(rates), where=mass > 0
+    )
+    return bins, np.clip(fractions, 0.0, 1.0)
+
+
+def threshold_values(
+    pmf: np.ndarray, weight: np.ndarray, bins: np.ndarray, fractions: np.ndarray
+) -> np.ndarray:
+    """``sum_x pmf[x] * tau[x] * weight[x]`` for every threshold policy
+    ``(bins, fractions)`` of :func:`threshold_levels`, without expanding any
+    of them: the weighted mass above the threshold bin plus the boundary
+    share of the threshold bin itself."""
+    pw = pmf * weight
+    above = np.concatenate(([0.0], np.cumsum(pw[::-1])))
+    return above[len(pw) - 1 - bins] + fractions * pw[bins]
+
+
 def threshold_policy_for_rate(
     group: GroupState, target_rate: float
 ) -> RandomizedThresholdPolicy:
@@ -114,22 +162,10 @@ def threshold_policy_for_rate(
     Acceptance mass is allocated from the highest score bin downward, so the
     expanded policy is monotone nondecreasing in score.
     """
-    if not 0.0 <= target_rate <= 1.0:
-        raise DomainError(f"target rate {target_rate} outside [0,1]")
-    pmf = group.pmf_array
-    n = len(pmf)
-    cum_above = 0.0  # mass strictly above the current candidate threshold
-    for i in range(n - 1, -1, -1):
-        if cum_above + pmf[i] >= target_rate or i == 0:
-            b = 0.0
-            if pmf[i] > 0:
-                b = (target_rate - cum_above) / pmf[i]
-            b = min(max(b, 0.0), 1.0)
-            return RandomizedThresholdPolicy(
-                {group.group_id: GroupThreshold(i, float(b))}
-            )
-        cum_above += pmf[i]
-    raise AssertionError("unreachable")
+    bins, fractions = threshold_levels(group.pmf_array, np.array([target_rate]))
+    return RandomizedThresholdPolicy(
+        {group.group_id: GroupThreshold(int(bins[0]), float(fractions[0]))}
+    )
 
 
 def institution_utility(
@@ -149,6 +185,5 @@ def institution_utility(
                 f"group {g.group_id!r}: inconsistent lengths tau={len(tau)} "
                 f"rho={len(rho)} pmf={len(pmf)}"
             )
-        per_bin = inst.u_plus * rho + inst.u_minus * (1.0 - rho)
-        total += g.proportion * float(pmf @ (tau * per_bin))
+        total += g.proportion * float(pmf @ (tau * inst.per_bin_utility(rho)))
     return total

@@ -7,6 +7,7 @@ floats; validation tolerances are fixed at 1e-9.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,9 +41,13 @@ class ScoreGrid:
         if len(self.bin_scores) < 2:
             out.append(f"grid has {len(self.bin_scores)} bins, need at least 2")
             return out
-        if self.bin_width <= 0:
-            out.append(f"bin_width {self.bin_width} is not positive")
-        diffs = np.diff(self.scores)
+        if not (np.isfinite(self.bin_width) and self.bin_width > 0):
+            out.append(f"bin_width {self.bin_width} is not positive and finite")
+        scores = self.scores
+        if not np.all(np.isfinite(scores)):
+            out.append("bin scores are not all finite")
+            return out
+        diffs = np.diff(scores)
         if np.any(diffs <= 0):
             out.append("bin scores are not strictly ascending")
         bad = np.abs(diffs - self.bin_width)
@@ -127,7 +132,10 @@ def validate_population(p: Population) -> ValidationReport:
                 f"group {g.group_id!r}: negative pmf entry {pmf.min():.3g}"
             )
         s = float(pmf.sum())
-        if abs(s - 1.0) > PROB_TOL:
+        # Any NaN or infinite entry makes the sum non-finite.
+        if not math.isfinite(s):
+            out.append(f"group {g.group_id!r}: pmf has a non-finite entry")
+        elif abs(s - 1.0) > PROB_TOL:
             out.append(f"group {g.group_id!r}: pmf sum {s:.12g} != 1")
         if not 0.0 <= g.proportion <= 1.0:
             out.append(

@@ -29,6 +29,7 @@ from .dynamics import Trajectory, simulate
 from .errors import ConfigError, InfeasibilityError
 from .metrics import OutcomeModel
 from .optimize import (
+    DEFAULT_RESOLUTION,
     Constraint,
     constrained_policy,
     max_utility_policy,
@@ -242,8 +243,9 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
         ),
         utility_floor=float(rule_raw.get("utility_floor", float("-inf"))),
     )
-    if kind == "constrained" and rule.constraint not in ("dp", "eo"):
-        raise ConfigError("policy_rule.constraint must be 'dp' or 'eo'")
+    constraints = tuple(c.value for c in Constraint)
+    if kind == "constrained" and rule.constraint not in constraints:
+        raise ConfigError(f"policy_rule.constraint must be one of {constraints}")
     if kind == "outcome_optimal" and rule.target_group is None:
         raise ConfigError("policy_rule.target_group required for outcome_optimal")
 
@@ -255,6 +257,9 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
     horizon = int(_req(raw, "horizon", "scenario"))
     if horizon < 0:
         raise ConfigError(f"horizon must be >= 0, got {horizon}")
+    resolution = float(raw.get("resolution", DEFAULT_RESOLUTION))
+    if not 0.0 < resolution <= 1.0:
+        raise ConfigError(f"resolution must be in (0, 1], got {resolution}")
     tol_raw = raw.get("tolerances", {})
     tolerances = Tolerances(
         regime=float(tol_raw.get("regime", 1e-6)),
@@ -302,7 +307,7 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
         horizon=horizon,
         tolerances=tolerances,
         seed=int(raw.get("seed", 0)),
-        resolution=float(raw.get("resolution", 0.01)),
+        resolution=resolution,
         metric_groups=metric_groups,
         variants=variants,
     )
@@ -359,13 +364,12 @@ class _ScenarioEngine:
         if rule.kind == "max_utility":
             return max_utility_policy(pop, cfg.outcome, cfg.institution)
         if rule.kind == "constrained":
-            constraint = (
-                Constraint.DEMOGRAPHIC_PARITY
-                if rule.constraint == "dp"
-                else Constraint.EQUAL_OPPORTUNITY
-            )
             return constrained_policy(
-                pop, cfg.outcome, cfg.institution, constraint, cfg.resolution
+                pop,
+                cfg.outcome,
+                cfg.institution,
+                Constraint(rule.constraint),
+                cfg.resolution,
             ).policy
         return outcome_optimal_policy(
             pop,

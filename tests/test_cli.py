@@ -5,6 +5,8 @@ import pytest
 import yaml
 
 from fairdyn.cli import main
+from fairdyn.errors import ConfigError
+from fairdyn.scenarios import load_scenario
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CAUSAL_MODEL = os.path.join(REPO, "configs", "hiring_causal.yaml")
@@ -15,12 +17,10 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-def boards_raw():
+def builtin_raw(name):
     from importlib.resources import files
 
-    return yaml.safe_load(
-        files("fairdyn.data").joinpath("boards_quota.yaml").read_text()
-    )
+    return yaml.safe_load(files("fairdyn.data").joinpath(f"{name}.yaml").read_text())
 
 
 class TestMetrics:
@@ -61,7 +61,7 @@ class TestSimulate:
         assert len(rows) == 1 + 2 * n_steps
 
     def test_infeasible_quota_exit_2(self, tmp_path, capsys):
-        raw = boards_raw()
+        raw = builtin_raw("boards_quota")
         raw["population"]["groups"][1]["proportion"] = 0.05
         raw["population"]["groups"][0]["proportion"] = 0.95
         raw["interventions"][0]["target_share"] = 0.9
@@ -85,6 +85,39 @@ class TestOptimize:
         assert main(["optimize", "--scenario", "lending_liu"]) == 0
         out = capsys.readouterr().out
         assert "tau[A]" in out and "tau[B]" in out
+
+
+    def test_zero_resolution_exit_1(self, capsys):
+        argv = ["optimize", "--scenario", "lending_liu", "--constraint", "dp"]
+        assert main([*argv, "--resolution", "0"]) == 1
+        assert "resolution" in capsys.readouterr().err
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "field", ["pmf", "bin_scores", "bin_width", "resolution"]
+    )
+    def test_nan_in_scenario_exit_1(self, tmp_path, capsys, field):
+        raw = builtin_raw("lending_liu")
+        if field == "pmf":
+            raw["population"]["groups"][0]["pmf"][0] = float("nan")
+        elif field == "resolution":
+            raw["resolution"] = float("nan")
+        else:
+            value = raw["population"][field]
+            if isinstance(value, list):
+                value[1] = float("nan")
+            else:
+                raw["population"][field] = float("nan")
+        scenario = tmp_path / "nan.yaml"
+        scenario.write_text(yaml.safe_dump(raw))
+        assert ".nan" in scenario.read_text()
+        with pytest.raises(ConfigError):
+            load_scenario(str(scenario))
+        out = tmp_path / "m.csv"
+        assert main(["metrics", "--scenario", str(scenario), "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCausal:

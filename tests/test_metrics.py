@@ -199,3 +199,8 @@ def test_eo_bounded_by_eodds_random(rng):
         assert rep.eo_gap <= rep.eodds_gap + 1e-12
         for v in (rep.dp_gap, rep.eo_gap, rep.eodds_gap):
             assert -1e-12 <= v <= 1.0 + 1e-12
+
+
+def test_nan_rho_rejected():
+    with pytest.raises(DomainError, match="NaN"):
+        OutcomeModel(rho={"a0": (0.2, float("nan"))}, steps_up=1, steps_down=1)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairdyn.dynamics import group_delta_mu
 from fairdyn.errors import DomainError, InfeasibilityError
@@ -16,8 +18,17 @@ from fairdyn.optimize import (
     max_utility_policy,
     outcome_optimal_policy,
     rate_grid,
+    rates_for_tpr,
 )
-from fairdyn.policy import InstitutionModel, Policy, institution_utility
+from fairdyn.policy import (
+    GroupThreshold,
+    InstitutionModel,
+    Policy,
+    RandomizedThresholdPolicy,
+    institution_utility,
+    threshold_levels,
+)
+from fairdyn.population import GroupState
 
 from conftest import make_grid, make_population, random_instance
 
@@ -64,6 +75,22 @@ def bf_utility(pop, outcome, inst, taus):
     return total
 
 
+def bf_rate_for_tpr(pmf, rho, tpr):
+    """Top-down greedy fill of qualified mass; returns the acceptance rate."""
+    need = tpr * sum(p * r for p, r in zip(pmf, rho))
+    rate = 0.0
+    for i in reversed(range(len(pmf))):
+        contrib = pmf[i] * rho[i]
+        if contrib <= 0.0:
+            continue
+        take = min(1.0, need / contrib)
+        rate += take * pmf[i]
+        need -= take * contrib
+        if need <= 1e-15:
+            break
+    return rate
+
+
 def bf_constrained_dp(pop, outcome, inst, resolution):
     """Scan the common-rate grid, exhaustively, tie toward larger rate."""
     best = None
@@ -87,6 +114,53 @@ def bf_max_utility(pop, outcome, inst):
                 best = (util, bits)
         taus[g.group_id] = np.array(best[1])
     return taus
+
+
+# --- the vectorised threshold search against the oracles ------------------
+
+# Integer weights put zero-mass bins, and so repeated cumulative masses, into
+# most draws; every rate grid holds the levels 0 and 1.
+# Each cell is one bin's (weight, rho).
+cells_strategy = st.lists(
+    st.tuples(st.integers(0, 5), st.floats(0.05, 1.0)), min_size=2, max_size=12
+).filter(lambda cells: sum(w for w, _ in cells) > 0)
+resolutions = st.sampled_from([1.0, 0.5, 0.1, 0.05, 0.01, 0.007])
+
+
+def expand_one(pmf, b, f):
+    th = RandomizedThresholdPolicy({"a": GroupThreshold(int(b), float(f))})
+    return th.expand(make_grid(len(pmf))).tau("a")
+
+
+class TestThresholdSearchOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(cells=cells_strategy, resolution=resolutions)
+    def test_every_level_matches_greedy_fill(self, cells, resolution):
+        w = np.array([w for w, _ in cells], dtype=float)
+        pmf = w / w.sum()
+        levels = rate_grid(resolution)
+        bins, fractions = threshold_levels(pmf, levels)
+        held = pmf > 0  # acceptance of a zero-mass bin changes nothing
+        for level, b, f in zip(levels, bins, fractions):
+            tau = expand_one(pmf, b, f)
+            oracle = bf_tau_for_rate(pmf, float(level))
+            assert np.max(np.abs(tau - oracle)[held]) <= 1e-12
+            assert abs(float(pmf @ tau) - level) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(cells=cells_strategy, resolution=resolutions)
+    def test_tpr_map_matches_greedy_fill(self, cells, resolution):
+        w = np.array([w for w, _ in cells], dtype=float)
+        pmf = w / w.sum()
+        rho = np.sort([r for _, r in cells])
+        levels = rate_grid(resolution)
+        rates = rates_for_tpr(GroupState("a", 1.0, tuple(pmf)), rho, levels)
+        qualified = float(pmf @ rho)
+        bins, fractions = threshold_levels(pmf, rates)
+        for level, rate, b, f in zip(levels, rates, bins, fractions):
+            assert abs(rate - bf_rate_for_tpr(pmf, rho, float(level))) <= 1e-12
+            tau = expand_one(pmf, b, f)
+            assert abs(float(pmf @ (tau * rho)) / qualified - level) <= 1e-12
 
 
 # --- max_utility_policy ----------------------------------------------------
@@ -212,6 +286,52 @@ class TestConstrainedPolicy:
                 pop, out, inst, Constraint.DEMOGRAPHIC_PARITY, 0.05
             )
             assert fine.utility >= coarse.utility - 1e-12
+
+
+class TestTieBreaks:
+    """With u_plus = 1 and u_minus = -1 the per-bin utility is exactly 0 at
+    rho = 0.5, so every level whose thresholds fall in those bins ties."""
+
+    def test_constrained_picks_largest_tied_level(self):
+        pop, out = two_group(
+            (0.2, 0.3, 0.3, 0.2), (0.1, 0.3, 0.3, 0.3), (0.1, 0.5, 0.5, 0.9)
+        )
+        inst = InstitutionModel(1.0, -1.0)
+        res = constrained_policy(pop, out, inst, Constraint.DEMOGRAPHIC_PARITY, 0.1)
+        util, beta, taus = bf_constrained_dp(pop, out, inst, 0.1)
+        tied = [
+            float(level)
+            for level in rate_grid(0.1)
+            if bf_utility(
+                pop,
+                out,
+                inst,
+                {g.group_id: bf_tau_for_rate(g.pmf, float(level)) for g in pop.groups},
+            )
+            == util
+        ]
+        assert tied == pytest.approx([0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
+        assert res.level == beta == tied[-1]
+        assert res.utility == pytest.approx(util, abs=1e-12)
+        for gid in pop.group_ids:
+            assert res.policy.tau(gid) == pytest.approx(taus[gid], abs=1e-12)
+
+    def test_outcome_optimal_tie_order(self):
+        # steps_up == steps_down, so the score change is also exactly 0 at
+        # rho = 0.5: the rates 0.25 to 0.75 tie on the target's change.
+        pmf = (0.25, 0.25, 0.25, 0.25)
+        pop, out = two_group(pmf, pmf, (0.1, 0.5, 0.5, 0.9))
+        # Utility ties too: the lowest tied rate wins.
+        pol = outcome_optimal_policy(
+            pop, out, InstitutionModel(1.0, -1.0), "g1", resolution=0.125
+        )
+        assert list(pol.tau("g1")) == [0.0, 0.0, 0.0, 1.0]
+        # Utility grows across the tie (0.5 per accepted rho = 0.5 bin): the
+        # highest-utility tied rate wins.
+        pol = outcome_optimal_policy(
+            pop, out, InstitutionModel(2.0, -1.0), "g1", resolution=0.125
+        )
+        assert list(pol.tau("g1")) == [0.0, 1.0, 1.0, 1.0]
 
 
 # --- outcome_optimal_policy ------------------------------------------------

@@ -10,7 +10,9 @@ from fairdyn.policy import (
     Policy,
     acceptance_rate,
     institution_utility,
+    threshold_levels,
     threshold_policy_for_rate,
+    threshold_values,
 )
 from fairdyn.population import GroupState
 
@@ -118,6 +120,56 @@ class TestThresholdForRate:
             assert abs(acceptance_rate(pol, g) - target) <= 1e-12
 
 
+def scan_threshold(pmf, target):
+    """Bin-by-bin top-down scan: the reference that ``threshold_levels``
+    must reproduce bit for bit."""
+    cum_above = 0.0
+    for i in range(len(pmf) - 1, -1, -1):
+        if cum_above + pmf[i] >= target or i == 0:
+            b = (target - cum_above) / pmf[i] if pmf[i] > 0 else 0.0
+            return i, min(max(b, 0.0), 1.0)
+        cum_above += pmf[i]
+
+
+# Integer weights put zero-mass bins, and so repeated cumulative masses, into
+# most draws.
+weights = st.lists(st.integers(0, 5), min_size=2, max_size=12).filter(
+    lambda w: sum(w) > 0
+)
+
+
+class TestThresholdLevels:
+    @settings(max_examples=200, deadline=None)
+    @given(w=weights, rates=st.lists(st.floats(0.0, 1.0), max_size=20))
+    def test_equals_scalar_scan(self, w, rates):
+        pmf = np.array(w, dtype=float) / sum(w)
+        # Rates on the cumulative masses sit exactly on bin boundaries (their
+        # sum can round above 1).
+        boundaries = np.minimum(np.cumsum(pmf[::-1]), 1.0)
+        rates = np.array([0.0, 1.0, *rates, *boundaries])
+        bins, fractions = threshold_levels(pmf, rates)
+        for r, b, f in zip(rates, bins, fractions):
+            assert (int(b), float(f)) == scan_threshold(pmf, float(r))
+
+    @settings(max_examples=100, deadline=None)
+    @given(w=weights, seed=st.integers(0, 2**31))
+    def test_values_match_expanded_policy(self, w, seed):
+        rng = np.random.default_rng(seed)
+        pmf = np.array(w, dtype=float) / sum(w)
+        weight = rng.normal(size=len(pmf))
+        rates = np.concatenate(([0.0, 1.0], rng.random(10)))
+        bins, fractions = threshold_levels(pmf, rates)
+        values = threshold_values(pmf, weight, bins, fractions)
+        g = group(pmf)
+        for r, v in zip(rates, values):
+            tau = threshold_policy_for_rate(g, r).expand(make_grid(len(pmf))).tau("a")
+            assert abs(v - float(pmf @ (tau * weight))) <= 1e-12
+
+    def test_nan_rate_rejected(self):
+        with pytest.raises(DomainError):
+            threshold_levels(np.array([0.5, 0.5]), np.array([0.2, np.nan]))
+
+
 class TestInstitutionUtility:
     def setup_method(self):
         self.grid = make_grid(2)
@@ -173,3 +225,8 @@ def test_non_finite_utilities_rejected():
 def test_policy_entries_validated():
     with pytest.raises(DomainError):
         Policy.from_arrays({"a": np.array([0.5, 1.5])})
+
+
+def test_nan_policy_entry_rejected():
+    with pytest.raises(DomainError, match="NaN"):
+        Policy.from_arrays({"a": np.array([0.5, np.nan])})

@@ -108,3 +108,14 @@ def test_group_mean_linear_in_mixture(alpha, seed):
     assert abs(m_mix - (alpha * m1 + (1.0 - alpha) * m2)) < 1e-9 * max(
         1.0, abs(m1), abs(m2)
     )
+
+
+def test_nan_pmf_rejected():
+    pop = make_population(make_grid(2), {"a": (float("nan"), 1.0)}, {"a": 1.0})
+    report = validate_population(pop)
+    assert any("non-finite" in v for v in report.violations)
+
+
+def test_nan_bin_score_rejected():
+    grid = ScoreGrid(bin_scores=(0.0, float("nan"), 2.0), bin_width=1.0)
+    assert grid.violations() == ["bin scores are not all finite"]

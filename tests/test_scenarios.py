@@ -67,6 +67,23 @@ class TestLoadScenario:
             load_scenario(str(p))
 
 
+    @pytest.mark.parametrize("resolution", [0.0, -0.1, 1.5])
+    def test_resolution_out_of_range(self, tmp_path, resolution):
+        import yaml
+
+        raw = yaml.safe_load(
+            __import__("importlib.resources", fromlist=["files"])
+            .files("fairdyn.data")
+            .joinpath("lending_liu.yaml")
+            .read_text()
+        )
+        raw["resolution"] = resolution
+        p = tmp_path / "bad.yaml"
+        p.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError, match="resolution"):
+            load_scenario(str(p))
+
+
 class TestRunScenario:
     def test_no_interventions_matches_bare_dynamics(self):
         traj = run_scenario(LENDING, interventions=[])
