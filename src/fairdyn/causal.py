@@ -2,29 +2,47 @@
 
 Models are Bayesian networks over finite domains: a DAG plus one conditional
 probability table per node. Interventions are graph surgery (drop incoming
-edges, replace the CPT by a point mass). All interventional quantities are
-computed by exact enumeration of the joint, capped at one million states.
+edges, replace the CPT by a point mass).
+
+Interventional quantities are exact. They come from variable elimination over
+ndarray factors, one per CPT, with axes (sorted parents..., node) in domain
+order. ``P(outcome | do(target=t))`` for every ``t`` is one contraction of the
+truncated factorisation: only the outcome and its ancestors keep their
+factors, the target's factor is dropped but its axis kept, and every other
+variable is summed out, the one whose intermediate factor is smallest first
+(ties broken by node name). ``marginal`` and ``joint_distribution`` are the
+same contraction keeping one node or every node. No factor above
+``JOINT_STATE_CAP`` entries is ever allocated: a model that would need one
+raises ``CapacityError`` before the allocation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Hashable, Mapping
+from typing import Hashable, Mapping, Sequence
 
 import networkx as nx
+import numpy as np
 import yaml
 
 from .errors import CapacityError, ConfigError, DomainError, StructureError
 
 JOINT_STATE_CAP = 10**6
 CPT_TOL = 1e-9
+# np.einsum accepts at most 52 distinct axis labels per call, and NumPy 1.x at
+# most 32 operands.
+_EINSUM_LABELS = 52
+_EINSUM_OPERANDS = 32
 
 Value = Hashable
 Assignment = tuple[Value, ...]
 # CPT: parent assignment (values in sorted-parent-name order) -> distribution
 # over the node's domain, in domain order.
 Cpt = Mapping[Assignment, tuple[float, ...]]
+# A factor's scope (node names, one per axis) and its values.
+Factor = tuple[tuple[str, ...], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -45,24 +63,25 @@ class CausalModel:
         return tuple(sorted(u for u, v in self.edges if v == node))
 
     def validate(self) -> None:
-        g = self.graph()
         for u, v in self.edges:
             if u not in self.domains or v not in self.domains:
                 raise StructureError(f"edge ({u!r}, {v!r}) references unknown node")
-        if not nx.is_directed_acyclic_graph(g):
+        if not nx.is_directed_acyclic_graph(self.graph()):
             raise StructureError("edge set contains a directed cycle")
         for special, name in ((self.protected, "protected"), (self.outcome, "outcome")):
             if special not in self.domains:
                 raise StructureError(f"{name} node {special!r} not in model")
+        parent_map = _parent_map(self)
         for node, dom in self.domains.items():
             if len(dom) < 1:
                 raise StructureError(f"node {node!r} has empty domain")
+            if len(set(dom)) != len(dom):
+                raise StructureError(f"node {node!r} has duplicate domain values")
             cpt = self.cpts.get(node)
             if cpt is None:
                 raise StructureError(f"node {node!r} has no CPT")
-            parents = self.parents(node)
             expected = set(
-                itertools.product(*(self.domains[p] for p in parents))
+                itertools.product(*(self.domains[p] for p in parent_map[node]))
             )
             if set(cpt) != expected:
                 raise StructureError(
@@ -72,6 +91,10 @@ class CausalModel:
                 if len(row) != len(dom):
                     raise StructureError(
                         f"node {node!r}: CPT row {key} has wrong length"
+                    )
+                if not all(math.isfinite(p) for p in row):
+                    raise StructureError(
+                        f"node {node!r}: CPT row {key} has a non-finite entry"
                     )
                 if any(p < 0 for p in row):
                     raise StructureError(f"node {node!r}: negative CPT entry")
@@ -87,33 +110,129 @@ class InterventionSpec:
     value: Value
 
 
+def _parent_map(m: CausalModel) -> dict[str, tuple[str, ...]]:
+    parents = {node: [] for node in m.domains}
+    for u, v in m.edges:
+        parents[v].append(u)
+    return {node: tuple(sorted(ps)) for node, ps in parents.items()}
+
+
+def _ancestral_set(
+    parents: Mapping[str, tuple[str, ...]], nodes: Sequence[str], cut: str | None = None
+) -> list[str]:
+    """``nodes`` and their ancestors, sorted; no walk above ``cut``."""
+    seen = set(nodes)
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        if node == cut:
+            continue
+        for p in parents[node]:
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return sorted(seen)
+
+
+def _check_size(size: int, what: str) -> None:
+    if size > JOINT_STATE_CAP:
+        raise CapacityError(
+            f"{what} of {size} entries exceeds cap of {JOINT_STATE_CAP}"
+        )
+
+
+def _einsum(factors: Sequence[Factor], out: Sequence[str]) -> np.ndarray:
+    """Product of ``factors``, summed over every axis not in ``out``.
+
+    Axis labels are assigned afresh for each call, so only the variables of
+    this one product count against einsum's label limit.
+    """
+    labels: dict[str, int] = {}
+    args = []
+    for scope, values in factors:
+        args += [values, [labels.setdefault(v, len(labels)) for v in scope]]
+    if len(labels) > _EINSUM_LABELS or len(factors) > _EINSUM_OPERANDS:
+        raise CapacityError(
+            f"one elimination step joins {len(factors)} factors over "
+            f"{len(labels)} variables, more than einsum takes in one call"
+        )
+    return np.einsum(*args, [labels[v] for v in out])
+
+
+def _contract(
+    m: CausalModel,
+    parents: Mapping[str, tuple[str, ...]],
+    keep: tuple[str, ...],
+    drop: str | None = None,
+) -> np.ndarray:
+    """Sum-product of the model's CPT factors over every node not in ``keep``.
+
+    Only ``keep`` and its ancestors take part. With ``drop`` (a member of
+    ``keep``) that node's factor is left out and its parents are not walked:
+    the truncated factorisation, so row ``t`` of the ``drop`` axis holds the
+    distribution under ``do(drop=t)``. Returns one axis per ``keep`` entry,
+    in that order. ``m`` must be valid.
+    """
+    sizes = {node: len(dom) for node, dom in m.domains.items()}
+    _check_size(math.prod(sizes[v] for v in keep), "output factor")
+    factors: dict[int, Factor] = {}
+    # node -> ids of the live factors whose scope holds it, in id order
+    incidence: dict[str, dict[int, None]] = {}
+    for node in _ancestral_set(parents, keep, drop):
+        incidence[node] = {}
+        if node == drop:
+            continue
+        scope = (*parents[node], node)
+        _check_size(math.prod(sizes[v] for v in scope), f"CPT of {node!r}")
+        rows = [
+            m.cpts[node][key]
+            for key in itertools.product(*(m.domains[p] for p in parents[node]))
+        ]
+        factors[len(factors)] = (
+            scope,
+            np.array(rows, dtype=np.float64).reshape([sizes[v] for v in scope]),
+        )
+    for fid, (scope, _) in factors.items():
+        for v in scope:
+            incidence[v][fid] = None
+
+    def joined_scope(v: str) -> list[str]:
+        return sorted({u for fid in incidence[v] for u in factors[fid][0]})
+
+    # size of the product factor formed when each eliminable node goes next
+    cost = {
+        v: math.prod(sizes[u] for u in joined_scope(v))
+        for v in incidence
+        if v not in keep
+    }
+    next_id = len(factors)
+    while cost:
+        v = min(cost, key=lambda u: (cost[u], u))
+        _check_size(cost.pop(v), f"factor joined to eliminate {v!r}")
+        scope = joined_scope(v)
+        out = tuple(u for u in scope if u != v)
+        fids = list(incidence.pop(v))
+        new = _einsum([factors.pop(fid) for fid in fids], out)
+        factors[next_id] = (out, new)
+        for u in out:
+            for fid in fids:
+                incidence[u].pop(fid, None)
+            incidence[u][next_id] = None
+        next_id += 1
+        for u in out:
+            if u in cost:
+                cost[u] = math.prod(sizes[w] for w in joined_scope(u))
+    return _einsum(list(factors.values()), keep)
+
+
 def joint_distribution(m: CausalModel) -> dict[Assignment, float]:
     """Exact joint pmf over full assignments, keys in sorted node order."""
     m.validate()
-    nodes = sorted(m.domains)
-    n_states = 1
-    for node in nodes:
-        n_states *= len(m.domains[node])
-        if n_states > JOINT_STATE_CAP:
-            raise CapacityError(
-                f"joint state space exceeds cap of {JOINT_STATE_CAP}"
-            )
-    parent_lists = {node: m.parents(node) for node in nodes}
-    dom_index = {
-        node: {v: i for i, v in enumerate(m.domains[node])} for node in nodes
-    }
-    pos = {node: i for i, node in enumerate(nodes)}
-    joint = {}
-    for assignment in itertools.product(*(m.domains[n] for n in nodes)):
-        p = 1.0
-        for node in nodes:
-            key = tuple(assignment[pos[par]] for par in parent_lists[node])
-            row = m.cpts[node][key]
-            p *= row[dom_index[node][assignment[pos[node]]]]
-            if p == 0.0:
-                break
-        joint[assignment] = p
-    return joint
+    nodes = tuple(sorted(m.domains))
+    joint = _contract(m, _parent_map(m), nodes)
+    return dict(
+        zip(itertools.product(*(m.domains[n] for n in nodes)), joint.ravel().tolist())
+    )
 
 
 def intervene(m: CausalModel, spec: InterventionSpec) -> CausalModel:
@@ -133,29 +252,29 @@ def intervene(m: CausalModel, spec: InterventionSpec) -> CausalModel:
 
 
 def marginal(m: CausalModel, node: str) -> dict[Value, float]:
-    joint = joint_distribution(m)
-    nodes = sorted(m.domains)
-    idx = nodes.index(node)
-    out = {v: 0.0 for v in m.domains[node]}
-    for assignment, p in joint.items():
-        out[assignment[idx]] += p
-    return out
-
-
-def _tv(p: Mapping[Value, float], q: Mapping[Value, float]) -> float:
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+    m.validate()
+    if node not in m.domains:
+        raise DomainError(f"unknown node {node!r}")
+    dist = _contract(m, _parent_map(m), (node,))
+    return dict(zip(m.domains[node], dist.tolist()))
 
 
 def _interventional_gap(m: CausalModel, target: str) -> float:
+    """Total variation between the outcome distributions under the two
+    interventions on a binary ``target``."""
+    m.validate()
     dom = m.domains[target]
     if len(dom) != 2:
         raise DomainError(
             f"node {target!r} must be binary, has domain of size {len(dom)}"
         )
-    f0 = marginal(intervene(m, InterventionSpec(target, dom[0])), m.outcome)
-    f1 = marginal(intervene(m, InterventionSpec(target, dom[1])), m.outcome)
-    return _tv(f0, f1)
+    if target == m.outcome:
+        return 1.0
+    parents = _parent_map(m)
+    if target not in _ancestral_set(parents, (m.outcome,)):
+        return 0.0
+    f = _contract(m, parents, (target, m.outcome), drop=target)
+    return float(0.5 * np.abs(f[0] - f[1]).sum())
 
 
 def counterfactual_fairness_gap(m: CausalModel) -> float:

@@ -25,7 +25,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 import yaml
 
-from .dynamics import Trajectory, simulate
+from .dynamics import MAX_HORIZON, Trajectory, simulate
 from .errors import ConfigError, InfeasibilityError
 from .metrics import OutcomeModel
 from .optimize import (
@@ -255,8 +255,8 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
     )
 
     horizon = int(_req(raw, "horizon", "scenario"))
-    if horizon < 0:
-        raise ConfigError(f"horizon must be >= 0, got {horizon}")
+    if not 0 <= horizon <= MAX_HORIZON:
+        raise ConfigError(f"horizon must be in [0, {MAX_HORIZON}], got {horizon}")
     resolution = float(raw.get("resolution", DEFAULT_RESOLUTION))
     if not 0.0 < resolution <= 1.0:
         raise ConfigError(f"resolution must be in (0, 1], got {resolution}")

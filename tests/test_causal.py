@@ -1,9 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import yaml
 
+import causal_oracle as oracle
 from fairdyn.causal import (
+    JOINT_STATE_CAP,
     CausalModel,
     InterventionSpec,
     counterfactual_fairness_gap,
@@ -442,7 +448,265 @@ cpts:
         with pytest.raises(ConfigError):
             load_causal_model(path)
 
+    def test_nan_row(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            """
+nodes:
+  A: ["0", "1"]
+protected: A
+outcome: A
+cpts:
+  A:
+    "": [.nan, 1.0]
+""",
+        )
+        with pytest.raises(ConfigError, match="non-finite"):
+            load_causal_model(path)
+
     def test_missing_field(self, tmp_path):
         path = self.write(tmp_path, "nodes:\n  A: ['0', '1']\n")
         with pytest.raises(ConfigError):
             load_causal_model(path)
+
+
+class TestValidate:
+    def test_nan_cpt_entry(self):
+        m = binary_model(
+            [("A", "F")],
+            {"A": {(): (float("nan"), 1.0)}, "F": child({(0,): 0.1, (1,): 0.9})},
+        )
+        with pytest.raises(StructureError, match="non-finite"):
+            m.validate()
+
+    def test_duplicate_domain_values(self):
+        m = CausalModel(
+            domains={"A": (0, 0), "F": (0, 1)},
+            edges=(("A", "F"),),
+            cpts={"A": {(): (0.5, 0.5)}, "F": {(0,): (0.5, 0.5)}},
+            protected="A",
+            outcome="F",
+        )
+        with pytest.raises(StructureError, match="duplicate"):
+            m.validate()
+
+
+def random_model(rng, max_nodes=5, sizes=(2, 3)):
+    """Random DAG whose nodes take string values; the protected node is
+    binary, every other node draws its domain size from ``sizes``."""
+    n = int(rng.integers(2, max_nodes + 1))
+    names = [f"V{i}" for i in range(n)]
+    order = list(rng.permutation(names))
+    edges = [
+        (u, v) for i, u in enumerate(order) for v in order[i + 1 :] if rng.random() < 0.4
+    ]
+    domains = {}
+    for name in names:
+        k = 2 if name == order[0] else int(rng.choice(sizes))
+        domains[name] = ("lo", "mid", "hi")[:k]
+    cpts = {}
+    for node in names:
+        parents = tuple(sorted(u for u, v in edges if v == node))
+        cpts[node] = {
+            key: tuple(float(p) for p in rng.dirichlet(np.ones(len(domains[node]))))
+            for key in itertools.product(*(domains[p] for p in parents))
+        }
+    return CausalModel(domains, tuple(edges), cpts, order[0], order[-1])
+
+
+def assert_matches_oracle(m):
+    joint = joint_distribution(m)
+    expected = oracle.joint(m)
+    assert list(joint) == list(expected)
+    for key, p in expected.items():
+        assert abs(joint[key] - p) <= 1e-12
+    for node in m.domains:
+        got = marginal(m, node)
+        want = oracle.marginal(m, node)
+        assert list(got) == list(want)
+        for v, p in want.items():
+            assert abs(got[v] - p) <= 1e-12
+    cf = counterfactual_fairness_gap(m)
+    assert abs(cf - oracle.interventional_gap(m, m.protected)) <= 1e-12
+    for node, dom in m.domains.items():
+        if len(dom) == 2:
+            gap = proxy_discrimination_gap(m, node)
+            assert abs(gap - oracle.interventional_gap(m, node)) <= 1e-12
+
+
+class TestEliminationAgainstEnumeration:
+    def test_random_binary_models(self, rng):
+        for _ in range(60):
+            assert_matches_oracle(random_binary_model(rng, max_nodes=7))
+
+    def test_three_valued_string_domains(self, rng):
+        for _ in range(60):
+            assert_matches_oracle(random_model(rng, max_nodes=6))
+
+    def test_hiring_model_file(self):
+        here = os.path.dirname(os.path.abspath(__file__))
+        m = load_causal_model(os.path.join(here, "..", "configs", "hiring_causal.yaml"))
+        assert_matches_oracle(m)
+
+
+HASHSEED_SCRIPT = """
+import numpy as np
+from test_causal import random_model
+from fairdyn.causal import counterfactual_fairness_gap, marginal, proxy_discrimination_gap
+
+rng = np.random.default_rng(7)
+for _ in range(20):
+    m = random_model(rng, max_nodes=7)
+    out = [counterfactual_fairness_gap(m)]
+    out += [proxy_discrimination_gap(m, v) for v in sorted(m.domains) if len(m.domains[v]) == 2]
+    out += [p for v in sorted(m.domains) for p in marginal(m, v).values()]
+    print(" ".join(float(x).hex() for x in out))
+"""
+
+
+def test_results_do_not_depend_on_hash_seed():
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(here, "..", "src")
+    outputs = []
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, here] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", HASHSEED_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        outputs.append(run.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+def chain_model(rng, n):
+    """Binary chain N000 -> ... -> N{n-1} whose links copy the parent up to
+    a small flip probability, so the end-to-end gap stays well above 0."""
+    names = [f"N{i:03d}" for i in range(n)]
+    flips = rng.uniform(0.0005, 0.002, size=(n - 1, 2))
+    cpts = {names[0]: root(0.4)}
+    for name, (e0, e1) in zip(names[1:], flips):
+        cpts[name] = child({(0,): e0, (1,): 1.0 - e1})
+    edges = tuple(zip(names, names[1:]))
+    return CausalModel({v: (0, 1) for v in names}, edges, cpts, names[0], names[-1])
+
+
+def test_long_chain_matches_transition_product(rng):
+    m = chain_model(rng, 200)
+    names = sorted(m.domains)
+    # P(end | do(start)) is the product of the 2x2 transition matrices.
+    t = np.eye(2)
+    for name in names[1:]:
+        t = t @ np.array([m.cpts[name][(0,)], m.cpts[name][(1,)]])
+    expected = 0.5 * np.abs(t[0] - t[1]).sum()
+    gap = counterfactual_fairness_gap(m)
+    assert 0.1 < gap < 1.0
+    assert gap == pytest.approx(expected, abs=1e-12)
+    assert proxy_discrimination_gap(m, names[100]) > 0.1
+
+
+def grid_model(k):
+    """k x k binary grid DAG, edges pointing right and down. Its treewidth is
+    k, so eliminating the top-left-to-bottom-right contrast needs a factor
+    over about k binary variables."""
+    name = "g{:02d}_{:02d}".format
+    edges = []
+    for i in range(k):
+        for j in range(k):
+            if j + 1 < k:
+                edges.append((name(i, j), name(i, j + 1)))
+            if i + 1 < k:
+                edges.append((name(i, j), name(i + 1, j)))
+    nodes = [name(i, j) for i in range(k) for j in range(k)]
+    cpts = {}
+    for node in nodes:
+        n_parents = sum(1 for _, v in edges if v == node)
+        cpts[node] = {
+            key: (0.3, 0.7) if sum(key) % 2 else (0.8, 0.2)
+            for key in itertools.product((0, 1), repeat=n_parents)
+        }
+    return CausalModel(
+        {v: (0, 1) for v in nodes}, tuple(edges), cpts, nodes[0], nodes[-1]
+    )
+
+
+@pytest.fixture
+def einsum_sizes(monkeypatch):
+    """Sizes of every array np.einsum returns while the test runs."""
+    sizes = []
+    einsum = np.einsum
+
+    def spy(*args):
+        out = einsum(*args)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "einsum", spy)
+    return sizes
+
+
+class TestFactorCap:
+    def test_grid_raises_before_allocating(self, einsum_sizes):
+        m = grid_model(25)
+        with pytest.raises(CapacityError):
+            counterfactual_fairness_gap(m)
+        assert einsum_sizes and max(einsum_sizes) <= JOINT_STATE_CAP
+
+    def test_smallest_factor_eliminated_first(self, einsum_sizes):
+        # H is a parent of every C_i, and C_i -> C_{i+1}. Eliminating H first
+        # would join all 22 CPTs into a 2^23-entry factor; eliminating the
+        # chain first never needs more than 16 entries.
+        names = [f"C{i:02d}" for i in range(22)]
+        edges = tuple(("H", c) for c in names) + tuple(zip(names, names[1:]))
+        cpts = {"H": root(0.5), names[0]: child({(0,): 0.3, (1,): 0.6})}
+        for c in names[1:]:
+            cpts[c] = child({(0, 0): 0.1, (0, 1): 0.8, (1, 0): 0.4, (1, 1): 0.9})
+        m = CausalModel(
+            {v: (0, 1) for v in ("H", *names)}, edges, cpts, names[0], names[-1]
+        )
+        assert 0.0 < counterfactual_fairness_gap(m) < 1.0
+        assert max(einsum_sizes) <= 8
+
+    def test_only_outcome_ancestors_below_target_take_part(self):
+        # A target below the whole grid: cutting its parents leaves two nodes,
+        # and the grid, all above the target, never enters a factor.
+        m = grid_model(25)
+        corner = m.outcome
+        domains = {**m.domains, "T": (0, 1), "Y": (0, 1)}
+        cpts = {
+            **m.cpts,
+            "T": child({(0,): 0.5, (1,): 0.5}),
+            "Y": child({(0,): 0.25, (1,): 0.85}),
+        }
+        edges = m.edges + ((corner, "T"), ("T", "Y"))
+        m = CausalModel(domains, edges, cpts, m.protected, "Y")
+        assert proxy_discrimination_gap(m, "T") == pytest.approx(0.6, abs=1e-12)
+        # descendants of the queried node are pruned as well
+        assert marginal(m, "g00_01")[1] == pytest.approx(0.8 * 0.2 + 0.2 * 0.7)
+
+    def test_too_many_variables_for_one_step(self):
+        # Size-1 domains keep every factor tiny, but the outcome's CPT spans
+        # 61 nodes, more than one einsum call can take.
+        mids = [f"C{i:02d}" for i in range(60)]
+        domains = {"A": (0, 1), "Y": (0, 1), **{c: ("x",) for c in mids}}
+        edges = tuple(("A", c) for c in mids) + tuple((c, "Y") for c in mids)
+        cpts = {"A": root(0.5), "Y": {("x",) * len(mids): (0.5, 0.5)}}
+        cpts.update({c: {(0,): (1.0,), (1,): (1.0,)} for c in mids})
+        m = CausalModel(domains, edges, cpts, "A", "Y")
+        with pytest.raises(CapacityError):
+            counterfactual_fairness_gap(m)
+        with pytest.raises(CapacityError):
+            joint_distribution(m)
+        # 40 isolated size-1 nodes: 42 labels fit, 42 operands do not
+        # (NumPy 1.x takes 32).
+        domains = {"A": (0, 1), "Y": (0, 1), **{c: ("x",) for c in mids[:40]}}
+        cpts = {"A": root(0.5), "Y": root(0.5), **{c: {(): (1.0,)} for c in mids[:40]}}
+        with pytest.raises(CapacityError, match="einsum"):
+            joint_distribution(CausalModel(domains, (), cpts, "A", "Y"))
+

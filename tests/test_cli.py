@@ -7,6 +7,7 @@ import yaml
 from fairdyn.cli import main
 from fairdyn.errors import ConfigError
 from fairdyn.scenarios import load_scenario
+from test_causal import grid_model
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CAUSAL_MODEL = os.path.join(REPO, "configs", "hiring_causal.yaml")
@@ -21,6 +22,25 @@ def builtin_raw(name):
     from importlib.resources import files
 
     return yaml.safe_load(files("fairdyn.data").joinpath(f"{name}.yaml").read_text())
+
+
+def write_causal_yaml(path, m):
+    """Write ``m`` in the causal model file schema."""
+    rows = {}
+    for node in m.domains:
+        parents = m.parents(node)
+        rows[node] = {
+            ",".join(f"{p}={v}" for p, v in zip(parents, key)): list(row)
+            for key, row in m.cpts[node].items()
+        }
+    raw = {
+        "nodes": {v: list(dom) for v, dom in m.domains.items()},
+        "edges": [list(e) for e in m.edges],
+        "protected": m.protected,
+        "outcome": m.outcome,
+        "cpts": rows,
+    }
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
 
 
 class TestMetrics:
@@ -163,6 +183,20 @@ class TestCausal:
         assert code == 0
         value = float(capsys.readouterr().out.split()[1])
         assert 0.0 <= value <= 1.0
+
+    def test_nan_cpt_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "nan.yaml"
+        raw = yaml.safe_load(open(CAUSAL_MODEL, encoding="utf-8"))
+        raw["cpts"]["D"]["A=0"] = [float("nan"), 1.0]
+        path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        assert main(["causal", "--model", str(path), "--check", "cf"]) == 1
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_factor_over_cap_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "grid.yaml"
+        write_causal_yaml(path, grid_model(25))
+        assert main(["causal", "--model", str(path), "--check", "cf"]) == 2
+        assert "exceeds cap" in capsys.readouterr().err
 
 
 class TestCompare:

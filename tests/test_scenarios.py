@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fairdyn.dynamics import simulate
+from fairdyn.dynamics import MAX_HORIZON, simulate
 from fairdyn.errors import ConfigError, InfeasibilityError
 from fairdyn.population import group_mean
 from fairdyn.scenarios import (
@@ -81,6 +81,22 @@ class TestLoadScenario:
         p = tmp_path / "bad.yaml"
         p.write_text(yaml.safe_dump(raw))
         with pytest.raises(ConfigError, match="resolution"):
+            load_scenario(str(p))
+
+    @pytest.mark.parametrize("horizon", [-1, MAX_HORIZON + 1])
+    def test_horizon_out_of_range(self, tmp_path, horizon):
+        import yaml
+
+        raw = yaml.safe_load(
+            __import__("importlib.resources", fromlist=["files"])
+            .files("fairdyn.data")
+            .joinpath("lending_liu.yaml")
+            .read_text()
+        )
+        raw["horizon"] = horizon
+        p = tmp_path / "bad.yaml"
+        p.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError, match="horizon"):
             load_scenario(str(p))
 
 
