@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
-import networkx as nx
 import numpy as np
 import yaml
 
@@ -53,25 +52,17 @@ class CausalModel:
     protected: str
     outcome: str
 
-    def graph(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(self.domains)
-        g.add_edges_from(self.edges)
-        return g
-
     def parents(self, node: str) -> tuple[str, ...]:
         return tuple(sorted(u for u, v in self.edges if v == node))
 
-    def validate(self) -> None:
-        for u, v in self.edges:
-            if u not in self.domains or v not in self.domains:
-                raise StructureError(f"edge ({u!r}, {v!r}) references unknown node")
-        if not nx.is_directed_acyclic_graph(self.graph()):
-            raise StructureError("edge set contains a directed cycle")
+    def validate(self) -> dict[str, tuple[str, ...]]:
+        """Raise ``StructureError`` unless the edges form a DAG over the
+        declared nodes and every node has a valid CPT; return the parent map
+        (node -> sorted parents)."""
+        parent_map, _ = _graph(self.domains, self.edges)
         for special, name in ((self.protected, "protected"), (self.outcome, "outcome")):
             if special not in self.domains:
                 raise StructureError(f"{name} node {special!r} not in model")
-        parent_map = _parent_map(self)
         for node, dom in self.domains.items():
             if len(dom) < 1:
                 raise StructureError(f"node {node!r} has empty domain")
@@ -102,6 +93,7 @@ class CausalModel:
                     raise StructureError(
                         f"node {node!r}: CPT row {key} sums to {sum(row):.12g}"
                     )
+        return parent_map
 
 
 @dataclass(frozen=True)
@@ -110,11 +102,43 @@ class InterventionSpec:
     value: Value
 
 
-def _parent_map(m: CausalModel) -> dict[str, tuple[str, ...]]:
-    parents = {node: [] for node in m.domains}
-    for u, v in m.edges:
+def _graph(
+    domains: Mapping[str, tuple[Value, ...]], edges: Sequence[tuple[str, str]]
+) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
+    """Parent and child maps (node -> sorted tuple) of the graph ``edges``
+    draws over the ``domains`` nodes.
+
+    Raises ``StructureError`` if an edge names an unknown node, an edge is
+    repeated, or the edges form a directed cycle (a self-loop included).
+    """
+    parents: dict[str, list[str]] = {node: [] for node in domains}
+    children: dict[str, list[str]] = {node: [] for node in domains}
+    seen = set()
+    for u, v in edges:
+        if u not in domains or v not in domains:
+            raise StructureError(f"edge ({u!r}, {v!r}) references unknown node")
+        if (u, v) in seen:
+            raise StructureError(f"edge ({u!r}, {v!r}) is repeated")
+        seen.add((u, v))
         parents[v].append(u)
-    return {node: tuple(sorted(ps)) for node, ps in parents.items()}
+        children[u].append(v)
+    # Kahn: remove parentless nodes one by one; a cycle keeps its nodes'
+    # in-degrees above zero, so some node is never removed.
+    indegree = {node: len(ps) for node, ps in parents.items()}
+    ready = [node for node, d in indegree.items() if d == 0]
+    removed = 0
+    while ready:
+        removed += 1
+        for c in children[ready.pop()]:
+            indegree[c] -= 1
+            if indegree[c] == 0:
+                ready.append(c)
+    if removed != len(indegree):
+        raise StructureError("edge set contains a directed cycle")
+    return (
+        {node: tuple(sorted(ps)) for node, ps in parents.items()},
+        {node: tuple(sorted(cs)) for node, cs in children.items()},
+    )
 
 
 def _ancestral_set(
@@ -227,9 +251,9 @@ def _contract(
 
 def joint_distribution(m: CausalModel) -> dict[Assignment, float]:
     """Exact joint pmf over full assignments, keys in sorted node order."""
-    m.validate()
+    parents = m.validate()
     nodes = tuple(sorted(m.domains))
-    joint = _contract(m, _parent_map(m), nodes)
+    joint = _contract(m, parents, nodes)
     return dict(
         zip(itertools.product(*(m.domains[n] for n in nodes)), joint.ravel().tolist())
     )
@@ -252,17 +276,17 @@ def intervene(m: CausalModel, spec: InterventionSpec) -> CausalModel:
 
 
 def marginal(m: CausalModel, node: str) -> dict[Value, float]:
-    m.validate()
+    parents = m.validate()
     if node not in m.domains:
         raise DomainError(f"unknown node {node!r}")
-    dist = _contract(m, _parent_map(m), (node,))
+    dist = _contract(m, parents, (node,))
     return dict(zip(m.domains[node], dist.tolist()))
 
 
 def _interventional_gap(m: CausalModel, target: str) -> float:
     """Total variation between the outcome distributions under the two
     interventions on a binary ``target``."""
-    m.validate()
+    parents = m.validate()
     dom = m.domains[target]
     if len(dom) != 2:
         raise DomainError(
@@ -270,7 +294,6 @@ def _interventional_gap(m: CausalModel, target: str) -> float:
         )
     if target == m.outcome:
         return 1.0
-    parents = _parent_map(m)
     if target not in _ancestral_set(parents, (m.outcome,)):
         return 0.0
     f = _contract(m, parents, (target, m.outcome), drop=target)
@@ -300,12 +323,8 @@ def d_separated(
                 raise DomainError(f"unknown node {node!r} in {name}")
     if sources & targets or sources & given or targets & given:
         raise DomainError("sources, targets and given must be disjoint")
-    g = m.graph()
-    if not nx.is_directed_acyclic_graph(g):
-        raise StructureError("edge set contains a directed cycle")
-    ancestors_of_given = set(given)
-    for z in given:
-        ancestors_of_given |= nx.ancestors(g, z)
+    parents, children = _graph(m.domains, m.edges)
+    ancestors_of_given = set(_ancestral_set(parents, tuple(given)))
     # Bayes-ball: states are (node, direction), direction is the edge
     # orientation by which the node was entered ('up' = from a child).
     frontier = [(s, "up") for s in sources]
@@ -318,16 +337,16 @@ def d_separated(
         if node not in given and node in targets:
             return False
         if direction == "up" and node not in given:
-            for parent in g.predecessors(node):
+            for parent in parents[node]:
                 frontier.append((parent, "up"))
-            for child in g.successors(node):
+            for child in children[node]:
                 frontier.append((child, "down"))
         elif direction == "down":
             if node not in given:
-                for child in g.successors(node):
+                for child in children[node]:
                     frontier.append((child, "down"))
             if node in ancestors_of_given:
-                for parent in g.predecessors(node):
+                for parent in parents[node]:
                     frontier.append((parent, "up"))
     return True
 
@@ -338,9 +357,9 @@ def unresolved_discrimination(m: CausalModel, resolving: set[str]) -> bool:
     for node in resolving:
         if node not in m.domains:
             raise StructureError(f"unknown resolving node {node!r}")
-    g = m.graph()
-    if m.protected not in g or m.outcome not in g:
+    if m.protected not in m.domains or m.outcome not in m.domains:
         raise StructureError("protected or outcome node missing")
+    _, children = _graph(m.domains, m.edges)
     blocked = resolving - {m.protected, m.outcome}
     stack = [m.protected]
     seen = set()
@@ -353,7 +372,7 @@ def unresolved_discrimination(m: CausalModel, resolving: set[str]) -> bool:
             return True
         if node != m.protected and node in blocked:
             continue
-        stack.extend(g.successors(node))
+        stack.extend(children[node])
     return False
 
 
@@ -375,34 +394,42 @@ def load_causal_model(path) -> CausalModel:
         edges = tuple((str(u), str(v)) for u, v in raw.get("edges", []))
         protected = str(raw["protected"])
         outcome = str(raw["outcome"])
+        parent_map, _ = _graph(domains, edges)
         cpts = {}
         for node, rows in raw["cpts"].items():
             node = str(node)
-            parents = tuple(sorted(u for u, v in edges if v == node))
+            parents = parent_map.get(node, ())
             table = {}
             for key, row in rows.items():
                 key = "" if key is None else str(key)
                 if key == "":
                     pk: Assignment = ()
                 else:
-                    parts = dict(
-                        item.split("=", 1) for item in key.split(",")
-                    )
+                    items = [item.split("=", 1) for item in key.split(",")]
+                    parts = dict(items)
+                    if len(parts) != len(items):
+                        raise ConfigError(
+                            f"cpts.{node}: row key {key!r} names a parent twice"
+                        )
                     if set(parts) != set(parents):
                         raise ConfigError(
                             f"cpts.{node}: row key {key!r} does not name "
                             f"parents {sorted(parents)}"
                         )
                     pk = tuple(parts[p] for p in parents)
+                if pk in table:
+                    raise ConfigError(
+                        f"cpts.{node}: row key {key!r} repeats the parent "
+                        "assignment of an earlier row"
+                    )
                 table[pk] = tuple(float(x) for x in row)
             cpts[node] = table
+        model = CausalModel(domains, edges, cpts, protected, outcome)
+        model.validate()
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed causal model file {path}: {exc}") from exc
-    model = CausalModel(domains, edges, cpts, protected, outcome)
-    try:
-        model.validate()
     except StructureError as exc:
         raise ConfigError(f"invalid causal model in {path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed causal model file {path}: {exc}") from exc
     return model

@@ -20,12 +20,6 @@ from . import scenarios as scn
 from .dynamics import TRAJECTORY_COLUMNS, trajectory_rows
 from .errors import CapacityError, FairdynError, InfeasibilityError
 from .metrics import metric_report
-from .optimize import (
-    Constraint,
-    constrained_policy,
-    max_utility_policy,
-    outcome_optimal_policy,
-)
 
 
 def _fmt(value) -> str:
@@ -94,27 +88,19 @@ def _cmd_optimize(args) -> int:
     cfg = scn.load_scenario(args.scenario)
     resolution = cfg.resolution if args.resolution is None else args.resolution
     if args.constraint == "none":
-        policy = max_utility_policy(cfg.population, cfg.outcome, cfg.institution)
+        rule = scn.PolicyRuleSpec("max_utility")
     elif args.constraint in ("dp", "eo"):
-        policy = constrained_policy(
-            cfg.population,
-            cfg.outcome,
-            cfg.institution,
-            Constraint(args.constraint),
-            resolution,
-        ).policy
+        rule = scn.PolicyRuleSpec("constrained", constraint=args.constraint)
     else:  # outcome
         target = cfg.policy_rule.target_group or cfg.declared_goal.target_group
         if target is None:
             target = cfg.population.groups[-1].group_id
-        policy = outcome_optimal_policy(
-            cfg.population,
-            cfg.outcome,
-            cfg.institution,
-            target,
-            cfg.policy_rule.utility_floor,
-            resolution,
+        rule = scn.PolicyRuleSpec(
+            "outcome_optimal",
+            target_group=target,
+            utility_floor=cfg.policy_rule.utility_floor,
         )
+    policy = scn.build_policy(cfg, cfg.population, rule, resolution)
     for gid in cfg.population.group_ids:
         tau = " ".join(_fmt(float(v)) for v in policy.tau(gid))
         print(f"tau[{gid}] {tau}")

@@ -61,28 +61,15 @@ class Trajectory:
         return self.steps[-1]
 
 
-def expected_delta(
-    bin_index: int, group_id: str, outcome: OutcomeModel, grid: ScoreGrid
-) -> float:
-    """Expected score change of a selected individual at the given bin."""
-    delta = outcome.score_change(group_id, grid)
-    if not 0 <= bin_index < len(delta):
-        raise DomainError(f"bin index {bin_index} outside grid")
-    return float(delta[bin_index])
-
-
 def group_delta_mu(
     group: GroupState,
     policy: Policy,
     outcome: OutcomeModel,
     grid: ScoreGrid,
-    selected_only: bool = False,
 ) -> float:
     """Expected score change for the group as a whole.
 
-    Unselected individuals contribute zero. With ``selected_only`` the
-    average is taken over accepted individuals instead (documented
-    alternative reading; not used by the shipped scenarios).
+    Unselected individuals contribute zero.
     """
     pmf = group.pmf_array
     tau = policy.tau(group.group_id)
@@ -91,11 +78,7 @@ def group_delta_mu(
         raise DimensionError(
             f"group {group.group_id!r}: inconsistent vector lengths"
         )
-    total = float(pmf @ (tau * delta))
-    if selected_only:
-        accepted = float(pmf @ tau)
-        return total / accepted if accepted > 0 else 0.0
-    return total
+    return float(pmf @ (tau * delta))
 
 
 def classify_regime(delta_mu: float, tol: float) -> RegimeLabel:

@@ -338,6 +338,38 @@ def load_scenario(path_or_name: str) -> ScenarioConfig:
         raise ConfigError(f"malformed scenario file {path_or_name}: {exc}") from exc
 
 
+def build_policy(
+    cfg: ScenarioConfig, pop: Population, rule: PolicyRuleSpec, resolution: float
+) -> Policy:
+    """The policy that ``rule`` selects for ``pop`` under ``cfg``'s outcome and
+    institution models; the searches scan rates or TPRs at ``resolution``."""
+    if rule.kind == "fixed":
+        missing = set(pop.group_ids) - set(rule.tau)
+        if missing:
+            raise ConfigError(f"fixed policy missing groups {sorted(missing)}")
+        return Policy.from_arrays(
+            {gid: np.asarray(rule.tau[gid]) for gid in pop.group_ids}
+        )
+    if rule.kind == "max_utility":
+        return max_utility_policy(pop, cfg.outcome, cfg.institution)
+    if rule.kind == "constrained":
+        return constrained_policy(
+            pop,
+            cfg.outcome,
+            cfg.institution,
+            Constraint(rule.constraint),
+            resolution,
+        ).policy
+    return outcome_optimal_policy(
+        pop,
+        cfg.outcome,
+        cfg.institution,
+        rule.target_group,
+        rule.utility_floor,
+        resolution,
+    )
+
+
 class _ScenarioEngine:
     """Stateful hooks plugged into the dynamics loop to apply interventions."""
 
@@ -348,37 +380,6 @@ class _ScenarioEngine:
         self.quota_streak = [0] * len(interventions)
         self.last_share: dict[str, float] = {}
         self.flags: dict[int, tuple[bool, ...]] = {}
-
-    def base_policy(self, pop: Population) -> Policy:
-        cfg = self.cfg
-        rule = cfg.policy_rule
-        if rule.kind == "fixed":
-            missing = set(pop.group_ids) - set(rule.tau)
-            if missing:
-                raise ConfigError(
-                    f"fixed policy missing groups {sorted(missing)}"
-                )
-            return Policy.from_arrays(
-                {gid: np.asarray(rule.tau[gid]) for gid in pop.group_ids}
-            )
-        if rule.kind == "max_utility":
-            return max_utility_policy(pop, cfg.outcome, cfg.institution)
-        if rule.kind == "constrained":
-            return constrained_policy(
-                pop,
-                cfg.outcome,
-                cfg.institution,
-                Constraint(rule.constraint),
-                cfg.resolution,
-            ).policy
-        return outcome_optimal_policy(
-            pop,
-            cfg.outcome,
-            cfg.institution,
-            rule.target_group,
-            rule.utility_floor,
-            cfg.resolution,
-        )
 
     def pre_step(self, t: int, pop: Population) -> Population:
         groups = list(pop.groups)
@@ -417,7 +418,8 @@ class _ScenarioEngine:
         return {gid: m / total for gid, m in mass.items()}
 
     def policy(self, t: int, pop: Population) -> Policy:
-        pol = self.base_policy(pop)
+        cfg = self.cfg
+        pol = build_policy(cfg, pop, cfg.policy_rule, cfg.resolution)
         flags = []
         for i, iv in enumerate(self.interventions):
             if iv.kind != "quota":

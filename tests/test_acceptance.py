@@ -182,7 +182,9 @@ def test_ac6_causal_soundness(rng):
                 checked_sep += 1
                 if not _ci_holds(m, x, y, given, tol=1e-9):
                     bad += 1
-        g = m.graph()
+        g = nx.DiGraph()
+        g.add_nodes_from(m.domains)
+        g.add_edges_from(m.edges)
         if m.outcome not in nx.descendants(g, m.protected):
             checked_cf += 1
             if counterfactual_fairness_gap(m) > 1e-12:

@@ -3,9 +3,12 @@ import os
 import subprocess
 import sys
 
+import networkx as nx
 import numpy as np
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import causal_oracle as oracle
 from fairdyn.causal import (
@@ -306,13 +309,19 @@ def test_dsep_implies_conditional_independence(rng):
             assert _ci_holds(m, x, y, given)
 
 
-def test_nondescendant_gap_zero(rng):
-    import networkx as nx
+def nx_graph(m):
+    """``m``'s graph as a networkx ``DiGraph``, the independent oracle."""
+    g = nx.DiGraph()
+    g.add_nodes_from(m.domains)
+    g.add_edges_from(m.edges)
+    return g
 
+
+def test_nondescendant_gap_zero(rng):
     found = 0
     for _ in range(200):
         m = random_binary_model(rng)
-        g = m.graph()
+        g = nx_graph(m)
         if m.outcome in nx.descendants(g, m.protected):
             continue
         found += 1
@@ -349,6 +358,80 @@ class TestUnresolvedDiscrimination:
     def test_unknown_resolving_node(self):
         with pytest.raises(StructureError):
             unresolved_discrimination(self.abc(), {"missing"})
+
+
+STRUCTURE_CHECKS = {
+    "validate": lambda m: m.validate(),
+    "d_separated": lambda m: d_separated(m, {"A"}, {"F"}, set()),
+    "unresolved_discrimination": lambda m: unresolved_discrimination(m, set()),
+}
+
+
+@pytest.mark.parametrize("check", sorted(STRUCTURE_CHECKS))
+@pytest.mark.parametrize(
+    "edges,match",
+    [
+        ((("A", "F"), ("A", "F")), "repeated"),
+        ((("A", "A"), ("A", "F")), "cycle"),
+        ((("A", "F"), ("F", "A")), "cycle"),
+        ((("A", "F"), ("F", "Z")), "unknown node"),
+    ],
+    ids=["duplicate_edge", "self_loop", "two_cycle", "undeclared_node"],
+)
+def test_every_graph_check_rejects_a_bad_edge_set(check, edges, match):
+    m = CausalModel({"A": (0, 1), "F": (0, 1)}, edges, {}, "A", "F")
+    with pytest.raises(StructureError, match=match):
+        STRUCTURE_CHECKS[check](m)
+
+
+@st.composite
+def dags(draw, max_nodes=8):
+    """A random DAG over ``V0..V{n-1}`` with two distinct protected and
+    outcome nodes in either topological order; no CPTs, which the graph
+    checks never read."""
+    names = [f"V{i}" for i in range(draw(st.integers(2, max_nodes)))]
+    order = draw(st.permutations(names))
+    # each forward pair is an edge with probability 1/3: denser graphs leave
+    # few d-separated or resolved cases to compare
+    edges = [
+        (u, v)
+        for i, u in enumerate(order)
+        for v in order[i + 1 :]
+        if draw(st.integers(0, 2)) == 0
+    ]
+    protected, outcome = draw(st.permutations(names))[:2]
+    return CausalModel(
+        {v: (0, 1) for v in names},
+        tuple(draw(st.permutations(edges))),
+        {},
+        protected,
+        outcome,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=dags(), data=st.data())
+def test_d_separated_matches_networkx(m, data):
+    names = sorted(m.domains)
+    roles = data.draw(st.lists(st.sampled_from("stg-"), min_size=len(names)))
+    sources, targets, given_ = (
+        {v for v, r in zip(names, roles) if r == role} for role in "stg"
+    )
+    assume(sources and targets)
+    expected = nx.is_d_separator(nx_graph(m), sources, targets, given_)
+    assert d_separated(m, sources, targets, given_) is expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=dags(), data=st.data())
+def test_unresolved_discrimination_matches_networkx(m, data):
+    names = sorted(m.domains)
+    picks = data.draw(st.lists(st.booleans(), min_size=len(names)))
+    resolving = {v for v, pick in zip(names, picks) if pick}
+    g = nx_graph(m)
+    g.remove_nodes_from(resolving - {m.protected, m.outcome})
+    expected = nx.has_path(g, m.protected, m.outcome)
+    assert unresolved_discrimination(m, resolving) is expected
 
 
 class TestProxyDiscrimination:
@@ -462,6 +545,29 @@ cpts:
 """,
         )
         with pytest.raises(ConfigError, match="non-finite"):
+            load_causal_model(path)
+
+    def test_repeated_edge(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            """
+nodes:
+  A: ["0", "1"]
+  F: ["0", "1"]
+protected: A
+outcome: F
+edges:
+  - [A, F]
+  - [A, F]
+cpts:
+  A:
+    "": ["0.5", "0.5"]
+  F:
+    "A=0": ["0.9", "0.1"]
+    "A=1": ["0.1", "0.9"]
+""",
+        )
+        with pytest.raises(ConfigError, match=r"edge \('A', 'F'\) is repeated"):
             load_causal_model(path)
 
     def test_missing_field(self, tmp_path):

@@ -1,9 +1,13 @@
 import csv
 import os
+import re
+import subprocess
+import sys
 
 import pytest
 import yaml
 
+from fairdyn.causal import load_causal_model
 from fairdyn.cli import main
 from fairdyn.errors import ConfigError
 from fairdyn.scenarios import load_scenario
@@ -192,6 +196,43 @@ class TestCausal:
         assert main(["causal", "--model", str(path), "--check", "cf"]) == 1
         assert "non-finite" in capsys.readouterr().err
 
+    def edited_model(self, tmp_path, edit):
+        """The shipped model with ``edit`` applied to its parsed YAML."""
+        raw = yaml.safe_load(open(CAUSAL_MODEL, encoding="utf-8"))
+        edit(raw)
+        path = tmp_path / "edited.yaml"
+        path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        return str(path)
+
+    def assert_rejected(self, path, message, capsys):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_causal_model(path)
+        assert main(["causal", "--model", path, "--check", "cf"]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_row_key_repeating_an_assignment_exit_1(self, tmp_path, capsys):
+        def edit(raw):
+            # the row "D=0,X=0" again, with the parents in the other order
+            raw["cpts"]["Y"]["X=0,D=0"] = [0.0, 1.0]
+
+        path = self.edited_model(tmp_path, edit)
+        self.assert_rejected(path, "cpts.Y: row key 'X=0,D=0' repeats", capsys)
+
+    def test_row_key_naming_a_parent_twice_exit_1(self, tmp_path, capsys):
+        def edit(raw):
+            raw["cpts"]["D"]["A=0,A=1"] = raw["cpts"]["D"].pop("A=1")
+
+        path = self.edited_model(tmp_path, edit)
+        self.assert_rejected(
+            path, "cpts.D: row key 'A=0,A=1' names a parent twice", capsys
+        )
+
+    def test_repeated_edge_exit_1(self, tmp_path, capsys):
+        path = self.edited_model(
+            tmp_path, lambda raw: raw["edges"].append(["A", "D"])
+        )
+        self.assert_rejected(path, "edge ('A', 'D') is repeated", capsys)
+
     def test_factor_over_cap_exit_2(self, tmp_path, capsys):
         path = tmp_path / "grid.yaml"
         write_causal_yaml(path, grid_model(25))
@@ -281,3 +322,36 @@ class TestUsage:
 
     def test_bad_choice_exit_1(self, capsys):
         assert main(["optimize", "--scenario", "lending_liu", "--constraint", "xx"]) == 1
+
+
+NETWORKX_SCRIPT = """
+import sys
+from fairdyn.cli import main
+checks = (
+    ["dsep", "--given", "D,X"],
+    ["cf"],
+    ["unresolved", "--resolving", "D"],
+    ["proxy", "--proxy", "X"],
+)
+codes = [main(["causal", "--model", sys.argv[1], "--check", *c]) for c in checks]
+print("exit codes", codes)
+print("networkx imported", "networkx" in sys.modules)
+"""
+
+
+def test_causal_commands_do_not_import_networkx():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(REPO, "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", NETWORKX_SCRIPT, CAUSAL_MODEL],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert "exit codes [0, 0, 0, 0]" in run.stdout
+    assert "networkx imported False" in run.stdout

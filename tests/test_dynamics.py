@@ -4,7 +4,6 @@ import pytest
 from fairdyn.dynamics import (
     RegimeLabel,
     classify_regime,
-    expected_delta,
     group_delta_mu,
     is_stationary,
     monte_carlo_validate,
@@ -29,24 +28,19 @@ def single_group(pmf, rho, steps_up=1, steps_down=1, width=100.0):
     return pop, out
 
 
-class TestExpectedDelta:
+class TestScoreChange:
     def test_sure_success(self):
         pop, out = single_group((0.5, 0.5), (1.0, 1.0))
-        assert expected_delta(0, "a", out, pop.grid) == out.benefit(pop.grid)
+        assert out.score_change("a", pop.grid)[0] == out.benefit(pop.grid)
 
     def test_sure_failure(self):
         pop, out = single_group((0.5, 0.5), (0.0, 0.0))
-        assert expected_delta(1, "a", out, pop.grid) == out.cost(pop.grid)
+        assert out.score_change("a", pop.grid)[1] == out.cost(pop.grid)
 
     def test_mixed(self):
         pop, out = single_group((0.5, 0.5), (0.7, 0.7))
         # 100 * (0.7 - 0.3)
-        assert expected_delta(0, "a", out, pop.grid) == pytest.approx(40.0)
-
-    def test_bad_bin(self):
-        pop, out = single_group((0.5, 0.5), (0.7, 0.7))
-        with pytest.raises(DomainError):
-            expected_delta(9, "a", out, pop.grid)
+        assert out.score_change("a", pop.grid)[0] == pytest.approx(40.0)
 
 
 class TestGroupDeltaMu:
@@ -65,15 +59,6 @@ class TestGroupDeltaMu:
         pop, out = single_group((0.5, 0.5), (0.3, 0.9))
         pol = Policy.from_arrays({"a": np.ones(2)})
         assert group_delta_mu(pop.groups[0], pol, out, pop.grid) == pytest.approx(20.0)
-
-    def test_selected_only_variant(self):
-        pop, out = single_group((0.5, 0.5), (0.3, 0.9))
-        pol = Policy.from_arrays({"a": np.array([0.0, 0.5])})
-        whole = group_delta_mu(pop.groups[0], pol, out, pop.grid)
-        per_selected = group_delta_mu(
-            pop.groups[0], pol, out, pop.grid, selected_only=True
-        )
-        assert per_selected == pytest.approx(whole / 0.25)
 
 
 class TestClassifyRegime:
