@@ -37,7 +37,7 @@ for name in ("quota_only", "quota_pipeline"):
     print(f"Accepted share of women over time ({name}):")
     for rec in traj.steps[:: max(1, cfg.horizon // 8)]:
         mass = {
-            g.group_id: g.proportion * float(g.pmf_array @ rec.policy.tau(g.group_id))
+            g.group_id: g.proportion * float(g.pmf @ rec.policy.tau(g.group_id))
             for g in rec.population.groups
         }
         share = mass["women"] / sum(mass.values())

@@ -63,6 +63,9 @@ class CausalModel:
         for special, name in ((self.protected, "protected"), (self.outcome, "outcome")):
             if special not in self.domains:
                 raise StructureError(f"{name} node {special!r} not in model")
+        extra = sorted(set(self.cpts) - set(self.domains))
+        if extra:
+            raise StructureError(f"CPT given for undeclared node(s) {extra}")
         for node, dom in self.domains.items():
             if len(dom) < 1:
                 raise StructureError(f"node {node!r} has empty domain")
@@ -324,9 +327,10 @@ def d_separated(
     if sources & targets or sources & given or targets & given:
         raise DomainError("sources, targets and given must be disjoint")
     parents, children = _graph(m.domains, m.edges)
-    ancestors_of_given = set(_ancestral_set(parents, tuple(given)))
     # Bayes-ball: states are (node, direction), direction is the edge
-    # orientation by which the node was entered ('up' = from a child).
+    # orientation by which the node was entered ('up' = from a child). Only a
+    # given collider opens: a ball passed down to a given descendant of a
+    # collider bounces back up the same path.
     frontier = [(s, "up") for s in sources]
     visited = set()
     while frontier:
@@ -345,7 +349,7 @@ def d_separated(
             if node not in given:
                 for child in children[node]:
                     frontier.append((child, "down"))
-            if node in ancestors_of_given:
+            if node in given:
                 for parent in parents[node]:
                     frontier.append((parent, "up"))
     return True

@@ -17,13 +17,14 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, InfeasibilityError
+from .errors import DomainError, InfeasibilityError
 from .metrics import MetricReport, OutcomeModel, metric_report
 from .policy import InstitutionModel, Policy, acceptance_rate, institution_utility
 from .population import (
     GroupState,
     Population,
     ScoreGrid,
+    _check_lengths,
     group_mean,
     validate_population,
 )
@@ -71,20 +72,16 @@ def group_delta_mu(
 
     Unselected individuals contribute zero.
     """
-    pmf = group.pmf_array
     tau = policy.tau(group.group_id)
     delta = outcome.score_change(group.group_id, grid)
-    if not len(pmf) == len(tau) == len(delta):
-        raise DimensionError(
-            f"group {group.group_id!r}: inconsistent vector lengths"
-        )
-    return float(pmf @ (tau * delta))
+    _check_lengths(group.group_id, pmf=group.pmf, tau=tau, delta=delta)
+    return float(group.pmf @ (tau * delta))
 
 
 def classify_regime(delta_mu: float, tol: float) -> RegimeLabel:
     if not math.isfinite(delta_mu):
         raise DomainError(f"delta mu {delta_mu} is not finite")
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError(f"regime tolerance {tol} must be positive")
     if delta_mu > tol:
         return RegimeLabel.IMPROVEMENT
@@ -98,29 +95,30 @@ def step(pop: Population, policy: Policy, outcome: OutcomeModel) -> Population:
 
     Accepted mass at each bin splits into a success part moving up and a
     failure part moving down, clamped at the grid boundaries; rejected mass
-    stays. Group proportions are unchanged.
+    stays. Group proportions are unchanged. ``pop`` must be valid; it is not
+    rechecked, and on a valid population the step conserves each group's mass.
     """
-    report = validate_population(pop)
-    if not report.ok:
-        raise DomainError("invalid population: " + "; ".join(report.violations))
     n = len(pop.grid.bin_scores)
     idx = np.arange(n)
     up = np.minimum(idx + outcome.steps_up, n - 1)
     down = np.maximum(idx - outcome.steps_down, 0)
     new_groups = []
     for g in pop.groups:
-        pmf = g.pmf_array
+        pmf = g.pmf
         tau = policy.tau(g.group_id)
         rho = outcome.rho_for(g.group_id)
-        if not len(pmf) == len(tau) == len(rho):
-            raise DimensionError(
-                f"group {g.group_id!r}: inconsistent vector lengths"
-            )
+        _check_lengths(g.group_id, pmf=pmf, tau=tau, rho=rho)
         new = pmf * (1.0 - tau)
         np.add.at(new, up, pmf * tau * rho)
         np.add.at(new, down, pmf * tau * (1.0 - rho))
         new_groups.append(g.with_pmf(new))
     return pop.with_groups(new_groups)
+
+
+def _require_valid(pop: Population) -> None:
+    report = validate_population(pop)
+    if not report.ok:
+        raise DomainError("invalid population: " + "; ".join(report.violations))
 
 
 PolicyFn = Callable[[int, Population], Policy]
@@ -145,9 +143,11 @@ def simulate(
     which models an institution continuously re-applying its decision rule.
     ``pre_step`` and ``flags_fn`` are hooks for scenario interventions; with
     both unset the loop is the bare feedback model. Fully deterministic.
+    ``pop`` and each population ``pre_step`` returns are validated once.
     """
     if horizon < 0 or horizon > MAX_HORIZON:
         raise DomainError(f"horizon {horizon} outside [0, {MAX_HORIZON}]")
+    _require_valid(pop)
     if metric_pair is None and len(pop.groups) >= 2:
         metric_pair = (pop.groups[0].group_id, pop.groups[1].group_id)
     records = []
@@ -155,6 +155,7 @@ def simulate(
     for t in range(horizon + 1):
         if pre_step is not None:
             cur = pre_step(t, cur)
+            _require_valid(cur)
         try:
             pol = policy_fn(t, cur)
         except InfeasibilityError as exc:
@@ -193,9 +194,7 @@ def is_stationary(traj: Trajectory, window: int, eps: float) -> bool:
     steps = traj.steps[-(window + 1) :]
     for prev, nxt in zip(steps, steps[1:]):
         for g_prev, g_next in zip(prev.population.groups, nxt.population.groups):
-            tv = 0.5 * float(
-                np.abs(g_prev.pmf_array - g_next.pmf_array).sum()
-            )
+            tv = 0.5 * float(np.abs(g_prev.pmf - g_next.pmf).sum())
             if tv >= eps:
                 return False
     return True
@@ -233,7 +232,7 @@ def monte_carlo_validate(
     dmu = {}
     dmu_se = {}
     for g in pop.groups:
-        pmf = g.pmf_array
+        pmf = g.pmf
         tau = policy.tau(g.group_id)
         rho = outcome.rho_for(g.group_id)
         bins = rng.choice(len(pmf), size=n, p=pmf / pmf.sum())

@@ -13,14 +13,14 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, UndefinedConditionalError
+from .errors import DomainError, UndefinedConditionalError
 from .policy import Policy
-from .population import Population, ScoreGrid
+from .population import Population, ScoreGrid, _check_lengths, _vector
 
 EQ_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeModel:
     """Success probability per bin per group, plus the score impact of a decision.
 
@@ -29,23 +29,24 @@ class OutcomeModel:
     ``steps_up * bin_width`` and ``-steps_down * bin_width``.
     """
 
-    rho: Mapping[str, tuple[float, ...]]
+    rho: Mapping[str, np.ndarray]
     steps_up: int
     steps_down: int
 
     def __post_init__(self):
         if self.steps_up < 0 or self.steps_down < 0:
             raise DomainError("step counts must be nonnegative")
-        for gid, r in self.rho.items():
-            arr = np.asarray(r, dtype=float)
+        rho = {gid: _vector(r) for gid, r in self.rho.items()}
+        for gid, r in rho.items():
             # Written so that NaN fails the check too.
-            if not np.all((arr >= 0) & (arr <= 1)):
+            if not np.all((r >= 0) & (r <= 1)):
                 raise DomainError(f"group {gid!r}: rho entries outside [0,1] or NaN")
+        object.__setattr__(self, "rho", rho)
 
     def rho_for(self, group_id: str) -> np.ndarray:
         if group_id not in self.rho:
             raise KeyError(f"outcome model has no rho for group {group_id!r}")
-        return np.asarray(self.rho[group_id], dtype=float)
+        return self.rho[group_id]
 
     def benefit(self, grid: ScoreGrid) -> float:
         return self.steps_up * grid.bin_width
@@ -74,12 +75,10 @@ class MetricReport:
 
 
 def _rates(pop: Population, outcome: OutcomeModel, policy: Policy, label: str):
-    g = pop.group(label)
-    pmf = g.pmf_array
+    pmf = pop.group(label).pmf
     tau = policy.tau(label)
     rho = outcome.rho_for(label)
-    if not len(pmf) == len(tau) == len(rho):
-        raise DimensionError(f"group {label!r}: inconsistent vector lengths")
+    _check_lengths(label, pmf=pmf, tau=tau, rho=rho)
     acc = float(pmf @ tau)
     qualified = float(pmf @ rho)
     unqualified = float(pmf @ (1.0 - rho))
@@ -171,7 +170,7 @@ def individual_fairness_violations(
     """
     if lipschitz <= 0:
         raise DomainError(f"lipschitz constant {lipschitz} must be positive")
-    scores = pop.grid.scores
+    scores = pop.grid.bin_scores
     out = []
     for pair in pairs:
         (g1, b1), (g2, b2) = pair

@@ -68,7 +68,7 @@ def rates_for_tpr(
     qualified mass are never the threshold, and a target the cumulative
     qualified mass does not reach accepts the whole group.
     """
-    pmf = group.pmf_array
+    pmf = group.pmf
     qualified = float(pmf @ rho)
     if qualified <= 0:
         raise DomainError(f"group {group.group_id!r} has zero qualified mass")
@@ -126,7 +126,7 @@ def constrained_policy(
                     "for equal-opportunity search"
                 )
             rates = rates_for_tpr(g, rho, levels)
-        pmf = g.pmf_array
+        pmf = g.pmf
         bins, fractions = threshold_levels(pmf, rates)
         utility = utility + g.proportion * threshold_values(
             pmf, inst.per_bin_utility(rho), bins, fractions
@@ -167,7 +167,7 @@ def outcome_optimal_policy(
     # Per group the utility of a threshold policy at each rate is independent
     # of other groups, so evaluate each axis once.
     def axis(group: GroupState):
-        pmf = group.pmf_array
+        pmf = group.pmf
         bins, fractions = threshold_levels(pmf, levels)
         per_bin = inst.per_bin_utility(outcome.rho_for(group.group_id))
         utils = group.proportion * threshold_values(pmf, per_bin, bins, fractions)
@@ -187,7 +187,7 @@ def outcome_optimal_policy(
 
     bins, fractions, target_utils = axis(target)
     dmus = threshold_values(
-        target.pmf_array,
+        target.pmf,
         outcome.score_change(target_group, pop.grid),
         bins,
         fractions,

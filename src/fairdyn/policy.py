@@ -9,48 +9,47 @@ a fractional probability, and nothing below.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
-from .population import GroupState, Population, ScoreGrid
+from .errors import DomainError
+from .population import GroupState, Population, ScoreGrid, _check_lengths, _vector
 
 if TYPE_CHECKING:
     from .metrics import OutcomeModel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Policy:
     """Acceptance probability per bin, keyed by group label."""
 
-    acceptance: Mapping[str, tuple[float, ...]]
+    acceptance: Mapping[str, np.ndarray]
+
+    def __post_init__(self):
+        acc = {gid: _vector(tau) for gid, tau in self.acceptance.items()}
+        object.__setattr__(self, "acceptance", acc)
 
     def tau(self, group_id: str) -> np.ndarray:
         if group_id not in self.acceptance:
             raise KeyError(f"policy has no acceptance vector for group {group_id!r}")
-        return np.asarray(self.acceptance[group_id], dtype=float)
+        return self.acceptance[group_id]
 
     @property
     def group_ids(self) -> tuple[str, ...]:
         return tuple(self.acceptance)
 
     @staticmethod
-    def from_arrays(arrays: Mapping[str, np.ndarray]) -> "Policy":
-        acc = {}
-        for gid, tau in arrays.items():
-            tau = np.asarray(tau, dtype=float)
+    def from_arrays(arrays: Mapping[str, Sequence[float]]) -> "Policy":
+        """The policy with these acceptance vectors, checked to lie in [0, 1]."""
+        policy = Policy(arrays)
+        for gid, tau in policy.acceptance.items():
             # Written so that NaN fails the check too.
             if not np.all((tau >= 0) & (tau <= 1)):
                 raise DomainError(
                     f"group {gid!r}: acceptance entries outside [0,1] or NaN"
                 )
-            acc[gid] = tuple(float(v) for v in tau)
-        return Policy(acc)
-
-    @staticmethod
-    def uniform(group_ids, n_bins: int, value: float) -> "Policy":
-        return Policy.from_arrays({g: np.full(n_bins, float(value)) for g in group_ids})
+        return policy
 
 
 @dataclass(frozen=True)
@@ -104,13 +103,8 @@ class InstitutionModel:
 def acceptance_rate(policy: Policy, group: GroupState) -> float:
     """Probability that a random member of the group is accepted."""
     tau = policy.tau(group.group_id)
-    pmf = group.pmf_array
-    if len(tau) != len(pmf):
-        raise DimensionError(
-            f"policy length {len(tau)} != pmf length {len(pmf)} "
-            f"for group {group.group_id!r}"
-        )
-    return float(pmf @ tau)
+    _check_lengths(group.group_id, tau=tau, pmf=group.pmf)
+    return float(group.pmf @ tau)
 
 
 def threshold_levels(
@@ -162,7 +156,7 @@ def threshold_policy_for_rate(
     Acceptance mass is allocated from the highest score bin downward, so the
     expanded policy is monotone nondecreasing in score.
     """
-    bins, fractions = threshold_levels(group.pmf_array, np.array([target_rate]))
+    bins, fractions = threshold_levels(group.pmf, np.array([target_rate]))
     return RandomizedThresholdPolicy(
         {group.group_id: GroupThreshold(int(bins[0]), float(fractions[0]))}
     )
@@ -179,11 +173,6 @@ def institution_utility(
     for g in pop.groups:
         tau = policy.tau(g.group_id)
         rho = outcome.rho_for(g.group_id)
-        pmf = g.pmf_array
-        if not len(tau) == len(rho) == len(pmf):
-            raise DimensionError(
-                f"group {g.group_id!r}: inconsistent lengths tau={len(tau)} "
-                f"rho={len(rho)} pmf={len(pmf)}"
-            )
-        total += g.proportion * float(pmf @ (tau * inst.per_bin_utility(rho)))
+        _check_lengths(g.group_id, tau=tau, rho=rho, pmf=g.pmf)
+        total += g.proportion * float(g.pmf @ (tau * inst.per_bin_utility(rho)))
     return total

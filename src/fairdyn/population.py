@@ -1,8 +1,8 @@
 """Finite discrete score distributions per demographic group.
 
 A population is a uniform grid of score bins together with one probability
-mass function per group and the group proportions. All values are plain
-floats; validation tolerances are fixed at 1e-9.
+mass function per group and the group proportions. Score vectors are
+read-only float64 arrays; validation tolerances are fixed at 1e-9.
 """
 
 from __future__ import annotations
@@ -18,7 +18,22 @@ from .errors import DimensionError
 PROB_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+def _vector(values: Sequence[float]) -> np.ndarray:
+    """A read-only float64 1-D copy of ``values``."""
+    arr = np.array(values, dtype=float)
+    if arr.ndim != 1:
+        raise DimensionError(f"expected a 1-D vector, got shape {arr.shape}")
+    arr.setflags(write=False)
+    return arr
+
+
+def _check_lengths(group_id: str, **vectors: np.ndarray) -> None:
+    if len({len(v) for v in vectors.values()}) > 1:
+        sizes = " ".join(f"{name}={len(v)}" for name, v in vectors.items())
+        raise DimensionError(f"group {group_id!r}: inconsistent lengths {sizes}")
+
+
+@dataclass(frozen=True, eq=False)
 class ScoreGrid:
     """Ascending, uniformly spaced score bins.
 
@@ -26,15 +41,14 @@ class ScoreGrid:
     integer bin moves.
     """
 
-    bin_scores: tuple[float, ...]
+    bin_scores: np.ndarray
     bin_width: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "bin_scores", _vector(self.bin_scores))
 
     def __len__(self) -> int:
         return len(self.bin_scores)
-
-    @property
-    def scores(self) -> np.ndarray:
-        return np.asarray(self.bin_scores, dtype=float)
 
     def violations(self) -> list[str]:
         out = []
@@ -43,11 +57,10 @@ class ScoreGrid:
             return out
         if not (np.isfinite(self.bin_width) and self.bin_width > 0):
             out.append(f"bin_width {self.bin_width} is not positive and finite")
-        scores = self.scores
-        if not np.all(np.isfinite(scores)):
+        if not np.all(np.isfinite(self.bin_scores)):
             out.append("bin scores are not all finite")
             return out
-        diffs = np.diff(scores)
+        diffs = np.diff(self.bin_scores)
         if np.any(diffs <= 0):
             out.append("bin scores are not strictly ascending")
         bad = np.abs(diffs - self.bin_width)
@@ -58,20 +71,19 @@ class ScoreGrid:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupState:
     """One demographic group: its label, population share and score pmf."""
 
     group_id: str
     proportion: float
-    pmf: tuple[float, ...]
+    pmf: np.ndarray
 
-    @property
-    def pmf_array(self) -> np.ndarray:
-        return np.asarray(self.pmf, dtype=float)
+    def __post_init__(self):
+        object.__setattr__(self, "pmf", _vector(self.pmf))
 
     def with_pmf(self, pmf: Sequence[float]) -> "GroupState":
-        return GroupState(self.group_id, self.proportion, tuple(float(v) for v in pmf))
+        return GroupState(self.group_id, self.proportion, pmf)
 
     def with_proportion(self, proportion: float) -> "GroupState":
         return GroupState(self.group_id, float(proportion), self.pmf)
@@ -121,7 +133,7 @@ def validate_population(p: Population) -> ValidationReport:
     if len(set(labels)) != len(labels):
         out.append(f"group labels are not distinct: {labels}")
     for g in p.groups:
-        pmf = g.pmf_array
+        pmf = g.pmf
         if len(pmf) != n:
             out.append(
                 f"group {g.group_id!r}: pmf length {len(pmf)} != grid length {n}"
@@ -149,9 +161,5 @@ def validate_population(p: Population) -> ValidationReport:
 
 def group_mean(g: GroupState, grid: ScoreGrid) -> float:
     """Mean score of a group, sum over bins of pmf(x) * x."""
-    pmf = g.pmf_array
-    if len(pmf) != len(grid.bin_scores):
-        raise DimensionError(
-            f"pmf length {len(pmf)} does not match grid length {len(grid.bin_scores)}"
-        )
-    return float(pmf @ grid.scores)
+    _check_lengths(g.group_id, pmf=g.pmf, grid=grid.bin_scores)
+    return float(g.pmf @ grid.bin_scores)

@@ -19,14 +19,16 @@ The intervention parameters are illustrative, not empirically calibrated.
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 import yaml
 
 from .dynamics import MAX_HORIZON, Trajectory, simulate
-from .errors import ConfigError, InfeasibilityError
+from .errors import ConfigError, DimensionError, InfeasibilityError
 from .metrics import OutcomeModel
 from .optimize import (
     DEFAULT_RESOLUTION,
@@ -41,7 +43,13 @@ from .policy import (
     acceptance_rate,
     threshold_policy_for_rate,
 )
-from .population import GroupState, Population, ScoreGrid, validate_population
+from .population import (
+    GroupState,
+    Population,
+    ScoreGrid,
+    _vector,
+    validate_population,
+)
 
 BUILTIN_NAMES = ("lending_liu", "boards_quota")
 
@@ -58,10 +66,10 @@ class DeclaredGoal:
     target_group: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolicyRuleSpec:
     kind: str
-    tau: Optional[Mapping[str, tuple[float, ...]]] = None
+    tau: Optional[Mapping[str, np.ndarray]] = None
     constraint: Optional[str] = None
     target_group: Optional[str] = None
     utility_floor: float = float("-inf")
@@ -170,9 +178,7 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
 
     pop_raw = _req(raw, "population", "scenario")
     grid = ScoreGrid(
-        bin_scores=tuple(
-            float(v) for v in _req(pop_raw, "bin_scores", "population")
-        ),
+        bin_scores=_req(pop_raw, "bin_scores", "population"),
         bin_width=float(_req(pop_raw, "bin_width", "population")),
     )
     groups = []
@@ -182,35 +188,30 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
             GroupState(
                 group_id=str(_req(g, "group_id", path)),
                 proportion=float(_req(g, "proportion", path)),
-                pmf=tuple(float(v) for v in _req(g, "pmf", path)),
+                pmf=_req(g, "pmf", path),
             )
         )
     population = Population(grid, tuple(groups))
     report = validate_population(population)
     if not report.ok:
-        raise ConfigError(
-            "population invalid: " + "; ".join(report.violations)
-        )
+        raise ConfigError("population invalid: " + "; ".join(report.violations))
 
     out_raw = _req(raw, "outcome", "scenario")
     rho_raw = _req(out_raw, "rho", "outcome")
     if isinstance(rho_raw, dict):
-        rho = {str(k): tuple(float(v) for v in vs) for k, vs in rho_raw.items()}
+        rho = {str(k): vs for k, vs in rho_raw.items()}
     else:
-        shared = tuple(float(v) for v in rho_raw)
-        rho = {g.group_id: shared for g in groups}
+        rho = {g.group_id: rho_raw for g in groups}
     outcome = OutcomeModel(
         rho=rho,
         steps_up=int(_req(out_raw, "steps_up", "outcome")),
         steps_down=int(_req(out_raw, "steps_down", "outcome")),
     )
     for g in groups:
-        if g.group_id not in rho:
+        if g.group_id not in outcome.rho:
             raise ConfigError(f"outcome.rho missing group {g.group_id!r}")
-        if len(rho[g.group_id]) != len(grid.bin_scores):
-            raise ConfigError(
-                f"outcome.rho[{g.group_id!r}] length != grid length"
-            )
+        if len(outcome.rho[g.group_id]) != len(grid):
+            raise ConfigError(f"outcome.rho[{g.group_id!r}] length != grid length")
 
     inst_raw = _req(raw, "institution", "scenario")
     institution = InstitutionModel(
@@ -224,12 +225,22 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
         raise ConfigError(
             f"policy_rule.kind must be one of {POLICY_KINDS}, got {kind!r}"
         )
+    known = {g.group_id for g in groups}
     tau = None
     if kind == "fixed":
         tau_raw = _req(rule_raw, "tau", "policy_rule")
-        tau = {
-            str(k): tuple(float(v) for v in vs) for k, vs in tau_raw.items()
-        }
+        tau = {str(k): _vector(vs) for k, vs in tau_raw.items()}
+        missing = known - set(tau)
+        if missing:
+            raise ConfigError(f"policy_rule.tau: missing groups {sorted(missing)}")
+        for gid, t in tau.items():
+            path = f"policy_rule.tau[{gid}]"
+            if gid not in known:
+                raise ConfigError(f"{path}: unknown group label {gid!r}")
+            if len(t) != len(grid):
+                raise ConfigError(f"{path}: length {len(t)} != grid length {len(grid)}")
+            if not np.all((t >= 0) & (t <= 1)):  # NaN fails too
+                raise ConfigError(f"{path}: entries outside [0,1] or NaN")
     rule = PolicyRuleSpec(
         kind=kind,
         tau=tau,
@@ -266,6 +277,8 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
         stationarity_eps=float(tol_raw.get("stationarity_eps", 1e-9)),
         stationarity_window=int(tol_raw.get("stationarity_window", 5)),
     )
+    if not 0.0 < tolerances.regime < math.inf:
+        raise ConfigError(f"tolerances.regime {tolerances.regime} not in (0, inf)")
     metric_groups_raw = raw.get(
         "metric_groups", [g.group_id for g in groups[:2]]
     )
@@ -273,7 +286,6 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
         raise ConfigError("metric_groups must name exactly two groups")
     metric_groups = (str(metric_groups_raw[0]), str(metric_groups_raw[1]))
 
-    known = {g.group_id for g in groups}
     for label, where in [
         (goal.target_group, "declared_goal.target_group"),
         (rule.target_group, "policy_rule.target_group"),
@@ -316,25 +328,19 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
 def load_scenario(path_or_name: str) -> ScenarioConfig:
     """Load a scenario from a YAML file path or a built-in name."""
     if path_or_name in BUILTIN_NAMES:
-        text = (
-            importlib.resources.files("fairdyn.data")
-            .joinpath(f"{path_or_name}.yaml")
-            .read_text(encoding="utf-8")
-        )
-        raw = yaml.safe_load(text)
-        return _parse_config(raw, path_or_name)
+        source = importlib.resources.files("fairdyn.data") / f"{path_or_name}.yaml"
+    else:
+        source = Path(path_or_name)
     try:
-        with open(path_or_name, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+        text = source.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file {path_or_name}: {exc}") from exc
+    raw = yaml.safe_load(text)
     if not isinstance(raw, dict):
         raise ConfigError(f"scenario file {path_or_name} is not a mapping")
     try:
         return _parse_config(raw, path_or_name)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, DimensionError) as exc:
         raise ConfigError(f"malformed scenario file {path_or_name}: {exc}") from exc
 
 
@@ -344,12 +350,7 @@ def build_policy(
     """The policy that ``rule`` selects for ``pop`` under ``cfg``'s outcome and
     institution models; the searches scan rates or TPRs at ``resolution``."""
     if rule.kind == "fixed":
-        missing = set(pop.group_ids) - set(rule.tau)
-        if missing:
-            raise ConfigError(f"fixed policy missing groups {sorted(missing)}")
-        return Policy.from_arrays(
-            {gid: np.asarray(rule.tau[gid]) for gid in pop.group_ids}
-        )
+        return Policy.from_arrays(rule.tau)
     if rule.kind == "max_utility":
         return max_utility_policy(pop, cfg.outcome, cfg.institution)
     if rule.kind == "constrained":
@@ -389,7 +390,7 @@ class _ScenarioEngine:
                 continue
             if iv.kind == "pipeline_investment":
                 i = index[iv.group]
-                pmf = groups[i].pmf_array.copy()
+                pmf = groups[i].pmf.copy()
                 moved = pmf[:-1] * iv.shift_fraction
                 pmf[:-1] -= moved
                 pmf[1:] += moved
@@ -471,9 +472,7 @@ class _ScenarioEngine:
                 f"{needed_rate:.6g} > 1"
             )
         enforced = threshold_policy_for_rate(group, needed_rate).expand(pop.grid)
-        arrays = {gid: pol.tau(gid) for gid in pop.group_ids}
-        arrays[iv.group] = enforced.tau(iv.group)
-        return Policy.from_arrays(arrays)
+        return Policy.from_arrays({**pol.acceptance, iv.group: enforced.tau(iv.group)})
 
     def flags_fn(self, t: int) -> tuple[bool, ...]:
         return self.flags.get(t, ())
@@ -610,7 +609,7 @@ def sensitivity_sweep(
         rng = np.random.default_rng([seed, draw])
         groups = []
         for g in cfg.population.groups:
-            pmf = g.pmf_array
+            pmf = g.pmf
             noise = rng.standard_normal(len(pmf))
             noise -= noise.mean()
             norm = np.abs(noise).sum()

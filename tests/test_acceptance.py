@@ -122,7 +122,7 @@ def test_ac4_dynamics_consistency(rng):
         pol = Policy.from_arrays({g: rng.random(n) for g in pmfs})
         new = step(pop, pol, out)
         for g in new.groups:
-            worst_mass = max(worst_mass, abs(g.pmf_array.sum() - 1.0))
+            worst_mass = max(worst_mass, abs(g.pmf.sum() - 1.0))
         if interior:
             for g in pop.groups:
                 shift = group_mean(new.group(g.group_id), grid) - group_mean(g, grid)
@@ -148,7 +148,7 @@ def test_ac5_monte_carlo_agreement():
     detail = []
     for g in cfg.population.groups:
         gid = g.group_id
-        exact_acc = float(g.pmf_array @ policy.tau(gid))
+        exact_acc = float(g.pmf @ policy.tau(gid))
         exact_dmu = group_delta_mu(g, policy, cfg.outcome, cfg.population.grid)
         for label, got, se, exact in (
             ("acc", rep.acceptance[gid], rep.acceptance_se[gid], exact_acc),
@@ -214,7 +214,7 @@ def test_ac7_boards_contrast():
         if not rec.intervention_active[0]:
             continue
         mass = {
-            g.group_id: g.proportion * float(g.pmf_array @ rec.policy.tau(g.group_id))
+            g.group_id: g.proportion * float(g.pmf @ rec.policy.tau(g.group_id))
             for g in rec.population.groups
         }
         if mass["women"] / sum(mass.values()) < 0.40 - 1e-9:

@@ -596,6 +596,21 @@ class TestValidate:
         with pytest.raises(StructureError, match="duplicate"):
             m.validate()
 
+    def test_cpt_of_undeclared_node(self):
+        m = CausalModel(
+            domains={"A": (0, 1), "F": (0, 1)},
+            edges=(("A", "F"),),
+            cpts={
+                "A": {(): (0.5, 0.5)},
+                "F": {(0,): (0.5, 0.5), (1,): (0.5, 0.5)},
+                "Z": {(): (0.5, 0.7)},
+            },
+            protected="A",
+            outcome="F",
+        )
+        with pytest.raises(StructureError, match="undeclared node"):
+            m.validate()
+
 
 def random_model(rng, max_nodes=5, sizes=(2, 3)):
     """Random DAG whose nodes take string values; the protected node is

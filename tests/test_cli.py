@@ -144,6 +144,29 @@ class TestValidation:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda raw: raw["tolerances"].update(regime=float("nan")),
+             "tolerances.regime"),
+            (lambda raw: raw["tolerances"].update(regime=0.0), "tolerances.regime"),
+            (lambda raw: raw.update(
+                policy_rule={"kind": "fixed", "tau": {"men": [1.0], "women": [1.0]}}
+            ), "policy_rule.tau[men]: length 1"),
+        ],
+        ids=["nan_regime", "zero_regime", "short_fixed_tau"],
+    )
+    def test_invalid_boards_edit_exit_1(self, tmp_path, capsys, edit, message):
+        raw = builtin_raw("boards_quota")
+        edit(raw)
+        scenario = tmp_path / "bad.yaml"
+        scenario.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCausal:
     def test_dsep_given_mediators(self, capsys):
         code = main(
@@ -226,6 +249,12 @@ class TestCausal:
         self.assert_rejected(
             path, "cpts.D: row key 'A=0,A=1' names a parent twice", capsys
         )
+
+    def test_cpt_of_undeclared_node_exit_1(self, tmp_path, capsys):
+        path = self.edited_model(
+            tmp_path, lambda raw: raw["cpts"].update(Z={"": [0.5, 0.7]})
+        )
+        self.assert_rejected(path, "CPT given for undeclared node(s) ['Z']", capsys)
 
     def test_repeated_edge_exit_1(self, tmp_path, capsys):
         path = self.edited_model(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fairdyn import dynamics
 from fairdyn.dynamics import (
     RegimeLabel,
     classify_regime,
@@ -11,9 +12,14 @@ from fairdyn.dynamics import (
     step,
     trajectory_rows,
 )
-from fairdyn.errors import DomainError
-from fairdyn.metrics import OutcomeModel
-from fairdyn.policy import InstitutionModel, Policy
+from fairdyn.errors import DimensionError, DomainError
+from fairdyn.metrics import OutcomeModel, metric_report
+from fairdyn.policy import (
+    InstitutionModel,
+    Policy,
+    acceptance_rate,
+    institution_utility,
+)
 from fairdyn.population import group_mean, validate_population
 
 from conftest import make_grid, make_population, random_instance
@@ -82,28 +88,32 @@ class TestClassifyRegime:
         with pytest.raises(DomainError):
             classify_regime(0.5, 0.0)
 
+    def test_tol_nan(self):
+        with pytest.raises(DomainError):
+            classify_regime(0.5, float("nan"))
+
 
 class TestStep:
     def test_reject_all_is_identity(self):
         pop, out = single_group((0.2, 0.3, 0.5), (0.5, 0.5, 0.5))
         pol = Policy.from_arrays({"a": np.zeros(3)})
-        assert step(pop, pol, out).groups[0].pmf == pop.groups[0].pmf
+        assert np.array_equal(step(pop, pol, out).groups[0].pmf, pop.groups[0].pmf)
 
     def test_zero_steps_is_identity(self):
         pop, out = single_group((0.2, 0.3, 0.5), (0.5, 0.5, 0.5), 0, 0)
         pol = Policy.from_arrays({"a": np.ones(3)})
-        assert step(pop, pol, out).groups[0].pmf == pop.groups[0].pmf
+        assert np.array_equal(step(pop, pol, out).groups[0].pmf, pop.groups[0].pmf)
 
     def test_middle_bin_splits(self):
         pop, out = single_group((0.0, 1.0, 0.0), (0.6, 0.6, 0.6))
         pol = Policy.from_arrays({"a": np.ones(3)})
-        new = step(pop, pol, out).groups[0].pmf_array
+        new = step(pop, pol, out).groups[0].pmf
         assert new == pytest.approx([0.4, 0.0, 0.6], abs=1e-15)
 
     def test_clamps_at_boundaries(self):
         pop, out = single_group((0.5, 0.0, 0.5), (0.5, 0.5, 0.5), 2, 2)
         pol = Policy.from_arrays({"a": np.ones(3)})
-        new = step(pop, pol, out).groups[0].pmf_array
+        new = step(pop, pol, out).groups[0].pmf
         assert new == pytest.approx([0.5, 0.0, 0.5])
         assert new.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -112,7 +122,7 @@ class TestStep:
             pop, out, pol = random_instance(rng)
             new = step(pop, pol, out)
             for g in new.groups:
-                assert abs(g.pmf_array.sum() - 1.0) <= 1e-12
+                assert abs(g.pmf.sum() - 1.0) <= 1e-12
             assert validate_population(new).ok
 
     def test_mean_shift_identity_interior(self, rng):
@@ -166,7 +176,7 @@ class TestSimulate:
         pol = Policy.from_arrays({"a": np.zeros(2)})
         traj = simulate(pop, lambda t, p: pol, out, INST, 5)
         for rec in traj.steps:
-            assert rec.population.groups[0].pmf == pop.groups[0].pmf
+            assert np.array_equal(rec.population.groups[0].pmf, pop.groups[0].pmf)
             assert rec.regime["a"] is RegimeLabel.STAGNATION
 
     def test_first_record_matches_single_step_ops(self):
@@ -175,7 +185,9 @@ class TestSimulate:
         traj = simulate(pop, lambda t, p: pol, out, INST, 1)
         expected = group_delta_mu(pop.groups[0], pol, out, pop.grid)
         assert traj.steps[0].delta_mu["a"] == expected
-        assert traj.steps[1].population.groups[0].pmf == step(pop, pol, out).groups[0].pmf
+        assert np.array_equal(
+            traj.steps[1].population.groups[0].pmf, step(pop, pol, out).groups[0].pmf
+        )
 
     def test_bit_reproducible(self):
         pop, out = single_group((0.25, 0.25, 0.5), (0.2, 0.5, 0.9))
@@ -183,8 +195,37 @@ class TestSimulate:
         t1 = simulate(pop, lambda t, p: pol, out, INST, 20)
         t2 = simulate(pop, lambda t, p: pol, out, INST, 20)
         for r1, r2 in zip(t1.steps, t2.steps):
-            assert r1.population.groups[0].pmf == r2.population.groups[0].pmf
+            assert np.array_equal(r1.population.groups[0].pmf, r2.population.groups[0].pmf)
             assert r1.utility == r2.utility
+
+    def test_invalid_initial_population_rejected(self):
+        pop, out = single_group((0.6, 0.6), (0.3, 0.9))
+        pol = Policy.from_arrays({"a": np.ones(2)})
+        with pytest.raises(DomainError, match="pmf sum 1.2"):
+            simulate(pop, lambda t, p: pol, out, INST, 3)
+
+    def test_invalid_pre_step_population_rejected(self):
+        pop, out = single_group((0.5, 0.5), (0.3, 0.9))
+        pol = Policy.from_arrays({"a": np.ones(2)})
+
+        def pre_step(t, p):
+            if t < 2:
+                return p
+            return p.with_groups([p.groups[0].with_pmf([-0.5, 1.5])])
+
+        with pytest.raises(DomainError, match="negative pmf entry"):
+            simulate(pop, lambda t, p: pol, out, INST, 3, pre_step=pre_step)
+
+    def test_validates_once_without_hooks(self, monkeypatch):
+        pop, out = single_group((0.25, 0.25, 0.5), (0.2, 0.5, 0.9))
+        pol = Policy.from_arrays({"a": np.array([0.1, 0.5, 0.9])})
+        seen = []
+        real = dynamics.validate_population
+        monkeypatch.setattr(
+            dynamics, "validate_population", lambda p: seen.append(p) or real(p)
+        )
+        simulate(pop, lambda t, p: pol, out, INST, 10)
+        assert seen == [pop]
 
     def test_horizon_cap(self):
         pop, out = single_group((0.5, 0.5), (0.3, 0.9))
@@ -252,6 +293,25 @@ class TestMonteCarlo:
         pol = Policy.from_arrays({"a": np.ones(2)})
         with pytest.raises(DomainError):
             monte_carlo_validate(pop, pol, out, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pop, pol, out: acceptance_rate(pol, pop.groups[0]),
+        lambda pop, pol, out: institution_utility(pol, pop, out, INST),
+        lambda pop, pol, out: metric_report(pop, out, pol, "a", "a"),
+        lambda pop, pol, out: group_delta_mu(pop.groups[0], pol, out, pop.grid),
+        lambda pop, pol, out: step(pop, pol, out),
+    ],
+    ids=["acceptance_rate", "institution_utility", "metric_report",
+         "group_delta_mu", "step"],
+)
+def test_policy_of_wrong_length_is_a_dimension_error(call):
+    pop, out = single_group((0.5, 0.5), (0.3, 0.9))
+    pol = Policy.from_arrays({"a": [1.0]})
+    with pytest.raises(DimensionError, match=r"group 'a': inconsistent lengths .*tau=1"):
+        call(pop, pol, out)
 
 
 def test_trajectory_rows_schema():

@@ -4,6 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fairdyn.errors import DimensionError
+from fairdyn.metrics import OutcomeModel
+from fairdyn.policy import Policy
 from fairdyn.population import (
     GroupState,
     Population,
@@ -119,3 +121,36 @@ def test_nan_pmf_rejected():
 def test_nan_bin_score_rejected():
     grid = ScoreGrid(bin_scores=(0.0, float("nan"), 2.0), bin_width=1.0)
     assert grid.violations() == ["bin scores are not all finite"]
+
+
+def _stored_vectors(src):
+    """Every kind of stored score vector, each built from ``src``."""
+    g = GroupState("a", 1.0, src)
+    return {
+        "bin_scores": ScoreGrid(src, 0.5).bin_scores,
+        "pmf": g.pmf,
+        "with_pmf": g.with_pmf(src).pmf,
+        "tau": Policy.from_arrays({"a": src}).tau("a"),
+        "rho": OutcomeModel(rho={"a": src}, steps_up=1, steps_down=1).rho_for("a"),
+    }
+
+
+@pytest.mark.parametrize("kind", ["bin_scores", "pmf", "with_pmf", "tau", "rho"])
+def test_stored_vectors_are_read_only_float64(kind):
+    vec = _stored_vectors((0.0, 0.5, 1.0))[kind]
+    assert vec.dtype == np.float64 and vec.shape == (3,)
+    with pytest.raises(ValueError):
+        vec[0] = 0.25
+
+
+@pytest.mark.parametrize("kind", ["bin_scores", "pmf", "with_pmf", "tau", "rho"])
+def test_constructors_copy_their_input(kind):
+    src = np.array([0.0, 0.5, 1.0])
+    vec = _stored_vectors(src)[kind]
+    src[:] = 0.25
+    assert vec.tolist() == [0.0, 0.5, 1.0]
+
+
+def test_vector_must_be_one_dimensional():
+    with pytest.raises(DimensionError, match="1-D"):
+        GroupState("a", 1.0, [[0.5, 0.5]])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,90 @@ class TestLoadScenario:
             load_scenario(str(p))
 
 
+def write_lending(tmp_path, edit):
+    """The shipped lending scenario with ``edit`` applied to its parsed YAML."""
+    import yaml
+
+    raw = yaml.safe_load(
+        __import__("importlib.resources", fromlist=["files"])
+        .files("fairdyn.data")
+        .joinpath("lending_liu.yaml")
+        .read_text()
+    )
+    edit(raw)
+    p = tmp_path / "edited.yaml"
+    p.write_text(yaml.safe_dump(raw))
+    return str(p)
+
+
+def fixed_rule(raw, tau):
+    raw["policy_rule"] = {"kind": "fixed", "tau": tau}
+
+
+class TestLoadChecks:
+    @pytest.mark.parametrize("regime", [0.0, -1e-6, float("nan"), float("inf")])
+    def test_regime_tolerance_not_positive_finite(self, tmp_path, regime):
+        path = write_lending(
+            tmp_path, lambda raw: raw["tolerances"].update(regime=regime)
+        )
+        with pytest.raises(ConfigError, match="tolerances.regime"):
+            load_scenario(path)
+
+    def test_fixed_policy_loads_and_runs(self, tmp_path):
+        tau = {"A": [0, 0, 0, 1, 1, 1], "B": [0, 0, 0.5, 1, 1, 1]}
+        cfg = load_scenario(write_lending(tmp_path, lambda raw: fixed_rule(raw, tau)))
+        rec = run_scenario(cfg).steps[0]
+        for gid, values in tau.items():
+            assert rec.policy.tau(gid).tolist() == values
+
+    @pytest.mark.parametrize(
+        "tau,message",
+        [
+            ({"A": [1.0] * 6, "B": [1.0] * 6, "Z": [1.0] * 6},
+             "policy_rule.tau[Z]: unknown group label"),
+            ({"A": [1.0] * 6}, "policy_rule.tau: missing groups ['B']"),
+            ({"A": [1.0], "B": [1.0] * 6}, "policy_rule.tau[A]: length 1 != grid length 6"),
+            ({"A": [1.0] * 6, "B": [1.5] + [1.0] * 5},
+             "policy_rule.tau[B]: entries outside [0,1]"),
+            ({"A": [float("nan")] + [1.0] * 5, "B": [1.0] * 6},
+             "policy_rule.tau[A]: entries outside [0,1] or NaN"),
+        ],
+        ids=["unknown_group", "missing_group", "length", "above_one", "nan"],
+    )
+    def test_fixed_policy_rejected(self, tmp_path, tau, message):
+        path = write_lending(tmp_path, lambda raw: fixed_rule(raw, tau))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_scenario(path)
+
+    def test_builtin_name_takes_the_file_parse_path(self, monkeypatch):
+        import importlib.resources
+
+        text = (
+            importlib.resources.files("fairdyn.data")
+            .joinpath("lending_liu.yaml")
+            .read_text()
+            .replace("steps_up: 1", "steps_up: one")
+        )
+
+        class Resource:
+            def __truediv__(self, name):
+                return self
+
+            def read_text(self, encoding=None):
+                return text
+
+        monkeypatch.setattr(importlib.resources, "files", lambda package: Resource())
+        with pytest.raises(ConfigError, match="malformed scenario file lending_liu"):
+            load_scenario("lending_liu")
+
+    def test_vector_that_is_not_a_list(self, tmp_path):
+        path = write_lending(
+            tmp_path, lambda raw: raw["outcome"].update(rho=0.5)
+        )
+        with pytest.raises(ConfigError, match="malformed scenario file"):
+            load_scenario(path)
+
+
 class TestRunScenario:
     def test_no_interventions_matches_bare_dynamics(self):
         traj = run_scenario(LENDING, interventions=[])
@@ -115,7 +201,7 @@ class TestRunScenario:
         )
         for r1, r2 in zip(traj.steps, bare.steps):
             for g1, g2 in zip(r1.population.groups, r2.population.groups):
-                assert g1.pmf == g2.pmf
+                assert np.array_equal(g1.pmf, g2.pmf)
             assert r1.utility == r2.utility
             assert r1.delta_mu == r2.delta_mu
 
@@ -138,7 +224,7 @@ class TestRunScenario:
         without = run_scenario(cfg, interventions=[])
         for r1, r2 in zip(with_quota.steps, without.steps):
             for g1, g2 in zip(r1.population.groups, r2.population.groups):
-                assert g1.pmf == g2.pmf
+                assert np.array_equal(g1.pmf, g2.pmf)
 
     def test_boards_share_respects_quota_while_active(self):
         traj = run_scenario(BOARDS)
@@ -146,7 +232,7 @@ class TestRunScenario:
             if not rec.intervention_active[0]:
                 continue
             mass = {
-                g.group_id: g.proportion * float(g.pmf_array @ rec.policy.tau(g.group_id))
+                g.group_id: g.proportion * float(g.pmf @ rec.policy.tau(g.group_id))
                 for g in rec.population.groups
             }
             share = mass["women"] / sum(mass.values())
@@ -193,7 +279,7 @@ class TestPipelineInvestment:
         before = BOARDS.population
         after = engine.pre_step(0, before)
         g_after = after.group("women")
-        assert abs(g_after.pmf_array.sum() - 1.0) <= 1e-12
+        assert abs(g_after.pmf.sum() - 1.0) <= 1e-12
         assert group_mean(g_after, after.grid) >= group_mean(
             before.group("women"), before.grid
         )
@@ -201,7 +287,7 @@ class TestPipelineInvestment:
     def test_other_group_untouched(self):
         engine, _ = self.make_engine()
         after = engine.pre_step(0, BOARDS.population)
-        assert after.group("men").pmf == BOARDS.population.group("men").pmf
+        assert np.array_equal(after.group("men").pmf, BOARDS.population.group("men").pmf)
 
     def test_inactive_before_start(self):
         iv = InterventionRule(
@@ -212,7 +298,7 @@ class TestPipelineInvestment:
         )
         engine = _ScenarioEngine(BOARDS, (iv,))
         after = engine.pre_step(0, BOARDS.population)
-        assert after.group("women").pmf == BOARDS.population.group("women").pmf
+        assert np.array_equal(after.group("women").pmf, BOARDS.population.group("women").pmf)
 
 
 class TestRoleModelFeedback:
