@@ -1,0 +1,46 @@
+"""YAML parsing shared by the scenario and causal model loaders."""
+
+from __future__ import annotations
+
+import yaml
+
+from .errors import ConfigError
+
+_MERGE_TAG = "tag:yaml.org,2002:merge"
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that rejects a mapping key written twice, where
+    the plain loader keeps the last copy without a word."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == _MERGE_TAG:
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            try:
+                repeated = key in seen
+            except TypeError:  # unhashable: the base class reports it
+                continue
+            if repeated:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping",
+                    node.start_mark,
+                    f"found duplicate key {key!r}",
+                    key_node.start_mark,
+                )
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
+def load_yaml(text, source: str):
+    """Parse YAML ``text`` (a string or a text file) read from ``source``.
+
+    A syntax error or a repeated mapping key raises ``ConfigError`` naming
+    ``source``.
+    """
+    try:
+        return yaml.load(text, Loader=_UniqueKeyLoader)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"cannot parse {source}: {exc}") from exc

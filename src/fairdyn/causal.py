@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
-import yaml
 
+from ._yaml import load_yaml
 from .errors import CapacityError, ConfigError, DomainError, StructureError
 
 JOINT_STATE_CAP = 10**6
@@ -390,7 +390,7 @@ def load_causal_model(path) -> CausalModel:
     probabilities given as decimal strings.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        raw = load_yaml(fh, path)
     try:
         domains = {
             str(k): tuple(str(v) for v in vs) for k, vs in raw["nodes"].items()

@@ -46,14 +46,9 @@ def _write_csv(path: str, columns, rows) -> None:
         raise
 
 
-def _initial_policy(cfg: scn.ScenarioConfig):
-    engine = scn._ScenarioEngine(cfg, cfg.interventions)
-    return engine.policy(0, cfg.population)
-
-
 def _cmd_metrics(args) -> int:
     cfg = scn.load_scenario(args.scenario)
-    policy = _initial_policy(cfg)
+    policy = scn.initial_policy(cfg)
     rep = metric_report(
         cfg.population, cfg.outcome, policy, *cfg.metric_groups
     )

@@ -11,21 +11,29 @@ selected individual is benefit*rho + cost*(1-rho).
 from __future__ import annotations
 
 import enum
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 
 from .errors import DomainError, InfeasibilityError
-from .metrics import MetricReport, OutcomeModel, metric_report
-from .policy import InstitutionModel, Policy, acceptance_rate, institution_utility
+from .metrics import MetricReport, OutcomeModel, _gaps, _rates
+from .policy import (
+    InstitutionModel,
+    Policy,
+    _acceptance,
+    _policy_terms,
+    _PolicyTerms,
+    _utility,
+)
 from .population import (
     GroupState,
     Population,
     ScoreGrid,
-    _check_lengths,
-    group_mean,
+    _rows_valid,
     validate_population,
 )
 
@@ -37,6 +45,9 @@ class RegimeLabel(enum.Enum):
     IMPROVEMENT = "improvement"
     STAGNATION = "stagnation"
     DECLINE = "decline"
+
+
+_REGIMES = tuple(RegimeLabel)  # a regime code indexes this tuple
 
 
 @dataclass(frozen=True)
@@ -51,15 +62,159 @@ class TrajectoryStep:
     intervention_active: tuple[bool, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class TrajectoryColumns:
+    """Everything a run records, as read-only arrays whose row ``t`` belongs
+    to step ``t`` (0 to the horizon) and whose group axis follows
+    ``group_ids``.
+
+    ``states`` (steps, groups, bins) and ``proportions`` hold the population
+    after the ``pre_step`` hook; ``initial`` is step 0's population object
+    itself. ``policies`` holds each step's policy, one shared object for the
+    steps a policy serves. ``acceptance``, ``tpr`` and ``fpr`` have one
+    column per group of ``metric_pair`` (none without a pair); ``tpr``/``fpr``
+    are NaN where a group has no qualified/unqualified mass, and the gap
+    columns are NaN without a metric pair. ``regime`` holds indices into
+    ``tuple(RegimeLabel)`` and ``flags`` the intervention flags (steps,
+    flags).
+    """
+
+    grid: ScoreGrid
+    group_ids: tuple[str, ...]
+    metric_pair: Optional[tuple[str, str]]
+    initial: Population
+    states: np.ndarray
+    proportions: np.ndarray
+    policies: tuple[Policy, ...]
+    acceptance: np.ndarray
+    tpr: np.ndarray
+    fpr: np.ndarray
+    delta_mu: np.ndarray
+    regime: np.ndarray
+    utility: np.ndarray
+    dp_gap: np.ndarray
+    eo_gap: np.ndarray
+    eodds_gap: np.ndarray
+    flags: np.ndarray
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+    def record(self, t: int) -> TrajectoryStep:
+        """Step ``t`` as a ``TrajectoryStep``; its population is a view over
+        row ``t`` of ``states`` (step 0: ``initial``)."""
+        ids = self.group_ids
+        pop = self.initial
+        if t > 0:
+            pop = _population_view(
+                self.grid, ids, self.proportions[t].tolist(), self.states[t]
+            )
+        metrics = None
+        if self.metric_pair is not None:
+            a0, a1 = self.metric_pair
+            metrics = MetricReport(
+                a0,
+                a1,
+                float(self.dp_gap[t]),
+                float(self.eo_gap[t]),
+                float(self.eodds_gap[t]),
+                *(
+                    {a0: float(col[t, 0]), a1: float(col[t, 1])}
+                    for col in (self.acceptance, self.tpr, self.fpr)
+                ),
+            )
+        return TrajectoryStep(
+            t,
+            pop,
+            self.policies[t],
+            metrics,
+            dict(zip(ids, self.delta_mu[t].tolist())),
+            {gid: _REGIMES[code] for gid, code in zip(ids, self.regime[t].tolist())},
+            float(self.utility[t]),
+            tuple(self.flags[t].tolist()),
+        )
+
+
+def _columns_of(steps: Sequence[TrajectoryStep]) -> TrajectoryColumns:
+    """The columns of a trajectory given as ``TrajectoryStep`` records."""
+    first = steps[0]
+    ids = first.population.group_ids
+    m = first.metrics
+    pair = None if m is None else (m.group_a, m.group_b)
+
+    def column(value, dtype=float):
+        return np.array([value(rec) for rec in steps], dtype=dtype)
+
+    return TrajectoryColumns(
+        first.population.grid,
+        ids,
+        pair,
+        first.population,
+        column(lambda rec: [g.pmf for g in rec.population.groups]),
+        column(lambda rec: [g.proportion for g in rec.population.groups]),
+        tuple(rec.policy for rec in steps),
+        *(
+            column(lambda rec: [getattr(rec.metrics, name)[a] for a in pair or ()])
+            for name in ("acceptance", "tpr", "fpr")
+        ),
+        column(lambda rec: [rec.delta_mu[gid] for gid in ids]),
+        column(lambda rec: [_REGIMES.index(rec.regime[gid]) for gid in ids], np.int8),
+        column(lambda rec: rec.utility),
+        *(
+            column(lambda rec: math.nan if pair is None else getattr(rec.metrics, name))
+            for name in ("dp_gap", "eo_gap", "eodds_gap")
+        ),
+        column(lambda rec: rec.intervention_active, bool).reshape(len(steps), -1),
+    )
+
+
+class _StepViews(Sequence):
+    """The steps of a run as ``TrajectoryStep`` views over ``columns``, built
+    on each access; a slice gives a tuple."""
+
+    def __init__(self, columns: TrajectoryColumns):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns.utility)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[t] for t in range(len(self))[index])
+        return self.columns.record(range(len(self))[index])
+
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    steps: tuple[TrajectoryStep, ...]
+    """The record of one run: ``steps``, one ``TrajectoryStep`` per step, and
+    the same run as ``columns``.
+
+    ``simulate`` keeps a run as columns only; its ``steps`` are views over
+    them, built on access, so a run keeps no per-step objects. A trajectory
+    made from records, such as ``dataclasses.replace(traj, steps=...)``,
+    builds its columns from those records on first use.
+    """
+
+    steps: Sequence[TrajectoryStep]
+
+    @functools.cached_property
+    def columns(self) -> TrajectoryColumns:
+        if isinstance(self.steps, _StepViews):
+            return self.steps.columns
+        return _columns_of(self.steps)
 
     def __len__(self) -> int:
         return len(self.steps)
 
     def final(self) -> TrajectoryStep:
         return self.steps[-1]
+
+
+def _delta_mu(terms: _PolicyTerms, i: int, pmf: np.ndarray) -> float:
+    """Expected score change of group ``i`` of ``terms`` with pmf ``pmf``."""
+    return float(pmf.dot(terms.tau_delta[i]))
 
 
 def group_delta_mu(
@@ -72,22 +227,92 @@ def group_delta_mu(
 
     Unselected individuals contribute zero.
     """
-    tau = policy.tau(group.group_id)
-    delta = outcome.score_change(group.group_id, grid)
-    _check_lengths(group.group_id, pmf=group.pmf, tau=tau, delta=delta)
-    return float(group.pmf @ (tau * delta))
+    terms = _PolicyTerms(policy, outcome, (group.group_id,), (group.pmf,), grid)
+    return _delta_mu(terms, 0, group.pmf)
+
+
+def _check_finite(delta_mu: float) -> None:
+    if not math.isfinite(delta_mu):
+        raise DomainError(f"delta mu {delta_mu} is not finite")
+
+
+def _check_regime_tol(tol: float) -> None:
+    if not tol > 0:
+        raise DomainError(f"regime tolerance {tol} must be positive")
+
+
+def _regime_codes(delta_mu: np.ndarray, tol: float) -> np.ndarray:
+    """Index into ``tuple(RegimeLabel)`` of each expected score change, for
+    finite changes and a positive tolerance."""
+    codes = np.full(
+        delta_mu.shape, _REGIMES.index(RegimeLabel.STAGNATION), dtype=np.int8
+    )
+    codes[delta_mu > tol] = _REGIMES.index(RegimeLabel.IMPROVEMENT)
+    codes[delta_mu < -tol] = _REGIMES.index(RegimeLabel.DECLINE)
+    return codes
 
 
 def classify_regime(delta_mu: float, tol: float) -> RegimeLabel:
-    if not math.isfinite(delta_mu):
-        raise DomainError(f"delta mu {delta_mu} is not finite")
-    if not tol > 0:
-        raise DomainError(f"regime tolerance {tol} must be positive")
-    if delta_mu > tol:
-        return RegimeLabel.IMPROVEMENT
-    if delta_mu < -tol:
-        return RegimeLabel.DECLINE
-    return RegimeLabel.STAGNATION
+    _check_finite(delta_mu)
+    _check_regime_tol(tol)
+    return _REGIMES[int(_regime_codes(np.array([delta_mu], dtype=float), tol)[0])]
+
+
+def _add_in_order(column: np.ndarray, terms: np.ndarray) -> None:
+    """``column[g] += terms[g, 0]``, then ``terms[g, 1]``, and so on: one
+    rounded float64 add at a time, as ``np.add.at`` adds repeated indices."""
+    sums = column.tolist()
+    for g, row in enumerate(terms.tolist()):
+        for term in row:
+            sums[g] += term
+    column[:] = sums
+
+
+def _advance(
+    terms: _PolicyTerms,
+    pmf: np.ndarray,
+    steps_up: int,
+    steps_down: int,
+    out: np.ndarray,
+) -> None:
+    """Write the next pmfs of every group (rows of ``pmf``) into ``out``.
+
+    Bit for bit the sum ``pmf * (1 - tau)``, then
+    ``np.add.at(new, up, pmf * tau * rho)``, then
+    ``np.add.at(new, down, pmf * tau * (1 - rho))`` with clamped shifts
+    ``up``/``down``: each bin below the top receives one success term, so a
+    slice add gives it, and the top bin receives the rest, added one by one in
+    index order; failures likewise, with the bottom bin.
+    """
+    n = pmf.shape[1]
+    accepted = pmf * terms.tau
+    success = accepted * terms.rho
+    failure = accepted * terms.fail
+    np.multiply(pmf, terms.keep, out=out)
+    single = max(n - 1 - steps_up, 0)
+    out[:, n - 1 - single : n - 1] += success[:, :single]
+    _add_in_order(out[:, n - 1], success[:, single:])
+    single = max(n - 1 - steps_down, 0)
+    out[:, 1 : 1 + single] += failure[:, n - single :]
+    _add_in_order(out[:, 0], failure[:, : n - single])
+
+
+def _population_view(
+    grid: ScoreGrid,
+    group_ids: Sequence[str],
+    proportions: Sequence[float],
+    pmfs: np.ndarray,
+) -> Population:
+    """A population over read-only views of the rows of ``pmfs``."""
+    rows = pmfs.view()
+    rows.setflags(write=False)
+    return Population(
+        grid,
+        tuple(
+            GroupState._of_row(gid, p, row)
+            for gid, p, row in zip(group_ids, proportions, rows)
+        ),
+    )
 
 
 def step(pop: Population, policy: Policy, outcome: OutcomeModel) -> Population:
@@ -97,27 +322,52 @@ def step(pop: Population, policy: Policy, outcome: OutcomeModel) -> Population:
     failure part moving down, clamped at the grid boundaries; rejected mass
     stays. Group proportions are unchanged. ``pop`` must be valid; it is not
     rechecked, and on a valid population the step conserves each group's mass.
+    Repeated steps under one policy object reuse its products with the
+    outcome model.
     """
-    n = len(pop.grid.bin_scores)
-    idx = np.arange(n)
-    up = np.minimum(idx + outcome.steps_up, n - 1)
-    down = np.maximum(idx - outcome.steps_down, 0)
-    new_groups = []
-    for g in pop.groups:
-        pmf = g.pmf
-        tau = policy.tau(g.group_id)
-        rho = outcome.rho_for(g.group_id)
-        _check_lengths(g.group_id, pmf=pmf, tau=tau, rho=rho)
-        new = pmf * (1.0 - tau)
-        np.add.at(new, up, pmf * tau * rho)
-        np.add.at(new, down, pmf * tau * (1.0 - rho))
-        new_groups.append(g.with_pmf(new))
-    return pop.with_groups(new_groups)
+    ids, pmfs = pop.group_ids, [g.pmf for g in pop.groups]
+    terms = _policy_terms(policy, outcome, ids, pmfs)
+    pmf = np.array(pmfs)
+    out = np.empty_like(pmf)
+    _advance(terms, pmf, outcome.steps_up, outcome.steps_down, out)
+    return _population_view(pop.grid, ids, [g.proportion for g in pop.groups], out)
 
 
 def _require_valid(pop: Population) -> None:
     report = validate_population(pop)
     if not report.ok:
+        raise DomainError("invalid population: " + "; ".join(report.violations))
+
+
+def _take_hook_result(
+    pop: Population,
+    grid: ScoreGrid,
+    group_ids: tuple[str, ...],
+    pmf_out: np.ndarray,
+    proportions_out: np.ndarray,
+) -> None:
+    """Check a population a ``pre_step`` hook returned and copy it into one
+    row of the run. Its grid must equal the run's grid and its group labels
+    must come in the run's order; the rest is accepted exactly when
+    ``validate_population`` accepts it."""
+    same_grid = pop.grid is grid or (
+        pop.grid.bin_width == grid.bin_width
+        and np.array_equal(pop.grid.bin_scores, grid.bin_scores)
+    )
+    if not same_grid or pop.group_ids != group_ids:
+        raise DomainError(
+            "pre_step must return a population over an equal grid and the "
+            "same groups, in the same order"
+        )
+    proportions = [g.proportion for g in pop.groups]
+    ok = all(len(g.pmf) == pmf_out.shape[1] for g in pop.groups)
+    if ok:
+        for row, g in zip(pmf_out, pop.groups):
+            row[:] = g.pmf
+        proportions_out[:] = proportions
+        ok = _rows_valid(pmf_out, proportions)
+    if not ok:
+        report = validate_population(pop)
         raise DomainError("invalid population: " + "; ".join(report.violations))
 
 
@@ -143,41 +393,93 @@ def simulate(
     which models an institution continuously re-applying its decision rule.
     ``pre_step`` and ``flags_fn`` are hooks for scenario interventions; with
     both unset the loop is the bare feedback model. Fully deterministic.
-    ``pop`` and each population ``pre_step`` returns are validated once.
+    ``pop`` and each population ``pre_step`` returns are validated once;
+    ``pre_step`` keeps the grid's values and the groups in their order, and
+    ``flags_fn`` returns the same number of flags at every step.
+
+    The state is one (groups, bins) matrix per step, kept in one
+    preallocated array; the hooks see populations over read-only views.
+    Each transition is one call of ``step``. The products of a policy with
+    the outcome and institution models are computed once per policy object,
+    so a policy that serves many steps costs one set of products.
     """
     if horizon < 0 or horizon > MAX_HORIZON:
         raise DomainError(f"horizon {horizon} outside [0, {MAX_HORIZON}]")
+    _check_regime_tol(regime_tol)
     _require_valid(pop)
-    if metric_pair is None and len(pop.groups) >= 2:
-        metric_pair = (pop.groups[0].group_id, pop.groups[1].group_id)
-    records = []
-    cur = pop
-    for t in range(horizon + 1):
+    grid, ids = pop.grid, pop.group_ids
+    if metric_pair is None and len(ids) >= 2:
+        metric_pair = ids[:2]
+    pair = ()
+    if metric_pair is not None:
+        pair = [ids.index(pop.group(label).group_id) for label in metric_pair]
+    rows, groups, n = horizon + 1, len(ids), len(grid)
+    states = np.empty((rows, groups, n))
+    proportions = np.empty((rows, groups))
+    acceptance, tpr, fpr = (np.empty((rows, len(pair))) for _ in range(3))
+    delta_mu = np.empty((rows, groups))
+    utility = np.empty(rows)
+    flags = None
+    policies = []
+    cur = initial = pop
+    pol = terms = None
+    for t in range(rows):
         if pre_step is not None:
             cur = pre_step(t, cur)
-            _require_valid(cur)
+            _take_hook_result(cur, grid, ids, states[t], proportions[t])
+            if t == 0:
+                initial = cur
+        else:
+            states[t] = [g.pmf for g in cur.groups]
+            proportions[t] = [g.proportion for g in cur.groups]
+        last = pol
         try:
             pol = policy_fn(t, cur)
         except InfeasibilityError as exc:
             raise InfeasibilityError(f"step {t}: {exc}") from exc
-        dmu = {
-            g.group_id: group_delta_mu(g, pol, outcome, cur.grid)
-            for g in cur.groups
-        }
-        regimes = {
-            gid: classify_regime(v, regime_tol) for gid, v in dmu.items()
-        }
-        metrics = None
-        if metric_pair is not None:
-            metrics = metric_report(cur, outcome, pol, *metric_pair)
-        util = institution_utility(pol, cur, outcome, inst)
-        flags = flags_fn(t) if flags_fn is not None else ()
-        records.append(
-            TrajectoryStep(t, cur, pol, metrics, dmu, regimes, util, flags)
-        )
+        pmf = states[t]
+        if pol is not last:
+            terms = _policy_terms(pol, outcome, ids, pmf, grid, inst)
+        for i, row in enumerate(pmf):
+            delta_mu[t, i] = d = _delta_mu(terms, i, row)
+            _check_finite(d)
+        for k, i in enumerate(pair):
+            acceptance[t, k], tpr[t, k], fpr[t, k] = _rates(terms, i, pmf[i])
+        utility[t] = _utility(proportions[t].tolist(), pmf, terms.tau_utility)
+        active = flags_fn(t) if flags_fn is not None else ()
+        if flags is None:
+            flags = np.empty((rows, len(active)), dtype=bool)
+        elif len(active) != flags.shape[1]:
+            raise DomainError(
+                f"flags_fn gave {len(active)} flags at step {t}, "
+                f"{flags.shape[1]} at step 0"
+            )
+        flags[t] = active
+        policies.append(pol)
         if t < horizon:
             cur = step(cur, pol, outcome)
-    return Trajectory(tuple(records))
+    if metric_pair is None:
+        gaps = [np.full(rows, math.nan) for _ in range(3)]
+    else:
+        gaps = _gaps(*(col[:, k] for col in (acceptance, tpr, fpr) for k in (0, 1)))
+    columns = TrajectoryColumns(
+        grid,
+        ids,
+        None if metric_pair is None else tuple(metric_pair),
+        initial,
+        states,
+        proportions,
+        tuple(policies),
+        acceptance,
+        tpr,
+        fpr,
+        delta_mu,
+        _regime_codes(delta_mu, regime_tol),
+        utility,
+        *gaps,
+        flags,
+    )
+    return Trajectory(_StepViews(columns))
 
 
 def is_stationary(traj: Trajectory, window: int, eps: float) -> bool:
@@ -191,13 +493,9 @@ def is_stationary(traj: Trajectory, window: int, eps: float) -> bool:
         raise DomainError(
             f"trajectory of length {len(traj)} shorter than window {window} + 1"
         )
-    steps = traj.steps[-(window + 1) :]
-    for prev, nxt in zip(steps, steps[1:]):
-        for g_prev, g_next in zip(prev.population.groups, nxt.population.groups):
-            tv = 0.5 * float(np.abs(g_prev.pmf - g_next.pmf).sum())
-            if tv >= eps:
-                return False
-    return True
+    states = traj.columns.states[-(window + 1) :]
+    tv = 0.5 * np.abs(np.diff(states, axis=0)).sum(axis=2)
+    return not np.any(tv >= eps)
 
 
 @dataclass(frozen=True)
@@ -270,23 +568,29 @@ TRAJECTORY_COLUMNS = (
 
 def trajectory_rows(traj: Trajectory) -> list[dict]:
     """Flatten a trajectory to one row per (step, group) for CSV output."""
+    c = traj.columns
+    scores = c.grid.bin_scores
+    delta_mu = c.delta_mu.tolist()
+    regime, utility = c.regime.tolist(), c.utility.tolist()
+    gaps = zip(c.dp_gap.tolist(), c.eo_gap.tolist(), c.eodds_gap.tolist())
     rows = []
-    for rec in traj.steps:
-        active = ";".join(str(int(f)) for f in rec.intervention_active)
-        for g in rec.population.groups:
-            m = rec.metrics
+    for t, (dp, eo, eodds) in enumerate(gaps):
+        active = ";".join(str(int(f)) for f in c.flags[t].tolist())
+        for i, gid in enumerate(c.group_ids):
             rows.append(
                 {
-                    "step": rec.step,
-                    "group": g.group_id,
-                    "mean_score": group_mean(g, rec.population.grid),
-                    "acceptance_rate": acceptance_rate(rec.policy, g),
-                    "delta_mu": rec.delta_mu[g.group_id],
-                    "regime": rec.regime[g.group_id].value,
-                    "dp_gap": m.dp_gap if m else float("nan"),
-                    "eo_gap": m.eo_gap if m else float("nan"),
-                    "eodds_gap": m.eodds_gap if m else float("nan"),
-                    "utility": rec.utility,
+                    "step": t,
+                    "group": gid,
+                    "mean_score": float(c.states[t, i] @ scores),
+                    "acceptance_rate": _acceptance(
+                        c.states[t, i], c.policies[t].tau(gid)
+                    ),
+                    "delta_mu": delta_mu[t][i],
+                    "regime": _REGIMES[regime[t][i]].value,
+                    "dp_gap": dp,
+                    "eo_gap": eo,
+                    "eodds_gap": eodds,
+                    "utility": utility[t],
                     "intervention_active": active,
                 }
             )

@@ -8,14 +8,15 @@ acceptance probability, independent of the label given group and score.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+import math
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
 from .errors import DomainError, UndefinedConditionalError
-from .policy import Policy
-from .population import Population, ScoreGrid, _check_lengths, _vector
+from .policy import Policy, _PolicyTerms, _acceptance
+from .population import Population, ScoreGrid, _vector
 
 EQ_TOL = 1e-12
 
@@ -32,15 +33,19 @@ class OutcomeModel:
     rho: Mapping[str, np.ndarray]
     steps_up: int
     steps_down: int
+    # The products ``policy._policy_terms`` built last with this model.
+    _terms: Optional[_PolicyTerms] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.steps_up < 0 or self.steps_down < 0:
-            raise DomainError("step counts must be nonnegative")
+        # Messages start with the field, so a loader can prefix its section.
+        for name in ("steps_up", "steps_down"):
+            if getattr(self, name) < 0:
+                raise DomainError(f"{name} {getattr(self, name)} must be nonnegative")
         rho = {gid: _vector(r) for gid, r in self.rho.items()}
         for gid, r in rho.items():
             # Written so that NaN fails the check too.
             if not np.all((r >= 0) & (r <= 1)):
-                raise DomainError(f"group {gid!r}: rho entries outside [0,1] or NaN")
+                raise DomainError(f"rho[{gid}]: entries outside [0,1] or NaN")
         object.__setattr__(self, "rho", rho)
 
     def rho_for(self, group_id: str) -> np.ndarray:
@@ -74,29 +79,48 @@ class MetricReport:
     fpr: Mapping[str, float]
 
 
-def _rates(pop: Population, outcome: OutcomeModel, policy: Policy, label: str):
-    pmf = pop.group(label).pmf
-    tau = policy.tau(label)
-    rho = outcome.rho_for(label)
-    _check_lengths(label, pmf=pmf, tau=tau, rho=rho)
-    acc = float(pmf @ tau)
-    qualified = float(pmf @ rho)
-    unqualified = float(pmf @ (1.0 - rho))
-    tpr = None
-    fpr = None
-    if qualified > 0:
-        tpr = float(pmf @ (tau * rho)) / qualified
-    if unqualified > 0:
-        fpr = float(pmf @ (tau * (1.0 - rho))) / unqualified
+def _rates(terms: _PolicyTerms, i: int, pmf: np.ndarray):
+    """Acceptance rate, true-positive rate and false-positive rate of group
+    ``i`` of ``terms`` with score pmf ``pmf``. A rate conditioned on a group's
+    zero qualified (or unqualified) mass is NaN.
+
+    Each reduction is one ``pmf.dot(vector)`` (the BLAS dot that ``@`` also
+    calls, with less call overhead); stacking them into one matrix product
+    would change the rounding.
+    """
+    acc = _acceptance(pmf, terms.tau[i])
+    qualified = float(pmf.dot(terms.rho[i]))
+    unqualified = float(pmf.dot(terms.fail[i]))
+    tpr = float(pmf.dot(terms.tau_rho[i])) / qualified if qualified > 0 else math.nan
+    fpr = (
+        float(pmf.dot(terms.tau_fail[i])) / unqualified
+        if unqualified > 0
+        else math.nan
+    )
     return acc, tpr, fpr
+
+
+def _gaps(acc0, acc1, tpr0, tpr1, fpr0, fpr1):
+    """Demographic-parity, equal-opportunity and equalized-odds gaps of two
+    groups' rates: of two numbers, or row by row of two columns. The
+    equalized-odds gap is the larger of the TPR and FPR gaps, and the TPR gap
+    where that comparison is undecided (NaN), as ``max`` returns."""
+    eo = abs(tpr0 - tpr1)
+    fpr_gap = abs(fpr0 - fpr1)
+    return abs(acc0 - acc1), eo, np.where(fpr_gap > eo, fpr_gap, eo)
+
+
+def _group_rates(pop: Population, outcome: OutcomeModel, policy: Policy, label: str):
+    pmf = pop.group(label).pmf
+    return _rates(_PolicyTerms(policy, outcome, (label,), (pmf,)), 0, pmf)
 
 
 def demographic_parity_gap(
     pop: Population, outcome: OutcomeModel, policy: Policy, a0: str, a1: str
 ) -> float:
     """Absolute difference in acceptance rates between the two groups."""
-    r0, _, _ = _rates(pop, outcome, policy, a0)
-    r1, _, _ = _rates(pop, outcome, policy, a1)
+    r0, _, _ = _group_rates(pop, outcome, policy, a0)
+    r1, _, _ = _group_rates(pop, outcome, policy, a1)
     return abs(r0 - r1)
 
 
@@ -104,13 +128,13 @@ def equal_opportunity_gap(
     pop: Population, outcome: OutcomeModel, policy: Policy, a0: str, a1: str
 ) -> float:
     """Absolute difference in true-positive rates (acceptance among the qualified)."""
-    _, t0, _ = _rates(pop, outcome, policy, a0)
-    _, t1, _ = _rates(pop, outcome, policy, a1)
-    if t0 is None:
+    _, t0, _ = _group_rates(pop, outcome, policy, a0)
+    _, t1, _ = _group_rates(pop, outcome, policy, a1)
+    if math.isnan(t0):
         raise UndefinedConditionalError(
             f"group {a0!r} has zero qualified mass; true-positive rate undefined"
         )
-    if t1 is None:
+    if math.isnan(t1):
         raise UndefinedConditionalError(
             f"group {a1!r} has zero qualified mass; true-positive rate undefined"
         )
@@ -121,14 +145,14 @@ def equalized_odds_gap(
     pop: Population, outcome: OutcomeModel, policy: Policy, a0: str, a1: str
 ) -> float:
     """Max of the true-positive and false-positive rate gaps."""
-    _, t0, f0 = _rates(pop, outcome, policy, a0)
-    _, t1, f1 = _rates(pop, outcome, policy, a1)
+    _, t0, f0 = _group_rates(pop, outcome, policy, a0)
+    _, t1, f1 = _group_rates(pop, outcome, policy, a1)
     for label, t, f in ((a0, t0, f0), (a1, t1, f1)):
-        if t is None:
+        if math.isnan(t):
             raise UndefinedConditionalError(
                 f"group {label!r} has zero qualified mass"
             )
-        if f is None:
+        if math.isnan(f):
             raise UndefinedConditionalError(
                 f"group {label!r} has zero unqualified mass"
             )
@@ -138,18 +162,23 @@ def equalized_odds_gap(
 def metric_report(
     pop: Population, outcome: OutcomeModel, policy: Policy, a0: str, a1: str
 ) -> MetricReport:
-    acc = {}
-    tpr = {}
-    fpr = {}
-    for label in (a0, a1):
-        a, t, f = _rates(pop, outcome, policy, label)
-        acc[label] = a
-        tpr[label] = float("nan") if t is None else t
-        fpr[label] = float("nan") if f is None else f
-    dp = abs(acc[a0] - acc[a1])
-    eo = abs(tpr[a0] - tpr[a1])
-    eodds = max(eo, abs(fpr[a0] - fpr[a1]))
-    return MetricReport(a0, a1, dp, eo, eodds, acc, tpr, fpr)
+    labels = (a0, a1)
+    pmfs = [pop.group(label).pmf for label in labels]
+    terms = _PolicyTerms(policy, outcome, labels, pmfs)
+    (acc0, tpr0, fpr0), (acc1, tpr1, fpr1) = (
+        _rates(terms, i, pmf) for i, pmf in enumerate(pmfs)
+    )
+    dp, eo, eodds = _gaps(acc0, acc1, tpr0, tpr1, fpr0, fpr1)
+    return MetricReport(
+        a0,
+        a1,
+        dp,
+        eo,
+        float(eodds),
+        {a0: acc0, a1: acc1},
+        {a0: tpr0, a1: tpr1},
+        {a0: fpr0, a1: fpr1},
+    )
 
 
 PairSpec = tuple[tuple[str, int], tuple[str, int]]

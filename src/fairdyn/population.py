@@ -82,6 +82,19 @@ class GroupState:
     def __post_init__(self):
         object.__setattr__(self, "pmf", _vector(self.pmf))
 
+    @classmethod
+    def _of_row(cls, group_id: str, proportion: float, pmf: np.ndarray) -> "GroupState":
+        """A group over ``pmf`` as it is, without the constructor's copy.
+
+        For read-only rows of an array that the caller never writes again,
+        such as the state array of a simulated run.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "group_id", group_id)
+        object.__setattr__(g, "proportion", proportion)
+        object.__setattr__(g, "pmf", pmf)
+        return g
+
     def with_pmf(self, pmf: Sequence[float]) -> "GroupState":
         return GroupState(self.group_id, self.proportion, pmf)
 
@@ -157,6 +170,22 @@ def validate_population(p: Population) -> ValidationReport:
     if p.groups and abs(total - 1.0) > PROB_TOL:
         out.append(f"proportions sum {total:.12g} != 1")
     return ValidationReport(tuple(out))
+
+
+def _rows_valid(pmfs: np.ndarray, proportions: Sequence[float]) -> bool:
+    """Whether ``validate_population`` accepts a population over an already
+    accepted grid and group labels whose pmfs are the rows of ``pmfs`` (G, n).
+
+    The row sums are the same pairwise sums ``pmf.sum()`` takes, so the
+    tolerance decides exactly as there. A NaN entry makes the minimum NaN,
+    which fails the first test, where the other check rejects it by its sum.
+    """
+    return bool(
+        pmfs.min() >= 0
+        and all(abs(s - 1.0) <= PROB_TOL for s in pmfs.sum(axis=1).tolist())
+        and all(0.0 <= p <= 1.0 for p in proportions)
+        and abs(sum(proportions) - 1.0) <= PROB_TOL
+    )
 
 
 def group_mean(g: GroupState, grid: ScoreGrid) -> float:

@@ -25,10 +25,10 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-import yaml
 
+from ._yaml import load_yaml
 from .dynamics import MAX_HORIZON, Trajectory, simulate
-from .errors import ConfigError, DimensionError, InfeasibilityError
+from .errors import ConfigError, DimensionError, DomainError, InfeasibilityError
 from .metrics import OutcomeModel
 from .optimize import (
     DEFAULT_RESOLUTION,
@@ -202,11 +202,15 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
         rho = {str(k): vs for k, vs in rho_raw.items()}
     else:
         rho = {g.group_id: rho_raw for g in groups}
-    outcome = OutcomeModel(
-        rho=rho,
-        steps_up=int(_req(out_raw, "steps_up", "outcome")),
-        steps_down=int(_req(out_raw, "steps_down", "outcome")),
-    )
+    # The models' DomainError messages start with the field's name.
+    try:
+        outcome = OutcomeModel(
+            rho=rho,
+            steps_up=int(_req(out_raw, "steps_up", "outcome")),
+            steps_down=int(_req(out_raw, "steps_down", "outcome")),
+        )
+    except DomainError as exc:
+        raise ConfigError(f"outcome.{exc}") from exc
     for g in groups:
         if g.group_id not in outcome.rho:
             raise ConfigError(f"outcome.rho missing group {g.group_id!r}")
@@ -214,10 +218,13 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
             raise ConfigError(f"outcome.rho[{g.group_id!r}] length != grid length")
 
     inst_raw = _req(raw, "institution", "scenario")
-    institution = InstitutionModel(
-        u_plus=float(_req(inst_raw, "u_plus", "institution")),
-        u_minus=float(_req(inst_raw, "u_minus", "institution")),
-    )
+    try:
+        institution = InstitutionModel(
+            u_plus=float(_req(inst_raw, "u_plus", "institution")),
+            u_minus=float(_req(inst_raw, "u_minus", "institution")),
+        )
+    except DomainError as exc:
+        raise ConfigError(f"institution.{exc}") from exc
 
     rule_raw = _req(raw, "policy_rule", "scenario")
     kind = str(_req(rule_raw, "kind", "policy_rule"))
@@ -335,7 +342,7 @@ def load_scenario(path_or_name: str) -> ScenarioConfig:
         text = source.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file {path_or_name}: {exc}") from exc
-    raw = yaml.safe_load(text)
+    raw = load_yaml(text, path_or_name)
     if not isinstance(raw, dict):
         raise ConfigError(f"scenario file {path_or_name} is not a mapping")
     try:
@@ -377,6 +384,14 @@ class _ScenarioEngine:
     def __init__(self, cfg: ScenarioConfig, interventions):
         self.cfg = cfg
         self.interventions = interventions
+        # A fixed or max_utility rule does not depend on the state: build it
+        # once for the run.
+        rule = cfg.policy_rule
+        self.static_policy = None
+        if rule.kind in ("fixed", "max_utility"):
+            self.static_policy = build_policy(
+                cfg, cfg.population, rule, cfg.resolution
+            )
         self.quota_active = [iv.kind == "quota" for iv in interventions]
         self.quota_streak = [0] * len(interventions)
         self.last_share: dict[str, float] = {}
@@ -420,7 +435,9 @@ class _ScenarioEngine:
 
     def policy(self, t: int, pop: Population) -> Policy:
         cfg = self.cfg
-        pol = build_policy(cfg, pop, cfg.policy_rule, cfg.resolution)
+        pol = self.static_policy
+        if pol is None:
+            pol = build_policy(cfg, pop, cfg.policy_rule, cfg.resolution)
         flags = []
         for i, iv in enumerate(self.interventions):
             if iv.kind != "quota":
@@ -478,6 +495,12 @@ class _ScenarioEngine:
         return self.flags.get(t, ())
 
 
+def initial_policy(cfg: ScenarioConfig) -> Policy:
+    """The policy the scenario applies at step 0: its rule on the initial
+    population, with the interventions that are active at step 0."""
+    return _ScenarioEngine(cfg, cfg.interventions).policy(0, cfg.population)
+
+
 def run_scenario(
     cfg: ScenarioConfig,
     interventions: Optional[Sequence[InterventionRule]] = None,
@@ -509,6 +532,14 @@ def goal_value(cfg: ScenarioConfig, step) -> float:
     return getattr(step.metrics, goal.metric)
 
 
+def _goal_values(cfg: ScenarioConfig, traj: Trajectory) -> list[float]:
+    """The declared goal's metric at every step, read from the columns."""
+    c, goal = traj.columns, cfg.declared_goal
+    if goal.metric == "delta_mu":
+        return c.delta_mu[:, c.group_ids.index(goal.target_group)].tolist()
+    return getattr(c, goal.metric).tolist()
+
+
 def goal_met(cfg: ScenarioConfig, value: float) -> bool:
     # Gap goals are met below tolerance; the score-change goal is met in the
     # improvement regime (strictly above tolerance).
@@ -528,16 +559,14 @@ class ComparisonRow:
 
 
 def _sunset_occurred(traj: Trajectory, interventions) -> bool:
+    """Whether some quota was active at a step and inactive at a later one."""
+    flags = traj.columns.flags
     for i, iv in enumerate(interventions):
-        if iv.kind != "quota":
+        if iv.kind != "quota" or i >= flags.shape[1]:
             continue
-        seen_active = False
-        for rec in traj.steps:
-            if i < len(rec.intervention_active):
-                if rec.intervention_active[i]:
-                    seen_active = True
-                elif seen_active:
-                    return True
+        active = flags[:, i]
+        if np.any(np.logical_or.accumulate(active) & ~active):
+            return True
     return False
 
 
@@ -550,19 +579,19 @@ def compare_interventions(
     rows = []
     for name, ivs in variants:
         traj = run_scenario(cfg, ivs)
-        values = [goal_value(cfg, rec) for rec in traj.steps]
+        values = _goal_values(cfg, traj)
         steps_to_goal = next(
-            (rec.step for rec, v in zip(traj.steps, values) if goal_met(cfg, v)),
-            None,
+            (t for t, v in enumerate(values) if goal_met(cfg, v)), None
         )
         persists = _sunset_occurred(traj, ivs) and goal_met(cfg, values[-1])
+        c = traj.columns
         rows.append(
             ComparisonRow(
                 variant=name,
                 final_goal_value=values[-1],
                 steps_to_goal=steps_to_goal,
                 persists_after_sunset=persists,
-                final_delta_mu=dict(traj.final().delta_mu),
+                final_delta_mu=dict(zip(c.group_ids, c.delta_mu[-1].tolist())),
                 trajectory=traj,
             )
         )
@@ -623,8 +652,7 @@ def sensitivity_sweep(
         perturbed_cfg = replace(
             cfg, population=cfg.population.with_groups(groups)
         )
-        traj = run_scenario(perturbed_cfg)
-        values.append(goal_value(cfg, traj.final()))
+        values.append(_goal_values(cfg, run_scenario(perturbed_cfg))[-1])
     lo, hi = min(values), max(values)
     spread = hi - lo
     return SweepReport(

@@ -167,6 +167,72 @@ class TestValidation:
         assert not out.exists()
 
 
+class TestYamlFiles:
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda text: "population: [1, 2\n", "cannot parse"),
+            (lambda text: text + "horizon: 3\n", "found duplicate key 'horizon'"),
+        ],
+        ids=["syntax_error", "duplicate_key"],
+    )
+    def test_scenario_exit_1(self, tmp_path, capsys, edit, message):
+        from importlib.resources import files
+
+        text = files("fairdyn.data").joinpath("lending_liu.yaml").read_text()
+        scenario = tmp_path / "bad.yaml"
+        scenario.write_text(edit(text), encoding="utf-8")
+        out = tmp_path / "m.csv"
+        assert main(["metrics", "--scenario", str(scenario), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and str(scenario) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda text: text.replace("edges:", "edges: [[A, D]"), "cannot parse"),
+            # The same CPT row twice, with different probabilities.
+            (lambda text: text + '    "D=1,X=1": [0.8, 0.2]\n',
+             "found duplicate key 'D=1,X=1'"),
+        ],
+        ids=["syntax_error", "repeated_cpt_row"],
+    )
+    def test_causal_model_exit_1(self, tmp_path, capsys, edit, message):
+        with open(CAUSAL_MODEL, encoding="utf-8") as fh:
+            text = fh.read()
+        path = tmp_path / "bad.yaml"
+        path.write_text(edit(text), encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_causal_model(str(path))
+        assert main(["causal", "--model", str(path), "--check", "cf"]) == 1
+        err = capsys.readouterr().err
+        assert message in err and str(path) in err
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda raw: raw["outcome"]["rho"].__setitem__(0, 1.5),
+             "outcome.rho[A]: entries outside [0,1]"),
+            (lambda raw: raw["institution"].update(u_plus=float("inf")),
+             "institution.u_plus inf is not finite"),
+            (lambda raw: raw["outcome"].update(steps_down=-1),
+             "outcome.steps_down -1 must be nonnegative"),
+        ],
+        ids=["rho", "u_plus", "steps_down"],
+    )
+    def test_model_field_out_of_domain_exit_1(self, tmp_path, capsys, edit, message):
+        raw = builtin_raw("lending_liu")
+        edit(raw)
+        scenario = tmp_path / "bad.yaml"
+        scenario.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_scenario(str(scenario))
+        out = tmp_path / "m.csv"
+        assert main(["metrics", "--scenario", str(scenario), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+
+
 class TestCausal:
     def test_dsep_given_mediators(self, capsys):
         code = main(

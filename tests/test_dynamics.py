@@ -1,7 +1,16 @@
+import gc
+import math
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fairdyn import dynamics
+import dynamics_oracle
+from fairdyn import dynamics, scenarios
+from fairdyn import policy as policy_module
 from fairdyn.dynamics import (
     RegimeLabel,
     classify_regime,
@@ -20,7 +29,13 @@ from fairdyn.policy import (
     acceptance_rate,
     institution_utility,
 )
-from fairdyn.population import group_mean, validate_population
+from fairdyn.population import (
+    GroupState,
+    Population,
+    ScoreGrid,
+    group_mean,
+    validate_population,
+)
 
 from conftest import make_grid, make_population, random_instance
 
@@ -32,6 +47,15 @@ def single_group(pmf, rho, steps_up=1, steps_down=1, width=100.0):
     pop = make_population(grid, {"a": pmf}, {"a": 1.0})
     out = OutcomeModel(rho={"a": tuple(rho)}, steps_up=steps_up, steps_down=steps_down)
     return pop, out
+
+
+def two_groups():
+    grid = make_grid(3, width=100.0)
+    pop = make_population(
+        grid, {"a": (0.2, 0.3, 0.5), "b": (0.6, 0.3, 0.1)}, {"a": 0.5, "b": 0.5}
+    )
+    rho = {"a": (0.2, 0.5, 0.9), "b": (0.1, 0.4, 0.8)}
+    return pop, OutcomeModel(rho=rho, steps_up=1, steps_down=1)
 
 
 class TestScoreChange:
@@ -303,9 +327,10 @@ class TestMonteCarlo:
         lambda pop, pol, out: metric_report(pop, out, pol, "a", "a"),
         lambda pop, pol, out: group_delta_mu(pop.groups[0], pol, out, pop.grid),
         lambda pop, pol, out: step(pop, pol, out),
+        lambda pop, pol, out: simulate(pop, lambda t, p: pol, out, INST, 3),
     ],
     ids=["acceptance_rate", "institution_utility", "metric_report",
-         "group_delta_mu", "step"],
+         "group_delta_mu", "step", "simulate"],
 )
 def test_policy_of_wrong_length_is_a_dimension_error(call):
     pop, out = single_group((0.5, 0.5), (0.3, 0.9))
@@ -322,3 +347,326 @@ def test_trajectory_rows_schema():
     assert len(rows) == 3
     assert rows[0]["step"] == 0 and rows[0]["group"] == "a"
     assert rows[0]["regime"] in {"improvement", "stagnation", "decline"}
+
+
+class TestColumnarTrajectory:
+    def run(self, horizon=6):
+        pop, out = single_group((0.25, 0.25, 0.5), (0.2, 0.5, 0.9))
+        pol = Policy.from_arrays({"a": np.array([0.1, 0.5, 0.9])})
+        return pop, pol, simulate(pop, lambda t, p: pol, out, INST, horizon)
+
+    def test_columns_are_read_only(self):
+        _, _, traj = self.run()
+        for name, value in vars(traj.columns).items():
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, name
+        with pytest.raises(ValueError):
+            traj.steps[2].population.groups[0].pmf[0] = 1.0
+
+    def test_step_populations_are_views_of_the_state_array(self):
+        _, _, traj = self.run()
+        for rec in traj.steps[1:]:
+            pmf = rec.population.groups[0].pmf
+            assert np.shares_memory(pmf, traj.columns.states)
+            assert np.array_equal(pmf, traj.columns.states[rec.step, 0])
+
+    def test_one_policy_object_and_one_set_of_products(self, monkeypatch):
+        built = []
+
+        class Counting(policy_module._PolicyTerms):
+            def __init__(self, *args, **kwargs):
+                built.append(args[0])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(policy_module, "_PolicyTerms", Counting)
+        _, pol, traj = self.run(horizon=9)
+        assert built == [pol]
+        assert all(rec.policy is pol for rec in traj.steps)
+
+    def test_only_the_last_policy_keeps_its_products(self):
+        pop, out = single_group((0.5, 0.5), (0.3, 0.9))
+        pol = Policy.from_arrays({"a": np.ones(2)})
+        simulate(pop, lambda t, p: pol, out, INST, 2)
+        gone = weakref.ref(pol)
+        del pol
+        other = Policy.from_arrays({"a": np.zeros(2)})
+        simulate(pop, lambda t, p: other, out, INST, 2)
+        gc.collect()
+        assert gone() is None
+
+    def test_each_transition_is_one_call_of_step(self, monkeypatch):
+        seen = []
+
+        def counting(pop, policy, outcome):
+            seen.append(pop)
+            return step(pop, policy, outcome)
+
+        monkeypatch.setattr(dynamics, "step", counting)
+        _, _, traj = self.run(horizon=5)
+        assert len(seen) == 5
+        for pop, rec in zip(seen, traj.steps):
+            assert np.array_equal(pop.groups[0].pmf, rec.population.groups[0].pmf)
+
+    def test_trajectory_from_records_has_their_columns(self):
+        pop, pol, traj = self.run(horizon=4)
+        rebuilt = dynamics.Trajectory(tuple(traj.steps))
+        for name, value in vars(traj.columns).items():
+            other = getattr(rebuilt.columns, name)
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(value, other, equal_nan=True), name
+                assert value.dtype == other.dtype and not other.flags.writeable
+            else:
+                assert value == other, name
+        assert repr(trajectory_rows(rebuilt)) == repr(trajectory_rows(traj))
+
+    def test_replaced_steps_replace_the_columns(self):
+        pop, out = two_groups()
+        pol = Policy.from_arrays({"a": np.ones(3), "b": np.full(3, 0.5)})
+        traj = simulate(pop, lambda t, p: pol, out, INST, 3)
+        rec = traj.steps[1]
+        steps = list(traj.steps)
+        steps[1] = replace(
+            rec,
+            utility=7.0,
+            metrics=replace(rec.metrics, eo_gap=1e-6),
+            population=traj.steps[0].population,
+        )
+        changed = replace(traj, steps=tuple(steps))
+        c = changed.columns
+        assert c.utility[1] == 7.0 and c.eo_gap[1] == 1e-6
+        assert np.array_equal(c.states[1], traj.columns.states[0])
+        assert np.array_equal(c.states[2], traj.columns.states[2])
+        assert trajectory_rows(changed)[2]["utility"] == 7.0
+
+    def test_steps_index_and_slice(self):
+        _, _, traj = self.run(horizon=4)
+        assert len(traj.steps) == 5
+        assert traj.steps[-1].step == 4 == traj.final().step
+        assert [rec.step for rec in traj.steps[::2]] == [0, 2, 4]
+        assert isinstance(traj.steps[1:], tuple)
+        with pytest.raises(IndexError):
+            traj.steps[5]
+
+    def test_flags_must_keep_their_number(self):
+        pop, out = single_group((0.5, 0.5), (0.3, 0.9))
+        pol = Policy.from_arrays({"a": np.ones(2)})
+        with pytest.raises(DomainError, match="flags_fn gave 2 flags at step 1"):
+            simulate(
+                pop, lambda t, p: pol, out, INST, 3,
+                flags_fn=lambda t: (True,) * (t + 1),
+            )
+
+    def test_pre_step_may_return_an_equal_grid_object(self):
+        pop, out = single_group((0.5, 0.5), (0.3, 0.9))
+        pol = Policy.from_arrays({"a": np.ones(2)})
+        other = make_population(make_grid(2, width=100.0), {"a": (0.5, 0.5)}, {"a": 1.0})
+        assert other.grid is not pop.grid
+        traj = simulate(pop, lambda t, p: pol, out, INST, 2, pre_step=lambda t, p: other)
+        assert np.array_equal(traj.columns.states[2], [[0.5, 0.5]])
+
+    def test_pre_step_must_keep_grid_values_and_group_order(self):
+        pop, out = two_groups()
+        pol = Policy.from_arrays({"a": np.ones(3), "b": np.ones(3)})
+        wider = Population(ScoreGrid(pop.grid.bin_scores * 2, 200.0), pop.groups)
+        swapped = pop.with_groups(pop.groups[::-1])
+        for other in (wider, swapped):
+            with pytest.raises(DomainError, match="equal grid and the same groups"):
+                simulate(
+                    pop, lambda t, p: pol, out, INST, 2, pre_step=lambda t, p: other
+                )
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+    def test_bad_regime_tolerance_raises_before_the_first_step(self, tol):
+        pop, out = single_group((0.5, 0.5), (0.3, 0.9))
+
+        def policy_fn(t, p):
+            raise AssertionError("policy_fn called")
+
+        with pytest.raises(DomainError, match="regime tolerance"):
+            simulate(pop, policy_fn, out, INST, 3, regime_tol=tol)
+
+    def test_non_finite_score_change_raises_at_its_step(self):
+        pop, out = single_group((0.5, 0.5), (0.3, 0.9))
+        good = Policy.from_arrays({"a": np.ones(2)})
+        nan = Policy({"a": np.array([math.nan, 1.0])})
+        calls = []
+
+        def policy_fn(t, p):
+            calls.append(t)
+            return nan if t == 1 else good
+
+        with pytest.raises(DomainError, match="delta mu nan is not finite"):
+            simulate(pop, policy_fn, out, INST, 5)
+        assert calls == [0, 1]
+
+
+def _same(a, b):
+    """Bit-identical floats, NaN equal to NaN."""
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@st.composite
+def runs(draw):
+    """A random scenario: 1-3 groups, 2-60 bins, shifts of 0, small and at
+    least n - 1, each policy rule and any set of interventions."""
+    groups = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = [f"g{i}" for i in range(groups)]
+    pmfs, rho = {}, {}
+    for gid in ids:
+        raw = rng.random(n) * (rng.random(n) < 0.8)
+        raw[rng.integers(n)] += 0.1
+        pmfs[gid] = raw / raw.sum()
+        r = np.where(rng.random(n) < 0.1, rng.integers(0, 2, n), rng.random(n))
+        if draw(st.booleans()) and draw(st.booleans()):
+            r = np.zeros(n) if draw(st.booleans()) else np.ones(n)
+        rho[gid] = np.sort(r)
+    shares = rng.random(groups) + 0.05
+    shares /= shares.sum()
+    shift = st.sampled_from([0, 1, 2, n - 1, n, n + 3])
+    kinds = ["fixed", "max_utility", "outcome_optimal"]
+    if groups == 2:
+        kinds.append("constrained")
+    kind = draw(st.sampled_from(kinds))
+    rule = scenarios.PolicyRuleSpec(kind)
+    if kind == "fixed":
+        tau = {
+            gid: np.clip(rng.random(n) * 1.4 - 0.2, 0.0, 1.0) for gid in ids
+        }
+        rule = scenarios.PolicyRuleSpec(kind, tau=tau)
+    elif kind == "constrained":
+        rule = scenarios.PolicyRuleSpec(
+            kind, constraint=draw(st.sampled_from(["dp", "eo"]))
+        )
+    elif kind == "outcome_optimal":
+        rule = scenarios.PolicyRuleSpec(
+            kind, target_group=draw(st.sampled_from(ids))
+        )
+    IR = scenarios.InterventionRule
+    options = [
+        IR("quota", draw(st.sampled_from(ids)),
+           active_from=draw(st.integers(0, 3)),
+           target_share=draw(st.floats(0.0, 0.9)),
+           sunset=scenarios.SunsetRule(draw(st.floats(0.0, 0.1)),
+                                       draw(st.integers(1, 4)))),
+        IR("pipeline_investment", draw(st.sampled_from(ids)),
+           active_from=draw(st.integers(0, 3)),
+           shift_fraction=draw(st.floats(0.0, 1.0))),
+        IR("role_model_feedback", draw(st.sampled_from(ids)),
+           active_from=draw(st.integers(0, 3)),
+           strength=draw(st.floats(0.0, 1.0))),
+    ]
+    interventions = tuple(iv for iv in options if draw(st.booleans()))
+    grid = ScoreGrid(tuple(300.0 + 10.0 * i for i in range(n)), 10.0)
+    pop = Population(
+        grid,
+        tuple(GroupState(gid, float(p), pmfs[gid]) for gid, p in zip(ids, shares)),
+    )
+    return scenarios.ScenarioConfig(
+        name="random",
+        declared_goal=scenarios.DeclaredGoal("any", "delta_mu", 1e-6, ids[0]),
+        population=pop,
+        outcome=OutcomeModel(rho, draw(shift), draw(shift)),
+        institution=InstitutionModel(1.0, -draw(st.floats(0.1, 4.0))),
+        policy_rule=rule,
+        interventions=interventions,
+        horizon=draw(st.integers(0, 25)),
+        tolerances=scenarios.Tolerances(regime=draw(st.sampled_from([1e-9, 1e-3]))),
+        seed=0,
+        resolution=0.1,
+        metric_groups=(ids[0], ids[-1]),
+    )
+
+
+def _both(cfg):
+    """The library's run and the oracle's records of ``cfg``, each with its
+    own engine, or the exception each raised."""
+    out = []
+    for run in (dynamics.simulate, dynamics_oracle.simulate):
+        engine = scenarios._ScenarioEngine(cfg, cfg.interventions)
+        hooks = bool(cfg.interventions)
+        try:
+            out.append(run(
+                cfg.population, engine.policy, cfg.outcome, cfg.institution,
+                cfg.horizon, regime_tol=cfg.tolerances.regime,
+                pre_step=engine.pre_step if hooks else None,
+                flags_fn=engine.flags_fn if hooks else None,
+            ))
+        except (DomainError, scenarios.InfeasibilityError) as exc:
+            out.append(exc)
+    return out
+
+
+class TestAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=runs())
+    def test_records_bit_identical(self, cfg):
+        traj, records = _both(cfg)
+        if isinstance(records, Exception):
+            assert type(traj) is type(records) and str(traj) == str(records)
+            return
+        c = traj.columns
+        assert len(traj) == len(records) == cfg.horizon + 1
+        ids = cfg.population.group_ids
+        rows = trajectory_rows(traj)
+        pair = ids[:2] if len(ids) >= 2 else ()
+        for t, rec in enumerate(records):
+            for k, gid in enumerate(pair):
+                for name in ("acceptance", "tpr", "fpr"):
+                    assert _same(getattr(c, name)[t, k], rec[name][gid])
+        for t, (view, rec) in enumerate(zip(traj.steps, records)):
+            assert np.array_equal(c.states[t], np.array(rec["pmfs"]))
+            assert c.proportions[t].tolist() == rec["proportions"]
+            assert c.utility[t] == view.utility == rec["utility"]
+            for name in ("dp_gap", "eo_gap", "eodds_gap"):
+                assert _same(getattr(c, name)[t], rec[name])
+                if view.metrics is not None:
+                    assert _same(getattr(view.metrics, name), rec[name])
+            assert view.intervention_active == tuple(rec["flags"])
+            for i, gid in enumerate(ids):
+                assert np.array_equal(view.population.groups[i].pmf, rec["pmfs"][i])
+                assert view.population.groups[i].proportion == rec["proportions"][i]
+                assert np.array_equal(view.policy.tau(gid), rec["policy"].tau(gid))
+                assert _same(c.delta_mu[t, i], rec["delta_mu"][gid])
+                assert _same(rows[t * len(ids) + i]["acceptance_rate"],
+                             rec["acceptance"][gid])
+                assert view.delta_mu[gid] == rec["delta_mu"][gid]
+                assert view.regime[gid].value == rec["regime"][gid]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        groups=st.integers(1, 3),
+        n=st.integers(2, 30),
+        scale=st.sampled_from([1.0, 1 + 5e-10, 1 + 1e-9, 1 - 1e-9, 1 + 2e-9, 1 - 2e-9]),
+        entry=st.sampled_from([None, math.nan, -1e-12, math.inf, 0.0]),
+        proportion=st.sampled_from([None, math.nan, -0.1, 1.2, 0.5]),
+    )
+    def test_hook_check_accepts_what_validate_population_accepts(
+        self, seed, groups, n, scale, entry, proportion
+    ):
+        rng = np.random.default_rng(seed)
+        pmfs = rng.random((groups, n))
+        pmfs /= pmfs.sum(axis=1, keepdims=True)
+        grid = make_grid(n)
+        pop = make_population(grid, {f"g{i}": row for i, row in enumerate(pmfs)})
+        bad = pmfs * scale
+        if entry is not None:
+            bad[rng.integers(groups), rng.integers(n)] = entry
+        shares = [g.proportion for g in pop.groups]
+        if proportion is not None:
+            shares[int(rng.integers(groups))] = proportion
+        hooked = pop.with_groups(
+            GroupState(g.group_id, p, row)
+            for g, p, row in zip(pop.groups, shares, bad)
+        )
+        out = OutcomeModel({g.group_id: np.full(n, 0.5) for g in pop.groups}, 1, 1)
+        pol = Policy.from_arrays({g.group_id: np.ones(n) for g in pop.groups})
+        try:
+            simulate(pop, lambda t, p: pol, out, INST, 1,
+                     pre_step=lambda t, p: hooked if t == 1 else p)
+            accepted = True
+        except DomainError:
+            accepted = False
+        assert accepted == validate_population(hooked).ok

@@ -13,6 +13,7 @@ from fairdyn.scenarios import (
     compare_interventions,
     goal_met,
     goal_value,
+    initial_policy,
     load_scenario,
     named_variants,
     run_scenario,
@@ -262,6 +263,28 @@ class TestRunScenario:
         cfg = load_scenario(str(p))
         with pytest.raises(InfeasibilityError, match="step 0"):
             run_scenario(cfg)
+
+
+class TestPolicyPerRun:
+    def test_initial_policy_is_the_step_zero_policy(self):
+        for cfg in (LENDING, BOARDS):
+            rec = run_scenario(cfg).steps[0]
+            pol = initial_policy(cfg)
+            for gid in cfg.population.group_ids:
+                assert np.array_equal(pol.tau(gid), rec.policy.tau(gid))
+
+    def test_max_utility_rule_built_once_per_run(self, monkeypatch):
+        import fairdyn.scenarios as scn
+
+        calls = []
+        real = scn.build_policy
+        monkeypatch.setattr(
+            scn, "build_policy", lambda *args: calls.append(args) or real(*args)
+        )
+        traj = run_scenario(LENDING)
+        assert LENDING.policy_rule.kind == "max_utility"
+        assert len(calls) == 1
+        assert len({id(rec.policy) for rec in traj.steps}) == 1
 
 
 class TestPipelineInvestment:
