@@ -20,14 +20,14 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .errors import DomainError, InfeasibilityError
-from .metrics import MetricReport, OutcomeModel, _gaps, _rates
+from .metrics import MetricReport, OutcomeModel, _gaps
 from .policy import (
     InstitutionModel,
     Policy,
     _acceptance,
     _policy_terms,
     _PolicyTerms,
-    _utility,
+    _utility_weights,
 )
 from .population import (
     GroupState,
@@ -39,6 +39,9 @@ from .population import (
 
 MAX_HORIZON = 10**5
 MASS_TOL = 1e-12
+# Steps per block of the reductions after a run's loop. A block's weights
+# take 40 bytes per group and bin per step, 0.5 MB at 2 groups x 200 bins.
+_BLOCK = 32
 
 
 class RegimeLabel(enum.Enum):
@@ -212,9 +215,16 @@ class Trajectory:
         return self.steps[-1]
 
 
-def _delta_mu(terms: _PolicyTerms, i: int, pmf: np.ndarray) -> float:
-    """Expected score change of group ``i`` of ``terms`` with pmf ``pmf``."""
-    return float(pmf.dot(terms.tau_delta[i]))
+def _dots(pmfs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``pmfs[..., i, :].dot(weights[..., i, k, :])`` for every leading index,
+    group ``i`` and weight ``k``, as an array of shape ``weights.shape[:-1]``.
+
+    Each entry is one (1 x n)(n x 1) product of a stacked ``np.matmul``,
+    which calls the BLAS dot that ``pmf.dot(w)`` calls, so it equals the
+    per-row dot bit for bit. ``A @ v`` (a matrix-vector product) and
+    ``np.einsum`` sum in other orders and round some results differently.
+    """
+    return np.matmul(pmfs[..., None, None, :], weights[..., None])[..., 0, 0]
 
 
 def group_delta_mu(
@@ -228,7 +238,7 @@ def group_delta_mu(
     Unselected individuals contribute zero.
     """
     terms = _PolicyTerms(policy, outcome, (group.group_id,), (group.pmf,), grid)
-    return _delta_mu(terms, 0, group.pmf)
+    return float(group.pmf.dot(terms.tau_delta[0]))
 
 
 def _check_finite(delta_mu: float) -> None:
@@ -260,7 +270,11 @@ def classify_regime(delta_mu: float, tol: float) -> RegimeLabel:
 
 def _add_in_order(column: np.ndarray, terms: np.ndarray) -> None:
     """``column[g] += terms[g, 0]``, then ``terms[g, 1]``, and so on: one
-    rounded float64 add at a time, as ``np.add.at`` adds repeated indices."""
+    rounded float64 add at a time, as ``np.add.at`` adds repeated indices.
+
+    The adds are Python float adds: for a few groups and a few edge terms
+    that is faster than one numpy add per column of ``terms``, whose call
+    overhead is larger than the arithmetic."""
     sums = column.tolist()
     for g, row in enumerate(terms.tolist()):
         for term in row:
@@ -371,6 +385,64 @@ def _take_hook_result(
         raise DomainError("invalid population: " + "; ".join(report.violations))
 
 
+def _step_columns(
+    states: np.ndarray,
+    proportions: np.ndarray,
+    policies: Sequence[Policy],
+    group_ids: tuple[str, ...],
+    pair: list[int],
+    model: _PolicyTerms,
+):
+    """The acceptance, TPR and FPR columns of the groups ``pair`` indexes,
+    and the ``delta_mu`` and utility columns, of a run with these states,
+    proportions and per-step policies.
+
+    ``model`` is a set of products for the run's outcome model, groups, grid
+    and institution; the policy-free vectors are taken from it. The rows go
+    in blocks of ``_BLOCK`` steps: a block gathers its steps' acceptance
+    vectors, forms the same products as ``_PolicyTerms`` and reduces each
+    row against them with ``_dots``, so every value equals the per-row
+    ``pmf.dot`` of the former per-step loop bit for bit.
+    """
+    rows, groups, n = states.shape
+    # Per row and group: acceptance, true positives, false positives,
+    # delta_mu and utility.
+    dots = np.empty((rows, groups, 5))
+    for a in range(0, rows, _BLOCK):
+        b = min(a + _BLOCK, rows)
+        # Each policy object's vectors once, then one set per step.
+        slot: dict[Policy, int] = {}
+        index = [slot.setdefault(pol, len(slot)) for pol in policies[a:b]]
+        tau = np.array([[pol.tau(gid) for gid in group_ids] for pol in slot])
+        if len(slot) > 1:
+            tau = tau[index]
+        w = np.empty((len(tau), groups, 5, n))
+        w[:, :, 0] = tau
+        np.multiply(tau, model.rho, out=w[:, :, 1])
+        np.multiply(tau, model.fail, out=w[:, :, 2])
+        np.multiply(tau, model.change, out=w[:, :, 3])
+        w[:, :, 4] = _utility_weights(tau, model.unit_utility)
+        dots[a:b] = _dots(states[a:b], w)
+    # TPR and FPR: true (false) positives over qualified (unqualified) mass,
+    # NaN where that mass is zero.
+    pair_dots = dots[:, pair]
+    masses = _dots(states, np.stack((model.rho, model.fail), axis=1))[:, pair]
+    rates = np.full(masses.shape, math.nan)
+    np.divide(pair_dots[..., 1:3], masses, out=rates, where=masses > 0)
+    # The proportion-weighted sum over groups, in group order.
+    utility = np.zeros(rows)
+    for i in range(groups):
+        utility += proportions[:, i] * dots[:, i, 4]
+    # Compact copies, so that the trajectory keeps no intermediate array.
+    return (
+        pair_dots[..., 0].copy(),
+        rates[..., 0].copy(),
+        rates[..., 1].copy(),
+        dots[:, :, 3].copy(),
+        utility,
+    )
+
+
 PolicyFn = Callable[[int, Population], Policy]
 PreStepFn = Callable[[int, Population], Population]
 FlagsFn = Callable[[int], tuple[bool, ...]]
@@ -399,9 +471,12 @@ def simulate(
 
     The state is one (groups, bins) matrix per step, kept in one
     preallocated array; the hooks see populations over read-only views.
-    Each transition is one call of ``step``. The products of a policy with
-    the outcome and institution models are computed once per policy object,
-    so a policy that serves many steps costs one set of products.
+    The loop does only the sequential work: the hooks, ``policy_fn``, the
+    flags and one call of ``step`` per transition. A non-finite expected
+    score change from a new policy raises at its step. The per-step
+    columns (``delta_mu``, acceptance, TPR, FPR and utility) are computed
+    after the loop from the state array and the kept policies, bit for bit
+    as per-row ``pmf.dot`` calls would give them.
     """
     if horizon < 0 or horizon > MAX_HORIZON:
         raise DomainError(f"horizon {horizon} outside [0, {MAX_HORIZON}]")
@@ -410,15 +485,12 @@ def simulate(
     grid, ids = pop.grid, pop.group_ids
     if metric_pair is None and len(ids) >= 2:
         metric_pair = ids[:2]
-    pair = ()
+    pair = []
     if metric_pair is not None:
         pair = [ids.index(pop.group(label).group_id) for label in metric_pair]
     rows, groups, n = horizon + 1, len(ids), len(grid)
     states = np.empty((rows, groups, n))
     proportions = np.empty((rows, groups))
-    acceptance, tpr, fpr = (np.empty((rows, len(pair))) for _ in range(3))
-    delta_mu = np.empty((rows, groups))
-    utility = np.empty(rows)
     flags = None
     policies = []
     cur = initial = pop
@@ -437,15 +509,11 @@ def simulate(
             pol = policy_fn(t, cur)
         except InfeasibilityError as exc:
             raise InfeasibilityError(f"step {t}: {exc}") from exc
-        pmf = states[t]
         if pol is not last:
-            terms = _policy_terms(pol, outcome, ids, pmf, grid, inst)
-        for i, row in enumerate(pmf):
-            delta_mu[t, i] = d = _delta_mu(terms, i, row)
-            _check_finite(d)
-        for k, i in enumerate(pair):
-            acceptance[t, k], tpr[t, k], fpr[t, k] = _rates(terms, i, pmf[i])
-        utility[t] = _utility(proportions[t].tolist(), pmf, terms.tau_utility)
+            terms = _policy_terms(pol, outcome, ids, states[t], grid, inst)
+            if not np.isfinite(terms.tau_delta).all():
+                for d in _dots(states[t], terms.tau_delta[:, None]).ravel().tolist():
+                    _check_finite(d)
         active = flags_fn(t) if flags_fn is not None else ()
         if flags is None:
             flags = np.empty((rows, len(active)), dtype=bool)
@@ -458,6 +526,12 @@ def simulate(
         policies.append(pol)
         if t < horizon:
             cur = step(cur, pol, outcome)
+    acceptance, tpr, fpr, delta_mu, utility = _step_columns(
+        states, proportions, policies, ids, pair, terms
+    )
+    bad = ~np.isfinite(delta_mu)
+    if bad.any():
+        _check_finite(float(delta_mu[bad][0]))
     if metric_pair is None:
         gaps = [np.full(rows, math.nan) for _ in range(3)]
     else:

@@ -86,8 +86,8 @@ class GroupState:
     def _of_row(cls, group_id: str, proportion: float, pmf: np.ndarray) -> "GroupState":
         """A group over ``pmf`` as it is, without the constructor's copy.
 
-        For read-only rows of an array that the caller never writes again,
-        such as the state array of a simulated run.
+        For a read-only float64 vector that nobody writes again, such as a
+        row of the state array of a simulated run or another group's pmf.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "group_id", group_id)
@@ -99,7 +99,8 @@ class GroupState:
         return GroupState(self.group_id, self.proportion, pmf)
 
     def with_proportion(self, proportion: float) -> "GroupState":
-        return GroupState(self.group_id, float(proportion), self.pmf)
+        """The group with another proportion, over this group's pmf array."""
+        return GroupState._of_row(self.group_id, float(proportion), self.pmf)
 
 
 @dataclass(frozen=True)

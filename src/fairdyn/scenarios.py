@@ -347,6 +347,8 @@ def load_scenario(path_or_name: str) -> ScenarioConfig:
         raise ConfigError(f"scenario file {path_or_name} is not a mapping")
     try:
         return _parse_config(raw, path_or_name)
+    except ConfigError as exc:
+        raise ConfigError(f"scenario file {path_or_name}: {exc}") from exc
     except (TypeError, ValueError, DimensionError) as exc:
         raise ConfigError(f"malformed scenario file {path_or_name}: {exc}") from exc
 
@@ -378,6 +380,19 @@ def build_policy(
     )
 
 
+def _accepted_mass(pop: Population, pol: Policy) -> list[float]:
+    """Each group's accepted mass, its proportion times its acceptance rate."""
+    return [g.proportion * acceptance_rate(pol, g) for g in pop.groups]
+
+
+def _shares(mass: list[float]) -> list[float]:
+    """Each group's share of the accepted mass; all zero when none is."""
+    total = sum(mass)
+    if total <= 0:
+        return [0.0] * len(mass)
+    return [m / total for m in mass]
+
+
 class _ScenarioEngine:
     """Stateful hooks plugged into the dynamics loop to apply interventions."""
 
@@ -394,6 +409,10 @@ class _ScenarioEngine:
             )
         self.quota_active = [iv.kind == "quota" for iv in interventions]
         self.quota_streak = [0] * len(interventions)
+        # Only role-model feedback reads the accepted shares of the last step.
+        self.keeps_shares = any(
+            iv.kind == "role_model_feedback" for iv in interventions
+        )
         self.last_share: dict[str, float] = {}
         self.flags: dict[int, tuple[bool, ...]] = {}
 
@@ -409,7 +428,8 @@ class _ScenarioEngine:
                 moved = pmf[:-1] * iv.shift_fraction
                 pmf[:-1] -= moved
                 pmf[1:] += moved
-                groups[i] = groups[i].with_pmf(pmf)
+                pmf.setflags(write=False)
+                groups[i] = GroupState._of_row(iv.group, groups[i].proportion, pmf)
             elif iv.kind == "role_model_feedback":
                 share = self.last_share.get(iv.group)
                 if share is None:
@@ -423,21 +443,13 @@ class _ScenarioEngine:
                 ]
         return pop.with_groups(groups)
 
-    def _accepted_shares(self, pop: Population, pol: Policy) -> dict[str, float]:
-        mass = {
-            g.group_id: g.proportion * acceptance_rate(pol, g)
-            for g in pop.groups
-        }
-        total = sum(mass.values())
-        if total <= 0:
-            return {gid: 0.0 for gid in mass}
-        return {gid: m / total for gid, m in mass.items()}
-
     def policy(self, t: int, pop: Population) -> Policy:
         cfg = self.cfg
         pol = self.static_policy
         if pol is None:
             pol = build_policy(cfg, pop, cfg.policy_rule, cfg.resolution)
+        # Each group's accepted mass under ``pol``, computed on first use.
+        mass = None
         flags = []
         for i, iv in enumerate(self.interventions):
             if iv.kind != "quota":
@@ -447,34 +459,45 @@ class _ScenarioEngine:
             flags.append(active)
             if not active:
                 continue
-            pol = self._enforce_quota(pop, pol, iv)
-            share = self._accepted_shares(pop, pol)[iv.group]
+            if mass is None:
+                mass = _accepted_mass(pop, pol)
+            j = pop.group_ids.index(iv.group)
+            pol = self._enforce_quota(pop, pol, iv, j, mass)
+            share = _shares(mass)[j]
             if abs(share - iv.target_share) <= iv.sunset.eps:
                 self.quota_streak[i] += 1
             else:
                 self.quota_streak[i] = 0
             if self.quota_streak[i] >= iv.sunset.window:
                 self.quota_active[i] = False  # permanent
-        self.last_share = self._accepted_shares(pop, pol)
+        if self.keeps_shares:
+            if mass is None:
+                mass = _accepted_mass(pop, pol)
+            self.last_share = dict(zip(pop.group_ids, _shares(mass)))
         self.flags[t] = tuple(flags)
         return pol
 
     def _enforce_quota(
-        self, pop: Population, pol: Policy, iv: InterventionRule
+        self,
+        pop: Population,
+        pol: Policy,
+        iv: InterventionRule,
+        j: int,
+        mass: list[float],
     ) -> Policy:
-        group = pop.group(iv.group)
+        """``pol`` with the threshold of the quota group, group ``j`` of
+        ``pop``, lowered until its accepted share reaches the target, or
+        ``pol`` itself when it already does. ``mass`` holds each group's
+        accepted mass under ``pol``; entry ``j`` is updated to the returned
+        policy."""
+        group = pop.groups[j]
         if group.proportion <= 0:
             raise InfeasibilityError(
                 f"quota on group {iv.group!r} infeasible: zero population mass"
             )
         q = iv.target_share
-        shares = self._accepted_shares(pop, pol)
-        other_mass = sum(
-            g.proportion * acceptance_rate(pol, g)
-            for g in pop.groups
-            if g.group_id != iv.group
-        )
-        if shares[iv.group] >= q:
+        other_mass = sum(m for k, m in enumerate(mass) if k != j)
+        if _shares(mass)[j] >= q:
             return pol
         if q >= 1.0:
             if other_mass > 0:
@@ -489,7 +512,9 @@ class _ScenarioEngine:
                 f"{needed_rate:.6g} > 1"
             )
         enforced = threshold_policy_for_rate(group, needed_rate).expand(pop.grid)
-        return Policy.from_arrays({**pol.acceptance, iv.group: enforced.tau(iv.group)})
+        pol = Policy.from_arrays({**pol.acceptance, iv.group: enforced.tau(iv.group)})
+        mass[j] = group.proportion * acceptance_rate(pol, group)
+        return pol
 
     def flags_fn(self, t: int) -> tuple[bool, ...]:
         return self.flags.get(t, ())

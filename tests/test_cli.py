@@ -233,6 +233,18 @@ class TestYamlFiles:
         assert message in capsys.readouterr().err
 
 
+    def test_config_error_names_the_file_and_the_field(self, tmp_path, capsys):
+        raw = builtin_raw("lending_liu")
+        raw["outcome"]["rho"][0] = 1.5
+        scenario = tmp_path / "bad.yaml"
+        scenario.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "m.csv"
+        assert main(["metrics", "--scenario", str(scenario), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(scenario) in err and "outcome.rho[A]" in err
+        assert not out.exists()
+
+
 class TestCausal:
     def test_dsep_given_mediators(self, capsys):
         code = main(

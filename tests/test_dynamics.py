@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -40,6 +41,7 @@ from fairdyn.population import (
 from conftest import make_grid, make_population, random_instance
 
 INST = InstitutionModel(1.0, -1.0)
+LENDING = scenarios.load_scenario("lending_liu")
 
 
 def single_group(pmf, rho, steps_up=1, steps_down=1, width=100.0):
@@ -598,6 +600,39 @@ def _both(cfg):
     return out
 
 
+def _assert_same_run(traj, records):
+    """The library's run equals the oracle's records bit for bit: every
+    column, every step view and every CSV acceptance rate."""
+    c = traj.columns
+    assert len(traj) == len(records)
+    ids = c.group_ids
+    rows = trajectory_rows(traj)
+    pair = c.metric_pair or ()
+    assert c.acceptance.shape == c.tpr.shape == c.fpr.shape == (len(traj), len(pair))
+    for t, rec in enumerate(records):
+        for k, gid in enumerate(pair):
+            for name in ("acceptance", "tpr", "fpr"):
+                assert _same(getattr(c, name)[t, k], rec[name][gid])
+    for t, (view, rec) in enumerate(zip(traj.steps, records)):
+        assert np.array_equal(c.states[t], np.array(rec["pmfs"]))
+        assert c.proportions[t].tolist() == rec["proportions"]
+        assert c.utility[t] == view.utility == rec["utility"]
+        for name in ("dp_gap", "eo_gap", "eodds_gap"):
+            assert _same(getattr(c, name)[t], rec[name])
+            if view.metrics is not None:
+                assert _same(getattr(view.metrics, name), rec[name])
+        assert view.intervention_active == tuple(rec["flags"])
+        for i, gid in enumerate(ids):
+            assert np.array_equal(view.population.groups[i].pmf, rec["pmfs"][i])
+            assert view.population.groups[i].proportion == rec["proportions"][i]
+            assert np.array_equal(view.policy.tau(gid), rec["policy"].tau(gid))
+            assert _same(c.delta_mu[t, i], rec["delta_mu"][gid])
+            assert _same(rows[t * len(ids) + i]["acceptance_rate"],
+                         rec["acceptance"][gid])
+            assert view.delta_mu[gid] == rec["delta_mu"][gid]
+            assert view.regime[gid].value == rec["regime"][gid]
+
+
 class TestAgainstOracle:
     @settings(max_examples=300, deadline=None)
     @given(cfg=runs())
@@ -606,33 +641,11 @@ class TestAgainstOracle:
         if isinstance(records, Exception):
             assert type(traj) is type(records) and str(traj) == str(records)
             return
-        c = traj.columns
-        assert len(traj) == len(records) == cfg.horizon + 1
-        ids = cfg.population.group_ids
-        rows = trajectory_rows(traj)
-        pair = ids[:2] if len(ids) >= 2 else ()
-        for t, rec in enumerate(records):
-            for k, gid in enumerate(pair):
-                for name in ("acceptance", "tpr", "fpr"):
-                    assert _same(getattr(c, name)[t, k], rec[name][gid])
-        for t, (view, rec) in enumerate(zip(traj.steps, records)):
-            assert np.array_equal(c.states[t], np.array(rec["pmfs"]))
-            assert c.proportions[t].tolist() == rec["proportions"]
-            assert c.utility[t] == view.utility == rec["utility"]
-            for name in ("dp_gap", "eo_gap", "eodds_gap"):
-                assert _same(getattr(c, name)[t], rec[name])
-                if view.metrics is not None:
-                    assert _same(getattr(view.metrics, name), rec[name])
-            assert view.intervention_active == tuple(rec["flags"])
-            for i, gid in enumerate(ids):
-                assert np.array_equal(view.population.groups[i].pmf, rec["pmfs"][i])
-                assert view.population.groups[i].proportion == rec["proportions"][i]
-                assert np.array_equal(view.policy.tau(gid), rec["policy"].tau(gid))
-                assert _same(c.delta_mu[t, i], rec["delta_mu"][gid])
-                assert _same(rows[t * len(ids) + i]["acceptance_rate"],
-                             rec["acceptance"][gid])
-                assert view.delta_mu[gid] == rec["delta_mu"][gid]
-                assert view.regime[gid].value == rec["regime"][gid]
+        assert len(traj) == cfg.horizon + 1
+        assert traj.columns.metric_pair == (
+            cfg.population.group_ids[:2] if len(cfg.population.groups) >= 2 else None
+        )
+        _assert_same_run(traj, records)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -670,3 +683,135 @@ class TestAgainstOracle:
         except DomainError:
             accepted = False
         assert accepted == validate_population(hooked).ok
+
+
+@st.composite
+def direct_runs(draw):
+    """``simulate`` arguments without hooks: 1-3 groups, a horizon that ends
+    before, on or after a multiple of the reduction block, success
+    probabilities that may leave a group no qualified or no unqualified
+    mass, any metric pair, and a policy that is one object, alternates
+    between two or is new at every step."""
+    groups = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = [f"g{i}" for i in range(groups)]
+    block = dynamics._BLOCK
+    horizon = draw(st.sampled_from(
+        [0, 1, block - 2, block - 1, block, 2 * block - 1, 2 * block]
+    ))
+    pmfs = rng.random((groups, n)) * (rng.random((groups, n)) < 0.8) + 1e-3
+    pmfs /= pmfs.sum(axis=1, keepdims=True)
+    shares = rng.random(groups) + 0.05
+    shares /= shares.sum()
+    pop = Population(
+        make_grid(n),
+        tuple(GroupState(gid, float(p), row) for gid, p, row in zip(ids, shares, pmfs)),
+    )
+    rho = {
+        gid: draw(st.sampled_from(
+            [rng.random(n), np.zeros(n), np.ones(n), np.sort(rng.random(n))]
+        ))
+        for gid in ids
+    }
+    shift = st.sampled_from([0, 1, 2, n])
+    out = OutcomeModel(rho, draw(shift), draw(shift))
+    inst = InstitutionModel(1.0, -draw(st.floats(0.1, 4.0)))
+    policies = [
+        Policy.from_arrays({gid: rng.random(n) * (rng.random(n) < 0.7) for gid in ids})
+        for _ in range(horizon + 1)
+    ]
+    pick = draw(st.sampled_from([
+        lambda t: 0,  # one policy object
+        lambda t: t % 2,  # two objects, alternating
+        lambda t: t,  # a new object at every step
+    ]))
+    pair = draw(st.sampled_from([None, (ids[-1], ids[0]), (ids[0], ids[0])]))
+    return (pop, lambda t, p: policies[pick(t)], out, inst, horizon), {
+        "regime_tol": draw(st.sampled_from([1e-9, 1e-3])),
+        "metric_pair": pair,
+    }
+
+
+class TestBatchedColumns:
+    """The per-step columns come from one reduction pass after the loop, in
+    blocks of ``dynamics._BLOCK`` steps; they must equal the per-step
+    oracle bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(run=direct_runs())
+    def test_bit_identical_to_the_oracle(self, run):
+        args, kwargs = run
+        traj = simulate(*args, **kwargs)
+        pair = kwargs["metric_pair"]
+        if pair is None and len(args[0].groups) >= 2:
+            pair = args[0].group_ids[:2]
+        assert traj.columns.metric_pair == pair
+        _assert_same_run(traj, dynamics_oracle.simulate(*args, **kwargs))
+
+    def test_quota_that_sunsets_mid_run(self):
+        block = dynamics._BLOCK
+        window = block + 3
+        quota = scenarios.InterventionRule(
+            "quota", "B", target_share=0.15, sunset=scenarios.SunsetRule(1e-6, window)
+        )
+        cfg = replace(LENDING, horizon=2 * block + 5, interventions=(quota,))
+        traj, records = _both(cfg)
+        c = traj.columns
+        after = len(traj) - window
+        assert c.flags[:, 0].tolist() == [True] * window + [False] * after
+        # A new policy object at every step of the quota, then one.
+        assert len({id(pol) for pol in c.policies[:window]}) == window
+        assert len({id(pol) for pol in c.policies[window:]}) == 1
+        _assert_same_run(traj, records)
+
+    def test_zero_qualified_mass_gives_nan_tpr(self):
+        pop, _ = two_groups()
+        out = OutcomeModel({"a": np.zeros(3), "b": (0.1, 0.4, 0.8)}, 1, 1)
+        pol = Policy.from_arrays({"a": np.ones(3), "b": np.full(3, 0.5)})
+        args = (pop, lambda t, p: pol, out, INST, 3)
+        traj = simulate(*args)
+        c = traj.columns
+        assert np.isnan(c.tpr[:, 0]).all() and np.isnan(c.eo_gap).all()
+        assert not np.isnan(c.tpr[:, 1]).any() and not np.isnan(c.fpr).any()
+        _assert_same_run(traj, dynamics_oracle.simulate(*args))
+
+    def test_non_finite_state_raises_after_the_loop(self):
+        # Acceptance above 1 is not a valid policy, but ``Policy`` does not
+        # check its range: the mass grows each step until it overflows.
+        pop, out = single_group((0.5, 0.5), (0.3, 0.9))
+        pol = Policy({"a": np.full(2, 10.0)})
+        calls = []
+
+        def policy_fn(t, p):
+            calls.append(t)
+            return pol
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError, match="is not finite") as got:
+                simulate(pop, policy_fn, out, INST, 1000)
+            with pytest.raises(DomainError) as want:
+                dynamics_oracle.simulate(pop, lambda t, p: pol, out, INST, 1000)
+        assert str(got.value) == str(want.value)
+        assert len(calls) == 1001
+
+    def test_peak_memory_does_not_grow_with_the_horizon(self):
+        # Each step has a new policy, so a run that kept products per policy
+        # would hold about six times the state array on top of it.
+        n, horizon = 200, 2000
+        rng = np.random.default_rng(11)
+        pmfs = rng.random((2, n))
+        pmfs /= pmfs.sum(axis=1, keepdims=True)
+        pop = make_population(make_grid(n), {"a": pmfs[0], "b": pmfs[1]})
+        out = OutcomeModel({"a": rng.random(n), "b": rng.random(n)}, 1, 2)
+        policies = [
+            Policy.from_arrays({"a": rng.random(n), "b": rng.random(n)})
+            for _ in range(horizon + 1)
+        ]
+        tracemalloc.start()
+        try:
+            traj = simulate(pop, lambda t, p: policies[t], out, INST, horizon)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < traj.columns.states.nbytes + 2 * 2**20

@@ -151,6 +151,14 @@ def test_constructors_copy_their_input(kind):
     assert vec.tolist() == [0.0, 0.5, 1.0]
 
 
+def test_with_proportion_keeps_the_pmf_array():
+    g = GroupState("a", 0.5, (0.25, 0.75))
+    h = g.with_proportion(np.float64(0.3))
+    assert h.pmf is g.pmf and not h.pmf.flags.writeable
+    assert type(h.proportion) is float and h.proportion == 0.3
+    assert g.proportion == 0.5
+
+
 def test_vector_must_be_one_dimensional():
     with pytest.raises(DimensionError, match="1-D"):
         GroupState("a", 1.0, [[0.5, 0.5]])

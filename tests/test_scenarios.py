@@ -132,6 +132,21 @@ class TestLoadChecks:
         with pytest.raises(ConfigError, match="tolerances.regime"):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "edit,field",
+        [
+            (lambda raw: raw["tolerances"].update(regime=0.0), "tolerances.regime"),
+            (lambda raw: raw["outcome"]["rho"].__setitem__(0, 1.5), "outcome.rho[A]"),
+            (lambda raw: raw.update(metric_groups=["A", "Z"]), "metric_groups[1]"),
+        ],
+        ids=["regime", "rho", "metric_groups"],
+    )
+    def test_config_errors_name_the_file(self, tmp_path, edit, field):
+        path = write_lending(tmp_path, edit)
+        with pytest.raises(ConfigError) as info:
+            load_scenario(path)
+        assert str(info.value).startswith(f"scenario file {path}: {field}")
+
     def test_fixed_policy_loads_and_runs(self, tmp_path):
         tau = {"A": [0, 0, 0, 1, 1, 1], "B": [0, 0, 0.5, 1, 1, 1]}
         cfg = load_scenario(write_lending(tmp_path, lambda raw: fixed_rule(raw, tau)))
@@ -312,6 +327,11 @@ class TestPipelineInvestment:
         after = engine.pre_step(0, BOARDS.population)
         assert np.array_equal(after.group("men").pmf, BOARDS.population.group("men").pmf)
 
+    def test_shifted_pmf_is_read_only_float64(self):
+        engine, _ = self.make_engine()
+        pmf = engine.pre_step(0, BOARDS.population).group("women").pmf
+        assert pmf.dtype == np.float64 and not pmf.flags.writeable
+
     def test_inactive_before_start(self):
         iv = InterventionRule(
             kind="pipeline_investment",
@@ -429,3 +449,41 @@ class TestGoalSemantics:
         traj = run_scenario(LENDING)
         v = goal_value(LENDING, traj.steps[0])
         assert v == traj.steps[0].delta_mu["B"]
+
+
+class TestAcceptedMass:
+    """The engine computes each group's accepted mass once per step, and
+    again for the quota group only after enforcing its quota."""
+
+    def count_calls(self, monkeypatch, interventions, t=0):
+        import fairdyn.scenarios as scn
+
+        calls = []
+        real = scn.acceptance_rate
+        monkeypatch.setattr(
+            scn, "acceptance_rate", lambda *args: calls.append(args) or real(*args)
+        )
+        engine = _ScenarioEngine(BOARDS, interventions)
+        engine.policy(t, BOARDS.population)
+        return engine, len(calls)
+
+    def test_no_mass_without_quota_or_role_model(self, monkeypatch):
+        pipeline = [iv for iv in BOARDS.variants["quota_pipeline"]
+                    if iv.kind == "pipeline_investment"]
+        assert pipeline
+        _, calls = self.count_calls(monkeypatch, tuple(pipeline))
+        assert calls == 0
+
+    def test_enforced_quota_recomputes_one_group(self, monkeypatch):
+        quota = [iv for iv in BOARDS.interventions if iv.kind == "quota"]
+        engine, calls = self.count_calls(monkeypatch, tuple(quota))
+        assert calls == len(BOARDS.population.groups) + 1
+        assert engine.flags[0] == (True,)
+        assert engine.last_share == {}
+
+    def test_role_model_keeps_the_shares(self, monkeypatch):
+        iv = InterventionRule(kind="role_model_feedback", group="women", strength=0.5)
+        engine, calls = self.count_calls(monkeypatch, (iv,))
+        assert calls == len(BOARDS.population.groups)
+        assert sum(engine.last_share.values()) == pytest.approx(1.0)
+        assert set(engine.last_share) == set(BOARDS.population.group_ids)
