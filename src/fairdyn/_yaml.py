@@ -9,9 +9,9 @@ from .errors import ConfigError
 _MERGE_TAG = "tag:yaml.org,2002:merge"
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """``yaml.SafeLoader`` that rejects a mapping key written twice, where
-    the plain loader keeps the last copy without a word."""
+class _UniqueKeys:
+    """Loader mixin that rejects a mapping key written twice, where the
+    plain safe loaders keep the last copy without a word."""
 
     def construct_mapping(self, node, deep=False):
         seen = set()
@@ -32,6 +32,16 @@ class _UniqueKeyLoader(yaml.SafeLoader):
                 )
             seen.add(key)
         return super().construct_mapping(node, deep=deep)
+
+
+# libyaml only scans and parses; PyYAML's Python constructor and resolver
+# build the values on either base, so both give equal configs and only the
+# wording of a syntax error differs.
+_BASE = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+class _UniqueKeyLoader(_UniqueKeys, _BASE):
+    """The safe loader, on libyaml when PyYAML has it, with unique keys."""
 
 
 def load_yaml(text, source: str):

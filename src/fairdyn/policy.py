@@ -22,12 +22,20 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True, eq=False)
 class Policy:
-    """Acceptance probability per bin, keyed by group label."""
+    """Acceptance probability per bin, keyed by group label; every entry is
+    checked to lie in [0, 1]."""
 
     acceptance: Mapping[str, np.ndarray]
 
     def __post_init__(self):
-        acc = {gid: _vector(tau) for gid, tau in self.acceptance.items()}
+        acc = {}
+        for gid, tau in self.acceptance.items():
+            acc[gid] = tau = _vector(tau)
+            # Written so that NaN fails the check too.
+            if not np.all((tau >= 0) & (tau <= 1)):
+                raise DomainError(
+                    f"group {gid!r}: acceptance entries outside [0,1] or NaN"
+                )
         object.__setattr__(self, "acceptance", acc)
 
     def tau(self, group_id: str) -> np.ndarray:
@@ -41,15 +49,8 @@ class Policy:
 
     @staticmethod
     def from_arrays(arrays: Mapping[str, Sequence[float]]) -> "Policy":
-        """The policy with these acceptance vectors, checked to lie in [0, 1]."""
-        policy = Policy(arrays)
-        for gid, tau in policy.acceptance.items():
-            # Written so that NaN fails the check too.
-            if not np.all((tau >= 0) & (tau <= 1)):
-                raise DomainError(
-                    f"group {gid!r}: acceptance entries outside [0,1] or NaN"
-                )
-        return policy
+        """The policy with these acceptance vectors; the same as ``Policy(arrays)``."""
+        return Policy(arrays)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,13 @@ import numpy as np
 
 from ._yaml import load_yaml
 from .dynamics import MAX_HORIZON, Trajectory, simulate
-from .errors import ConfigError, DimensionError, DomainError, InfeasibilityError
+from .errors import (
+    ConfigError,
+    DimensionError,
+    DomainError,
+    InfeasibilityError,
+    UndefinedConditionalError,
+)
 from .metrics import OutcomeModel
 from .optimize import (
     DEFAULT_RESOLUTION,
@@ -557,12 +563,27 @@ def goal_value(cfg: ScenarioConfig, step) -> float:
     return getattr(step.metrics, goal.metric)
 
 
-def _goal_values(cfg: ScenarioConfig, traj: Trajectory) -> list[float]:
-    """The declared goal's metric at every step, read from the columns."""
+def _goal_values(cfg: ScenarioConfig, traj: Trajectory, run: str) -> list[float]:
+    """The declared goal's metric at every step of ``run``, read from the
+    columns.
+
+    A gap goal is NaN at a step where a group has no qualified (or no
+    unqualified) mass. Such a value is neither met nor missed and has no
+    order, so it raises ``UndefinedConditionalError`` naming ``run``, the
+    metric and the first such step.
+    """
     c, goal = traj.columns, cfg.declared_goal
     if goal.metric == "delta_mu":
-        return c.delta_mu[:, c.group_ids.index(goal.target_group)].tolist()
-    return getattr(c, goal.metric).tolist()
+        values = c.delta_mu[:, c.group_ids.index(goal.target_group)]
+    else:
+        values = getattr(c, goal.metric)
+    undefined = np.flatnonzero(np.isnan(values))
+    if undefined.size:
+        raise UndefinedConditionalError(
+            f"{run}: goal metric {goal.metric} is undefined (NaN), first at step "
+            f"{undefined[0]}: a group has no qualified or no unqualified mass"
+        )
+    return values.tolist()
 
 
 def goal_met(cfg: ScenarioConfig, value: float) -> bool:
@@ -598,13 +619,17 @@ def _sunset_occurred(traj: Trajectory, interventions) -> bool:
 def compare_interventions(
     cfg: ScenarioConfig, variants: Sequence[tuple[str, Sequence[InterventionRule]]]
 ) -> list[ComparisonRow]:
-    """Run each variant from the same initial state and summarize outcomes."""
+    """Run each variant from the same initial state and summarize outcomes.
+
+    A goal metric that is NaN at some step of a variant raises
+    ``UndefinedConditionalError``.
+    """
     if len(variants) < 2:
         raise ConfigError("comparison needs at least two variants")
     rows = []
     for name, ivs in variants:
         traj = run_scenario(cfg, ivs)
-        values = _goal_values(cfg, traj)
+        values = _goal_values(cfg, traj, f"variant {name!r}")
         steps_to_goal = next(
             (t for t, v in enumerate(values) if goal_met(cfg, v)), None
         )
@@ -652,7 +677,8 @@ def sensitivity_sweep(
     Reruns the scenario with each initial pmf perturbed by zero-sum noise of
     total variation eps_p (then clipped and renormalized) and reports the
     spread of the final goal metric. Runs whose spread exceeds ten times
-    eps_p are flagged unreliable.
+    eps_p are flagged unreliable. A goal metric that is NaN at some step of
+    a draw raises ``UndefinedConditionalError``.
     """
     if eps_p < 0:
         raise ConfigError(f"perturbation size must be >= 0, got {eps_p}")
@@ -677,7 +703,8 @@ def sensitivity_sweep(
         perturbed_cfg = replace(
             cfg, population=cfg.population.with_groups(groups)
         )
-        values.append(_goal_values(cfg, run_scenario(perturbed_cfg))[-1])
+        traj = run_scenario(perturbed_cfg)
+        values.append(_goal_values(cfg, traj, f"sweep draw {draw}")[-1])
     lo, hi = min(values), max(values)
     spread = hi - lo
     return SweepReport(

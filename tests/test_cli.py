@@ -403,6 +403,42 @@ class TestSweep:
         assert float(printed["min"]) <= float(printed["max"])
 
 
+def undefined_goal_scenario(tmp_path):
+    """lending_liu with an eo_gap goal and no qualified mass in group B, so
+    the goal is NaN at every step."""
+    raw = builtin_raw("lending_liu")
+    raw["declared_goal"] = {"label": "equal TPR", "metric": "eo_gap", "tolerance": 0.05}
+    rho = raw["outcome"]["rho"]
+    raw["outcome"]["rho"] = {"A": rho, "B": [0.0] * len(rho)}
+    raw["variants"] = {"plain": {"interventions": []}, "again": {"interventions": []}}
+    path = tmp_path / "undefined.yaml"
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    return str(path)
+
+
+class TestUndefinedGoal:
+    def test_compare_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        argv = ["compare", "--scenario", undefined_goal_scenario(tmp_path),
+                "--variants", "plain,again", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "variant 'plain': goal metric eo_gap is undefined" in err
+        assert "(NaN), first at step 0" in err
+        assert not out.exists()
+
+    def test_sweep_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--scenario", undefined_goal_scenario(tmp_path),
+                "--eps", "0.01", "--draws", "3", "--seed", "7", "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "sweep draw 0: goal metric eo_gap is undefined" in captured.err
+        assert "(NaN), first at step 0" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv_tail",

@@ -488,18 +488,21 @@ class TestColumnarTrajectory:
             simulate(pop, policy_fn, out, INST, 3, regime_tol=tol)
 
     def test_non_finite_score_change_raises_at_its_step(self):
-        pop, out = single_group((0.5, 0.5), (0.3, 0.9))
-        good = Policy.from_arrays({"a": np.ones(2)})
-        nan = Policy({"a": np.array([math.nan, 1.0])})
+        # A NaN acceptance entry cannot reach the loop: the policy rejects it.
+        with pytest.raises(DomainError, match="group 'a': acceptance entries"):
+            Policy({"a": np.array([math.nan, 1.0])})
+        # Two bins up at a width of 1e308 overflows the score change itself.
+        pop, out = single_group((0.5, 0.5), (0.3, 0.9), steps_up=2, width=1e308)
+        pol = Policy({"a": np.ones(2)})
         calls = []
 
         def policy_fn(t, p):
             calls.append(t)
-            return nan if t == 1 else good
+            return pol
 
-        with pytest.raises(DomainError, match="delta mu nan is not finite"):
+        with pytest.raises(DomainError, match="delta mu inf is not finite"):
             simulate(pop, policy_fn, out, INST, 5)
-        assert calls == [0, 1]
+        assert calls == [0]
 
 
 def _same(a, b):
@@ -776,24 +779,15 @@ class TestBatchedColumns:
         assert not np.isnan(c.tpr[:, 1]).any() and not np.isnan(c.fpr).any()
         _assert_same_run(traj, dynamics_oracle.simulate(*args))
 
-    def test_non_finite_state_raises_after_the_loop(self):
-        # Acceptance above 1 is not a valid policy, but ``Policy`` does not
-        # check its range: the mass grows each step until it overflows.
-        pop, out = single_group((0.5, 0.5), (0.3, 0.9))
-        pol = Policy({"a": np.full(2, 10.0)})
-        calls = []
-
-        def policy_fn(t, p):
-            calls.append(t)
-            return pol
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DomainError, match="is not finite") as got:
-                simulate(pop, policy_fn, out, INST, 1000)
-            with pytest.raises(DomainError) as want:
-                dynamics_oracle.simulate(pop, lambda t, p: pol, out, INST, 1000)
-        assert str(got.value) == str(want.value)
-        assert len(calls) == 1001
+    def test_out_of_range_policy_is_rejected_before_simulate(self):
+        # In a run such a policy keeps each group's mass summing to 1 while
+        # the state's entries grow without bound, so it fails where it is
+        # built, naming the group.
+        for tau in ([10.0, 10.0], [-0.1, 1.0], [1.0, math.nan], [math.inf, 0.0]):
+            with pytest.raises(DomainError, match="group 'a': acceptance entries"):
+                Policy({"b": [0.5, 0.5], "a": tau})
+            with pytest.raises(DomainError, match="group 'a': acceptance entries"):
+                Policy.from_arrays({"a": np.array(tau)})
 
     def test_peak_memory_does_not_grow_with_the_horizon(self):
         # Each step has a new policy, so a run that kept products per policy

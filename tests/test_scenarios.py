@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fairdyn.dynamics import MAX_HORIZON, simulate
-from fairdyn.errors import ConfigError, InfeasibilityError
+from fairdyn.errors import ConfigError, InfeasibilityError, UndefinedConditionalError
 from fairdyn.population import group_mean
 from fairdyn.scenarios import (
     InterventionRule,
@@ -414,6 +414,27 @@ class TestCompare:
         with pytest.raises(ConfigError, match="nope"):
             named_variants(BOARDS, ["nope"])
 
+    def test_goal_undefined_from_a_later_step(self, tmp_path):
+        # B's qualified mass sits in bin 0 only; from step 1 the pipeline
+        # empties that bin before every step, so B's TPR is undefined.
+        def edit(raw):
+            raw["declared_goal"] = {"label": "tpr", "metric": "eo_gap", "tolerance": 0}
+            rho = raw["outcome"]["rho"]
+            raw["outcome"]["rho"] = {"A": rho, "B": [0.5] + [0.0] * (len(rho) - 1)}
+
+        cfg = load_scenario(write_lending(tmp_path, edit))
+        pipeline = InterventionRule(
+            "pipeline_investment", "B", shift_fraction=1.0, active_from=1
+        )
+        rows = compare_interventions(cfg, [("plain", ()), ("plain", ())])
+        assert rows[0].final_goal_value == rows[1].final_goal_value
+        with pytest.raises(
+            UndefinedConditionalError,
+            match=r"variant 'pipeline': goal metric eo_gap is undefined \(NaN\), "
+            r"first at step 1:",
+        ):
+            compare_interventions(cfg, [("plain", ()), ("pipeline", (pipeline,))])
+
 
 class TestSweep:
     def test_zero_perturbation_zero_spread(self):
@@ -434,6 +455,23 @@ class TestSweep:
         rep = sensitivity_sweep(LENDING, 0.01, 10, seed=3)
         assert np.isfinite(rep.spread)
         assert rep.unreliable == (rep.spread > 0.1)
+
+    def test_goal_undefined_in_a_draw(self):
+        from dataclasses import replace
+
+        cfg = replace(
+            LENDING,
+            declared_goal=replace(LENDING.declared_goal, metric="eodds_gap"),
+            outcome=replace(
+                LENDING.outcome, rho={**LENDING.outcome.rho, "B": np.zeros(6)}
+            ),
+        )
+        with pytest.raises(
+            UndefinedConditionalError,
+            match=r"sweep draw 0: goal metric eodds_gap is undefined \(NaN\), "
+            r"first at step 0:",
+        ):
+            sensitivity_sweep(cfg, 0.01, 3, seed=5)
 
 
 class TestGoalSemantics:
