@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
@@ -74,10 +75,15 @@ class CausalModel:
             cpt = self.cpts.get(node)
             if cpt is None:
                 raise StructureError(f"node {node!r} has no CPT")
-            expected = set(
-                itertools.product(*(self.domains[p] for p in parent_map[node]))
-            )
-            if set(cpt) != expected:
+            # Distinct keys, each a parent assignment, as many as there are
+            # assignments: then the keys are exactly the assignments.
+            parents = [self.domains[p] for p in parent_map[node]]
+            if len(cpt) != math.prod(map(len, parents)) or not all(
+                type(key) is tuple
+                and len(key) == len(parents)
+                and all(map(operator.contains, parents, key))
+                for key in cpt
+            ):
                 raise StructureError(
                     f"node {node!r}: CPT rows do not match parent assignments"
                 )
@@ -86,11 +92,11 @@ class CausalModel:
                     raise StructureError(
                         f"node {node!r}: CPT row {key} has wrong length"
                     )
-                if not all(math.isfinite(p) for p in row):
+                if not all(map(math.isfinite, row)):
                     raise StructureError(
                         f"node {node!r}: CPT row {key} has a non-finite entry"
                     )
-                if any(p < 0 for p in row):
+                if min(row) < 0:
                     raise StructureError(f"node {node!r}: negative CPT entry")
                 if abs(sum(row) - 1.0) > CPT_TOL:
                     raise StructureError(

@@ -21,18 +21,12 @@ import numpy as np
 
 from .errors import DomainError, InfeasibilityError
 from .metrics import MetricReport, OutcomeModel, _gaps
-from .policy import (
-    InstitutionModel,
-    Policy,
-    _acceptance,
-    _policy_terms,
-    _PolicyTerms,
-    _utility_weights,
-)
+from .policy import InstitutionModel, Policy, _acceptance
 from .population import (
     GroupState,
     Population,
     ScoreGrid,
+    _check_lengths,
     _rows_valid,
     validate_population,
 )
@@ -237,8 +231,10 @@ def group_delta_mu(
 
     Unselected individuals contribute zero.
     """
-    terms = _PolicyTerms(policy, outcome, (group.group_id,), (group.pmf,), grid)
-    return float(group.pmf.dot(terms.tau_delta[0]))
+    gid = group.group_id
+    tau = policy.tau(gid)
+    _check_lengths(gid, pmf=group.pmf, tau=tau, rho=outcome.rho_for(gid))
+    return float(group.pmf.dot(tau * outcome.score_change(gid, grid)))
 
 
 def _check_finite(delta_mu: float) -> None:
@@ -280,6 +276,58 @@ def _add_in_order(column: np.ndarray, terms: np.ndarray) -> None:
         for term in row:
             sums[g] += term
     column[:] = sums
+
+
+class _PolicyTerms:
+    """The per-bin vectors ``step`` reads for a policy, one row per group in
+    the order of ``group_ids``: ``tau``, ``keep = 1 - tau``, ``rho`` and
+    ``fail = 1 - rho``. The lengths of every group's pmf, acceptance and
+    success vectors are checked here, once per policy."""
+
+    def __init__(
+        self,
+        policy: Policy,
+        outcome: OutcomeModel,
+        group_ids: Sequence[str],
+        pmfs: Sequence[np.ndarray],
+    ):
+        taus, rhos = [], []
+        for gid, pmf in zip(group_ids, pmfs):
+            tau, rho = policy.tau(gid), outcome.rho_for(gid)
+            _check_lengths(gid, pmf=pmf, tau=tau, rho=rho)
+            taus.append(tau)
+            rhos.append(rho)
+        self.policy, self.group_ids = policy, tuple(group_ids)
+        self.tau = np.array(taus)
+        self.keep = 1.0 - self.tau
+        self.rho = np.array(rhos)
+        self.fail = 1.0 - self.rho
+
+
+def _policy_terms(
+    policy: Policy,
+    outcome: OutcomeModel,
+    group_ids: Sequence[str],
+    pmfs: Sequence[np.ndarray],
+) -> _PolicyTerms:
+    """``_PolicyTerms(policy, outcome, group_ids, pmfs)``, or the set built
+    last with this outcome model when it is for this policy object, these
+    groups and this bin count. The outcome model keeps that one set, so a run
+    that asks for it in the loop and again in ``step`` computes it once, and
+    the policies a trajectory keeps hold no products."""
+    terms = outcome._terms
+    ids = tuple(group_ids)
+    n = len(pmfs[0]) if len(pmfs) else 0
+    if (
+        terms is None
+        or terms.policy is not policy
+        or terms.group_ids != ids
+        or terms.tau.shape != (len(ids), n)
+        or any(len(pmf) != n for pmf in pmfs)
+    ):
+        terms = _PolicyTerms(policy, outcome, ids, pmfs)
+        object.__setattr__(outcome, "_terms", terms)
+    return terms
 
 
 def _advance(
@@ -391,20 +439,23 @@ def _step_columns(
     policies: Sequence[Policy],
     group_ids: tuple[str, ...],
     pair: list[int],
-    model: _PolicyTerms,
+    rho: np.ndarray,
+    change: np.ndarray,
+    unit_utility: np.ndarray,
 ):
     """The acceptance, TPR and FPR columns of the groups ``pair`` indexes,
     and the ``delta_mu`` and utility columns, of a run with these states,
     proportions and per-step policies.
 
-    ``model`` is a set of products for the run's outcome model, groups, grid
-    and institution; the policy-free vectors are taken from it. The rows go
-    in blocks of ``_BLOCK`` steps: a block gathers its steps' acceptance
-    vectors, forms the same products as ``_PolicyTerms`` and reduces each
-    row against them with ``_dots``, so every value equals the per-row
-    ``pmf.dot`` of the former per-step loop bit for bit.
+    ``rho``, ``change`` and ``unit_utility`` are the run's success
+    probabilities, score changes and per-bin utilities, one row per group.
+    The rows go in blocks of ``_BLOCK`` steps: a block gathers its steps'
+    acceptance vectors, multiplies them by the run's vectors and reduces
+    each row against the products with ``_dots``, so every value equals the
+    per-row ``pmf.dot`` of the former per-step loop bit for bit.
     """
     rows, groups, n = states.shape
+    fail = 1.0 - rho
     # Per row and group: acceptance, true positives, false positives,
     # delta_mu and utility.
     dots = np.empty((rows, groups, 5))
@@ -418,15 +469,15 @@ def _step_columns(
             tau = tau[index]
         w = np.empty((len(tau), groups, 5, n))
         w[:, :, 0] = tau
-        np.multiply(tau, model.rho, out=w[:, :, 1])
-        np.multiply(tau, model.fail, out=w[:, :, 2])
-        np.multiply(tau, model.change, out=w[:, :, 3])
-        w[:, :, 4] = _utility_weights(tau, model.unit_utility)
+        np.multiply(tau, rho, out=w[:, :, 1])
+        np.multiply(tau, fail, out=w[:, :, 2])
+        np.multiply(tau, change, out=w[:, :, 3])
+        np.multiply(tau, unit_utility, out=w[:, :, 4])
         dots[a:b] = _dots(states[a:b], w)
     # TPR and FPR: true (false) positives over qualified (unqualified) mass,
     # NaN where that mass is zero.
     pair_dots = dots[:, pair]
-    masses = _dots(states, np.stack((model.rho, model.fail), axis=1))[:, pair]
+    masses = _dots(states, np.stack((rho, fail), axis=1))[:, pair]
     rates = np.full(masses.shape, math.nan)
     np.divide(pair_dots[..., 1:3], masses, out=rates, where=masses > 0)
     # The proportion-weighted sum over groups, in group order.
@@ -472,11 +523,11 @@ def simulate(
     The state is one (groups, bins) matrix per step, kept in one
     preallocated array; the hooks see populations over read-only views.
     The loop does only the sequential work: the hooks, ``policy_fn``, the
-    flags and one call of ``step`` per transition. A non-finite expected
-    score change from a new policy raises at its step. The per-step
-    columns (``delta_mu``, acceptance, TPR, FPR and utility) are computed
-    after the loop from the state array and the kept policies, bit for bit
-    as per-row ``pmf.dot`` calls would give them.
+    flags and one call of ``step`` per transition. The per-step columns
+    (``delta_mu``, acceptance, TPR, FPR and utility) are computed after the
+    loop from the state array and the kept policies, bit for bit as per-row
+    ``pmf.dot`` calls would give them; a non-finite ``delta_mu`` then
+    raises ``DomainError``.
     """
     if horizon < 0 or horizon > MAX_HORIZON:
         raise DomainError(f"horizon {horizon} outside [0, {MAX_HORIZON}]")
@@ -494,7 +545,7 @@ def simulate(
     flags = None
     policies = []
     cur = initial = pop
-    pol = terms = None
+    pol = None
     for t in range(rows):
         if pre_step is not None:
             cur = pre_step(t, cur)
@@ -510,10 +561,8 @@ def simulate(
         except InfeasibilityError as exc:
             raise InfeasibilityError(f"step {t}: {exc}") from exc
         if pol is not last:
-            terms = _policy_terms(pol, outcome, ids, states[t], grid, inst)
-            if not np.isfinite(terms.tau_delta).all():
-                for d in _dots(states[t], terms.tau_delta[:, None]).ravel().tolist():
-                    _check_finite(d)
+            # Checks the lengths at this step; ``step`` reuses the set.
+            _policy_terms(pol, outcome, ids, states[t])
         active = flags_fn(t) if flags_fn is not None else ()
         if flags is None:
             flags = np.empty((rows, len(active)), dtype=bool)
@@ -526,8 +575,11 @@ def simulate(
         policies.append(pol)
         if t < horizon:
             cur = step(cur, pol, outcome)
+    # Step 0's policy set checked every rho length against the grid.
+    rho = np.array([outcome.rho_for(gid) for gid in ids])
+    change = np.array([outcome.score_change(gid, grid) for gid in ids])
     acceptance, tpr, fpr, delta_mu, utility = _step_columns(
-        states, proportions, policies, ids, pair, terms
+        states, proportions, policies, ids, pair, rho, change, inst.per_bin_utility(rho)
     )
     bad = ~np.isfinite(delta_mu)
     if bad.any():

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import DomainError, UndefinedConditionalError
-from .policy import Policy, _PolicyTerms, _acceptance
-from .population import Population, ScoreGrid, _vector
+from .policy import Policy, _acceptance
+from .population import Population, ScoreGrid, _check_lengths, _vector
 
 EQ_TOL = 1e-12
 
@@ -33,8 +33,8 @@ class OutcomeModel:
     rho: Mapping[str, np.ndarray]
     steps_up: int
     steps_down: int
-    # The products ``policy._policy_terms`` built last with this model.
-    _terms: Optional[_PolicyTerms] = field(default=None, init=False, repr=False)
+    # The step vectors ``dynamics._policy_terms`` built last with this model.
+    _terms: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         # Messages start with the field, so a loader can prefix its section.
@@ -79,25 +79,24 @@ class MetricReport:
     fpr: Mapping[str, float]
 
 
-def _rates(terms: _PolicyTerms, i: int, pmf: np.ndarray):
+def _rates(pop: Population, outcome: OutcomeModel, policy: Policy, label: str):
     """Acceptance rate, true-positive rate and false-positive rate of group
-    ``i`` of ``terms`` with score pmf ``pmf``. A rate conditioned on a group's
-    zero qualified (or unqualified) mass is NaN.
+    ``label``. A rate conditioned on a group's zero qualified (or
+    unqualified) mass is NaN.
 
     Each reduction is one ``pmf.dot(vector)`` (the BLAS dot that ``@`` also
     calls, with less call overhead); stacking them into one matrix product
     would change the rounding.
     """
-    acc = _acceptance(pmf, terms.tau[i])
-    qualified = float(pmf.dot(terms.rho[i]))
-    unqualified = float(pmf.dot(terms.fail[i]))
-    tpr = float(pmf.dot(terms.tau_rho[i])) / qualified if qualified > 0 else math.nan
-    fpr = (
-        float(pmf.dot(terms.tau_fail[i])) / unqualified
-        if unqualified > 0
-        else math.nan
-    )
-    return acc, tpr, fpr
+    pmf = pop.group(label).pmf
+    tau, rho = policy.tau(label), outcome.rho_for(label)
+    _check_lengths(label, pmf=pmf, tau=tau, rho=rho)
+    fail = 1.0 - rho
+    qualified = float(pmf.dot(rho))
+    unqualified = float(pmf.dot(fail))
+    tpr = float(pmf.dot(tau * rho)) / qualified if qualified > 0 else math.nan
+    fpr = float(pmf.dot(tau * fail)) / unqualified if unqualified > 0 else math.nan
+    return _acceptance(pmf, tau), tpr, fpr
 
 
 def _gaps(acc0, acc1, tpr0, tpr1, fpr0, fpr1):
@@ -110,63 +109,46 @@ def _gaps(acc0, acc1, tpr0, tpr1, fpr0, fpr1):
     return abs(acc0 - acc1), eo, np.where(fpr_gap > eo, fpr_gap, eo)
 
 
-def _group_rates(pop: Population, outcome: OutcomeModel, policy: Policy, label: str):
-    pmf = pop.group(label).pmf
-    return _rates(_PolicyTerms(policy, outcome, (label,), (pmf,)), 0, pmf)
-
-
 def demographic_parity_gap(
     pop: Population, outcome: OutcomeModel, policy: Policy, a0: str, a1: str
 ) -> float:
     """Absolute difference in acceptance rates between the two groups."""
-    r0, _, _ = _group_rates(pop, outcome, policy, a0)
-    r1, _, _ = _group_rates(pop, outcome, policy, a1)
-    return abs(r0 - r1)
+    return metric_report(pop, outcome, policy, a0, a1).dp_gap
 
 
 def equal_opportunity_gap(
     pop: Population, outcome: OutcomeModel, policy: Policy, a0: str, a1: str
 ) -> float:
     """Absolute difference in true-positive rates (acceptance among the qualified)."""
-    _, t0, _ = _group_rates(pop, outcome, policy, a0)
-    _, t1, _ = _group_rates(pop, outcome, policy, a1)
-    if math.isnan(t0):
-        raise UndefinedConditionalError(
-            f"group {a0!r} has zero qualified mass; true-positive rate undefined"
-        )
-    if math.isnan(t1):
-        raise UndefinedConditionalError(
-            f"group {a1!r} has zero qualified mass; true-positive rate undefined"
-        )
-    return abs(t0 - t1)
+    report = metric_report(pop, outcome, policy, a0, a1)
+    for label in (a0, a1):
+        if math.isnan(report.tpr[label]):
+            raise UndefinedConditionalError(
+                f"group {label!r} has zero qualified mass; true-positive rate undefined"
+            )
+    return report.eo_gap
 
 
 def equalized_odds_gap(
     pop: Population, outcome: OutcomeModel, policy: Policy, a0: str, a1: str
 ) -> float:
     """Max of the true-positive and false-positive rate gaps."""
-    _, t0, f0 = _group_rates(pop, outcome, policy, a0)
-    _, t1, f1 = _group_rates(pop, outcome, policy, a1)
-    for label, t, f in ((a0, t0, f0), (a1, t1, f1)):
-        if math.isnan(t):
-            raise UndefinedConditionalError(
-                f"group {label!r} has zero qualified mass"
-            )
-        if math.isnan(f):
+    report = metric_report(pop, outcome, policy, a0, a1)
+    for label in (a0, a1):
+        if math.isnan(report.tpr[label]):
+            raise UndefinedConditionalError(f"group {label!r} has zero qualified mass")
+        if math.isnan(report.fpr[label]):
             raise UndefinedConditionalError(
                 f"group {label!r} has zero unqualified mass"
             )
-    return max(abs(t0 - t1), abs(f0 - f1))
+    return report.eodds_gap
 
 
 def metric_report(
     pop: Population, outcome: OutcomeModel, policy: Policy, a0: str, a1: str
 ) -> MetricReport:
-    labels = (a0, a1)
-    pmfs = [pop.group(label).pmf for label in labels]
-    terms = _PolicyTerms(policy, outcome, labels, pmfs)
     (acc0, tpr0, fpr0), (acc1, tpr1, fpr1) = (
-        _rates(terms, i, pmf) for i, pmf in enumerate(pmfs)
+        _rates(pop, outcome, policy, label) for label in (a0, a1)
     )
     dp, eo, eodds = _gaps(acc0, acc1, tpr0, tpr1, fpr0, fpr1)
     return MetricReport(

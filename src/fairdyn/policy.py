@@ -9,7 +9,8 @@ a fractional probability, and nothing below.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -23,7 +24,8 @@ if TYPE_CHECKING:
 @dataclass(frozen=True, eq=False)
 class Policy:
     """Acceptance probability per bin, keyed by group label; every entry is
-    checked to lie in [0, 1]."""
+    checked to lie in [0, 1]. ``acceptance`` is a read-only mapping of
+    read-only vectors, so the check holds for the policy's lifetime."""
 
     acceptance: Mapping[str, np.ndarray]
 
@@ -36,7 +38,7 @@ class Policy:
                 raise DomainError(
                     f"group {gid!r}: acceptance entries outside [0,1] or NaN"
                 )
-        object.__setattr__(self, "acceptance", acc)
+        object.__setattr__(self, "acceptance", MappingProxyType(acc))
 
     def tau(self, group_id: str) -> np.ndarray:
         if group_id not in self.acceptance:
@@ -101,120 +103,6 @@ class InstitutionModel:
     def per_bin_utility(self, rho: np.ndarray) -> np.ndarray:
         """Expected utility of accepting one applicant at each bin."""
         return self.u_plus * rho + self.u_minus * (1.0 - rho)
-
-
-class _PolicyTerms:
-    """A policy's per-bin products with the outcome model, one row per group
-    in the order of ``group_ids``: ``keep = 1 - tau``, ``fail = 1 - rho``,
-    ``tau_rho``, ``tau_fail``, and, when a grid or an institution is given,
-    ``tau_delta = tau * score_change`` and ``tau_utility = tau *
-    per_bin_utility``.
-
-    The lengths of every group's pmf, acceptance and success vectors are
-    checked here, once. ``_policy_terms`` reuses the set while a run keeps
-    its policy, so each product is computed once however many steps the
-    policy serves. The vectors that do not depend on the policy (``rho``,
-    ``fail``, ``change``, ``unit_utility``) are taken from ``model``, an
-    earlier set for the same outcome model, groups, grid and institution,
-    when one is given.
-    """
-
-    def __init__(
-        self,
-        policy: Policy,
-        outcome: "OutcomeModel",
-        group_ids: Sequence[str],
-        pmfs: Sequence[np.ndarray],
-        grid: Optional[ScoreGrid] = None,
-        inst: Optional[InstitutionModel] = None,
-        model: Optional["_PolicyTerms"] = None,
-    ):
-        taus, rhos = [], []
-        for gid, pmf in zip(group_ids, pmfs):
-            tau, rho = policy.tau(gid), outcome.rho_for(gid)
-            _check_lengths(gid, pmf=pmf, tau=tau, rho=rho)
-            taus.append(tau)
-            rhos.append(rho)
-        self.policy, self.group_ids = policy, tuple(group_ids)
-        self.grid, self.inst = grid, inst
-        self.tau = np.array(taus)
-        if model is None:
-            self.rho = np.array(rhos)
-            self.fail = 1.0 - self.rho
-            if grid is not None:
-                self.change = np.array(
-                    [outcome.score_change(gid, grid) for gid in group_ids]
-                )
-            if inst is not None:
-                self.unit_utility = inst.per_bin_utility(self.rho)
-        else:
-            self.rho, self.fail = model.rho, model.fail
-            if grid is not None:
-                self.change = model.change
-            if inst is not None:
-                self.unit_utility = model.unit_utility
-        self.keep = 1.0 - self.tau
-        self.tau_rho = self.tau * self.rho
-        self.tau_fail = self.tau * self.fail
-        if grid is not None:
-            self.tau_delta = self.tau * self.change
-        if inst is not None:
-            self.tau_utility = _utility_weights(self.tau, self.unit_utility)
-
-
-def _policy_terms(
-    policy: Policy,
-    outcome: "OutcomeModel",
-    group_ids: Sequence[str],
-    pmfs: Sequence[np.ndarray],
-    grid: Optional[ScoreGrid] = None,
-    inst: Optional[InstitutionModel] = None,
-) -> _PolicyTerms:
-    """``_PolicyTerms(policy, outcome, group_ids, pmfs, grid, inst)``, or the
-    set built last with this outcome model when it is for this policy
-    object, these groups and this bin count and, where they are given, this
-    grid and institution. The outcome model keeps that one set, so a
-    simulated run that asks for it in the loop and again in ``step``
-    computes it once, and the policies a trajectory keeps hold no
-    products. A set for a new policy under the same groups, bin count, grid
-    and institution takes the policy-free vectors from the last set."""
-    terms = outcome._terms
-    ids = tuple(group_ids)
-    n = len(pmfs[0]) if len(pmfs) else 0
-    same_model = (
-        terms is not None
-        and terms.group_ids == ids
-        and terms.tau.shape == (len(ids), n)
-        and all(len(pmf) == n for pmf in pmfs)
-        and (grid is None or terms.grid is grid)
-        and (inst is None or terms.inst is inst)
-    )
-    if not same_model or terms.policy is not policy:
-        model = None
-        if same_model and terms.grid is grid and terms.inst is inst:
-            model = terms
-        terms = _PolicyTerms(policy, outcome, ids, pmfs, grid, inst, model)
-        object.__setattr__(outcome, "_terms", terms)
-    return terms
-
-
-def _utility_weights(tau: np.ndarray, unit_utility: np.ndarray) -> np.ndarray:
-    """Expected institution utility of an applicant at each bin, from the
-    acceptance probabilities and ``InstitutionModel.per_bin_utility``."""
-    return tau * unit_utility
-
-
-def _utility(
-    proportions: Sequence[float],
-    pmfs: Sequence[np.ndarray],
-    weights: Sequence[np.ndarray],
-) -> float:
-    """Expected utility per applicant: the proportion-weighted sum over groups
-    of each pmf against its ``_utility_weights``."""
-    total = 0.0
-    for proportion, pmf, weight in zip(proportions, pmfs, weights):
-        total += proportion * float(pmf.dot(weight))
-    return total
 
 
 def _acceptance(pmf: np.ndarray, tau: np.ndarray) -> float:
@@ -291,11 +179,9 @@ def institution_utility(
     inst: InstitutionModel,
 ) -> float:
     """Expected utility per applicant across the whole population."""
-    weights = []
+    total = 0.0
     for g in pop.groups:
         tau, rho = policy.tau(g.group_id), outcome.rho_for(g.group_id)
         _check_lengths(g.group_id, tau=tau, rho=rho, pmf=g.pmf)
-        weights.append(_utility_weights(tau, inst.per_bin_utility(rho)))
-    return _utility(
-        [g.proportion for g in pop.groups], [g.pmf for g in pop.groups], weights
-    )
+        total += g.proportion * float(g.pmf.dot(tau * inst.per_bin_utility(rho)))
+    return total

@@ -101,8 +101,6 @@ class InterventionRule:
 @dataclass(frozen=True)
 class Tolerances:
     regime: float = 1e-6
-    stationarity_eps: float = 1e-9
-    stationarity_window: int = 5
 
 
 @dataclass(frozen=True)
@@ -285,11 +283,7 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
     if not 0.0 < resolution <= 1.0:
         raise ConfigError(f"resolution must be in (0, 1], got {resolution}")
     tol_raw = raw.get("tolerances", {})
-    tolerances = Tolerances(
-        regime=float(tol_raw.get("regime", 1e-6)),
-        stationarity_eps=float(tol_raw.get("stationarity_eps", 1e-9)),
-        stationarity_window=int(tol_raw.get("stationarity_window", 5)),
-    )
+    tolerances = Tolerances(regime=float(tol_raw.get("regime", 1e-6)))
     if not 0.0 < tolerances.regime < math.inf:
         raise ConfigError(f"tolerances.regime {tolerances.regime} not in (0, inf)")
     metric_groups_raw = raw.get(

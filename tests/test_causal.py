@@ -596,6 +596,20 @@ class TestValidate:
         with pytest.raises(StructureError, match="duplicate"):
             m.validate()
 
+    @pytest.mark.parametrize(
+        "keys",
+        [[(0,), (2,)], [(0,), (1, 0)], [(0,), 1]],
+        ids=["value_outside_domain", "key_of_wrong_length", "key_not_a_tuple"],
+    )
+    def test_cpt_keys_that_are_not_parent_assignments(self, keys):
+        # As many rows as parent assignments, but one key is not one.
+        m = binary_model(
+            [("A", "F")],
+            {"A": {(): (0.5, 0.5)}, "F": {key: (0.5, 0.5) for key in keys}},
+        )
+        with pytest.raises(StructureError, match="do not match parent assignments"):
+            m.validate()
+
     def test_cpt_of_undeclared_node(self):
         m = CausalModel(
             domains={"A": (0, 1), "F": (0, 1)},

@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 import dynamics_oracle
 from fairdyn import dynamics, scenarios
-from fairdyn import policy as policy_module
 from fairdyn.dynamics import (
     RegimeLabel,
     classify_regime,
@@ -375,12 +375,12 @@ class TestColumnarTrajectory:
     def test_one_policy_object_and_one_set_of_products(self, monkeypatch):
         built = []
 
-        class Counting(policy_module._PolicyTerms):
+        class Counting(dynamics._PolicyTerms):
             def __init__(self, *args, **kwargs):
                 built.append(args[0])
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(policy_module, "_PolicyTerms", Counting)
+        monkeypatch.setattr(dynamics, "_PolicyTerms", Counting)
         _, pol, traj = self.run(horizon=9)
         assert built == [pol]
         assert all(rec.policy is pol for rec in traj.steps)
@@ -487,7 +487,7 @@ class TestColumnarTrajectory:
         with pytest.raises(DomainError, match="regime tolerance"):
             simulate(pop, policy_fn, out, INST, 3, regime_tol=tol)
 
-    def test_non_finite_score_change_raises_at_its_step(self):
+    def test_non_finite_score_change_raises_after_the_loop(self):
         # A NaN acceptance entry cannot reach the loop: the policy rejects it.
         with pytest.raises(DomainError, match="group 'a': acceptance entries"):
             Policy({"a": np.array([math.nan, 1.0])})
@@ -502,7 +502,23 @@ class TestColumnarTrajectory:
 
         with pytest.raises(DomainError, match="delta mu inf is not finite"):
             simulate(pop, policy_fn, out, INST, 5)
-        assert calls == [0]
+        # The one finiteness check reads the finished delta_mu column.
+        assert calls == [0, 1, 2, 3, 4, 5]
+
+    def test_finite_score_change_whose_delta_mu_overflows(self):
+        # The score change is DBL_MAX, finite, but a valid pmf whose mass
+        # is 1 + 1e-12 makes the expected change overflow: only the check
+        # on the finished delta_mu column sees it.
+        big = sys.float_info.max
+        grid = ScoreGrid((0.0, big), big)
+        pop = Population(grid, (GroupState("a", 1.0, (0.5, 0.5 + 1e-12)),))
+        assert validate_population(pop).ok
+        out = OutcomeModel({"a": (1.0, 1.0)}, steps_up=1, steps_down=0)
+        assert np.isfinite(out.score_change("a", grid)).all()
+        pol = Policy({"a": np.ones(2)})
+        with pytest.warns(RuntimeWarning, match="overflow encountered in matmul"):
+            with pytest.raises(DomainError, match="delta mu inf is not finite"):
+                simulate(pop, lambda t, p: pol, out, INST, 3)
 
 
 def _same(a, b):

@@ -204,3 +204,84 @@ def test_eo_bounded_by_eodds_random(rng):
 def test_nan_rho_rejected():
     with pytest.raises(DomainError, match="NaN"):
         OutcomeModel(rho={"a0": (0.2, float("nan"))}, steps_up=1, steps_down=1)
+
+
+GAPS = {
+    "dp_gap": demographic_parity_gap,
+    "eo_gap": equal_opportunity_gap,
+    "eodds_gap": equalized_odds_gap,
+}
+
+
+def degenerate(pop, out, case, confined):
+    """``pop`` and ``out`` where each group of ``case`` has rho equal to its
+    value (0: no qualified mass, 1: no unqualified mass) on every bin or,
+    when ``confined``, only on the lower bins, which then hold all its mass."""
+    n = len(pop.grid)
+    k = n // 2 if confined else n
+    pmfs, rho = {}, dict(out.rho)
+    for g in pop.groups:
+        pmf = g.pmf.copy()
+        if g.group_id in case:
+            pmf[k:] = 0.0
+            pmf /= pmf.sum()
+            rho[g.group_id] = rho[g.group_id].copy()
+            rho[g.group_id][:k] = case[g.group_id]
+        pmfs[g.group_id] = pmf
+    proportions = {g.group_id: g.proportion for g in pop.groups}
+    return (
+        make_population(pop.grid, pmfs, proportions),
+        OutcomeModel(rho, out.steps_up, out.steps_down),
+    )
+
+
+class TestGapsAgreeWithMetricReport:
+    def test_each_gap_is_its_report_field(self, rng):
+        for _ in range(200):
+            pop, out, pol = random_instance(rng)
+            for a0, a1 in (("g0", "g1"), ("g1", "g0"), ("g0", "g0")):
+                rep = metric_report(pop, out, pol, a0, a1)
+                for name, gap in GAPS.items():
+                    value = gap(pop, out, pol, a0, a1)
+                    assert type(value) is float
+                    assert value.hex() == getattr(rep, name).hex()
+
+    @pytest.mark.parametrize("confined", [False, True], ids=["spread", "confined"])
+    @pytest.mark.parametrize(
+        "case, eo_error, eodds_error",
+        [
+            (
+                {"g0": 0.0},
+                "group 'g0' has zero qualified mass; true-positive rate undefined",
+                "group 'g0' has zero qualified mass",
+            ),
+            (
+                {"g1": 0.0},
+                "group 'g1' has zero qualified mass; true-positive rate undefined",
+                "group 'g1' has zero qualified mass",
+            ),
+            ({"g0": 1.0}, None, "group 'g0' has zero unqualified mass"),
+            ({"g1": 1.0}, None, "group 'g1' has zero unqualified mass"),
+            (
+                {"g0": 1.0, "g1": 0.0},
+                "group 'g1' has zero qualified mass; true-positive rate undefined",
+                "group 'g0' has zero unqualified mass",
+            ),
+        ],
+    )
+    def test_undefined_rates_raise_what_they_raised(
+        self, rng, confined, case, eo_error, eodds_error
+    ):
+        for _ in range(20):
+            pop, out, pol = random_instance(rng, n_bins=int(rng.integers(2, 9)))
+            pop, out = degenerate(pop, out, case, confined)
+            rep = metric_report(pop, out, pol, "g0", "g1")
+            errors = {"dp_gap": None, "eo_gap": eo_error, "eodds_gap": eodds_error}
+            for name, gap in GAPS.items():
+                if errors[name] is None:
+                    value = gap(pop, out, pol, "g0", "g1")
+                    assert value.hex() == getattr(rep, name).hex()
+                else:
+                    with pytest.raises(UndefinedConditionalError) as exc:
+                        gap(pop, out, pol, "g0", "g1")
+                    assert str(exc.value) == errors[name]

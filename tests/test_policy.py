@@ -230,3 +230,19 @@ def test_policy_entries_validated():
 def test_nan_policy_entry_rejected():
     with pytest.raises(DomainError, match="NaN"):
         Policy.from_arrays({"a": np.array([0.5, np.nan])})
+
+
+def test_acceptance_is_read_only():
+    # The range check holds for the policy's lifetime: neither the mapping
+    # nor its vectors can be written.
+    pol = Policy({"a": [0.5, 0.5]})
+    with pytest.raises(TypeError):
+        pol.acceptance["a"] = np.array([10.0, 10.0])
+    with pytest.raises(TypeError):
+        del pol.acceptance["a"]
+    with pytest.raises(ValueError):
+        pol.tau("a")[0] = 10.0
+    assert pol.tau("a").tolist() == [0.5, 0.5]
+    # A copy with one group replaced is a new, checked policy.
+    other = Policy({**pol.acceptance, "b": [1.0, 0.0]})
+    assert other.group_ids == ("a", "b") and other.tau("a").tolist() == [0.5, 0.5]
