@@ -54,3 +54,16 @@ def load_yaml(text, source: str):
         return yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {source}: {exc}") from exc
+
+
+def known_keys(raw, path: str, allowed) -> dict:
+    """``raw``, the mapping at ``path`` in a loaded file, once it holds no key
+    outside ``allowed``; a misspelt key raises ``ConfigError`` naming both."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path} must be a mapping")
+    for key in raw:
+        if key not in allowed:
+            raise ConfigError(
+                f"{path}: unknown key {key!r}; expected one of {', '.join(allowed)}"
+            )
+    return raw

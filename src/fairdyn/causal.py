@@ -26,7 +26,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from ._yaml import load_yaml
+from ._yaml import known_keys, load_yaml
 from .errors import CapacityError, ConfigError, DomainError, StructureError
 
 JOINT_STATE_CAP = 10**6
@@ -397,6 +397,8 @@ def load_causal_model(path) -> CausalModel:
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = load_yaml(fh, path)
+    keys = ("nodes", "edges", "protected", "outcome", "cpts")
+    known_keys(raw, f"causal model file {path}", keys)
     try:
         domains = {
             str(k): tuple(str(v) for v in vs) for k, vs in raw["nodes"].items()

@@ -166,7 +166,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = scn.load_scenario(args.scenario)
-    report = scn.sensitivity_sweep(cfg, args.eps, args.draws, args.seed)
+    seed = cfg.seed if args.seed is None else args.seed
+    report = scn.sensitivity_sweep(cfg, args.eps, args.draws, seed)
     rows = [
         {"draw": i, "final_goal_value": v} for i, v in enumerate(report.values)
     ]
@@ -225,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--draws", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 

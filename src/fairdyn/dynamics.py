@@ -11,7 +11,6 @@ selected individual is benefit*rho + cost*(1-rho).
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, InfeasibilityError
 from .metrics import MetricReport, OutcomeModel, _gaps
-from .policy import InstitutionModel, Policy, _acceptance
+from .policy import InstitutionModel, Policy
 from .population import (
     GroupState,
     Population,
@@ -68,12 +67,12 @@ class TrajectoryColumns:
     ``states`` (steps, groups, bins) and ``proportions`` hold the population
     after the ``pre_step`` hook; ``initial`` is step 0's population object
     itself. ``policies`` holds each step's policy, one shared object for the
-    steps a policy serves. ``acceptance``, ``tpr`` and ``fpr`` have one
-    column per group of ``metric_pair`` (none without a pair); ``tpr``/``fpr``
-    are NaN where a group has no qualified/unqualified mass, and the gap
-    columns are NaN without a metric pair. ``regime`` holds indices into
-    ``tuple(RegimeLabel)`` and ``flags`` the intervention flags (steps,
-    flags).
+    steps a policy serves. ``mean_score``, ``acceptance``, ``tpr``, ``fpr``
+    and ``delta_mu`` are (steps, groups); ``tpr``/``fpr`` are NaN where a
+    group has no qualified/unqualified mass. The gap columns are those of
+    the two groups of ``metric_pair``, NaN without a pair. ``regime`` holds
+    indices into ``tuple(RegimeLabel)`` and ``flags`` the intervention flags
+    (steps, flags).
     """
 
     grid: ScoreGrid
@@ -83,6 +82,7 @@ class TrajectoryColumns:
     states: np.ndarray
     proportions: np.ndarray
     policies: tuple[Policy, ...]
+    mean_score: np.ndarray
     acceptance: np.ndarray
     tpr: np.ndarray
     fpr: np.ndarray
@@ -110,15 +110,12 @@ class TrajectoryColumns:
             )
         metrics = None
         if self.metric_pair is not None:
-            a0, a1 = self.metric_pair
+            pair = self.metric_pair
             metrics = MetricReport(
-                a0,
-                a1,
-                float(self.dp_gap[t]),
-                float(self.eo_gap[t]),
-                float(self.eodds_gap[t]),
+                *pair,
+                *(float(gap[t]) for gap in (self.dp_gap, self.eo_gap, self.eodds_gap)),
                 *(
-                    {a0: float(col[t, 0]), a1: float(col[t, 1])}
+                    {a: float(col[t, ids.index(a)]) for a in pair}
                     for col in (self.acceptance, self.tpr, self.fpr)
                 ),
             )
@@ -132,39 +129,6 @@ class TrajectoryColumns:
             float(self.utility[t]),
             tuple(self.flags[t].tolist()),
         )
-
-
-def _columns_of(steps: Sequence[TrajectoryStep]) -> TrajectoryColumns:
-    """The columns of a trajectory given as ``TrajectoryStep`` records."""
-    first = steps[0]
-    ids = first.population.group_ids
-    m = first.metrics
-    pair = None if m is None else (m.group_a, m.group_b)
-
-    def column(value, dtype=float):
-        return np.array([value(rec) for rec in steps], dtype=dtype)
-
-    return TrajectoryColumns(
-        first.population.grid,
-        ids,
-        pair,
-        first.population,
-        column(lambda rec: [g.pmf for g in rec.population.groups]),
-        column(lambda rec: [g.proportion for g in rec.population.groups]),
-        tuple(rec.policy for rec in steps),
-        *(
-            column(lambda rec: [getattr(rec.metrics, name)[a] for a in pair or ()])
-            for name in ("acceptance", "tpr", "fpr")
-        ),
-        column(lambda rec: [rec.delta_mu[gid] for gid in ids]),
-        column(lambda rec: [_REGIMES.index(rec.regime[gid]) for gid in ids], np.int8),
-        column(lambda rec: rec.utility),
-        *(
-            column(lambda rec: math.nan if pair is None else getattr(rec.metrics, name))
-            for name in ("dp_gap", "eo_gap", "eodds_gap")
-        ),
-        column(lambda rec: rec.intervention_active, bool).reshape(len(steps), -1),
-    )
 
 
 class _StepViews(Sequence):
@@ -190,17 +154,17 @@ class Trajectory:
 
     ``simulate`` keeps a run as columns only; its ``steps`` are views over
     them, built on access, so a run keeps no per-step objects. A trajectory
-    made from records, such as ``dataclasses.replace(traj, steps=...)``,
-    builds its columns from those records on first use.
+    made from records, such as ``dataclasses.replace(traj, steps=...)``, has
+    its ``steps``, ``final()`` and ``len()`` but no columns.
     """
 
     steps: Sequence[TrajectoryStep]
 
-    @functools.cached_property
+    @property
     def columns(self) -> TrajectoryColumns:
         if isinstance(self.steps, _StepViews):
             return self.steps.columns
-        return _columns_of(self.steps)
+        raise DomainError("only a trajectory that simulate returns has columns")
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -237,11 +201,6 @@ def group_delta_mu(
     return float(group.pmf.dot(tau * outcome.score_change(gid, grid)))
 
 
-def _check_finite(delta_mu: float) -> None:
-    if not math.isfinite(delta_mu):
-        raise DomainError(f"delta mu {delta_mu} is not finite")
-
-
 def _check_regime_tol(tol: float) -> None:
     if not tol > 0:
         raise DomainError(f"regime tolerance {tol} must be positive")
@@ -259,7 +218,8 @@ def _regime_codes(delta_mu: np.ndarray, tol: float) -> np.ndarray:
 
 
 def classify_regime(delta_mu: float, tol: float) -> RegimeLabel:
-    _check_finite(delta_mu)
+    if not math.isfinite(delta_mu):
+        raise DomainError(f"delta mu {delta_mu} is not finite")
     _check_regime_tol(tol)
     return _REGIMES[int(_regime_codes(np.array([delta_mu], dtype=float), tol)[0])]
 
@@ -438,60 +398,64 @@ def _step_columns(
     proportions: np.ndarray,
     policies: Sequence[Policy],
     group_ids: tuple[str, ...],
-    pair: list[int],
-    rho: np.ndarray,
-    change: np.ndarray,
-    unit_utility: np.ndarray,
+    run: np.ndarray,
+    scores: np.ndarray,
 ):
-    """The acceptance, TPR and FPR columns of the groups ``pair`` indexes,
-    and the ``delta_mu`` and utility columns, of a run with these states,
-    proportions and per-step policies.
+    """The mean score, acceptance, TPR, FPR and ``delta_mu`` columns of every
+    group (steps, groups), and the utility column, of a run with these
+    states, proportions and per-step policies.
 
-    ``rho``, ``change`` and ``unit_utility`` are the run's success
-    probabilities, score changes and per-bin utilities, one row per group.
-    The rows go in blocks of ``_BLOCK`` steps: a block gathers its steps'
-    acceptance vectors, multiplies them by the run's vectors and reduces
-    each row against the products with ``_dots``, so every value equals the
-    per-row ``pmf.dot`` of the former per-step loop bit for bit.
+    ``run`` holds the run's vectors, one (4, bins) matrix per group: ``rho``,
+    ``1 - rho``, the score change and the per-bin utility; ``scores`` are the
+    grid's bin scores. The rows go in blocks of ``_BLOCK`` steps: a block
+    gathers its steps' acceptance vectors, multiplies them by the run's
+    vectors and reduces each row against the products with ``_dots``, bit
+    for bit as per-row ``pmf.dot`` calls. An overflow gives inf, no warning.
     """
     rows, groups, n = states.shape
-    fail = 1.0 - rho
-    # Per row and group: acceptance, true positives, false positives,
-    # delta_mu and utility.
-    dots = np.empty((rows, groups, 5))
-    for a in range(0, rows, _BLOCK):
-        b = min(a + _BLOCK, rows)
-        # Each policy object's vectors once, then one set per step.
-        slot: dict[Policy, int] = {}
-        index = [slot.setdefault(pol, len(slot)) for pol in policies[a:b]]
-        tau = np.array([[pol.tau(gid) for gid in group_ids] for pol in slot])
-        if len(slot) > 1:
-            tau = tau[index]
-        w = np.empty((len(tau), groups, 5, n))
-        w[:, :, 0] = tau
-        np.multiply(tau, rho, out=w[:, :, 1])
-        np.multiply(tau, fail, out=w[:, :, 2])
-        np.multiply(tau, change, out=w[:, :, 3])
-        np.multiply(tau, unit_utility, out=w[:, :, 4])
-        dots[a:b] = _dots(states[a:b], w)
-    # TPR and FPR: true (false) positives over qualified (unqualified) mass,
-    # NaN where that mass is zero.
-    pair_dots = dots[:, pair]
-    masses = _dots(states, np.stack((rho, fail), axis=1))[:, pair]
-    rates = np.full(masses.shape, math.nan)
-    np.divide(pair_dots[..., 1:3], masses, out=rates, where=masses > 0)
-    # The proportion-weighted sum over groups, in group order.
-    utility = np.zeros(rows)
-    for i in range(groups):
-        utility += proportions[:, i] * dots[:, i, 4]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Per row and group: acceptance, true positives, false positives,
+        # delta_mu and utility.
+        dots = np.empty((rows, groups, 5))
+        for a in range(0, rows, _BLOCK):
+            b = min(a + _BLOCK, rows)
+            # Each policy object's vectors once, then one set per step.
+            slot: dict[Policy, int] = {}
+            index = [slot.setdefault(pol, len(slot)) for pol in policies[a:b]]
+            tau = np.array([[pol.tau(gid) for gid in group_ids] for pol in slot])
+            if len(slot) > 1:
+                tau = tau[index]
+            w = np.empty((len(tau), groups, 5, n))
+            w[:, :, 0] = tau
+            np.multiply(tau[:, :, None], run, out=w[:, :, 1:])
+            dots[a:b] = _dots(states[a:b], w)
+        # Per row and group: qualified mass, unqualified mass and mean score,
+        # none of which depends on the policy.
+        scores = np.broadcast_to(scores, (groups, 1, n))
+        masses = _dots(states, np.concatenate((run[:, :2], scores), axis=1))
+        # TPR and FPR: true (false) positives over qualified (unqualified)
+        # mass, NaN where that mass is zero.
+        rates = np.full((rows, groups, 2), math.nan)
+        np.divide(dots[..., 1:3], masses[..., :2], out=rates, where=masses[..., :2] > 0)
+        # The proportion-weighted sum over groups, in group order.
+        utility = np.zeros(rows)
+        for i in range(groups):
+            utility += proportions[:, i] * dots[:, i, 4]
     # Compact copies, so that the trajectory keeps no intermediate array.
-    return (
-        pair_dots[..., 0].copy(),
-        rates[..., 0].copy(),
-        rates[..., 1].copy(),
-        dots[:, :, 3].copy(),
-        utility,
-    )
+    columns = (masses[..., 2], dots[..., 0], rates[..., 0], rates[..., 1], dots[..., 3])
+    return (*(column.copy() for column in columns), utility)
+
+
+def _check_finite(columns: Mapping[str, np.ndarray], group_ids) -> None:
+    """Raise ``DomainError`` at the first non-finite value of the first named
+    column that has one, naming its step (and group, for a per-group column)."""
+    for name, column in columns.items():
+        finite = np.isfinite(column)
+        if not finite.all():
+            first = np.argwhere(~finite)[0]
+            t, *group = first.tolist()
+            at = f"step {t}" + (f", group {group_ids[group[0]]!r}" if group else "")
+            raise DomainError(f"{name} {column[tuple(first)]} is not finite at {at}")
 
 
 PolicyFn = Callable[[int, Population], Policy]
@@ -524,10 +488,11 @@ def simulate(
     preallocated array; the hooks see populations over read-only views.
     The loop does only the sequential work: the hooks, ``policy_fn``, the
     flags and one call of ``step`` per transition. The per-step columns
-    (``delta_mu``, acceptance, TPR, FPR and utility) are computed after the
-    loop from the state array and the kept policies, bit for bit as per-row
-    ``pmf.dot`` calls would give them; a non-finite ``delta_mu`` then
-    raises ``DomainError``.
+    (mean score, acceptance, TPR, FPR, ``delta_mu`` and utility) are
+    computed after the loop from the state array and the kept policies, bit
+    for bit as per-row ``pmf.dot`` calls would give them; a non-finite
+    ``delta_mu``, utility or mean score then raises ``DomainError`` naming
+    its step.
     """
     if horizon < 0 or horizon > MAX_HORIZON:
         raise DomainError(f"horizon {horizon} outside [0, {MAX_HORIZON}]")
@@ -578,16 +543,17 @@ def simulate(
     # Step 0's policy set checked every rho length against the grid.
     rho = np.array([outcome.rho_for(gid) for gid in ids])
     change = np.array([outcome.score_change(gid, grid) for gid in ids])
-    acceptance, tpr, fpr, delta_mu, utility = _step_columns(
-        states, proportions, policies, ids, pair, rho, change, inst.per_bin_utility(rho)
+    run = np.stack((rho, 1.0 - rho, change, inst.per_bin_utility(rho)), axis=1)
+    mean_score, acceptance, tpr, fpr, delta_mu, utility = _step_columns(
+        states, proportions, policies, ids, run, grid.bin_scores
     )
-    bad = ~np.isfinite(delta_mu)
-    if bad.any():
-        _check_finite(float(delta_mu[bad][0]))
+    _check_finite(
+        {"delta mu": delta_mu, "utility": utility, "mean score": mean_score}, ids
+    )
     if metric_pair is None:
         gaps = [np.full(rows, math.nan) for _ in range(3)]
     else:
-        gaps = _gaps(*(col[:, k] for col in (acceptance, tpr, fpr) for k in (0, 1)))
+        gaps = _gaps(*(col[:, k] for col in (acceptance, tpr, fpr) for k in pair))
     columns = TrajectoryColumns(
         grid,
         ids,
@@ -596,6 +562,7 @@ def simulate(
         states,
         proportions,
         tuple(policies),
+        mean_score,
         acceptance,
         tpr,
         fpr,
@@ -693,9 +660,9 @@ TRAJECTORY_COLUMNS = (
 
 
 def trajectory_rows(traj: Trajectory) -> list[dict]:
-    """Flatten a trajectory to one row per (step, group) for CSV output."""
+    """Flatten a trajectory's columns to one row per (step, group) for CSV."""
     c = traj.columns
-    scores = c.grid.bin_scores
+    mean_score, acceptance = c.mean_score.tolist(), c.acceptance.tolist()
     delta_mu = c.delta_mu.tolist()
     regime, utility = c.regime.tolist(), c.utility.tolist()
     gaps = zip(c.dp_gap.tolist(), c.eo_gap.tolist(), c.eodds_gap.tolist())
@@ -707,10 +674,8 @@ def trajectory_rows(traj: Trajectory) -> list[dict]:
                 {
                     "step": t,
                     "group": gid,
-                    "mean_score": float(c.states[t, i] @ scores),
-                    "acceptance_rate": _acceptance(
-                        c.states[t, i], c.policies[t].tau(gid)
-                    ),
+                    "mean_score": mean_score[t][i],
+                    "acceptance_rate": acceptance[t][i],
                     "delta_mu": delta_mu[t][i],
                     "regime": _REGIMES[regime[t][i]].value,
                     "dp_gap": dp,

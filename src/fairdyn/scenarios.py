@@ -26,7 +26,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._yaml import load_yaml
+from ._yaml import known_keys, load_yaml
 from .dynamics import MAX_HORIZON, Trajectory, simulate
 from .errors import (
     ConfigError,
@@ -62,6 +62,28 @@ BUILTIN_NAMES = ("lending_liu", "boards_quota")
 GOAL_METRICS = ("dp_gap", "eo_gap", "eodds_gap", "delta_mu")
 POLICY_KINDS = ("fixed", "max_utility", "constrained", "outcome_optimal")
 INTERVENTION_KINDS = ("quota", "pipeline_investment", "role_model_feedback")
+# The keys each mapping of a scenario file may hold. An intervention holds
+# the keys every intervention has and those of its kind.
+_KEYS = {
+    "scenario": (
+        "name", "declared_goal", "population", "outcome", "institution",
+        "policy_rule", "interventions", "horizon", "tolerances", "seed",
+        "resolution", "metric_groups", "variants",
+    ),
+    "declared_goal": ("label", "metric", "tolerance", "target_group"),
+    "population": ("bin_scores", "bin_width", "groups"),
+    "group": ("group_id", "proportion", "pmf"),
+    "outcome": ("rho", "steps_up", "steps_down"),
+    "institution": ("u_plus", "u_minus"),
+    "policy_rule": ("kind", "tau", "constraint", "target_group", "utility_floor"),
+    "tolerances": ("regime",),
+    "variant": ("interventions",),
+    "intervention": ("kind", "group", "active_from"),
+    "quota": ("target_share", "sunset"),
+    "sunset": ("eps", "window"),
+    "pipeline_investment": ("shift_fraction",),
+    "role_model_feedback": ("strength",),
+}
 
 
 @dataclass(frozen=True)
@@ -128,10 +150,20 @@ def _req(mapping, key, path):
     return mapping[key]
 
 
+def _section(raw: dict, key: str) -> dict:
+    """The scenario's mapping ``key``, holding no key outside ``_KEYS[key]``."""
+    return known_keys(_req(raw, key, "scenario"), key, _KEYS[key])
+
+
+def _optional_str(mapping: dict, key: str) -> Optional[str]:
+    return str(mapping[key]) if key in mapping else None
+
+
 def _parse_intervention(raw, path) -> InterventionRule:
     kind = str(_req(raw, "kind", path))
     if kind not in INTERVENTION_KINDS:
         raise ConfigError(f"{path}.kind: unknown intervention kind {kind!r}")
+    known_keys(raw, path, _KEYS["intervention"] + _KEYS[kind])
     group = str(_req(raw, "group", path))
     active_from = int(raw.get("active_from", 0))
     if active_from < 0:
@@ -141,7 +173,7 @@ def _parse_intervention(raw, path) -> InterventionRule:
         q = float(_req(raw, "target_share", path))
         if not 0.0 <= q <= 1.0:
             raise ConfigError(f"{path}.target_share: q out of [0,1], got {q}")
-        s = _req(raw, "sunset", path)
+        s = known_keys(_req(raw, "sunset", path), path + ".sunset", _KEYS["sunset"])
         sunset = SunsetRule(
             eps=float(_req(s, "eps", path + ".sunset")),
             window=int(_req(s, "window", path + ".sunset")),
@@ -163,14 +195,13 @@ def _parse_intervention(raw, path) -> InterventionRule:
 
 
 def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
-    goal_raw = _req(raw, "declared_goal", "scenario")
+    known_keys(raw, "scenario", _KEYS["scenario"])
+    goal_raw = _section(raw, "declared_goal")
     goal = DeclaredGoal(
         label=str(_req(goal_raw, "label", "declared_goal")),
         metric=str(_req(goal_raw, "metric", "declared_goal")),
         tolerance=float(_req(goal_raw, "tolerance", "declared_goal")),
-        target_group=(
-            str(goal_raw["target_group"]) if "target_group" in goal_raw else None
-        ),
+        target_group=_optional_str(goal_raw, "target_group"),
     )
     if goal.metric not in GOAL_METRICS:
         raise ConfigError(
@@ -180,7 +211,7 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
     if goal.metric == "delta_mu" and goal.target_group is None:
         raise ConfigError("declared_goal.target_group required for delta_mu goal")
 
-    pop_raw = _req(raw, "population", "scenario")
+    pop_raw = _section(raw, "population")
     grid = ScoreGrid(
         bin_scores=_req(pop_raw, "bin_scores", "population"),
         bin_width=float(_req(pop_raw, "bin_width", "population")),
@@ -188,6 +219,7 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
     groups = []
     for i, g in enumerate(_req(pop_raw, "groups", "population")):
         path = f"population.groups[{i}]"
+        known_keys(g, path, _KEYS["group"])
         groups.append(
             GroupState(
                 group_id=str(_req(g, "group_id", path)),
@@ -200,7 +232,7 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
     if not report.ok:
         raise ConfigError("population invalid: " + "; ".join(report.violations))
 
-    out_raw = _req(raw, "outcome", "scenario")
+    out_raw = _section(raw, "outcome")
     rho_raw = _req(out_raw, "rho", "outcome")
     if isinstance(rho_raw, dict):
         rho = {str(k): vs for k, vs in rho_raw.items()}
@@ -221,7 +253,7 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
         if len(outcome.rho[g.group_id]) != len(grid):
             raise ConfigError(f"outcome.rho[{g.group_id!r}] length != grid length")
 
-    inst_raw = _req(raw, "institution", "scenario")
+    inst_raw = _section(raw, "institution")
     try:
         institution = InstitutionModel(
             u_plus=float(_req(inst_raw, "u_plus", "institution")),
@@ -230,7 +262,7 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
     except DomainError as exc:
         raise ConfigError(f"institution.{exc}") from exc
 
-    rule_raw = _req(raw, "policy_rule", "scenario")
+    rule_raw = _section(raw, "policy_rule")
     kind = str(_req(rule_raw, "kind", "policy_rule"))
     if kind not in POLICY_KINDS:
         raise ConfigError(
@@ -255,14 +287,8 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
     rule = PolicyRuleSpec(
         kind=kind,
         tau=tau,
-        constraint=(
-            str(rule_raw["constraint"]) if "constraint" in rule_raw else None
-        ),
-        target_group=(
-            str(rule_raw["target_group"])
-            if "target_group" in rule_raw
-            else None
-        ),
+        constraint=_optional_str(rule_raw, "constraint"),
+        target_group=_optional_str(rule_raw, "target_group"),
         utility_floor=float(rule_raw.get("utility_floor", float("-inf"))),
     )
     constraints = tuple(c.value for c in Constraint)
@@ -282,7 +308,7 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
     resolution = float(raw.get("resolution", DEFAULT_RESOLUTION))
     if not 0.0 < resolution <= 1.0:
         raise ConfigError(f"resolution must be in (0, 1], got {resolution}")
-    tol_raw = raw.get("tolerances", {})
+    tol_raw = known_keys(raw.get("tolerances", {}), "tolerances", _KEYS["tolerances"])
     tolerances = Tolerances(regime=float(tol_raw.get("regime", 1e-6)))
     if not 0.0 < tolerances.regime < math.inf:
         raise ConfigError(f"tolerances.regime {tolerances.regime} not in (0, inf)")
@@ -293,27 +319,28 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
         raise ConfigError("metric_groups must name exactly two groups")
     metric_groups = (str(metric_groups_raw[0]), str(metric_groups_raw[1]))
 
+    variants = {}
+    for vname, v in (raw.get("variants") or {}).items():
+        known_keys(v, f"variants.{vname}", _KEYS["variant"])
+        variants[str(vname)] = tuple(
+            _parse_intervention(iv, f"variants.{vname}.interventions[{i}]")
+            for i, iv in enumerate(_req(v, "interventions", f"variants.{vname}"))
+        )
+
     for label, where in [
         (goal.target_group, "declared_goal.target_group"),
         (rule.target_group, "policy_rule.target_group"),
         *[(iv.group, f"interventions[{i}].group") for i, iv in enumerate(interventions)],
         (metric_groups[0], "metric_groups[0]"),
         (metric_groups[1], "metric_groups[1]"),
+        *[
+            (iv.group, f"variants.{vname}.interventions[{i}].group")
+            for vname, ivs in variants.items()
+            for i, iv in enumerate(ivs)
+        ],
     ]:
         if label is not None and label not in known:
             raise ConfigError(f"{where}: unknown group label {label!r}")
-
-    variants = {}
-    for vname, v in (raw.get("variants") or {}).items():
-        variants[str(vname)] = tuple(
-            _parse_intervention(iv, f"variants.{vname}.interventions[{i}]")
-            for i, iv in enumerate(_req(v, "interventions", f"variants.{vname}"))
-        )
-        for iv in variants[str(vname)]:
-            if iv.group not in known:
-                raise ConfigError(
-                    f"variants.{vname}: unknown group label {iv.group!r}"
-                )
 
     return ScenarioConfig(
         name=str(raw.get("name", name_hint)),
@@ -343,8 +370,6 @@ def load_scenario(path_or_name: str) -> ScenarioConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file {path_or_name}: {exc}") from exc
     raw = load_yaml(text, path_or_name)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"scenario file {path_or_name} is not a mapping")
     try:
         return _parse_config(raw, path_or_name)
     except ConfigError as exc:
@@ -548,13 +573,6 @@ def run_scenario(
         pre_step=engine.pre_step if ivs else None,
         flags_fn=engine.flags_fn if ivs else None,
     )
-
-
-def goal_value(cfg: ScenarioConfig, step) -> float:
-    goal = cfg.declared_goal
-    if goal.metric == "delta_mu":
-        return step.delta_mu[goal.target_group]
-    return getattr(step.metrics, goal.metric)
 
 
 def _goal_values(cfg: ScenarioConfig, traj: Trajectory, run: str) -> list[float]:

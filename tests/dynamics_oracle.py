@@ -44,9 +44,9 @@ def rates(pmf, tau, rho):
     return acc, tpr, fpr
 
 
-def regime(delta_mu, tol):
+def regime(delta_mu, tol, t, gid):
     if not math.isfinite(delta_mu):
-        raise DomainError(f"delta mu {delta_mu} is not finite")
+        raise DomainError(f"delta mu {delta_mu} is not finite at step {t}, group {gid!r}")
     if delta_mu > tol:
         return "improvement"
     if delta_mu < -tol:
@@ -66,9 +66,9 @@ def simulate(
     flags_fn=None,
 ):
     """One dict per step: ``pmfs`` and ``proportions`` per group, the policy,
-    ``acceptance``/``tpr``/``fpr``/``delta_mu``/``regime`` per group label,
-    the pair's ``dp_gap``/``eo_gap``/``eodds_gap`` (NaN without a pair),
-    ``utility`` and ``flags``."""
+    ``mean_score``/``acceptance``/``tpr``/``fpr``/``delta_mu``/``regime`` per
+    group label, the pair's ``dp_gap``/``eo_gap``/``eodds_gap`` (NaN without
+    a pair), ``utility`` and ``flags``."""
     report = validate_population(pop)
     if not report.ok:
         raise DomainError("invalid population: " + "; ".join(report.violations))
@@ -91,19 +91,20 @@ def simulate(
         rec = {"step": t, "population": cur, "policy": pol}
         rec["pmfs"] = [g.pmf for g in cur.groups]
         rec["proportions"] = [g.proportion for g in cur.groups]
-        for key in ("acceptance", "tpr", "fpr", "delta_mu", "regime"):
+        for key in ("mean_score", "acceptance", "tpr", "fpr", "delta_mu", "regime"):
             rec[key] = {}
         utility = 0.0
         for g in cur.groups:
             gid = g.group_id
             tau, rho = pol.tau(gid), outcome.rho_for(gid)
             acc, tpr, fpr = rates(g.pmf, tau, rho)
+            rec["mean_score"][gid] = float(g.pmf @ cur.grid.bin_scores)
             rec["acceptance"][gid] = acc
             rec["tpr"][gid] = tpr
             rec["fpr"][gid] = fpr
             dmu = float(g.pmf @ (tau * outcome.score_change(gid, cur.grid)))
             rec["delta_mu"][gid] = dmu
-            rec["regime"][gid] = regime(dmu, regime_tol)
+            rec["regime"][gid] = regime(dmu, regime_tol, t, gid)
             utility += g.proportion * float(
                 g.pmf @ (tau * inst.per_bin_utility(rho))
             )

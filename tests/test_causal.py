@@ -570,6 +570,14 @@ cpts:
         with pytest.raises(ConfigError, match=r"edge \('A', 'F'\) is repeated"):
             load_causal_model(path)
 
+    def test_unknown_top_level_key(self, tmp_path):
+        path = self.write(tmp_path, "nodes:\n  A: ['0', '1']\nedgs: []\n")
+        with pytest.raises(ConfigError) as info:
+            load_causal_model(path)
+        assert str(info.value).startswith(
+            f"causal model file {path}: unknown key 'edgs'; expected one of "
+        )
+
     def test_missing_field(self, tmp_path):
         path = self.write(tmp_path, "nodes:\n  A: ['0', '1']\n")
         with pytest.raises(ConfigError):

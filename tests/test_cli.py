@@ -403,6 +403,19 @@ class TestSweep:
         assert float(printed["min"]) <= float(printed["max"])
 
 
+    def test_seed_defaults_to_the_scenario_seed(self, tmp_path, capsys):
+        seed = load_scenario("lending_liu").seed
+        outputs = []
+        for i, extra in enumerate(([], ["--seed", str(seed)], ["--seed", str(seed + 1)])):
+            out = tmp_path / f"s{i}.csv"
+            argv = ["sweep", "--scenario", "lending_liu", "--eps", "0.05",
+                    "--draws", "3", *extra, "--out", str(out)]
+            assert main(argv) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert outputs[2][0] != outputs[0][0]
+
+
 def undefined_goal_scenario(tmp_path):
     """lending_liu with an eo_gap goal and no qualified mass in group B, so
     the goal is NaN at every step."""

@@ -409,36 +409,32 @@ class TestColumnarTrajectory:
         for pop, rec in zip(seen, traj.steps):
             assert np.array_equal(pop.groups[0].pmf, rec.population.groups[0].pmf)
 
-    def test_trajectory_from_records_has_their_columns(self):
-        pop, pol, traj = self.run(horizon=4)
-        rebuilt = dynamics.Trajectory(tuple(traj.steps))
-        for name, value in vars(traj.columns).items():
-            other = getattr(rebuilt.columns, name)
-            if isinstance(value, np.ndarray):
-                assert np.array_equal(value, other, equal_nan=True), name
-                assert value.dtype == other.dtype and not other.flags.writeable
-            else:
-                assert value == other, name
-        assert repr(trajectory_rows(rebuilt)) == repr(trajectory_rows(traj))
+    @staticmethod
+    def assert_records_without_columns(other, kept):
+        assert other.steps is kept
+        assert len(other) == len(kept) and other.final() is kept[-1]
+        with pytest.raises(DomainError, match="only a trajectory that simulate"):
+            other.columns
+        with pytest.raises(DomainError, match="only a trajectory that simulate"):
+            trajectory_rows(other)
 
-    def test_replaced_steps_replace_the_columns(self):
+    def test_trajectory_from_records_has_steps_but_no_columns(self):
+        _, _, traj = self.run(horizon=4)
+        steps = tuple(traj.steps)
+        self.assert_records_without_columns(dynamics.Trajectory(steps), steps)
+
+    def test_replaced_steps_keep_steps_but_no_columns(self):
+        _, _, traj = self.run(horizon=4)
+        first = tuple(traj.steps)[:2]
+        self.assert_records_without_columns(replace(traj, steps=first), first)
+
+    def test_rows_read_only_the_columns(self):
         pop, out = two_groups()
         pol = Policy.from_arrays({"a": np.ones(3), "b": np.full(3, 0.5)})
         traj = simulate(pop, lambda t, p: pol, out, INST, 3)
-        rec = traj.steps[1]
-        steps = list(traj.steps)
-        steps[1] = replace(
-            rec,
-            utility=7.0,
-            metrics=replace(rec.metrics, eo_gap=1e-6),
-            population=traj.steps[0].population,
-        )
-        changed = replace(traj, steps=tuple(steps))
-        c = changed.columns
-        assert c.utility[1] == 7.0 and c.eo_gap[1] == 1e-6
-        assert np.array_equal(c.states[1], traj.columns.states[0])
-        assert np.array_equal(c.states[2], traj.columns.states[2])
-        assert trajectory_rows(changed)[2]["utility"] == 7.0
+        bare = replace(traj.columns, states=None, policies=None)
+        rows = trajectory_rows(dynamics.Trajectory(dynamics._StepViews(bare)))
+        assert repr(rows) == repr(trajectory_rows(traj))
 
     def test_steps_index_and_slice(self):
         _, _, traj = self.run(horizon=4)
@@ -508,7 +504,7 @@ class TestColumnarTrajectory:
     def test_finite_score_change_whose_delta_mu_overflows(self):
         # The score change is DBL_MAX, finite, but a valid pmf whose mass
         # is 1 + 1e-12 makes the expected change overflow: only the check
-        # on the finished delta_mu column sees it.
+        # on the finished delta_mu column sees it, and numpy does not warn.
         big = sys.float_info.max
         grid = ScoreGrid((0.0, big), big)
         pop = Population(grid, (GroupState("a", 1.0, (0.5, 0.5 + 1e-12)),))
@@ -516,9 +512,39 @@ class TestColumnarTrajectory:
         out = OutcomeModel({"a": (1.0, 1.0)}, steps_up=1, steps_down=0)
         assert np.isfinite(out.score_change("a", grid)).all()
         pol = Policy({"a": np.ones(2)})
-        with pytest.warns(RuntimeWarning, match="overflow encountered in matmul"):
-            with pytest.raises(DomainError, match="delta mu inf is not finite"):
-                simulate(pop, lambda t, p: pol, out, INST, 3)
+        with pytest.raises(
+            DomainError, match=r"^delta mu inf is not finite at step 0, group 'a'$"
+        ):
+            simulate(pop, lambda t, p: pol, out, INST, 3)
+
+    def test_utility_that_overflows_raises_naming_its_step(self):
+        # A valid institution whose success utility is DBL_MAX, on a valid
+        # pmf whose mass is 1 + 1e-12: delta_mu stays finite and every
+        # step's utility overflows.
+        pop, out = single_group((0.5, 0.5 + 1e-12), (1.0, 1.0), steps_down=0)
+        inst = InstitutionModel(sys.float_info.max, -1.0)
+        pol = Policy({"a": np.ones(2)})
+        with pytest.raises(DomainError, match=r"^utility inf is not finite at step 0$"):
+            simulate(pop, lambda t, p: pol, out, inst, 2)
+
+    def test_mean_score_that_overflows_raises_naming_its_step_and_group(self):
+        # Scores one unit in the last place apart at DBL_MAX: a valid pmf
+        # whose mass is 1 + 1e-12 has a mean score above DBL_MAX, while
+        # nothing moves and delta_mu and utility stay finite.
+        big = sys.float_info.max
+        low = float(np.nextafter(big, 0.0))
+        grid = ScoreGrid((low, big), big - low)
+        pop = Population(
+            grid,
+            (GroupState("a", 0.5, (0.5, 0.5)), GroupState("b", 0.5, (0.5, 0.5 + 1e-12))),
+        )
+        assert validate_population(pop).ok
+        out = OutcomeModel({"a": (0.5, 0.5), "b": (0.5, 0.5)}, 0, 0)
+        pol = Policy({"a": np.ones(2), "b": np.ones(2)})
+        with pytest.raises(
+            DomainError, match=r"^mean score inf is not finite at step 0, group 'b'$"
+        ):
+            simulate(pop, lambda t, p: pol, out, INST, 2)
 
 
 def _same(a, b):
@@ -621,17 +647,19 @@ def _both(cfg):
 
 def _assert_same_run(traj, records):
     """The library's run equals the oracle's records bit for bit: every
-    column, every step view and every CSV acceptance rate."""
+    column of every group, every step view and every CSV row's mean score
+    and acceptance rate."""
     c = traj.columns
     assert len(traj) == len(records)
     ids = c.group_ids
     rows = trajectory_rows(traj)
-    pair = c.metric_pair or ()
-    assert c.acceptance.shape == c.tpr.shape == c.fpr.shape == (len(traj), len(pair))
+    names = ("mean_score", "acceptance", "tpr", "fpr")
+    for name in names:
+        assert getattr(c, name).shape == (len(traj), len(ids)), name
     for t, rec in enumerate(records):
-        for k, gid in enumerate(pair):
-            for name in ("acceptance", "tpr", "fpr"):
-                assert _same(getattr(c, name)[t, k], rec[name][gid])
+        for i, gid in enumerate(ids):
+            for name in names:
+                assert _same(getattr(c, name)[t, i], rec[name][gid])
     for t, (view, rec) in enumerate(zip(traj.steps, records)):
         assert np.array_equal(c.states[t], np.array(rec["pmfs"]))
         assert c.proportions[t].tolist() == rec["proportions"]
@@ -646,10 +674,15 @@ def _assert_same_run(traj, records):
             assert view.population.groups[i].proportion == rec["proportions"][i]
             assert np.array_equal(view.policy.tau(gid), rec["policy"].tau(gid))
             assert _same(c.delta_mu[t, i], rec["delta_mu"][gid])
-            assert _same(rows[t * len(ids) + i]["acceptance_rate"],
-                         rec["acceptance"][gid])
+            row = rows[t * len(ids) + i]
+            assert _same(row["acceptance_rate"], rec["acceptance"][gid])
+            assert _same(row["mean_score"], rec["mean_score"][gid])
             assert view.delta_mu[gid] == rec["delta_mu"][gid]
             assert view.regime[gid].value == rec["regime"][gid]
+        if view.metrics is not None:
+            for name in ("acceptance", "tpr", "fpr"):
+                for gid, value in getattr(view.metrics, name).items():
+                    assert _same(value, rec[name][gid])
 
 
 class TestAgainstOracle:

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,12 +8,12 @@ from fairdyn.dynamics import MAX_HORIZON, simulate
 from fairdyn.errors import ConfigError, InfeasibilityError, UndefinedConditionalError
 from fairdyn.population import group_mean
 from fairdyn.scenarios import (
+    INTERVENTION_KINDS,
     InterventionRule,
     SunsetRule,
     _ScenarioEngine,
     compare_interventions,
     goal_met,
-    goal_value,
     initial_policy,
     load_scenario,
     named_variants,
@@ -38,6 +39,17 @@ class TestLoadScenario:
     def test_unknown_name(self):
         with pytest.raises(ConfigError, match="no_such_file"):
             load_scenario("no_such_file.yaml")
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        block = re.search(r"```yaml\n(name: my_scenario\n.*?)```", text, re.S)
+        path = tmp_path / "readme.yaml"
+        path.write_text(block.group(1), encoding="utf-8")
+        cfg = load_scenario(str(path))
+        assert cfg.name == "my_scenario"
+        assert [iv.kind for iv in cfg.interventions] == list(INTERVENTION_KINDS)
+        assert [iv.kind for iv in cfg.variants["quota_only"]] == ["quota"]
 
     def test_quota_out_of_range(self, tmp_path):
         import yaml
@@ -119,6 +131,14 @@ def write_lending(tmp_path, edit):
     return str(p)
 
 
+QUOTA_B = {
+    "kind": "quota",
+    "group": "B",
+    "target_share": 0.1,
+    "sunset": {"eps": 0.1, "window": 2},
+}
+
+
 def fixed_rule(raw, tau):
     raw["policy_rule"] = {"kind": "fixed", "tau": tau}
 
@@ -146,6 +166,52 @@ class TestLoadChecks:
         with pytest.raises(ConfigError) as info:
             load_scenario(path)
         assert str(info.value).startswith(f"scenario file {path}: {field}")
+
+    @pytest.mark.parametrize(
+        "edit,path,key",
+        [
+            (lambda raw: raw.update(resolutoin=0.5), "scenario", "resolutoin"),
+            (lambda raw: raw.update(tolerances={"regme": 0.5}), "tolerances", "regme"),
+            # A field that an earlier version read.
+            (lambda raw: raw["tolerances"].update(stationarity_window=5),
+             "tolerances", "stationarity_window"),
+            (lambda raw: raw["declared_goal"].update(tolerence=0.1),
+             "declared_goal", "tolerence"),
+            (lambda raw: raw["population"].update(bins=6), "population", "bins"),
+            (lambda raw: raw["population"]["groups"][1].update(share=0.1),
+             "population.groups[1]", "share"),
+            (lambda raw: raw["outcome"].update(step_up=1), "outcome", "step_up"),
+            (lambda raw: raw["institution"].update(u_zero=0.0), "institution", "u_zero"),
+            (lambda raw: raw["policy_rule"].update(constraints="dp"),
+             "policy_rule", "constraints"),
+            (lambda raw: raw.update(interventions=[QUOTA_B | {"strength": 0.3}]),
+             "interventions[0]", "strength"),
+            (lambda raw: raw.update(interventions=[
+                QUOTA_B | {"sunset": {"eps": 0.1, "window": 2, "windw": 3}}]),
+             "interventions[0].sunset", "windw"),
+            (lambda raw: raw.update(variants={"q": {"interventions": [], "note": 1}}),
+             "variants.q", "note"),
+            (lambda raw: raw.update(variants={"q": {"interventions": [
+                {"kind": "pipeline_investment", "group": "B", "shift": 0.1}]}}),
+             "variants.q.interventions[0]", "shift"),
+        ],
+        ids=["top", "tolerances", "stationarity_window", "goal", "population",
+             "group", "outcome", "institution", "policy_rule", "intervention",
+             "sunset", "variant", "variant_intervention"],
+    )
+    def test_unknown_key_rejected(self, tmp_path, edit, path, key):
+        file = write_lending(tmp_path, edit)
+        with pytest.raises(ConfigError) as info:
+            load_scenario(file)
+        assert str(info.value).startswith(
+            f"scenario file {file}: {path}: unknown key {key!r}; expected one of "
+        )
+
+    @pytest.mark.parametrize("field", ["tolerances", "outcome"])
+    def test_field_that_is_not_a_mapping(self, tmp_path, field):
+        file = write_lending(tmp_path, lambda raw: raw.update({field: [1.0]}))
+        with pytest.raises(ConfigError, match=f": {field} must be a mapping$"):
+            load_scenario(file)
 
     def test_fixed_policy_loads_and_runs(self, tmp_path):
         tau = {"A": [0, 0, 0, 1, 1, 1], "B": [0, 0, 0.5, 1, 1, 1]}
@@ -482,11 +548,6 @@ class TestGoalSemantics:
     def test_delta_goal_met_above_tolerance(self):
         assert goal_met(LENDING, 5.0)
         assert not goal_met(LENDING, -2.0)
-
-    def test_goal_value_reads_trajectory(self):
-        traj = run_scenario(LENDING)
-        v = goal_value(LENDING, traj.steps[0])
-        assert v == traj.steps[0].delta_mu["B"]
 
 
 class TestAcceptedMass:
