@@ -26,7 +26,8 @@ from .population import (
     Population,
     ScoreGrid,
     _check_lengths,
-    _rows_valid,
+    _pmfs_valid,
+    _proportions_valid,
     validate_population,
 )
 
@@ -65,14 +66,14 @@ class TrajectoryColumns:
     ``group_ids``.
 
     ``states`` (steps, groups, bins) and ``proportions`` hold the population
-    after the ``pre_step`` hook; ``initial`` is step 0's population object
-    itself. ``policies`` holds each step's policy, one shared object for the
-    steps a policy serves. ``mean_score``, ``acceptance``, ``tpr``, ``fpr``
-    and ``delta_mu`` are (steps, groups); ``tpr``/``fpr`` are NaN where a
-    group has no qualified/unqualified mass. The gap columns are those of
-    the two groups of ``metric_pair``, NaN without a pair. ``regime`` holds
-    indices into ``tuple(RegimeLabel)`` and ``flags`` the intervention flags
-    (steps, flags).
+    after the hook; ``initial`` is the population ``policy_fn`` saw at step
+    0, ``pop`` itself in a run without hooks. ``policies`` holds each step's
+    policy, one shared object for the steps a policy serves. ``mean_score``,
+    ``acceptance``, ``tpr``, ``fpr`` and ``delta_mu`` are (steps, groups);
+    ``tpr``/``fpr`` are NaN where a group has no qualified/unqualified mass.
+    The gap columns are those of the two groups of ``metric_pair``, NaN
+    without a pair. ``regime`` holds indices into ``tuple(RegimeLabel)`` and
+    ``flags`` the intervention flags (steps, flags).
     """
 
     grid: ScoreGrid
@@ -248,8 +249,8 @@ class _PolicyTerms:
         self,
         policy: Policy,
         outcome: OutcomeModel,
-        group_ids: Sequence[str],
-        pmfs: Sequence[np.ndarray],
+        group_ids: tuple[str, ...],
+        pmfs: np.ndarray,
     ):
         taus, rhos = [], []
         for gid, pmf in zip(group_ids, pmfs):
@@ -257,7 +258,7 @@ class _PolicyTerms:
             _check_lengths(gid, pmf=pmf, tau=tau, rho=rho)
             taus.append(tau)
             rhos.append(rho)
-        self.policy, self.group_ids = policy, tuple(group_ids)
+        self.policy, self.group_ids = policy, group_ids
         self.tau = np.array(taus)
         self.keep = 1.0 - self.tau
         self.rho = np.array(rhos)
@@ -267,25 +268,23 @@ class _PolicyTerms:
 def _policy_terms(
     policy: Policy,
     outcome: OutcomeModel,
-    group_ids: Sequence[str],
-    pmfs: Sequence[np.ndarray],
+    group_ids: tuple[str, ...],
+    pmfs: np.ndarray,
 ) -> _PolicyTerms:
-    """``_PolicyTerms(policy, outcome, group_ids, pmfs)``, or the set built
-    last with this outcome model when it is for this policy object, these
-    groups and this bin count. The outcome model keeps that one set, so a run
-    that asks for it in the loop and again in ``step`` computes it once, and
-    the policies a trajectory keeps hold no products."""
+    """``_PolicyTerms(policy, outcome, group_ids, pmfs)`` for the stacked
+    pmfs (groups, bins), or the set built last with this outcome model when
+    it is for this policy object, these groups and this shape. The outcome
+    model keeps that one set, so a run that asks for it in the loop and
+    again in ``step`` computes it once, and the policies a trajectory keeps
+    hold no products."""
     terms = outcome._terms
-    ids = tuple(group_ids)
-    n = len(pmfs[0]) if len(pmfs) else 0
     if (
         terms is None
         or terms.policy is not policy
-        or terms.group_ids != ids
-        or terms.tau.shape != (len(ids), n)
-        or any(len(pmf) != n for pmf in pmfs)
+        or terms.tau.shape != pmfs.shape
+        or terms.group_ids != group_ids
     ):
-        terms = _PolicyTerms(policy, outcome, ids, pmfs)
+        terms = _PolicyTerms(policy, outcome, group_ids, pmfs)
         object.__setattr__(outcome, "_terms", terms)
     return terms
 
@@ -328,16 +327,17 @@ def _population_view(
     """A population over read-only views of the rows of ``pmfs``."""
     rows = pmfs.view()
     rows.setflags(write=False)
-    return Population(
-        grid,
-        tuple(
-            GroupState._of_row(gid, p, row)
-            for gid, p, row in zip(group_ids, proportions, rows)
-        ),
-    )
+    groups = map(GroupState._of_row, group_ids, proportions, rows)
+    return Population(grid, tuple(groups))
 
 
-def step(pop: Population, policy: Policy, outcome: OutcomeModel) -> Population:
+def step(
+    pop: Population,
+    policy: Policy,
+    outcome: OutcomeModel,
+    *,
+    out: Optional[np.ndarray] = None,
+) -> Population:
     """Advance the population by one decision round.
 
     Accepted mass at each bin splits into a success part moving up and a
@@ -346,11 +346,16 @@ def step(pop: Population, policy: Policy, outcome: OutcomeModel) -> Population:
     rechecked, and on a valid population the step conserves each group's mass.
     Repeated steps under one policy object reuse its products with the
     outcome model.
+
+    The result is a population over read-only views of a fresh (groups,
+    bins) matrix, or of ``out`` when given: ``simulate`` passes the next
+    row of its state array, so the step writes the next state in place.
     """
-    ids, pmfs = pop.group_ids, [g.pmf for g in pop.groups]
-    terms = _policy_terms(policy, outcome, ids, pmfs)
-    pmf = np.array(pmfs)
-    out = np.empty_like(pmf)
+    ids = pop.group_ids
+    pmf = np.array([g.pmf for g in pop.groups])
+    terms = _policy_terms(policy, outcome, ids, pmf)
+    if out is None:
+        out = np.empty_like(pmf)
     _advance(terms, pmf, outcome.steps_up, outcome.steps_down, out)
     return _population_view(pop.grid, ids, [g.proportion for g in pop.groups], out)
 
@@ -387,7 +392,7 @@ def _take_hook_result(
         for row, g in zip(pmf_out, pop.groups):
             row[:] = g.pmf
         proportions_out[:] = proportions
-        ok = _rows_valid(pmf_out, proportions)
+        ok = _pmfs_valid(pmf_out) and _proportions_valid(proportions)
     if not ok:
         report = validate_population(pop)
         raise DomainError("invalid population: " + "; ".join(report.violations))
@@ -461,6 +466,28 @@ def _check_finite(columns: Mapping[str, np.ndarray], group_ids) -> None:
 PolicyFn = Callable[[int, Population], Policy]
 PreStepFn = Callable[[int, Population], Population]
 FlagsFn = Callable[[int], tuple[bool, ...]]
+# Edits step t's pmfs (groups, bins) and proportions (groups,) in place and
+# returns whether it changed the proportions.
+RowHook = Callable[[int, np.ndarray, np.ndarray], bool]
+
+
+def _pre_step_rows(pre_step: PreStepFn, pop: Population) -> RowHook:
+    """The row hook that runs a public ``pre_step`` hook.
+
+    ``pre_step`` gets ``pop`` at step 0 and, at a later step, a population
+    over a copy of the row, so a population it keeps never changes. The
+    population it returns goes through ``_take_hook_result`` into the row.
+    """
+    grid, ids = pop.grid, pop.group_ids
+
+    def hook(t: int, pmfs: np.ndarray, proportions: np.ndarray) -> bool:
+        given = pop
+        if t > 0:
+            given = _population_view(grid, ids, proportions.tolist(), pmfs.copy())
+        _take_hook_result(pre_step(t, given), grid, ids, pmfs, proportions)
+        return True
+
+    return hook
 
 
 def simulate(
@@ -473,6 +500,8 @@ def simulate(
     metric_pair: Optional[tuple[str, str]] = None,
     pre_step: Optional[PreStepFn] = None,
     flags_fn: Optional[FlagsFn] = None,
+    *,
+    _row_hook: Optional[RowHook] = None,
 ) -> Trajectory:
     """Run the feedback model for ``horizon`` transitions.
 
@@ -482,11 +511,16 @@ def simulate(
     both unset the loop is the bare feedback model. Fully deterministic.
     ``pop`` and each population ``pre_step`` returns are validated once;
     ``pre_step`` keeps the grid's values and the groups in their order, and
-    ``flags_fn`` returns the same number of flags at every step.
+    ``flags_fn`` returns the same number of flags at every step. The
+    populations the hooks receive never change afterwards.
 
     The state is one (groups, bins) matrix per step, kept in one
-    preallocated array; the hooks see populations over read-only views.
-    The loop does only the sequential work: the hooks, ``policy_fn``, the
+    preallocated array, and ``step`` writes each transition straight into
+    the next row. The loop has one hook slot, a ``RowHook`` that edits row
+    ``t`` in place before ``policy_fn`` runs: ``pre_step`` is wrapped into
+    it, and ``run_scenario`` passes its engine's hook as ``_row_hook``.
+    ``policy_fn`` sees a population over read-only views of row ``t``.
+    The loop does only the sequential work: the hook, ``policy_fn``, the
     flags and one call of ``step`` per transition. The per-step columns
     (mean score, acceptance, TPR, FPR, ``delta_mu`` and utility) are
     computed after the loop from the state array and the kept policies, bit
@@ -507,19 +541,25 @@ def simulate(
     rows, groups, n = horizon + 1, len(ids), len(grid)
     states = np.empty((rows, groups, n))
     proportions = np.empty((rows, groups))
-    flags = None
+    states[0] = [g.pmf for g in pop.groups]
+    # Every row; from the first step whose hook changes them, each row is
+    # copied from the one before.
+    proportions[:] = [g.proportion for g in pop.groups]
+    hook = _row_hook if pre_step is None else _pre_step_rows(pre_step, pop)
+    cur = pop
+    if hook is not None:
+        # The hook edits row 0 in place, which ``pop`` does not show.
+        cur = _population_view(grid, ids, proportions[0].tolist(), states[0])
+    flags = []
     policies = []
-    cur = initial = pop
     pol = None
+    rescaled = False  # whether the hook has changed the proportions yet
     for t in range(rows):
-        if pre_step is not None:
-            cur = pre_step(t, cur)
-            _take_hook_result(cur, grid, ids, states[t], proportions[t])
-            if t == 0:
-                initial = cur
-        else:
-            states[t] = [g.pmf for g in cur.groups]
-            proportions[t] = [g.proportion for g in cur.groups]
+        if hook is not None and hook(t, states[t], proportions[t]):
+            rescaled = True
+            cur = _population_view(grid, ids, proportions[t].tolist(), states[t])
+        if t == 0:
+            initial = cur
         last = pol
         try:
             pol = policy_fn(t, cur)
@@ -529,17 +569,17 @@ def simulate(
             # Checks the lengths at this step; ``step`` reuses the set.
             _policy_terms(pol, outcome, ids, states[t])
         active = flags_fn(t) if flags_fn is not None else ()
-        if flags is None:
-            flags = np.empty((rows, len(active)), dtype=bool)
-        elif len(active) != flags.shape[1]:
+        if flags and len(active) != len(flags[0]):
             raise DomainError(
                 f"flags_fn gave {len(active)} flags at step {t}, "
-                f"{flags.shape[1]} at step 0"
+                f"{len(flags[0])} at step 0"
             )
-        flags[t] = active
+        flags.append(tuple(active))
         policies.append(pol)
         if t < horizon:
-            cur = step(cur, pol, outcome)
+            cur = step(cur, pol, outcome, out=states[t + 1])
+            if rescaled:
+                proportions[t + 1] = proportions[t]
     # Step 0's policy set checked every rho length against the grid.
     rho = np.array([outcome.rho_for(gid) for gid in ids])
     change = np.array([outcome.score_change(gid, grid) for gid in ids])
@@ -570,7 +610,7 @@ def simulate(
         _regime_codes(delta_mu, regime_tol),
         utility,
         *gaps,
-        flags,
+        np.array(flags, dtype=bool).reshape(rows, -1),
     )
     return Trajectory(_StepViews(columns))
 

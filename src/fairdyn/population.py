@@ -90,9 +90,7 @@ class GroupState:
         row of the state array of a simulated run or another group's pmf.
         """
         g = object.__new__(cls)
-        object.__setattr__(g, "group_id", group_id)
-        object.__setattr__(g, "proportion", proportion)
-        object.__setattr__(g, "pmf", pmf)
+        g.__dict__.update(group_id=group_id, proportion=proportion, pmf=pmf)
         return g
 
     def with_pmf(self, pmf: Sequence[float]) -> "GroupState":
@@ -173,20 +171,27 @@ def validate_population(p: Population) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-def _rows_valid(pmfs: np.ndarray, proportions: Sequence[float]) -> bool:
-    """Whether ``validate_population`` accepts a population over an already
-    accepted grid and group labels whose pmfs are the rows of ``pmfs`` (G, n).
+def _proportions_valid(proportions: Sequence[float]) -> bool:
+    """Whether ``validate_population`` accepts these group proportions: each
+    in [0, 1] (NaN is not) and their sum within ``PROB_TOL`` of 1."""
+    return all(0.0 <= p <= 1.0 for p in proportions) and (
+        abs(sum(proportions) - 1.0) <= PROB_TOL
+    )
+
+
+def _pmfs_valid(pmfs: np.ndarray) -> bool:
+    """Whether ``validate_population`` accepts every row of ``pmfs`` (k >= 1,
+    n) as the pmf of a group on an already accepted grid of ``n`` bins.
 
     The row sums are the same pairwise sums ``pmf.sum()`` takes, so the
     tolerance decides exactly as there. A NaN entry makes the minimum NaN,
     which fails the first test, where the other check rejects it by its sum.
+    The reductions are the ufuncs that ``min()`` and ``sum()`` call.
     """
-    return bool(
-        pmfs.min() >= 0
-        and all(abs(s - 1.0) <= PROB_TOL for s in pmfs.sum(axis=1).tolist())
-        and all(0.0 <= p <= 1.0 for p in proportions)
-        and abs(sum(proportions) - 1.0) <= PROB_TOL
-    )
+    if not np.minimum.reduce(pmfs, axis=None) >= 0:
+        return False
+    sums = np.add.reduce(pmfs, axis=1).tolist()
+    return all(abs(s - 1.0) <= PROB_TOL for s in sums)
 
 
 def group_mean(g: GroupState, grid: ScoreGrid) -> float:

@@ -27,7 +27,13 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from ._yaml import known_keys, load_yaml
-from .dynamics import MAX_HORIZON, Trajectory, simulate
+from .dynamics import (
+    MAX_HORIZON,
+    Trajectory,
+    _population_view,
+    _require_valid,
+    simulate,
+)
 from .errors import (
     ConfigError,
     DimensionError,
@@ -43,16 +49,14 @@ from .optimize import (
     max_utility_policy,
     outcome_optimal_policy,
 )
-from .policy import (
-    InstitutionModel,
-    Policy,
-    acceptance_rate,
-    threshold_policy_for_rate,
-)
+from .policy import InstitutionModel, Policy, threshold_levels
 from .population import (
     GroupState,
     Population,
     ScoreGrid,
+    _check_lengths,
+    _pmfs_valid,
+    _proportions_valid,
     _vector,
     validate_population,
 )
@@ -159,13 +163,25 @@ def _optional_str(mapping: dict, key: str) -> Optional[str]:
     return str(mapping[key]) if key in mapping else None
 
 
+def _integer(value, path: str) -> int:
+    """``value`` of the integer field ``path`` as an int. An integral float
+    such as 20.0 is accepted; a bool or a float with a fractional part (or
+    NaN or inf) raises ``ConfigError`` naming the field, where ``int`` would
+    truncate it."""
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(f"{path} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_intervention(raw, path) -> InterventionRule:
     kind = str(_req(raw, "kind", path))
     if kind not in INTERVENTION_KINDS:
         raise ConfigError(f"{path}.kind: unknown intervention kind {kind!r}")
     known_keys(raw, path, _KEYS["intervention"] + _KEYS[kind])
     group = str(_req(raw, "group", path))
-    active_from = int(raw.get("active_from", 0))
+    active_from = _integer(raw.get("active_from", 0), path + ".active_from")
     if active_from < 0:
         raise ConfigError(f"{path}.active_from must be >= 0")
     rule = InterventionRule(kind=kind, group=group, active_from=active_from)
@@ -173,10 +189,11 @@ def _parse_intervention(raw, path) -> InterventionRule:
         q = float(_req(raw, "target_share", path))
         if not 0.0 <= q <= 1.0:
             raise ConfigError(f"{path}.target_share: q out of [0,1], got {q}")
-        s = known_keys(_req(raw, "sunset", path), path + ".sunset", _KEYS["sunset"])
+        where = path + ".sunset"
+        s = known_keys(_req(raw, "sunset", path), where, _KEYS["sunset"])
         sunset = SunsetRule(
-            eps=float(_req(s, "eps", path + ".sunset")),
-            window=int(_req(s, "window", path + ".sunset")),
+            eps=float(_req(s, "eps", where)),
+            window=_integer(_req(s, "window", where), where + ".window"),
         )
         if sunset.eps < 0 or sunset.window < 1:
             raise ConfigError(f"{path}.sunset: eps must be >= 0 and window >= 1")
@@ -242,8 +259,10 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
     try:
         outcome = OutcomeModel(
             rho=rho,
-            steps_up=int(_req(out_raw, "steps_up", "outcome")),
-            steps_down=int(_req(out_raw, "steps_down", "outcome")),
+            steps_up=_integer(_req(out_raw, "steps_up", "outcome"), "outcome.steps_up"),
+            steps_down=_integer(
+                _req(out_raw, "steps_down", "outcome"), "outcome.steps_down"
+            ),
         )
     except DomainError as exc:
         raise ConfigError(f"outcome.{exc}") from exc
@@ -302,7 +321,7 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
         for i, iv in enumerate(raw.get("interventions", []))
     )
 
-    horizon = int(_req(raw, "horizon", "scenario"))
+    horizon = _integer(_req(raw, "horizon", "scenario"), "horizon")
     if not 0 <= horizon <= MAX_HORIZON:
         raise ConfigError(f"horizon must be in [0, {MAX_HORIZON}], got {horizon}")
     resolution = float(raw.get("resolution", DEFAULT_RESOLUTION))
@@ -352,7 +371,7 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
         interventions=interventions,
         horizon=horizon,
         tolerances=tolerances,
-        seed=int(raw.get("seed", 0)),
+        seed=_integer(raw.get("seed", 0), "seed"),
         resolution=resolution,
         metric_groups=metric_groups,
         variants=variants,
@@ -405,9 +424,12 @@ def build_policy(
     )
 
 
-def _accepted_mass(pop: Population, pol: Policy) -> list[float]:
-    """Each group's accepted mass, its proportion times its acceptance rate."""
-    return [g.proportion * acceptance_rate(pol, g) for g in pop.groups]
+def _accepted_mass(
+    groups: Sequence[GroupState], taus: Sequence[np.ndarray]
+) -> list[float]:
+    """Each group's accepted mass, its proportion times its acceptance rate
+    ``pmf.dot(tau)``, for acceptance vectors of checked lengths."""
+    return [g.proportion * float(g.pmf.dot(tau)) for g, tau in zip(groups, taus)]
 
 
 def _shares(mass: list[float]) -> list[float]:
@@ -418,12 +440,20 @@ def _shares(mass: list[float]) -> list[float]:
     return [m / total for m in mass]
 
 
+def _share(mass: list[float], j: int) -> float:
+    """``_shares(mass)[j]``, without the other groups' shares."""
+    total = sum(mass)
+    return mass[j] / total if total > 0 else 0.0
+
+
 class _ScenarioEngine:
-    """Stateful hooks plugged into the dynamics loop to apply interventions."""
+    """Stateful hooks plugged into the dynamics loop to apply interventions:
+    ``pre_step``, the loop's row hook, and ``policy``, its ``policy_fn``."""
 
     def __init__(self, cfg: ScenarioConfig, interventions):
         self.cfg = cfg
         self.interventions = interventions
+        self.index = {gid: i for i, gid in enumerate(cfg.population.group_ids)}
         # A fixed or max_utility rule does not depend on the state: build it
         # once for the run.
         rule = cfg.policy_rule
@@ -432,6 +462,9 @@ class _ScenarioEngine:
             self.static_policy = build_policy(
                 cfg, cfg.population, rule, cfg.resolution
             )
+        # The last policy whose accepted masses were computed, and its
+        # acceptance vectors in group order.
+        self.taus: tuple[Optional[Policy], list[np.ndarray]] = (None, [])
         self.quota_active = [iv.kind == "quota" for iv in interventions]
         self.quota_streak = [0] * len(interventions)
         # Only role-model feedback reads the accepted shares of the last step.
@@ -441,32 +474,59 @@ class _ScenarioEngine:
         self.last_share: dict[str, float] = {}
         self.flags: dict[int, tuple[bool, ...]] = {}
 
-    def pre_step(self, t: int, pop: Population) -> Population:
-        groups = list(pop.groups)
-        index = {g.group_id: i for i, g in enumerate(groups)}
+    def pre_step(self, t: int, pmfs: np.ndarray, proportions: np.ndarray) -> bool:
+        """Apply the interventions active at step ``t`` in place to the
+        step's pmfs (groups, bins) and proportions, and return whether the
+        proportions changed.
+
+        The pipeline moves ``shift_fraction`` of each non-top bin's mass one
+        bin up; role-model feedback scales its group's proportion by ``1 +
+        strength * share``, with the share accepted at the last step, and
+        renormalizes. A shifted pmf and rescaled proportions are then checked
+        as ``validate_population`` checks them; on failure it raises its
+        ``DomainError("invalid population: ...")``.
+        """
+        valid = True
+        rescaled = False
         for iv in self.interventions:
             if t < iv.active_from:
                 continue
             if iv.kind == "pipeline_investment":
-                i = index[iv.group]
-                pmf = groups[i].pmf.copy()
-                moved = pmf[:-1] * iv.shift_fraction
-                pmf[:-1] -= moved
-                pmf[1:] += moved
-                pmf.setflags(write=False)
-                groups[i] = GroupState._of_row(iv.group, groups[i].proportion, pmf)
+                i = self.index[iv.group]
+                row = pmfs[i]
+                moved = row[:-1] * iv.shift_fraction
+                row[:-1] -= moved
+                row[1:] += moved
+                valid = _pmfs_valid(pmfs[i : i + 1]) and valid
             elif iv.kind == "role_model_feedback":
                 share = self.last_share.get(iv.group)
                 if share is None:
                     continue
-                i = index[iv.group]
-                scaled = groups[i].proportion * (1.0 + iv.strength * share)
-                groups[i] = groups[i].with_proportion(scaled)
-                total = sum(g.proportion for g in groups)
-                groups = [
-                    g.with_proportion(g.proportion / total) for g in groups
-                ]
-        return pop.with_groups(groups)
+                scaled = proportions.tolist()
+                scaled[self.index[iv.group]] *= 1.0 + iv.strength * share
+                total = sum(scaled)
+                proportions[:] = [p / total for p in scaled]
+                rescaled = True
+        if rescaled:
+            valid = _proportions_valid(proportions.tolist()) and valid
+        if not valid:
+            pop = self.cfg.population
+            _require_valid(
+                _population_view(pop.grid, pop.group_ids, proportions.tolist(), pmfs)
+            )
+        return rescaled
+
+    def _accepted(self, pop: Population, pol: Policy) -> list[float]:
+        """Each group's accepted mass under ``pol``. The acceptance vectors
+        of the last policy are kept; their lengths are checked against the
+        pmfs when they are looked up."""
+        last, taus = self.taus
+        if pol is not last:
+            taus = [pol.tau(g.group_id) for g in pop.groups]
+            for g, tau in zip(pop.groups, taus):
+                _check_lengths(g.group_id, tau=tau, pmf=g.pmf)
+            self.taus = (pol, taus)
+        return _accepted_mass(pop.groups, taus)
 
     def policy(self, t: int, pop: Population) -> Policy:
         cfg = self.cfg
@@ -485,10 +545,10 @@ class _ScenarioEngine:
             if not active:
                 continue
             if mass is None:
-                mass = _accepted_mass(pop, pol)
-            j = pop.group_ids.index(iv.group)
+                mass = self._accepted(pop, pol)
+            j = self.index[iv.group]
             pol = self._enforce_quota(pop, pol, iv, j, mass)
-            share = _shares(mass)[j]
+            share = _share(mass, j)
             if abs(share - iv.target_share) <= iv.sunset.eps:
                 self.quota_streak[i] += 1
             else:
@@ -497,8 +557,8 @@ class _ScenarioEngine:
                 self.quota_active[i] = False  # permanent
         if self.keeps_shares:
             if mass is None:
-                mass = _accepted_mass(pop, pol)
-            self.last_share = dict(zip(pop.group_ids, _shares(mass)))
+                mass = self._accepted(pop, pol)
+            self.last_share = dict(zip(self.index, _shares(mass)))
         self.flags[t] = tuple(flags)
         return pol
 
@@ -521,9 +581,9 @@ class _ScenarioEngine:
                 f"quota on group {iv.group!r} infeasible: zero population mass"
             )
         q = iv.target_share
-        other_mass = sum(m for k, m in enumerate(mass) if k != j)
-        if _shares(mass)[j] >= q:
+        if _share(mass, j) >= q:
             return pol
+        other_mass = sum(m for k, m in enumerate(mass) if k != j)
         if q >= 1.0:
             if other_mass > 0:
                 raise InfeasibilityError(
@@ -536,10 +596,14 @@ class _ScenarioEngine:
                 f"quota share {q} for group {iv.group!r} needs acceptance rate "
                 f"{needed_rate:.6g} > 1"
             )
-        enforced = threshold_policy_for_rate(group, needed_rate).expand(pop.grid)
-        pol = Policy.from_arrays({**pol.acceptance, iv.group: enforced.tau(iv.group)})
-        mass[j] = group.proportion * acceptance_rate(pol, group)
-        return pol
+        # The randomized threshold policy at that rate, as the tau vector
+        # ``threshold_policy_for_rate(...).expand(grid)`` holds.
+        bins, fractions = threshold_levels(group.pmf, np.array([needed_rate]))
+        tau = np.zeros(len(group.pmf))
+        tau[bins[0] + 1 :] = 1.0
+        tau[bins[0]] = fractions[0]
+        mass[j] = _accepted_mass((group,), (tau,))[0]
+        return Policy({**pol.acceptance, iv.group: tau})
 
     def flags_fn(self, t: int) -> tuple[bool, ...]:
         return self.flags.get(t, ())
@@ -570,8 +634,8 @@ def run_scenario(
         cfg.horizon,
         regime_tol=cfg.tolerances.regime,
         metric_pair=cfg.metric_groups,
-        pre_step=engine.pre_step if ivs else None,
         flags_fn=engine.flags_fn if ivs else None,
+        _row_hook=engine.pre_step if ivs else None,
     )
 
 

@@ -2,8 +2,10 @@
 
 Every step rebuilds the population through ``np.add.at``, evaluates the
 policy hook, and recomputes each per-step quantity from the group objects
-with the plain formulas. The library's array loop is checked against
-``simulate`` here, record by record and bit for bit.
+with the plain formulas. ``intervention_hook`` applies a scenario's
+pipeline and role-model interventions to population objects, as a
+``pre_step`` hook. The library's array loop and its in-place scenario hook
+are checked against ``simulate`` here, record by record and bit for bit.
 """
 
 import math
@@ -11,7 +13,7 @@ import math
 import numpy as np
 
 from fairdyn.errors import DomainError, InfeasibilityError
-from fairdyn.population import validate_population
+from fairdyn.population import GroupState, validate_population
 
 
 def step(pop, policy, outcome):
@@ -29,6 +31,39 @@ def step(pop, policy, outcome):
         np.add.at(new, down, pmf * tau * (1.0 - rho))
         new_groups.append(g.with_pmf(new))
     return pop.with_groups(new_groups)
+
+
+def intervention_hook(engine):
+    """A ``pre_step`` hook that applies the pipeline and role-model
+    interventions of a scenario engine to a new population. Role-model
+    feedback reads the shares that ``engine.policy`` kept at the last step;
+    the engine's quotas act through its policy."""
+
+    def pre_step(t, pop):
+        groups = list(pop.groups)
+        index = {g.group_id: i for i, g in enumerate(groups)}
+        for iv in engine.interventions:
+            if t < iv.active_from:
+                continue
+            if iv.kind == "pipeline_investment":
+                i = index[iv.group]
+                pmf = groups[i].pmf.copy()
+                moved = pmf[:-1] * iv.shift_fraction
+                pmf[:-1] -= moved
+                pmf[1:] += moved
+                groups[i] = GroupState(iv.group, groups[i].proportion, pmf)
+            elif iv.kind == "role_model_feedback":
+                share = engine.last_share.get(iv.group)
+                if share is None:
+                    continue
+                i = index[iv.group]
+                scaled = groups[i].proportion * (1.0 + iv.strength * share)
+                groups[i] = groups[i].with_proportion(scaled)
+                total = sum(g.proportion for g in groups)
+                groups = [g.with_proportion(g.proportion / total) for g in groups]
+        return pop.with_groups(groups)
+
+    return pre_step
 
 
 def rates(pmf, tau, rho):

@@ -399,9 +399,9 @@ class TestColumnarTrajectory:
     def test_each_transition_is_one_call_of_step(self, monkeypatch):
         seen = []
 
-        def counting(pop, policy, outcome):
+        def counting(pop, policy, outcome, **kwargs):
             seen.append(pop)
-            return step(pop, policy, outcome)
+            return step(pop, policy, outcome, **kwargs)
 
         monkeypatch.setattr(dynamics, "step", counting)
         _, _, traj = self.run(horizon=5)
@@ -626,23 +626,32 @@ def runs(draw):
     )
 
 
+def _hooked(run, cfg):
+    """``run`` (a ``simulate``) on ``cfg``'s scenario with an engine of its
+    own, whose interventions the oracle's ``intervention_hook`` applies, or
+    the exception it raised."""
+    engine = scenarios._ScenarioEngine(cfg, cfg.interventions)
+    hooks = bool(cfg.interventions)
+    try:
+        return run(
+            cfg.population, engine.policy, cfg.outcome, cfg.institution,
+            cfg.horizon, regime_tol=cfg.tolerances.regime,
+            metric_pair=cfg.metric_groups,
+            pre_step=dynamics_oracle.intervention_hook(engine) if hooks else None,
+            flags_fn=engine.flags_fn if hooks else None,
+        )
+    except (DomainError, scenarios.InfeasibilityError) as exc:
+        return exc
+
+
 def _both(cfg):
-    """The library's run and the oracle's records of ``cfg``, each with its
-    own engine, or the exception each raised."""
-    out = []
-    for run in (dynamics.simulate, dynamics_oracle.simulate):
-        engine = scenarios._ScenarioEngine(cfg, cfg.interventions)
-        hooks = bool(cfg.interventions)
-        try:
-            out.append(run(
-                cfg.population, engine.policy, cfg.outcome, cfg.institution,
-                cfg.horizon, regime_tol=cfg.tolerances.regime,
-                pre_step=engine.pre_step if hooks else None,
-                flags_fn=engine.flags_fn if hooks else None,
-            ))
-        except (DomainError, scenarios.InfeasibilityError) as exc:
-            out.append(exc)
-    return out
+    """``run_scenario``'s run of ``cfg``, with the engine's in-place row
+    hook, and the oracle's records of it; or the exception each raised."""
+    try:
+        traj = scenarios.run_scenario(cfg)
+    except (DomainError, scenarios.InfeasibilityError) as exc:
+        traj = exc
+    return traj, _hooked(dynamics_oracle.simulate, cfg)
 
 
 def _assert_same_run(traj, records):
@@ -689,15 +698,37 @@ class TestAgainstOracle:
     @settings(max_examples=300, deadline=None)
     @given(cfg=runs())
     def test_records_bit_identical(self, cfg):
+        # The scenario's row path, and the public ``pre_step`` path with the
+        # oracle's hook, against the oracle.
         traj, records = _both(cfg)
-        if isinstance(records, Exception):
-            assert type(traj) is type(records) and str(traj) == str(records)
-            return
-        assert len(traj) == cfg.horizon + 1
-        assert traj.columns.metric_pair == (
-            cfg.population.group_ids[:2] if len(cfg.population.groups) >= 2 else None
-        )
-        _assert_same_run(traj, records)
+        for run in (traj, _hooked(simulate, cfg)):
+            if isinstance(records, Exception):
+                assert type(run) is type(records) and str(run) == str(records)
+                continue
+            assert len(run) == cfg.horizon + 1
+            assert run.columns.metric_pair == cfg.metric_groups
+            _assert_same_run(run, records)
+
+    @pytest.mark.parametrize(
+        "iv",
+        [
+            scenarios.InterventionRule("pipeline_investment", "B", shift_fraction=1.5),
+            scenarios.InterventionRule(
+                "pipeline_investment", "B", active_from=2, shift_fraction=math.nan
+            ),
+            scenarios.InterventionRule("role_model_feedback", "B", strength=-100.0),
+            scenarios.InterventionRule("role_model_feedback", "B", strength=math.inf),
+        ],
+        ids=["shift_above_one", "shift_nan", "strength_negative", "strength_inf"],
+    )
+    def test_invalid_intervention_raises_as_the_oracle(self, iv):
+        # The loader rejects these values; an engine built directly may hold
+        # them, and its in-place hook must fail as a checked population does.
+        traj, records = _both(replace(LENDING, interventions=(iv,)))
+        assert type(traj) is type(records) is DomainError
+        assert str(traj) == str(records)
+        assert str(traj).startswith("invalid population: group ")
+        assert "group 'B': " in str(traj)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -858,3 +889,94 @@ class TestBatchedColumns:
         finally:
             tracemalloc.stop()
         assert peak < traj.columns.states.nbytes + 2 * 2**20
+
+
+class TestHandedOutPopulations:
+    """``step`` writes each state into the run's state array and the hooks
+    edit its rows in place, yet no population handed out changes later."""
+
+    @staticmethod
+    def kept(pop):
+        return pop, [(g.pmf.copy(), g.proportion) for g in pop.groups]
+
+    @staticmethod
+    def assert_unchanged(kept):
+        assert kept
+        for pop, values in kept:
+            for g, (pmf, proportion) in zip(pop.groups, values):
+                assert np.array_equal(g.pmf, pmf) and g.proportion == proportion
+
+    def test_public_pre_step_and_policy_fn_inputs(self):
+        pop, out = two_groups()
+        pol = Policy.from_arrays({"a": np.full(3, 0.5), "b": np.ones(3)})
+        pre, seen = [], []
+
+        def pre_step(t, p):
+            pre.append(self.kept(p))
+            a, b = p.groups
+            shares = (0.4, 0.6) if t % 2 else (0.6, 0.4)
+            return p.with_groups([
+                GroupState("a", shares[0], np.roll(a.pmf, 1)),
+                GroupState("b", shares[1], b.pmf),
+            ])
+
+        def policy_fn(t, p):
+            seen.append(self.kept(p))
+            return pol
+
+        traj = simulate(pop, policy_fn, out, INST, 6, pre_step=pre_step)
+        assert len(pre) == len(seen) == 7
+        self.assert_unchanged(pre)
+        self.assert_unchanged(seen)
+        assert pre[0][0] is pop
+        # The hook's populations, not the inputs, are the run's states.
+        assert traj.columns.proportions[1].tolist() == [0.4, 0.6]
+        assert not np.array_equal(pre[1][1][0][0], traj.columns.states[1, 0])
+
+    def test_populations_step_returns_in_a_run(self, monkeypatch):
+        pop, out = two_groups()
+        pol = Policy.from_arrays({"a": np.full(3, 0.5), "b": np.ones(3)})
+        returned = []
+
+        def recording(*args, **kwargs):
+            result = step(*args, **kwargs)
+            returned.append(self.kept(result))
+            return result
+
+        monkeypatch.setattr(dynamics, "step", recording)
+        simulate(pop, lambda t, p: pol, out, INST, 6)
+        assert len(returned) == 6
+        self.assert_unchanged(returned)
+
+    def test_step_without_out_returns_a_fresh_array(self):
+        pop, out = two_groups()
+        pol = Policy.from_arrays({"a": np.full(3, 0.5), "b": np.ones(3)})
+        first, second = step(pop, pol, out), step(pop, pol, out)
+        for g, h, orig in zip(first.groups, second.groups, pop.groups):
+            assert np.array_equal(g.pmf, h.pmf)
+            assert not np.shares_memory(g.pmf, h.pmf)
+            assert not np.shares_memory(g.pmf, orig.pmf)
+            assert not g.pmf.flags.writeable
+
+    def test_step_into_out_writes_the_row(self):
+        pop, out = two_groups()
+        pol = Policy.from_arrays({"a": np.full(3, 0.5), "b": np.ones(3)})
+        row = np.zeros((2, 3))
+        into = step(pop, pol, out, out=row)
+        fresh = step(pop, pol, out)
+        for i, (g, h) in enumerate(zip(into.groups, fresh.groups)):
+            assert np.array_equal(g.pmf, h.pmf) and np.shares_memory(g.pmf, row)
+            assert np.array_equal(row[i], h.pmf)
+
+    def test_engine_edits_never_reach_the_initial_population(self):
+        cfg = LENDING
+        before = self.kept(cfg.population)
+        ivs = (
+            scenarios.InterventionRule("pipeline_investment", "B", shift_fraction=0.3),
+            scenarios.InterventionRule("role_model_feedback", "B", strength=0.5),
+        )
+        traj = scenarios.run_scenario(cfg, ivs)
+        self.assert_unchanged([before])
+        first = traj.steps[0].population
+        assert first is not cfg.population
+        assert not np.array_equal(first.group("B").pmf, cfg.population.group("B").pmf)

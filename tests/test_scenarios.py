@@ -1,12 +1,20 @@
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fairdyn.dynamics import MAX_HORIZON, simulate
-from fairdyn.errors import ConfigError, InfeasibilityError, UndefinedConditionalError
-from fairdyn.population import group_mean
+from fairdyn import scenarios
+from fairdyn.dynamics import MASS_TOL, MAX_HORIZON, simulate
+from fairdyn.errors import (
+    ConfigError,
+    DomainError,
+    InfeasibilityError,
+    UndefinedConditionalError,
+)
+from fairdyn.metrics import OutcomeModel
+from fairdyn.population import GroupState, Population, ScoreGrid, group_mean
 from fairdyn.scenarios import (
     INTERVENTION_KINDS,
     InterventionRule,
@@ -260,6 +268,49 @@ class TestLoadChecks:
         with pytest.raises(ConfigError, match="malformed scenario file lending_liu"):
             load_scenario("lending_liu")
 
+    @pytest.mark.parametrize(
+        "edit,field,value",
+        [
+            (lambda raw: raw.update(horizon=15.9), "horizon", "15.9"),
+            (lambda raw: raw.update(horizon=True), "horizon", "True"),
+            (lambda raw: raw["outcome"].update(steps_up=1.5),
+             "outcome.steps_up", "1.5"),
+            (lambda raw: raw["outcome"].update(steps_down=float("inf")),
+             "outcome.steps_down", "inf"),
+            (lambda raw: raw.update(seed=0.5), "seed", "0.5"),
+            (lambda raw: raw.update(interventions=[QUOTA_B | {"active_from": True}]),
+             "interventions[0].active_from", "True"),
+            (lambda raw: raw.update(interventions=[
+                QUOTA_B | {"sunset": {"eps": 0.1, "window": 2.5}}]),
+             "interventions[0].sunset.window", "2.5"),
+            (lambda raw: raw.update(variants={"q": {"interventions": [
+                QUOTA_B | {"active_from": 1.25}]}}),
+             "variants.q.interventions[0].active_from", "1.25"),
+        ],
+        ids=["horizon", "horizon_bool", "steps_up", "steps_down_inf", "seed",
+             "active_from_bool", "sunset_window", "variant_active_from"],
+    )
+    def test_integer_field_that_is_not_an_integer(self, tmp_path, edit, field, value):
+        path = write_lending(tmp_path, edit)
+        with pytest.raises(ConfigError) as info:
+            load_scenario(path)
+        assert str(info.value) == (
+            f"scenario file {path}: {field} must be an integer, got {value}"
+        )
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        def edit(raw):
+            raw.update(horizon=20.0, seed=7.0)
+            raw["outcome"].update(steps_up=1.0, steps_down=2.0)
+            raw["interventions"] = [QUOTA_B | {
+                "active_from": 3.0, "sunset": {"eps": 0.1, "window": 2.0}}]
+
+        cfg = load_scenario(write_lending(tmp_path, edit))
+        values = (cfg.horizon, cfg.seed, cfg.outcome.steps_up, cfg.outcome.steps_down,
+                  cfg.interventions[0].active_from, cfg.interventions[0].sunset.window)
+        assert values == (20, 7, 1, 2, 3, 2)
+        assert all(type(v) is int for v in values)
+
     def test_vector_that_is_not_a_list(self, tmp_path):
         path = write_lending(
             tmp_path, lambda raw: raw["outcome"].update(rho=0.5)
@@ -368,6 +419,16 @@ class TestPolicyPerRun:
         assert len({id(rec.policy) for rec in traj.steps}) == 1
 
 
+def rows(pop):
+    """Writable copies of ``pop``'s pmfs (groups, bins) and proportions: the
+    rows of a run's state that the engine's ``pre_step`` edits in place."""
+    pmfs = np.array([g.pmf for g in pop.groups])
+    return pmfs, np.array([g.proportion for g in pop.groups])
+
+
+WOMEN, MEN = (BOARDS.population.group_ids.index(gid) for gid in ("women", "men"))
+
+
 class TestPipelineInvestment:
     def make_engine(self, fraction=0.25):
         iv = InterventionRule(
@@ -381,22 +442,29 @@ class TestPipelineInvestment:
     def test_mass_conserved_and_mean_increases(self):
         engine, _ = self.make_engine()
         before = BOARDS.population
-        after = engine.pre_step(0, before)
-        g_after = after.group("women")
-        assert abs(g_after.pmf.sum() - 1.0) <= 1e-12
-        assert group_mean(g_after, after.grid) >= group_mean(
+        pmfs, proportions = rows(before)
+        assert engine.pre_step(0, pmfs, proportions) is False
+        women = pmfs[WOMEN]
+        assert abs(women.sum() - 1.0) <= 1e-12
+        assert float(women @ before.grid.bin_scores) >= group_mean(
             before.group("women"), before.grid
         )
 
     def test_other_group_untouched(self):
         engine, _ = self.make_engine()
-        after = engine.pre_step(0, BOARDS.population)
-        assert np.array_equal(after.group("men").pmf, BOARDS.population.group("men").pmf)
+        pmfs, proportions = rows(BOARDS.population)
+        engine.pre_step(0, pmfs, proportions)
+        assert np.array_equal(pmfs[MEN], BOARDS.population.group("men").pmf)
+        assert proportions.tolist() == [g.proportion for g in BOARDS.population.groups]
 
     def test_shifted_pmf_is_read_only_float64(self):
-        engine, _ = self.make_engine()
-        pmf = engine.pre_step(0, BOARDS.population).group("women").pmf
+        engine, iv = self.make_engine()
+        pmfs, proportions = rows(BOARDS.population)
+        engine.pre_step(0, pmfs, proportions)
+        first = run_scenario(BOARDS, interventions=[iv]).steps[0].population
+        pmf = first.group("women").pmf
         assert pmf.dtype == np.float64 and not pmf.flags.writeable
+        assert np.array_equal(pmf, pmfs[WOMEN])
 
     def test_inactive_before_start(self):
         iv = InterventionRule(
@@ -406,8 +474,20 @@ class TestPipelineInvestment:
             active_from=5,
         )
         engine = _ScenarioEngine(BOARDS, (iv,))
-        after = engine.pre_step(0, BOARDS.population)
-        assert np.array_equal(after.group("women").pmf, BOARDS.population.group("women").pmf)
+        pmfs, proportions = rows(BOARDS.population)
+        assert engine.pre_step(0, pmfs, proportions) is False
+        assert np.array_equal(pmfs[WOMEN], BOARDS.population.group("women").pmf)
+
+    @pytest.mark.parametrize(
+        "fraction,message",
+        [(1.5, "group 'women': negative pmf entry"),
+         (math.nan, "group 'women': pmf has a non-finite entry")],
+    )
+    def test_invalid_shift_is_rejected(self, fraction, message):
+        engine, _ = self.make_engine(fraction)
+        pmfs, proportions = rows(BOARDS.population)
+        with pytest.raises(DomainError, match=f"^invalid population: {message}"):
+            engine.pre_step(0, pmfs, proportions)
 
 
 class TestRoleModelFeedback:
@@ -417,9 +497,10 @@ class TestRoleModelFeedback:
         )
         engine = _ScenarioEngine(BOARDS, (iv,))
         engine.last_share = {"women": 0.4, "men": 0.6}
-        after = engine.pre_step(1, BOARDS.population)
-        w = after.group("women").proportion
-        m = after.group("men").proportion
+        pmfs, proportions = rows(BOARDS.population)
+        assert engine.pre_step(1, pmfs, proportions) is True
+        w = proportions[WOMEN]
+        m = proportions[MEN]
         assert abs(w + m - 1.0) <= 1e-12
         assert w > 0.5  # scaled by 1 + 0.5*0.4, then renormalized
 
@@ -428,8 +509,23 @@ class TestRoleModelFeedback:
             kind="role_model_feedback", group="women", strength=0.5, active_from=0
         )
         engine = _ScenarioEngine(BOARDS, (iv,))
-        after = engine.pre_step(0, BOARDS.population)
-        assert after.group("women").proportion == 0.5
+        pmfs, proportions = rows(BOARDS.population)
+        assert engine.pre_step(0, pmfs, proportions) is False
+        assert proportions[WOMEN] == 0.5
+
+    def test_invalid_rescale_is_rejected(self):
+        iv = InterventionRule(
+            kind="role_model_feedback", group="women", strength=-3.0, active_from=0
+        )
+        engine = _ScenarioEngine(BOARDS, (iv,))
+        engine.last_share = {"women": 0.4, "men": 0.6}
+        pmfs, proportions = rows(BOARDS.population)
+        with pytest.raises(
+            DomainError,
+            match=r"^invalid population: group 'men': proportion 1\.25\d* outside "
+            r"\[0,1\]; group 'women': proportion -0\.25\d* outside \[0,1\]$",
+        ):
+            engine.pre_step(1, pmfs, proportions)
 
     def test_full_run_keeps_population_valid(self):
         from fairdyn.population import validate_population
@@ -555,12 +651,16 @@ class TestAcceptedMass:
     again for the quota group only after enforcing its quota."""
 
     def count_calls(self, monkeypatch, interventions, t=0):
+        """The engine and the number of groups whose accepted mass its policy
+        hook computed at step ``t``."""
         import fairdyn.scenarios as scn
 
         calls = []
-        real = scn.acceptance_rate
+        real = scn._accepted_mass
         monkeypatch.setattr(
-            scn, "acceptance_rate", lambda *args: calls.append(args) or real(*args)
+            scn,
+            "_accepted_mass",
+            lambda groups, taus: calls.extend(groups) or real(groups, taus),
         )
         engine = _ScenarioEngine(BOARDS, interventions)
         engine.policy(t, BOARDS.population)
@@ -586,3 +686,79 @@ class TestAcceptedMass:
         assert calls == len(BOARDS.population.groups)
         assert sum(engine.last_share.values()) == pytest.approx(1.0)
         assert set(engine.last_share) == set(BOARDS.population.group_ids)
+
+
+def with_three_interventions(
+    horizon, groups=3, bins=12, order=None, rule=None, share=0.6, strength=0.05
+):
+    """A scenario of ``groups`` groups, listed in ``order``, under ``rule``
+    (``max_utility`` by default), with a quota of ``share``, a pipeline and
+    role-model feedback of ``strength`` on the last group."""
+    rng = np.random.default_rng(7)
+    ids = [f"g{i}" for i in range(groups)]
+    pmfs = rng.random((groups, bins)) + 0.05
+    pmfs /= pmfs.sum(axis=1, keepdims=True)
+    shares = rng.random(groups) + 0.5
+    shares /= shares.sum()
+    rho = {gid: np.sort(rng.uniform(0.05, 0.95, bins)) for gid in ids}
+    grid = ScoreGrid(tuple(300.0 + 10.0 * i for i in range(bins)), 10.0)
+    IR = InterventionRule
+    target = ids[-1]
+    return scenarios.ScenarioConfig(
+        name="three_interventions",
+        declared_goal=scenarios.DeclaredGoal("improves", "delta_mu", 1e-6, target),
+        population=Population(grid, tuple(
+            GroupState(ids[i], float(shares[i]), pmfs[i])
+            for i in (order or range(groups))
+        )),
+        outcome=OutcomeModel(rho, 1, 2),
+        institution=scenarios.InstitutionModel(1.0, -1.5),
+        policy_rule=rule or scenarios.PolicyRuleSpec("max_utility"),
+        interventions=(
+            IR("quota", target, target_share=share, sunset=SunsetRule(1e-9, 10**6)),
+            IR("pipeline_investment", target, shift_fraction=0.05),
+            IR("role_model_feedback", target, strength=strength),
+        ),
+        horizon=horizon,
+        tolerances=scenarios.Tolerances(),
+        seed=0,
+        resolution=0.01,
+        metric_groups=(ids[0], target),
+    )
+
+
+class TestInvariants:
+    def test_reordering_the_groups_permutes_every_column(self):
+        order = (2, 0, 1)
+        base = run_scenario(with_three_interventions(60)).columns
+        moved = run_scenario(with_three_interventions(60, order=order)).columns
+        assert moved.group_ids == tuple(base.group_ids[i] for i in order)
+        # The quota binds at some steps and not at others.
+        assert 1 < len({id(pol) for pol in base.policies}) < len(base.policies)
+        assert base.flags.all() and np.array_equal(moved.flags, base.flags)
+        close = dict(rtol=0, atol=1e-12, equal_nan=True)
+        for name in ("mean_score", "acceptance", "tpr", "fpr", "delta_mu",
+                     "proportions", "states"):
+            np.testing.assert_allclose(
+                getattr(moved, name), getattr(base, name)[:, order], **close,
+                err_msg=name,
+            )
+        assert np.array_equal(moved.regime, base.regime[:, order])
+        for name in ("utility", "dp_gap", "eo_gap", "eodds_gap"):
+            np.testing.assert_allclose(
+                getattr(moved, name), getattr(base, name), **close, err_msg=name
+            )
+
+    def test_mass_is_conserved_over_the_longest_horizon(self):
+        # Accept-all keeps mass in every bin, so no entry decays to a
+        # subnormal; the quota is checked at every step and never binds.
+        accept_all = {gid: np.ones(10) for gid in ("g0", "g1")}
+        cfg = with_three_interventions(
+            MAX_HORIZON, groups=2, bins=10, share=0.1, strength=1e-4,
+            rule=scenarios.PolicyRuleSpec("fixed", tau=accept_all),
+        )
+        c = run_scenario(cfg).columns
+        assert c.flags.all()
+        assert c.proportions[-1, 1] > c.proportions[0, 1]
+        assert np.abs(c.states.sum(axis=2) - 1.0).max() <= MASS_TOL
+        assert np.abs(c.proportions.sum(axis=1) - 1.0).max() <= MASS_TOL
