@@ -56,12 +56,18 @@ def load_yaml(text, source: str):
         raise ConfigError(f"cannot parse {source}: {exc}") from exc
 
 
+def mapping(raw, path: str) -> dict:
+    """``raw``, the value at ``path`` in a loaded file, once it is a mapping;
+    anything else raises ``ConfigError`` naming ``path``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path} must be a mapping")
+    return raw
+
+
 def known_keys(raw, path: str, allowed) -> dict:
     """``raw``, the mapping at ``path`` in a loaded file, once it holds no key
     outside ``allowed``; a misspelt key raises ``ConfigError`` naming both."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path} must be a mapping")
-    for key in raw:
+    for key in mapping(raw, path):
         if key not in allowed:
             raise ConfigError(
                 f"{path}: unknown key {key!r}; expected one of {', '.join(allowed)}"

@@ -14,19 +14,26 @@ variable is summed out, the one whose intermediate factor is smallest first
 same contraction keeping one node or every node. No factor above
 ``JOINT_STATE_CAP`` entries is ever allocated: a model that would need one
 raises ``CapacityError`` before the allocation.
+
+A ``CausalModel`` is read-only, so what is derived from it holds for the
+object's lifetime: its graph maps, its checked parent map and each CPT
+factor are built on first use and kept on the object. A check that fails
+keeps nothing and raises again on the next call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from ._yaml import known_keys, load_yaml
+from ._yaml import known_keys, load_yaml, mapping
 from .errors import CapacityError, ConfigError, DomainError, StructureError
 
 JOINT_STATE_CAP = 10**6
@@ -43,24 +50,59 @@ Assignment = tuple[Value, ...]
 Cpt = Mapping[Assignment, tuple[float, ...]]
 # A factor's scope (node names, one per axis) and its values.
 Factor = tuple[tuple[str, ...], np.ndarray]
+# node -> sorted parents (or children)
+ParentMap = Mapping[str, tuple[str, ...]]
 
 
 @dataclass(frozen=True)
 class CausalModel:
+    """A finite Bayesian network with a protected and an outcome node.
+
+    The constructor stores read-only copies: ``domains`` and ``cpts`` are
+    ``MappingProxyType`` objects holding tuples (each CPT a read-only mapping
+    of row tuples) and ``edges`` is a tuple of pairs, so a dict the caller
+    changes later cannot change a model that has been checked.
+    """
+
     domains: Mapping[str, tuple[Value, ...]]
     edges: tuple[tuple[str, str], ...]
     cpts: Mapping[str, Cpt]
     protected: str
     outcome: str
 
+    def __post_init__(self):
+        freeze = object.__setattr__
+        freeze(
+            self,
+            "domains",
+            MappingProxyType({n: tuple(dom) for n, dom in self.domains.items()}),
+        )
+        freeze(self, "edges", tuple((u, v) for u, v in self.edges))
+        freeze(
+            self,
+            "cpts",
+            MappingProxyType(
+                {
+                    n: MappingProxyType({k: tuple(row) for k, row in cpt.items()})
+                    for n, cpt in self.cpts.items()
+                }
+            ),
+        )
+        # node -> read-only CPT factor, filled by ``_contract`` as it needs them
+        freeze(self, "_factors", {})
+
     def parents(self, node: str) -> tuple[str, ...]:
         return tuple(sorted(u for u, v in self.edges if v == node))
 
-    def validate(self) -> dict[str, tuple[str, ...]]:
-        """Raise ``StructureError`` unless the edges form a DAG over the
-        declared nodes and every node has a valid CPT; return the parent map
-        (node -> sorted parents)."""
-        parent_map, _ = _graph(self.domains, self.edges)
+    @functools.cached_property
+    def _maps(self) -> tuple[ParentMap, ParentMap]:
+        """Read-only parent and child maps, from ``_graph``."""
+        parents, children = _graph(self.domains, self.edges)
+        return MappingProxyType(parents), MappingProxyType(children)
+
+    @functools.cached_property
+    def _checked_parents(self) -> ParentMap:
+        parent_map = self._maps[0]
         for special, name in ((self.protected, "protected"), (self.outcome, "outcome")):
             if special not in self.domains:
                 raise StructureError(f"{name} node {special!r} not in model")
@@ -103,6 +145,15 @@ class CausalModel:
                         f"node {node!r}: CPT row {key} sums to {sum(row):.12g}"
                     )
         return parent_map
+
+    def validate(self) -> ParentMap:
+        """Raise ``StructureError`` unless the edges form a DAG over the
+        declared nodes and every node has a valid CPT; return the read-only
+        parent map (node -> sorted parents).
+
+        The check runs once per model; a model that failed it fails again on
+        every call."""
+        return self._checked_parents
 
 
 @dataclass(frozen=True)
@@ -216,15 +267,19 @@ def _contract(
         if node == drop:
             continue
         scope = (*parents[node], node)
-        _check_size(math.prod(sizes[v] for v in scope), f"CPT of {node!r}")
-        rows = [
-            m.cpts[node][key]
-            for key in itertools.product(*(m.domains[p] for p in parents[node]))
-        ]
-        factors[len(factors)] = (
-            scope,
-            np.array(rows, dtype=np.float64).reshape([sizes[v] for v in scope]),
-        )
+        values = m._factors.get(node)
+        if values is None:
+            _check_size(math.prod(sizes[v] for v in scope), f"CPT of {node!r}")
+            rows = [
+                m.cpts[node][key]
+                for key in itertools.product(*(m.domains[p] for p in parents[node]))
+            ]
+            values = np.array(rows, dtype=np.float64).reshape(
+                [sizes[v] for v in scope]
+            )
+            values.setflags(write=False)
+            m._factors[node] = values
+        factors[len(factors)] = (scope, values)
     for fid, (scope, _) in factors.items():
         for v in scope:
             incidence[v][fid] = None
@@ -332,7 +387,7 @@ def d_separated(
                 raise DomainError(f"unknown node {node!r} in {name}")
     if sources & targets or sources & given or targets & given:
         raise DomainError("sources, targets and given must be disjoint")
-    parents, children = _graph(m.domains, m.edges)
+    parents, children = m._maps
     # Bayes-ball: states are (node, direction), direction is the edge
     # orientation by which the node was entered ('up' = from a child). Only a
     # given collider opens: a ball passed down to a given descendant of a
@@ -369,7 +424,7 @@ def unresolved_discrimination(m: CausalModel, resolving: set[str]) -> bool:
             raise StructureError(f"unknown resolving node {node!r}")
     if m.protected not in m.domains or m.outcome not in m.domains:
         raise StructureError("protected or outcome node missing")
-    _, children = _graph(m.domains, m.edges)
+    children = m._maps[1]
     blocked = resolving - {m.protected, m.outcome}
     stack = [m.protected]
     seen = set()
@@ -398,21 +453,23 @@ def load_causal_model(path) -> CausalModel:
     with open(path, "r", encoding="utf-8") as fh:
         raw = load_yaml(fh, path)
     keys = ("nodes", "edges", "protected", "outcome", "cpts")
-    known_keys(raw, f"causal model file {path}", keys)
+    where = f"causal model file {path}"
+    known_keys(raw, where, keys)
     try:
         domains = {
-            str(k): tuple(str(v) for v in vs) for k, vs in raw["nodes"].items()
+            str(k): tuple(str(v) for v in vs)
+            for k, vs in mapping(raw["nodes"], f"{where}: nodes").items()
         }
         edges = tuple((str(u), str(v)) for u, v in raw.get("edges", []))
         protected = str(raw["protected"])
         outcome = str(raw["outcome"])
         parent_map, _ = _graph(domains, edges)
         cpts = {}
-        for node, rows in raw["cpts"].items():
+        for node, rows in mapping(raw["cpts"], f"{where}: cpts").items():
             node = str(node)
             parents = parent_map.get(node, ())
             table = {}
-            for key, row in rows.items():
+            for key, row in mapping(rows, f"{where}: cpts.{node}").items():
                 key = "" if key is None else str(key)
                 if key == "":
                     pk: Assignment = ()

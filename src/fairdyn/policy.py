@@ -21,6 +21,17 @@ if TYPE_CHECKING:
     from .metrics import OutcomeModel
 
 
+def _acceptance_vector(group_id: str, tau: Sequence[float]) -> np.ndarray:
+    """``tau`` as a read-only vector, once every entry lies in [0, 1]."""
+    tau = _vector(tau)
+    # Written so that NaN fails the check too.
+    if not np.all((tau >= 0) & (tau <= 1)):
+        raise DomainError(
+            f"group {group_id!r}: acceptance entries outside [0,1] or NaN"
+        )
+    return tau
+
+
 @dataclass(frozen=True, eq=False)
 class Policy:
     """Acceptance probability per bin, keyed by group label; every entry is
@@ -30,15 +41,19 @@ class Policy:
     acceptance: Mapping[str, np.ndarray]
 
     def __post_init__(self):
-        acc = {}
-        for gid, tau in self.acceptance.items():
-            acc[gid] = tau = _vector(tau)
-            # Written so that NaN fails the check too.
-            if not np.all((tau >= 0) & (tau <= 1)):
-                raise DomainError(
-                    f"group {gid!r}: acceptance entries outside [0,1] or NaN"
-                )
+        acc = {
+            gid: _acceptance_vector(gid, tau) for gid, tau in self.acceptance.items()
+        }
         object.__setattr__(self, "acceptance", MappingProxyType(acc))
+
+    def _with_tau(self, group_id: str, tau: Sequence[float]) -> "Policy":
+        """This policy with ``group_id``'s vector replaced by ``tau``. Only
+        ``tau`` is checked: the other vectors are this policy's own, already
+        checked and read-only."""
+        new = object.__new__(Policy)
+        acc = {**self.acceptance, group_id: _acceptance_vector(group_id, tau)}
+        object.__setattr__(new, "acceptance", MappingProxyType(acc))
+        return new
 
     def tau(self, group_id: str) -> np.ndarray:
         if group_id not in self.acceptance:

@@ -603,7 +603,7 @@ class _ScenarioEngine:
         tau[bins[0] + 1 :] = 1.0
         tau[bins[0]] = fractions[0]
         mass[j] = _accepted_mass((group,), (tau,))[0]
-        return Policy({**pol.acceptance, iv.group: tau})
+        return pol._with_tau(iv.group, tau)
 
     def flags_fn(self, t: int) -> tuple[bool, ...]:
         return self.flags.get(t, ())

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import os
 import subprocess
 import sys
@@ -634,6 +635,80 @@ class TestValidate:
             m.validate()
 
 
+class TestReadOnlyModel:
+    def model(self):
+        return binary_model(
+            [("A", "F")], {"A": root(0.3), "F": child({(0,): 0.1, (1,): 0.9})}
+        )
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: operator.setitem(m.cpts, "A", root(0.5)),
+            lambda m: operator.delitem(m.cpts, "A"),
+            lambda m: operator.setitem(m.cpts["F"], (0,), (0.5, 0.5)),
+            lambda m: operator.setitem(m.domains, "A", (0, 1, 2)),
+            lambda m: operator.setitem(m.validate(), "F", ()),
+        ],
+        ids=["cpts", "cpts_del", "cpt_rows", "domains", "parent_map"],
+    )
+    def test_model_cannot_be_edited(self, edit):
+        m = self.model()
+        gap = counterfactual_fairness_gap(m)
+        with pytest.raises(TypeError):
+            edit(m)
+        assert counterfactual_fairness_gap(m) == gap
+
+    def test_changing_the_constructor_arguments_changes_nothing(self):
+        domains = {"A": [0, 1], "F": [0, 1]}
+        edges = [("A", "F")]
+        rows = {(0,): [0.9, 0.1], (1,): [0.1, 0.9]}
+        cpts = {"A": root(0.3), "F": rows}
+        m = CausalModel(domains, edges, cpts, "A", "F")
+        before = (counterfactual_fairness_gap(m), marginal(m, "F"))
+        domains["A"].append(2)
+        domains["Z"] = [0]
+        edges.append(("F", "A"))
+        rows[(0,)][0] = 5.0
+        cpts["F"] = root(0.5)
+        assert m.domains == {"A": (0, 1), "F": (0, 1)}
+        assert m.edges == (("A", "F"),)
+        assert m.cpts["F"] == {(0,): (0.9, 0.1), (1,): (0.1, 0.9)}
+        assert (counterfactual_fairness_gap(m), marginal(m, "F")) == before
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda m: m.validate(),
+            counterfactual_fairness_gap,
+            lambda m: proxy_discrimination_gap(m, "A"),
+            lambda m: marginal(m, "F"),
+            joint_distribution,
+        ],
+        ids=["validate", "cf", "proxy", "marginal", "joint"],
+    )
+    def test_an_invalid_model_fails_every_call(self, check):
+        m = binary_model(
+            [("A", "F")], {"A": root(0.3), "F": {(0,): (0.5, 0.2), (1,): (0.1, 0.9)}}
+        )
+        for _ in range(3):
+            with pytest.raises(StructureError, match="sums to 0.7"):
+                check(m)
+
+    def test_graph_checks_ignore_a_bad_cpt(self):
+        # The graph checks read only the graph, even after a CPT check failed.
+        m = binary_model(
+            [("A", "M"), ("M", "F")],
+            {"A": root(0.3), "M": {(0,): (0.5, 0.2)}, "F": root(2.0)},
+        )
+        for _ in range(2):
+            with pytest.raises(StructureError):
+                m.validate()
+            assert d_separated(m, {"A"}, {"F"}, {"M"}) is True
+            assert unresolved_discrimination(m, {"M"}) is False
+            assert unresolved_discrimination(m, set()) is True
+
+
 def random_model(rng, max_nodes=5, sizes=(2, 3)):
     """Random DAG whose nodes take string values; the protected node is
     binary, every other node draws its domain size from ``sizes``."""
@@ -675,6 +750,51 @@ def assert_matches_oracle(m):
         if len(dom) == 2:
             gap = proxy_discrimination_gap(m, node)
             assert abs(gap - oracle.interventional_gap(m, node)) <= 1e-12
+
+
+@st.composite
+def models(draw, max_nodes=6):
+    """A DAG from ``dags`` whose nodes take two or three string values (the
+    protected node two), with CPT rows of small integer weights, zeros
+    included, normalised to sum to 1."""
+    g = draw(dags(max_nodes))
+    domains = {
+        v: ("lo", "mid", "hi")[: 2 if v == g.protected else draw(st.integers(2, 3))]
+        for v in sorted(g.domains)
+    }
+    cpts = {}
+    for node, dom in domains.items():
+        cpts[node] = {}
+        for key in itertools.product(*(domains[p] for p in g.parents(node))):
+            w = draw(st.lists(st.integers(0, 4), min_size=len(dom), max_size=len(dom)))
+            w[0] += sum(w) == 0
+            cpts[node][key] = tuple(x / sum(w) for x in w)
+    return CausalModel(domains, g.edges, cpts, g.protected, g.outcome)
+
+
+def every_check(m):
+    """Every check's results on ``m``, as reprs, so equal lists are equal bit
+    for bit."""
+    names = sorted(m.domains)
+    out = [counterfactual_fairness_gap(m)]
+    out += [proxy_discrimination_gap(m, v) for v in names if len(m.domains[v]) == 2]
+    out += [marginal(m, v) for v in names]
+    out += [joint_distribution(m), m.validate()]
+    out += [d_separated(m, {m.protected}, {m.outcome}, set())]
+    out += [unresolved_discrimination(m, set(names[:2]))]
+    return [repr(x) for x in out]
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=models())
+def test_kept_structure_gives_a_fresh_models_results(m):
+    # The first pass fills the model's kept maps and factors; the second reads
+    # them. A fresh model built from the same values derives everything anew.
+    cold = every_check(m)
+    assert every_check(m) == cold
+    fresh = CausalModel(m.domains, m.edges, m.cpts, m.protected, m.outcome)
+    assert every_check(fresh) == cold
+    assert_matches_oracle(m)
 
 
 class TestEliminationAgainstEnumeration:

@@ -195,8 +195,16 @@ class TestYamlFiles:
             # The same CPT row twice, with different probabilities.
             (lambda text: text + '    "D=1,X=1": [0.8, 0.2]\n',
              "found duplicate key 'D=1,X=1'"),
+            # Lists where the schema wants mappings.
+            (lambda text: re.sub(r"nodes:\n(  .*\n)+", "nodes: [A, D, X, Y]\n", text),
+             "nodes must be a mapping"),
+            (lambda text: text[: text.index("\ncpts:")] + "\ncpts: [A, D, X, Y]\n",
+             "cpts must be a mapping"),
+            (lambda text: text.replace('  A:\n    "": [0.5, 0.5]', "  A: [0.5, 0.5]"),
+             "cpts.A must be a mapping"),
         ],
-        ids=["syntax_error", "repeated_cpt_row"],
+        ids=["syntax_error", "repeated_cpt_row", "nodes_list", "cpts_list",
+             "cpt_rows_list"],
     )
     def test_causal_model_exit_1(self, tmp_path, capsys, edit, message):
         with open(CAUSAL_MODEL, encoding="utf-8") as fh:

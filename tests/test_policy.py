@@ -246,3 +246,20 @@ def test_acceptance_is_read_only():
     # A copy with one group replaced is a new, checked policy.
     other = Policy({**pol.acceptance, "b": [1.0, 0.0]})
     assert other.group_ids == ("a", "b") and other.tau("a").tolist() == [0.5, 0.5]
+
+
+def test_replacing_one_vector_checks_only_that_vector():
+    pol = Policy({"a": [0.5, 0.5], "b": [1.0, 0.0], "c": [0.0, 1.0]})
+    tau = np.array([0.25, 1.0])
+    new = pol._with_tau("b", tau)
+    assert new.group_ids == ("a", "b", "c")
+    # The other groups' checked vectors are shared, not copied.
+    assert new.tau("a") is pol.tau("a") and new.tau("c") is pol.tau("c")
+    assert new.tau("b").tolist() == [0.25, 1.0] and not new.tau("b").flags.writeable
+    tau[0] = 0.5
+    assert new.tau("b").tolist() == [0.25, 1.0]
+    assert pol.tau("b").tolist() == [1.0, 0.0]
+    with pytest.raises(TypeError):
+        new.acceptance["b"] = np.zeros(2)
+    with pytest.raises(DomainError, match="group 'b'"):
+        pol._with_tau("b", [0.5, np.nan])

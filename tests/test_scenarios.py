@@ -689,13 +689,15 @@ class TestAcceptedMass:
 
 
 def with_three_interventions(
-    horizon, groups=3, bins=12, order=None, rule=None, share=0.6, strength=0.05
+    horizon, groups=3, bins=12, order=None, rule=None, share=0.6, strength=0.05,
+    labels=None,
 ):
-    """A scenario of ``groups`` groups, listed in ``order``, under ``rule``
-    (``max_utility`` by default), with a quota of ``share``, a pipeline and
-    role-model feedback of ``strength`` on the last group."""
+    """A scenario of ``groups`` groups, labelled ``labels`` (``g0``, ``g1``, ...
+    by default) and listed in ``order``, under ``rule`` (``max_utility`` by
+    default), with a quota of ``share``, a pipeline and role-model feedback
+    of ``strength`` on the last group."""
     rng = np.random.default_rng(7)
-    ids = [f"g{i}" for i in range(groups)]
+    ids = list(labels or (f"g{i}" for i in range(groups)))
     pmfs = rng.random((groups, bins)) + 0.05
     pmfs /= pmfs.sum(axis=1, keepdims=True)
     shares = rng.random(groups) + 0.5
@@ -747,6 +749,27 @@ class TestInvariants:
         for name in ("utility", "dp_gap", "eo_gap", "eodds_gap"):
             np.testing.assert_allclose(
                 getattr(moved, name), getattr(base, name), **close, err_msg=name
+            )
+
+    def test_relabelling_the_groups_changes_no_column(self):
+        # New labels that sort in another order than the old ones.
+        labels = ("zeta", "alpha", "mu")
+        base = run_scenario(with_three_interventions(60)).columns
+        moved = run_scenario(with_three_interventions(60, labels=labels)).columns
+        assert moved.group_ids == labels
+        assert moved.metric_pair == ("zeta", "mu")
+        # The quota binds at some steps and not at others.
+        assert 1 < len({id(pol) for pol in base.policies}) < len(base.policies)
+        arrays = [k for k, v in vars(base).items() if isinstance(v, np.ndarray)]
+        for name in arrays:
+            a, b = getattr(base, name), getattr(moved, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        for pa, pb in zip(base.policies, moved.policies):
+            assert pb.group_ids == labels
+            assert all(
+                pa.tau(old).tobytes() == pb.tau(new).tobytes()
+                for old, new in zip(base.group_ids, labels)
             )
 
     def test_mass_is_conserved_over_the_longest_horizon(self):
