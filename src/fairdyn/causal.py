@@ -91,6 +91,20 @@ class CausalModel:
         # node -> read-only CPT factor, filled by ``_contract`` as it needs them
         freeze(self, "_factors", {})
 
+    def __reduce__(self):
+        # A mappingproxy does not pickle: rebuild from plain dicts through the
+        # constructor. The kept structure and factors are derived again.
+        return (
+            CausalModel,
+            (
+                dict(self.domains),
+                self.edges,
+                {n: dict(cpt) for n, cpt in self.cpts.items()},
+                self.protected,
+                self.outcome,
+            ),
+        )
+
     def parents(self, node: str) -> tuple[str, ...]:
         return tuple(sorted(u for u, v in self.edges if v == node))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -99,6 +99,13 @@ class TrajectoryColumns:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
+
+    def __reduce__(self):
+        # Through the constructor, so a loaded run's arrays are read-only.
+        return (
+            TrajectoryColumns,
+            tuple(getattr(self, f.name) for f in fields(self)),
+        )
 
     def record(self, t: int) -> TrajectoryStep:
         """Step ``t`` as a ``TrajectoryStep``; its population is a view over

@@ -5,24 +5,30 @@ are within-group utility-optimal whenever the success probability is
 nondecreasing in score. That makes the search one-dimensional (a common
 rate or true-positive rate on a uniform grid) and exactly auditable by
 brute force.
+
+Each search is a plan, built and checked once for a run's groups and grid,
+and a scoring pass over one population (:func:`search`). The public
+policy functions build a plan and score it once.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .errors import DomainError, InfeasibilityError
 from .metrics import OutcomeModel
 from .policy import (
-    GroupThreshold,
     InstitutionModel,
     Policy,
-    RandomizedThresholdPolicy,
+    _threshold_levels,
+    _threshold_tau,
+    _top_sums,
     institution_utility,
-    threshold_levels,
     threshold_values,
 )
 from .population import GroupState, Population
@@ -69,22 +75,34 @@ def rates_for_tpr(
     qualified mass does not reach accepts the whole group.
     """
     pmf = group.pmf
+    return _rates_for_tpr(
+        group.group_id, pmf, _top_sums(pmf), rho, np.asarray(tprs, dtype=float)
+    )
+
+
+def _rates_for_tpr(
+    group_id: str,
+    pmf: np.ndarray,
+    reach: np.ndarray,
+    rho: np.ndarray,
+    tprs: np.ndarray,
+) -> np.ndarray:
+    """:func:`rates_for_tpr` for a float array of levels; ``reach`` is
+    ``_top_sums(pmf)``, the mass of the top k bins."""
     qualified = float(pmf @ rho)
     if qualified <= 0:
-        raise DomainError(f"group {group.group_id!r} has zero qualified mass")
-    need = np.asarray(tprs, dtype=float) * qualified
-    top_pmf = pmf[::-1]
-    top_contrib = top_pmf * rho[::-1]
-    got = np.cumsum(top_contrib)  # qualified mass of the top k+1 bins
-    rate = np.cumsum(top_pmf)  # mass of the top k+1 bins
-    candidates = np.flatnonzero(top_contrib > 0)
-    j = np.searchsorted(got[candidates], need, side="left")
+        raise DomainError(f"group {group_id!r} has zero qualified mass")
+    need = tprs * qualified
+    n = len(pmf)
+    contrib = pmf * rho
+    got = _top_sums(contrib)  # qualified mass of the top k bins
+    # The top-down positions of the bins that hold qualified mass.
+    candidates = (contrib[::-1] > 0).nonzero()[0]
+    j = got[candidates + 1].searchsorted(need, side="left")
     k = candidates[np.minimum(j, len(candidates) - 1)]
-    got_above = np.concatenate(([0.0], got))[k]
-    rate_above = np.concatenate(([0.0], rate))[k]
-    frac = (need - got_above) / top_contrib[k]
+    frac = (need - got[k]) / contrib[n - 1 - k]
     rates = np.where(
-        j < len(candidates), rate_above + frac * top_pmf[k], rate[-1]
+        j < len(candidates), reach[k] + frac * pmf[n - 1 - k], reach[n]
     )
     return np.minimum(rates, 1.0)
 
@@ -94,6 +112,108 @@ class ConstrainedResult:
     policy: Policy
     level: float
     utility: float
+
+
+def _groups(plan_ids: tuple[str, ...], pop: Population) -> tuple[GroupState, ...]:
+    """``pop``'s groups, once their labels are the plan's, in its order."""
+    groups = pop.groups
+    if len(groups) != len(plan_ids) or any(
+        g.group_id != gid for g, gid in zip(groups, plan_ids)
+    ):
+        raise DomainError(
+            f"search plan for groups {list(plan_ids)} given groups "
+            f"{list(pop.group_ids)}"
+        )
+    return groups
+
+
+def _threshold_policy(
+    n: int, thresholds: Mapping[str, tuple[int, float]]
+) -> Policy:
+    """The policy of each group's randomized threshold ``(bin, boundary)``
+    over ``n`` bins, as ``RandomizedThresholdPolicy.expand`` builds it."""
+    return Policy(
+        {gid: _threshold_tau(n, b, f) for gid, (b, f) in thresholds.items()}
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class ConstrainedPlan:
+    """What a constrained search needs besides a population's pmfs and
+    proportions, built and checked once by :func:`constrained_plan`.
+
+    ``utility`` holds each group's per-bin institution utility; ``rho`` each
+    group's success probabilities for an equal-opportunity search, ``None``
+    for demographic parity."""
+
+    group_ids: tuple[str, str]
+    n_bins: int
+    levels: np.ndarray
+    utility: tuple[np.ndarray, np.ndarray]
+    rho: Optional[tuple[np.ndarray, np.ndarray]]
+
+    def score(self, pop: Population) -> tuple[Policy, float]:
+        """The best policy for ``pop`` and its level. All levels are scored
+        in one pass per group; only the winner is expanded."""
+        groups = _groups(self.group_ids, pop)
+        levels = self.levels
+        utility = np.zeros(len(levels))
+        searched = {}
+        for i, g in enumerate(groups):
+            pmf = g.pmf
+            reach = _top_sums(pmf)
+            rates = levels
+            if self.rho is not None:
+                rates = _rates_for_tpr(g.group_id, pmf, reach, self.rho[i], levels)
+            bins, fractions = _threshold_levels(pmf, rates, reach)
+            utility = utility + g.proportion * threshold_values(
+                pmf, self.utility[i], bins, fractions
+            )
+            searched[g.group_id] = (bins, fractions)
+        # The largest of the levels with the highest utility.
+        best = len(levels) - 1 - int(np.argmax(utility[::-1]))
+        policy = _threshold_policy(
+            self.n_bins,
+            {
+                gid: (int(bins[best]), float(fractions[best]))
+                for gid, (bins, fractions) in searched.items()
+            },
+        )
+        return policy, float(levels[best])
+
+
+def constrained_plan(
+    pop: Population,
+    outcome: OutcomeModel,
+    inst: InstitutionModel,
+    constraint: Constraint,
+    resolution: float = DEFAULT_RESOLUTION,
+) -> ConstrainedPlan:
+    """The plan of a constrained search over populations with ``pop``'s
+    groups and grid: the level grid and each group's per-bin utility, with
+    the two-group and (for equal opportunity) monotone-``rho`` checks."""
+    if len(pop.groups) != 2:
+        raise DomainError("constrained optimization needs exactly two groups")
+    levels = rate_grid(resolution)
+    eo = constraint is Constraint.EQUAL_OPPORTUNITY
+    utility = []
+    rhos = []
+    for gid in pop.group_ids:
+        rho = outcome.rho_for(gid)
+        if eo and np.any(np.diff(rho) < 0):
+            raise DomainError(
+                f"group {gid!r}: rho must be nondecreasing in score "
+                "for equal-opportunity search"
+            )
+        rhos.append(rho)
+        utility.append(inst.per_bin_utility(rho))
+    return ConstrainedPlan(
+        pop.group_ids,
+        len(pop.grid),
+        levels,
+        tuple(utility),
+        tuple(rhos) if eo else None,
+    )
 
 
 def constrained_policy(
@@ -109,40 +229,101 @@ def constrained_policy(
     opportunity both share a true-positive rate. Each candidate level is
     realized exactly per group by a randomized threshold; the level with the
     highest institution utility wins, ties broken toward the larger level.
-    All levels are scored in one pass; only the winner is expanded.
     """
-    if len(pop.groups) != 2:
-        raise DomainError("constrained optimization needs exactly two groups")
-    levels = rate_grid(resolution)
-    utility = np.zeros(len(levels))
-    searched = []
-    for g in pop.groups:
-        rho = outcome.rho_for(g.group_id)
-        rates = levels
-        if constraint is Constraint.EQUAL_OPPORTUNITY:
-            if np.any(np.diff(rho) < 0):
-                raise DomainError(
-                    f"group {g.group_id!r}: rho must be nondecreasing in score "
-                    "for equal-opportunity search"
-                )
-            rates = rates_for_tpr(g, rho, levels)
-        pmf = g.pmf
-        bins, fractions = threshold_levels(pmf, rates)
-        utility = utility + g.proportion * threshold_values(
-            pmf, inst.per_bin_utility(rho), bins, fractions
-        )
-        searched.append((g.group_id, bins, fractions))
-    best = len(levels) - 1 - int(np.argmax(utility[::-1]))
-    policy = RandomizedThresholdPolicy(
-        {
-            gid: GroupThreshold(int(bins[best]), float(fractions[best]))
-            for gid, bins, fractions in searched
-        }
-    ).expand(pop.grid)
+    plan = constrained_plan(pop, outcome, inst, constraint, resolution)
+    policy, level = plan.score(pop)
     return ConstrainedResult(
-        policy,
-        float(levels[best]),
-        institution_utility(policy, pop, outcome, inst),
+        policy, level, institution_utility(policy, pop, outcome, inst)
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class OutcomeOptimalPlan:
+    """What an outcome-optimal search needs besides a population's pmfs and
+    proportions, built and checked once by :func:`outcome_optimal_plan`.
+
+    ``utility`` holds each group's per-bin institution utility, ``change``
+    the target group's per-bin expected score change and ``target`` its
+    index in ``group_ids``."""
+
+    group_ids: tuple[str, ...]
+    n_bins: int
+    levels: np.ndarray
+    utility: tuple[np.ndarray, ...]
+    target: int
+    change: np.ndarray
+    utility_floor: float
+
+    def score(self, pop: Population) -> tuple[Policy, float]:
+        """The best policy for ``pop`` and the target group's rate."""
+        groups = _groups(self.group_ids, pop)
+        levels = self.levels
+
+        # Per group the utility of a threshold policy at each rate is
+        # independent of other groups, so evaluate each axis once.
+        def axis(i: int, group: GroupState):
+            pmf = group.pmf
+            bins, fractions = _threshold_levels(pmf, levels)
+            utils = group.proportion * threshold_values(
+                pmf, self.utility[i], bins, fractions
+            )
+            return bins, fractions, utils
+
+        # Other groups do not affect the objective: give each its
+        # utility-best rate so the floor is as easy to satisfy as possible.
+        thresholds = {}
+        other_util = 0.0
+        for i, g in enumerate(groups):
+            if i == self.target:
+                continue
+            bins, fractions, utils = axis(i, g)
+            k = int(np.argmax(utils))
+            thresholds[g.group_id] = (int(bins[k]), float(fractions[k]))
+            other_util += float(utils[k])
+
+        target = groups[self.target]
+        bins, fractions, target_utils = axis(self.target, target)
+        dmus = threshold_values(target.pmf, self.change, bins, fractions)
+        utils = other_util + target_utils
+        feasible = np.flatnonzero(utils >= self.utility_floor)
+        if len(feasible) == 0:
+            max_util = other_util + float(target_utils.max())
+            raise InfeasibilityError(
+                f"utility floor {self.utility_floor} infeasible; maximum "
+                f"achievable utility is {max_util:.12g}"
+            )
+        # lexsort sorts by its last key first, so the last index is the
+        # level with the largest (dmu, utility, -rate).
+        order = np.lexsort((-levels[feasible], utils[feasible], dmus[feasible]))
+        best = int(feasible[order[-1]])
+        thresholds[target.group_id] = (int(bins[best]), float(fractions[best]))
+        return _threshold_policy(self.n_bins, thresholds), float(levels[best])
+
+
+def outcome_optimal_plan(
+    pop: Population,
+    outcome: OutcomeModel,
+    inst: InstitutionModel,
+    target_group: str,
+    utility_floor: float = float("-inf"),
+    resolution: float = DEFAULT_RESOLUTION,
+) -> OutcomeOptimalPlan:
+    """The plan of an outcome-optimal search over populations with ``pop``'s
+    groups and grid: the known-target check, the level grid, each group's
+    per-bin utility and the target's per-bin score change."""
+    pop.group(target_group)  # raises KeyError if unknown
+    if math.isnan(utility_floor):
+        raise DomainError(f"utility floor {utility_floor} is not a number")
+    levels = rate_grid(resolution)
+    ids = pop.group_ids
+    return OutcomeOptimalPlan(
+        ids,
+        len(pop.grid),
+        levels,
+        tuple(inst.per_bin_utility(outcome.rho_for(gid)) for gid in ids),
+        ids.index(target_group),
+        outcome.score_change(target_group, pop.grid),
+        utility_floor,
     )
 
 
@@ -161,50 +342,13 @@ def outcome_optimal_policy(
     floor, and among those maximizes the target group's expected change.
     Ties break toward higher utility, then lower target acceptance rate.
     """
-    target = pop.group(target_group)  # raises KeyError if unknown
-    levels = rate_grid(resolution)
-
-    # Per group the utility of a threshold policy at each rate is independent
-    # of other groups, so evaluate each axis once.
-    def axis(group: GroupState):
-        pmf = group.pmf
-        bins, fractions = threshold_levels(pmf, levels)
-        per_bin = inst.per_bin_utility(outcome.rho_for(group.group_id))
-        utils = group.proportion * threshold_values(pmf, per_bin, bins, fractions)
-        return bins, fractions, utils
-
-    # Other groups do not affect the objective: give each its utility-best
-    # rate so the floor is as easy to satisfy as possible.
-    thresholds = {}
-    other_util = 0.0
-    for g in pop.groups:
-        if g.group_id == target_group:
-            continue
-        bins, fractions, utils = axis(g)
-        k = int(np.argmax(utils))
-        thresholds[g.group_id] = GroupThreshold(int(bins[k]), float(fractions[k]))
-        other_util += float(utils[k])
-
-    bins, fractions, target_utils = axis(target)
-    dmus = threshold_values(
-        target.pmf,
-        outcome.score_change(target_group, pop.grid),
-        bins,
-        fractions,
+    plan = outcome_optimal_plan(
+        pop, outcome, inst, target_group, utility_floor, resolution
     )
-    utils = other_util + target_utils
-    feasible = np.flatnonzero(utils >= utility_floor)
-    if len(feasible) == 0:
-        max_util = other_util + float(target_utils.max())
-        raise InfeasibilityError(
-            f"utility floor {utility_floor} infeasible; maximum achievable "
-            f"utility is {max_util:.12g}"
-        )
-    # lexsort sorts by its last key first, so the last index is the level
-    # with the largest (dmu, utility, -rate).
-    order = np.lexsort((-levels[feasible], utils[feasible], dmus[feasible]))
-    best = int(feasible[order[-1]])
-    thresholds[target_group] = GroupThreshold(
-        int(bins[best]), float(fractions[best])
-    )
-    return RandomizedThresholdPolicy(thresholds).expand(pop.grid)
+    return plan.score(pop)[0]
+
+
+def search(plan: ConstrainedPlan | OutcomeOptimalPlan, pop: Population) -> Policy:
+    """The policy ``plan``'s search selects for ``pop``: one scoring pass
+    over the population's pmfs and proportions."""
+    return plan.score(pop)[0]

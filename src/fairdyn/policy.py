@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ def _acceptance_vector(group_id: str, tau: Sequence[float]) -> np.ndarray:
     """``tau`` as a read-only vector, once every entry lies in [0, 1]."""
     tau = _vector(tau)
     # Written so that NaN fails the check too.
-    if not np.all((tau >= 0) & (tau <= 1)):
+    if not ((tau >= 0) & (tau <= 1)).all():
         raise DomainError(
             f"group {group_id!r}: acceptance entries outside [0,1] or NaN"
         )
@@ -45,6 +45,11 @@ class Policy:
             gid: _acceptance_vector(gid, tau) for gid, tau in self.acceptance.items()
         }
         object.__setattr__(self, "acceptance", MappingProxyType(acc))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle: rebuild from a plain dict through
+        # the constructor, which checks the vectors and makes them read-only.
+        return (Policy, (dict(self.acceptance),))
 
     def _with_tau(self, group_id: str, tau: Sequence[float]) -> "Policy":
         """This policy with ``group_id``'s vector replaced by ``tau``. Only
@@ -95,10 +100,9 @@ class RandomizedThresholdPolicy:
                     f"group {gid!r}: boundary acceptance {th.boundary_acceptance} "
                     "outside [0,1]"
                 )
-            tau = np.zeros(n)
-            tau[th.threshold_bin + 1 :] = 1.0
-            tau[th.threshold_bin] = th.boundary_acceptance
-            arrays[gid] = tau
+            arrays[gid] = _threshold_tau(
+                n, th.threshold_bin, th.boundary_acceptance
+            )
         return Policy.from_arrays(arrays)
 
 
@@ -149,16 +153,35 @@ def threshold_levels(
     # Written so that NaN fails the check too.
     if not np.all((rates >= 0.0) & (rates <= 1.0)):
         raise DomainError(f"target rate outside [0,1] in {rates}")
+    return _threshold_levels(pmf, rates)
+
+
+def _top_sums(values: np.ndarray) -> np.ndarray:
+    """``out[k]``: the sum of the top ``k`` entries of ``values``, summed
+    sequentially from the last entry down; ``out[0]`` is 0."""
+    out = np.empty(len(values) + 1)
+    out[0] = 0.0
+    values[::-1].cumsum(out=out[1:])
+    return out
+
+
+def _threshold_levels(
+    pmf: np.ndarray, rates: np.ndarray, reach: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`threshold_levels` for a float array of rates already known to
+    lie in [0, 1]; ``reach`` is ``_top_sums(pmf)`` if the caller has it."""
     n = len(pmf)
-    reach = np.cumsum(pmf[::-1])  # mass of the top k+1 bins
-    k = np.minimum(np.searchsorted(reach, rates, side="left"), n - 1)
+    if reach is None:
+        reach = _top_sums(pmf)
+    k = np.minimum(reach[1:].searchsorted(rates, side="left"), n - 1)
     bins = n - 1 - k
-    above = np.concatenate(([0.0], reach))[k]
     mass = pmf[bins]
     fractions = np.divide(
-        rates - above, mass, out=np.zeros_like(rates), where=mass > 0
+        rates - reach[k], mass, out=np.zeros(len(rates)), where=mass > 0
     )
-    return bins, np.clip(fractions, 0.0, 1.0)
+    # ``reach[k] < rate`` unless both are 0, so no fraction is negative;
+    # rounding can put one above 1.
+    return bins, np.minimum(fractions, 1.0, out=fractions)
 
 
 def threshold_values(
@@ -169,8 +192,17 @@ def threshold_values(
     of them: the weighted mass above the threshold bin plus the boundary
     share of the threshold bin itself."""
     pw = pmf * weight
-    above = np.concatenate(([0.0], np.cumsum(pw[::-1])))
-    return above[len(pw) - 1 - bins] + fractions * pw[bins]
+    return _top_sums(pw)[len(pw) - 1 - bins] + fractions * pw[bins]
+
+
+def _threshold_tau(n: int, threshold_bin: int, boundary: float) -> np.ndarray:
+    """The acceptance vector over ``n`` bins of the randomized threshold at
+    ``threshold_bin`` with acceptance ``boundary`` there, as
+    ``RandomizedThresholdPolicy.expand`` builds it."""
+    tau = np.zeros(n)
+    tau[threshold_bin + 1 :] = 1.0
+    tau[threshold_bin] = boundary
+    return tau
 
 
 def threshold_policy_for_rate(

@@ -50,6 +50,10 @@ class ScoreGrid:
     def __len__(self) -> int:
         return len(self.bin_scores)
 
+    def __reduce__(self):
+        # Through the constructor, so a loaded grid's scores are read-only.
+        return (ScoreGrid, (self.bin_scores, self.bin_width))
+
     def violations(self) -> list[str]:
         out = []
         if len(self.bin_scores) < 2:
@@ -81,6 +85,10 @@ class GroupState:
 
     def __post_init__(self):
         object.__setattr__(self, "pmf", _vector(self.pmf))
+
+    def __reduce__(self):
+        # Through the constructor, so a loaded group's pmf is read-only.
+        return (GroupState, (self.group_id, self.proportion, self.pmf))
 
     @classmethod
     def _of_row(cls, group_id: str, proportion: float, pmf: np.ndarray) -> "GroupState":

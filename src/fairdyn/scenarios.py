@@ -45,11 +45,14 @@ from .metrics import OutcomeModel
 from .optimize import (
     DEFAULT_RESOLUTION,
     Constraint,
-    constrained_policy,
+    ConstrainedPlan,
+    OutcomeOptimalPlan,
+    constrained_plan,
     max_utility_policy,
-    outcome_optimal_policy,
+    outcome_optimal_plan,
+    search,
 )
-from .policy import InstitutionModel, Policy, threshold_levels
+from .policy import InstitutionModel, Policy, _threshold_levels, _threshold_tau
 from .population import (
     GroupState,
     Population,
@@ -310,6 +313,8 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
         target_group=_optional_str(rule_raw, "target_group"),
         utility_floor=float(rule_raw.get("utility_floor", float("-inf"))),
     )
+    if math.isnan(rule.utility_floor):
+        raise ConfigError("policy_rule.utility_floor must be a number, got nan")
     constraints = tuple(c.value for c in Constraint)
     if kind == "constrained" and rule.constraint not in constraints:
         raise ConfigError(f"policy_rule.constraint must be one of {constraints}")
@@ -397,6 +402,29 @@ def load_scenario(path_or_name: str) -> ScenarioConfig:
         raise ConfigError(f"malformed scenario file {path_or_name}: {exc}") from exc
 
 
+def _search_plan(
+    cfg: ScenarioConfig, pop: Population, rule: PolicyRuleSpec, resolution: float
+) -> ConstrainedPlan | OutcomeOptimalPlan:
+    """The search plan of a constrained or outcome_optimal ``rule`` for
+    populations with ``pop``'s groups and grid."""
+    if rule.kind == "constrained":
+        return constrained_plan(
+            pop,
+            cfg.outcome,
+            cfg.institution,
+            Constraint(rule.constraint),
+            resolution,
+        )
+    return outcome_optimal_plan(
+        pop,
+        cfg.outcome,
+        cfg.institution,
+        rule.target_group,
+        rule.utility_floor,
+        resolution,
+    )
+
+
 def build_policy(
     cfg: ScenarioConfig, pop: Population, rule: PolicyRuleSpec, resolution: float
 ) -> Policy:
@@ -406,22 +434,7 @@ def build_policy(
         return Policy.from_arrays(rule.tau)
     if rule.kind == "max_utility":
         return max_utility_policy(pop, cfg.outcome, cfg.institution)
-    if rule.kind == "constrained":
-        return constrained_policy(
-            pop,
-            cfg.outcome,
-            cfg.institution,
-            Constraint(rule.constraint),
-            resolution,
-        ).policy
-    return outcome_optimal_policy(
-        pop,
-        cfg.outcome,
-        cfg.institution,
-        rule.target_group,
-        rule.utility_floor,
-        resolution,
-    )
+    return search(_search_plan(cfg, pop, rule, resolution), pop)
 
 
 def _accepted_mass(
@@ -455,13 +468,17 @@ class _ScenarioEngine:
         self.interventions = interventions
         self.index = {gid: i for i, gid in enumerate(cfg.population.group_ids)}
         # A fixed or max_utility rule does not depend on the state: build it
-        # once for the run.
+        # once for the run. A search is planned once for the run and scored
+        # on every step's population.
         rule = cfg.policy_rule
         self.static_policy = None
+        self.plan = None
         if rule.kind in ("fixed", "max_utility"):
             self.static_policy = build_policy(
                 cfg, cfg.population, rule, cfg.resolution
             )
+        else:
+            self.plan = _search_plan(cfg, cfg.population, rule, cfg.resolution)
         # The last policy whose accepted masses were computed, and its
         # acceptance vectors in group order.
         self.taus: tuple[Optional[Policy], list[np.ndarray]] = (None, [])
@@ -529,10 +546,9 @@ class _ScenarioEngine:
         return _accepted_mass(pop.groups, taus)
 
     def policy(self, t: int, pop: Population) -> Policy:
-        cfg = self.cfg
         pol = self.static_policy
         if pol is None:
-            pol = build_policy(cfg, pop, cfg.policy_rule, cfg.resolution)
+            pol = search(self.plan, pop)
         # Each group's accepted mass under ``pol``, computed on first use.
         mass = None
         flags = []
@@ -597,11 +613,10 @@ class _ScenarioEngine:
                 f"{needed_rate:.6g} > 1"
             )
         # The randomized threshold policy at that rate, as the tau vector
-        # ``threshold_policy_for_rate(...).expand(grid)`` holds.
-        bins, fractions = threshold_levels(group.pmf, np.array([needed_rate]))
-        tau = np.zeros(len(group.pmf))
-        tau[bins[0] + 1 :] = 1.0
-        tau[bins[0]] = fractions[0]
+        # ``threshold_policy_for_rate(...).expand(grid)`` holds. The rate is
+        # in [0, 1]: nonnegative by construction, and checked above.
+        bins, fractions = _threshold_levels(group.pmf, np.array([needed_rate]))
+        tau = _threshold_tau(len(group.pmf), int(bins[0]), float(fractions[0]))
         mass[j] = _accepted_mass((group,), (tau,))[0]
         return pol._with_tau(iv.group, tau)
 

@@ -797,6 +797,21 @@ def test_kept_structure_gives_a_fresh_models_results(m):
     assert_matches_oracle(m)
 
 
+@settings(max_examples=50, deadline=None)
+@given(m=models())
+def test_reloaded_model_gives_bit_identical_results(m):
+    import copy
+    import pickle
+
+    cold = every_check(m)
+    # ``m`` now keeps its derived structure; a loaded copy derives it anew.
+    for loaded in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+        assert loaded == m
+        assert every_check(loaded) == cold
+        with pytest.raises(TypeError):
+            loaded.cpts[m.outcome] = {}
+
+
 class TestEliminationAgainstEnumeration:
     def test_random_binary_models(self, rng):
         for _ in range(60):

@@ -167,6 +167,26 @@ class TestValidation:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--out", "s.csv"], ["optimize", "--constraint", "outcome"]],
+        ids=["simulate", "optimize"],
+    )
+    def test_nan_utility_floor_exit_1(self, tmp_path, capsys, monkeypatch, argv):
+        raw = builtin_raw("lending_liu")
+        raw["policy_rule"] = {
+            "kind": "outcome_optimal",
+            "target_group": "B",
+            "utility_floor": float("nan"),
+        }
+        scenario = tmp_path / "nan_floor.yaml"
+        scenario.write_text(yaml.safe_dump(raw))
+        monkeypatch.chdir(tmp_path)
+        assert main([argv[0], "--scenario", str(scenario), *argv[1:]]) == 1
+        assert "policy_rule.utility_floor" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+
 class TestYamlFiles:
     @pytest.mark.parametrize(
         "edit,message",

@@ -14,11 +14,14 @@ from fairdyn.metrics import (
 )
 from fairdyn.optimize import (
     Constraint,
+    constrained_plan,
     constrained_policy,
     max_utility_policy,
+    outcome_optimal_plan,
     outcome_optimal_policy,
     rate_grid,
     rates_for_tpr,
+    search,
 )
 from fairdyn.policy import (
     GroupThreshold,
@@ -396,3 +399,173 @@ class TestOutcomeOptimal:
             dmu_direct = group_delta_mu(pop.group("g1"), direct, out, pop.grid)
             dmu_dp = group_delta_mu(pop.group("g1"), dp.policy, out, pop.grid)
             assert dmu_direct >= dmu_dp - 1e-9
+
+
+# --- a run's search plan against the public searches -----------------------
+
+@st.composite
+def two_group_scenarios(draw):
+    """A two-group scenario over 2 to 10 bins whose pmfs are small integer
+    weights, zero-mass bins included, and whose success probabilities are
+    nondecreasing in score, so equal-opportunity search applies."""
+    n = draw(st.integers(2, 10))
+    weights = st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(
+        lambda w: sum(w) > 0
+    )
+    rhos = st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n).map(sorted)
+    p0 = draw(st.floats(0.1, 0.9))
+    pmfs = {gid: np.array(draw(weights), dtype=float) for gid in ("g0", "g1")}
+    pop = make_population(
+        make_grid(n),
+        {gid: w / w.sum() for gid, w in pmfs.items()},
+        {"g0": p0, "g1": 1.0 - p0},
+    )
+    out = OutcomeModel(
+        rho={"g0": draw(rhos), "g1": draw(rhos)},
+        steps_up=draw(st.integers(1, 2)),
+        steps_down=draw(st.integers(1, 2)),
+    )
+    inst = InstitutionModel(1.0, draw(st.floats(-3.0, -0.1)))
+    return pop, out, inst
+
+
+def scenario_config(pop, out, inst, rule, resolution, horizon=4):
+    from fairdyn.scenarios import DeclaredGoal, ScenarioConfig, Tolerances
+
+    return ScenarioConfig(
+        name="planned",
+        declared_goal=DeclaredGoal("g1 improves", "delta_mu", 1e-6, "g1"),
+        population=pop,
+        outcome=out,
+        institution=inst,
+        policy_rule=rule,
+        interventions=(),
+        horizon=horizon,
+        tolerances=Tolerances(),
+        seed=0,
+        resolution=resolution,
+        metric_groups=("g0", "g1"),
+    )
+
+
+class TestRunPlanAgainstPublicSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        instance=two_group_scenarios(),
+        resolution=resolutions,
+        floor=st.sampled_from([float("-inf"), 0.0]),
+    )
+    def test_every_step_equals_the_public_search(self, instance, resolution, floor):
+        # Each step's policy of a run, scored by the run's one plan, is the
+        # public function's policy on that step's population, bit for bit.
+        from fairdyn.scenarios import PolicyRuleSpec, run_scenario
+
+        pop, out, inst = instance
+        searches = {
+            "dp": lambda p: constrained_policy(
+                p, out, inst, Constraint.DEMOGRAPHIC_PARITY, resolution
+            ).policy,
+            "eo": lambda p: constrained_policy(
+                p, out, inst, Constraint.EQUAL_OPPORTUNITY, resolution
+            ).policy,
+            "outcome": lambda p: outcome_optimal_policy(
+                p, out, inst, "g1", floor, resolution
+            ),
+        }
+        rules = {
+            "dp": PolicyRuleSpec("constrained", constraint="dp"),
+            "eo": PolicyRuleSpec("constrained", constraint="eo"),
+            "outcome": PolicyRuleSpec(
+                "outcome_optimal", target_group="g1", utility_floor=floor
+            ),
+        }
+        for kind, rule in rules.items():
+            traj = run_scenario(scenario_config(pop, out, inst, rule, resolution))
+            for rec in traj.steps:
+                want = searches[kind](rec.population)
+                assert rec.policy.group_ids == want.group_ids
+                for gid in want.group_ids:
+                    got = rec.policy.tau(gid)
+                    assert got.tobytes() == want.tau(gid).tobytes(), (kind, rec.step)
+
+
+class TestSearchPlan:
+    def test_plan_scored_on_another_population(self):
+        # A plan scores any population over its groups and grid; the level
+        # and policy are those of a plan built for that population.
+        pop, out = two_group((0.2, 0.8), (0.8, 0.2), (0.4, 0.9))
+        moved, _ = two_group((0.5, 0.5), (0.3, 0.7), (0.4, 0.9))
+        inst = InstitutionModel(1.0, -1.0)
+        plan = constrained_plan(pop, out, inst, Constraint.EQUAL_OPPORTUNITY, 0.05)
+        res = constrained_policy(moved, out, inst, Constraint.EQUAL_OPPORTUNITY, 0.05)
+        policy, level = plan.score(moved)
+        assert level == res.level
+        for gid in pop.group_ids:
+            assert np.array_equal(search(plan, moved).tau(gid), res.policy.tau(gid))
+            assert np.array_equal(policy.tau(gid), res.policy.tau(gid))
+
+    def test_plan_rejects_other_groups(self):
+        pop, out = two_group((0.2, 0.8), (0.8, 0.2), (0.4, 0.9))
+        inst = InstitutionModel(1.0, -1.0)
+        swapped = pop.with_groups(pop.groups[::-1])
+        for plan in (
+            constrained_plan(pop, out, inst, Constraint.DEMOGRAPHIC_PARITY),
+            outcome_optimal_plan(pop, out, inst, "g1"),
+        ):
+            with pytest.raises(DomainError, match="search plan for groups"):
+                search(plan, swapped)
+
+    def test_checks_run_when_the_plan_is_built(self):
+        pop, out = two_group((0.5, 0.5), (0.5, 0.5), (0.9, 0.2))
+        inst = InstitutionModel(1.0, -1.0)
+        with pytest.raises(DomainError, match="rho must be nondecreasing"):
+            constrained_plan(pop, out, inst, Constraint.EQUAL_OPPORTUNITY)
+        with pytest.raises(KeyError, match="unknown group label 'zz'"):
+            outcome_optimal_plan(pop, out, inst, "zz")
+        with pytest.raises(DomainError, match="utility floor nan is not a number"):
+            outcome_optimal_plan(pop, out, inst, "g1", float("nan"))
+        with pytest.raises(DomainError, match="resolution"):
+            outcome_optimal_plan(pop, out, inst, "g1", resolution=0.0)
+
+    def test_zero_qualified_mass_is_found_when_scoring(self):
+        # Qualified mass depends on the pmf, so only the scoring pass can
+        # find it missing.
+        pop, out = two_group((0.5, 0.5), (1.0, 0.0), (0.0, 0.9))
+        inst = InstitutionModel(1.0, -1.0)
+        plan = constrained_plan(pop, out, inst, Constraint.EQUAL_OPPORTUNITY)
+        with pytest.raises(DomainError, match="group 'g1' has zero qualified mass"):
+            search(plan, pop)
+
+
+class TestGrid:
+    def test_levels_are_rounded_reciprocal_plus_one(self):
+        # round(1 / resolution) + 1 evenly spaced levels: 0.3 gives thirds
+        # and 0.7 only the two ends.
+        assert rate_grid(0.3).tolist() == pytest.approx([0.0, 1 / 3, 2 / 3, 1.0])
+        assert rate_grid(0.7).tolist() == [0.0, 1.0]
+        assert len(rate_grid(0.01)) == 101
+
+
+def test_boards_dp_tie_is_decided_by_rounding():
+    # On boards_quota the DP utility is flat at 0.24 on the rates 0.55 to
+    # 0.70, but the sum at 0.70 rounds 6e-17 lower, so the exact comparison
+    # of the largest-tied-level rule picks 0.69.
+    from fairdyn.policy import threshold_values
+    from fairdyn.scenarios import load_scenario
+
+    cfg = load_scenario("boards_quota")
+    pop, out, inst = cfg.population, cfg.outcome, cfg.institution
+    levels = rate_grid(cfg.resolution)
+    utility = np.zeros(len(levels))
+    for g in pop.groups:
+        bins, fractions = threshold_levels(g.pmf, levels)
+        per_bin = inst.per_bin_utility(out.rho_for(g.group_id))
+        utility = utility + g.proportion * threshold_values(
+            g.pmf, per_bin, bins, fractions
+        )
+    flat = utility[55:71]
+    assert np.all(np.abs(flat - 0.24) <= 1e-15)
+    assert np.all(flat[:-1] == flat[0]) and flat[-1] < flat[0]
+    res = constrained_policy(pop, out, inst, Constraint.DEMOGRAPHIC_PARITY, 0.01)
+    assert res.level == levels[69] == pytest.approx(0.69)
+    assert res.utility == pytest.approx(0.24, abs=1e-15)

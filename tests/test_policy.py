@@ -248,6 +248,20 @@ def test_acceptance_is_read_only():
     assert other.group_ids == ("a", "b") and other.tau("a").tolist() == [0.5, 0.5]
 
 
+def test_policy_pickles_and_copies():
+    import copy
+    import pickle
+
+    pol = Policy({"b": [0.5, 0.25], "a": [1.0, 0.0]})
+    for loaded in (pickle.loads(pickle.dumps(pol)), copy.deepcopy(pol)):
+        assert loaded.group_ids == ("b", "a")
+        for gid in pol.group_ids:
+            assert np.array_equal(loaded.tau(gid), pol.tau(gid))
+            assert not loaded.tau(gid).flags.writeable
+        with pytest.raises(TypeError):
+            loaded.acceptance["a"] = np.zeros(2)
+
+
 def test_replacing_one_vector_checks_only_that_vector():
     pol = Policy({"a": [0.5, 0.5], "b": [1.0, 0.0], "c": [0.0, 1.0]})
     tau = np.array([0.25, 1.0])

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,15 @@ class TestLoadChecks:
         with pytest.raises(ConfigError, match=f": {field} must be a mapping$"):
             load_scenario(file)
 
+    def test_nan_utility_floor_rejected(self, tmp_path):
+        rule = {"kind": "outcome_optimal", "target_group": "B", "utility_floor": math.nan}
+        path = write_lending(tmp_path, lambda raw: raw.update(policy_rule=rule))
+        with pytest.raises(ConfigError) as info:
+            load_scenario(path)
+        assert str(info.value) == (
+            f"scenario file {path}: policy_rule.utility_floor must be a number, got nan"
+        )
+
     def test_fixed_policy_loads_and_runs(self, tmp_path):
         tau = {"A": [0, 0, 0, 1, 1, 1], "B": [0, 0, 0.5, 1, 1, 1]}
         cfg = load_scenario(write_lending(tmp_path, lambda raw: fixed_rule(raw, tau)))
@@ -417,6 +427,122 @@ class TestPolicyPerRun:
         assert LENDING.policy_rule.kind == "max_utility"
         assert len(calls) == 1
         assert len({id(rec.policy) for rec in traj.steps}) == 1
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            scenarios.PolicyRuleSpec("constrained", constraint="dp"),
+            scenarios.PolicyRuleSpec("constrained", constraint="eo"),
+            scenarios.PolicyRuleSpec("outcome_optimal", target_group="women"),
+        ],
+        ids=["dp", "eo", "outcome"],
+    )
+    def test_search_planned_once_and_scored_every_step(self, monkeypatch, rule):
+        import fairdyn.scenarios as scn
+
+        plans, scored = [], []
+        real_plan, real_search = scn._search_plan, scn.search
+        monkeypatch.setattr(
+            scn, "_search_plan", lambda *a: plans.append(a) or real_plan(*a)
+        )
+        monkeypatch.setattr(
+            scn, "search", lambda plan, pop: scored.append(plan) or real_search(plan, pop)
+        )
+        cfg = replace(BOARDS, policy_rule=rule)
+        assert len(cfg.variants) == 2
+        for ivs in cfg.variants.values():
+            plans.clear()
+            scored.clear()
+            traj = run_scenario(cfg, ivs)
+            assert len(plans) == 1
+            assert len(scored) == cfg.horizon + 1 == len(traj)
+            assert all(plan is scored[0] for plan in scored)
+
+
+def searching(cfg, rule, **outcome):
+    """``cfg`` with the search ``rule`` and, if given, another outcome model."""
+    if outcome:
+        cfg = replace(cfg, outcome=OutcomeModel(**outcome))
+    return replace(cfg, policy_rule=rule)
+
+
+class TestSearchErrors:
+    """A run's search raises what the public search raises, with the text it
+    always had: an infeasible floor names its step; the plan's checks and the
+    zero-qualified-mass check name none."""
+
+    def test_eo_rho_not_monotone(self):
+        rho = {g: LENDING.outcome.rho_for(g)[::-1] for g in ("A", "B")}
+        cfg = searching(
+            LENDING,
+            scenarios.PolicyRuleSpec("constrained", constraint="eo"),
+            rho=rho, steps_up=1, steps_down=1,
+        )
+        message = (
+            "group 'A': rho must be nondecreasing in score for "
+            "equal-opportunity search"
+        )
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            run_scenario(cfg)
+
+    def test_zero_qualified_mass(self):
+        rho = {"A": LENDING.outcome.rho_for("A"), "B": (0.0,) * 6}
+        cfg = searching(
+            LENDING,
+            scenarios.PolicyRuleSpec("constrained", constraint="eo"),
+            rho=rho, steps_up=1, steps_down=1,
+        )
+        with pytest.raises(DomainError, match="^group 'B' has zero qualified mass$"):
+            run_scenario(cfg)
+
+    def test_unknown_target(self):
+        cfg = searching(
+            LENDING, scenarios.PolicyRuleSpec("outcome_optimal", target_group="Z")
+        )
+        with pytest.raises(KeyError, match="unknown group label 'Z'"):
+            run_scenario(cfg)
+
+    @pytest.mark.parametrize(
+        "floor,message",
+        [
+            (1.0, "step 0: utility floor 1.0 infeasible; maximum achievable "
+                  "utility is 0.1615"),
+            (0.16, "step 12: utility floor 0.16 infeasible; maximum achievable "
+                   "utility is 0.154750116275"),
+        ],
+        ids=["step_0", "step_12"],
+    )
+    def test_infeasible_floor(self, floor, message):
+        cfg = searching(
+            LENDING,
+            scenarios.PolicyRuleSpec(
+                "outcome_optimal", target_group="B", utility_floor=floor
+            ),
+        )
+        with pytest.raises(InfeasibilityError, match=f"^{re.escape(message)}$"):
+            run_scenario(cfg)
+
+
+class TestPickling:
+    def test_trajectory_round_trips(self):
+        import copy
+        import pickle
+
+        traj = run_scenario(BOARDS)
+        for loaded in (pickle.loads(pickle.dumps(traj)), copy.deepcopy(traj)):
+            c, got = traj.columns, loaded.columns
+            assert got.group_ids == c.group_ids and got.metric_pair == c.metric_pair
+            for name, value in vars(c).items():
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(vars(got)[name], value, equal_nan=True)
+                    assert not vars(got)[name].flags.writeable, name
+            for pol, want in zip(got.policies, c.policies):
+                for gid in c.group_ids:
+                    assert np.array_equal(pol.tau(gid), want.tau(gid))
+            for g, want in zip(got.initial.groups, c.initial.groups):
+                assert np.array_equal(g.pmf, want.pmf) and not g.pmf.flags.writeable
+            assert not got.grid.bin_scores.flags.writeable
+            assert loaded.final().utility == traj.final().utility
 
 
 def rows(pop):
