@@ -259,14 +259,11 @@ class _PolicyTerms:
         group_ids: tuple[str, ...],
         pmfs: np.ndarray,
     ):
-        taus, rhos = [], []
-        for gid, pmf in zip(group_ids, pmfs):
-            tau, rho = policy.tau(gid), outcome.rho_for(gid)
-            _check_lengths(gid, pmf=pmf, tau=tau, rho=rho)
-            taus.append(tau)
-            rhos.append(rho)
         self.policy, self.group_ids = policy, group_ids
-        self.tau = np.array(taus)
+        self.tau = policy._rows(group_ids)
+        rhos = [outcome.rho_for(gid) for gid in group_ids]
+        for gid, pmf, tau, rho in zip(group_ids, pmfs, self.tau, rhos):
+            _check_lengths(gid, pmf=pmf, tau=tau, rho=rho)
         self.keep = 1.0 - self.tau
         self.rho = np.array(rhos)
         self.fail = 1.0 - self.rho
@@ -420,7 +417,7 @@ def _step_columns(
     ``run`` holds the run's vectors, one (4, bins) matrix per group: ``rho``,
     ``1 - rho``, the score change and the per-bin utility; ``scores`` are the
     grid's bin scores. The rows go in blocks of ``_BLOCK`` steps: a block
-    gathers its steps' acceptance vectors, multiplies them by the run's
+    stacks its steps' acceptance matrices, multiplies them by the run's
     vectors and reduces each row against the products with ``_dots``, bit
     for bit as per-row ``pmf.dot`` calls. An overflow gives inf, no warning.
     """
@@ -434,7 +431,7 @@ def _step_columns(
             # Each policy object's vectors once, then one set per step.
             slot: dict[Policy, int] = {}
             index = [slot.setdefault(pol, len(slot)) for pol in policies[a:b]]
-            tau = np.array([[pol.tau(gid) for gid in group_ids] for pol in slot])
+            tau = np.array([pol._rows(group_ids) for pol in slot])
             if len(slot) > 1:
                 tau = tau[index]
             w = np.empty((len(tau), groups, 5, n))
@@ -627,7 +624,7 @@ def is_stationary(traj: Trajectory, window: int, eps: float) -> bool:
     over each of the last ``window`` transitions."""
     if window <= 0:
         raise DomainError(f"window {window} must be positive")
-    if eps <= 0:
+    if not eps > 0:  # NaN fails too
         raise DomainError(f"eps {eps} must be positive")
     if len(traj) < window + 1:
         raise DomainError(

@@ -198,7 +198,5 @@ def unawareness_check(policy: Policy) -> bool:
     ids = policy.group_ids
     if len(ids) < 2:
         raise DomainError("unawareness check needs a policy over at least two groups")
-    ref = policy.tau(ids[0])
-    return all(
-        np.all(np.abs(policy.tau(gid) - ref) <= EQ_TOL) for gid in ids[1:]
-    )
+    tau = policy._rows(ids)
+    return bool(np.all(np.abs(tau[1:] - tau[0]) <= EQ_TOL))

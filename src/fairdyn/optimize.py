@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .policy import (
     InstitutionModel,
     Policy,
     _threshold_levels,
-    _threshold_tau,
+    _threshold_policy,
     _top_sums,
     institution_utility,
     threshold_values,
@@ -49,11 +49,8 @@ def max_utility_policy(
     The objective separates over bins, so the bin-wise rule is globally
     optimal. Zero-utility bins are rejected (strict-improvement rule).
     """
-    arrays = {}
-    for g in pop.groups:
-        u = inst.per_bin_utility(outcome.rho_for(g.group_id))
-        arrays[g.group_id] = (u > 0).astype(float)
-    return Policy.from_arrays(arrays)
+    ids = pop.group_ids
+    return Policy({g: inst.per_bin_utility(outcome.rho_for(g)) > 0 for g in ids})
 
 
 def rate_grid(resolution: float) -> np.ndarray:
@@ -125,16 +122,6 @@ def _groups(plan_ids: tuple[str, ...], pop: Population) -> tuple[GroupState, ...
             f"{list(pop.group_ids)}"
         )
     return groups
-
-
-def _threshold_policy(
-    n: int, thresholds: Mapping[str, tuple[int, float]]
-) -> Policy:
-    """The policy of each group's randomized threshold ``(bin, boundary)``
-    over ``n`` bins, as ``RandomizedThresholdPolicy.expand`` builds it."""
-    return Policy(
-        {gid: _threshold_tau(n, b, f) for gid, (b, f) in thresholds.items()}
-    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,43 +8,61 @@ a fractional probability, and nothing below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 from .population import GroupState, Population, ScoreGrid, _check_lengths, _vector
 
 if TYPE_CHECKING:
     from .metrics import OutcomeModel
 
 
-def _acceptance_vector(group_id: str, tau: Sequence[float]) -> np.ndarray:
-    """``tau`` as a read-only vector, once every entry lies in [0, 1]."""
-    tau = _vector(tau)
-    # Written so that NaN fails the check too.
-    if not ((tau >= 0) & (tau <= 1)).all():
-        raise DomainError(
-            f"group {group_id!r}: acceptance entries outside [0,1] or NaN"
-        )
-    return tau
-
-
 @dataclass(frozen=True, eq=False)
 class Policy:
     """Acceptance probability per bin, keyed by group label; every entry is
-    checked to lie in [0, 1]. ``acceptance`` is a read-only mapping of
-    read-only vectors, so the check holds for the policy's lifetime."""
+    checked to lie in [0, 1]. The vectors are the rows of one read-only
+    (groups, bins) matrix, so they have one length, and ``acceptance`` is a
+    read-only mapping of its rows: the check holds for the policy's lifetime."""
 
     acceptance: Mapping[str, np.ndarray]
+    group_ids: tuple[str, ...] = field(init=False, repr=False)
+    _matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        acc = {
-            gid: _acceptance_vector(gid, tau) for gid, tau in self.acceptance.items()
-        }
-        object.__setattr__(self, "acceptance", MappingProxyType(acc))
+        ids = tuple(self.acceptance)
+        try:
+            matrix = np.array(list(self.acceptance.values()), dtype=float)
+        except ValueError:  # vectors of unequal lengths, named below
+            matrix = np.empty(0)
+        if matrix.ndim != 2 and ids:
+            # ``_vector`` raises for a vector that is not 1-D numbers.
+            sizes = " ".join(
+                f"{gid}={len(_vector(v))}" for gid, v in self.acceptance.items()
+            )
+            raise DimensionError(f"policy vectors of unequal lengths {sizes}")
+        self._keep(ids, matrix if ids else np.empty((0, 0)))
+
+    def _keep(
+        self, group_ids: tuple[str, ...], matrix: np.ndarray, check=slice(None)
+    ) -> "Policy":
+        """This policy over the rows of ``matrix``, a fresh float64 (groups,
+        bins) array kept read-only without a copy once its rows ``check`` lie
+        in [0, 1]; ``object.__new__(Policy)._keep(...)`` builds a policy."""
+        # Written so that NaN fails the check too.
+        ok = ((matrix[check] >= 0) & (matrix[check] <= 1)).all(axis=1)
+        if not ok.all():
+            bad = group_ids[check][int(ok.argmin())]
+            raise DomainError(f"group {bad!r}: acceptance entries outside [0,1] or NaN")
+        matrix.setflags(write=False)
+        rows = MappingProxyType(dict(zip(group_ids, matrix)))
+        object.__setattr__(self, "acceptance", rows)
+        object.__setattr__(self, "group_ids", group_ids)
+        object.__setattr__(self, "_matrix", matrix)
+        return self
 
     def __reduce__(self):
         # A mappingproxy does not pickle: rebuild from a plain dict through
@@ -52,22 +70,25 @@ class Policy:
         return (Policy, (dict(self.acceptance),))
 
     def _with_tau(self, group_id: str, tau: Sequence[float]) -> "Policy":
-        """This policy with ``group_id``'s vector replaced by ``tau``. Only
-        ``tau`` is checked: the other vectors are this policy's own, already
-        checked and read-only."""
-        new = object.__new__(Policy)
-        acc = {**self.acceptance, group_id: _acceptance_vector(group_id, tau)}
-        object.__setattr__(new, "acceptance", MappingProxyType(acc))
-        return new
+        """This policy with ``group_id``'s vector replaced by ``tau``, in a
+        copy of the matrix. Only that row is checked: the others are this
+        policy's own, already checked."""
+        i = self.group_ids.index(group_id)
+        matrix = self._matrix.copy()
+        matrix[i] = tau
+        return object.__new__(Policy)._keep(self.group_ids, matrix, slice(i, i + 1))
 
     def tau(self, group_id: str) -> np.ndarray:
         if group_id not in self.acceptance:
             raise KeyError(f"policy has no acceptance vector for group {group_id!r}")
         return self.acceptance[group_id]
 
-    @property
-    def group_ids(self) -> tuple[str, ...]:
-        return tuple(self.acceptance)
+    def _rows(self, group_ids: tuple[str, ...]) -> np.ndarray:
+        """The vectors of ``group_ids`` as one (groups, bins) matrix: the
+        policy's own when they come in its order, else a gathered copy."""
+        if group_ids == self.group_ids:
+            return self._matrix
+        return np.array([self.tau(gid) for gid in group_ids])
 
     @staticmethod
     def from_arrays(arrays: Mapping[str, Sequence[float]]) -> "Policy":
@@ -89,7 +110,7 @@ class RandomizedThresholdPolicy:
 
     def expand(self, grid: ScoreGrid) -> Policy:
         n = len(grid.bin_scores)
-        arrays = {}
+        thresholds = {}
         for gid, th in self.thresholds.items():
             if not 0 <= th.threshold_bin < n:
                 raise DomainError(
@@ -100,10 +121,8 @@ class RandomizedThresholdPolicy:
                     f"group {gid!r}: boundary acceptance {th.boundary_acceptance} "
                     "outside [0,1]"
                 )
-            arrays[gid] = _threshold_tau(
-                n, th.threshold_bin, th.boundary_acceptance
-            )
-        return Policy.from_arrays(arrays)
+            thresholds[gid] = (th.threshold_bin, th.boundary_acceptance)
+        return _threshold_policy(n, thresholds)
 
 
 @dataclass(frozen=True)
@@ -195,14 +214,15 @@ def threshold_values(
     return _top_sums(pw)[len(pw) - 1 - bins] + fractions * pw[bins]
 
 
-def _threshold_tau(n: int, threshold_bin: int, boundary: float) -> np.ndarray:
-    """The acceptance vector over ``n`` bins of the randomized threshold at
-    ``threshold_bin`` with acceptance ``boundary`` there, as
-    ``RandomizedThresholdPolicy.expand`` builds it."""
-    tau = np.zeros(n)
-    tau[threshold_bin + 1 :] = 1.0
-    tau[threshold_bin] = boundary
-    return tau
+def _threshold_policy(n: int, thresholds: Mapping[str, tuple[int, float]]) -> Policy:
+    """The policy of each group's randomized threshold ``(bin, boundary)``
+    over ``n`` bins: every bin above ``bin`` accepted, ``bin`` with
+    probability ``boundary``, none below."""
+    matrix = np.zeros((len(thresholds), n))
+    for row, (threshold_bin, boundary) in zip(matrix, thresholds.values()):
+        row[threshold_bin + 1 :] = 1.0
+        row[threshold_bin] = boundary
+    return object.__new__(Policy)._keep(tuple(thresholds), matrix)
 
 
 def threshold_policy_for_rate(

@@ -52,7 +52,7 @@ from .optimize import (
     outcome_optimal_plan,
     search,
 )
-from .policy import InstitutionModel, Policy, _threshold_levels, _threshold_tau
+from .policy import InstitutionModel, Policy, _threshold_levels, _threshold_policy
 from .population import (
     GroupState,
     Population,
@@ -198,7 +198,7 @@ def _parse_intervention(raw, path) -> InterventionRule:
             eps=float(_req(s, "eps", where)),
             window=_integer(_req(s, "window", where), where + ".window"),
         )
-        if sunset.eps < 0 or sunset.window < 1:
+        if not sunset.eps >= 0 or sunset.window < 1:  # NaN fails too
             raise ConfigError(f"{path}.sunset: eps must be >= 0 and window >= 1")
         rule = replace(rule, target_share=q, sunset=sunset)
     elif kind == "pipeline_investment":
@@ -223,6 +223,8 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
         tolerance=float(_req(goal_raw, "tolerance", "declared_goal")),
         target_group=_optional_str(goal_raw, "target_group"),
     )
+    if math.isnan(goal.tolerance):
+        raise ConfigError("declared_goal.tolerance must be a number, got nan")
     if goal.metric not in GOAL_METRICS:
         raise ConfigError(
             f"declared_goal.metric must be one of {GOAL_METRICS}, "
@@ -431,7 +433,7 @@ def build_policy(
     """The policy that ``rule`` selects for ``pop`` under ``cfg``'s outcome and
     institution models; the searches scan rates or TPRs at ``resolution``."""
     if rule.kind == "fixed":
-        return Policy.from_arrays(rule.tau)
+        return Policy(rule.tau)
     if rule.kind == "max_utility":
         return max_utility_policy(pop, cfg.outcome, cfg.institution)
     return search(_search_plan(cfg, pop, rule, resolution), pop)
@@ -473,15 +475,13 @@ class _ScenarioEngine:
         rule = cfg.policy_rule
         self.static_policy = None
         self.plan = None
+        pop = cfg.population
         if rule.kind in ("fixed", "max_utility"):
-            self.static_policy = build_policy(
-                cfg, cfg.population, rule, cfg.resolution
-            )
+            self.static_policy = build_policy(cfg, pop, rule, cfg.resolution)
+            for g, tau in zip(pop.groups, self.static_policy._rows(pop.group_ids)):
+                _check_lengths(g.group_id, tau=tau, pmf=g.pmf)
         else:
-            self.plan = _search_plan(cfg, cfg.population, rule, cfg.resolution)
-        # The last policy whose accepted masses were computed, and its
-        # acceptance vectors in group order.
-        self.taus: tuple[Optional[Policy], list[np.ndarray]] = (None, [])
+            self.plan = _search_plan(cfg, pop, rule, cfg.resolution)
         self.quota_active = [iv.kind == "quota" for iv in interventions]
         self.quota_streak = [0] * len(interventions)
         # Only role-model feedback reads the accepted shares of the last step.
@@ -534,16 +534,10 @@ class _ScenarioEngine:
         return rescaled
 
     def _accepted(self, pop: Population, pol: Policy) -> list[float]:
-        """Each group's accepted mass under ``pol``. The acceptance vectors
-        of the last policy are kept; their lengths are checked against the
-        pmfs when they are looked up."""
-        last, taus = self.taus
-        if pol is not last:
-            taus = [pol.tau(g.group_id) for g in pop.groups]
-            for g, tau in zip(pop.groups, taus):
-                _check_lengths(g.group_id, tau=tau, pmf=g.pmf)
-            self.taus = (pol, taus)
-        return _accepted_mass(pop.groups, taus)
+        """Each group's accepted mass under ``pol``, whose vectors have the
+        pmfs' length: a static policy's are checked when the engine is
+        built, and a searched or quota policy's are built on the grid."""
+        return _accepted_mass(pop.groups, pol._rows(pop.group_ids))
 
     def policy(self, t: int, pop: Population) -> Policy:
         pol = self.static_policy
@@ -616,7 +610,8 @@ class _ScenarioEngine:
         # ``threshold_policy_for_rate(...).expand(grid)`` holds. The rate is
         # in [0, 1]: nonnegative by construction, and checked above.
         bins, fractions = _threshold_levels(group.pmf, np.array([needed_rate]))
-        tau = _threshold_tau(len(group.pmf), int(bins[0]), float(fractions[0]))
+        threshold = {iv.group: (int(bins[0]), float(fractions[0]))}
+        tau = _threshold_policy(len(group.pmf), threshold).tau(iv.group)
         mass[j] = _accepted_mass((group,), (tau,))[0]
         return pol._with_tau(iv.group, tau)
 
@@ -771,8 +766,8 @@ def sensitivity_sweep(
     eps_p are flagged unreliable. A goal metric that is NaN at some step of
     a draw raises ``UndefinedConditionalError``.
     """
-    if eps_p < 0:
-        raise ConfigError(f"perturbation size must be >= 0, got {eps_p}")
+    if not 0 <= eps_p < math.inf:
+        raise ConfigError(f"perturbation size must be finite and >= 0, got {eps_p}")
     if n_draws < 1:
         raise ConfigError(f"need at least one draw, got {n_draws}")
     values = []

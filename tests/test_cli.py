@@ -153,8 +153,13 @@ class TestValidation:
             (lambda raw: raw.update(
                 policy_rule={"kind": "fixed", "tau": {"men": [1.0], "women": [1.0]}}
             ), "policy_rule.tau[men]: length 1"),
+            (lambda raw: raw["declared_goal"].update(tolerance=float("nan")),
+             "declared_goal.tolerance must be a number"),
+            (lambda raw: raw["interventions"][0]["sunset"].update(eps=float("nan")),
+             "interventions[0].sunset: eps must be >= 0"),
         ],
-        ids=["nan_regime", "zero_regime", "short_fixed_tau"],
+        ids=["nan_regime", "zero_regime", "short_fixed_tau", "nan_goal_tolerance",
+             "nan_sunset_eps"],
     )
     def test_invalid_boards_edit_exit_1(self, tmp_path, capsys, edit, message):
         raw = builtin_raw("boards_quota")
@@ -164,6 +169,19 @@ class TestValidation:
         out = tmp_path / "s.csv"
         assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_goal_tolerance_compare_exit_1(self, tmp_path, capsys):
+        # Before the loader rejected it, every variant read ``not_reached``.
+        raw = builtin_raw("boards_quota")
+        raw["declared_goal"]["tolerance"] = float("nan")
+        scenario = tmp_path / "nan_tolerance.yaml"
+        scenario.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "c.csv"
+        argv = ["compare", "--scenario", str(scenario), "--variants",
+                "quota_only,quota_pipeline", "--out", str(out)]
+        assert main(argv) == 1
+        assert "declared_goal.tolerance must be a number" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -430,6 +448,16 @@ class TestSweep:
         assert set(printed) == {"min", "max", "spread", "unreliable"}
         assert float(printed["min"]) <= float(printed["max"])
 
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-0.01"])
+    def test_eps_not_finite_and_nonnegative_exit_1(self, tmp_path, capsys, eps):
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--scenario", "lending_liu", "--eps", eps, "--draws", "3",
+                "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "perturbation size must be finite and >= 0" in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_seed_defaults_to_the_scenario_seed(self, tmp_path, capsys):
         seed = load_scenario("lending_liu").seed

@@ -285,6 +285,14 @@ class TestIsStationary:
         with pytest.raises(DomainError):
             is_stationary(traj, 5, 0.01)
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    def test_eps_not_positive(self, eps):
+        # A NaN eps would make every ``tv >= eps`` false, so any trajectory
+        # would read as stationary.
+        traj = self.make_traj(6, (1.0, 1.0, 1.0))
+        with pytest.raises(DomainError, match=f"eps {eps} must be positive"):
+            is_stationary(traj, 3, eps)
+
 
 class TestMonteCarlo:
     def test_accept_all_rate_exact(self):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairdyn.errors import DomainError
+from fairdyn.errors import DimensionError, DomainError
 from fairdyn.metrics import OutcomeModel
 from fairdyn.policy import (
     InstitutionModel,
@@ -262,17 +262,59 @@ def test_policy_pickles_and_copies():
             loaded.acceptance["a"] = np.zeros(2)
 
 
-def test_replacing_one_vector_checks_only_that_vector():
+def test_vectors_are_read_only_rows_of_one_matrix():
+    pol = Policy({"b": [0.5, 0.25], "a": [1.0, 0.0]})
+    matrix = pol._rows(("b", "a"))
+    assert matrix.shape == (2, 2) and matrix.dtype == np.float64
+    assert not matrix.flags.writeable
+    for i, gid in enumerate(pol.group_ids):
+        assert pol.tau(gid) is pol.acceptance[gid]
+        assert pol.tau(gid).base is matrix and np.shares_memory(pol.tau(gid), matrix[i])
+    # Another group order is a gathered copy; an unknown group is a KeyError.
+    gathered = pol._rows(("a", "b"))
+    assert gathered.tolist() == [[1.0, 0.0], [0.5, 0.25]]
+    assert not np.shares_memory(gathered, matrix)
+    with pytest.raises(KeyError, match="no acceptance vector for group 'c'"):
+        pol._rows(("a", "c"))
+
+
+def test_vectors_of_unequal_lengths_fail_at_construction():
+    with pytest.raises(DimensionError, match="unequal lengths a=2 b=3"):
+        Policy({"a": [0.5, 0.5], "b": [1.0, 0.0, 0.0]})
+    with pytest.raises(DimensionError, match="1-D"):
+        Policy({"a": 0.5, "b": 0.5})
+    with pytest.raises(DimensionError, match="1-D"):
+        Policy({"a": [[0.5, 0.5]], "b": [[1.0, 0.0]]})
+    # A policy over no groups still constructs.
+    assert Policy({}).group_ids == () and dict(Policy({}).acceptance) == {}
+
+
+def test_replacing_one_vector_checks_only_that_vector(monkeypatch):
     pol = Policy({"a": [0.5, 0.5], "b": [1.0, 0.0], "c": [0.0, 1.0]})
+    checked = []
+    keep = Policy._keep
+
+    def spy(self, group_ids, matrix, check=slice(None)):
+        checked.append(matrix[check].tolist())
+        return keep(self, group_ids, matrix, check)
+
+    monkeypatch.setattr(Policy, "_keep", spy)
     tau = np.array([0.25, 1.0])
     new = pol._with_tau("b", tau)
-    assert new.group_ids == ("a", "b", "c")
-    # The other groups' checked vectors are shared, not copied.
-    assert new.tau("a") is pol.tau("a") and new.tau("c") is pol.tau("c")
-    assert new.tau("b").tolist() == [0.25, 1.0] and not new.tau("b").flags.writeable
+    # The one row checked is the new one.
+    assert checked == [[[0.25, 1.0]]]
+    assert new is not pol and new.group_ids == ("a", "b", "c")
+    assert [new.tau(g).tolist() for g in new.group_ids] == [
+        [0.5, 0.5], [0.25, 1.0], [0.0, 1.0]
+    ]
+    # The original is unchanged, and the new policy keeps a copy of ``tau``.
+    assert [pol.tau(g).tolist() for g in pol.group_ids] == [
+        [0.5, 0.5], [1.0, 0.0], [0.0, 1.0]
+    ]
     tau[0] = 0.5
     assert new.tau("b").tolist() == [0.25, 1.0]
-    assert pol.tau("b").tolist() == [1.0, 0.0]
+    assert not new._rows(new.group_ids).flags.writeable
+    assert not any(new.tau(g).flags.writeable for g in new.group_ids)
     with pytest.raises(TypeError):
         new.acceptance["b"] = np.zeros(2)
     with pytest.raises(DomainError, match="group 'b'"):

@@ -231,6 +231,36 @@ class TestLoadChecks:
             f"scenario file {path}: policy_rule.utility_floor must be a number, got nan"
         )
 
+    def test_nan_goal_tolerance_rejected(self, tmp_path):
+        # ``goal_met`` is never true at a NaN tolerance.
+        path = write_lending(
+            tmp_path, lambda raw: raw["declared_goal"].update(tolerance=math.nan)
+        )
+        with pytest.raises(ConfigError) as info:
+            load_scenario(path)
+        assert str(info.value) == (
+            f"scenario file {path}: declared_goal.tolerance must be a number, got nan"
+        )
+
+    @pytest.mark.parametrize(
+        "place,where",
+        [
+            (lambda raw, iv: raw.update(interventions=[iv]), "interventions[0]"),
+            (lambda raw, iv: raw.update(variants={"q": {"interventions": [iv]}}),
+             "variants.q.interventions[0]"),
+        ],
+        ids=["interventions", "variants"],
+    )
+    def test_nan_sunset_eps_rejected(self, tmp_path, place, where):
+        # A quota never sunsets at a NaN eps: ``abs(share - q) <= nan`` fails.
+        quota = QUOTA_B | {"sunset": {"eps": math.nan, "window": 2}}
+        path = write_lending(tmp_path, lambda raw: place(raw, quota))
+        with pytest.raises(ConfigError) as info:
+            load_scenario(path)
+        assert str(info.value) == (
+            f"scenario file {path}: {where}.sunset: eps must be >= 0 and window >= 1"
+        )
+
     def test_fixed_policy_loads_and_runs(self, tmp_path):
         tau = {"A": [0, 0, 0, 1, 1, 1], "B": [0, 0, 0.5, 1, 1, 1]}
         cfg = load_scenario(write_lending(tmp_path, lambda raw: fixed_rule(raw, tau)))
@@ -730,6 +760,13 @@ class TestSweep:
         assert rep.spread == 0.0
         assert not rep.unreliable
 
+    @pytest.mark.parametrize("eps", [-0.01, math.nan, math.inf])
+    def test_perturbation_size_not_finite_and_nonnegative(self, eps):
+        with pytest.raises(
+            ConfigError, match=f"perturbation size must be finite and >= 0, got {eps}"
+        ):
+            sensitivity_sweep(LENDING, eps, 3, seed=5)
+
     def test_single_draw(self):
         rep = sensitivity_sweep(LENDING, 0.01, 1, seed=5)
         assert rep.minimum == rep.maximum
@@ -876,6 +913,24 @@ class TestInvariants:
             np.testing.assert_allclose(
                 getattr(moved, name), getattr(base, name), **close, err_msg=name
             )
+        # A fixed policy whose groups come in another order than the run's:
+        # the engine, the quota, the step and the reductions gather its rows
+        # in the run's order, bit for bit.
+        ids, last = base.group_ids, base.policies[-1]
+        runs = [
+            run_scenario(with_three_interventions(60, rule=scenarios.PolicyRuleSpec(
+                "fixed", tau={gid: last.tau(gid) for gid in order}
+            ))).columns
+            for order in (ids, ids[::-1])
+        ]
+        same, gathered = runs
+        assert gathered.policies[0].group_ids == ids[::-1]
+        assert 1 < len({id(pol) for pol in gathered.policies}) < len(base.policies)
+        for name, a in vars(same).items():
+            if isinstance(a, np.ndarray):
+                assert a.tobytes() == getattr(gathered, name).tobytes(), name
+        for pa, pb in zip(same.policies, gathered.policies):
+            assert all(pa.tau(gid).tobytes() == pb.tau(gid).tobytes() for gid in ids)
 
     def test_relabelling_the_groups_changes_no_column(self):
         # New labels that sort in another order than the old ones.
