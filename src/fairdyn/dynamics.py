@@ -14,7 +14,7 @@ import enum
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -233,49 +233,78 @@ def classify_regime(delta_mu: float, tol: float) -> RegimeLabel:
 
 
 def _add_in_order(column: np.ndarray, terms: np.ndarray) -> None:
-    """``column[g] += terms[g, 0]``, then ``terms[g, 1]``, and so on: one
-    rounded float64 add at a time, as ``np.add.at`` adds repeated indices.
+    """``column[r] += terms[r, 0]``, then ``terms[r, 1]``, and so on for
+    every row ``r``: one rounded float64 add at a time, as ``np.add.at``
+    adds repeated indices.
 
-    The adds are Python float adds: for a few groups and a few edge terms
-    that is faster than one numpy add per column of ``terms``, whose call
-    overhead is larger than the arithmetic."""
+    With more rows than terms, each add is one numpy add of a column of
+    ``terms``; otherwise the adds are Python float adds, which for a few rows
+    cost less than a numpy call each. Both add in the same order."""
+    rows, count = terms.shape
+    if rows > count:
+        for j in range(count):
+            column += terms[:, j]
+        return
     sums = column.tolist()
-    for g, row in enumerate(terms.tolist()):
+    for r, row in enumerate(terms.tolist()):
         for term in row:
-            sums[g] += term
+            sums[r] += term
     column[:] = sums
 
 
+# A step's policy: one ``Policy``, or in a run of several draws a tuple of
+# each draw's policy.
+_StepPolicy = Union[Policy, tuple[Policy, ...]]
+
+
+def _acceptance_rows(policy: _StepPolicy, group_ids: tuple[str, ...]) -> np.ndarray:
+    """The acceptance vectors of ``policy`` in the order of ``group_ids``, one
+    row per group and draw, draw by draw."""
+    if isinstance(policy, Policy):
+        return policy._rows(group_ids)
+    return np.concatenate([pol._rows(group_ids) for pol in policy])
+
+
 class _PolicyTerms:
-    """The per-bin vectors ``step`` reads for a policy, one row per group in
-    the order of ``group_ids``: ``tau``, ``keep = 1 - tau``, ``rho`` and
-    ``fail = 1 - rho``. The lengths of every group's pmf, acceptance and
-    success vectors are checked here, once per policy."""
+    """The per-bin vectors ``step`` reads for a policy, one row per group of
+    each draw in the order of the stacked pmfs: ``tau`` and ``keep = 1 -
+    tau``, which depend on the policy, and ``rho`` and ``fail = 1 - rho``,
+    which do not. ``run`` passes the last two from an earlier set of the same
+    run, so a run builds them once; without it they are built and every
+    group's pmf, acceptance and success lengths are checked."""
 
     def __init__(
         self,
-        policy: Policy,
+        policy: _StepPolicy,
         outcome: OutcomeModel,
         group_ids: tuple[str, ...],
         pmfs: np.ndarray,
+        run: Optional[tuple[np.ndarray, np.ndarray]] = None,
     ):
         self.policy, self.group_ids = policy, group_ids
-        self.tau = policy._rows(group_ids)
-        rhos = [outcome.rho_for(gid) for gid in group_ids]
-        for gid, pmf, tau, rho in zip(group_ids, pmfs, self.tau, rhos):
-            _check_lengths(gid, pmf=pmf, tau=tau, rho=rho)
+        self.tau = _acceptance_rows(policy, group_ids)
+        if run is None or self.tau.shape != pmfs.shape:
+            draws = len(pmfs) // len(group_ids)
+            rhos = [outcome.rho_for(gid) for gid in group_ids]
+            for gid, pmf, tau, rho in zip(
+                group_ids * draws, pmfs, self.tau, rhos * draws
+            ):
+                _check_lengths(gid, pmf=pmf, tau=tau, rho=rho)
+        if run is None:
+            rho = np.tile(np.array(rhos), (draws, 1))
+            run = rho, 1.0 - rho
         self.keep = 1.0 - self.tau
-        self.rho = np.array(rhos)
-        self.fail = 1.0 - self.rho
+        self.rho, self.fail = run
 
 
 def _policy_terms(
-    policy: Policy,
+    policy: _StepPolicy,
     outcome: OutcomeModel,
     group_ids: tuple[str, ...],
     pmfs: np.ndarray,
+    run: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> _PolicyTerms:
-    """``_PolicyTerms(policy, outcome, group_ids, pmfs)`` for the stacked
+    """``_PolicyTerms(policy, outcome, group_ids, pmfs, run)`` for the stacked
     pmfs (groups, bins), or the set built last with this outcome model when
     it is for this policy object, these groups and this shape. The outcome
     model keeps that one set, so a run that asks for it in the loop and
@@ -288,7 +317,7 @@ def _policy_terms(
         or terms.tau.shape != pmfs.shape
         or terms.group_ids != group_ids
     ):
-        terms = _PolicyTerms(policy, outcome, group_ids, pmfs)
+        terms = _PolicyTerms(policy, outcome, group_ids, pmfs, run)
         object.__setattr__(outcome, "_terms", terms)
     return terms
 
@@ -300,7 +329,8 @@ def _advance(
     steps_down: int,
     out: np.ndarray,
 ) -> None:
-    """Write the next pmfs of every group (rows of ``pmf``) into ``out``.
+    """Write the next pmfs of every row of ``pmf`` (each group of each draw)
+    into ``out``; every row is advanced on its own.
 
     Bit for bit the sum ``pmf * (1 - tau)``, then
     ``np.add.at(new, up, pmf * tau * rho)``, then
@@ -341,6 +371,7 @@ def step(
     outcome: OutcomeModel,
     *,
     out: Optional[np.ndarray] = None,
+    _pmfs: Optional[np.ndarray] = None,
 ) -> Population:
     """Advance the population by one decision round.
 
@@ -353,10 +384,12 @@ def step(
 
     The result is a population over read-only views of a fresh (groups,
     bins) matrix, or of ``out`` when given: ``simulate`` passes the next
-    row of its state array, so the step writes the next state in place.
+    row of its state array, so the step writes the next state in place. It
+    also passes the row that ``pop``'s groups view as ``_pmfs``, so the step
+    does not stack them again.
     """
     ids = pop.group_ids
-    pmf = np.array([g.pmf for g in pop.groups])
+    pmf = np.array([g.pmf for g in pop.groups]) if _pmfs is None else _pmfs
     terms = _policy_terms(policy, outcome, ids, pmf)
     if out is None:
         out = np.empty_like(pmf)
@@ -405,14 +438,15 @@ def _take_hook_result(
 def _step_columns(
     states: np.ndarray,
     proportions: np.ndarray,
-    policies: Sequence[Policy],
+    policies: Sequence[_StepPolicy],
     group_ids: tuple[str, ...],
     run: np.ndarray,
     scores: np.ndarray,
 ):
     """The mean score, acceptance, TPR, FPR and ``delta_mu`` columns of every
-    group (steps, groups), and the utility column, of a run with these
-    states, proportions and per-step policies.
+    group of every draw (steps, draws * groups), and the utility column of
+    every draw (steps, draws), of a run with these states (steps, draws *
+    groups, bins), proportions and per-step policies.
 
     ``run`` holds the run's vectors, one (4, bins) matrix per group: ``rho``,
     ``1 - rho``, the score change and the per-bin utility; ``scores`` are the
@@ -421,57 +455,96 @@ def _step_columns(
     vectors and reduces each row against the products with ``_dots``, bit
     for bit as per-row ``pmf.dot`` calls. An overflow gives inf, no warning.
     """
-    rows, groups, n = states.shape
+    rows, width, n = states.shape
+    groups = len(group_ids)
+    if width > groups:  # several draws: each of their groups has its row
+        run = np.tile(run, (width // groups, 1, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         # Per row and group: acceptance, true positives, false positives,
         # delta_mu and utility.
-        dots = np.empty((rows, groups, 5))
+        dots = np.empty((rows, width, 5))
         for a in range(0, rows, _BLOCK):
             b = min(a + _BLOCK, rows)
             # Each policy object's vectors once, then one set per step.
-            slot: dict[Policy, int] = {}
+            slot: dict[_StepPolicy, int] = {}
             index = [slot.setdefault(pol, len(slot)) for pol in policies[a:b]]
-            tau = np.array([pol._rows(group_ids) for pol in slot])
+            tau = np.array([_acceptance_rows(pol, group_ids) for pol in slot])
             if len(slot) > 1:
                 tau = tau[index]
-            w = np.empty((len(tau), groups, 5, n))
+            w = np.empty((len(tau), width, 5, n))
             w[:, :, 0] = tau
             np.multiply(tau[:, :, None], run, out=w[:, :, 1:])
             dots[a:b] = _dots(states[a:b], w)
         # Per row and group: qualified mass, unqualified mass and mean score,
         # none of which depends on the policy.
-        scores = np.broadcast_to(scores, (groups, 1, n))
+        scores = np.broadcast_to(scores, (width, 1, n))
         masses = _dots(states, np.concatenate((run[:, :2], scores), axis=1))
         # TPR and FPR: true (false) positives over qualified (unqualified)
         # mass, NaN where that mass is zero.
-        rates = np.full((rows, groups, 2), math.nan)
+        rates = np.full((rows, width, 2), math.nan)
         np.divide(dots[..., 1:3], masses[..., :2], out=rates, where=masses[..., :2] > 0)
-        # The proportion-weighted sum over groups, in group order.
-        utility = np.zeros(rows)
+        # Each draw's proportion-weighted sum over its groups, in group order.
+        utility = np.zeros((rows, width // groups))
         for i in range(groups):
-            utility += proportions[:, i] * dots[:, i, 4]
+            utility += proportions[:, i::groups] * dots[:, i::groups, 4]
     # Compact copies, so that the trajectory keeps no intermediate array.
     columns = (masses[..., 2], dots[..., 0], rates[..., 0], rates[..., 1], dots[..., 3])
     return (*(column.copy() for column in columns), utility)
 
 
-def _check_finite(columns: Mapping[str, np.ndarray], group_ids) -> None:
-    """Raise ``DomainError`` at the first non-finite value of the first named
-    column that has one, naming its step (and group, for a per-group column)."""
-    for name, column in columns.items():
+def _check_finite(columns, group_ids: tuple[str, ...]) -> None:
+    """Raise ``DomainError`` at the first non-finite value of the first
+    column that has one, naming its step, and its group for a column of
+    every group. ``columns`` holds (name, column, per group) triples; a
+    column is (steps, draws * groups) or, not per group, (steps, draws)."""
+    for name, column, per_group in columns:
         finite = np.isfinite(column)
         if not finite.all():
-            first = np.argwhere(~finite)[0]
-            t, *group = first.tolist()
-            at = f"step {t}" + (f", group {group_ids[group[0]]!r}" if group else "")
-            raise DomainError(f"{name} {column[tuple(first)]} is not finite at {at}")
+            t, j = np.argwhere(~finite)[0].tolist()
+            at = f"step {t}"
+            if per_group:
+                at += f", group {group_ids[j % len(group_ids)]!r}"
+            raise DomainError(f"{name} {column[t, j]} is not finite at {at}")
+
+
+class _Draws(NamedTuple):
+    """One step's rows of a run of several draws, as a scenario engine's
+    policy hook gets them: ``pmfs`` (draws, groups, bins) and
+    ``proportions`` (draws, groups), views of the run's arrays."""
+
+    pmfs: np.ndarray
+    proportions: np.ndarray
+
+
+class _Runs(NamedTuple):
+    """The columns of a run of one or more draws, stacked as ``_run`` fills
+    them: a per-group array has one column per group of each draw, draw by
+    draw, and a per-draw array one column per draw. Draw ``d``'s columns are
+    the slices ``[:, d * groups:(d + 1) * groups]`` and ``[:, d]``; for one
+    draw they are those of ``TrajectoryColumns``."""
+
+    states: np.ndarray  # (steps, draws * groups, bins)
+    proportions: np.ndarray  # (steps, draws * groups)
+    policies: list  # one _StepPolicy per step
+    initial: Optional[Population]  # of a run of one draw
+    mean_score: np.ndarray
+    acceptance: np.ndarray
+    tpr: np.ndarray
+    fpr: np.ndarray
+    delta_mu: np.ndarray
+    regime: np.ndarray
+    utility: np.ndarray  # (steps, draws)
+    dp_gap: np.ndarray  # (steps, draws)
+    eo_gap: np.ndarray
+    eodds_gap: np.ndarray
+    flags: np.ndarray  # (steps, draws, flags)
 
 
 PolicyFn = Callable[[int, Population], Policy]
 PreStepFn = Callable[[int, Population], Population]
 FlagsFn = Callable[[int], tuple[bool, ...]]
-# Edits step t's pmfs (groups, bins) and proportions (groups,) in place and
-# returns whether it changed the proportions.
+# Edits step t's pmfs (rows, bins) and proportions (rows,) in place and
+# returns whether it changed the proportions; a row is a group of a draw.
 RowHook = Callable[[int, np.ndarray, np.ndarray], bool]
 
 
@@ -530,7 +603,8 @@ def simulate(
     computed after the loop from the state array and the kept policies, bit
     for bit as per-row ``pmf.dot`` calls would give them; a non-finite
     ``delta_mu``, utility or mean score then raises ``DomainError`` naming
-    its step.
+    its step. The loop is ``_run``, which also advances the stacked rows of
+    several draws of a sensitivity sweep; this run is its one-draw case.
     """
     if horizon < 0 or horizon > MAX_HORIZON:
         raise DomainError(f"horizon {horizon} outside [0, {MAX_HORIZON}]")
@@ -542,28 +616,85 @@ def simulate(
     pair = []
     if metric_pair is not None:
         pair = [ids.index(pop.group(label).group_id) for label in metric_pair]
-    rows, groups, n = horizon + 1, len(ids), len(grid)
-    states = np.empty((rows, groups, n))
-    proportions = np.empty((rows, groups))
+        metric_pair = tuple(metric_pair)
+    states = np.empty((horizon + 1, len(ids), len(grid)))
+    proportions = np.empty((horizon + 1, len(ids)))
     states[0] = [g.pmf for g in pop.groups]
     # Every row; from the first step whose hook changes them, each row is
     # copied from the one before.
     proportions[:] = [g.proportion for g in pop.groups]
     hook = _row_hook if pre_step is None else _pre_step_rows(pre_step, pop)
-    cur = pop
-    if hook is not None:
+    c = _run(
+        grid, ids, states, proportions, policy_fn, outcome, inst, regime_tol,
+        pair, flags_fn, hook, pop,
+    )
+    columns = TrajectoryColumns(
+        grid, ids, metric_pair, c.initial, c.states, c.proportions,
+        tuple(c.policies), c.mean_score, c.acceptance, c.tpr, c.fpr,
+        c.delta_mu, c.regime, c.utility[:, 0], c.dp_gap[:, 0], c.eo_gap[:, 0],
+        c.eodds_gap[:, 0], c.flags[:, 0],
+    )
+    return Trajectory(_StepViews(columns))
+
+
+def _run(
+    grid: ScoreGrid,
+    group_ids: tuple[str, ...],
+    states: np.ndarray,
+    proportions: np.ndarray,
+    policy_fn: Callable,
+    outcome: OutcomeModel,
+    inst: InstitutionModel,
+    regime_tol: float,
+    pair: Sequence[int],
+    flags_fn: Optional[Callable] = None,
+    hook: Optional[RowHook] = None,
+    pop: Optional[Population] = None,
+) -> _Runs:
+    """The run loop, over the stacked rows of one or more draws.
+
+    ``states`` (steps, draws * groups, bins) holds each draw's groups in
+    ``group_ids`` order, draw by draw, with row 0 filled; ``proportions``
+    (steps, draws * groups) is filled in every row. The rows of different
+    draws never mix: each value of a draw is computed from that draw's rows
+    alone, with the operations and in the order of a run of that draw on its
+    own, so a draw gives bit for bit the numbers of its own run.
+
+    With one draw, ``policy_fn(t, pop)`` gets the step's population and
+    returns a ``Policy``, ``flags_fn(t)`` a tuple of flags, and each
+    transition is one call of ``step``; ``pop`` is the initial population,
+    or ``None`` to view row 0. With several, ``policy_fn`` gets the step's
+    ``_Draws`` and returns a tuple of each draw's policy, ``flags_fn`` a
+    sequence of each draw's flags, and ``_advance`` moves every row at once.
+    ``pair`` indexes the metric pair's groups, empty for no pair.
+    """
+    rows, width, n = states.shape
+    horizon = rows - 1
+    groups = len(group_ids)
+    draws = width // groups
+    one = draws == 1
+    if one and (pop is None or hook is not None):
         # The hook edits row 0 in place, which ``pop`` does not show.
-        cur = _population_view(grid, ids, proportions[0].tolist(), states[0])
+        pop = _population_view(grid, group_ids, proportions[0].tolist(), states[0])
+    cur = pop
     flags = []
     policies = []
-    pol = None
+    pol = run_vectors = None  # ``rho`` and ``1 - rho`` of every row
     rescaled = False  # whether the hook has changed the proportions yet
     for t in range(rows):
         if hook is not None and hook(t, states[t], proportions[t]):
             rescaled = True
-            cur = _population_view(grid, ids, proportions[t].tolist(), states[t])
+            if one:
+                cur = _population_view(
+                    grid, group_ids, proportions[t].tolist(), states[t]
+                )
+        if not one:
+            cur = _Draws(
+                states[t].reshape(draws, groups, n),
+                proportions[t].reshape(draws, groups),
+            )
         if t == 0:
-            initial = cur
+            initial = cur if one else None
         last = pol
         try:
             pol = policy_fn(t, cur)
@@ -571,7 +702,8 @@ def simulate(
             raise InfeasibilityError(f"step {t}: {exc}") from exc
         if pol is not last:
             # Checks the lengths at this step; ``step`` reuses the set.
-            _policy_terms(pol, outcome, ids, states[t])
+            terms = _policy_terms(pol, outcome, group_ids, states[t], run_vectors)
+            run_vectors = terms.rho, terms.fail
         active = flags_fn(t) if flags_fn is not None else ()
         if flags and len(active) != len(flags[0]):
             raise DomainError(
@@ -581,31 +713,39 @@ def simulate(
         flags.append(tuple(active))
         policies.append(pol)
         if t < horizon:
-            cur = step(cur, pol, outcome, out=states[t + 1])
+            if one:
+                cur = step(cur, pol, outcome, out=states[t + 1], _pmfs=states[t])
+            else:
+                up, down = outcome.steps_up, outcome.steps_down
+                _advance(terms, states[t], up, down, states[t + 1])
             if rescaled:
                 proportions[t + 1] = proportions[t]
     # Step 0's policy set checked every rho length against the grid.
-    rho = np.array([outcome.rho_for(gid) for gid in ids])
-    change = np.array([outcome.score_change(gid, grid) for gid in ids])
-    run = np.stack((rho, 1.0 - rho, change, inst.per_bin_utility(rho)), axis=1)
+    rho, fail = (vectors[:groups] for vectors in run_vectors)
+    change = np.array([outcome.score_change(gid, grid) for gid in group_ids])
+    run = np.stack((rho, fail, change, inst.per_bin_utility(rho)), axis=1)
     mean_score, acceptance, tpr, fpr, delta_mu, utility = _step_columns(
-        states, proportions, policies, ids, run, grid.bin_scores
+        states, proportions, policies, group_ids, run, grid.bin_scores
     )
     _check_finite(
-        {"delta mu": delta_mu, "utility": utility, "mean score": mean_score}, ids
+        (
+            ("delta mu", delta_mu, True),
+            ("utility", utility, False),
+            ("mean score", mean_score, True),
+        ),
+        group_ids,
     )
-    if metric_pair is None:
-        gaps = [np.full(rows, math.nan) for _ in range(3)]
+    if not pair:
+        gaps = [np.full((rows, draws), math.nan) for _ in range(3)]
     else:
-        gaps = _gaps(*(col[:, k] for col in (acceptance, tpr, fpr) for k in pair))
-    columns = TrajectoryColumns(
-        grid,
-        ids,
-        None if metric_pair is None else tuple(metric_pair),
-        initial,
+        gaps = _gaps(
+            *(col[:, k::groups] for col in (acceptance, tpr, fpr) for k in pair)
+        )
+    return _Runs(
         states,
         proportions,
-        tuple(policies),
+        policies,
+        initial,
         mean_score,
         acceptance,
         tpr,
@@ -614,9 +754,8 @@ def simulate(
         _regime_codes(delta_mu, regime_tol),
         utility,
         *gaps,
-        np.array(flags, dtype=bool).reshape(rows, -1),
+        np.array(flags, dtype=bool).reshape(rows, draws, -1),
     )
-    return Trajectory(_StepViews(columns))
 
 
 def is_stationary(traj: Trajectory, window: int, eps: float) -> bool:

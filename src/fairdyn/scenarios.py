@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import importlib.resources
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -32,12 +33,15 @@ from .dynamics import (
     Trajectory,
     _population_view,
     _require_valid,
+    _run,
+    _Runs,
     simulate,
 )
 from .errors import (
     ConfigError,
     DimensionError,
     DomainError,
+    FairdynError,
     InfeasibilityError,
     UndefinedConditionalError,
 )
@@ -47,12 +51,13 @@ from .optimize import (
     Constraint,
     ConstrainedPlan,
     OutcomeOptimalPlan,
+    _score_draws,
     constrained_plan,
     max_utility_policy,
     outcome_optimal_plan,
     search,
 )
-from .policy import InstitutionModel, Policy, _threshold_levels, _threshold_policy
+from .policy import InstitutionModel, Policy, _threshold_levels, _threshold_rows
 from .population import (
     GroupState,
     Population,
@@ -345,6 +350,10 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
         raise ConfigError("metric_groups must name exactly two groups")
     metric_groups = (str(metric_groups_raw[0]), str(metric_groups_raw[1]))
 
+    seed = _integer(raw.get("seed", 0), "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
     variants = {}
     for vname, v in (raw.get("variants") or {}).items():
         known_keys(v, f"variants.{vname}", _KEYS["variant"])
@@ -378,7 +387,7 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
         interventions=interventions,
         horizon=horizon,
         tolerances=tolerances,
-        seed=_integer(raw.get("seed", 0), "seed"),
+        seed=seed,
         resolution=resolution,
         metric_groups=metric_groups,
         variants=variants,
@@ -439,9 +448,7 @@ def build_policy(
     return search(_search_plan(cfg, pop, rule, resolution), pop)
 
 
-def _accepted_mass(
-    groups: Sequence[GroupState], taus: Sequence[np.ndarray]
-) -> list[float]:
+def _accepted_mass(groups: Sequence[GroupState], taus) -> list[float]:
     """Each group's accepted mass, its proportion times its acceptance rate
     ``pmf.dot(tau)``, for acceptance vectors of checked lengths."""
     return [g.proportion * float(g.pmf.dot(tau)) for g, tau in zip(groups, taus)]
@@ -463,15 +470,30 @@ def _share(mass: list[float], j: int) -> float:
 
 class _ScenarioEngine:
     """Stateful hooks plugged into the dynamics loop to apply interventions:
-    ``pre_step``, the loop's row hook, and ``policy``, its ``policy_fn``."""
+    ``pre_step``, the loop's row hook, and ``policy``, its ``policy_fn``.
 
-    def __init__(self, cfg: ScenarioConfig, interventions):
+    One engine serves ``draws`` runs of the scenario that the loop advances
+    together, and keeps each draw's quota streaks, sunset and active states
+    and accepted shares. The decisions are made draw by draw with the float
+    operations of one run; the pipeline shift, the policy search and the
+    quota thresholds are computed for all draws at once, row by row. For one
+    draw, ``policy`` takes the step's population and returns its policy, and
+    ``flags_fn`` one tuple of flags, as ``simulate`` expects; for several it
+    takes the step's ``_Draws`` and returns a tuple of each draw's policy,
+    and ``flags_fn`` a list of each draw's flags.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, interventions, draws: int = 1):
         self.cfg = cfg
         self.interventions = interventions
-        self.index = {gid: i for i, gid in enumerate(cfg.population.group_ids)}
+        self.draws = draws
+        self.ids = cfg.population.group_ids
+        self.index = {gid: i for i, gid in enumerate(self.ids)}
+        # The first row of each draw's groups in a step's stacked rows.
+        self.starts = range(0, draws * len(self.ids), len(self.ids))
         # A fixed or max_utility rule does not depend on the state: build it
         # once for the run. A search is planned once for the run and scored
-        # on every step's population.
+        # on every step's populations.
         rule = cfg.policy_rule
         self.static_policy = None
         self.plan = None
@@ -480,142 +502,206 @@ class _ScenarioEngine:
             self.static_policy = build_policy(cfg, pop, rule, cfg.resolution)
             for g, tau in zip(pop.groups, self.static_policy._rows(pop.group_ids)):
                 _check_lengths(g.group_id, tau=tau, pmf=g.pmf)
+            self.static = (self.static_policy,) * draws
         else:
             self.plan = _search_plan(cfg, pop, rule, cfg.resolution)
-        self.quota_active = [iv.kind == "quota" for iv in interventions]
-        self.quota_streak = [0] * len(interventions)
+        self.quota_active = [[iv.kind == "quota"] * draws for iv in interventions]
+        self.quota_streak = [[0] * draws for _ in interventions]
         # Only role-model feedback reads the accepted shares of the last step.
         self.keeps_shares = any(
             iv.kind == "role_model_feedback" for iv in interventions
         )
-        self.last_share: dict[str, float] = {}
-        self.flags: dict[int, tuple[bool, ...]] = {}
+        self.last_share: list[dict[str, float]] = [{} for _ in range(draws)]
+        self.flags: dict[int, object] = {}
 
     def pre_step(self, t: int, pmfs: np.ndarray, proportions: np.ndarray) -> bool:
         """Apply the interventions active at step ``t`` in place to the
-        step's pmfs (groups, bins) and proportions, and return whether the
-        proportions changed.
+        step's pmfs (draws * groups, bins) and proportions, and return
+        whether the proportions changed.
 
         The pipeline moves ``shift_fraction`` of each non-top bin's mass one
         bin up; role-model feedback scales its group's proportion by ``1 +
         strength * share``, with the share accepted at the last step, and
         renormalizes. A shifted pmf and rescaled proportions are then checked
         as ``validate_population`` checks them; on failure it raises its
-        ``DomainError("invalid population: ...")``.
+        ``DomainError("invalid population: ...")`` for the first draw that
+        fails.
         """
+        groups = len(self.index)
         valid = True
-        rescaled = False
+        scaled = None  # the proportions as floats, once role-model feedback acts
         for iv in self.interventions:
             if t < iv.active_from:
                 continue
+            i = self.index[iv.group]
             if iv.kind == "pipeline_investment":
-                i = self.index[iv.group]
-                row = pmfs[i]
-                moved = row[:-1] * iv.shift_fraction
-                row[:-1] -= moved
-                row[1:] += moved
-                valid = _pmfs_valid(pmfs[i : i + 1]) and valid
+                rows = pmfs[i::groups]
+                moved = rows[:, :-1] * iv.shift_fraction
+                rows[:, :-1] -= moved
+                rows[:, 1:] += moved
+                valid = _pmfs_valid(rows) and valid
             elif iv.kind == "role_model_feedback":
-                share = self.last_share.get(iv.group)
-                if share is None:
-                    continue
-                scaled = proportions.tolist()
-                scaled[self.index[iv.group]] *= 1.0 + iv.strength * share
-                total = sum(scaled)
-                proportions[:] = [p / total for p in scaled]
-                rescaled = True
+                for lo, shares in zip(self.starts, self.last_share):
+                    share = shares.get(iv.group)
+                    if share is None:
+                        continue
+                    if scaled is None:
+                        scaled = proportions.tolist()
+                    scaled[lo + i] *= 1.0 + iv.strength * share
+                    row = scaled[lo : lo + groups]
+                    total = sum(row)
+                    scaled[lo : lo + groups] = [p / total for p in row]
+        rescaled = scaled is not None
         if rescaled:
-            valid = _proportions_valid(proportions.tolist()) and valid
+            proportions[:] = scaled
+            for lo in self.starts:
+                if not _proportions_valid(scaled[lo : lo + groups]):
+                    valid = False
         if not valid:
             pop = self.cfg.population
-            _require_valid(
-                _population_view(pop.grid, pop.group_ids, proportions.tolist(), pmfs)
-            )
+            for lo in self.starts:
+                rows = slice(lo, lo + groups)
+                _require_valid(
+                    _population_view(
+                        pop.grid, pop.group_ids, proportions[rows].tolist(), pmfs[rows]
+                    )
+                )
         return rescaled
 
-    def _accepted(self, pop: Population, pol: Policy) -> list[float]:
-        """Each group's accepted mass under ``pol``, whose vectors have the
-        pmfs' length: a static policy's are checked when the engine is
-        built, and a searched or quota policy's are built on the grid."""
-        return _accepted_mass(pop.groups, pol._rows(pop.group_ids))
-
-    def policy(self, t: int, pop: Population) -> Policy:
-        pol = self.static_policy
-        if pol is None:
-            pol = search(self.plan, pop)
-        # Each group's accepted mass under ``pol``, computed on first use.
+    def policy(self, t: int, pop):
+        """The policy of step ``t``: the rule's policy for each draw's
+        population with each draw's active quotas enforced."""
+        if self.plan is None:
+            pols = self.static
+        elif self.draws == 1:
+            pols = (search(self.plan, pop),)
+        else:
+            pols = tuple(_score_draws(self.plan, pop.pmfs, pop.proportions)[0])
+        groups = None  # the step's groups, draw by draw, on first use
+        # Each draw's accepted mass per group under ``pols``, on first use.
         mass = None
-        flags = []
+        columns = []  # each intervention's flag in each draw
         for i, iv in enumerate(self.interventions):
-            if iv.kind != "quota":
-                flags.append(t >= iv.active_from)
+            started = t >= iv.active_from
+            if iv.kind != "quota" or not started:
+                columns.append([started] * self.draws)
                 continue
-            active = self.quota_active[i] and t >= iv.active_from
-            flags.append(active)
-            if not active:
+            active = self.quota_active[i][:]  # before this step's sunset
+            columns.append(active)
+            if True not in active:
                 continue
             if mass is None:
-                mass = self._accepted(pop, pol)
+                groups = self._groups(pop)
+                mass = self._accepted(groups, pols)
             j = self.index[iv.group]
-            pol = self._enforce_quota(pop, pol, iv, j, mass)
-            share = _share(mass, j)
-            if abs(share - iv.target_share) <= iv.sunset.eps:
-                self.quota_streak[i] += 1
-            else:
-                self.quota_streak[i] = 0
-            if self.quota_streak[i] >= iv.sunset.window:
-                self.quota_active[i] = False  # permanent
+            pols = self._enforce_quota(groups, pols, iv, j, mass, active)
+            streak, on = self.quota_streak[i], self.quota_active[i]
+            for d, (m, act) in enumerate(zip(mass, active)):
+                if not act:
+                    continue
+                share = _share(m, j)
+                if abs(share - iv.target_share) <= iv.sunset.eps:
+                    streak[d] += 1
+                else:
+                    streak[d] = 0
+                if streak[d] >= iv.sunset.window:
+                    on[d] = False  # permanent
         if self.keeps_shares:
             if mass is None:
-                mass = self._accepted(pop, pol)
-            self.last_share = dict(zip(self.index, _shares(mass)))
-        self.flags[t] = tuple(flags)
-        return pol
+                mass = self._accepted(self._groups(pop), pols)
+            self.last_share = [dict(zip(self.index, _shares(m))) for m in mass]
+        flags = list(zip(*columns)) if columns else [()] * self.draws
+        if self.draws == 1:
+            self.flags[t] = flags[0]
+            return pols[0]
+        self.flags[t] = flags
+        return pols
+
+    def _groups(self, pop) -> Sequence[GroupState]:
+        """The step's groups: those of a population, or for several draws
+        one group over each of the step's rows, draw by draw."""
+        if self.draws == 1:
+            return pop.groups
+        pmfs = pop.pmfs.reshape(-1, pop.pmfs.shape[-1])
+        proportions = pop.proportions.ravel().tolist()
+        return list(map(GroupState._of_row, self.ids * self.draws, proportions, pmfs))
+
+    def _accepted(self, groups, pols) -> list[list[float]]:
+        """Each draw's accepted mass per group under its policy in ``pols``,
+        whose vectors have the pmfs' length: a static policy's are checked
+        when the engine is built, and a searched or quota policy's are built
+        on the grid."""
+        ids = self.ids
+        if self.draws == 1:
+            return [_accepted_mass(groups, pols[0]._rows(ids))]
+        mass = _accepted_mass(groups, [tau for pol in pols for tau in pol._rows(ids)])
+        return [mass[lo : lo + len(ids)] for lo in self.starts]
 
     def _enforce_quota(
         self,
-        pop: Population,
-        pol: Policy,
+        groups: Sequence[GroupState],
+        pols: tuple[Policy, ...],
         iv: InterventionRule,
         j: int,
-        mass: list[float],
-    ) -> Policy:
-        """``pol`` with the threshold of the quota group, group ``j`` of
-        ``pop``, lowered until its accepted share reaches the target, or
-        ``pol`` itself when it already does. ``mass`` holds each group's
-        accepted mass under ``pol``; entry ``j`` is updated to the returned
-        policy."""
-        group = pop.groups[j]
-        if group.proportion <= 0:
-            raise InfeasibilityError(
-                f"quota on group {iv.group!r} infeasible: zero population mass"
-            )
+        mass: list[list[float]],
+        active: list[bool],
+    ) -> tuple[Policy, ...]:
+        """``pols`` with, in each ``active`` draw, the threshold of the quota
+        group (group ``j``) lowered until its accepted share reaches the
+        target, or the draw's policy itself when it already does. ``groups``
+        holds the step's groups, draw by draw, and ``mass`` each draw's
+        accepted masses under ``pols``; entry ``j`` of a changed draw is
+        updated to its new policy. The checks run draw by draw, in draw
+        order, as one run makes them."""
         q = iv.target_share
-        if _share(mass, j) >= q:
-            return pol
-        other_mass = sum(m for k, m in enumerate(mass) if k != j)
-        if q >= 1.0:
-            if other_mass > 0:
+        lowered, rates = [], []
+        for lo, m, act in zip(self.starts, mass, active):
+            if not act:
+                continue
+            group = groups[lo + j]
+            proportion = group.proportion
+            if proportion <= 0:
                 raise InfeasibilityError(
-                    f"quota share {q} infeasible while other groups are accepted"
+                    f"quota on group {iv.group!r} infeasible: zero population mass"
                 )
-            return pol
-        needed_rate = q * other_mass / (group.proportion * (1.0 - q))
-        if needed_rate > 1.0:
-            raise InfeasibilityError(
-                f"quota share {q} for group {iv.group!r} needs acceptance rate "
-                f"{needed_rate:.6g} > 1"
-            )
-        # The randomized threshold policy at that rate, as the tau vector
-        # ``threshold_policy_for_rate(...).expand(grid)`` holds. The rate is
+            if _share(m, j) >= q:
+                continue
+            other_mass = sum(x for k, x in enumerate(m) if k != j)
+            if q >= 1.0:
+                if other_mass > 0:
+                    raise InfeasibilityError(
+                        f"quota share {q} infeasible while other groups are accepted"
+                    )
+                continue
+            needed_rate = q * other_mass / (proportion * (1.0 - q))
+            if needed_rate > 1.0:
+                raise InfeasibilityError(
+                    f"quota share {q} for group {iv.group!r} needs acceptance rate "
+                    f"{needed_rate:.6g} > 1"
+                )
+            lowered.append((lo // len(self.ids), group))
+            rates.append(needed_rate)
+        if not lowered:
+            return pols
+        # The randomized threshold policy at each rate, as the tau vector
+        # ``threshold_policy_for_rate(...).expand(grid)`` holds. The rates are
         # in [0, 1]: nonnegative by construction, and checked above.
-        bins, fractions = _threshold_levels(group.pmf, np.array([needed_rate]))
-        threshold = {iv.group: (int(bins[0]), float(fractions[0]))}
-        tau = _threshold_policy(len(group.pmf), threshold).tau(iv.group)
-        mass[j] = _accepted_mass((group,), (tau,))[0]
-        return pol._with_tau(iv.group, tau)
+        quota_groups = [group for _, group in lowered]
+        if len(quota_groups) == 1:  # one draw's pmf, as its own run has it
+            bins, fractions = _threshold_levels(quota_groups[0].pmf, np.array(rates))
+        else:
+            pmfs = np.array([group.pmf for group in quota_groups])
+            bins, fractions = _threshold_levels(pmfs, np.array(rates)[:, None])
+        n = len(quota_groups[0].pmf)
+        taus = _threshold_rows(n, bins.reshape(-1), fractions.reshape(-1))
+        pols = list(pols)
+        lowered_mass = _accepted_mass(quota_groups, taus)
+        for (d, _), group_mass, tau in zip(lowered, lowered_mass, taus):
+            mass[d][j] = group_mass
+            pols[d] = pols[d]._with_tau(iv.group, tau)
+        return tuple(pols)
 
-    def flags_fn(self, t: int) -> tuple[bool, ...]:
+    def flags_fn(self, t: int):
         return self.flags.get(t, ())
 
 
@@ -663,13 +749,20 @@ def _goal_values(cfg: ScenarioConfig, traj: Trajectory, run: str) -> list[float]
         values = c.delta_mu[:, c.group_ids.index(goal.target_group)]
     else:
         values = getattr(c, goal.metric)
+    _check_defined(cfg, values, run)
+    return values.tolist()
+
+
+def _check_defined(cfg: ScenarioConfig, values: np.ndarray, run: str) -> None:
+    """Raise ``UndefinedConditionalError`` naming ``run``, the goal metric
+    and the first step where ``values``, the goal at every step, is NaN."""
     undefined = np.flatnonzero(np.isnan(values))
     if undefined.size:
         raise UndefinedConditionalError(
-            f"{run}: goal metric {goal.metric} is undefined (NaN), first at step "
-            f"{undefined[0]}: a group has no qualified or no unqualified mass"
+            f"{run}: goal metric {cfg.declared_goal.metric} is undefined (NaN), "
+            f"first at step {undefined[0]}: a group has no qualified or no "
+            "unqualified mass"
         )
-    return values.tolist()
 
 
 def goal_met(cfg: ScenarioConfig, value: float) -> bool:
@@ -748,11 +841,134 @@ def named_variants(cfg: ScenarioConfig, names: Sequence[str]):
 
 @dataclass(frozen=True)
 class SweepReport:
+    """The final goal value of each draw, their extremes and spread.
+    ``minimum_draw`` and ``maximum_draw`` are the first draws whose value is
+    the minimum and the maximum."""
+
     values: tuple[float, ...]
     minimum: float
     maximum: float
     spread: float
     unreliable: bool
+    minimum_draw: int
+    maximum_draw: int
+
+
+# A block of a sweep's draws holds as many draws as fit this many bytes of
+# state array (steps x groups x bins float64 per draw), and at least one, so
+# a sweep's peak memory does not grow with its number of draws.
+_SWEEP_STATE_BYTES = 2**20
+
+
+def _checked_count(value, name: str, least: int, message: str) -> int:
+    """``value`` as an int of at least ``least``. Only an integer or an
+    integral float is a count: anything else (a bool, a string, NaN) is a
+    ``ConfigError`` naming ``name``, and a smaller count one with
+    ``message``."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    count = int(value)
+    if count < least:
+        raise ConfigError(message.format(count))
+    return count
+
+
+def _perturbed_pmfs(pop: Population, eps_p: float, seed: int, draw: int) -> np.ndarray:
+    """Draw ``draw``'s start: each group's pmf plus zero-sum noise of total
+    variation ``eps_p`` from ``default_rng([seed, draw])``, clipped at 0 and
+    renormalized, as a (groups, bins) array."""
+    rng = np.random.default_rng([seed, draw])
+    pmfs = []
+    for g in pop.groups:
+        pmf = g.pmf
+        noise = rng.standard_normal(len(pmf))
+        noise -= noise.mean()
+        norm = np.abs(noise).sum()
+        if eps_p > 0 and norm > 0:
+            noise *= 2.0 * eps_p / norm
+        else:
+            noise[:] = 0.0
+        perturbed = np.clip(pmf + noise, 0.0, None)
+        perturbed /= perturbed.sum()
+        pmfs.append(perturbed)
+    return np.array(pmfs)
+
+
+def _run_draws(cfg: ScenarioConfig, pmfs: np.ndarray) -> _Runs:
+    """The scenario's runs from each start of ``pmfs`` (draws, groups, bins),
+    advanced together by one engine: each draw's columns are bit for bit
+    those of ``run_scenario`` on its start."""
+    pop = cfg.population
+    draws, groups, n = pmfs.shape
+    states = np.empty((cfg.horizon + 1, draws * groups, n))
+    states[0] = pmfs.reshape(-1, n)
+    proportions = np.empty((cfg.horizon + 1, draws * groups))
+    proportions[:] = [g.proportion for g in pop.groups] * draws
+    if not _pmfs_valid(states[0]):
+        # The first invalid start raises as ``simulate`` would on it.
+        for lo in range(0, draws * groups, groups):
+            own = slice(lo, lo + groups)
+            shares = proportions[0, own].tolist()
+            _require_valid(
+                _population_view(pop.grid, pop.group_ids, shares, states[0, own])
+            )
+    ids = pop.group_ids
+    ivs = cfg.interventions
+    engine = _ScenarioEngine(cfg, ivs, draws)
+    return _run(
+        pop.grid,
+        ids,
+        states,
+        proportions,
+        engine.policy,
+        cfg.outcome,
+        cfg.institution,
+        cfg.tolerances.regime,
+        [ids.index(label) for label in cfg.metric_groups],
+        engine.flags_fn if ivs else None,
+        engine.pre_step if ivs else None,
+    )
+
+
+def _final_goal_values(cfg: ScenarioConfig, runs: _Runs, draws: range) -> list[float]:
+    """Each draw's final goal value; a NaN goal raises for the first draw
+    that has one, naming it."""
+    goal = cfg.declared_goal
+    if goal.metric == "delta_mu":
+        ids = cfg.population.group_ids
+        values = runs.delta_mu[:, ids.index(goal.target_group) :: len(ids)]
+    else:
+        values = getattr(runs, goal.metric)
+    for draw, column in zip(draws, values.T):
+        _check_defined(cfg, column, f"sweep draw {draw}")
+    return values[-1].tolist()
+
+
+def _sweep_block(cfg: ScenarioConfig, pmfs: np.ndarray, draws: range) -> list[float]:
+    """The final goal values of the sweep draws ``draws`` from their starts
+    ``pmfs``, run as one block.
+
+    An error of a block raises the error of its first draw that fails when
+    run alone, the error a sweep that ran its draws one after another met
+    first; an error of a run is prefixed with ``sweep draw k: `` (a NaN goal
+    names its draw already)."""
+    try:
+        runs = _run_draws(cfg, pmfs)
+    except Exception as exc:
+        # Whatever the block raised (a warning made an error, a zero
+        # division in a rescale), running its draws alone finds the first
+        # draw that raises it, and raises that.
+        if len(draws) > 1:
+            for draw, start in zip(draws, pmfs):
+                _sweep_block(cfg, start[None], range(draw, draw + 1))
+            raise
+        if isinstance(exc, FairdynError):
+            raise type(exc)(f"sweep draw {draws[0]}: {exc}") from exc
+        raise
+    return _final_goal_values(cfg, runs, draws)
 
 
 def sensitivity_sweep(
@@ -762,35 +978,30 @@ def sensitivity_sweep(
 
     Reruns the scenario with each initial pmf perturbed by zero-sum noise of
     total variation eps_p (then clipped and renormalized) and reports the
-    spread of the final goal metric. Runs whose spread exceeds ten times
-    eps_p are flagged unreliable. A goal metric that is NaN at some step of
-    a draw raises ``UndefinedConditionalError``.
+    spread of the final goal metric, and the first draws behind its minimum
+    and maximum. Runs whose spread exceeds ten times eps_p are flagged
+    unreliable. A goal metric that is NaN at some step of a draw raises
+    ``UndefinedConditionalError``; any other error of a draw is raised with
+    the prefix ``sweep draw k: ``, for the first draw that fails.
+
+    The draws run in blocks: one engine advances a block's draws together as
+    one stacked state array, whose rows never mix, so each draw's values are
+    bit for bit those of its own ``run_scenario``. A block holds as many draws
+    as fit ``_SWEEP_STATE_BYTES`` of state, and at least one, so the memory a
+    sweep needs does not grow with ``n_draws``.
     """
     if not 0 <= eps_p < math.inf:
         raise ConfigError(f"perturbation size must be finite and >= 0, got {eps_p}")
-    if n_draws < 1:
-        raise ConfigError(f"need at least one draw, got {n_draws}")
+    n_draws = _checked_count(n_draws, "n_draws", 1, "need at least one draw, got {}")
+    seed = _checked_count(seed, "seed", 0, "seed must be >= 0, got {}")
+    pop = cfg.population
+    state_bytes = (cfg.horizon + 1) * len(pop.groups) * len(pop.grid) * 8
+    block = max(1, _SWEEP_STATE_BYTES // state_bytes)
     values = []
-    for draw in range(n_draws):
-        rng = np.random.default_rng([seed, draw])
-        groups = []
-        for g in cfg.population.groups:
-            pmf = g.pmf
-            noise = rng.standard_normal(len(pmf))
-            noise -= noise.mean()
-            norm = np.abs(noise).sum()
-            if eps_p > 0 and norm > 0:
-                noise *= 2.0 * eps_p / norm
-            else:
-                noise[:] = 0.0
-            perturbed = np.clip(pmf + noise, 0.0, None)
-            perturbed /= perturbed.sum()
-            groups.append(g.with_pmf(perturbed))
-        perturbed_cfg = replace(
-            cfg, population=cfg.population.with_groups(groups)
-        )
-        traj = run_scenario(perturbed_cfg)
-        values.append(_goal_values(cfg, traj, f"sweep draw {draw}")[-1])
+    for first in range(0, n_draws, block):
+        draws = range(first, min(first + block, n_draws))
+        pmfs = np.array([_perturbed_pmfs(pop, eps_p, seed, d) for d in draws])
+        values += _sweep_block(cfg, pmfs, draws)
     lo, hi = min(values), max(values)
     spread = hi - lo
     return SweepReport(
@@ -799,4 +1010,6 @@ def sensitivity_sweep(
         maximum=hi,
         spread=spread,
         unreliable=spread > 10.0 * eps_p,
+        minimum_draw=values.index(lo),
+        maximum_draw=values.index(hi),
     )

@@ -472,6 +472,31 @@ class TestSweep:
         assert outputs[2][0] != outputs[0][0]
 
 
+class TestSweepSeed:
+    def test_negative_seed_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--scenario", "lending_liu", "--eps", "0.01", "--draws", "3",
+                "--seed", "-1", "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "error: seed must be >= 0, got -1" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_negative_scenario_seed_exit_1(self, tmp_path, capsys):
+        raw = builtin_raw("lending_liu")
+        raw["seed"] = -1
+        path = tmp_path / "negative_seed.yaml"
+        path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--scenario", str(path), "--eps", "0.01", "--draws", "3",
+                "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "seed must be >= 0, got -1" in captured.err
+        assert captured.err.startswith("error: scenario file ")
+        assert captured.out == "" and not out.exists()
+
+
 def undefined_goal_scenario(tmp_path):
     """lending_liu with an eo_gap goal and no qualified mass in group B, so
     the goal is NaN at every step."""

@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -988,3 +989,84 @@ class TestHandedOutPopulations:
         first = traj.steps[0].population
         assert first is not cfg.population
         assert not np.array_equal(first.group("B").pmf, cfg.population.group("B").pmf)
+
+
+def _draw_columns(runs, d, groups):
+    """Draw ``d``'s slices of the stacked columns of a run of several draws,
+    by the name of the ``TrajectoryColumns`` field each one stands for."""
+    own = slice(d * groups, (d + 1) * groups)
+    per_group = ("states", "proportions", "mean_score", "acceptance", "tpr",
+                 "fpr", "delta_mu", "regime")
+    per_draw = ("utility", "dp_gap", "eo_gap", "eodds_gap", "flags")
+    return {
+        **{name: getattr(runs, name)[:, own] for name in per_group},
+        **{name: getattr(runs, name)[:, d] for name in per_draw},
+    }
+
+
+def _assert_draw_is_its_own_run(runs, d, traj):
+    """Draw ``d`` of a stacked run has, bit for bit, the columns and the
+    policies of ``traj``, the run of its start alone."""
+    c = traj.columns
+    for name, got in _draw_columns(runs, d, len(c.group_ids)).items():
+        want = getattr(c, name)
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes(), name
+    for t, (got, want) in enumerate(zip(runs.policies, c.policies)):
+        got = got if isinstance(got, Policy) else got[d]
+        assert got.group_ids == want.group_ids, t
+        assert got._rows(got.group_ids).tobytes() == want._rows(want.group_ids).tobytes()
+
+
+class TestDrawsAgainstTheirOwnRuns:
+    """A sensitivity sweep advances a block of draws as one stacked run.
+    Each draw's columns, policies and goal value are bit for bit those of
+    ``run_scenario`` on its start alone, over every rule (``fixed``,
+    ``max_utility``, constrained dp/eo, ``outcome_optimal``) and any set of
+    quota (with sunset), pipeline and role-model interventions; a block that
+    fails raises what its first failing draw raises alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cfg=runs(),
+        draws=st.sampled_from([1, 2, 7]),
+        eps=st.sampled_from([0.0, 0.01, 0.3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_each_draw_is_bit_identical_to_its_own_run(self, cfg, draws, eps, seed):
+        pop = cfg.population
+        starts = np.array(
+            [scenarios._perturbed_pmfs(pop, eps, seed, d) for d in range(draws)]
+        )
+        alone = []
+        for start in starts:
+            groups = [g.with_pmf(pmf) for g, pmf in zip(pop.groups, start)]
+            try:
+                alone.append(
+                    scenarios.run_scenario(
+                        replace(cfg, population=pop.with_groups(groups))
+                    )
+                )
+            except (DomainError, scenarios.InfeasibilityError) as exc:
+                alone.append(exc)
+        failed = [(d, r) for d, r in enumerate(alone) if isinstance(r, Exception)]
+        # Blocks of three draws, so that seven draws span three blocks.
+        state_bytes = (cfg.horizon + 1) * len(pop.groups) * len(pop.grid) * 8
+        with mock.patch.object(scenarios, "_SWEEP_STATE_BYTES", 3 * state_bytes):
+            if failed:
+                d, exc = failed[0]
+                with pytest.raises(type(exc)) as info:
+                    scenarios.sensitivity_sweep(cfg, eps, draws, seed)
+                assert str(info.value) == f"sweep draw {d}: {exc}"
+                return
+            report = scenarios.sensitivity_sweep(cfg, eps, draws, seed)
+        # One block of every draw.
+        stacked = scenarios._run_draws(cfg, starts)
+        for d, traj in enumerate(alone):
+            _assert_draw_is_its_own_run(stacked, d, traj)
+        want = [scenarios._goal_values(cfg, traj, "alone")[-1] for traj in alone]
+        got = scenarios._final_goal_values(cfg, stacked, range(draws))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert np.array(report.values).tobytes() == np.array(want).tobytes()
+        assert report.minimum_draw == want.index(min(want))
+        assert report.maximum_draw == want.index(max(want))

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -652,7 +653,7 @@ class TestRoleModelFeedback:
             kind="role_model_feedback", group="women", strength=0.5, active_from=0
         )
         engine = _ScenarioEngine(BOARDS, (iv,))
-        engine.last_share = {"women": 0.4, "men": 0.6}
+        engine.last_share = [{"women": 0.4, "men": 0.6}]
         pmfs, proportions = rows(BOARDS.population)
         assert engine.pre_step(1, pmfs, proportions) is True
         w = proportions[WOMEN]
@@ -674,7 +675,7 @@ class TestRoleModelFeedback:
             kind="role_model_feedback", group="women", strength=-3.0, active_from=0
         )
         engine = _ScenarioEngine(BOARDS, (iv,))
-        engine.last_share = {"women": 0.4, "men": 0.6}
+        engine.last_share = [{"women": 0.4, "men": 0.6}]
         pmfs, proportions = rows(BOARDS.population)
         with pytest.raises(
             DomainError,
@@ -841,14 +842,14 @@ class TestAcceptedMass:
         engine, calls = self.count_calls(monkeypatch, tuple(quota))
         assert calls == len(BOARDS.population.groups) + 1
         assert engine.flags[0] == (True,)
-        assert engine.last_share == {}
+        assert engine.last_share == [{}]
 
     def test_role_model_keeps_the_shares(self, monkeypatch):
         iv = InterventionRule(kind="role_model_feedback", group="women", strength=0.5)
         engine, calls = self.count_calls(monkeypatch, (iv,))
         assert calls == len(BOARDS.population.groups)
-        assert sum(engine.last_share.values()) == pytest.approx(1.0)
-        assert set(engine.last_share) == set(BOARDS.population.group_ids)
+        assert sum(engine.last_share[0].values()) == pytest.approx(1.0)
+        assert set(engine.last_share[0]) == set(BOARDS.population.group_ids)
 
 
 def with_three_interventions(
@@ -966,3 +967,195 @@ class TestInvariants:
         assert c.proportions[-1, 1] > c.proportions[0, 1]
         assert np.abs(c.states.sum(axis=2) - 1.0).max() <= MASS_TOL
         assert np.abs(c.proportions.sum(axis=1) - 1.0).max() <= MASS_TOL
+
+
+class TestBatchedSweep:
+    """A sweep runs its draws in blocks, each one stacked run."""
+
+    @staticmethod
+    def state_bytes(cfg):
+        pop = cfg.population
+        return (cfg.horizon + 1) * len(pop.groups) * len(pop.grid) * 8
+
+    @pytest.mark.parametrize("cfg", [LENDING, BOARDS], ids=["lending", "boards"])
+    def test_block_size_changes_no_value(self, monkeypatch, cfg):
+        reports = []
+        for per_block in (1, 3, 7):
+            monkeypatch.setattr(
+                scenarios, "_SWEEP_STATE_BYTES", per_block * self.state_bytes(cfg)
+            )
+            reports.append(sensitivity_sweep(cfg, 0.05, 7, seed=11))
+        assert reports[0] == reports[1] == reports[2]
+        assert len(set(reports[0].values)) > 1
+
+    def test_a_block_holds_at_least_one_draw(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "_SWEEP_STATE_BYTES", 1)
+        blocks = []
+        real = scenarios._sweep_block
+        monkeypatch.setattr(
+            scenarios, "_sweep_block",
+            lambda cfg, pmfs, draws: blocks.append(draws) or real(cfg, pmfs, draws),
+        )
+        rep = sensitivity_sweep(LENDING, 0.01, 3, seed=5)
+        assert blocks == [range(0, 1), range(1, 2), range(2, 3)]
+        monkeypatch.setattr(scenarios, "_SWEEP_STATE_BYTES", 2**20)
+        assert sensitivity_sweep(LENDING, 0.01, 3, seed=5) == rep
+
+    def test_report_names_the_draws_of_its_extremes(self):
+        rep = sensitivity_sweep(LENDING, 0.05, 9, seed=3)
+        assert rep.values[rep.minimum_draw] == rep.minimum == min(rep.values)
+        assert rep.values[rep.maximum_draw] == rep.maximum == max(rep.values)
+        assert rep.minimum_draw != rep.maximum_draw
+
+    def test_ties_name_the_first_draw(self):
+        rep = sensitivity_sweep(LENDING, 0.0, 4, seed=3)
+        assert rep.minimum_draw == rep.maximum_draw == 0
+        assert rep.spread == 0.0
+
+    def test_peak_memory_does_not_grow_with_the_draws(self, monkeypatch):
+        per_block = 16
+        monkeypatch.setattr(
+            scenarios, "_SWEEP_STATE_BYTES", per_block * self.state_bytes(BOARDS)
+        )
+
+        def peak(draws):
+            sensitivity_sweep(BOARDS, 0.01, draws, seed=7)  # warm caches
+            tracemalloc.start()
+            try:
+                sensitivity_sweep(BOARDS, 0.01, draws, seed=7)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, four = peak(per_block), peak(4 * per_block)
+        # Slack for the list of values and the last block's starts.
+        assert four <= one + 16 * 1024
+        # The same draws in one block do need more: the bound is the blocks'.
+        monkeypatch.setattr(
+            scenarios, "_SWEEP_STATE_BYTES", 4 * per_block * self.state_bytes(BOARDS)
+        )
+        assert peak(4 * per_block) > one + 64 * 1024
+
+
+def quota_runs_into_infeasibility():
+    """A quota of 0.6 on group b while a pipeline lifts group a into the
+    accepted bins: the rate the quota needs exceeds 1 at a step that depends
+    on a's start."""
+    grid = ScoreGrid((0.0, 1.0, 2.0, 3.0, 4.0), 1.0)
+    rho = (0.1, 0.3, 0.5, 0.7, 0.9)
+    pop = Population(grid, (
+        GroupState("a", 0.5, (1.0, 0.0, 0.0, 0.0, 0.0)),
+        GroupState("b", 0.5, (0.0, 0.0, 0.5, 0.25, 0.25)),
+    ))
+    return scenarios.ScenarioConfig(
+        name="infeasible_later",
+        declared_goal=scenarios.DeclaredGoal("balanced", "dp_gap", 0.05),
+        population=pop,
+        outcome=OutcomeModel({"a": rho, "b": rho}, 0, 0),
+        institution=scenarios.InstitutionModel(1.0, -1.0),
+        policy_rule=scenarios.PolicyRuleSpec("max_utility"),
+        interventions=(
+            InterventionRule("quota", "b", target_share=0.6, sunset=SunsetRule(0.0, 100)),
+            InterventionRule("pipeline_investment", "a", shift_fraction=0.5),
+        ),
+        horizon=5,
+        tolerances=scenarios.Tolerances(),
+        seed=0,
+        resolution=0.01,
+        metric_groups=("a", "b"),
+    )
+
+
+class TestSweepErrors:
+    # Draw 0 never fails within the horizon, draw 1 fails at step 3 and
+    # draw 2 already at step 1.
+    STARTS = ((1.0, 0.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0, 0.0),
+              (0.0, 0.0, 1.0, 0.0, 0.0))
+
+    def sweep(self, monkeypatch, draws):
+        cfg = quota_runs_into_infeasibility()
+        b = cfg.population.group("b").pmf
+        monkeypatch.setattr(
+            scenarios, "_perturbed_pmfs",
+            lambda pop, eps, seed, draw: np.array([self.STARTS[draw], b]),
+        )
+        return sensitivity_sweep(cfg, 0.01, draws, seed=1)
+
+    def alone(self, draw):
+        cfg = quota_runs_into_infeasibility()
+        a = cfg.population.group("a").with_pmf(self.STARTS[draw])
+        start = cfg.population.with_groups((a, cfg.population.group("b")))
+        return run_scenario(replace(cfg, population=start))
+
+    def test_the_draws_alone(self):
+        self.alone(0)
+        for draw, step in ((1, 3), (2, 1)):
+            with pytest.raises(InfeasibilityError, match=f"^step {step}: quota share"):
+                self.alone(draw)
+
+    def test_the_lowest_failing_draw_is_named(self, monkeypatch):
+        with pytest.raises(InfeasibilityError) as info:
+            self.alone(1)
+        with pytest.raises(InfeasibilityError) as swept:
+            self.sweep(monkeypatch, 3)
+        assert str(swept.value) == f"sweep draw 1: {info.value}"
+        assert str(swept.value).startswith("sweep draw 1: step 3: quota share 0.6")
+
+    def test_a_block_of_one_draw_names_it(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "_SWEEP_STATE_BYTES", 1)
+        with pytest.raises(InfeasibilityError, match=r"^sweep draw 1: step 3: "):
+            self.sweep(monkeypatch, 3)
+
+    def test_non_finite_delta_mu_names_its_draw(self):
+        # Accept-all at a bin width near the largest float: the expected
+        # score change overflows in every draw.
+        huge = np.finfo(float).max / 2
+        grid = ScoreGrid((0.0, huge), huge)
+        pop = Population(grid, (GroupState("a", 1.0, (0.5, 0.5)),))
+        cfg = scenarios.ScenarioConfig(
+            name="overflow",
+            declared_goal=scenarios.DeclaredGoal("up", "delta_mu", 1e-6, "a"),
+            population=pop,
+            outcome=OutcomeModel({"a": (1.0, 1.0)}, 3, 0),
+            institution=scenarios.InstitutionModel(1.0, -1.0),
+            policy_rule=scenarios.PolicyRuleSpec("fixed", tau={"a": np.ones(2)}),
+            interventions=(),
+            horizon=2,
+            tolerances=scenarios.Tolerances(),
+            seed=0,
+            resolution=0.01,
+            metric_groups=("a", "a"),
+        )
+        with pytest.raises(DomainError) as alone:
+            run_scenario(cfg)
+        with pytest.raises(DomainError) as swept:
+            sensitivity_sweep(cfg, 0.01, 4, seed=2)
+        assert "is not finite at step 0" in str(alone.value)
+        assert str(swept.value) == f"sweep draw 0: {alone.value}"
+
+
+class TestSweepArguments:
+    @pytest.mark.parametrize("seed", [-1, True, False, 1.5, math.nan, "7", None])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ConfigError, match=r"^seed must be"):
+            sensitivity_sweep(LENDING, 0.01, 2, seed=seed)
+
+    @pytest.mark.parametrize("n_draws", [True, 2.5, math.inf, "3", None])
+    def test_bad_draw_count(self, n_draws):
+        with pytest.raises(ConfigError, match=r"^n_draws must be an integer"):
+            sensitivity_sweep(LENDING, 0.01, n_draws, seed=1)
+
+    @pytest.mark.parametrize("n_draws", [0, -3, False])
+    def test_no_draws(self, n_draws):
+        with pytest.raises(ConfigError, match=r"^(need at least one draw|n_draws)"):
+            sensitivity_sweep(LENDING, 0.01, n_draws, seed=1)
+
+    def test_integral_floats_count(self):
+        assert sensitivity_sweep(LENDING, 0.01, 2.0, seed=3.0) == sensitivity_sweep(
+            LENDING, 0.01, 2, seed=3
+        )
+
+    def test_negative_scenario_seed_rejected(self, tmp_path):
+        path = write_lending(tmp_path, lambda raw: raw.update(seed=-1))
+        with pytest.raises(ConfigError, match=r"seed must be >= 0, got -1"):
+            load_scenario(path)
