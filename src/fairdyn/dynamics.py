@@ -722,7 +722,10 @@ def _run(
                 proportions[t + 1] = proportions[t]
     # Step 0's policy set checked every rho length against the grid.
     rho, fail = (vectors[:groups] for vectors in run_vectors)
-    change = np.array([outcome.score_change(gid, grid) for gid in group_ids])
+    # A score change past the largest float is inf, no warning, and the
+    # finiteness check below names it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        change = np.array([outcome.score_change(gid, grid) for gid in group_ids])
     run = np.stack((rho, fail, change, inst.per_bin_utility(rho)), axis=1)
     mean_score, acceptance, tpr, fpr, delta_mu, utility = _step_columns(
         states, proportions, policies, group_ids, run, grid.bin_scores
