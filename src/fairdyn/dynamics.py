@@ -361,7 +361,7 @@ def _population_view(
     """A population over read-only views of the rows of ``pmfs``."""
     rows = pmfs.view()
     rows.setflags(write=False)
-    groups = map(GroupState._of_row, group_ids, proportions, rows)
+    groups = [GroupState._of_row(*group) for group in zip(group_ids, proportions, rows)]
     return Population(grid, tuple(groups))
 
 
@@ -508,9 +508,9 @@ def _check_finite(columns, group_ids: tuple[str, ...]) -> None:
 
 
 class _Draws(NamedTuple):
-    """One step's rows of a run of several draws, as a scenario engine's
-    policy hook gets them: ``pmfs`` (draws, groups, bins) and
-    ``proportions`` (draws, groups), views of the run's arrays."""
+    """One step's rows of a run of several draws, as its policy hook gets
+    them: ``pmfs`` (draws * groups, bins) and ``proportions`` (draws *
+    groups), the run's rows of the step."""
 
     pmfs: np.ndarray
     proportions: np.ndarray
@@ -526,7 +526,7 @@ class _Runs(NamedTuple):
     states: np.ndarray  # (steps, draws * groups, bins)
     proportions: np.ndarray  # (steps, draws * groups)
     policies: list  # one _StepPolicy per step
-    initial: Optional[Population]  # of a run of one draw
+    initial: Optional[Population]  # of a run of ``simulate``
     mean_score: np.ndarray
     acceptance: np.ndarray
     tpr: np.ndarray
@@ -537,7 +537,7 @@ class _Runs(NamedTuple):
     dp_gap: np.ndarray  # (steps, draws)
     eo_gap: np.ndarray
     eodds_gap: np.ndarray
-    flags: np.ndarray  # (steps, draws, flags)
+    flags: np.ndarray  # (steps, flags); a block of draws keeps none
 
 
 PolicyFn = Callable[[int, Population], Policy]
@@ -632,7 +632,7 @@ def simulate(
         grid, ids, metric_pair, c.initial, c.states, c.proportions,
         tuple(c.policies), c.mean_score, c.acceptance, c.tpr, c.fpr,
         c.delta_mu, c.regime, c.utility[:, 0], c.dp_gap[:, 0], c.eo_gap[:, 0],
-        c.eodds_gap[:, 0], c.flags[:, 0],
+        c.eodds_gap[:, 0], c.flags,
     )
     return Trajectory(_StepViews(columns))
 
@@ -660,20 +660,20 @@ def _run(
     alone, with the operations and in the order of a run of that draw on its
     own, so a draw gives bit for bit the numbers of its own run.
 
-    With one draw, ``policy_fn(t, pop)`` gets the step's population and
-    returns a ``Policy``, ``flags_fn(t)`` a tuple of flags, and each
-    transition is one call of ``step``; ``pop`` is the initial population,
-    or ``None`` to view row 0. With several, ``policy_fn`` gets the step's
-    ``_Draws`` and returns a tuple of each draw's policy, ``flags_fn`` a
-    sequence of each draw's flags, and ``_advance`` moves every row at once.
-    ``pair`` indexes the metric pair's groups, empty for no pair.
+    ``simulate`` passes its initial population ``pop`` for a run of one
+    draw: ``policy_fn(t, pop)`` gets the step's population and returns a
+    ``Policy``, ``flags_fn(t)`` a tuple of flags, and each transition is one
+    call of ``step``. A sensitivity sweep's block of draws passes no ``pop``:
+    ``policy_fn`` gets the step's ``_Draws`` and returns a tuple of each
+    draw's policy, there are no flags, and ``_advance`` moves every row at
+    once. ``pair`` indexes the metric pair's groups, empty for no pair.
     """
-    rows, width, n = states.shape
+    rows, width = states.shape[:2]
     horizon = rows - 1
     groups = len(group_ids)
     draws = width // groups
-    one = draws == 1
-    if one and (pop is None or hook is not None):
+    one = pop is not None
+    if one and hook is not None:
         # The hook edits row 0 in place, which ``pop`` does not show.
         pop = _population_view(grid, group_ids, proportions[0].tolist(), states[0])
     cur = pop
@@ -689,10 +689,7 @@ def _run(
                     grid, group_ids, proportions[t].tolist(), states[t]
                 )
         if not one:
-            cur = _Draws(
-                states[t].reshape(draws, groups, n),
-                proportions[t].reshape(draws, groups),
-            )
+            cur = _Draws(states[t], proportions[t])
         if t == 0:
             initial = cur if one else None
         last = pol
@@ -701,8 +698,12 @@ def _run(
         except InfeasibilityError as exc:
             raise InfeasibilityError(f"step {t}: {exc}") from exc
         if pol is not last:
-            # Checks the lengths at this step; ``step`` reuses the set.
-            terms = _policy_terms(pol, outcome, group_ids, states[t], run_vectors)
+            # Checks the lengths at this step; ``step`` reuses the set
+            # through the outcome model's cache. ``_advance`` takes it
+            # directly, and the cache keeps no set of several draws' policies.
+            terms = (_policy_terms if one else _PolicyTerms)(
+                pol, outcome, group_ids, states[t], run_vectors
+            )
             run_vectors = terms.rho, terms.fail
         active = flags_fn(t) if flags_fn is not None else ()
         if flags and len(active) != len(flags[0]):
@@ -757,7 +758,7 @@ def _run(
         _regime_codes(delta_mu, regime_tol),
         utility,
         *gaps,
-        np.array(flags, dtype=bool).reshape(rows, draws, -1),
+        np.array(flags, dtype=bool).reshape(rows, -1),
     )
 
 

@@ -25,11 +25,8 @@ from .metrics import OutcomeModel
 from .policy import (
     InstitutionModel,
     Policy,
-    _count_below,
-    _pick,
-    _take,
     _threshold_levels,
-    _threshold_policies,
+    _threshold_policy,
     _top_sums,
     institution_utility,
     threshold_values,
@@ -37,7 +34,6 @@ from .policy import (
 from .population import GroupState, Population
 
 DEFAULT_RESOLUTION = 0.01
-_LEAST = np.nextafter(0.0, 1.0)  # the least positive float64
 
 
 class Constraint(enum.Enum):
@@ -88,33 +84,22 @@ def _rates_for_tpr(
     rho: np.ndarray,
     tprs: np.ndarray,
 ) -> np.ndarray:
-    """:func:`rates_for_tpr` for a float array of levels, of a pmf or of
-    each row of a stack of pmfs; ``reach`` is ``_top_sums(pmf)``, the mass
-    of the top k bins.
-
-    The threshold is the first top-down bin that holds qualified mass and
-    whose cumulative qualified mass reaches the target. A bin without
-    qualified mass repeats the sum before it, so for a positive target that
-    is the first bin whose sum reaches it, and for a target of 0 the first
-    whose sum exceeds 0. A row's rates are those of its pmf alone.
-    """
-    # Per row a (1 x n)(n x 1) product: the BLAS dot ``pmf @ rho`` calls.
-    qualified = (pmf[..., None, :] @ rho)[..., 0]
-    if (qualified <= 0).any():
+    """:func:`rates_for_tpr` for a float array of levels; ``reach`` is
+    ``_top_sums(pmf)``, the mass of the top k bins."""
+    qualified = float(pmf @ rho)
+    if qualified <= 0:
         raise DomainError(f"group {group_id!r} has zero qualified mass")
-    need = tprs * qualified[..., None]
-    n = pmf.shape[-1]
+    need = tprs * qualified
+    n = len(pmf)
     contrib = pmf * rho
     got = _top_sums(contrib)  # qualified mass of the top k bins
-    # No sum lies strictly between 0 and the least positive float.
-    first = _count_below(got[..., 1:], np.maximum(need, _LEAST))
-    reached = first < n  # n where the target is not reached
-    k = np.minimum(first, n - 1)
-    bins = n - 1 - k
-    above, at_bin = _take(got, k), _take(contrib, bins)
-    frac = np.divide(need - above, at_bin, out=np.zeros(k.shape), where=reached)
+    # The top-down positions of the bins that hold qualified mass.
+    candidates = (contrib[::-1] > 0).nonzero()[0]
+    j = got[candidates + 1].searchsorted(need, side="left")
+    k = candidates[np.minimum(j, len(candidates) - 1)]
+    frac = (need - got[k]) / contrib[n - 1 - k]
     rates = np.where(
-        reached, _take(reach, k) + frac * _take(pmf, bins), reach[..., n:]
+        j < len(candidates), reach[k] + frac * pmf[n - 1 - k], reach[n]
     )
     return np.minimum(rates, 1.0)
 
@@ -139,29 +124,6 @@ def _groups(plan_ids: tuple[str, ...], pop: Population) -> tuple[GroupState, ...
     return groups
 
 
-def _score_population(plan, pop: Population) -> tuple[Policy, float]:
-    """``plan``'s best policy for ``pop`` and its level."""
-    groups = _groups(plan.group_ids, pop)
-    policies, level = plan._score(
-        [g.pmf for g in groups], [g.proportion for g in groups]
-    )
-    return policies[0], float(level)
-
-
-def _score_draws(plan, pmfs: np.ndarray, proportions: np.ndarray):
-    """``plan``'s best policy and level for each population of a step's
-    stacked pmfs (populations, groups, bins) and proportions (populations,
-    groups)."""
-    return plan._score(pmfs.transpose(1, 0, 2), proportions.T[..., None])
-
-
-# A plan's ``_score(pmfs, proportions)`` scores one population, given as
-# each group's pmf (bins,) and proportion, or a stack of populations, given
-# as each group's pmfs (populations, bins) and proportions (populations, 1).
-# It returns the list of each population's policy and their levels, and
-# gives each population of a stack what it gets alone, bit for bit.
-
-
 @dataclass(frozen=True, eq=False)
 class ConstrainedPlan:
     """What a constrained search needs besides a population's pmfs and
@@ -180,27 +142,31 @@ class ConstrainedPlan:
     def score(self, pop: Population) -> tuple[Policy, float]:
         """The best policy for ``pop`` and its level. All levels are scored
         in one pass per group; only the winner is expanded."""
-        return _score_population(self, pop)
-
-    def _score(self, pmfs, proportions) -> tuple[list[Policy], np.ndarray]:
+        groups = _groups(self.group_ids, pop)
         levels = self.levels
         utility = np.zeros(len(levels))
-        searched = []
-        for i, gid in enumerate(self.group_ids):
-            pmf = pmfs[i]
+        searched = {}
+        for i, g in enumerate(groups):
+            pmf = g.pmf
             reach = _top_sums(pmf)
             rates = levels
             if self.rho is not None:
-                rates = _rates_for_tpr(gid, pmf, reach, self.rho[i], levels)
+                rates = _rates_for_tpr(g.group_id, pmf, reach, self.rho[i], levels)
             bins, fractions = _threshold_levels(pmf, rates, reach)
-            utility = utility + proportions[i] * threshold_values(
+            utility = utility + g.proportion * threshold_values(
                 pmf, self.utility[i], bins, fractions
             )
-            searched.append((bins, fractions))
+            searched[g.group_id] = (bins, fractions)
         # The largest of the levels with the highest utility.
-        best = len(levels) - 1 - utility[..., ::-1].argmax(axis=-1)
-        chosen = [(bins, fractions, best) for bins, fractions in searched]
-        return _threshold_policies(self.group_ids, self.n_bins, chosen), levels[best]
+        best = len(levels) - 1 - int(np.argmax(utility[::-1]))
+        policy = _threshold_policy(
+            self.n_bins,
+            {
+                gid: (int(bins[best]), float(fractions[best]))
+                for gid, (bins, fractions) in searched.items()
+            },
+        )
+        return policy, float(levels[best])
 
 
 def constrained_plan(
@@ -277,57 +243,48 @@ class OutcomeOptimalPlan:
 
     def score(self, pop: Population) -> tuple[Policy, float]:
         """The best policy for ``pop`` and the target group's rate."""
-        return _score_population(self, pop)
-
-    def _score(self, pmfs, proportions) -> tuple[list[Policy], np.ndarray]:
+        groups = _groups(self.group_ids, pop)
         levels = self.levels
 
         # Per group the utility of a threshold policy at each rate is
         # independent of other groups, so evaluate each axis once.
-        def axis(i: int):
-            pmf = pmfs[i]
+        def axis(i: int, group: GroupState):
+            pmf = group.pmf
             bins, fractions = _threshold_levels(pmf, levels)
-            utils = proportions[i] * threshold_values(
+            utils = group.proportion * threshold_values(
                 pmf, self.utility[i], bins, fractions
             )
             return bins, fractions, utils
 
         # Other groups do not affect the objective: give each its
         # utility-best rate so the floor is as easy to satisfy as possible.
-        # The target's threshold goes last, as a search of one population
-        # lists it.
-        ids, chosen = [], []
+        thresholds = {}
         other_util = 0.0
-        for i, gid in enumerate(self.group_ids):
+        for i, g in enumerate(groups):
             if i == self.target:
                 continue
-            level_bins, level_fractions, utils = axis(i)
-            k = utils.argmax(axis=-1)
-            ids.append(gid)
-            chosen.append((level_bins, level_fractions, k))
-            other_util = other_util + _pick(utils, k)
+            bins, fractions, utils = axis(i, g)
+            k = int(np.argmax(utils))
+            thresholds[g.group_id] = (int(bins[k]), float(fractions[k]))
+            other_util += float(utils[k])
 
-        t = self.target
-        level_bins, level_fractions, target_utils = axis(t)
-        dmus = threshold_values(pmfs[t], self.change, level_bins, level_fractions)
-        # ``other_util + target_utils``, each row's sum with its row.
-        utils = (target_utils.T + other_util).T
-        feasible = utils >= self.utility_floor
-        reachable = feasible.any(axis=-1)
-        if not reachable.all():
-            max_util = np.ravel(other_util + target_utils.max(axis=-1))
+        target = groups[self.target]
+        bins, fractions, target_utils = axis(self.target, target)
+        dmus = threshold_values(target.pmf, self.change, bins, fractions)
+        utils = other_util + target_utils
+        feasible = np.flatnonzero(utils >= self.utility_floor)
+        if len(feasible) == 0:
+            max_util = other_util + float(target_utils.max())
             raise InfeasibilityError(
                 f"utility floor {self.utility_floor} infeasible; maximum "
-                f"achievable utility is {max_util[np.ravel(reachable).argmin()]:.12g}"
+                f"achievable utility is {max_util:.12g}"
             )
-        # lexsort sorts by its last key first, so the last index (of a row)
-        # is the feasible level with the largest (dmu, utility, -rate).
-        negative = np.empty_like(utils)
-        negative[...] = -levels
-        best = np.lexsort((negative, utils, dmus, feasible), axis=-1)[..., -1]
-        ids.append(self.group_ids[t])
-        chosen.append((level_bins, level_fractions, best))
-        return _threshold_policies(tuple(ids), self.n_bins, chosen), levels[best]
+        # lexsort sorts by its last key first, so the last index is the
+        # level with the largest (dmu, utility, -rate).
+        order = np.lexsort((-levels[feasible], utils[feasible], dmus[feasible]))
+        best = int(feasible[order[-1]])
+        thresholds[target.group_id] = (int(bins[best]), float(fractions[best]))
+        return _threshold_policy(self.n_bins, thresholds), float(levels[best])
 
 
 def outcome_optimal_plan(

@@ -51,16 +51,12 @@ class Policy:
     ) -> "Policy":
         """This policy over the rows of ``matrix``, a fresh float64 (groups,
         bins) array kept read-only without a copy once its rows ``check`` lie
-        in [0, 1] (``None``: rows the caller has checked);
-        ``object.__new__(Policy)._keep(...)`` builds a policy."""
-        if check is not None:
-            # Written so that NaN fails the check too.
-            ok = ((matrix[check] >= 0) & (matrix[check] <= 1)).all(axis=1)
-            if not ok.all():
-                bad = group_ids[check][int(ok.argmin())]
-                raise DomainError(
-                    f"group {bad!r}: acceptance entries outside [0,1] or NaN"
-                )
+        in [0, 1]; ``object.__new__(Policy)._keep(...)`` builds a policy."""
+        # Written so that NaN fails the check too.
+        ok = ((matrix[check] >= 0) & (matrix[check] <= 1)).all(axis=1)
+        if not ok.all():
+            bad = group_ids[check][int(ok.argmin())]
+            raise DomainError(f"group {bad!r}: acceptance entries outside [0,1] or NaN")
         matrix.setflags(write=False)
         rows = MappingProxyType(dict(zip(group_ids, matrix)))
         object.__setattr__(self, "acceptance", rows)
@@ -179,77 +175,28 @@ def threshold_levels(
     return _threshold_levels(pmf, rates)
 
 
-# The private threshold helpers below take a pmf (bins,) or a stack of pmfs
-# (rows, bins), and give each row of a stack the values that its pmf alone
-# gets, bit for bit: every operation is elementwise or runs along one row.
-
-
 def _top_sums(values: np.ndarray) -> np.ndarray:
-    """``out[..., k]``: the sum of the top ``k`` entries of (each row of)
-    ``values``, summed sequentially from the last entry down; ``out[..., 0]``
-    is 0. A cumulative sum adds in order along its axis."""
-    out = np.empty(values.shape[:-1] + (values.shape[-1] + 1,))
-    out[..., 0] = 0.0
-    values[..., ::-1].cumsum(-1, out=out[..., 1:])
+    """``out[k]``: the sum of the top ``k`` entries of ``values``, summed
+    sequentially from the last entry down; ``out[0]`` is 0."""
+    out = np.empty(len(values) + 1)
+    out[0] = 0.0
+    values[::-1].cumsum(out=out[1:])
     return out
-
-
-def _take(values: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``values[index]``, or for a stack ``values[r, index[r, j]]`` for every
-    row ``r``."""
-    if values.ndim == 1:
-        return values[index]
-    if len(values) == 1:
-        return values[0][index]
-    width = values.shape[1]
-    return values.ravel()[index + np.arange(0, values.size, width)[:, None]]
-
-
-def _pick(values: np.ndarray, at) -> np.ndarray:
-    """``values[at]``, or for a stack ``values[r, at[r]]`` for every row
-    ``r``: one entry per row."""
-    if values.ndim == 1:
-        return values[at]
-    return values[np.arange(len(values)), at]
-
-
-def _count_below(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """How many entries of the nondecreasing ``rows`` lie below each entry
-    of ``values``: ``rows.searchsorted(values, side="left")``, or for a
-    stack the count of each row's entries below each entry of its row of
-    ``values`` (one row of ``values`` may serve every row).
-
-    A stack runs its Python loop over the shorter side: one search per row,
-    or a comparison count, one column of ``rows`` at a time."""
-    if rows.ndim == 1:
-        return rows.searchsorted(values, side="left")
-    if len(rows) == 1:
-        return rows[0].searchsorted(values[0] if values.ndim > 1 else values)[None]
-    if len(rows) <= rows.shape[1]:
-        if values.ndim == 1:
-            values = [values] * len(rows)
-        return np.array([row.searchsorted(v) for row, v in zip(rows, values)])
-    count = np.zeros((len(rows), values.shape[-1]), dtype=np.intp)
-    for column in rows.T:
-        count += column[:, None] < values
-    return count
 
 
 def _threshold_levels(
     pmf: np.ndarray, rates: np.ndarray, reach: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`threshold_levels` for rates already known to lie in [0, 1], of
-    a pmf or of each row of a stack at the rates of its row of ``rates`` (or
-    at the one row given); ``reach`` is ``_top_sums(pmf)`` if the caller has
-    it."""
-    n = pmf.shape[-1]
+    """:func:`threshold_levels` for a float array of rates already known to
+    lie in [0, 1]; ``reach`` is ``_top_sums(pmf)`` if the caller has it."""
+    n = len(pmf)
     if reach is None:
         reach = _top_sums(pmf)
-    k = np.minimum(_count_below(reach[..., 1:], rates), n - 1)
+    k = np.minimum(reach[1:].searchsorted(rates, side="left"), n - 1)
     bins = n - 1 - k
-    mass = _take(pmf, bins)
+    mass = pmf[bins]
     fractions = np.divide(
-        rates - _take(reach, k), mass, out=np.zeros(k.shape), where=mass > 0
+        rates - reach[k], mass, out=np.zeros(len(rates)), where=mass > 0
     )
     # ``reach[k] < rate`` unless both are 0, so no fraction is negative;
     # rounding can put one above 1.
@@ -262,71 +209,20 @@ def threshold_values(
     """``sum_x pmf[x] * tau[x] * weight[x]`` for every threshold policy
     ``(bins, fractions)`` of :func:`threshold_levels`, without expanding any
     of them: the weighted mass above the threshold bin plus the boundary
-    share of the threshold bin itself. Also for each row of a stack of pmfs
-    and its row of ``bins`` and ``fractions``."""
+    share of the threshold bin itself."""
     pw = pmf * weight
-    return _take(_top_sums(pw), pw.shape[-1] - 1 - bins) + fractions * _take(pw, bins)
-
-
-def _threshold_policies(
-    group_ids: tuple[str, ...],
-    n: int,
-    chosen: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> list[Policy]:
-    """The policies over ``n`` bins of each group's chosen randomized
-    threshold: ``chosen`` holds, per group of ``group_ids``, the threshold
-    bins and boundaries of some levels and the index of the chosen level.
-
-    For one population the levels are 1-D and the index an int, and the
-    result is one policy; for a stack they are (populations, levels) and
-    (populations,), and the result one policy per population, built and
-    range-checked at once. Every entry but a boundary is 0 or 1, so the
-    check reads only the boundaries; it names the first bad group of the
-    first policy that has one, as ``Policy`` would."""
-    if np.ndim(chosen[0][2]) == 0:
-        thresholds = {
-            gid: (bins[at], boundaries[at])
-            for gid, (bins, boundaries, at) in zip(group_ids, chosen)
-        }
-        return [_threshold_policy(n, thresholds)]
-    bins = np.array([_pick(b, at) for b, _, at in chosen]).T
-    boundaries = np.array([_pick(f, at) for _, f, at in chosen]).T
-    # Written so that NaN fails the check too.
-    ok = (boundaries >= 0) & (boundaries <= 1)
-    if not ok.all():
-        bad = ok[int(ok.all(axis=1).argmin())]
-        raise DomainError(
-            f"group {group_ids[int(bad.argmin())]!r}: acceptance entries "
-            "outside [0,1] or NaN"
-        )
-    matrices = _threshold_rows(n, bins, boundaries)
-    return [object.__new__(Policy)._keep(group_ids, m, None) for m in matrices]
-
-
-def _threshold_rows(n: int, bins: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
-    """The acceptance vectors (..., n) of the randomized thresholds
-    ``(bins, boundaries)``: 1 above the bin, the boundary at it, 0 below."""
-    rows = np.empty(bins.shape + (n,))
-    rows[...] = np.arange(n) > bins[..., None]
-    flat = rows.reshape(-1, n)  # a view: ``rows`` is C-ordered
-    flat[np.arange(len(flat)), bins.ravel()] = boundaries.ravel()
-    return rows
+    return _top_sums(pw)[len(pw) - 1 - bins] + fractions * pw[bins]
 
 
 def _threshold_policy(n: int, thresholds: Mapping[str, tuple[int, float]]) -> Policy:
     """The policy of each group's randomized threshold ``(bin, boundary)``
     over ``n`` bins: every bin above ``bin`` accepted, ``bin`` with
-    probability ``boundary``, none below. Every other entry is 0 or 1, so
-    only the boundaries are range-checked."""
+    probability ``boundary``, none below."""
     matrix = np.zeros((len(thresholds), n))
-    for gid, row, (threshold_bin, boundary) in zip(
-        thresholds, matrix, thresholds.values()
-    ):
-        if not 0.0 <= boundary <= 1.0:  # NaN fails too
-            raise DomainError(f"group {gid!r}: acceptance entries outside [0,1] or NaN")
+    for row, (threshold_bin, boundary) in zip(matrix, thresholds.values()):
         row[threshold_bin + 1 :] = 1.0
         row[threshold_bin] = boundary
-    return object.__new__(Policy)._keep(tuple(thresholds), matrix, None)
+    return object.__new__(Policy)._keep(tuple(thresholds), matrix)
 
 
 def threshold_policy_for_rate(

@@ -21,6 +21,7 @@ from __future__ import annotations
 import importlib.resources
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -34,6 +35,7 @@ from .dynamics import (
     _population_view,
     _require_valid,
     _run,
+    _Draws,
     _Runs,
     simulate,
 )
@@ -51,13 +53,12 @@ from .optimize import (
     Constraint,
     ConstrainedPlan,
     OutcomeOptimalPlan,
-    _score_draws,
     constrained_plan,
     max_utility_policy,
     outcome_optimal_plan,
     search,
 )
-from .policy import InstitutionModel, Policy, _threshold_levels, _threshold_rows
+from .policy import InstitutionModel, Policy, _threshold_levels, _threshold_policy
 from .population import (
     GroupState,
     Population,
@@ -448,7 +449,9 @@ def build_policy(
     return search(_search_plan(cfg, pop, rule, resolution), pop)
 
 
-def _accepted_mass(groups: Sequence[GroupState], taus) -> list[float]:
+def _accepted_mass(
+    groups: Sequence[GroupState], taus: Sequence[np.ndarray]
+) -> list[float]:
     """Each group's accepted mass, its proportion times its acceptance rate
     ``pmf.dot(tau)``, for acceptance vectors of checked lengths."""
     return [g.proportion * float(g.pmf.dot(tau)) for g, tau in zip(groups, taus)]
@@ -470,238 +473,167 @@ def _share(mass: list[float], j: int) -> float:
 
 class _ScenarioEngine:
     """Stateful hooks plugged into the dynamics loop to apply interventions:
-    ``pre_step``, the loop's row hook, and ``policy``, its ``policy_fn``.
+    ``pre_step``, the loop's row hook, and ``policy``, its ``policy_fn``."""
 
-    One engine serves ``draws`` runs of the scenario that the loop advances
-    together, and keeps each draw's quota streaks, sunset and active states
-    and accepted shares. The decisions are made draw by draw with the float
-    operations of one run; the pipeline shift, the policy search and the
-    quota thresholds are computed for all draws at once, row by row. For one
-    draw, ``policy`` takes the step's population and returns its policy, and
-    ``flags_fn`` one tuple of flags, as ``simulate`` expects; for several it
-    takes the step's ``_Draws`` and returns a tuple of each draw's policy,
-    and ``flags_fn`` a list of each draw's flags.
-    """
-
-    def __init__(self, cfg: ScenarioConfig, interventions, draws: int = 1):
+    def __init__(
+        self,
+        cfg: ScenarioConfig,
+        interventions,
+        rule_of: Optional[_ScenarioEngine] = None,
+    ):
         self.cfg = cfg
         self.interventions = interventions
-        self.draws = draws
-        self.ids = cfg.population.group_ids
-        self.index = {gid: i for i, gid in enumerate(self.ids)}
-        # The first row of each draw's groups in a step's stacked rows.
-        self.starts = range(0, draws * len(self.ids), len(self.ids))
+        self.index = {gid: i for i, gid in enumerate(cfg.population.group_ids)}
         # A fixed or max_utility rule does not depend on the state: build it
         # once for the run. A search is planned once for the run and scored
-        # on every step's populations.
+        # on every step's population. Another draw of the same scenario,
+        # ``rule_of``'s, shares them.
         rule = cfg.policy_rule
         self.static_policy = None
         self.plan = None
         pop = cfg.population
-        if rule.kind in ("fixed", "max_utility"):
+        if rule_of is not None:
+            self.static_policy, self.plan = rule_of.static_policy, rule_of.plan
+        elif rule.kind in ("fixed", "max_utility"):
             self.static_policy = build_policy(cfg, pop, rule, cfg.resolution)
             for g, tau in zip(pop.groups, self.static_policy._rows(pop.group_ids)):
                 _check_lengths(g.group_id, tau=tau, pmf=g.pmf)
-            self.static = (self.static_policy,) * draws
         else:
             self.plan = _search_plan(cfg, pop, rule, cfg.resolution)
-        self.quota_active = [[iv.kind == "quota"] * draws for iv in interventions]
-        self.quota_streak = [[0] * draws for _ in interventions]
+        self.quota_active = [iv.kind == "quota" for iv in interventions]
+        self.quota_streak = [0] * len(interventions)
         # Only role-model feedback reads the accepted shares of the last step.
         self.keeps_shares = any(
             iv.kind == "role_model_feedback" for iv in interventions
         )
-        self.last_share: list[dict[str, float]] = [{} for _ in range(draws)]
-        self.flags: dict[int, object] = {}
+        self.last_share: dict[str, float] = {}
+        self.flags: dict[int, tuple[bool, ...]] = {}
 
     def pre_step(self, t: int, pmfs: np.ndarray, proportions: np.ndarray) -> bool:
         """Apply the interventions active at step ``t`` in place to the
-        step's pmfs (draws * groups, bins) and proportions, and return
-        whether the proportions changed.
+        step's pmfs (groups, bins) and proportions, and return whether the
+        proportions changed.
 
         The pipeline moves ``shift_fraction`` of each non-top bin's mass one
         bin up; role-model feedback scales its group's proportion by ``1 +
         strength * share``, with the share accepted at the last step, and
         renormalizes. A shifted pmf and rescaled proportions are then checked
         as ``validate_population`` checks them; on failure it raises its
-        ``DomainError("invalid population: ...")`` for the first draw that
-        fails.
+        ``DomainError("invalid population: ...")``.
         """
-        groups = len(self.index)
         valid = True
-        scaled = None  # the proportions as floats, once role-model feedback acts
+        rescaled = False
         for iv in self.interventions:
             if t < iv.active_from:
                 continue
-            i = self.index[iv.group]
             if iv.kind == "pipeline_investment":
-                rows = pmfs[i::groups]
-                moved = rows[:, :-1] * iv.shift_fraction
-                rows[:, :-1] -= moved
-                rows[:, 1:] += moved
-                valid = _pmfs_valid(rows) and valid
+                i = self.index[iv.group]
+                row = pmfs[i]
+                moved = row[:-1] * iv.shift_fraction
+                row[:-1] -= moved
+                row[1:] += moved
+                valid = _pmfs_valid(pmfs[i : i + 1]) and valid
             elif iv.kind == "role_model_feedback":
-                for lo, shares in zip(self.starts, self.last_share):
-                    share = shares.get(iv.group)
-                    if share is None:
-                        continue
-                    if scaled is None:
-                        scaled = proportions.tolist()
-                    scaled[lo + i] *= 1.0 + iv.strength * share
-                    row = scaled[lo : lo + groups]
-                    total = sum(row)
-                    scaled[lo : lo + groups] = [p / total for p in row]
-        rescaled = scaled is not None
+                share = self.last_share.get(iv.group)
+                if share is None:
+                    continue
+                scaled = proportions.tolist()
+                scaled[self.index[iv.group]] *= 1.0 + iv.strength * share
+                total = sum(scaled)
+                proportions[:] = [p / total for p in scaled]
+                rescaled = True
         if rescaled:
-            proportions[:] = scaled
-            for lo in self.starts:
-                if not _proportions_valid(scaled[lo : lo + groups]):
-                    valid = False
+            valid = _proportions_valid(proportions.tolist()) and valid
         if not valid:
             pop = self.cfg.population
-            for lo in self.starts:
-                rows = slice(lo, lo + groups)
-                _require_valid(
-                    _population_view(
-                        pop.grid, pop.group_ids, proportions[rows].tolist(), pmfs[rows]
-                    )
-                )
+            _require_valid(
+                _population_view(pop.grid, pop.group_ids, proportions.tolist(), pmfs)
+            )
         return rescaled
 
-    def policy(self, t: int, pop):
-        """The policy of step ``t``: the rule's policy for each draw's
-        population with each draw's active quotas enforced."""
-        if self.plan is None:
-            pols = self.static
-        elif self.draws == 1:
-            pols = (search(self.plan, pop),)
-        else:
-            pols = tuple(_score_draws(self.plan, pop.pmfs, pop.proportions)[0])
-        groups = None  # the step's groups, draw by draw, on first use
-        # Each draw's accepted mass per group under ``pols``, on first use.
+    def _accepted(self, pop: Population, pol: Policy) -> list[float]:
+        """Each group's accepted mass under ``pol``, whose vectors have the
+        pmfs' length: a static policy's are checked when the engine is
+        built, and a searched or quota policy's are built on the grid."""
+        return _accepted_mass(pop.groups, pol._rows(pop.group_ids))
+
+    def policy(self, t: int, pop: Population) -> Policy:
+        pol = self.static_policy
+        if pol is None:
+            pol = search(self.plan, pop)
+        # Each group's accepted mass under ``pol``, computed on first use.
         mass = None
-        columns = []  # each intervention's flag in each draw
+        flags = []
         for i, iv in enumerate(self.interventions):
-            started = t >= iv.active_from
-            if iv.kind != "quota" or not started:
-                columns.append([started] * self.draws)
+            if iv.kind != "quota":
+                flags.append(t >= iv.active_from)
                 continue
-            active = self.quota_active[i][:]  # before this step's sunset
-            columns.append(active)
-            if True not in active:
+            active = self.quota_active[i] and t >= iv.active_from
+            flags.append(active)
+            if not active:
                 continue
             if mass is None:
-                groups = self._groups(pop)
-                mass = self._accepted(groups, pols)
+                mass = self._accepted(pop, pol)
             j = self.index[iv.group]
-            pols = self._enforce_quota(groups, pols, iv, j, mass, active)
-            streak, on = self.quota_streak[i], self.quota_active[i]
-            for d, (m, act) in enumerate(zip(mass, active)):
-                if not act:
-                    continue
-                share = _share(m, j)
-                if abs(share - iv.target_share) <= iv.sunset.eps:
-                    streak[d] += 1
-                else:
-                    streak[d] = 0
-                if streak[d] >= iv.sunset.window:
-                    on[d] = False  # permanent
+            pol = self._enforce_quota(pop, pol, iv, j, mass)
+            share = _share(mass, j)
+            if abs(share - iv.target_share) <= iv.sunset.eps:
+                self.quota_streak[i] += 1
+            else:
+                self.quota_streak[i] = 0
+            if self.quota_streak[i] >= iv.sunset.window:
+                self.quota_active[i] = False  # permanent
         if self.keeps_shares:
             if mass is None:
-                mass = self._accepted(self._groups(pop), pols)
-            self.last_share = [dict(zip(self.index, _shares(m))) for m in mass]
-        flags = list(zip(*columns)) if columns else [()] * self.draws
-        if self.draws == 1:
-            self.flags[t] = flags[0]
-            return pols[0]
-        self.flags[t] = flags
-        return pols
-
-    def _groups(self, pop) -> Sequence[GroupState]:
-        """The step's groups: those of a population, or for several draws
-        one group over each of the step's rows, draw by draw."""
-        if self.draws == 1:
-            return pop.groups
-        pmfs = pop.pmfs.reshape(-1, pop.pmfs.shape[-1])
-        proportions = pop.proportions.ravel().tolist()
-        return list(map(GroupState._of_row, self.ids * self.draws, proportions, pmfs))
-
-    def _accepted(self, groups, pols) -> list[list[float]]:
-        """Each draw's accepted mass per group under its policy in ``pols``,
-        whose vectors have the pmfs' length: a static policy's are checked
-        when the engine is built, and a searched or quota policy's are built
-        on the grid."""
-        ids = self.ids
-        if self.draws == 1:
-            return [_accepted_mass(groups, pols[0]._rows(ids))]
-        mass = _accepted_mass(groups, [tau for pol in pols for tau in pol._rows(ids)])
-        return [mass[lo : lo + len(ids)] for lo in self.starts]
+                mass = self._accepted(pop, pol)
+            self.last_share = dict(zip(self.index, _shares(mass)))
+        self.flags[t] = tuple(flags)
+        return pol
 
     def _enforce_quota(
         self,
-        groups: Sequence[GroupState],
-        pols: tuple[Policy, ...],
+        pop: Population,
+        pol: Policy,
         iv: InterventionRule,
         j: int,
-        mass: list[list[float]],
-        active: list[bool],
-    ) -> tuple[Policy, ...]:
-        """``pols`` with, in each ``active`` draw, the threshold of the quota
-        group (group ``j``) lowered until its accepted share reaches the
-        target, or the draw's policy itself when it already does. ``groups``
-        holds the step's groups, draw by draw, and ``mass`` each draw's
-        accepted masses under ``pols``; entry ``j`` of a changed draw is
-        updated to its new policy. The checks run draw by draw, in draw
-        order, as one run makes them."""
+        mass: list[float],
+    ) -> Policy:
+        """``pol`` with the threshold of the quota group, group ``j`` of
+        ``pop``, lowered until its accepted share reaches the target, or
+        ``pol`` itself when it already does. ``mass`` holds each group's
+        accepted mass under ``pol``; entry ``j`` is updated to the returned
+        policy."""
+        group = pop.groups[j]
+        if group.proportion <= 0:
+            raise InfeasibilityError(
+                f"quota on group {iv.group!r} infeasible: zero population mass"
+            )
         q = iv.target_share
-        lowered, rates = [], []
-        for lo, m, act in zip(self.starts, mass, active):
-            if not act:
-                continue
-            group = groups[lo + j]
-            proportion = group.proportion
-            if proportion <= 0:
+        if _share(mass, j) >= q:
+            return pol
+        other_mass = sum(m for k, m in enumerate(mass) if k != j)
+        if q >= 1.0:
+            if other_mass > 0:
                 raise InfeasibilityError(
-                    f"quota on group {iv.group!r} infeasible: zero population mass"
+                    f"quota share {q} infeasible while other groups are accepted"
                 )
-            if _share(m, j) >= q:
-                continue
-            other_mass = sum(x for k, x in enumerate(m) if k != j)
-            if q >= 1.0:
-                if other_mass > 0:
-                    raise InfeasibilityError(
-                        f"quota share {q} infeasible while other groups are accepted"
-                    )
-                continue
-            needed_rate = q * other_mass / (proportion * (1.0 - q))
-            if needed_rate > 1.0:
-                raise InfeasibilityError(
-                    f"quota share {q} for group {iv.group!r} needs acceptance rate "
-                    f"{needed_rate:.6g} > 1"
-                )
-            lowered.append((lo // len(self.ids), group))
-            rates.append(needed_rate)
-        if not lowered:
-            return pols
-        # The randomized threshold policy at each rate, as the tau vector
-        # ``threshold_policy_for_rate(...).expand(grid)`` holds. The rates are
+            return pol
+        needed_rate = q * other_mass / (group.proportion * (1.0 - q))
+        if needed_rate > 1.0:
+            raise InfeasibilityError(
+                f"quota share {q} for group {iv.group!r} needs acceptance rate "
+                f"{needed_rate:.6g} > 1"
+            )
+        # The randomized threshold policy at that rate, as the tau vector
+        # ``threshold_policy_for_rate(...).expand(grid)`` holds. The rate is
         # in [0, 1]: nonnegative by construction, and checked above.
-        quota_groups = [group for _, group in lowered]
-        if len(quota_groups) == 1:  # one draw's pmf, as its own run has it
-            bins, fractions = _threshold_levels(quota_groups[0].pmf, np.array(rates))
-        else:
-            pmfs = np.array([group.pmf for group in quota_groups])
-            bins, fractions = _threshold_levels(pmfs, np.array(rates)[:, None])
-        n = len(quota_groups[0].pmf)
-        taus = _threshold_rows(n, bins.reshape(-1), fractions.reshape(-1))
-        pols = list(pols)
-        lowered_mass = _accepted_mass(quota_groups, taus)
-        for (d, _), group_mass, tau in zip(lowered, lowered_mass, taus):
-            mass[d][j] = group_mass
-            pols[d] = pols[d]._with_tau(iv.group, tau)
-        return tuple(pols)
+        bins, fractions = _threshold_levels(group.pmf, np.array([needed_rate]))
+        threshold = {iv.group: (int(bins[0]), float(fractions[0]))}
+        tau = _threshold_policy(len(group.pmf), threshold).tau(iv.group)
+        mass[j] = _accepted_mass((group,), (tau,))[0]
+        return pol._with_tau(iv.group, tau)
 
-    def flags_fn(self, t: int):
+    def flags_fn(self, t: int) -> tuple[bool, ...]:
         return self.flags.get(t, ())
 
 
@@ -897,10 +829,58 @@ def _perturbed_pmfs(pop: Population, eps_p: float, seed: int, draw: int) -> np.n
     return np.array(pmfs)
 
 
+class _DrawEngines:
+    """The hooks of a run of several draws of one scenario, whose rows
+    ``_run`` advances together: one ``_ScenarioEngine`` per draw, each given
+    its own draw's rows, so each keeps its draw's quota streaks, sunset and
+    active states and accepted shares, and decides as in a run of its own.
+    The engines share the rule's static policy or search plan."""
+
+    def __init__(self, cfg: ScenarioConfig, draws: int):
+        ivs = cfg.interventions
+        first = _ScenarioEngine(cfg, ivs)
+        self.engines = [first]
+        self.engines += [_ScenarioEngine(cfg, ivs, first) for _ in range(draws - 1)]
+        self.grid, self.ids = cfg.population.grid, cfg.population.group_ids
+        groups = len(self.ids)
+        self.rows = [slice(lo, lo + groups) for lo in range(0, draws * groups, groups)]
+        # Only a search, a quota and role-model feedback read a draw's
+        # population in ``_ScenarioEngine.policy``.
+        self.reads_population = first.plan is not None or any(
+            iv.kind in ("quota", "role_model_feedback") for iv in ivs
+        )
+        self.policies = (None,) * draws
+
+    def pre_step(self, t: int, pmfs: np.ndarray, proportions: np.ndarray) -> bool:
+        """Each engine's ``pre_step`` on its draw's rows of the step's pmfs
+        (draws * groups, bins) and proportions, in draw order."""
+        rescaled = False
+        for engine, rows in zip(self.engines, self.rows):
+            if engine.pre_step(t, pmfs[rows], proportions[rows]):
+                rescaled = True
+        return rescaled
+
+    def policy(self, t: int, draws: _Draws) -> tuple[Policy, ...]:
+        """Each draw's policy of step ``t``, from its engine and a population
+        over its rows. A step whose policies are all those of the step before
+        returns the same tuple, so that the loop reuses their products."""
+        pops = [None] * len(self.engines)
+        if self.reads_population:
+            shares = draws.proportions.tolist()
+            pops = [
+                _population_view(self.grid, self.ids, shares[rows], draws.pmfs[rows])
+                for rows in self.rows
+            ]
+        pols = tuple([engine.policy(t, pop) for engine, pop in zip(self.engines, pops)])
+        if any(map(operator.is_not, pols, self.policies)):
+            self.policies = pols
+        return self.policies
+
+
 def _run_draws(cfg: ScenarioConfig, pmfs: np.ndarray) -> _Runs:
     """The scenario's runs from each start of ``pmfs`` (draws, groups, bins),
-    advanced together by one engine: each draw's columns are bit for bit
-    those of ``run_scenario`` on its start."""
+    advanced together: each draw's columns are bit for bit those of
+    ``run_scenario`` on its start. The runs keep no intervention flags."""
     pop = cfg.population
     draws, groups, n = pmfs.shape
     states = np.empty((cfg.horizon + 1, draws * groups, n))
@@ -916,20 +896,18 @@ def _run_draws(cfg: ScenarioConfig, pmfs: np.ndarray) -> _Runs:
                 _population_view(pop.grid, pop.group_ids, shares, states[0, own])
             )
     ids = pop.group_ids
-    ivs = cfg.interventions
-    engine = _ScenarioEngine(cfg, ivs, draws)
+    hooks = _DrawEngines(cfg, draws)
     return _run(
         pop.grid,
         ids,
         states,
         proportions,
-        engine.policy,
+        hooks.policy,
         cfg.outcome,
         cfg.institution,
         cfg.tolerances.regime,
         [ids.index(label) for label in cfg.metric_groups],
-        engine.flags_fn if ivs else None,
-        engine.pre_step if ivs else None,
+        hook=hooks.pre_step if cfg.interventions else None,
     )
 
 
@@ -984,11 +962,12 @@ def sensitivity_sweep(
     ``UndefinedConditionalError``; any other error of a draw is raised with
     the prefix ``sweep draw k: ``, for the first draw that fails.
 
-    The draws run in blocks: one engine advances a block's draws together as
-    one stacked state array, whose rows never mix, so each draw's values are
-    bit for bit those of its own ``run_scenario``. A block holds as many draws
-    as fit ``_SWEEP_STATE_BYTES`` of state, and at least one, so the memory a
-    sweep needs does not grow with ``n_draws``.
+    The draws run in blocks: one loop advances a block's draws together as
+    one stacked state array, whose rows never mix, with one scenario engine
+    per draw, so each draw's values are bit for bit those of its own
+    ``run_scenario``. A block holds as many draws as fit
+    ``_SWEEP_STATE_BYTES`` of state, and at least one, so the memory a sweep
+    needs does not grow with ``n_draws``.
     """
     if not 0 <= eps_p < math.inf:
         raise ConfigError(f"perturbation size must be finite and >= 0, got {eps_p}")

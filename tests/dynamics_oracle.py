@@ -36,8 +36,8 @@ def step(pop, policy, outcome):
 def intervention_hook(engine):
     """A ``pre_step`` hook that applies the pipeline and role-model
     interventions of a scenario engine to a new population. Role-model
-    feedback reads the shares that ``engine.policy`` kept at the last step
-    for its one draw; the engine's quotas act through its policy."""
+    feedback reads the shares that ``engine.policy`` kept at the last step;
+    the engine's quotas act through its policy."""
 
     def pre_step(t, pop):
         groups = list(pop.groups)
@@ -53,7 +53,7 @@ def intervention_hook(engine):
                 pmf[1:] += moved
                 groups[i] = GroupState(iv.group, groups[i].proportion, pmf)
             elif iv.kind == "role_model_feedback":
-                share = engine.last_share[0].get(iv.group)
+                share = engine.last_share.get(iv.group)
                 if share is None:
                     continue
                 i = index[iv.group]

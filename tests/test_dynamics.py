@@ -997,7 +997,7 @@ def _draw_columns(runs, d, groups):
     own = slice(d * groups, (d + 1) * groups)
     per_group = ("states", "proportions", "mean_score", "acceptance", "tpr",
                  "fpr", "delta_mu", "regime")
-    per_draw = ("utility", "dp_gap", "eo_gap", "eodds_gap", "flags")
+    per_draw = ("utility", "dp_gap", "eo_gap", "eodds_gap")
     return {
         **{name: getattr(runs, name)[:, own] for name in per_group},
         **{name: getattr(runs, name)[:, d] for name in per_draw},
@@ -1006,8 +1006,10 @@ def _draw_columns(runs, d, groups):
 
 def _assert_draw_is_its_own_run(runs, d, traj):
     """Draw ``d`` of a stacked run has, bit for bit, the columns and the
-    policies of ``traj``, the run of its start alone."""
+    policies of ``traj``, the run of its start alone. A block of draws keeps
+    no intervention flags."""
     c = traj.columns
+    assert runs.flags.size == 0
     for name, got in _draw_columns(runs, d, len(c.group_ids)).items():
         want = getattr(c, name)
         assert got.shape == want.shape and got.dtype == want.dtype, name
