@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 import tempfile
@@ -106,9 +107,18 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
+# Each ``causal`` option that only one check reads, and that check.
+_CAUSAL_OPTIONS = {"given": "dsep", "resolving": "unresolved", "proxy": "proxy"}
+
+
 def _cmd_causal(args) -> int:
+    for option, check in _CAUSAL_OPTIONS.items():
+        if getattr(args, option) and args.check != check:
+            raise FairdynError(
+                f"--{option} applies only to --check {check}, not {args.check}"
+            )
     model = causal_mod.load_causal_model(args.model)
-    given = set(filter(None, (args.given or "").split(",")))
+    given = set(filter(None, args.given.split(",")))
     if args.check == "dsep":
         result = causal_mod.d_separated(
             model, {model.protected}, {model.outcome}, given
@@ -120,7 +130,7 @@ def _cmd_causal(args) -> int:
             f"{_fmt(causal_mod.counterfactual_fairness_gap(model))}"
         )
     elif args.check == "unresolved":
-        resolving = set(filter(None, (args.resolving or "").split(",")))
+        resolving = set(filter(None, args.resolving.split(",")))
         result = causal_mod.unresolved_discrimination(model, resolving)
         print(f"unresolved_discrimination {_fmt(bool(result))}")
     else:  # proxy
@@ -180,6 +190,8 @@ def _cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the ``fairdyn`` command line on each call, so a
+    caller may add arguments to the one it gets."""
     parser = argparse.ArgumentParser(
         prog="fairdyn",
         description="Fairness metrics, causal checks and downstream-effect "
@@ -233,10 +245,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process. ``parse_args``
+    returns a new ``Namespace`` on each call and leaves the parser as it
+    was, so one command carries nothing over to the next."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

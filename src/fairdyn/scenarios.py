@@ -174,10 +174,10 @@ def _optional_str(mapping: dict, key: str) -> Optional[str]:
 
 def _integer(value, path: str) -> int:
     """``value`` of the integer field ``path`` as an int. An integral float
-    such as 20.0 is accepted; a bool or a float with a fractional part (or
-    NaN or inf) raises ``ConfigError`` naming the field, where ``int`` would
-    truncate it."""
-    if isinstance(value, bool) or (
+    such as 20.0 is accepted; a bool, a string (even ``"15"``) or a float
+    with a fractional part (or NaN or inf) raises ``ConfigError`` naming the
+    field, where ``int`` would parse or truncate it."""
+    if isinstance(value, (bool, str)) or (
         isinstance(value, float) and not value.is_integer()
     ):
         raise ConfigError(f"{path} must be an integer, got {value!r}")

@@ -7,11 +7,13 @@ import sys
 import pytest
 import yaml
 
+from fairdyn import cli
 from fairdyn.causal import load_causal_model
-from fairdyn.cli import main
+from fairdyn.cli import build_parser, main
 from fairdyn.errors import ConfigError
 from fairdyn.scenarios import load_scenario
 from test_causal import grid_model
+from test_golden_cli import STDOUT_ONLY, WANT, WITH_CSV
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CAUSAL_MODEL = os.path.join(REPO, "configs", "hiring_causal.yaml")
@@ -26,6 +28,17 @@ def builtin_raw(name):
     from importlib.resources import files
 
     return yaml.safe_load(files("fairdyn.data").joinpath(f"{name}.yaml").read_text())
+
+
+def write_infeasible_quota(tmp_path):
+    """``boards_quota`` with a 90% quota for a group that is 5% of the pool."""
+    raw = builtin_raw("boards_quota")
+    raw["population"]["groups"][1]["proportion"] = 0.05
+    raw["population"]["groups"][0]["proportion"] = 0.95
+    raw["interventions"][0]["target_share"] = 0.9
+    scenario = tmp_path / "inf.yaml"
+    scenario.write_text(yaml.safe_dump(raw))
+    return scenario
 
 
 def write_causal_yaml(path, m):
@@ -85,12 +98,7 @@ class TestSimulate:
         assert len(rows) == 1 + 2 * n_steps
 
     def test_infeasible_quota_exit_2(self, tmp_path, capsys):
-        raw = builtin_raw("boards_quota")
-        raw["population"]["groups"][1]["proportion"] = 0.05
-        raw["population"]["groups"][0]["proportion"] = 0.95
-        raw["interventions"][0]["target_share"] = 0.9
-        scenario = tmp_path / "inf.yaml"
-        scenario.write_text(yaml.safe_dump(raw))
+        scenario = write_infeasible_quota(tmp_path)
         out = tmp_path / "t.csv"
         code = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
         assert code == 2
@@ -327,6 +335,23 @@ class TestCausal:
         assert main(["causal", "--model", CAUSAL_MODEL, "--check", "proxy"]) == 1
         assert "--proxy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "check,option",
+        [
+            ("cf", ["--given", "D,Q"]),
+            ("dsep", ["--resolving", "D"]),
+            ("unresolved", ["--proxy", "nosuch"]),
+        ],
+        ids=["given", "resolving", "proxy"],
+    )
+    def test_option_its_check_does_not_read_exit_1(self, capsys, check, option):
+        argv = ["causal", "--model", CAUSAL_MODEL, "--check", check, *option]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{option[0]} applies only to --check" in captured.err
+        assert f"not {check}" in captured.err
+
     def test_proxy_gap(self, capsys):
         code = main(
             ["causal", "--model", CAUSAL_MODEL, "--check", "proxy", "--proxy", "X"]
@@ -559,6 +584,49 @@ class TestUsage:
 
     def test_bad_choice_exit_1(self, capsys):
         assert main(["optimize", "--scenario", "lending_liu", "--constraint", "xx"]) == 1
+
+
+class TestParserReuse:
+    def test_commands_in_one_process_carry_no_state(self, tmp_path, capsys):
+        infeasible = write_infeasible_quota(tmp_path)
+        usage = ["optimize", "--scenario", "lending_liu", "--constraint", "bogus"]
+        assert main(usage) == 1
+        assert main(["--help"]) == 0
+        assert "usage: fairdyn" in capsys.readouterr().out
+        out = tmp_path / "inf.csv"
+        assert main(["simulate", "--scenario", str(infeasible), "--out", str(out)]) == 2
+        capsys.readouterr()
+        for name in sorted(WITH_CSV) + sorted(STDOUT_ONLY):
+            argv = list(WITH_CSV.get(name) or STDOUT_ONLY[name])
+            out = tmp_path / f"{name}.csv"
+            if name in WITH_CSV:
+                argv += ["--out", str(out)]
+            assert main(argv) == WANT[name]["rc"], name
+            assert capsys.readouterr().out == WANT[name]["stdout"], name
+            csv_text = out.read_text(encoding="utf-8") if name in WITH_CSV else None
+            assert csv_text == WANT[name]["csv"], name
+
+    def test_main_builds_its_parser_once(self, capsys, monkeypatch):
+        argv = ["causal", "--model", CAUSAL_MODEL, "--check", "cf"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+
+        def rebuilt():
+            raise AssertionError("main rebuilt its parser")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+
+    def test_build_parser_returns_a_new_parser_each_call(self, capsys):
+        extended = build_parser()
+        assert extended is not build_parser()
+        extended.add_argument("--extra")
+        assert extended.parse_args(["--extra", "x", "causal", "--model", "m",
+                                    "--check", "cf"]).extra == "x"
+        argv = ["causal", "--model", CAUSAL_MODEL, "--check", "cf"]
+        assert main(["--extra", "x", *argv]) == 1
+        assert main(argv) == 0
 
 
 NETWORKX_SCRIPT = """

@@ -295,7 +295,7 @@ class TestLoadChecks:
             importlib.resources.files("fairdyn.data")
             .joinpath("lending_liu.yaml")
             .read_text()
-            .replace("steps_up: 1", "steps_up: one")
+            .replace("steps_up: 1", "steps_up: [1]")
         )
 
         class Resource:
@@ -314,6 +314,11 @@ class TestLoadChecks:
         [
             (lambda raw: raw.update(horizon=15.9), "horizon", "15.9"),
             (lambda raw: raw.update(horizon=True), "horizon", "True"),
+            (lambda raw: raw.update(horizon="15"), "horizon", "'15'"),
+            (lambda raw: raw.update(horizon="15.5"), "horizon", "'15.5'"),
+            (lambda raw: raw["outcome"].update(steps_down="abc"),
+             "outcome.steps_down", "'abc'"),
+            (lambda raw: raw.update(seed="7"), "seed", "'7'"),
             (lambda raw: raw["outcome"].update(steps_up=1.5),
              "outcome.steps_up", "1.5"),
             (lambda raw: raw["outcome"].update(steps_down=float("inf")),
@@ -328,7 +333,8 @@ class TestLoadChecks:
                 QUOTA_B | {"active_from": 1.25}]}}),
              "variants.q.interventions[0].active_from", "1.25"),
         ],
-        ids=["horizon", "horizon_bool", "steps_up", "steps_down_inf", "seed",
+        ids=["horizon", "horizon_bool", "horizon_str", "horizon_str_fraction",
+             "steps_down_str", "seed_str", "steps_up", "steps_down_inf", "seed",
              "active_from_bool", "sunset_window", "variant_active_from"],
     )
     def test_integer_field_that_is_not_an_integer(self, tmp_path, edit, field, value):
@@ -351,6 +357,22 @@ class TestLoadChecks:
                   cfg.interventions[0].active_from, cfg.interventions[0].sunset.window)
         assert values == (20, 7, 1, 2, 3, 2)
         assert all(type(v) is int for v in values)
+
+    def test_float_fields_take_exponents_without_a_dot(self, tmp_path):
+        # PyYAML follows YAML 1.1, which reads 1e-6 (no dot) as a string;
+        # float fields parse it, so such a file loads as written.
+        path = tmp_path / "boards.yaml"
+        text = (
+            __import__("importlib.resources", fromlist=["files"])
+            .files("fairdyn.data")
+            .joinpath("boards_quota.yaml")
+            .read_text()
+        )
+        assert "eps: 1.0e-6" in text and "regime: 1.0e-6" in text
+        path.write_text(text.replace("1.0e-6", "1e-6"), encoding="utf-8")
+        cfg = load_scenario(str(path))
+        assert cfg.interventions[0].sunset.eps == 1e-6
+        assert cfg.tolerances.regime == 1e-6
 
     def test_vector_that_is_not_a_list(self, tmp_path):
         path = write_lending(
