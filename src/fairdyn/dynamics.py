@@ -265,61 +265,41 @@ def _acceptance_rows(policy: _StepPolicy, group_ids: tuple[str, ...]) -> np.ndar
     return np.concatenate([pol._rows(group_ids) for pol in policy])
 
 
+def _success_rows(
+    outcome: OutcomeModel, group_ids: tuple[str, ...], pmfs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``rho`` and ``1 - rho`` of every row of the stacked pmfs (draws *
+    groups, bins), each group's success vector repeated for every draw, once
+    every group's has the pmfs' length."""
+    rhos = [outcome.rho_for(gid) for gid in group_ids]
+    for gid, pmf, rho in zip(group_ids, pmfs, rhos):
+        _check_lengths(gid, pmf=pmf, rho=rho)
+    rho = np.tile(rhos, (len(pmfs) // len(group_ids), 1))
+    return rho, 1.0 - rho
+
+
 class _PolicyTerms:
-    """The per-bin vectors ``step`` reads for a policy, one row per group of
-    each draw in the order of the stacked pmfs: ``tau`` and ``keep = 1 -
-    tau``, which depend on the policy, and ``rho`` and ``fail = 1 - rho``,
-    which do not. ``run`` passes the last two from an earlier set of the same
-    run, so a run builds them once; without it they are built and every
-    group's pmf, acceptance and success lengths are checked."""
+    """The per-bin vectors ``_advance`` reads for a policy, one row per group
+    of each draw in the order of the stacked pmfs: ``tau`` and ``keep = 1 -
+    tau``, built here, and the run's ``rho`` and ``fail = 1 - rho`` of
+    ``_success_rows``. Acceptance vectors of another length than the pmfs'
+    raise, naming the first group that has one."""
 
     def __init__(
         self,
         policy: _StepPolicy,
-        outcome: OutcomeModel,
         group_ids: tuple[str, ...],
         pmfs: np.ndarray,
-        run: Optional[tuple[np.ndarray, np.ndarray]] = None,
+        rho: np.ndarray,
+        fail: np.ndarray,
     ):
-        self.policy, self.group_ids = policy, group_ids
         self.tau = _acceptance_rows(policy, group_ids)
-        if run is None or self.tau.shape != pmfs.shape:
+        if self.tau.shape != pmfs.shape:
             draws = len(pmfs) // len(group_ids)
-            rhos = [outcome.rho_for(gid) for gid in group_ids]
-            for gid, pmf, tau, rho in zip(
-                group_ids * draws, pmfs, self.tau, rhos * draws
-            ):
-                _check_lengths(gid, pmf=pmf, tau=tau, rho=rho)
-        if run is None:
-            rho = np.tile(np.array(rhos), (draws, 1))
-            run = rho, 1.0 - rho
+            for gid, pmf, tau, r in zip(group_ids * draws, pmfs, self.tau, rho):
+                _check_lengths(gid, pmf=pmf, tau=tau, rho=r)
         self.keep = 1.0 - self.tau
-        self.rho, self.fail = run
-
-
-def _policy_terms(
-    policy: _StepPolicy,
-    outcome: OutcomeModel,
-    group_ids: tuple[str, ...],
-    pmfs: np.ndarray,
-    run: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> _PolicyTerms:
-    """``_PolicyTerms(policy, outcome, group_ids, pmfs, run)`` for the stacked
-    pmfs (groups, bins), or the set built last with this outcome model when
-    it is for this policy object, these groups and this shape. The outcome
-    model keeps that one set, so a run that asks for it in the loop and
-    again in ``step`` computes it once, and the policies a trajectory keeps
-    hold no products."""
-    terms = outcome._terms
-    if (
-        terms is None
-        or terms.policy is not policy
-        or terms.tau.shape != pmfs.shape
-        or terms.group_ids != group_ids
-    ):
-        terms = _PolicyTerms(policy, outcome, group_ids, pmfs, run)
-        object.__setattr__(outcome, "_terms", terms)
-    return terms
+        self.rho, self.fail = rho, fail
 
 
 def _advance(
@@ -372,6 +352,7 @@ def step(
     *,
     out: Optional[np.ndarray] = None,
     _pmfs: Optional[np.ndarray] = None,
+    _terms: Optional[_PolicyTerms] = None,
 ) -> Population:
     """Advance the population by one decision round.
 
@@ -379,21 +360,21 @@ def step(
     failure part moving down, clamped at the grid boundaries; rejected mass
     stays. Group proportions are unchanged. ``pop`` must be valid; it is not
     rechecked, and on a valid population the step conserves each group's mass.
-    Repeated steps under one policy object reuse its products with the
-    outcome model.
 
     The result is a population over read-only views of a fresh (groups,
     bins) matrix, or of ``out`` when given: ``simulate`` passes the next
     row of its state array, so the step writes the next state in place. It
     also passes the row that ``pop``'s groups view as ``_pmfs``, so the step
-    does not stack them again.
+    does not stack them again, and the step's ``_PolicyTerms`` as
+    ``_terms``, built once per policy object of the run.
     """
     ids = pop.group_ids
     pmf = np.array([g.pmf for g in pop.groups]) if _pmfs is None else _pmfs
-    terms = _policy_terms(policy, outcome, ids, pmf)
+    if _terms is None:
+        _terms = _PolicyTerms(policy, ids, pmf, *_success_rows(outcome, ids, pmf))
     if out is None:
         out = np.empty_like(pmf)
-    _advance(terms, pmf, outcome.steps_up, outcome.steps_down, out)
+    _advance(_terms, pmf, outcome.steps_up, outcome.steps_down, out)
     return _population_view(pop.grid, ids, [g.proportion for g in pop.groups], out)
 
 
@@ -448,17 +429,16 @@ def _step_columns(
     every draw (steps, draws), of a run with these states (steps, draws *
     groups, bins), proportions and per-step policies.
 
-    ``run`` holds the run's vectors, one (4, bins) matrix per group: ``rho``,
-    ``1 - rho``, the score change and the per-bin utility; ``scores`` are the
-    grid's bin scores. The rows go in blocks of ``_BLOCK`` steps: a block
-    stacks its steps' acceptance matrices, multiplies them by the run's
-    vectors and reduces each row against the products with ``_dots``, bit
-    for bit as per-row ``pmf.dot`` calls. An overflow gives inf, no warning.
+    ``run`` holds the run's vectors, one (4, bins) matrix per group of each
+    draw: ``rho``, ``1 - rho``, the score change and the per-bin utility;
+    ``scores`` are the grid's bin scores. The rows go in blocks of
+    ``_BLOCK`` steps: a block stacks its steps' acceptance matrices,
+    multiplies them by the run's vectors and reduces each row against the
+    products with ``_dots``, bit for bit as per-row ``pmf.dot`` calls. An
+    overflow gives inf, no warning.
     """
     rows, width, n = states.shape
     groups = len(group_ids)
-    if width > groups:  # several draws: each of their groups has its row
-        run = np.tile(run, (width // groups, 1, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         # Per row and group: acceptance, true positives, false positives,
         # delta_mu and utility.
@@ -679,7 +659,15 @@ def _run(
     cur = pop
     flags = []
     policies = []
-    pol = run_vectors = None  # ``rho`` and ``1 - rho`` of every row
+    pol = None
+    # The run's vectors: ``rho``, ``1 - rho``, the score change and the
+    # per-bin utility of every row. A score change past the largest float is
+    # inf, no warning, and the finiteness check after the loop names it.
+    rho, fail = _success_rows(outcome, group_ids, states[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        change = [outcome.score_change(gid, grid) for gid in group_ids]
+    change = np.tile(change, (draws, 1))
+    run = np.stack((rho, fail, change, inst.per_bin_utility(rho)), axis=1)
     rescaled = False  # whether the hook has changed the proportions yet
     for t in range(rows):
         if hook is not None and hook(t, states[t], proportions[t]):
@@ -698,13 +686,7 @@ def _run(
         except InfeasibilityError as exc:
             raise InfeasibilityError(f"step {t}: {exc}") from exc
         if pol is not last:
-            # Checks the lengths at this step; ``step`` reuses the set
-            # through the outcome model's cache. ``_advance`` takes it
-            # directly, and the cache keeps no set of several draws' policies.
-            terms = (_policy_terms if one else _PolicyTerms)(
-                pol, outcome, group_ids, states[t], run_vectors
-            )
-            run_vectors = terms.rho, terms.fail
+            terms = _PolicyTerms(pol, group_ids, states[t], rho, fail)
         active = flags_fn(t) if flags_fn is not None else ()
         if flags and len(active) != len(flags[0]):
             raise DomainError(
@@ -715,19 +697,14 @@ def _run(
         policies.append(pol)
         if t < horizon:
             if one:
-                cur = step(cur, pol, outcome, out=states[t + 1], _pmfs=states[t])
+                cur = step(
+                    cur, pol, outcome, out=states[t + 1], _pmfs=states[t], _terms=terms
+                )
             else:
                 up, down = outcome.steps_up, outcome.steps_down
                 _advance(terms, states[t], up, down, states[t + 1])
             if rescaled:
                 proportions[t + 1] = proportions[t]
-    # Step 0's policy set checked every rho length against the grid.
-    rho, fail = (vectors[:groups] for vectors in run_vectors)
-    # A score change past the largest float is inf, no warning, and the
-    # finiteness check below names it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        change = np.array([outcome.score_change(gid, grid) for gid in group_ids])
-    run = np.stack((rho, fail, change, inst.per_bin_utility(rho)), axis=1)
     mean_score, acceptance, tpr, fpr, delta_mu, utility = _step_columns(
         states, proportions, policies, group_ids, run, grid.bin_scores
     )

@@ -9,7 +9,7 @@ acceptance probability, independent of the label given group and score.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -33,8 +33,6 @@ class OutcomeModel:
     rho: Mapping[str, np.ndarray]
     steps_up: int
     steps_down: int
-    # The step vectors ``dynamics._policy_terms`` built last with this model.
-    _terms: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         # Messages start with the field, so a loader can prefix its section.

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, InfeasibilityError
+from .errors import CapacityError, DomainError, InfeasibilityError
 from .metrics import OutcomeModel
 from .policy import (
     InstitutionModel,
@@ -34,6 +34,10 @@ from .policy import (
 from .population import GroupState, Population
 
 DEFAULT_RESOLUTION = 0.01
+# The most levels a search scans, as ``round(1 / resolution)`` counts them
+# (the grid holds one more, the level 0). Each array over the levels takes
+# 8 MB at 10**6; a resolution of 1e-9 would ask for 8 GB per array.
+MAX_LEVELS = 10**6
 
 
 class Constraint(enum.Enum):
@@ -54,10 +58,20 @@ def max_utility_policy(
 
 
 def rate_grid(resolution: float) -> np.ndarray:
+    """The levels ``0, 1/n, ..., 1`` of a search at ``resolution``, with ``n =
+    round(1 / resolution)``; an ``n`` above ``MAX_LEVELS`` raises
+    ``CapacityError`` before anything is allocated."""
     if not 0.0 < resolution <= 1.0:
         raise DomainError(f"resolution {resolution} outside (0, 1]")
-    n = int(round(1.0 / resolution))
-    return np.linspace(0.0, 1.0, n + 1)
+    n = 1.0 / resolution  # inf for the smallest subnormals
+    # ``round`` goes half to even, so ``round(n) > MAX_LEVELS`` exactly when
+    # ``n > MAX_LEVELS + 0.5``, and this compares an inf too.
+    if n > MAX_LEVELS + 0.5:
+        raise CapacityError(
+            f"resolution {resolution} asks for {n:.0f} rate levels, more than "
+            f"the {MAX_LEVELS} a search scans"
+        )
+    return np.linspace(0.0, 1.0, round(n) + 1)
 
 
 def rates_for_tpr(

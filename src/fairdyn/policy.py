@@ -214,14 +214,20 @@ def threshold_values(
     return _top_sums(pw)[len(pw) - 1 - bins] + fractions * pw[bins]
 
 
+def _fill_threshold(row: np.ndarray, threshold_bin: int, boundary: float) -> None:
+    """Write the randomized threshold ``(threshold_bin, boundary)`` into
+    ``row``, a vector of zeros: every bin above ``threshold_bin`` accepted,
+    ``threshold_bin`` with probability ``boundary``, none below."""
+    row[threshold_bin + 1 :] = 1.0
+    row[threshold_bin] = boundary
+
+
 def _threshold_policy(n: int, thresholds: Mapping[str, tuple[int, float]]) -> Policy:
     """The policy of each group's randomized threshold ``(bin, boundary)``
-    over ``n`` bins: every bin above ``bin`` accepted, ``bin`` with
-    probability ``boundary``, none below."""
+    over ``n`` bins, as ``_fill_threshold`` writes it."""
     matrix = np.zeros((len(thresholds), n))
-    for row, (threshold_bin, boundary) in zip(matrix, thresholds.values()):
-        row[threshold_bin + 1 :] = 1.0
-        row[threshold_bin] = boundary
+    for row, threshold in zip(matrix, thresholds.values()):
+        _fill_threshold(row, *threshold)
     return object.__new__(Policy)._keep(tuple(thresholds), matrix)
 
 

@@ -58,7 +58,7 @@ from .optimize import (
     outcome_optimal_plan,
     search,
 )
-from .policy import InstitutionModel, Policy, _threshold_levels, _threshold_policy
+from .policy import InstitutionModel, Policy, _fill_threshold, _threshold_levels
 from .population import (
     GroupState,
     Population,
@@ -628,8 +628,8 @@ class _ScenarioEngine:
         # ``threshold_policy_for_rate(...).expand(grid)`` holds. The rate is
         # in [0, 1]: nonnegative by construction, and checked above.
         bins, fractions = _threshold_levels(group.pmf, np.array([needed_rate]))
-        threshold = {iv.group: (int(bins[0]), float(fractions[0]))}
-        tau = _threshold_policy(len(group.pmf), threshold).tau(iv.group)
+        tau = np.zeros(len(group.pmf))
+        _fill_threshold(tau, int(bins[0]), float(fractions[0]))
         mass[j] = _accepted_mass((group,), (tau,))[0]
         return pol._with_tau(iv.group, tau)
 

@@ -124,6 +124,30 @@ class TestOptimize:
         assert main([*argv, "--resolution", "0"]) == 1
         assert "resolution" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "resolution,count", [("5e-324", "inf"), ("1e-9", "1000000000")]
+    )
+    def test_resolution_past_the_level_cap_exit_2(self, capsys, resolution, count):
+        argv = ["optimize", "--scenario", "lending_liu", "--constraint", "dp"]
+        assert main([*argv, "--resolution", resolution]) == 2
+        err = capsys.readouterr().err
+        assert f"asks for {count} rate levels, more than the 1000000" in err
+        assert "Traceback" not in err
+
+    def test_scenario_resolution_past_the_level_cap_exit_2(self, tmp_path, capsys):
+        # The loader takes any resolution in (0, 1]; the search of a
+        # constrained rule then refuses to build its level grid.
+        raw = builtin_raw("lending_liu")
+        raw["resolution"] = 1e-9
+        raw["policy_rule"] = {"kind": "constrained", "constraint": "eo"}
+        scenario = tmp_path / "fine.yaml"
+        scenario.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "asks for 1000000000 rate levels" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestValidation:
     @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
+import copy
 import gc
 import math
+import pickle
 import sys
 import tracemalloc
 import weakref
@@ -1072,3 +1074,90 @@ class TestDrawsAgainstTheirOwnRuns:
         assert np.array(report.values).tobytes() == np.array(want).tobytes()
         assert report.minimum_draw == want.index(min(want))
         assert report.maximum_draw == want.index(max(want))
+
+
+BUILTINS = {name: scenarios.load_scenario(name) for name in scenarios.BUILTIN_NAMES}
+
+
+@pytest.mark.parametrize("name", scenarios.BUILTIN_NAMES)
+def test_a_run_leaves_its_outcome_model_as_it_found_it(name):
+    # The outcome model is frozen and shared by every run of a scenario: a
+    # run keeps what it builds from it to itself.
+    cfg = BUILTINS[name]
+    pickled = pickle.dumps(cfg.outcome)
+    copied = pickle.dumps(copy.deepcopy(cfg.outcome))
+    pol = scenarios.initial_policy(cfg)
+    runs = {
+        "simulate": lambda: simulate(
+            cfg.population, lambda t, p: pol, cfg.outcome, cfg.institution, cfg.horizon
+        ),
+        "run_scenario": lambda: scenarios.run_scenario(cfg),
+        "sensitivity_sweep": lambda: scenarios.sensitivity_sweep(cfg, 0.01, 5, seed=1),
+    }
+    for what, run in runs.items():
+        run()
+        assert pickle.dumps(cfg.outcome) == pickled, what
+        assert pickle.dumps(copy.deepcopy(cfg.outcome)) == copied, what
+
+
+def _rescaled(cfg, a, b):
+    """``cfg`` with its bin scores ``a * s + b``, its bin width ``a * w`` and
+    its regime tolerance ``a * tol``."""
+    pop, grid = cfg.population, cfg.population.grid
+    scaled = ScoreGrid(a * grid.bin_scores + b, a * grid.bin_width)
+    return replace(
+        cfg,
+        population=Population(scaled, pop.groups),
+        tolerances=scenarios.Tolerances(regime=a * cfg.tolerances.regime),
+    )
+
+
+class TestAffineRescale:
+    """Scores enter a run only through the score change, ``steps *
+    bin_width`` per bin moved, and the mean score. Scaling the bin scores and
+    the bin width by a power of two ``a``, which multiplies without rounding,
+    and shifting the scores by ``b`` leaves everything else of a run bit for
+    bit as it was, on both built-ins under every searched or utility rule,
+    with and without interventions."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        name=st.sampled_from(scenarios.BUILTIN_NAMES),
+        rule=st.sampled_from(["max_utility", "dp", "eo", "outcome_optimal"]),
+        hooked=st.booleans(),
+        k=st.integers(-40, 10),
+        b=st.floats(0.0, 1e4),
+    )
+    def test_only_score_change_and_mean_score_move(self, name, rule, hooked, k, b):
+        cfg = BUILTINS[name]
+        ids = cfg.population.group_ids
+        spec = {
+            "max_utility": scenarios.PolicyRuleSpec("max_utility"),
+            "dp": scenarios.PolicyRuleSpec("constrained", constraint="dp"),
+            "eo": scenarios.PolicyRuleSpec("constrained", constraint="eo"),
+            "outcome_optimal": scenarios.PolicyRuleSpec(
+                "outcome_optimal", target_group=ids[1]
+            ),
+        }[rule]
+        IR = scenarios.InterventionRule
+        ivs = ()
+        if hooked:
+            ivs = cfg.interventions + (
+                IR("pipeline_investment", ids[1], shift_fraction=0.25),
+                IR("role_model_feedback", ids[1], active_from=2, strength=0.5),
+            )
+        cfg = replace(cfg, policy_rule=spec, interventions=ivs)
+        a = 2.0**k
+        base = scenarios.run_scenario(cfg).columns
+        got = scenarios.run_scenario(_rescaled(cfg, a, b)).columns
+        for field in ("states", "proportions", "acceptance", "tpr", "fpr",
+                      "dp_gap", "eo_gap", "eodds_gap", "utility", "regime", "flags"):
+            want = getattr(base, field)
+            assert getattr(got, field).tobytes() == want.tobytes(), field
+        assert len(got.policies) == len(base.policies)
+        for t, (p, q) in enumerate(zip(got.policies, base.policies)):
+            assert p._rows(ids).tobytes() == q._rows(ids).tobytes(), t
+        assert got.delta_mu.tobytes() == (a * base.delta_mu).tobytes()
+        np.testing.assert_allclose(
+            got.mean_score, a * base.mean_score + b, rtol=1e-12, atol=0.0
+        )

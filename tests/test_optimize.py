@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairdyn.dynamics import group_delta_mu
-from fairdyn.errors import DomainError, InfeasibilityError
+from fairdyn.errors import CapacityError, DomainError, InfeasibilityError
 from fairdyn.metrics import (
     OutcomeModel,
     demographic_parity_gap,
     equal_opportunity_gap,
 )
 from fairdyn.optimize import (
+    MAX_LEVELS,
     Constraint,
     constrained_plan,
     constrained_policy,
@@ -544,6 +545,26 @@ class TestGrid:
         assert rate_grid(0.3).tolist() == pytest.approx([0.0, 1 / 3, 2 / 3, 1.0])
         assert rate_grid(0.7).tolist() == [0.0, 1.0]
         assert len(rate_grid(0.01)) == 101
+
+    @pytest.mark.parametrize(
+        "resolution,count",
+        [(5e-324, "inf"), (1e-9, "1000000000"), (9.99999e-7, "1000001")],
+        ids=["subnormal", "1e-9", "just_over_the_cap"],
+    )
+    def test_more_levels_than_the_cap_raise_before_allocating(
+        self, monkeypatch, resolution, count
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("np.linspace called")
+
+        monkeypatch.setattr(np, "linspace", fail)
+        message = rf"^resolution {resolution} asks for {count} rate levels"
+        with pytest.raises(CapacityError, match=message):
+            rate_grid(resolution)
+
+    def test_the_cap_itself_is_allowed(self):
+        assert MAX_LEVELS == 10**6
+        assert len(rate_grid(1e-6)) == MAX_LEVELS + 1
 
 
 def test_boards_dp_tie_is_decided_by_rounding():
