@@ -13,12 +13,15 @@ variable is summed out, the one whose intermediate factor is smallest first
 (ties broken by node name). ``marginal`` and ``joint_distribution`` are the
 same contraction keeping one node or every node. No factor above
 ``JOINT_STATE_CAP`` entries is ever allocated: a model that would need one
-raises ``CapacityError`` before the allocation.
+raises ``CapacityError`` before the allocation. A CPT factor is checked
+against the cap where a contraction uses it.
 
 A ``CausalModel`` is read-only, so what is derived from it holds for the
-object's lifetime: its graph maps, its checked parent map and each CPT
-factor are built on first use and kept on the object. A check that fails
-keeps nothing and raises again on the next call.
+object's lifetime: its graph maps on first use, and, in ``validate``, its
+checked parent map and every CPT factor, which are kept on the object. The
+CPT check and the factors are one pass over the rows: the factors are
+read-only views of one float64 array holding every row of the model. A
+check that fails keeps nothing and raises again on the next call.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Hashable, Mapping, Sequence
@@ -61,7 +64,8 @@ class CausalModel:
     The constructor stores read-only copies: ``domains`` and ``cpts`` are
     ``MappingProxyType`` objects holding tuples (each CPT a read-only mapping
     of row tuples) and ``edges`` is a tuple of pairs, so a dict the caller
-    changes later cannot change a model that has been checked.
+    changes later cannot change a model that has been checked. ``validate``
+    checks the CPTs and builds their factors, which every contraction reads.
     """
 
     domains: Mapping[str, tuple[Value, ...]]
@@ -88,8 +92,6 @@ class CausalModel:
                 }
             ),
         )
-        # node -> read-only CPT factor, filled by ``_contract`` as it needs them
-        freeze(self, "_factors", {})
 
     def __reduce__(self):
         # A mappingproxy does not pickle: rebuild from plain dicts through the
@@ -115,7 +117,21 @@ class CausalModel:
         return MappingProxyType(parents), MappingProxyType(children)
 
     @functools.cached_property
-    def _checked_parents(self) -> ParentMap:
+    def _checked(self) -> tuple[ParentMap, Mapping[str, np.ndarray]]:
+        """The checked parent map and every node's read-only CPT factor.
+
+        One pass: each node's rows are read in ``itertools.product`` order
+        over its sorted parents' domains, and every row of the model
+        goes into one float64 array, of which each factor is a view. Nodes
+        are laid out by domain size, so the rows of one width form one
+        (rows, width) block, whose row sums are its columns added left to
+        right, as the last column of a sequential cumsum (not ``np.sum``,
+        which pairs terms). That is ``sum(row)`` up to Python 3.11; from
+        3.12 ``sum`` compensates, which can decide otherwise only for a sum
+        within a few ulps of ``1 +- CPT_TOL``. A failure is reported by
+        ``_raise_row_fault``, which walks the rows again in each CPT's own
+        order.
+        """
         parent_map = self._maps[0]
         for special, name in ((self.protected, "protected"), (self.outcome, "outcome")):
             if special not in self.domains:
@@ -123,51 +139,136 @@ class CausalModel:
         extra = sorted(set(self.cpts) - set(self.domains))
         if extra:
             raise StructureError(f"CPT given for undeclared node(s) {extra}")
+        # width -> rows of every node with that many values, node by node
+        by_width: dict[int, list[tuple]] = {}
+        # node -> (width, its first row in by_width[width], factor shape)
+        placed: dict[str, tuple[int, int, tuple[int, ...]]] = {}
+        # The first node that fails a check of its own: its message, or, for
+        # a row of the wrong length, its name in ``wrong_length``.
+        fault = wrong_length = None
         for node, dom in self.domains.items():
-            if len(dom) < 1:
-                raise StructureError(f"node {node!r} has empty domain")
-            if len(set(dom)) != len(dom):
-                raise StructureError(f"node {node!r} has duplicate domain values")
+            width = len(dom)
             cpt = self.cpts.get(node)
-            if cpt is None:
-                raise StructureError(f"node {node!r} has no CPT")
-            # Distinct keys, each a parent assignment, as many as there are
-            # assignments: then the keys are exactly the assignments.
+            if width < 1:
+                fault = f"node {node!r} has empty domain"
+            elif len(set(dom)) != width:
+                fault = f"node {node!r} has duplicate domain values"
+            elif cpt is None:
+                fault = f"node {node!r} has no CPT"
+            if fault:
+                break
             parents = [self.domains[p] for p in parent_map[node]]
-            if len(cpt) != math.prod(map(len, parents)) or not all(
-                type(key) is tuple
-                and len(key) == len(parents)
-                and all(map(operator.contains, parents, key))
-                for key in cpt
+            # As many keys as parent assignments and every assignment a key:
+            # then the keys are exactly the assignments, if those are
+            # distinct (a parent's domain may repeat a value, which is found
+            # when that parent's turn comes). The count is compared first, so
+            # no more assignments are built than the CPT has rows.
+            rows = None
+            if len(cpt) == math.prod(map(len, parents)):
+                keys = list(itertools.product(*parents))
+                if len(set(keys)) == len(keys):
+                    try:
+                        rows = list(map(cpt.__getitem__, keys))
+                    except KeyError:
+                        pass
+            if rows is None:
+                fault = f"node {node!r}: CPT rows do not match parent assignments"
+                break
+            if not set(map(len, rows)) <= {width}:
+                wrong_length = node
+                break
+            group = by_width.setdefault(width, [])
+            placed[node] = (width, len(group), (*map(len, parents), width))
+            group += rows
+        widths = sorted(by_width)
+        entries = list(
+            itertools.chain.from_iterable(
+                itertools.chain.from_iterable(by_width[w] for w in widths)
+            )
+        )
+        try:
+            values = np.array(entries)
+        except (TypeError, ValueError):
+            values = None
+        if values is None or values.dtype.kind not in "biuf":
+            # A string, None, complex or other entry that is not a real
+            # number; or reals numpy keeps as objects, such as Fractions.
+            self._raise_row_fault(placed)
+            values = np.array(entries, dtype=np.float64)
+        values = values.astype(np.float64, copy=False)
+        # A NaN minimum fails the comparison. An entry above 1 + CPT_TOL fails
+        # its row's sum, and ruling it out keeps the sums below overflow.
+        if values.size and not (
+            0.0 <= values.min() and values.max() <= 1.0 + CPT_TOL
+        ):
+            self._raise_row_fault(placed)
+        offsets = {}
+        start = 0
+        for width in widths:
+            offsets[width] = start
+            stop = start + width * len(by_width[width])
+            block = values[start:stop].reshape(-1, width)
+            sums = block[:, 0]
+            for j in range(1, width):
+                sums = sums + block[:, j]
+            error = sums - 1.0
+            # no rows when a parent's domain is empty, which that parent fails
+            if error.size and not (
+                -CPT_TOL <= error.min() and error.max() <= CPT_TOL
             ):
-                raise StructureError(
-                    f"node {node!r}: CPT rows do not match parent assignments"
-                )
-            for key, row in cpt.items():
-                if len(row) != len(dom):
-                    raise StructureError(
-                        f"node {node!r}: CPT row {key} has wrong length"
-                    )
-                if not all(map(math.isfinite, row)):
-                    raise StructureError(
-                        f"node {node!r}: CPT row {key} has a non-finite entry"
-                    )
-                if min(row) < 0:
-                    raise StructureError(f"node {node!r}: negative CPT entry")
-                if abs(sum(row) - 1.0) > CPT_TOL:
-                    raise StructureError(
-                        f"node {node!r}: CPT row {key} sums to {sum(row):.12g}"
-                    )
-        return parent_map
+                self._raise_row_fault(placed)
+            start = stop
+        if wrong_length is not None:
+            self._raise_row_fault([wrong_length])
+        if fault:
+            raise StructureError(fault)
+        values.setflags(write=False)
+        factors = {}
+        for node, (width, first, shape) in placed.items():
+            lo = offsets[width] + first * width
+            factors[node] = values[lo : lo + math.prod(shape)].reshape(shape)
+        return parent_map, MappingProxyType(factors)
+
+    def _raise_row_fault(self, nodes) -> None:
+        """Raise ``StructureError`` for the first faulty CPT row of ``nodes``,
+        in node order and then in each CPT's own row order."""
+        for node in nodes:
+            width = len(self.domains[node])
+            for key, row in self.cpts[node].items():
+                fault = _row_fault(key, row, width)
+                if fault:
+                    raise StructureError(f"node {node!r}: {fault}")
 
     def validate(self) -> ParentMap:
         """Raise ``StructureError`` unless the edges form a DAG over the
         declared nodes and every node has a valid CPT; return the read-only
         parent map (node -> sorted parents).
 
-        The check runs once per model; a model that failed it fails again on
-        every call."""
-        return self._checked_parents
+        The check runs once per model and builds every CPT factor; a model
+        that failed it fails again on every call."""
+        return self._checked[0]
+
+
+def _row_fault(key: Assignment, row: tuple, width: int) -> str | None:
+    """What is wrong with the CPT row ``key`` of a node with ``width`` values,
+    or None: the checks of ``CausalModel._checked`` on one row, in the order
+    they are reported."""
+    if len(row) != width:
+        return f"CPT row {key} has wrong length"
+    for entry in row:
+        if not isinstance(entry, (numbers.Real, np.bool_)):
+            return f"CPT row {key} has entry {entry!r}, which is not a real number"
+    values = np.asarray(row, dtype=np.float64)
+    if not np.isfinite(values).all():
+        return f"CPT row {key} has a non-finite entry"
+    if (values < 0).any():
+        return "negative CPT entry"
+    with np.errstate(over="ignore"):
+        # + 0.0 as Python's sum, which starts from int 0, turns -0.0 into 0.0
+        total = float(np.cumsum(values)[-1]) + 0.0
+    if abs(total - 1.0) > CPT_TOL:
+        return f"CPT row {key} sums to {total:.12g}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -269,61 +370,54 @@ def _contract(
     ``keep``) that node's factor is left out and its parents are not walked:
     the truncated factorisation, so row ``t`` of the ``drop`` axis holds the
     distribution under ``do(drop=t)``. Returns one axis per ``keep`` entry,
-    in that order. ``m`` must be valid.
+    in that order. ``m`` must be valid: its factors are the ones ``validate``
+    built. Each factor's size is checked where it is used.
     """
-    sizes = {node: len(dom) for node, dom in m.domains.items()}
-    _check_size(math.prod(sizes[v] for v in keep), "output factor")
+    factor_of = m._checked[1]
+    _check_size(math.prod(len(m.domains[v]) for v in keep), "output factor")
+    # variable -> domain size, from the shapes of the factors that hold it
+    size: dict[str, int] = {}
     factors: dict[int, Factor] = {}
     # node -> ids of the live factors whose scope holds it, in id order
     incidence: dict[str, dict[int, None]] = {}
     for node in _ancestral_set(parents, keep, drop):
-        incidence[node] = {}
+        incidence.setdefault(node, {})
         if node == drop:
             continue
+        values = factor_of[node]
+        _check_size(values.size, f"CPT of {node!r}")
         scope = (*parents[node], node)
-        values = m._factors.get(node)
-        if values is None:
-            _check_size(math.prod(sizes[v] for v in scope), f"CPT of {node!r}")
-            rows = [
-                m.cpts[node][key]
-                for key in itertools.product(*(m.domains[p] for p in parents[node]))
-            ]
-            values = np.array(rows, dtype=np.float64).reshape(
-                [sizes[v] for v in scope]
-            )
-            values.setflags(write=False)
-            m._factors[node] = values
-        factors[len(factors)] = (scope, values)
-    for fid, (scope, _) in factors.items():
+        size.update(zip(scope, values.shape))
+        fid = len(factors)
+        factors[fid] = (scope, values)
         for v in scope:
-            incidence[v][fid] = None
+            incidence.setdefault(v, {})[fid] = None
 
-    def joined_scope(v: str) -> list[str]:
-        return sorted({u for fid in incidence[v] for u in factors[fid][0]})
+    def joined(v: str) -> set[str]:
+        """The variables of the factor formed when ``v`` is eliminated next."""
+        return {u for fid in incidence[v] for u in factors[fid][0]}
 
-    # size of the product factor formed when each eliminable node goes next
-    cost = {
-        v: math.prod(sizes[u] for u in joined_scope(v))
-        for v in incidence
-        if v not in keep
-    }
+    def joined_size(v: str) -> int:
+        return math.prod(map(size.__getitem__, joined(v)))
+
+    cost = {v: joined_size(v) for v in incidence if v not in keep}
     next_id = len(factors)
     while cost:
-        v = min(cost, key=lambda u: (cost[u], u))
+        v = min(zip(cost.values(), cost))[1]
         _check_size(cost.pop(v), f"factor joined to eliminate {v!r}")
-        scope = joined_scope(v)
-        out = tuple(u for u in scope if u != v)
+        out = tuple(u for u in sorted(joined(v)) if u != v)
         fids = list(incidence.pop(v))
         new = _einsum([factors.pop(fid) for fid in fids], out)
         factors[next_id] = (out, new)
         for u in out:
+            live = incidence[u]
             for fid in fids:
-                incidence[u].pop(fid, None)
-            incidence[u][next_id] = None
+                live.pop(fid, None)
+            live[next_id] = None
         next_id += 1
         for u in out:
             if u in cost:
-                cost[u] = math.prod(sizes[w] for w in joined_scope(u))
+                cost[u] = joined_size(u)
     return _einsum(list(factors.values()), keep)
 
 

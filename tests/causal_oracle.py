@@ -1,13 +1,65 @@
-"""Reference causal engine: exact enumeration of the joint distribution.
+"""Reference causal engine: a row-by-row CPT check and exact enumeration of
+the joint distribution.
 
-Every full assignment is visited in Python, so the cost is the product of all
-domain sizes. The library's variable-elimination engine is checked against
-these functions on small random models.
+``check_cpts`` walks every CPT row in Python, and every full assignment is
+visited in Python, so the cost is the product of all domain sizes. The
+library's one-pass CPT check and its variable-elimination engine are checked
+against these functions on small random models.
 """
 
 import itertools
+import math
+import operator
 
-from fairdyn.causal import InterventionSpec, intervene
+from fairdyn.causal import CPT_TOL, InterventionSpec, intervene
+from fairdyn.errors import StructureError
+
+
+def check_cpts(m):
+    """Raise ``StructureError`` for the first fault of ``m``'s nodes and
+    CPTs: the first failing node in ``domains`` order, then the first failing
+    row in that CPT's order. Each key is checked against the parents'
+    domains and each row is read four times (length, finiteness, sign,
+    ``sum``). ``sum`` adds left to right up to Python 3.11, as the library
+    does; from 3.12 it compensates, which can change a decision only for a
+    sum within a few ulps of ``1 +- CPT_TOL``."""
+    for special, name in ((m.protected, "protected"), (m.outcome, "outcome")):
+        if special not in m.domains:
+            raise StructureError(f"{name} node {special!r} not in model")
+    extra = sorted(set(m.cpts) - set(m.domains))
+    if extra:
+        raise StructureError(f"CPT given for undeclared node(s) {extra}")
+    for node, dom in m.domains.items():
+        if len(dom) < 1:
+            raise StructureError(f"node {node!r} has empty domain")
+        if len(set(dom)) != len(dom):
+            raise StructureError(f"node {node!r} has duplicate domain values")
+        cpt = m.cpts.get(node)
+        if cpt is None:
+            raise StructureError(f"node {node!r} has no CPT")
+        parents = [m.domains[p] for p in m.parents(node)]
+        if len(cpt) != math.prod(map(len, parents)) or not all(
+            type(key) is tuple
+            and len(key) == len(parents)
+            and all(map(operator.contains, parents, key))
+            for key in cpt
+        ):
+            raise StructureError(
+                f"node {node!r}: CPT rows do not match parent assignments"
+            )
+        for key, row in cpt.items():
+            if len(row) != len(dom):
+                raise StructureError(f"node {node!r}: CPT row {key} has wrong length")
+            if not all(map(math.isfinite, row)):
+                raise StructureError(
+                    f"node {node!r}: CPT row {key} has a non-finite entry"
+                )
+            if min(row) < 0:
+                raise StructureError(f"node {node!r}: negative CPT entry")
+            if abs(sum(row) - 1.0) > CPT_TOL:
+                raise StructureError(
+                    f"node {node!r}: CPT row {key} sums to {sum(row):.12g}"
+                )
 
 
 def joint(m):

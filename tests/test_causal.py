@@ -1,6 +1,8 @@
 import itertools
+import math
 import operator
 import os
+import re
 import subprocess
 import sys
 
@@ -633,6 +635,253 @@ class TestValidate:
         )
         with pytest.raises(StructureError, match="undeclared node"):
             m.validate()
+
+    def test_few_rows_for_many_parent_assignments(self):
+        # 2**40 assignments and one row: the count fails before any
+        # assignment is built.
+        names = [f"P{i:02d}" for i in range(40)]
+        m = CausalModel(
+            {**{p: (0, 1) for p in names}, "F": (0, 1)},
+            tuple((p, "F") for p in names),
+            {**{p: root(0.5) for p in names}, "F": {(0,) * 40: (0.5, 0.5)}},
+            "P00",
+            "F",
+        )
+        with pytest.raises(
+            StructureError, match="'F': CPT rows do not match parent assignments"
+        ):
+            m.validate()
+
+    @pytest.mark.parametrize(
+        "row",
+        [("0.5", "0.5"), (0.5, None), (0.5 + 0j, 0.5), (np.complex128(0.5), 0.5)],
+        ids=["numeric_string", "none", "complex", "numpy_complex"],
+    )
+    def test_non_numeric_entry(self, row):
+        # numpy would read "0.5" as 0.5 and drop a zero imaginary part; the
+        # check names the node, the row and the entry instead.
+        m = binary_model(
+            [("A", "F")], {"A": root(0.5), "F": {(0,): (0.5, 0.5), (1,): row}}
+        )
+        bad = next(x for x in row if not isinstance(x, float))
+        want = re.escape(
+            f"node 'F': CPT row (1,) has entry {bad!r}, which is not a real number"
+        )
+        for _ in range(2):
+            with pytest.raises(StructureError, match=want):
+                m.validate()
+
+    @pytest.mark.parametrize(
+        "row, want",
+        [
+            ((1e308, 1e308), "sums to inf"),
+            ((math.inf, -math.inf), "has a non-finite entry"),
+            ((-1e308, -1e308), "negative CPT entry"),
+        ],
+        ids=["sum_overflows", "inf_minus_inf", "negative_overflow"],
+    )
+    def test_extreme_entries_raise_without_a_warning(self, row, want):
+        # RuntimeWarnings are errors in this suite: an overflowing or invalid
+        # sum would fail the test before the check could report the row.
+        m = binary_model([("A", "F")], {"A": root(0.5), "F": {(0,): row, (1,): row}})
+        with pytest.raises(StructureError, match=re.escape(want)):
+            m.validate()
+
+    def test_empty_parent_domain_after_its_child(self):
+        # F has no parent assignments, so no rows, and passes; P then fails.
+        m = CausalModel(
+            {"F": (0, 1), "P": ()}, (("P", "F"),), {"F": {}, "P": {(): ()}}, "P", "F"
+        )
+        with pytest.raises(StructureError, match="node 'P' has empty domain"):
+            m.validate()
+
+    def test_an_earlier_nodes_fault_is_reported_first(self):
+        # A's row sum fails before F's string is looked at, and the other way
+        # round: nodes are reported in domains order.
+        bad_sum = {(): (0.5, 0.6)}
+        bad_type = {(): ("0.5", 0.5)}
+        for first, second, want in (
+            (bad_sum, bad_type, "node 'A': CPT row () sums to 1.1"),
+            (bad_type, bad_sum, "node 'A': CPT row () has entry '0.5'"),
+        ):
+            cpts = {"A": first, "F": second}
+            m = CausalModel({"A": (0, 1), "F": (0, 1)}, (), cpts, "A", "F")
+            with pytest.raises(StructureError, match=re.escape(want)):
+                m.validate()
+
+    def test_real_entries_of_every_numeric_type(self):
+        # Python and numpy bools, ints and floats all read as float64.
+        m = binary_model(
+            [("A", "F")],
+            {
+                "A": {(): (np.int64(1), 0)},
+                "F": {
+                    (0,): (True, np.False_),
+                    (1,): (np.float32(0.25), np.float64(0.75)),
+                },
+            },
+        )
+        floats = binary_model(
+            [("A", "F")],
+            {"A": {(): (1.0, 0.0)}, "F": {(0,): (1.0, 0.0), (1,): (0.25, 0.75)}},
+        )
+        assert marginal(m, "F") == marginal(floats, "F") == {0: 1.0, 1: 0.0}
+        for node in ("A", "F"):
+            got, want = m._checked[1][node], floats._checked[1][node]
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
+    def test_a_cpt_above_the_cap_is_checked_where_it_is_used(self):
+        # X's CPT has 1001 x 1000 entries, above JOINT_STATE_CAP. X is no
+        # ancestor of the outcome, so the model is valid and its gap is
+        # computed; a contraction that needs X's factor raises.
+        wide = (1.0,) + (0.0,) * 999
+        m = CausalModel(
+            {
+                "A": (0, 1),
+                "F": (0, 1),
+                "P": tuple(range(1001)),
+                "X": tuple(range(1000)),
+            },
+            (("A", "F"), ("P", "X")),
+            {
+                "A": root(0.5),
+                "F": child({(0,): 0.2, (1,): 0.7}),
+                "P": {(): (1.0,) + (0.0,) * 1000},
+                "X": {(p,): wide for p in range(1001)},
+            },
+            "A",
+            "F",
+        )
+        assert 1001 * 1000 > JOINT_STATE_CAP
+        m.validate()
+        assert counterfactual_fairness_gap(m) == pytest.approx(0.5, abs=1e-15)
+        with pytest.raises(CapacityError, match="CPT of 'X' of 1001000 entries"):
+            marginal(m, "X")
+
+
+CORRUPTIONS = (
+    "nan",
+    "inf",
+    "negative",
+    "sum",
+    "long_row",
+    "short_row",
+    "missing_key",
+    "extra_key",
+    "duplicate_value",
+    "empty_domain",
+    "undeclared_cpt",
+)
+
+
+@st.composite
+def checkable_models(draw, corruptions=st.integers(0, 1)):
+    """A model over a DAG from ``dags`` whose nodes take one to four values,
+    mixed, listed in a random order, with CPT rows of small integer weights
+    normalised to sum to 1 in a random row order; then as many corruptions
+    from ``CORRUPTIONS`` as ``corruptions`` draws, on distinct nodes.
+    Returns (model, corruptions)."""
+    g = draw(dags(6))
+    names = draw(st.permutations(sorted(g.domains)))
+    domains = {v: ("a", "b", "c", "d")[: draw(st.integers(1, 4))] for v in names}
+    # A CPT can have 4**5 rows: one seeded generator orders and fills them,
+    # which keeps each example's data small.
+    rnd = draw(st.randoms(use_true_random=False))
+    cpts = {}
+    for node, dom in domains.items():
+        keys = list(itertools.product(*(domains[p] for p in g.parents(node))))
+        rnd.shuffle(keys)
+        cpts[node] = {}
+        for key in keys:
+            w = [rnd.randint(0, 4) for _ in dom]
+            w[0] += sum(w) == 0
+            cpts[node][key] = tuple(x / sum(w) for x in w)
+    count = draw(corruptions)
+    targets = draw(
+        st.lists(st.sampled_from(names), min_size=count, max_size=count, unique=True)
+    )
+    done = []
+    for node in targets:
+        cpt = cpts[node]
+        if not cpt:
+            # emptied by an empty parent domain: only the row-free corruptions
+            corruption = draw(
+                st.sampled_from(["duplicate_value", "empty_domain", "undeclared_cpt"])
+            )
+        else:
+            corruption = draw(st.sampled_from(CORRUPTIONS))
+            key = draw(st.sampled_from(list(cpt)))
+            row = list(cpt[key])
+            j = draw(st.integers(0, len(row) - 1))
+        done.append(corruption)
+        if corruption in ("nan", "inf", "negative", "sum"):
+            row[j] = {
+                "nan": math.nan,
+                "inf": draw(st.sampled_from([math.inf, -math.inf])),
+                "negative": -draw(st.floats(1e-300, 2.0)),
+                "sum": row[j] + draw(st.floats(2e-9, 1.0)),
+            }[corruption]
+            cpt[key] = tuple(row)
+        elif corruption == "long_row":
+            cpt[key] = (*row, 0.0)
+        elif corruption == "short_row":
+            cpt[key] = tuple(row[:-1])
+        elif corruption == "missing_key":
+            del cpt[key]
+        elif corruption == "extra_key":
+            cpt[(*key[:-1], "z")] = tuple(row)
+        elif corruption == "duplicate_value":
+            dom = domains[node]
+            domains[node] = (*dom[:-1], dom[0]) if len(dom) > 1 else dom * 2
+        elif corruption == "empty_domain":
+            # the node's children then have no parent assignments, so no rows
+            domains[node] = ()
+            for child in g.domains:
+                if node in g.parents(child):
+                    cpts[child] = {}
+        elif corruption == "undeclared_cpt":
+            cpts["Z"] = {(): (1.0,)}
+    return CausalModel(domains, g.edges, cpts, g.protected, g.outcome), done
+
+
+def assert_check_matches_the_row_walk(m, corruptions):
+    """The one-pass check raises the row walk's error: the first failing node
+    in domains order, then the first failing row in that CPT's order. On a
+    valid model every factor holds the rows in parent-assignment order."""
+    try:
+        oracle.check_cpts(m)
+    except StructureError as exc:
+        assert corruptions
+        with pytest.raises(StructureError) as got:
+            m.validate()
+        assert str(got.value) == str(exc)
+        return
+    assert not corruptions
+    parents = m.validate()
+    for node, dom in m.domains.items():
+        assignments = itertools.product(*(m.domains[p] for p in parents[node]))
+        want = np.array([m.cpts[node][key] for key in assignments]).reshape(
+            *(len(m.domains[p]) for p in parents[node]), len(dom)
+        )
+        got = m._checked[1][node]
+        assert got.dtype == np.float64 and not got.flags.writeable
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=checkable_models())
+def test_cpt_check_matches_the_row_walk(case):
+    assert_check_matches_the_row_walk(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=checkable_models(corruptions=st.just(2)))
+def test_cpt_check_reports_the_first_of_two_faults(case):
+    # Two faulty nodes: the one earlier in domains order is reported, whatever
+    # either fault is.
+    assert_check_matches_the_row_walk(*case)
 
 
 class TestReadOnlyModel:

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dynamics_oracle
@@ -1118,7 +1118,9 @@ class TestAffineRescale:
     the bin width by a power of two ``a``, which multiplies without rounding,
     and shifting the scores by ``b`` leaves everything else of a run bit for
     bit as it was, on both built-ins under every searched or utility rule,
-    with and without interventions."""
+    with and without interventions. The property covers valid grids only:
+    a shift whose spacing falls below the rounding of the scores is
+    rejected (``test_a_shift_that_merges_scores_is_rejected``)."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -1130,6 +1132,8 @@ class TestAffineRescale:
     )
     def test_only_score_change_and_mean_score_move(self, name, rule, hooked, k, b):
         cfg = BUILTINS[name]
+        scores = cfg.population.grid.bin_scores
+        assume(np.all(np.diff(2.0**k * scores + b) > 0))
         ids = cfg.population.group_ids
         spec = {
             "max_utility": scenarios.PolicyRuleSpec("max_utility"),
@@ -1161,3 +1165,12 @@ class TestAffineRescale:
         np.testing.assert_allclose(
             got.mean_score, a * base.mean_score + b, rtol=1e-12, atol=0.0
         )
+
+    def test_a_shift_that_merges_scores_is_rejected(self):
+        # At a = 2**-40 and b = 8192 the bins are 2**-40 apart, half the
+        # spacing of floats near 8192 (2**-39), so neighbouring scores round
+        # to one value.
+        cfg = BUILTINS["boards_quota"]
+        cfg = replace(cfg, policy_rule=scenarios.PolicyRuleSpec("max_utility"))
+        with pytest.raises(DomainError, match="not strictly ascending"):
+            scenarios.run_scenario(_rescaled(cfg, 2.0**-40, 8192.0))
