@@ -363,15 +363,18 @@ def _contract(
     parents: Mapping[str, tuple[str, ...]],
     keep: tuple[str, ...],
     drop: str | None = None,
+    nodes: Sequence[str] | None = None,
 ) -> np.ndarray:
     """Sum-product of the model's CPT factors over every node not in ``keep``.
 
     Only ``keep`` and its ancestors take part. With ``drop`` (a member of
     ``keep``) that node's factor is left out and its parents are not walked:
     the truncated factorisation, so row ``t`` of the ``drop`` axis holds the
-    distribution under ``do(drop=t)``. Returns one axis per ``keep`` entry,
-    in that order. ``m`` must be valid: its factors are the ones ``validate``
-    built. Each factor's size is checked where it is used.
+    distribution under ``do(drop=t)``. ``nodes`` is that node set, when the
+    caller has walked ``_ancestral_set(parents, keep, drop)`` already.
+    Returns one axis per ``keep`` entry, in that order. ``m`` must be valid:
+    its factors are the ones ``validate`` built. Each factor's size is
+    checked where it is used.
     """
     factor_of = m._checked[1]
     _check_size(math.prod(len(m.domains[v]) for v in keep), "output factor")
@@ -380,7 +383,9 @@ def _contract(
     factors: dict[int, Factor] = {}
     # node -> ids of the live factors whose scope holds it, in id order
     incidence: dict[str, dict[int, None]] = {}
-    for node in _ancestral_set(parents, keep, drop):
+    if nodes is None:
+        nodes = _ancestral_set(parents, keep, drop)
+    for node in nodes:
         incidence.setdefault(node, {})
         if node == drop:
             continue
@@ -466,9 +471,12 @@ def _interventional_gap(m: CausalModel, target: str) -> float:
         )
     if target == m.outcome:
         return 1.0
-    if target not in _ancestral_set(parents, (m.outcome,)):
+    # ``target`` is in this walk exactly when it is an ancestor of the
+    # outcome, and then the walk is the truncated factorisation's node set.
+    nodes = _ancestral_set(parents, (m.outcome,), cut=target)
+    if target not in nodes:
         return 0.0
-    f = _contract(m, parents, (target, m.outcome), drop=target)
+    f = _contract(m, parents, (target, m.outcome), drop=target, nodes=nodes)
     return float(0.5 * np.abs(f[0] - f[1]).sum())
 
 

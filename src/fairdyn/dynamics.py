@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import Callable, Mapping, NamedTuple, Optional, Union
@@ -207,6 +208,24 @@ def group_delta_mu(
     tau = policy.tau(gid)
     _check_lengths(gid, pmf=group.pmf, tau=tau, rho=outcome.rho_for(gid))
     return float(group.pmf.dot(tau * outcome.score_change(gid, grid)))
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer or an integral float such as 20.0; a
+    bool, a string, a fraction, NaN and inf are not."""
+    return not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, float) and value.is_integer())
+    )
+
+
+def _checked_horizon(horizon) -> int:
+    """``horizon`` as an int in [0, ``MAX_HORIZON``]; else ``DomainError``."""
+    if not _is_integer(horizon):
+        raise DomainError(f"horizon must be an integer, got {horizon!r}")
+    if not 0 <= horizon <= MAX_HORIZON:
+        raise DomainError(f"horizon {horizon} outside [0, {MAX_HORIZON}]")
+    return int(horizon)
 
 
 def _check_regime_tol(tol: float) -> None:
@@ -487,15 +506,6 @@ def _check_finite(columns, group_ids: tuple[str, ...]) -> None:
             raise DomainError(f"{name} {column[t, j]} is not finite at {at}")
 
 
-class _Draws(NamedTuple):
-    """One step's rows of a run of several draws, as its policy hook gets
-    them: ``pmfs`` (draws * groups, bins) and ``proportions`` (draws *
-    groups), the run's rows of the step."""
-
-    pmfs: np.ndarray
-    proportions: np.ndarray
-
-
 class _Runs(NamedTuple):
     """The columns of a run of one or more draws, stacked as ``_run`` fills
     them: a per-group array has one column per group of each draw, draw by
@@ -503,6 +513,7 @@ class _Runs(NamedTuple):
     the slices ``[:, d * groups:(d + 1) * groups]`` and ``[:, d]``; for one
     draw they are those of ``TrajectoryColumns``."""
 
+    metric_pair: Optional[tuple[str, str]]  # resolved; None for no pair
     states: np.ndarray  # (steps, draws * groups, bins)
     proportions: np.ndarray  # (steps, draws * groups)
     policies: list  # one _StepPolicy per step
@@ -566,50 +577,29 @@ def simulate(
     which models an institution continuously re-applying its decision rule.
     ``pre_step`` and ``flags_fn`` are hooks for scenario interventions; with
     both unset the loop is the bare feedback model. Fully deterministic.
+    ``horizon`` is an integer in [0, ``MAX_HORIZON``]: an integral float
+    counts, a bool, a string, a fraction, NaN or inf does not.
     ``pop`` and each population ``pre_step`` returns are validated once;
     ``pre_step`` keeps the grid's values and the groups in their order, and
     ``flags_fn`` returns the same number of flags at every step. The
     populations the hooks receive never change afterwards.
 
-    The state is one (groups, bins) matrix per step, kept in one
-    preallocated array, and ``step`` writes each transition straight into
-    the next row. The loop has one hook slot, a ``RowHook`` that edits row
-    ``t`` in place before ``policy_fn`` runs: ``pre_step`` is wrapped into
-    it, and ``run_scenario`` passes its engine's hook as ``_row_hook``.
-    ``policy_fn`` sees a population over read-only views of row ``t``.
-    The loop does only the sequential work: the hook, ``policy_fn``, the
-    flags and one call of ``step`` per transition. The per-step columns
-    (mean score, acceptance, TPR, FPR, ``delta_mu`` and utility) are
-    computed after the loop from the state array and the kept policies, bit
-    for bit as per-row ``pmf.dot`` calls would give them; a non-finite
-    ``delta_mu``, utility or mean score then raises ``DomainError`` naming
-    its step. The loop is ``_run``, which also advances the stacked rows of
-    several draws of a sensitivity sweep; this run is its one-draw case.
+    The checks and the loop are ``_run``'s; this run is its one-draw case.
+    Its one hook slot is a ``RowHook`` that edits row ``t`` of the state in
+    place before ``policy_fn`` runs: ``pre_step`` is wrapped into it, and
+    ``run_scenario`` passes its engine's hook as ``_row_hook``. ``policy_fn``
+    sees a population over read-only views of row ``t``, and ``step``
+    writes each transition into the next row. The per-step columns are
+    computed after the loop, bit for bit as per-row ``pmf.dot`` calls would
+    give them; a non-finite ``delta_mu``, utility or mean score then raises
+    ``DomainError`` naming its step.
     """
-    if horizon < 0 or horizon > MAX_HORIZON:
-        raise DomainError(f"horizon {horizon} outside [0, {MAX_HORIZON}]")
-    _check_regime_tol(regime_tol)
-    _require_valid(pop)
-    grid, ids = pop.grid, pop.group_ids
-    if metric_pair is None and len(ids) >= 2:
-        metric_pair = ids[:2]
-    pair = []
-    if metric_pair is not None:
-        pair = [ids.index(pop.group(label).group_id) for label in metric_pair]
-        metric_pair = tuple(metric_pair)
-    states = np.empty((horizon + 1, len(ids), len(grid)))
-    proportions = np.empty((horizon + 1, len(ids)))
-    states[0] = [g.pmf for g in pop.groups]
-    # Every row; from the first step whose hook changes them, each row is
-    # copied from the one before.
-    proportions[:] = [g.proportion for g in pop.groups]
     hook = _row_hook if pre_step is None else _pre_step_rows(pre_step, pop)
     c = _run(
-        grid, ids, states, proportions, policy_fn, outcome, inst, regime_tol,
-        pair, flags_fn, hook, pop,
+        pop, policy_fn, outcome, inst, horizon, regime_tol, metric_pair, flags_fn, hook
     )
     columns = TrajectoryColumns(
-        grid, ids, metric_pair, c.initial, c.states, c.proportions,
+        pop.grid, pop.group_ids, c.metric_pair, c.initial, c.states, c.proportions,
         tuple(c.policies), c.mean_score, c.acceptance, c.tpr, c.fpr,
         c.delta_mu, c.regime, c.utility[:, 0], c.dp_gap[:, 0], c.eo_gap[:, 0],
         c.eodds_gap[:, 0], c.flags,
@@ -618,44 +608,67 @@ def simulate(
 
 
 def _run(
-    grid: ScoreGrid,
-    group_ids: tuple[str, ...],
-    states: np.ndarray,
-    proportions: np.ndarray,
+    pop: Population,
     policy_fn: Callable,
     outcome: OutcomeModel,
     inst: InstitutionModel,
+    horizon: int,
     regime_tol: float,
-    pair: Sequence[int],
+    metric_pair: Optional[tuple[str, str]],
     flags_fn: Optional[Callable] = None,
     hook: Optional[RowHook] = None,
-    pop: Optional[Population] = None,
+    starts: Optional[np.ndarray] = None,
 ) -> _Runs:
-    """The run loop, over the stacked rows of one or more draws.
+    """Check a run's start, then run it over the stacked rows of one or more
+    draws of ``pop``.
 
-    ``states`` (steps, draws * groups, bins) holds each draw's groups in
-    ``group_ids`` order, draw by draw, with row 0 filled; ``proportions``
-    (steps, draws * groups) is filled in every row. The rows of different
-    draws never mix: each value of a draw is computed from that draw's rows
-    alone, with the operations and in the order of a run of that draw on its
-    own, so a draw gives bit for bit the numbers of its own run.
+    The horizon, the regime tolerance, ``pop`` and the metric pair (the
+    first two groups when None) are checked before the state (steps, draws
+    * groups, bins) is allocated; it holds each draw's groups in ``pop``'s
+    order, draw by draw. The rows of different draws never mix: each value
+    of a draw is computed from that draw's rows alone, with the operations
+    and in the order of a run of that draw on its own, so a draw gives bit
+    for bit the numbers of its own run.
 
-    ``simulate`` passes its initial population ``pop`` for a run of one
-    draw: ``policy_fn(t, pop)`` gets the step's population and returns a
+    With ``starts`` None, the run of ``simulate``, the one draw starts from
+    ``pop``: ``policy_fn(t, pop)`` gets the step's population and returns a
     ``Policy``, ``flags_fn(t)`` a tuple of flags, and each transition is one
-    call of ``step``. A sensitivity sweep's block of draws passes no ``pop``:
-    ``policy_fn`` gets the step's ``_Draws`` and returns a tuple of each
-    draw's policy, there are no flags, and ``_advance`` moves every row at
-    once. ``pair`` indexes the metric pair's groups, empty for no pair.
+    call of ``step``. A sweep block's ``starts`` (draws, groups, bins) are
+    checked as ``pop`` is: ``policy_fn`` gets the step's (pmfs, proportions)
+    rows and returns each draw's policy, there are no flags, and
+    ``_advance`` moves every row.
     """
-    rows, width = states.shape[:2]
-    horizon = rows - 1
+    horizon = _checked_horizon(horizon)
+    _check_regime_tol(regime_tol)
+    _require_valid(pop)
+    grid, group_ids = pop.grid, pop.group_ids
+    if metric_pair is None and len(group_ids) >= 2:
+        metric_pair = group_ids[:2]
+    pair = []
+    if metric_pair is not None:
+        pair = [group_ids.index(pop.group(label).group_id) for label in metric_pair]
+        metric_pair = tuple(metric_pair)
+    one = starts is None
     groups = len(group_ids)
-    draws = width // groups
-    one = pop is not None
-    if one and hook is not None:
-        # The hook edits row 0 in place, which ``pop`` does not show.
-        pop = _population_view(grid, group_ids, proportions[0].tolist(), states[0])
+    draws = 1 if one else len(starts)
+    rows, width = horizon + 1, draws * groups
+    states = np.empty((rows, width, len(grid)))
+    proportions = np.empty((rows, width))
+    # Every row; from the first step whose hook changes them, each row is
+    # copied from the one before.
+    proportions[:] = [g.proportion for g in pop.groups] * draws
+    shares = proportions[0, :groups].tolist()
+    if one:
+        states[0] = [g.pmf for g in pop.groups]
+        if hook is not None:
+            # The hook edits row 0 in place, which ``pop`` does not show.
+            pop = _population_view(grid, group_ids, shares, states[0])
+    else:
+        states[0] = starts.reshape(width, -1)
+        if not _pmfs_valid(states[0]):
+            for lo in range(0, width, groups):
+                own = states[0, lo : lo + groups]
+                _require_valid(_population_view(grid, group_ids, shares, own))
     cur = pop
     flags = []
     policies = []
@@ -677,7 +690,7 @@ def _run(
                     grid, group_ids, proportions[t].tolist(), states[t]
                 )
         if not one:
-            cur = _Draws(states[t], proportions[t])
+            cur = (states[t], proportions[t])
         if t == 0:
             initial = cur if one else None
         last = pol
@@ -723,6 +736,7 @@ def _run(
             *(col[:, k::groups] for col in (acceptance, tpr, fpr) for k in pair)
         )
     return _Runs(
+        metric_pair,
         states,
         proportions,
         policies,

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import importlib.resources
 import math
-import numbers
 import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -32,10 +31,11 @@ from ._yaml import known_keys, load_yaml
 from .dynamics import (
     MAX_HORIZON,
     Trajectory,
+    _checked_horizon,
+    _is_integer,
     _population_view,
     _require_valid,
     _run,
-    _Draws,
     _Runs,
     simulate,
 )
@@ -465,12 +465,6 @@ def _shares(mass: list[float]) -> list[float]:
     return [m / total for m in mass]
 
 
-def _share(mass: list[float], j: int) -> float:
-    """``_shares(mass)[j]``, without the other groups' shares."""
-    total = sum(mass)
-    return mass[j] / total if total > 0 else 0.0
-
-
 class _ScenarioEngine:
     """Stateful hooks plugged into the dynamics loop to apply interventions:
     ``pre_step``, the loop's row hook, and ``policy``, its ``policy_fn``."""
@@ -576,7 +570,7 @@ class _ScenarioEngine:
                 mass = self._accepted(pop, pol)
             j = self.index[iv.group]
             pol = self._enforce_quota(pop, pol, iv, j, mass)
-            share = _share(mass, j)
+            share = _shares(mass)[j]
             if abs(share - iv.target_share) <= iv.sunset.eps:
                 self.quota_streak[i] += 1
             else:
@@ -609,7 +603,7 @@ class _ScenarioEngine:
                 f"quota on group {iv.group!r} infeasible: zero population mass"
             )
         q = iv.target_share
-        if _share(mass, j) >= q:
+        if _shares(mass)[j] >= q:
             return pol
         other_mass = sum(m for k, m in enumerate(mass) if k != j)
         if q >= 1.0:
@@ -797,10 +791,7 @@ def _checked_count(value, name: str, least: int, message: str) -> int:
     integral float is a count: anything else (a bool, a string, NaN) is a
     ``ConfigError`` naming ``name``, and a smaller count one with
     ``message``."""
-    if isinstance(value, bool) or not (
-        isinstance(value, numbers.Integral)
-        or (isinstance(value, float) and value.is_integer())
-    ):
+    if not _is_integer(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     count = int(value)
     if count < least:
@@ -816,6 +807,7 @@ def _perturbed_pmfs(pop: Population, eps_p: float, seed: int, draw: int) -> np.n
     pmfs = []
     for g in pop.groups:
         pmf = g.pmf
+        _check_lengths(g.group_id, pmf=pmf, grid=pop.grid.bin_scores)
         noise = rng.standard_normal(len(pmf))
         noise -= noise.mean()
         norm = np.abs(noise).sum()
@@ -843,7 +835,7 @@ class _DrawEngines:
         self.engines += [_ScenarioEngine(cfg, ivs, first) for _ in range(draws - 1)]
         self.grid, self.ids = cfg.population.grid, cfg.population.group_ids
         groups = len(self.ids)
-        self.rows = [slice(lo, lo + groups) for lo in range(0, draws * groups, groups)]
+        self.rows = [slice(d * groups, (d + 1) * groups) for d in range(draws)]
         # Only a search, a quota and role-model feedback read a draw's
         # population in ``_ScenarioEngine.policy``.
         self.reads_population = first.plan is not None or any(
@@ -860,16 +852,17 @@ class _DrawEngines:
                 rescaled = True
         return rescaled
 
-    def policy(self, t: int, draws: _Draws) -> tuple[Policy, ...]:
+    def policy(self, t: int, step_rows: tuple[np.ndarray, ...]) -> tuple[Policy, ...]:
         """Each draw's policy of step ``t``, from its engine and a population
-        over its rows. A step whose policies are all those of the step before
-        returns the same tuple, so that the loop reuses their products."""
+        over its draw's rows of the step's (pmfs, proportions). A step whose
+        policies are all those of the step before returns the same tuple, so
+        that the loop reuses their products."""
         pops = [None] * len(self.engines)
         if self.reads_population:
-            shares = draws.proportions.tolist()
+            pmfs, shares = step_rows[0], step_rows[1].tolist()
             pops = [
-                _population_view(self.grid, self.ids, shares[rows], draws.pmfs[rows])
-                for rows in self.rows
+                _population_view(self.grid, self.ids, shares[own], pmfs[own])
+                for own in self.rows
             ]
         pols = tuple([engine.policy(t, pop) for engine, pop in zip(self.engines, pops)])
         if any(map(operator.is_not, pols, self.policies)):
@@ -879,35 +872,14 @@ class _DrawEngines:
 
 def _run_draws(cfg: ScenarioConfig, pmfs: np.ndarray) -> _Runs:
     """The scenario's runs from each start of ``pmfs`` (draws, groups, bins),
-    advanced together: each draw's columns are bit for bit those of
+    advanced together by ``_run``, which checks the scenario as it checks a
+    run of ``run_scenario``: each draw's columns are bit for bit those of
     ``run_scenario`` on its start. The runs keep no intervention flags."""
-    pop = cfg.population
-    draws, groups, n = pmfs.shape
-    states = np.empty((cfg.horizon + 1, draws * groups, n))
-    states[0] = pmfs.reshape(-1, n)
-    proportions = np.empty((cfg.horizon + 1, draws * groups))
-    proportions[:] = [g.proportion for g in pop.groups] * draws
-    if not _pmfs_valid(states[0]):
-        # The first invalid start raises as ``simulate`` would on it.
-        for lo in range(0, draws * groups, groups):
-            own = slice(lo, lo + groups)
-            shares = proportions[0, own].tolist()
-            _require_valid(
-                _population_view(pop.grid, pop.group_ids, shares, states[0, own])
-            )
-    ids = pop.group_ids
-    hooks = _DrawEngines(cfg, draws)
+    hooks = _DrawEngines(cfg, len(pmfs))
     return _run(
-        pop.grid,
-        ids,
-        states,
-        proportions,
-        hooks.policy,
-        cfg.outcome,
-        cfg.institution,
-        cfg.tolerances.regime,
-        [ids.index(label) for label in cfg.metric_groups],
-        hook=hooks.pre_step if cfg.interventions else None,
+        cfg.population, hooks.policy, cfg.outcome, cfg.institution, cfg.horizon,
+        cfg.tolerances.regime, cfg.metric_groups,
+        hook=hooks.pre_step if cfg.interventions else None, starts=pmfs,
     )
 
 
@@ -958,7 +930,8 @@ def sensitivity_sweep(
     total variation eps_p (then clipped and renormalized) and reports the
     spread of the final goal metric, and the first draws behind its minimum
     and maximum. Runs whose spread exceeds ten times eps_p are flagged
-    unreliable. A goal metric that is NaN at some step of a draw raises
+    unreliable. The scenario is checked as ``run_scenario`` checks it. A
+    goal metric that is NaN at some step of a draw raises
     ``UndefinedConditionalError``; any other error of a draw is raised with
     the prefix ``sweep draw k: ``, for the first draw that fails.
 
@@ -974,7 +947,9 @@ def sensitivity_sweep(
     n_draws = _checked_count(n_draws, "n_draws", 1, "need at least one draw, got {}")
     seed = _checked_count(seed, "seed", 0, "seed must be >= 0, got {}")
     pop = cfg.population
-    state_bytes = (cfg.horizon + 1) * len(pop.groups) * len(pop.grid) * 8
+    steps = _checked_horizon(cfg.horizon) + 1
+    # At least one byte, so that an empty population gets to ``_run``'s checks.
+    state_bytes = max(1, steps * len(pop.groups) * len(pop.grid) * 8)
     block = max(1, _SWEEP_STATE_BYTES // state_bytes)
     values = []
     for first in range(0, n_draws, block):

@@ -482,6 +482,33 @@ class TestProxyDiscrimination:
         expected = abs((0.2 * 0.9 + 0.8 * 0.1) - (0.8 * 0.9 + 0.2 * 0.1))
         assert proxy_discrimination_gap(m, "P") == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("proxy", ["P", "M", "A"])
+    def test_one_ancestral_walk_per_gap(self, monkeypatch, proxy):
+        # The walk that finds the proxy among the outcome's ancestors is the
+        # node set of the contraction; an unconnected proxy stops there.
+        from fairdyn import causal
+
+        m = CausalModel(
+            domains={"P": (0, 1), "M": (0, 1), "F": (0, 1), "A": (0, 1)},
+            edges=(("P", "M"), ("M", "F")),
+            cpts={
+                "A": root(0.5),
+                "P": root(0.5),
+                "M": child({(0,): 0.2, (1,): 0.8}),
+                "F": child({(0,): 0.1, (1,): 0.9}),
+            },
+            protected="A",
+            outcome="F",
+        )
+        want = proxy_discrimination_gap(m, proxy)
+        walks = []
+        real = causal._ancestral_set
+        monkeypatch.setattr(
+            causal, "_ancestral_set", lambda *a, **k: walks.append(a) or real(*a, **k)
+        )
+        assert proxy_discrimination_gap(m, proxy) == want
+        assert len(walks) == 1
+
 
 class TestModelFile:
     def write(self, tmp_path, text):

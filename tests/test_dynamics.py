@@ -2,6 +2,7 @@ import copy
 import gc
 import math
 import pickle
+import re
 import sys
 import tracemalloc
 import weakref
@@ -261,6 +262,28 @@ class TestSimulate:
         pol = Policy.from_arrays({"a": np.zeros(2)})
         with pytest.raises(DomainError):
             simulate(pop, lambda t, p: pol, out, INST, 10**5 + 1)
+
+    @pytest.mark.parametrize(
+        "horizon", [2.5, "3", math.nan, math.inf, -math.inf, True, False, None]
+    )
+    def test_horizon_must_be_an_integer(self, horizon):
+        pop, out = single_group((0.5, 0.5), (0.3, 0.9))
+        pol = Policy({"a": np.zeros(2)})
+        message = rf"^horizon must be an integer, got {re.escape(repr(horizon))}$"
+        with pytest.raises(DomainError, match=message):
+            simulate(pop, lambda t, p: pol, out, INST, horizon)
+        with pytest.raises(DomainError, match=message):
+            scenarios.run_scenario(replace(LENDING, horizon=horizon))
+        with pytest.raises(DomainError, match=message):
+            scenarios.sensitivity_sweep(replace(LENDING, horizon=horizon), 0.01, 2, 0)
+
+    def test_integral_float_horizon_counts(self):
+        pop, out = single_group((0.25, 0.75), (0.3, 0.9))
+        pol = Policy({"a": np.ones(2)})
+        as_float = simulate(pop, lambda t, p: pol, out, INST, 3.0)
+        as_int = simulate(pop, lambda t, p: pol, out, INST, np.int64(3))
+        assert len(as_float) == len(as_int) == 4
+        assert as_float.columns.states.tobytes() == as_int.columns.states.tobytes()
 
 
 class TestIsStationary:

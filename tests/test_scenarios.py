@@ -11,6 +11,7 @@ from fairdyn import scenarios
 from fairdyn.dynamics import MASS_TOL, MAX_HORIZON, simulate
 from fairdyn.errors import (
     ConfigError,
+    DimensionError,
     DomainError,
     InfeasibilityError,
     UndefinedConditionalError,
@@ -1184,3 +1185,62 @@ class TestSweepArguments:
         path = write_lending(tmp_path, lambda raw: raw.update(seed=-1))
         with pytest.raises(ConfigError, match=r"seed must be >= 0, got -1"):
             load_scenario(path)
+
+
+def _lending_with(**groups):
+    """``LENDING`` with some of its groups, named by label, replaced."""
+    pop = LENDING.population
+    new = [groups.get(g.group_id, g) for g in pop.groups]
+    return replace(LENDING, population=pop.with_groups(new))
+
+
+_A, _B = LENDING.population.groups
+# Scenarios that ``run_scenario`` rejects. A sweep starts its draws where
+# ``simulate`` starts its run, so it rejects each of them alike.
+_REJECTED = {
+    "proportions_sum_to_half": _lending_with(A=_A.with_proportion(0.4)),
+    "bin_score_off_the_spacing": replace(
+        LENDING,
+        population=Population(
+            ScoreGrid((300, 400, 500, 600, 700, 850), 100), LENDING.population.groups
+        ),
+    ),
+    "pmf_sums_to_0.9": _lending_with(B=_B.with_pmf(_B.pmf * 0.9)),
+    "negative_horizon": replace(LENDING, horizon=-1),
+    "horizon_over_the_cap": replace(LENDING, horizon=MAX_HORIZON + 1),
+    "zero_regime_tolerance": replace(LENDING, tolerances=scenarios.Tolerances(0.0)),
+    "nan_regime_tolerance": replace(LENDING, tolerances=scenarios.Tolerances(math.nan)),
+    "negative_regime_tolerance": replace(
+        LENDING, tolerances=scenarios.Tolerances(-1.0)
+    ),
+    "unknown_metric_group": replace(LENDING, metric_groups=("A", "Z")),
+}
+
+
+class TestSweepChecksAsRunScenario:
+    @pytest.mark.parametrize("cfg", _REJECTED.values(), ids=_REJECTED.keys())
+    def test_same_error_as_run_scenario(self, cfg):
+        with pytest.raises(Exception) as alone:
+            run_scenario(cfg)
+        with pytest.raises(type(alone.value)) as swept:
+            sensitivity_sweep(cfg, 0.01, 3, 0)
+        assert type(swept.value) is type(alone.value)
+        assert str(swept.value) in (str(alone.value), f"sweep draw 0: {alone.value}")
+
+    def test_horizon_over_the_cap_raises_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=r"^horizon 100001 outside"):
+                sensitivity_sweep(_REJECTED["horizon_over_the_cap"], 0.01, 3, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One draw's state would take 9.6 MB.
+        assert peak < 2**20
+
+    def test_template_pmf_of_the_wrong_length_names_its_group(self):
+        cfg = _lending_with(B=_B.with_pmf(_B.pmf[:5]))
+        with pytest.raises(DimensionError, match=r"^group 'B': inconsistent lengths"):
+            run_scenario(cfg)
+        with pytest.raises(DimensionError, match=r"^group 'B': inconsistent lengths"):
+            sensitivity_sweep(cfg, 0.01, 3, 0)
