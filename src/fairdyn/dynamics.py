@@ -219,13 +219,19 @@ def _is_integer(value) -> bool:
     )
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int if ``_is_integer``, else ``DomainError`` naming it."""
+    if not _is_integer(value):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _checked_horizon(horizon) -> int:
     """``horizon`` as an int in [0, ``MAX_HORIZON``]; else ``DomainError``."""
-    if not _is_integer(horizon):
-        raise DomainError(f"horizon must be an integer, got {horizon!r}")
+    horizon = _integer(horizon, "horizon")
     if not 0 <= horizon <= MAX_HORIZON:
         raise DomainError(f"horizon {horizon} outside [0, {MAX_HORIZON}]")
-    return int(horizon)
+    return horizon
 
 
 def _check_regime_tol(tol: float) -> None:
@@ -646,7 +652,10 @@ def _run(
         metric_pair = group_ids[:2]
     pair = []
     if metric_pair is not None:
-        pair = [group_ids.index(pop.group(label).group_id) for label in metric_pair]
+        for label in metric_pair:
+            if label not in group_ids:
+                raise DomainError(f"metric pair: unknown group label {label!r}")
+        pair = [group_ids.index(label) for label in metric_pair]
         metric_pair = tuple(metric_pair)
     one = starts is None
     groups = len(group_ids)
@@ -756,6 +765,7 @@ def _run(
 def is_stationary(traj: Trajectory, window: int, eps: float) -> bool:
     """True iff every group pmf moved less than ``eps`` in total variation
     over each of the last ``window`` transitions."""
+    window = _integer(window, "window")
     if window <= 0:
         raise DomainError(f"window {window} must be positive")
     if not eps > 0:  # NaN fails too
@@ -792,6 +802,7 @@ def monte_carlo_validate(
     outcome from rho) and reports empirical acceptance rates and mean score
     change with standard errors. Deterministic given the seed.
     """
+    n = _integer(n, "sample count n")
     if n < 1:
         raise DomainError(f"sample count {n} must be >= 1")
     rng = np.random.default_rng(seed)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -125,17 +125,17 @@ class ConstrainedResult:
     utility: float
 
 
-def _groups(plan_ids: tuple[str, ...], pop: Population) -> tuple[GroupState, ...]:
-    """``pop``'s groups, once their labels are the plan's, in its order."""
+def _rows(plan: ConstrainedPlan | OutcomeOptimalPlan, pop: Population) -> tuple:
+    """``pop``'s pmfs and proportions, once its labels are ``plan``'s."""
     groups = pop.groups
-    if len(groups) != len(plan_ids) or any(
-        g.group_id != gid for g, gid in zip(groups, plan_ids)
+    if len(groups) != len(plan.group_ids) or any(
+        g.group_id != gid for g, gid in zip(groups, plan.group_ids)
     ):
         raise DomainError(
-            f"search plan for groups {list(plan_ids)} given groups "
+            f"search plan for groups {list(plan.group_ids)} given groups "
             f"{list(pop.group_ids)}"
         )
-    return groups
+    return [g.pmf for g in groups], [g.proportion for g in groups]
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,24 +153,25 @@ class ConstrainedPlan:
     utility: tuple[np.ndarray, np.ndarray]
     rho: Optional[tuple[np.ndarray, np.ndarray]]
 
-    def score(self, pop: Population) -> tuple[Policy, float]:
-        """The best policy for ``pop`` and its level. All levels are scored
-        in one pass per group; only the winner is expanded."""
-        groups = _groups(self.group_ids, pop)
+    def score(
+        self, pmfs: Sequence[np.ndarray], proportions: Sequence[float]
+    ) -> tuple[Policy, float]:
+        """The best policy for the groups' ``pmfs`` and ``proportions``, in
+        the plan's group order, and its level. All levels are scored in one
+        pass per group; only the winner is expanded."""
         levels = self.levels
         utility = np.zeros(len(levels))
         searched = {}
-        for i, g in enumerate(groups):
-            pmf = g.pmf
+        for i, (gid, pmf, share) in enumerate(zip(self.group_ids, pmfs, proportions)):
             reach = _top_sums(pmf)
             rates = levels
             if self.rho is not None:
-                rates = _rates_for_tpr(g.group_id, pmf, reach, self.rho[i], levels)
+                rates = _rates_for_tpr(gid, pmf, reach, self.rho[i], levels)
             bins, fractions = _threshold_levels(pmf, rates, reach)
-            utility = utility + g.proportion * threshold_values(
+            utility = utility + share * threshold_values(
                 pmf, self.utility[i], bins, fractions
             )
-            searched[g.group_id] = (bins, fractions)
+            searched[gid] = (bins, fractions)
         # The largest of the levels with the highest utility.
         best = len(levels) - 1 - int(np.argmax(utility[::-1]))
         policy = _threshold_policy(
@@ -232,7 +233,7 @@ def constrained_policy(
     highest institution utility wins, ties broken toward the larger level.
     """
     plan = constrained_plan(pop, outcome, inst, constraint, resolution)
-    policy, level = plan.score(pop)
+    policy, level = plan.score(*_rows(plan, pop))
     return ConstrainedResult(
         policy, level, institution_utility(policy, pop, outcome, inst)
     )
@@ -255,36 +256,38 @@ class OutcomeOptimalPlan:
     change: np.ndarray
     utility_floor: float
 
-    def score(self, pop: Population) -> tuple[Policy, float]:
-        """The best policy for ``pop`` and the target group's rate."""
-        groups = _groups(self.group_ids, pop)
+    def score(
+        self, pmfs: Sequence[np.ndarray], proportions: Sequence[float]
+    ) -> tuple[Policy, float]:
+        """The best policy for the groups' ``pmfs`` and ``proportions``, in
+        the plan's group order, and the target group's rate."""
         levels = self.levels
 
         # Per group the utility of a threshold policy at each rate is
         # independent of other groups, so evaluate each axis once.
-        def axis(i: int, group: GroupState):
-            pmf = group.pmf
+        def axis(i: int):
+            pmf = pmfs[i]
             bins, fractions = _threshold_levels(pmf, levels)
-            utils = group.proportion * threshold_values(
+            utils = proportions[i] * threshold_values(
                 pmf, self.utility[i], bins, fractions
             )
             return bins, fractions, utils
 
         # Other groups do not affect the objective: give each its
         # utility-best rate so the floor is as easy to satisfy as possible.
+        target = self.group_ids[self.target]
         thresholds = {}
         other_util = 0.0
-        for i, g in enumerate(groups):
+        for i, gid in enumerate(self.group_ids):
             if i == self.target:
                 continue
-            bins, fractions, utils = axis(i, g)
+            bins, fractions, utils = axis(i)
             k = int(np.argmax(utils))
-            thresholds[g.group_id] = (int(bins[k]), float(fractions[k]))
+            thresholds[gid] = (int(bins[k]), float(fractions[k]))
             other_util += float(utils[k])
 
-        target = groups[self.target]
-        bins, fractions, target_utils = axis(self.target, target)
-        dmus = threshold_values(target.pmf, self.change, bins, fractions)
+        bins, fractions, target_utils = axis(self.target)
+        dmus = threshold_values(pmfs[self.target], self.change, bins, fractions)
         utils = other_util + target_utils
         feasible = np.flatnonzero(utils >= self.utility_floor)
         if len(feasible) == 0:
@@ -297,7 +300,7 @@ class OutcomeOptimalPlan:
         # level with the largest (dmu, utility, -rate).
         order = np.lexsort((-levels[feasible], utils[feasible], dmus[feasible]))
         best = int(feasible[order[-1]])
-        thresholds[target.group_id] = (int(bins[best]), float(fractions[best]))
+        thresholds[target] = (int(bins[best]), float(fractions[best]))
         return _threshold_policy(self.n_bins, thresholds), float(levels[best])
 
 
@@ -346,10 +349,10 @@ def outcome_optimal_policy(
     plan = outcome_optimal_plan(
         pop, outcome, inst, target_group, utility_floor, resolution
     )
-    return plan.score(pop)[0]
+    return search(plan, pop)
 
 
 def search(plan: ConstrainedPlan | OutcomeOptimalPlan, pop: Population) -> Policy:
-    """The policy ``plan``'s search selects for ``pop``: one scoring pass
-    over the population's pmfs and proportions."""
-    return plan.score(pop)[0]
+    """The policy ``plan``'s search selects for ``pop``, whose groups are the
+    plan's: one scoring pass over its pmfs and proportions."""
+    return plan.score(*_rows(plan, pop))[0]

@@ -414,25 +414,22 @@ def load_scenario(path_or_name: str) -> ScenarioConfig:
         raise ConfigError(f"malformed scenario file {path_or_name}: {exc}") from exc
 
 
-def _search_plan(
+def _decision_rule(
     cfg: ScenarioConfig, pop: Population, rule: PolicyRuleSpec, resolution: float
-) -> ConstrainedPlan | OutcomeOptimalPlan:
-    """The search plan of a constrained or outcome_optimal ``rule`` for
-    populations with ``pop``'s groups and grid."""
+) -> Policy | ConstrainedPlan | OutcomeOptimalPlan:
+    """``rule``'s policy (``fixed``, ``max_utility``) or search plan for
+    populations with ``pop``'s groups and grid under ``cfg``'s models; a
+    search scans rates or TPRs at ``resolution``."""
+    if rule.kind == "fixed":
+        return Policy(rule.tau)
+    if rule.kind == "max_utility":
+        return max_utility_policy(pop, cfg.outcome, cfg.institution)
     if rule.kind == "constrained":
         return constrained_plan(
-            pop,
-            cfg.outcome,
-            cfg.institution,
-            Constraint(rule.constraint),
-            resolution,
+            pop, cfg.outcome, cfg.institution, Constraint(rule.constraint), resolution
         )
     return outcome_optimal_plan(
-        pop,
-        cfg.outcome,
-        cfg.institution,
-        rule.target_group,
-        rule.utility_floor,
+        pop, cfg.outcome, cfg.institution, rule.target_group, rule.utility_floor,
         resolution,
     )
 
@@ -442,19 +439,16 @@ def build_policy(
 ) -> Policy:
     """The policy that ``rule`` selects for ``pop`` under ``cfg``'s outcome and
     institution models; the searches scan rates or TPRs at ``resolution``."""
-    if rule.kind == "fixed":
-        return Policy(rule.tau)
-    if rule.kind == "max_utility":
-        return max_utility_policy(pop, cfg.outcome, cfg.institution)
-    return search(_search_plan(cfg, pop, rule, resolution), pop)
+    decided = _decision_rule(cfg, pop, rule, resolution)
+    return decided if isinstance(decided, Policy) else search(decided, pop)
 
 
 def _accepted_mass(
-    groups: Sequence[GroupState], taus: Sequence[np.ndarray]
+    pmfs: Sequence[np.ndarray], proportions: Sequence[float], taus: Sequence[np.ndarray]
 ) -> list[float]:
     """Each group's accepted mass, its proportion times its acceptance rate
     ``pmf.dot(tau)``, for acceptance vectors of checked lengths."""
-    return [g.proportion * float(g.pmf.dot(tau)) for g, tau in zip(groups, taus)]
+    return [p * float(pmf.dot(tau)) for pmf, p, tau in zip(pmfs, proportions, taus)]
 
 
 def _shares(mass: list[float]) -> list[float]:
@@ -467,33 +461,28 @@ def _shares(mass: list[float]) -> list[float]:
 
 class _ScenarioEngine:
     """Stateful hooks plugged into the dynamics loop to apply interventions:
-    ``pre_step``, the loop's row hook, and ``policy``, its ``policy_fn``."""
+    ``pre_step``, the loop's row hook, and ``policy``, its ``policy_fn``,
+    which ``decide``s from the step's rows."""
 
-    def __init__(
-        self,
-        cfg: ScenarioConfig,
-        interventions,
-        rule_of: Optional[_ScenarioEngine] = None,
-    ):
+    def __init__(self, cfg: ScenarioConfig, interventions, rule=None):
         self.cfg = cfg
         self.interventions = interventions
-        self.index = {gid: i for i, gid in enumerate(cfg.population.group_ids)}
-        # A fixed or max_utility rule does not depend on the state: build it
-        # once for the run. A search is planned once for the run and scored
-        # on every step's population. Another draw of the same scenario,
-        # ``rule_of``'s, shares them.
-        rule = cfg.policy_rule
-        self.static_policy = None
-        self.plan = None
         pop = cfg.population
-        if rule_of is not None:
-            self.static_policy, self.plan = rule_of.static_policy, rule_of.plan
-        elif rule.kind in ("fixed", "max_utility"):
-            self.static_policy = build_policy(cfg, pop, rule, cfg.resolution)
-            for g, tau in zip(pop.groups, self.static_policy._rows(pop.group_ids)):
-                _check_lengths(g.group_id, tau=tau, pmf=g.pmf)
-        else:
-            self.plan = _search_plan(cfg, pop, rule, cfg.resolution)
+        self.group_ids = pop.group_ids
+        self.index = {gid: i for i, gid in enumerate(self.group_ids)}
+        for iv in interventions:
+            if iv.group not in self.index:
+                raise DomainError(f"{iv.kind}: unknown group label {iv.group!r}")
+        # The scenario's ``_decision_rule``, built once for the run; another
+        # draw of the same scenario is given the first draw's ``rule``. A
+        # policy's vectors must have the grid's length; the pmfs' are
+        # ``_run``'s to check.
+        if rule is None:
+            rule = _decision_rule(cfg, pop, cfg.policy_rule, cfg.resolution)
+            if isinstance(rule, Policy):
+                for gid, tau in zip(self.group_ids, rule._rows(self.group_ids)):
+                    _check_lengths(gid, tau=tau, grid=pop.grid.bin_scores)
+        self.rule = rule
         self.quota_active = [iv.kind == "quota" for iv in interventions]
         self.quota_streak = [0] * len(interventions)
         # Only role-model feedback reads the accepted shares of the last step.
@@ -545,16 +534,19 @@ class _ScenarioEngine:
             )
         return rescaled
 
-    def _accepted(self, pop: Population, pol: Policy) -> list[float]:
-        """Each group's accepted mass under ``pol``, whose vectors have the
-        pmfs' length: a static policy's are checked when the engine is
-        built, and a searched or quota policy's are built on the grid."""
-        return _accepted_mass(pop.groups, pol._rows(pop.group_ids))
-
     def policy(self, t: int, pop: Population) -> Policy:
-        pol = self.static_policy
-        if pol is None:
-            pol = search(self.plan, pop)
+        """The policy of step ``t`` for ``pop``, whose groups come in the
+        scenario's order: ``decide`` on its rows."""
+        groups = pop.groups
+        return self.decide(t, [g.pmf for g in groups], [g.proportion for g in groups])
+
+    def decide(self, t: int, pmfs, proportions) -> Policy:
+        """The policy of step ``t`` for the groups' ``pmfs`` and
+        ``proportions``: the rule's, with each active quota enforced. It
+        updates the quota streaks, the accepted shares and the flags."""
+        pol = self.rule
+        if not isinstance(pol, Policy):
+            pol = pol.score(pmfs, proportions)[0]
         # Each group's accepted mass under ``pol``, computed on first use.
         mass = None
         flags = []
@@ -567,9 +559,9 @@ class _ScenarioEngine:
             if not active:
                 continue
             if mass is None:
-                mass = self._accepted(pop, pol)
+                mass = _accepted_mass(pmfs, proportions, pol._rows(self.group_ids))
             j = self.index[iv.group]
-            pol = self._enforce_quota(pop, pol, iv, j, mass)
+            pol = self._enforce_quota(pmfs[j], proportions[j], pol, iv, j, mass)
             share = _shares(mass)[j]
             if abs(share - iv.target_share) <= iv.sunset.eps:
                 self.quota_streak[i] += 1
@@ -579,26 +571,21 @@ class _ScenarioEngine:
                 self.quota_active[i] = False  # permanent
         if self.keeps_shares:
             if mass is None:
-                mass = self._accepted(pop, pol)
+                mass = _accepted_mass(pmfs, proportions, pol._rows(self.group_ids))
             self.last_share = dict(zip(self.index, _shares(mass)))
         self.flags[t] = tuple(flags)
         return pol
 
     def _enforce_quota(
-        self,
-        pop: Population,
-        pol: Policy,
-        iv: InterventionRule,
-        j: int,
-        mass: list[float],
+        self, pmf: np.ndarray, proportion: float, pol: Policy, iv: InterventionRule,
+        j: int, mass: list[float],
     ) -> Policy:
-        """``pol`` with the threshold of the quota group, group ``j`` of
-        ``pop``, lowered until its accepted share reaches the target, or
-        ``pol`` itself when it already does. ``mass`` holds each group's
-        accepted mass under ``pol``; entry ``j`` is updated to the returned
-        policy."""
-        group = pop.groups[j]
-        if group.proportion <= 0:
+        """``pol`` with the threshold of the quota group, group ``j`` with
+        ``pmf`` and ``proportion``, lowered until its accepted share reaches
+        the target, or ``pol`` itself when it already does. ``mass`` holds
+        each group's accepted mass under ``pol``; entry ``j`` is updated to
+        the returned policy."""
+        if proportion <= 0:
             raise InfeasibilityError(
                 f"quota on group {iv.group!r} infeasible: zero population mass"
             )
@@ -612,7 +599,7 @@ class _ScenarioEngine:
                     f"quota share {q} infeasible while other groups are accepted"
                 )
             return pol
-        needed_rate = q * other_mass / (group.proportion * (1.0 - q))
+        needed_rate = q * other_mass / (proportion * (1.0 - q))
         if needed_rate > 1.0:
             raise InfeasibilityError(
                 f"quota share {q} for group {iv.group!r} needs acceptance rate "
@@ -621,10 +608,10 @@ class _ScenarioEngine:
         # The randomized threshold policy at that rate, as the tau vector
         # ``threshold_policy_for_rate(...).expand(grid)`` holds. The rate is
         # in [0, 1]: nonnegative by construction, and checked above.
-        bins, fractions = _threshold_levels(group.pmf, np.array([needed_rate]))
-        tau = np.zeros(len(group.pmf))
+        bins, fractions = _threshold_levels(pmf, np.array([needed_rate]))
+        tau = np.zeros(len(pmf))
         _fill_threshold(tau, int(bins[0]), float(fractions[0]))
-        mass[j] = _accepted_mass((group,), (tau,))[0]
+        mass[j] = _accepted_mass((pmf,), (proportion,), (tau,))[0]
         return pol._with_tau(iv.group, tau)
 
     def flags_fn(self, t: int) -> tuple[bool, ...]:
@@ -802,12 +789,11 @@ def _checked_count(value, name: str, least: int, message: str) -> int:
 def _perturbed_pmfs(pop: Population, eps_p: float, seed: int, draw: int) -> np.ndarray:
     """Draw ``draw``'s start: each group's pmf plus zero-sum noise of total
     variation ``eps_p`` from ``default_rng([seed, draw])``, clipped at 0 and
-    renormalized, as a (groups, bins) array."""
+    renormalized, as a (groups, bins) array, for a valid ``pop``."""
     rng = np.random.default_rng([seed, draw])
     pmfs = []
     for g in pop.groups:
         pmf = g.pmf
-        _check_lengths(g.group_id, pmf=pmf, grid=pop.grid.bin_scores)
         noise = rng.standard_normal(len(pmf))
         noise -= noise.mean()
         norm = np.abs(noise).sum()
@@ -826,47 +812,41 @@ class _DrawEngines:
     ``_run`` advances together: one ``_ScenarioEngine`` per draw, each given
     its own draw's rows, so each keeps its draw's quota streaks, sunset and
     active states and accepted shares, and decides as in a run of its own.
-    The engines share the rule's static policy or search plan."""
+    The engines share the first engine's rule."""
 
     def __init__(self, cfg: ScenarioConfig, draws: int):
         ivs = cfg.interventions
-        first = _ScenarioEngine(cfg, ivs)
-        self.engines = [first]
-        self.engines += [_ScenarioEngine(cfg, ivs, first) for _ in range(draws - 1)]
-        self.grid, self.ids = cfg.population.grid, cfg.population.group_ids
-        groups = len(self.ids)
-        self.rows = [slice(d * groups, (d + 1) * groups) for d in range(draws)]
-        # Only a search, a quota and role-model feedback read a draw's
-        # population in ``_ScenarioEngine.policy``.
-        self.reads_population = first.plan is not None or any(
-            iv.kind in ("quota", "role_model_feedback") for iv in ivs
-        )
+        self.engines = [_ScenarioEngine(cfg, ivs)]
+        rule = self.engines[0].rule
+        self.engines += [_ScenarioEngine(cfg, ivs, rule) for _ in range(draws - 1)]
+        # A step's arrays are rows of ``_run``'s C-contiguous state, draw by
+        # draw, so reshaped to this shape they give each draw a view.
+        self.shape = (draws, len(cfg.population.groups))
         self.policies = (None,) * draws
 
     def pre_step(self, t: int, pmfs: np.ndarray, proportions: np.ndarray) -> bool:
         """Each engine's ``pre_step`` on its draw's rows of the step's pmfs
         (draws * groups, bins) and proportions, in draw order."""
         rescaled = False
-        for engine, rows in zip(self.engines, self.rows):
-            if engine.pre_step(t, pmfs[rows], proportions[rows]):
+        draws = zip(pmfs.reshape(*self.shape, -1), proportions.reshape(self.shape))
+        for engine, (own, shares) in zip(self.engines, draws):
+            if engine.pre_step(t, own, shares):
                 rescaled = True
         return rescaled
 
     def policy(self, t: int, step_rows: tuple[np.ndarray, ...]) -> tuple[Policy, ...]:
-        """Each draw's policy of step ``t``, from its engine and a population
-        over its draw's rows of the step's (pmfs, proportions). A step whose
-        policies are all those of the step before returns the same tuple, so
-        that the loop reuses their products."""
-        pops = [None] * len(self.engines)
-        if self.reads_population:
-            pmfs, shares = step_rows[0], step_rows[1].tolist()
-            pops = [
-                _population_view(self.grid, self.ids, shares[own], pmfs[own])
-                for own in self.rows
-            ]
-        pols = tuple([engine.policy(t, pop) for engine, pop in zip(self.engines, pops)])
+        """Each draw's policy of step ``t``, which its engine decides from its
+        draw's rows of the step's (pmfs, proportions). A step whose policies
+        are all those of the step before returns the same tuple, so that the
+        loop reuses their products."""
+        pmfs = step_rows[0].reshape(*self.shape, -1)
+        shares = step_rows[1].reshape(self.shape).tolist()
+        pols = [
+            engine.decide(t, own, share)
+            for engine, own, share in zip(self.engines, pmfs, shares)
+        ]
         if any(map(operator.is_not, pols, self.policies)):
-            self.policies = pols
+            self.policies = tuple(pols)
         return self.policies
 
 
@@ -930,10 +910,11 @@ def sensitivity_sweep(
     total variation eps_p (then clipped and renormalized) and reports the
     spread of the final goal metric, and the first draws behind its minimum
     and maximum. Runs whose spread exceeds ten times eps_p are flagged
-    unreliable. The scenario is checked as ``run_scenario`` checks it. A
-    goal metric that is NaN at some step of a draw raises
-    ``UndefinedConditionalError``; any other error of a draw is raised with
-    the prefix ``sweep draw k: ``, for the first draw that fails.
+    unreliable. The scenario is checked as ``run_scenario`` checks it, its
+    population before it is perturbed. A goal metric that is NaN at some
+    step of a draw raises ``UndefinedConditionalError``; any other error of
+    a draw is raised with the prefix ``sweep draw k: ``, for the first draw
+    that fails.
 
     The draws run in blocks: one loop advances a block's draws together as
     one stacked state array, whose rows never mix, with one scenario engine
@@ -948,6 +929,7 @@ def sensitivity_sweep(
     seed = _checked_count(seed, "seed", 0, "seed must be >= 0, got {}")
     pop = cfg.population
     steps = _checked_horizon(cfg.horizon) + 1
+    _require_valid(pop)
     # At least one byte, so that an empty population gets to ``_run``'s checks.
     state_bytes = max(1, steps * len(pop.groups) * len(pop.grid) * 8)
     block = max(1, _SWEEP_STATE_BYTES // state_bytes)

@@ -194,6 +194,14 @@ class TestStep:
 
 
 class TestSimulate:
+    def test_metric_pair_with_an_unknown_group(self):
+        pop, out = two_groups()
+        pol = Policy.from_arrays({"a": np.ones(3), "b": np.ones(3)})
+        with pytest.raises(
+            DomainError, match=r"^metric pair: unknown group label 'zz'$"
+        ):
+            simulate(pop, lambda t, p: pol, out, INST, 2, metric_pair=("a", "zz"))
+
     def test_zero_horizon(self):
         pop, out = single_group((0.5, 0.5), (0.3, 0.9))
         pol = Policy.from_arrays({"a": np.ones(2)})
@@ -311,6 +319,17 @@ class TestIsStationary:
         with pytest.raises(DomainError):
             is_stationary(traj, 5, 0.01)
 
+    @pytest.mark.parametrize("window", [2.5, "3", True, False, None, math.nan])
+    def test_window_must_be_an_integer(self, window):
+        traj = self.make_traj(6, (0.0, 0.0, 0.0))
+        message = f"window must be an integer, got {window!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            is_stationary(traj, window, 1e-12)
+
+    def test_integral_float_window_counts(self):
+        traj = self.make_traj(6, (0.0, 0.0, 0.0))
+        assert is_stationary(traj, 3.0, 1e-12) is is_stationary(traj, 3, 1e-12)
+
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
     def test_eps_not_positive(self, eps):
         # A NaN eps would make every ``tv >= eps`` false, so any trajectory
@@ -347,6 +366,21 @@ class TestMonteCarlo:
         rep = monte_carlo_validate(pop, pol, out, 200_000, 3)
         exact = group_delta_mu(pop.groups[0], pol, out, pop.grid)
         assert abs(rep.delta_mu["a"] - exact) <= 4 * rep.delta_mu_se["a"]
+
+    @pytest.mark.parametrize("n", [1.5, "3", True, False, None, math.inf])
+    def test_sample_count_must_be_an_integer(self, n):
+        pop, out = single_group((0.5, 0.5), (0.3, 0.9))
+        pol = Policy.from_arrays({"a": np.ones(2)})
+        message = f"sample count n must be an integer, got {n!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            monte_carlo_validate(pop, pol, out, n, 1)
+
+    def test_integral_float_sample_count_counts(self):
+        pop, out = single_group((0.3, 0.7), (0.3, 0.9))
+        pol = Policy.from_arrays({"a": np.array([0.2, 0.8])})
+        rep = monte_carlo_validate(pop, pol, out, 500.0, 4)
+        assert rep == monte_carlo_validate(pop, pol, out, 500, 4)
+        assert type(rep.n) is int
 
     def test_needs_samples(self):
         pop, out = single_group((0.5, 0.5), (0.3, 0.9))

@@ -499,7 +499,9 @@ class TestSearchPlan:
         inst = InstitutionModel(1.0, -1.0)
         plan = constrained_plan(pop, out, inst, Constraint.EQUAL_OPPORTUNITY, 0.05)
         res = constrained_policy(moved, out, inst, Constraint.EQUAL_OPPORTUNITY, 0.05)
-        policy, level = plan.score(moved)
+        policy, level = plan.score(
+            [g.pmf for g in moved.groups], [g.proportion for g in moved.groups]
+        )
         assert level == res.level
         for gid in pop.group_ids:
             assert np.array_equal(search(plan, moved).tau(gid), res.policy.tau(gid))

@@ -473,9 +473,9 @@ class TestPolicyPerRun:
         import fairdyn.scenarios as scn
 
         calls = []
-        real = scn.build_policy
+        real = scn._decision_rule
         monkeypatch.setattr(
-            scn, "build_policy", lambda *args: calls.append(args) or real(*args)
+            scn, "_decision_rule", lambda *args: calls.append(args) or real(*args)
         )
         traj = run_scenario(LENDING)
         assert LENDING.policy_rule.kind == "max_utility"
@@ -495,13 +495,18 @@ class TestPolicyPerRun:
         import fairdyn.scenarios as scn
 
         plans, scored = [], []
-        real_plan, real_search = scn._search_plan, scn.search
+        real_plan = scn._decision_rule
         monkeypatch.setattr(
-            scn, "_search_plan", lambda *a: plans.append(a) or real_plan(*a)
+            scn, "_decision_rule", lambda *a: plans.append(a) or real_plan(*a)
         )
-        monkeypatch.setattr(
-            scn, "search", lambda plan, pop: scored.append(plan) or real_search(plan, pop)
-        )
+        for cls in (scn.ConstrainedPlan, scn.OutcomeOptimalPlan):
+            real_score = cls.score
+            monkeypatch.setattr(
+                cls,
+                "score",
+                lambda plan, *rows, real=real_score: scored.append(plan)
+                or real(plan, *rows),
+            )
         cfg = replace(BOARDS, policy_rule=rule)
         assert len(cfg.variants) == 2
         for ivs in cfg.variants.values():
@@ -847,7 +852,8 @@ class TestAcceptedMass:
         monkeypatch.setattr(
             scn,
             "_accepted_mass",
-            lambda groups, taus: calls.extend(groups) or real(groups, taus),
+            lambda pmfs, proportions, taus: calls.extend(proportions)
+            or real(pmfs, proportions, taus),
         )
         engine = _ScenarioEngine(BOARDS, interventions)
         engine.policy(t, BOARDS.population)
@@ -1023,6 +1029,28 @@ class TestBatchedSweep:
         assert blocks == [range(0, 1), range(1, 2), range(2, 3)]
         monkeypatch.setattr(scenarios, "_SWEEP_STATE_BYTES", 2**20)
         assert sensitivity_sweep(LENDING, 0.01, 3, seed=5) == rep
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            scenarios.PolicyRuleSpec("max_utility"),
+            scenarios.PolicyRuleSpec("constrained", constraint="dp"),
+        ],
+        ids=["max_utility", "constrained"],
+    )
+    def test_engines_decide_from_rows(self, monkeypatch, rule):
+        # A sweep's engines read each draw's rows; no step builds a
+        # population for them.
+        cfg = replace(BOARDS, policy_rule=rule)
+        assert any(iv.kind == "quota" for iv in cfg.interventions)
+        want = sensitivity_sweep(cfg, 0.01, 6, seed=2)
+        views = []
+        real = scenarios._population_view
+        monkeypatch.setattr(
+            scenarios, "_population_view", lambda *a: views.append(a) or real(*a)
+        )
+        assert sensitivity_sweep(cfg, 0.01, 6, seed=2) == want
+        assert views == []
 
     def test_report_names_the_draws_of_its_extremes(self):
         rep = sensitivity_sweep(LENDING, 0.05, 9, seed=3)
@@ -1217,6 +1245,41 @@ _REJECTED = {
 }
 
 
+class TestUnknownGroupLabels:
+    def test_metric_pair(self):
+        cfg = replace(LENDING, metric_groups=("A", "Z"))
+        message = "metric pair: unknown group label 'Z'"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            run_scenario(cfg)
+        with pytest.raises(DomainError, match=f"^sweep draw 0: {re.escape(message)}$"):
+            sensitivity_sweep(cfg, 0.01, 3, 0)
+
+    @pytest.mark.parametrize("kind", INTERVENTION_KINDS)
+    def test_intervention_group_rejected_when_the_engine_is_built(self, kind):
+        iv = InterventionRule(
+            kind=kind,
+            group="Z",
+            target_share=0.5,
+            sunset=SunsetRule(0.01, 2),
+            shift_fraction=0.1,
+            strength=0.5,
+        )
+        message = f"{kind}: unknown group label 'Z'"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            _ScenarioEngine(LENDING, (iv,))
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            run_scenario(LENDING, [iv])
+        with pytest.raises(DomainError, match=re.escape(message)):
+            sensitivity_sweep(replace(LENDING, interventions=(iv,)), 0.01, 3, 0)
+
+    def test_fixed_rule_checked_against_the_grid(self):
+        rule = scenarios.PolicyRuleSpec("fixed", tau={"A": np.ones(5), "B": np.ones(5)})
+        with pytest.raises(
+            DimensionError, match=r"^group 'A': inconsistent lengths tau=5 grid=6$"
+        ):
+            run_scenario(replace(LENDING, policy_rule=rule))
+
+
 class TestSweepChecksAsRunScenario:
     @pytest.mark.parametrize("cfg", _REJECTED.values(), ids=_REJECTED.keys())
     def test_same_error_as_run_scenario(self, cfg):
@@ -1238,9 +1301,23 @@ class TestSweepChecksAsRunScenario:
         # One draw's state would take 9.6 MB.
         assert peak < 2**20
 
-    def test_template_pmf_of_the_wrong_length_names_its_group(self):
-        cfg = _lending_with(B=_B.with_pmf(_B.pmf[:5]))
-        with pytest.raises(DimensionError, match=r"^group 'B': inconsistent lengths"):
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            scenarios.PolicyRuleSpec(
+                "fixed", tau={"A": np.ones(6), "B": np.full(6, 0.5)}
+            ),
+            scenarios.PolicyRuleSpec("max_utility"),
+            scenarios.PolicyRuleSpec("constrained", constraint="dp"),
+            scenarios.PolicyRuleSpec("outcome_optimal", target_group="B"),
+        ],
+        ids=["fixed", "max_utility", "constrained", "outcome_optimal"],
+    )
+    def test_template_pmf_of_the_wrong_length_names_its_group(self, rule):
+        # One error whatever the rule: the population check decides.
+        cfg = replace(_lending_with(B=_B.with_pmf(_B.pmf[:5])), policy_rule=rule)
+        message = "invalid population: group 'B': pmf length 5 != grid length 6"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             run_scenario(cfg)
-        with pytest.raises(DimensionError, match=r"^group 'B': inconsistent lengths"):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             sensitivity_sweep(cfg, 0.01, 3, 0)
