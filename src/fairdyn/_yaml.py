@@ -44,16 +44,23 @@ class _UniqueKeyLoader(_UniqueKeys, _BASE):
     """The safe loader, on libyaml when PyYAML has it, with unique keys."""
 
 
-def load_yaml(text, source: str):
-    """Parse YAML ``text`` (a string or a text file) read from ``source``.
+def read_yaml(source, name: str, what: str):
+    """Parse the YAML file ``source`` (a ``pathlib.Path`` or a package
+    resource), read as UTF-8; ``name`` is what messages call the ``what``
+    (say, "scenario file").
 
-    A syntax error or a repeated mapping key raises ``ConfigError`` naming
-    ``source``.
+    A file that cannot be read or is not UTF-8 raises ``ConfigError("cannot
+    read {what} {name}: ...")``; a syntax error or a repeated mapping key
+    raises ``ConfigError("cannot parse {name}: ...")``.
     """
+    try:
+        text = source.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {name}: {exc}") from exc
     try:
         return yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse {source}: {exc}") from exc
+        raise ConfigError(f"cannot parse {name}: {exc}") from exc
 
 
 def mapping(raw, path: str) -> dict:

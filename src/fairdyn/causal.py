@@ -9,12 +9,14 @@ ndarray factors, one per CPT, with axes (sorted parents..., node) in domain
 order. ``P(outcome | do(target=t))`` for every ``t`` is one contraction of the
 truncated factorisation: only the outcome and its ancestors keep their
 factors, the target's factor is dropped but its axis kept, and every other
-variable is summed out, the one whose intermediate factor is smallest first
-(ties broken by node name). ``marginal`` and ``joint_distribution`` are the
-same contraction keeping one node or every node. No factor above
-``JOINT_STATE_CAP`` entries is ever allocated: a model that would need one
-raises ``CapacityError`` before the allocation. A CPT factor is checked
-against the cap where a contraction uses it.
+variable is summed out. The elimination keeps the live factors and each
+variable's neighbour set in the interaction graph (the variables sharing a
+live factor with it); it sums out next the variable whose neighbours span the
+fewest joint states, ties broken by node name. ``marginal`` and
+``joint_distribution`` are the same contraction keeping one node or every
+node. No factor above ``JOINT_STATE_CAP`` entries is ever allocated: a model
+that would need one raises ``CapacityError`` before the allocation. A CPT
+factor is checked against the cap where a contraction uses it.
 
 A ``CausalModel`` is read-only, so what is derived from it holds for the
 object's lifetime: its graph maps on first use, and, in ``validate``, its
@@ -31,12 +33,13 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from pathlib import Path
 from types import MappingProxyType
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from ._yaml import known_keys, load_yaml, mapping
+from ._yaml import known_keys, mapping, read_yaml
 from .errors import CapacityError, ConfigError, DomainError, StructureError
 
 JOINT_STATE_CAP = 10**6
@@ -359,78 +362,63 @@ def _einsum(factors: Sequence[Factor], out: Sequence[str]) -> np.ndarray:
 
 
 def _contract(
-    m: CausalModel,
-    parents: Mapping[str, tuple[str, ...]],
-    keep: tuple[str, ...],
-    drop: str | None = None,
-    nodes: Sequence[str] | None = None,
+    m: CausalModel, nodes: Sequence[str], keep: tuple[str, ...], drop: str | None = None
 ) -> np.ndarray:
-    """Sum-product of the model's CPT factors over every node not in ``keep``.
+    """Sum-product of the CPT factors of ``nodes`` over every node not in
+    ``keep``.
 
-    Only ``keep`` and its ancestors take part. With ``drop`` (a member of
-    ``keep``) that node's factor is left out and its parents are not walked:
-    the truncated factorisation, so row ``t`` of the ``drop`` axis holds the
-    distribution under ``do(drop=t)``. ``nodes`` is that node set, when the
-    caller has walked ``_ancestral_set(parents, keep, drop)`` already.
-    Returns one axis per ``keep`` entry, in that order. ``m`` must be valid:
-    its factors are the ones ``validate`` built. Each factor's size is
-    checked where it is used.
+    ``nodes`` is ``_ancestral_set(parents, keep, drop)``, which the caller
+    walks. With ``drop`` (a member of ``keep``) that node's factor is left
+    out: the truncated factorisation, so row ``t`` of the ``drop`` axis holds
+    the distribution under ``do(drop=t)``. Returns one axis per ``keep``
+    entry, in that order. ``m`` must be valid: its parent map and factors are
+    the ones ``validate`` built. Each factor's size is checked where it is
+    used.
     """
-    factor_of = m._checked[1]
-    _check_size(math.prod(len(m.domains[v]) for v in keep), "output factor")
-    # variable -> domain size, from the shapes of the factors that hold it
-    size: dict[str, int] = {}
-    factors: dict[int, Factor] = {}
-    # node -> ids of the live factors whose scope holds it, in id order
-    incidence: dict[str, dict[int, None]] = {}
-    if nodes is None:
-        nodes = _ancestral_set(parents, keep, drop)
+    parents, factor_of = m._checked
+    domains = m.domains
+    _check_size(math.prod(len(domains[v]) for v in keep), "output factor")
+    # The live factors, oldest first, and each node's neighbours in the
+    # interaction graph: the nodes sharing a live factor with it, itself
+    # included, which are the scope of the factor its elimination forms.
+    factors: list[Factor] = []
+    near = {node: {node} for node in nodes}
     for node in nodes:
-        incidence.setdefault(node, {})
         if node == drop:
             continue
         values = factor_of[node]
         _check_size(values.size, f"CPT of {node!r}")
         scope = (*parents[node], node)
-        size.update(zip(scope, values.shape))
-        fid = len(factors)
-        factors[fid] = (scope, values)
+        factors.append((scope, values))
         for v in scope:
-            incidence.setdefault(v, {})[fid] = None
-
-    def joined(v: str) -> set[str]:
-        """The variables of the factor formed when ``v`` is eliminated next."""
-        return {u for fid in incidence[v] for u in factors[fid][0]}
-
-    def joined_size(v: str) -> int:
-        return math.prod(map(size.__getitem__, joined(v)))
-
-    cost = {v: joined_size(v) for v in incidence if v not in keep}
-    next_id = len(factors)
+            near[v].update(scope)
+    cost = {
+        v: math.prod(len(domains[u]) for u in near[v]) for v in nodes if v not in keep
+    }
     while cost:
         v = min(zip(cost.values(), cost))[1]
         _check_size(cost.pop(v), f"factor joined to eliminate {v!r}")
-        out = tuple(u for u in sorted(joined(v)) if u != v)
-        fids = list(incidence.pop(v))
-        new = _einsum([factors.pop(fid) for fid in fids], out)
-        factors[next_id] = (out, new)
+        joined = near.pop(v)
+        joined.discard(v)
+        out = tuple(sorted(joined))
+        holding = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        factors.append((out, _einsum(holding, out)))
+        # Only the factors holding ``v`` were replaced, by one over ``out``:
+        # no node outside it gains or loses a neighbour.
         for u in out:
-            live = incidence[u]
-            for fid in fids:
-                live.pop(fid, None)
-            live[next_id] = None
-        next_id += 1
-        for u in out:
+            near[u] |= joined
+            near[u].discard(v)
             if u in cost:
-                cost[u] = joined_size(u)
-    return _einsum(list(factors.values()), keep)
+                cost[u] = math.prod(len(domains[w]) for w in near[u])
+    return _einsum(factors, keep)
 
 
 def joint_distribution(m: CausalModel) -> dict[Assignment, float]:
     """Exact joint pmf over full assignments, keys in sorted node order."""
-    parents = m.validate()
+    m.validate()
     nodes = tuple(sorted(m.domains))
-    joint = _contract(m, parents, nodes)
+    joint = _contract(m, nodes, nodes)
     return dict(
         zip(itertools.product(*(m.domains[n] for n in nodes)), joint.ravel().tolist())
     )
@@ -456,7 +444,7 @@ def marginal(m: CausalModel, node: str) -> dict[Value, float]:
     parents = m.validate()
     if node not in m.domains:
         raise DomainError(f"unknown node {node!r}")
-    dist = _contract(m, parents, (node,))
+    dist = _contract(m, _ancestral_set(parents, (node,)), (node,))
     return dict(zip(m.domains[node], dist.tolist()))
 
 
@@ -476,7 +464,7 @@ def _interventional_gap(m: CausalModel, target: str) -> float:
     nodes = _ancestral_set(parents, (m.outcome,), cut=target)
     if target not in nodes:
         return 0.0
-    f = _contract(m, parents, (target, m.outcome), drop=target, nodes=nodes)
+    f = _contract(m, nodes, (target, m.outcome), drop=target)
     return float(0.5 * np.abs(f[0] - f[1]).sum())
 
 
@@ -566,8 +554,7 @@ def load_causal_model(path) -> CausalModel:
     ``"A=0,B=1"`` (parents in sorted name order; ``""`` for root nodes), with
     probabilities given as decimal strings.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = load_yaml(fh, path)
+    raw = read_yaml(Path(path), path, "causal model file")
     keys = ("nodes", "edges", "protected", "outcome", "cpts")
     where = f"causal model file {path}"
     known_keys(raw, where, keys)

@@ -800,11 +800,15 @@ def monte_carlo_validate(
 
     Draws n individuals per group (bin from the pmf, acceptance from tau,
     outcome from rho) and reports empirical acceptance rates and mean score
-    change with standard errors. Deterministic given the seed.
+    change with standard errors. Deterministic given the seed, an integer
+    >= 0.
     """
     n = _integer(n, "sample count n")
     if n < 1:
         raise DomainError(f"sample count {n} must be >= 1")
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     grid = pop.grid
     acc = {}

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import importlib.resources
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -27,7 +28,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._yaml import known_keys, load_yaml
+from ._yaml import known_keys, read_yaml
 from .dynamics import (
     MAX_HORIZON,
     Trajectory,
@@ -401,11 +402,7 @@ def load_scenario(path_or_name: str) -> ScenarioConfig:
         source = importlib.resources.files("fairdyn.data") / f"{path_or_name}.yaml"
     else:
         source = Path(path_or_name)
-    try:
-        text = source.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read scenario file {path_or_name}: {exc}") from exc
-    raw = load_yaml(text, path_or_name)
+    raw = read_yaml(source, path_or_name, "scenario file")
     try:
         return _parse_config(raw, path_or_name)
     except ConfigError as exc:
@@ -419,8 +416,13 @@ def _decision_rule(
 ) -> Policy | ConstrainedPlan | OutcomeOptimalPlan:
     """``rule``'s policy (``fixed``, ``max_utility``) or search plan for
     populations with ``pop``'s groups and grid under ``cfg``'s models; a
-    search scans rates or TPRs at ``resolution``."""
+    search scans rates or TPRs at ``resolution``. A group of ``pop`` that a
+    fixed rule gives no vector, or an outcome-optimal target outside ``pop``,
+    raises ``DomainError``."""
     if rule.kind == "fixed":
+        for gid in pop.group_ids:
+            if gid not in rule.tau:
+                raise DomainError(f"fixed: no acceptance vector for group {gid!r}")
         return Policy(rule.tau)
     if rule.kind == "max_utility":
         return max_utility_policy(pop, cfg.outcome, cfg.institution)
@@ -428,6 +430,8 @@ def _decision_rule(
         return constrained_plan(
             pop, cfg.outcome, cfg.institution, Constraint(rule.constraint), resolution
         )
+    if rule.target_group not in pop.group_ids:
+        raise DomainError(f"outcome_optimal: unknown group label {rule.target_group!r}")
     return outcome_optimal_plan(
         pop, cfg.outcome, cfg.institution, rule.target_group, rule.utility_floor,
         resolution,
@@ -923,6 +927,8 @@ def sensitivity_sweep(
     ``_SWEEP_STATE_BYTES`` of state, and at least one, so the memory a sweep
     needs does not grow with ``n_draws``.
     """
+    if isinstance(eps_p, bool) or not isinstance(eps_p, numbers.Real):
+        raise ConfigError(f"perturbation size must be a real number, got {eps_p!r}")
     if not 0 <= eps_p < math.inf:
         raise ConfigError(f"perturbation size must be finite and >= 0, got {eps_p}")
     n_draws = _checked_count(n_draws, "n_draws", 1, "need at least one draw, got {}")

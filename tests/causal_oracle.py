@@ -1,10 +1,12 @@
-"""Reference causal engine: a row-by-row CPT check and exact enumeration of
-the joint distribution.
+"""Reference causal engine: a row-by-row CPT check, exact enumeration of
+the joint distribution and the elimination order.
 
 ``check_cpts`` walks every CPT row in Python, and every full assignment is
 visited in Python, so the cost is the product of all domain sizes. The
 library's one-pass CPT check and its variable-elimination engine are checked
-against these functions on small random models.
+against these functions on small random models. ``elimination_calls`` and
+``interventional_calls`` give the ``np.einsum`` calls the engine is meant to
+make, with every factor's scope recomputed at each step.
 """
 
 import itertools
@@ -100,3 +102,55 @@ def interventional_gap(m, target):
     f0 = marginal(intervene(m, InterventionSpec(target, dom[0])), m.outcome)
     f1 = marginal(intervene(m, InterventionSpec(target, dom[1])), m.outcome)
     return 0.5 * sum(abs(f0[v] - f1[v]) for v in m.domains[m.outcome])
+
+
+def ancestors(m, nodes, cut=None):
+    """``nodes`` and their ancestors, sorted, by ``m.parents``; the walk does
+    not go above ``cut``."""
+    seen = set(nodes)
+    frontier = [v for v in nodes if v != cut]
+    while frontier:
+        parents = set(m.parents(frontier.pop())) - seen
+        seen |= parents
+        frontier += [p for p in parents if p != cut]
+    return sorted(seen)
+
+
+def elimination_calls(m, keep, drop=None):
+    """The einsum calls that sum every node outside ``keep`` out of the CPT
+    factors of ``keep`` and its ancestors, ``drop``'s own factor left out,
+    as (operand scopes, output scope) pairs; the last call forms the result.
+
+    The factors start in sorted node order, each with scope (sorted
+    parents..., node). Each step recomputes, for every node left to
+    eliminate, the scope of the product of the live factors that hold it,
+    and eliminates the node whose product has the fewest entries, ties
+    broken by name. Its factors, in list order, become one factor over that
+    scope less the node, sorted, appended to the list."""
+    nodes = ancestors(m, keep, drop)
+    live = [(*m.parents(v), v) for v in nodes if v != drop]
+    left = [v for v in nodes if v not in keep]
+    calls = []
+
+    def joined(v):
+        return {u for scope in live if v in scope for u in scope}
+
+    def cost(v):
+        return math.prod(len(m.domains[u]) for u in joined(v)), v
+
+    while left:
+        v = min(left, key=cost)
+        left.remove(v)
+        out = tuple(sorted(joined(v) - {v}))
+        calls.append(([scope for scope in live if v in scope], out))
+        live = [scope for scope in live if v not in scope] + [out]
+    calls.append((live, tuple(keep)))
+    return calls
+
+
+def interventional_calls(m, target):
+    """The einsum calls of the interventional gap on ``target``: none when
+    the target is the outcome or no ancestor of it."""
+    if target == m.outcome or target not in ancestors(m, [m.outcome], cut=target):
+        return []
+    return elimination_calls(m, (target, m.outcome), drop=target)

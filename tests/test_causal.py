@@ -1103,6 +1103,50 @@ class TestEliminationAgainstEnumeration:
         assert_matches_oracle(m)
 
 
+class TestEliminationOrder:
+    """The engine eliminates in the reference's order, with the same einsum
+    operands in the same order: the part that keeps every result bit for bit
+    what it was."""
+
+    @pytest.fixture
+    def einsum_scopes(self, monkeypatch):
+        from fairdyn import causal
+
+        calls = []
+        einsum = causal._einsum
+
+        def spy(factors, out):
+            calls.append(([scope for scope, _ in factors], tuple(out)))
+            return einsum(factors, out)
+
+        monkeypatch.setattr(causal, "_einsum", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "make", [random_binary_model, random_model], ids=["binary", "three_valued"]
+    )
+    def test_calls_match_the_reference(self, rng, einsum_scopes, make):
+        for _ in range(40):
+            m = make(rng, max_nodes=9)
+            names = sorted(m.domains)
+            checks = [
+                (counterfactual_fairness_gap, (m,),
+                 oracle.interventional_calls(m, m.protected))
+            ]
+            checks += [
+                (proxy_discrimination_gap, (m, v), oracle.interventional_calls(m, v))
+                for v in names
+                if len(m.domains[v]) == 2
+            ]
+            checks += [
+                (marginal, (m, v), oracle.elimination_calls(m, (v,))) for v in names
+            ]
+            for check, args, want in checks:
+                einsum_scopes.clear()
+                check(*args)
+                assert einsum_scopes == want
+
+
 HASHSEED_SCRIPT = """
 import numpy as np
 from test_causal import random_model

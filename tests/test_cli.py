@@ -287,6 +287,31 @@ class TestYamlFiles:
         err = capsys.readouterr().err
         assert message in err and str(path) in err
 
+    @pytest.mark.parametrize("broken", ["not_utf8", "missing"])
+    @pytest.mark.parametrize("kind", ["scenario", "causal_model"])
+    def test_unreadable_file_exit_1(self, tmp_path, capsys, kind, broken):
+        path = tmp_path / "bad.yaml"
+        if kind == "scenario":
+            from importlib.resources import files
+
+            good = files("fairdyn.data").joinpath("lending_liu.yaml").read_bytes()
+            load, what = load_scenario, "scenario file"
+            out = str(tmp_path / "m.csv")
+            argv = ["metrics", "--scenario", str(path), "--out", out]
+        else:
+            with open(CAUSAL_MODEL, "rb") as fh:
+                good = fh.read()
+            load, what = load_causal_model, "causal model file"
+            argv = ["causal", "--model", str(path), "--check", "cf"]
+        if broken == "not_utf8":
+            # A valid file but for one 0xff byte in a comment.
+            path.write_bytes(good + b"# \xff\n")
+        message = f"cannot read {what} {path}: "
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            load(str(path))
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     @pytest.mark.parametrize(
         "edit,message",
         [

@@ -382,6 +382,24 @@ class TestMonteCarlo:
         assert rep == monte_carlo_validate(pop, pol, out, 500, 4)
         assert type(rep.n) is int
 
+    @pytest.mark.parametrize(
+        "seed,message",
+        [
+            (-1, "seed must be >= 0, got -1"),
+            (2.5, "seed must be an integer, got 2.5"),
+            ("3", "seed must be an integer, got '3'"),
+            (True, "seed must be an integer, got True"),
+            (None, "seed must be an integer, got None"),
+            (math.nan, "seed must be an integer, got nan"),
+        ],
+        ids=["negative", "fraction", "string", "bool", "none", "nan"],
+    )
+    def test_seed_must_be_a_nonnegative_integer(self, seed, message):
+        pop, out = single_group((0.5, 0.5), (0.3, 0.9))
+        pol = Policy.from_arrays({"a": np.ones(2)})
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            monte_carlo_validate(pop, pol, out, 10, seed)
+
     def test_needs_samples(self):
         pop, out = single_group((0.5, 0.5), (0.3, 0.9))
         pol = Policy.from_arrays({"a": np.ones(2)})

@@ -555,11 +555,16 @@ class TestSearchErrors:
             run_scenario(cfg)
 
     def test_unknown_target(self):
+        # The scenario checks the target before the search plan is built, so
+        # the plan's own KeyError is never reached.
         cfg = searching(
             LENDING, scenarios.PolicyRuleSpec("outcome_optimal", target_group="Z")
         )
-        with pytest.raises(KeyError, match="unknown group label 'Z'"):
+        message = "outcome_optimal: unknown group label 'Z'"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             run_scenario(cfg)
+        with pytest.raises(DomainError, match=f"^sweep draw 0: {re.escape(message)}$"):
+            sensitivity_sweep(cfg, 0.01, 3, 0)
 
     @pytest.mark.parametrize(
         "floor,message",
@@ -794,6 +799,12 @@ class TestSweep:
         with pytest.raises(
             ConfigError, match=f"perturbation size must be finite and >= 0, got {eps}"
         ):
+            sensitivity_sweep(LENDING, eps, 3, seed=5)
+
+    @pytest.mark.parametrize("eps", ["0.1", True, False, None, 1j])
+    def test_perturbation_size_must_be_a_real_number(self, eps):
+        message = f"perturbation size must be a real number, got {eps!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             sensitivity_sweep(LENDING, eps, 3, seed=5)
 
     def test_single_draw(self):
@@ -1271,6 +1282,17 @@ class TestUnknownGroupLabels:
             run_scenario(LENDING, [iv])
         with pytest.raises(DomainError, match=re.escape(message)):
             sensitivity_sweep(replace(LENDING, interventions=(iv,)), 0.01, 3, 0)
+
+    def test_fixed_rule_without_a_groups_vector(self):
+        rule = scenarios.PolicyRuleSpec("fixed", tau={"A": np.ones(6)})
+        cfg = replace(LENDING, policy_rule=rule)
+        message = "fixed: no acceptance vector for group 'B'"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            run_scenario(cfg)
+        with pytest.raises(DomainError, match=f"^sweep draw 0: {re.escape(message)}$"):
+            sensitivity_sweep(cfg, 0.01, 3, 0)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            scenarios.build_policy(cfg, cfg.population, rule, cfg.resolution)
 
     def test_fixed_rule_checked_against_the_grid(self):
         rule = scenarios.PolicyRuleSpec("fixed", tau={"A": np.ones(5), "B": np.ones(5)})
