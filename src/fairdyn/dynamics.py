@@ -28,7 +28,6 @@ from .population import (
     ScoreGrid,
     _check_lengths,
     _pmfs_valid,
-    _proportions_valid,
     validate_population,
 )
 
@@ -235,13 +234,13 @@ def _checked_horizon(horizon) -> int:
 
 
 def _check_regime_tol(tol: float) -> None:
-    if not tol > 0:
-        raise DomainError(f"regime tolerance {tol} must be positive")
+    if not 0 < tol < math.inf:  # NaN fails too
+        raise DomainError(f"regime tolerance {tol} must be positive and finite")
 
 
 def _regime_codes(delta_mu: np.ndarray, tol: float) -> np.ndarray:
     """Index into ``tuple(RegimeLabel)`` of each expected score change, for
-    finite changes and a positive tolerance."""
+    finite changes and a positive, finite tolerance."""
     codes = np.full(
         delta_mu.shape, _REGIMES.index(RegimeLabel.STAGNATION), dtype=np.int8
     )
@@ -409,38 +408,6 @@ def _require_valid(pop: Population) -> None:
         raise DomainError("invalid population: " + "; ".join(report.violations))
 
 
-def _take_hook_result(
-    pop: Population,
-    grid: ScoreGrid,
-    group_ids: tuple[str, ...],
-    pmf_out: np.ndarray,
-    proportions_out: np.ndarray,
-) -> None:
-    """Check a population a ``pre_step`` hook returned and copy it into one
-    row of the run. Its grid must equal the run's grid and its group labels
-    must come in the run's order; the rest is accepted exactly when
-    ``validate_population`` accepts it."""
-    same_grid = pop.grid is grid or (
-        pop.grid.bin_width == grid.bin_width
-        and np.array_equal(pop.grid.bin_scores, grid.bin_scores)
-    )
-    if not same_grid or pop.group_ids != group_ids:
-        raise DomainError(
-            "pre_step must return a population over an equal grid and the "
-            "same groups, in the same order"
-        )
-    proportions = [g.proportion for g in pop.groups]
-    ok = all(len(g.pmf) == pmf_out.shape[1] for g in pop.groups)
-    if ok:
-        for row, g in zip(pmf_out, pop.groups):
-            row[:] = g.pmf
-        proportions_out[:] = proportions
-        ok = _pmfs_valid(pmf_out) and _proportions_valid(proportions)
-    if not ok:
-        report = validate_population(pop)
-        raise DomainError("invalid population: " + "; ".join(report.violations))
-
-
 def _step_columns(
     states: np.ndarray,
     proportions: np.ndarray,
@@ -550,7 +517,9 @@ def _pre_step_rows(pre_step: PreStepFn, pop: Population) -> RowHook:
 
     ``pre_step`` gets ``pop`` at step 0 and, at a later step, a population
     over a copy of the row, so a population it keeps never changes. The
-    population it returns goes through ``_take_hook_result`` into the row.
+    population it returns must be over a grid of equal values with the same
+    groups in the same order, and pass ``validate_population``; its pmfs and
+    proportions are then copied into the row.
     """
     grid, ids = pop.grid, pop.group_ids
 
@@ -558,7 +527,19 @@ def _pre_step_rows(pre_step: PreStepFn, pop: Population) -> RowHook:
         given = pop
         if t > 0:
             given = _population_view(grid, ids, proportions.tolist(), pmfs.copy())
-        _take_hook_result(pre_step(t, given), grid, ids, pmfs, proportions)
+        new = pre_step(t, given)
+        same_grid = new.grid is grid or (
+            new.grid.bin_width == grid.bin_width
+            and np.array_equal(new.grid.bin_scores, grid.bin_scores)
+        )
+        if not same_grid or new.group_ids != ids:
+            raise DomainError(
+                "pre_step must return a population over an equal grid and the "
+                "same groups, in the same order"
+            )
+        _require_valid(new)
+        pmfs[:] = [g.pmf for g in new.groups]
+        proportions[:] = [g.proportion for g in new.groups]
         return True
 
     return hook
@@ -584,8 +565,10 @@ def simulate(
     ``pre_step`` and ``flags_fn`` are hooks for scenario interventions; with
     both unset the loop is the bare feedback model. Fully deterministic.
     ``horizon`` is an integer in [0, ``MAX_HORIZON``]: an integral float
-    counts, a bool, a string, a fraction, NaN or inf does not.
-    ``pop`` and each population ``pre_step`` returns are validated once;
+    counts, a bool, a string, a fraction, NaN or inf does not. ``regime_tol``
+    is positive and finite; ``metric_pair``, if given, names two groups.
+    ``pop`` and each population ``pre_step`` returns must pass
+    ``validate_population`` (else ``DomainError("invalid population: ...")``);
     ``pre_step`` keeps the grid's values and the groups in their order, and
     ``flags_fn`` returns the same number of flags at every step. The
     populations the hooks receive never change afterwards.
@@ -652,6 +635,10 @@ def _run(
         metric_pair = group_ids[:2]
     pair = []
     if metric_pair is not None:
+        if len(metric_pair) != 2:
+            raise DomainError(
+                f"metric pair must name exactly two groups, got {metric_pair!r}"
+            )
         for label in metric_pair:
             if label not in group_ids:
                 raise DomainError(f"metric pair: unknown group label {label!r}")

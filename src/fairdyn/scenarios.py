@@ -24,14 +24,14 @@ import numbers
 import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from ._yaml import known_keys, read_yaml
 from .dynamics import (
-    MAX_HORIZON,
     Trajectory,
+    TrajectoryColumns,
     _checked_horizon,
     _is_integer,
     _population_view,
@@ -68,7 +68,6 @@ from .population import (
     _pmfs_valid,
     _proportions_valid,
     _vector,
-    validate_population,
 )
 
 BUILTIN_NAMES = ("lending_liu", "boards_quota")
@@ -174,15 +173,41 @@ def _optional_str(mapping: dict, key: str) -> Optional[str]:
 
 
 def _integer(value, path: str) -> int:
-    """``value`` of the integer field ``path`` as an int. An integral float
-    such as 20.0 is accepted; a bool, a string (even ``"15"``) or a float
-    with a fractional part (or NaN or inf) raises ``ConfigError`` naming the
-    field, where ``int`` would parse or truncate it."""
-    if isinstance(value, (bool, str)) or (
-        isinstance(value, float) and not value.is_integer()
-    ):
+    """``value`` of the integer field or argument ``path`` as an int if
+    ``_is_integer``: an integral float such as 20.0 counts, while a bool, a
+    string (even ``"15"``), a fraction, NaN, inf, None or a list raises
+    ``ConfigError`` naming it, where ``int`` would parse or truncate it."""
+    if not _is_integer(value):
         raise ConfigError(f"{path} must be an integer, got {value!r}")
     return int(value)
+
+
+def _check_goal(goal: DeclaredGoal) -> None:
+    """Raise ``DomainError`` naming the field for an unknown goal metric or
+    a ``delta_mu`` goal without a target group."""
+    if goal.metric not in GOAL_METRICS:
+        raise DomainError(
+            f"declared_goal.metric must be one of {GOAL_METRICS}, "
+            f"got {goal.metric!r}"
+        )
+    if goal.metric == "delta_mu" and goal.target_group is None:
+        raise DomainError("declared_goal.target_group required for delta_mu goal")
+
+
+def _check_rule(rule: PolicyRuleSpec) -> None:
+    """Raise ``DomainError`` naming the field for an unknown rule kind or a
+    rule without the field its kind needs."""
+    if rule.kind not in POLICY_KINDS:
+        raise DomainError(
+            f"policy_rule.kind must be one of {POLICY_KINDS}, got {rule.kind!r}"
+        )
+    if rule.kind == "fixed" and rule.tau is None:
+        raise DomainError("policy_rule.tau required for a fixed rule")
+    constraints = tuple(c.value for c in Constraint)
+    if rule.kind == "constrained" and rule.constraint not in constraints:
+        raise DomainError(f"policy_rule.constraint must be one of {constraints}")
+    if rule.kind == "outcome_optimal" and rule.target_group is None:
+        raise DomainError("policy_rule.target_group required for outcome_optimal")
 
 
 def _parse_intervention(raw, path) -> InterventionRule:
@@ -232,13 +257,7 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
     )
     if math.isnan(goal.tolerance):
         raise ConfigError("declared_goal.tolerance must be a number, got nan")
-    if goal.metric not in GOAL_METRICS:
-        raise ConfigError(
-            f"declared_goal.metric must be one of {GOAL_METRICS}, "
-            f"got {goal.metric!r}"
-        )
-    if goal.metric == "delta_mu" and goal.target_group is None:
-        raise ConfigError("declared_goal.target_group required for delta_mu goal")
+    _check_goal(goal)
 
     pop_raw = _section(raw, "population")
     grid = ScoreGrid(
@@ -257,9 +276,7 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
             )
         )
     population = Population(grid, tuple(groups))
-    report = validate_population(population)
-    if not report.ok:
-        raise ConfigError("population invalid: " + "; ".join(report.violations))
+    _require_valid(population)
 
     out_raw = _section(raw, "outcome")
     rho_raw = _req(out_raw, "rho", "outcome")
@@ -295,10 +312,6 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
 
     rule_raw = _section(raw, "policy_rule")
     kind = str(_req(rule_raw, "kind", "policy_rule"))
-    if kind not in POLICY_KINDS:
-        raise ConfigError(
-            f"policy_rule.kind must be one of {POLICY_KINDS}, got {kind!r}"
-        )
     known = {g.group_id for g in groups}
     tau = None
     if kind == "fixed":
@@ -324,20 +337,14 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
     )
     if math.isnan(rule.utility_floor):
         raise ConfigError("policy_rule.utility_floor must be a number, got nan")
-    constraints = tuple(c.value for c in Constraint)
-    if kind == "constrained" and rule.constraint not in constraints:
-        raise ConfigError(f"policy_rule.constraint must be one of {constraints}")
-    if kind == "outcome_optimal" and rule.target_group is None:
-        raise ConfigError("policy_rule.target_group required for outcome_optimal")
+    _check_rule(rule)
 
     interventions = tuple(
         _parse_intervention(iv, f"interventions[{i}]")
         for i, iv in enumerate(raw.get("interventions", []))
     )
 
-    horizon = _integer(_req(raw, "horizon", "scenario"), "horizon")
-    if not 0 <= horizon <= MAX_HORIZON:
-        raise ConfigError(f"horizon must be in [0, {MAX_HORIZON}], got {horizon}")
+    horizon = _checked_horizon(_req(raw, "horizon", "scenario"))
     resolution = float(raw.get("resolution", DEFAULT_RESOLUTION))
     if not 0.0 < resolution <= 1.0:
         raise ConfigError(f"resolution must be in (0, 1], got {resolution}")
@@ -405,7 +412,7 @@ def load_scenario(path_or_name: str) -> ScenarioConfig:
     raw = read_yaml(source, path_or_name, "scenario file")
     try:
         return _parse_config(raw, path_or_name)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         raise ConfigError(f"scenario file {path_or_name}: {exc}") from exc
     except (TypeError, ValueError, DimensionError) as exc:
         raise ConfigError(f"malformed scenario file {path_or_name}: {exc}") from exc
@@ -416,9 +423,14 @@ def _decision_rule(
 ) -> Policy | ConstrainedPlan | OutcomeOptimalPlan:
     """``rule``'s policy (``fixed``, ``max_utility``) or search plan for
     populations with ``pop``'s groups and grid under ``cfg``'s models; a
-    search scans rates or TPRs at ``resolution``. A group of ``pop`` that a
-    fixed rule gives no vector, or an outcome-optimal target outside ``pop``,
+    search scans rates or TPRs at ``resolution``. A rule that ``_check_rule``
+    rejects, a group of ``pop`` without a success vector or, under a fixed
+    rule, an acceptance vector, or an outcome-optimal target outside ``pop``
     raises ``DomainError``."""
+    _check_rule(rule)
+    for gid in pop.group_ids:
+        if gid not in cfg.outcome.rho:
+            raise DomainError(f"outcome.rho missing group {gid!r}")
     if rule.kind == "fixed":
         for gid in pop.group_ids:
             if gid not in rule.tau:
@@ -474,7 +486,11 @@ class _ScenarioEngine:
         pop = cfg.population
         self.group_ids = pop.group_ids
         self.index = {gid: i for i, gid in enumerate(self.group_ids)}
-        for iv in interventions:
+        for i, iv in enumerate(interventions):
+            if iv.kind not in INTERVENTION_KINDS:
+                raise DomainError(
+                    f"interventions[{i}].kind: unknown intervention kind {iv.kind!r}"
+                )
             if iv.group not in self.index:
                 raise DomainError(f"{iv.kind}: unknown group label {iv.group!r}")
         # The scenario's ``_decision_rule``, built once for the run; another
@@ -652,34 +668,40 @@ def run_scenario(
     )
 
 
-def _goal_values(cfg: ScenarioConfig, traj: Trajectory, run: str) -> list[float]:
-    """The declared goal's metric at every step of ``run``, read from the
-    columns.
+def _goal_values(
+    cfg: ScenarioConfig,
+    runs: Union[TrajectoryColumns, _Runs],
+    names: Callable[[int], str],
+) -> np.ndarray:
+    """The declared goal's metric at every step of every run of ``runs``, a
+    run's columns or a sweep block's, as an array (steps, runs).
 
-    A gap goal is NaN at a step where a group has no qualified (or no
-    unqualified) mass. Such a value is neither met nor missed and has no
-    order, so it raises ``UndefinedConditionalError`` naming ``run``, the
-    metric and the first such step.
+    A goal that ``_check_goal`` rejects, or a ``delta_mu`` goal whose target
+    group is not the population's, raises ``DomainError``. A gap goal is NaN
+    at a step where a group has no qualified (or no unqualified) mass. Such
+    a value is neither met nor missed and has no order, so it raises
+    ``UndefinedConditionalError`` naming the first run that has one by
+    ``names(k)``, the metric and that run's first such step.
     """
-    c, goal = traj.columns, cfg.declared_goal
+    goal, ids = cfg.declared_goal, cfg.population.group_ids
+    _check_goal(goal)
     if goal.metric == "delta_mu":
-        values = c.delta_mu[:, c.group_ids.index(goal.target_group)]
+        if goal.target_group not in ids:
+            raise DomainError(
+                f"declared_goal.target_group: unknown group label {goal.target_group!r}"
+            )
+        values = runs.delta_mu[:, ids.index(goal.target_group) :: len(ids)]
     else:
-        values = getattr(c, goal.metric)
-    _check_defined(cfg, values, run)
-    return values.tolist()
-
-
-def _check_defined(cfg: ScenarioConfig, values: np.ndarray, run: str) -> None:
-    """Raise ``UndefinedConditionalError`` naming ``run``, the goal metric
-    and the first step where ``values``, the goal at every step, is NaN."""
-    undefined = np.flatnonzero(np.isnan(values))
-    if undefined.size:
+        values = getattr(runs, goal.metric)
+        values = values.reshape(len(values), -1)
+    undefined = np.isnan(values)
+    if undefined.any():
+        k, t = np.argwhere(undefined.T)[0].tolist()
         raise UndefinedConditionalError(
-            f"{run}: goal metric {cfg.declared_goal.metric} is undefined (NaN), "
-            f"first at step {undefined[0]}: a group has no qualified or no "
-            "unqualified mass"
+            f"{names(k)}: goal metric {goal.metric} is undefined (NaN), "
+            f"first at step {t}: a group has no qualified or no unqualified mass"
         )
+    return values
 
 
 def goal_met(cfg: ScenarioConfig, value: float) -> bool:
@@ -717,7 +739,9 @@ def compare_interventions(
 ) -> list[ComparisonRow]:
     """Run each variant from the same initial state and summarize outcomes.
 
-    A goal metric that is NaN at some step of a variant raises
+    The goal is read by ``_goal_values``: an unknown goal metric or a
+    ``delta_mu`` goal without a known target group raises ``DomainError``,
+    and a goal metric that is NaN at some step of a variant
     ``UndefinedConditionalError``.
     """
     if len(variants) < 2:
@@ -725,7 +749,8 @@ def compare_interventions(
     rows = []
     for name, ivs in variants:
         traj = run_scenario(cfg, ivs)
-        values = _goal_values(cfg, traj, f"variant {name!r}")
+        values = _goal_values(cfg, traj.columns, lambda k: f"variant {name!r}")
+        values = values[:, 0].tolist()
         steps_to_goal = next(
             (t for t, v in enumerate(values) if goal_met(cfg, v)), None
         )
@@ -775,19 +800,6 @@ class SweepReport:
 # state array (steps x groups x bins float64 per draw), and at least one, so
 # a sweep's peak memory does not grow with its number of draws.
 _SWEEP_STATE_BYTES = 2**20
-
-
-def _checked_count(value, name: str, least: int, message: str) -> int:
-    """``value`` as an int of at least ``least``. Only an integer or an
-    integral float is a count: anything else (a bool, a string, NaN) is a
-    ``ConfigError`` naming ``name``, and a smaller count one with
-    ``message``."""
-    if not _is_integer(value):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    count = int(value)
-    if count < least:
-        raise ConfigError(message.format(count))
-    return count
 
 
 def _perturbed_pmfs(pop: Population, eps_p: float, seed: int, draw: int) -> np.ndarray:
@@ -867,20 +879,6 @@ def _run_draws(cfg: ScenarioConfig, pmfs: np.ndarray) -> _Runs:
     )
 
 
-def _final_goal_values(cfg: ScenarioConfig, runs: _Runs, draws: range) -> list[float]:
-    """Each draw's final goal value; a NaN goal raises for the first draw
-    that has one, naming it."""
-    goal = cfg.declared_goal
-    if goal.metric == "delta_mu":
-        ids = cfg.population.group_ids
-        values = runs.delta_mu[:, ids.index(goal.target_group) :: len(ids)]
-    else:
-        values = getattr(runs, goal.metric)
-    for draw, column in zip(draws, values.T):
-        _check_defined(cfg, column, f"sweep draw {draw}")
-    return values[-1].tolist()
-
-
 def _sweep_block(cfg: ScenarioConfig, pmfs: np.ndarray, draws: range) -> list[float]:
     """The final goal values of the sweep draws ``draws`` from their starts
     ``pmfs``, run as one block.
@@ -902,7 +900,7 @@ def _sweep_block(cfg: ScenarioConfig, pmfs: np.ndarray, draws: range) -> list[fl
         if isinstance(exc, FairdynError):
             raise type(exc)(f"sweep draw {draws[0]}: {exc}") from exc
         raise
-    return _final_goal_values(cfg, runs, draws)
+    return _goal_values(cfg, runs, lambda k: f"sweep draw {draws[k]}")[-1].tolist()
 
 
 def sensitivity_sweep(
@@ -914,11 +912,13 @@ def sensitivity_sweep(
     total variation eps_p (then clipped and renormalized) and reports the
     spread of the final goal metric, and the first draws behind its minimum
     and maximum. Runs whose spread exceeds ten times eps_p are flagged
-    unreliable. The scenario is checked as ``run_scenario`` checks it, its
-    population before it is perturbed. A goal metric that is NaN at some
-    step of a draw raises ``UndefinedConditionalError``; any other error of
-    a draw is raised with the prefix ``sweep draw k: ``, for the first draw
-    that fails.
+    unreliable. ``eps_p`` is a finite, nonnegative real, and ``n_draws`` (at
+    least one) and ``seed`` (at least zero) are integers by ``_integer``'s
+    rule; a ``ConfigError`` names the argument that is not. The scenario is
+    checked as ``run_scenario`` checks it, its population before it is
+    perturbed, and its goal is read as ``compare_interventions`` reads it.
+    An error of a draw is raised with the prefix ``sweep draw k: ``, for the
+    first draw that fails; a NaN goal names its draw already.
 
     The draws run in blocks: one loop advances a block's draws together as
     one stacked state array, whose rows never mix, with one scenario engine
@@ -931,8 +931,12 @@ def sensitivity_sweep(
         raise ConfigError(f"perturbation size must be a real number, got {eps_p!r}")
     if not 0 <= eps_p < math.inf:
         raise ConfigError(f"perturbation size must be finite and >= 0, got {eps_p}")
-    n_draws = _checked_count(n_draws, "n_draws", 1, "need at least one draw, got {}")
-    seed = _checked_count(seed, "seed", 0, "seed must be >= 0, got {}")
+    n_draws = _integer(n_draws, "n_draws")
+    if n_draws < 1:
+        raise ConfigError(f"need at least one draw, got {n_draws}")
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     pop = cfg.population
     steps = _checked_horizon(cfg.horizon) + 1
     _require_valid(pop)

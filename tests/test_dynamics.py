@@ -1143,8 +1143,11 @@ class TestDrawsAgainstTheirOwnRuns:
         stacked = scenarios._run_draws(cfg, starts)
         for d, traj in enumerate(alone):
             _assert_draw_is_its_own_run(stacked, d, traj)
-        want = [scenarios._goal_values(cfg, traj, "alone")[-1] for traj in alone]
-        got = scenarios._final_goal_values(cfg, stacked, range(draws))
+        want = [
+            scenarios._goal_values(cfg, traj.columns, str)[-1, 0].item()
+            for traj in alone
+        ]
+        got = scenarios._goal_values(cfg, stacked, str)[-1].tolist()
         assert np.array(got).tobytes() == np.array(want).tobytes()
         assert np.array(report.values).tobytes() == np.array(want).tobytes()
         assert report.minimum_draw == want.index(min(want))

@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairdyn import scenarios
+from fairdyn import dynamics, scenarios
 from fairdyn.dynamics import MASS_TOL, MAX_HORIZON, simulate
 from fairdyn.errors import (
     ConfigError,
     DimensionError,
     DomainError,
+    FairdynError,
     InfeasibilityError,
     UndefinedConditionalError,
 )
@@ -307,7 +308,10 @@ class TestLoadChecks:
                 return text
 
         monkeypatch.setattr(importlib.resources, "files", lambda package: Resource())
-        with pytest.raises(ConfigError, match="malformed scenario file lending_liu"):
+        with pytest.raises(
+            ConfigError,
+            match=r"^scenario file lending_liu: outcome\.steps_up must be an integer",
+        ):
             load_scenario("lending_liu")
 
     @pytest.mark.parametrize(
@@ -1300,6 +1304,121 @@ class TestUnknownGroupLabels:
             DimensionError, match=r"^group 'A': inconsistent lengths tau=5 grid=6$"
         ):
             run_scenario(replace(LENDING, policy_rule=rule))
+
+
+def _with_goal(**fields):
+    return replace(LENDING, declared_goal=replace(LENDING.declared_goal, **fields))
+
+
+_LENDING_POLICY = initial_policy(LENDING)
+# Each way into a run of a config, with the prefix its error message takes.
+_ENTRIES = {
+    "run": (run_scenario, ""),
+    "sweep": (lambda cfg: sensitivity_sweep(cfg, 0.01, 3, 0), "sweep draw 0: "),
+    "build_policy": (
+        lambda cfg: scenarios.build_policy(
+            cfg, cfg.population, cfg.policy_rule, cfg.resolution
+        ),
+        "",
+    ),
+    "compare": (lambda cfg: compare_interventions(cfg, [("a", ()), ("b", ())]), ""),
+    # The goal is read after a sweep's draws have run, outside any draw.
+    "sweep_goal": (lambda cfg: sensitivity_sweep(cfg, 0.01, 3, 0), ""),
+    "simulate": (
+        lambda cfg: simulate(
+            cfg.population, lambda t, p: _LENDING_POLICY, cfg.outcome,
+            cfg.institution, cfg.horizon, cfg.tolerances.regime, cfg.metric_groups,
+        ),
+        "",
+    ),
+    "classify_regime": (
+        lambda cfg: dynamics.classify_regime(0.0, cfg.tolerances.regime), ""
+    ),
+}
+# Configs built in code with a field that the scenario loader would reject,
+# the entries that read it and the error message each raises.
+_CODE_BUILT = {
+    "fixed_rule_without_tau": (
+        replace(LENDING, policy_rule=scenarios.PolicyRuleSpec("fixed")),
+        ("run", "sweep", "build_policy"),
+        "policy_rule.tau required for a fixed rule",
+    ),
+    "constrained_rule_without_constraint": (
+        replace(LENDING, policy_rule=scenarios.PolicyRuleSpec("constrained")),
+        ("run", "sweep", "build_policy"),
+        "policy_rule.constraint must be one of ('dp', 'eo')",
+    ),
+    "unknown_rule_kind": (
+        replace(LENDING, policy_rule=scenarios.PolicyRuleSpec("bogus")),
+        ("run", "sweep", "build_policy"),
+        "policy_rule.kind must be one of ('fixed', 'max_utility', 'constrained', "
+        "'outcome_optimal'), got 'bogus'",
+    ),
+    "outcome_optimal_rule_without_target": (
+        replace(LENDING, policy_rule=scenarios.PolicyRuleSpec("outcome_optimal")),
+        ("run", "sweep", "build_policy"),
+        "policy_rule.target_group required for outcome_optimal",
+    ),
+    "rho_without_a_group": (
+        replace(
+            LENDING,
+            outcome=replace(LENDING.outcome, rho={"A": LENDING.outcome.rho["A"]}),
+        ),
+        ("run", "sweep", "build_policy"),
+        "outcome.rho missing group 'B'",
+    ),
+    "unknown_intervention_kind": (
+        replace(LENDING, interventions=(InterventionRule("bogus", "B"),)),
+        ("run", "sweep"),
+        "interventions[0].kind: unknown intervention kind 'bogus'",
+    ),
+    "one_metric_group": (
+        replace(LENDING, metric_groups=("A",)),
+        ("run", "sweep", "simulate"),
+        "metric pair must name exactly two groups, got ('A',)",
+    ),
+    "three_metric_groups": (
+        replace(LENDING, metric_groups=("A", "B", "A")),
+        ("run", "sweep", "simulate"),
+        "metric pair must name exactly two groups, got ('A', 'B', 'A')",
+    ),
+    "infinite_regime_tolerance": (
+        replace(LENDING, tolerances=scenarios.Tolerances(math.inf)),
+        ("run", "sweep", "simulate", "classify_regime"),
+        "regime tolerance inf must be positive and finite",
+    ),
+    "unknown_goal_metric": (
+        _with_goal(metric="bogus"),
+        ("compare", "sweep_goal"),
+        "declared_goal.metric must be one of ('dp_gap', 'eo_gap', 'eodds_gap', "
+        "'delta_mu'), got 'bogus'",
+    ),
+    "delta_mu_goal_without_target": (
+        _with_goal(target_group=None),
+        ("compare", "sweep_goal"),
+        "declared_goal.target_group required for delta_mu goal",
+    ),
+    "delta_mu_goal_of_unknown_group": (
+        _with_goal(target_group="Z"),
+        ("compare", "sweep_goal"),
+        "declared_goal.target_group: unknown group label 'Z'",
+    ),
+}
+
+
+class TestCodeBuiltConfigs:
+    @pytest.mark.parametrize(
+        "case,entry",
+        [(case, entry) for case, (_, entries, _) in _CODE_BUILT.items()
+         for entry in entries],
+        ids=lambda value: value,
+    )
+    def test_fails_with_a_package_error_naming_the_field(self, case, entry):
+        cfg, _, message = _CODE_BUILT[case]
+        call, prefix = _ENTRIES[entry]
+        with pytest.raises(FairdynError) as info:
+            call(cfg)
+        assert str(info.value) == prefix + message
 
 
 class TestSweepChecksAsRunScenario:
