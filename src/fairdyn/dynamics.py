@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import Callable, Mapping, NamedTuple, Optional, Union
@@ -27,6 +26,7 @@ from .population import (
     Population,
     ScoreGrid,
     _check_lengths,
+    _integer,
     _pmfs_valid,
     validate_population,
 )
@@ -209,22 +209,6 @@ def group_delta_mu(
     return float(group.pmf.dot(tau * outcome.score_change(gid, grid)))
 
 
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an integer or an integral float such as 20.0; a
-    bool, a string, a fraction, NaN and inf are not."""
-    return not isinstance(value, bool) and (
-        isinstance(value, numbers.Integral)
-        or (isinstance(value, float) and value.is_integer())
-    )
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int if ``_is_integer``, else ``DomainError`` naming it."""
-    if not _is_integer(value):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _checked_horizon(horizon) -> int:
     """``horizon`` as an int in [0, ``MAX_HORIZON``]; else ``DomainError``."""
     horizon = _integer(horizon, "horizon")
@@ -236,6 +220,27 @@ def _checked_horizon(horizon) -> int:
 def _check_regime_tol(tol: float) -> None:
     if not 0 < tol < math.inf:  # NaN fails too
         raise DomainError(f"regime tolerance {tol} must be positive and finite")
+
+
+def _checked_pair(
+    metric_pair: Optional[Sequence[str]], group_ids: tuple[str, ...]
+) -> tuple[Optional[tuple[str, str]], list[int]]:
+    """The metric pair, the first two of ``group_ids`` when None, as a tuple
+    with its groups' indices; (None, []) when None and there are fewer than
+    two groups. A pair that is not two of ``group_ids`` raises
+    ``DomainError``."""
+    if metric_pair is None and len(group_ids) >= 2:
+        metric_pair = group_ids[:2]
+    if metric_pair is None:
+        return None, []
+    if len(metric_pair) != 2:
+        raise DomainError(
+            f"metric pair must name exactly two groups, got {metric_pair!r}"
+        )
+    for label in metric_pair:
+        if label not in group_ids:
+            raise DomainError(f"metric pair: unknown group label {label!r}")
+    return tuple(metric_pair), [group_ids.index(label) for label in metric_pair]
 
 
 def _regime_codes(delta_mu: np.ndarray, tol: float) -> np.ndarray:
@@ -631,19 +636,7 @@ def _run(
     _check_regime_tol(regime_tol)
     _require_valid(pop)
     grid, group_ids = pop.grid, pop.group_ids
-    if metric_pair is None and len(group_ids) >= 2:
-        metric_pair = group_ids[:2]
-    pair = []
-    if metric_pair is not None:
-        if len(metric_pair) != 2:
-            raise DomainError(
-                f"metric pair must name exactly two groups, got {metric_pair!r}"
-            )
-        for label in metric_pair:
-            if label not in group_ids:
-                raise DomainError(f"metric pair: unknown group label {label!r}")
-        pair = [group_ids.index(label) for label in metric_pair]
-        metric_pair = tuple(metric_pair)
+    metric_pair, pair = _checked_pair(metric_pair, group_ids)
     one = starts is None
     groups = len(group_ids)
     draws = 1 if one else len(starts)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, UndefinedConditionalError
 from .policy import Policy, _acceptance
-from .population import Population, ScoreGrid, _check_lengths, _vector
+from .population import Population, ScoreGrid, _check_lengths, _integer, _vector
 
 EQ_TOL = 1e-12
 
@@ -37,8 +37,10 @@ class OutcomeModel:
     def __post_init__(self):
         # Messages start with the field, so a loader can prefix its section.
         for name in ("steps_up", "steps_down"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} {getattr(self, name)} must be nonnegative")
+            steps = _integer(getattr(self, name), name)
+            if steps < 0:
+                raise DomainError(f"{name} {steps} must be nonnegative")
+            object.__setattr__(self, name, steps)
         rho = {gid: _vector(r) for gid, r in self.rho.items()}
         for gid, r in rho.items():
             # Written so that NaN fails the check too.

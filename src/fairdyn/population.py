@@ -8,12 +8,13 @@ read-only float64 arrays; validation tolerances are fixed at 1e-9.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, DomainError
 
 PROB_TOL = 1e-9
 
@@ -25,6 +26,22 @@ def _vector(values: Sequence[float]) -> np.ndarray:
         raise DimensionError(f"expected a 1-D vector, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer or an integral float such as 20.0; a
+    bool, a string, a fraction, NaN and inf are not."""
+    return not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, float) and value.is_integer())
+    )
+
+
+def _integer(value, name: str, error: type[Exception] = DomainError) -> int:
+    """``value`` as an int if ``_is_integer``, else ``error`` naming it."""
+    if not _is_integer(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_lengths(group_id: str, **vectors: np.ndarray) -> None:

@@ -28,12 +28,13 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from ._yaml import known_keys, read_yaml
+from ._yaml import known_keys, mapping, read_yaml
 from .dynamics import (
     Trajectory,
     TrajectoryColumns,
+    _check_regime_tol,
     _checked_horizon,
-    _is_integer,
+    _checked_pair,
     _population_view,
     _require_valid,
     _run,
@@ -64,7 +65,8 @@ from .population import (
     GroupState,
     Population,
     ScoreGrid,
-    _check_lengths,
+    _integer,
+    _is_integer,
     _pmfs_valid,
     _proportions_valid,
     _vector,
@@ -76,7 +78,8 @@ GOAL_METRICS = ("dp_gap", "eo_gap", "eodds_gap", "delta_mu")
 POLICY_KINDS = ("fixed", "max_utility", "constrained", "outcome_optimal")
 INTERVENTION_KINDS = ("quota", "pipeline_investment", "role_model_feedback")
 # The keys each mapping of a scenario file may hold. An intervention holds
-# the keys every intervention has and those of its kind.
+# the keys every intervention has and those of its kind, whose first key is
+# its parameter, a number in [0, 1].
 _KEYS = {
     "scenario": (
         "name", "declared_goal", "population", "outcome", "institution",
@@ -168,96 +171,145 @@ def _section(raw: dict, key: str) -> dict:
     return known_keys(_req(raw, key, "scenario"), key, _KEYS[key])
 
 
-def _optional_str(mapping: dict, key: str) -> Optional[str]:
-    return str(mapping[key]) if key in mapping else None
+def _optional(mapping: dict, key: str, cast: type = str):
+    return cast(mapping[key]) if key in mapping else None
 
 
-def _integer(value, path: str) -> int:
-    """``value`` of the integer field or argument ``path`` as an int if
-    ``_is_integer``: an integral float such as 20.0 counts, while a bool, a
-    string (even ``"15"``), a fraction, NaN, inf, None or a list raises
-    ``ConfigError`` naming it, where ``int`` would parse or truncate it."""
-    if not _is_integer(value):
-        raise ConfigError(f"{path} must be an integer, got {value!r}")
-    return int(value)
+def _as_int(value):
+    """``value`` as an int if ``_is_integer``, else as it is, for the check
+    of its field to reject."""
+    return int(value) if _is_integer(value) else value
 
 
-def _check_goal(goal: DeclaredGoal) -> None:
-    """Raise ``DomainError`` naming the field for an unknown goal metric or
-    a ``delta_mu`` goal without a target group."""
+def _check_scenario(
+    cfg: ScenarioConfig, interventions: Optional[Sequence[InterventionRule]] = None
+) -> None:
+    """Raise ``DomainError``, naming the field by its path in a scenario
+    file, at the first field of ``cfg`` that breaks a rule that ``_run`` does
+    not check: the goal, each group's success vector, the policy rule and its
+    resolution, the interventions (``interventions``, a run's list, in place
+    of the config's) and the variants', and the seed. The loader and a run's
+    scenario engine both check with it, so a file and a code-built config
+    fail with one message."""
+    goal, rule, ids = cfg.declared_goal, cfg.policy_rule, cfg.population.group_ids
+    bins = len(cfg.population.grid)
     if goal.metric not in GOAL_METRICS:
         raise DomainError(
             f"declared_goal.metric must be one of {GOAL_METRICS}, "
             f"got {goal.metric!r}"
         )
+    if math.isnan(goal.tolerance):
+        raise DomainError("declared_goal.tolerance must be a number, got nan")
     if goal.metric == "delta_mu" and goal.target_group is None:
         raise DomainError("declared_goal.target_group required for delta_mu goal")
+    for gid in ids:
+        if gid not in cfg.outcome.rho:
+            raise DomainError(f"outcome.rho missing group {gid!r}")
+        if len(cfg.outcome.rho[gid]) != bins:
+            raise DomainError(f"outcome.rho[{gid!r}] length != grid length")
 
-
-def _check_rule(rule: PolicyRuleSpec) -> None:
-    """Raise ``DomainError`` naming the field for an unknown rule kind or a
-    rule without the field its kind needs."""
     if rule.kind not in POLICY_KINDS:
         raise DomainError(
             f"policy_rule.kind must be one of {POLICY_KINDS}, got {rule.kind!r}"
         )
-    if rule.kind == "fixed" and rule.tau is None:
-        raise DomainError("policy_rule.tau required for a fixed rule")
+    if rule.kind == "fixed":
+        if rule.tau is None:
+            raise DomainError("policy_rule.tau required for a fixed rule")
+        missing = set(ids) - set(rule.tau)
+        if missing:
+            raise DomainError(f"policy_rule.tau: missing groups {sorted(missing)}")
+        for gid, t in rule.tau.items():
+            path, t = f"policy_rule.tau[{gid}]", _vector(t)
+            if gid not in ids:
+                raise DomainError(f"{path}: unknown group label {gid!r}")
+            if len(t) != bins:
+                raise DomainError(f"{path}: length {len(t)} != grid length {bins}")
+            if not np.all((t >= 0) & (t <= 1)):  # NaN fails too
+                raise DomainError(f"{path}: entries outside [0,1] or NaN")
     constraints = tuple(c.value for c in Constraint)
     if rule.kind == "constrained" and rule.constraint not in constraints:
         raise DomainError(f"policy_rule.constraint must be one of {constraints}")
     if rule.kind == "outcome_optimal" and rule.target_group is None:
         raise DomainError("policy_rule.target_group required for outcome_optimal")
+    if math.isnan(rule.utility_floor):
+        raise DomainError("policy_rule.utility_floor must be a number, got nan")
+    if not 0.0 < cfg.resolution <= 1.0:
+        raise DomainError(f"resolution must be in (0, 1], got {cfg.resolution}")
+    for label, where in [
+        (goal.target_group, "declared_goal.target_group"),
+        (rule.target_group, "policy_rule.target_group"),
+    ]:
+        if label is not None and label not in ids:
+            raise DomainError(f"{where}: unknown group label {label!r}")
+
+    if interventions is None:
+        interventions = cfg.interventions
+    lists = {"interventions": interventions}
+    for name, ivs in cfg.variants.items():
+        lists[f"variants.{name}.interventions"] = ivs
+    for where, ivs in lists.items():
+        for i, iv in enumerate(ivs):
+            path = f"{where}[{i}]"
+            if iv.kind not in INTERVENTION_KINDS:
+                raise DomainError(f"{path}.kind: unknown intervention kind {iv.kind!r}")
+            if iv.group not in ids:
+                raise DomainError(f"{path}.group: unknown group label {iv.group!r}")
+            if _integer(iv.active_from, path + ".active_from") < 0:
+                raise DomainError(f"{path}.active_from must be >= 0")
+            for key in _KEYS[iv.kind]:
+                if getattr(iv, key) is None:
+                    raise DomainError(f"missing field {path}.{key}")
+            name = _KEYS[iv.kind][0]
+            value = getattr(iv, name)
+            if not 0.0 <= value <= 1.0:  # NaN fails too
+                if iv.kind == "quota":
+                    raise DomainError(f"{path}.{name}: q out of [0,1], got {value}")
+                raise DomainError(f"{path}.{name} out of [0,1], got {value}")
+            if iv.kind == "quota":
+                window = _integer(iv.sunset.window, path + ".sunset.window")
+                if not iv.sunset.eps >= 0 or window < 1:  # NaN fails too
+                    raise DomainError(
+                        f"{path}.sunset: eps must be >= 0 and window >= 1"
+                    )
+    if _integer(cfg.seed, "seed") < 0:
+        raise DomainError(f"seed must be >= 0, got {cfg.seed}")
 
 
 def _parse_intervention(raw, path) -> InterventionRule:
     kind = str(_req(raw, "kind", path))
-    if kind not in INTERVENTION_KINDS:
-        raise ConfigError(f"{path}.kind: unknown intervention kind {kind!r}")
-    known_keys(raw, path, _KEYS["intervention"] + _KEYS[kind])
-    group = str(_req(raw, "group", path))
-    active_from = _integer(raw.get("active_from", 0), path + ".active_from")
-    if active_from < 0:
-        raise ConfigError(f"{path}.active_from must be >= 0")
-    rule = InterventionRule(kind=kind, group=group, active_from=active_from)
-    if kind == "quota":
-        q = float(_req(raw, "target_share", path))
-        if not 0.0 <= q <= 1.0:
-            raise ConfigError(f"{path}.target_share: q out of [0,1], got {q}")
+    # An unknown kind takes any kind's keys: ``_check_scenario`` names it.
+    kinds = (kind,) if kind in INTERVENTION_KINDS else INTERVENTION_KINDS
+    known_keys(raw, path, _KEYS["intervention"] + sum((_KEYS[k] for k in kinds), ()))
+    sunset = raw.get("sunset")
+    if sunset is not None:
         where = path + ".sunset"
-        s = known_keys(_req(raw, "sunset", path), where, _KEYS["sunset"])
+        known_keys(sunset, where, _KEYS["sunset"])
         sunset = SunsetRule(
-            eps=float(_req(s, "eps", where)),
-            window=_integer(_req(s, "window", where), where + ".window"),
+            eps=float(_req(sunset, "eps", where)),
+            window=_as_int(_req(sunset, "window", where)),
         )
-        if not sunset.eps >= 0 or sunset.window < 1:  # NaN fails too
-            raise ConfigError(f"{path}.sunset: eps must be >= 0 and window >= 1")
-        rule = replace(rule, target_share=q, sunset=sunset)
-    elif kind == "pipeline_investment":
-        s = float(_req(raw, "shift_fraction", path))
-        if not 0.0 <= s <= 1.0:
-            raise ConfigError(f"{path}.shift_fraction out of [0,1], got {s}")
-        rule = replace(rule, shift_fraction=s)
-    else:
-        a = float(_req(raw, "strength", path))
-        if not 0.0 <= a <= 1.0:
-            raise ConfigError(f"{path}.strength out of [0,1], got {a}")
-        rule = replace(rule, strength=a)
-    return rule
+    return InterventionRule(
+        kind=kind,
+        group=str(_req(raw, "group", path)),
+        active_from=_as_int(raw.get("active_from", 0)),
+        target_share=_optional(raw, "target_share", float),
+        sunset=sunset,
+        shift_fraction=_optional(raw, "shift_fraction", float),
+        strength=_optional(raw, "strength", float),
+    )
 
 
 def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
+    """The config that the parsed scenario file ``raw`` declares, unchecked
+    beyond each field's type."""
     known_keys(raw, "scenario", _KEYS["scenario"])
     goal_raw = _section(raw, "declared_goal")
     goal = DeclaredGoal(
         label=str(_req(goal_raw, "label", "declared_goal")),
         metric=str(_req(goal_raw, "metric", "declared_goal")),
         tolerance=float(_req(goal_raw, "tolerance", "declared_goal")),
-        target_group=_optional_str(goal_raw, "target_group"),
+        target_group=_optional(goal_raw, "target_group"),
     )
-    if math.isnan(goal.tolerance):
-        raise ConfigError("declared_goal.tolerance must be a number, got nan")
-    _check_goal(goal)
 
     pop_raw = _section(raw, "population")
     grid = ScoreGrid(
@@ -275,8 +327,6 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
                 pmf=_req(g, "pmf", path),
             )
         )
-    population = Population(grid, tuple(groups))
-    _require_valid(population)
 
     out_raw = _section(raw, "outcome")
     rho_raw = _req(out_raw, "rho", "outcome")
@@ -288,18 +338,11 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
     try:
         outcome = OutcomeModel(
             rho=rho,
-            steps_up=_integer(_req(out_raw, "steps_up", "outcome"), "outcome.steps_up"),
-            steps_down=_integer(
-                _req(out_raw, "steps_down", "outcome"), "outcome.steps_down"
-            ),
+            steps_up=_req(out_raw, "steps_up", "outcome"),
+            steps_down=_req(out_raw, "steps_down", "outcome"),
         )
     except DomainError as exc:
         raise ConfigError(f"outcome.{exc}") from exc
-    for g in groups:
-        if g.group_id not in outcome.rho:
-            raise ConfigError(f"outcome.rho missing group {g.group_id!r}")
-        if len(outcome.rho[g.group_id]) != len(grid):
-            raise ConfigError(f"outcome.rho[{g.group_id!r}] length != grid length")
 
     inst_raw = _section(raw, "institution")
     try:
@@ -311,58 +354,19 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
         raise ConfigError(f"institution.{exc}") from exc
 
     rule_raw = _section(raw, "policy_rule")
-    kind = str(_req(rule_raw, "kind", "policy_rule"))
-    known = {g.group_id for g in groups}
     tau = None
-    if kind == "fixed":
-        tau_raw = _req(rule_raw, "tau", "policy_rule")
+    if "tau" in rule_raw:
+        tau_raw = mapping(rule_raw["tau"], "policy_rule.tau")
         tau = {str(k): _vector(vs) for k, vs in tau_raw.items()}
-        missing = known - set(tau)
-        if missing:
-            raise ConfigError(f"policy_rule.tau: missing groups {sorted(missing)}")
-        for gid, t in tau.items():
-            path = f"policy_rule.tau[{gid}]"
-            if gid not in known:
-                raise ConfigError(f"{path}: unknown group label {gid!r}")
-            if len(t) != len(grid):
-                raise ConfigError(f"{path}: length {len(t)} != grid length {len(grid)}")
-            if not np.all((t >= 0) & (t <= 1)):  # NaN fails too
-                raise ConfigError(f"{path}: entries outside [0,1] or NaN")
     rule = PolicyRuleSpec(
-        kind=kind,
+        kind=str(_req(rule_raw, "kind", "policy_rule")),
         tau=tau,
-        constraint=_optional_str(rule_raw, "constraint"),
-        target_group=_optional_str(rule_raw, "target_group"),
+        constraint=_optional(rule_raw, "constraint"),
+        target_group=_optional(rule_raw, "target_group"),
         utility_floor=float(rule_raw.get("utility_floor", float("-inf"))),
     )
-    if math.isnan(rule.utility_floor):
-        raise ConfigError("policy_rule.utility_floor must be a number, got nan")
-    _check_rule(rule)
 
-    interventions = tuple(
-        _parse_intervention(iv, f"interventions[{i}]")
-        for i, iv in enumerate(raw.get("interventions", []))
-    )
-
-    horizon = _checked_horizon(_req(raw, "horizon", "scenario"))
-    resolution = float(raw.get("resolution", DEFAULT_RESOLUTION))
-    if not 0.0 < resolution <= 1.0:
-        raise ConfigError(f"resolution must be in (0, 1], got {resolution}")
     tol_raw = known_keys(raw.get("tolerances", {}), "tolerances", _KEYS["tolerances"])
-    tolerances = Tolerances(regime=float(tol_raw.get("regime", 1e-6)))
-    if not 0.0 < tolerances.regime < math.inf:
-        raise ConfigError(f"tolerances.regime {tolerances.regime} not in (0, inf)")
-    metric_groups_raw = raw.get(
-        "metric_groups", [g.group_id for g in groups[:2]]
-    )
-    if len(metric_groups_raw) != 2:
-        raise ConfigError("metric_groups must name exactly two groups")
-    metric_groups = (str(metric_groups_raw[0]), str(metric_groups_raw[1]))
-
-    seed = _integer(raw.get("seed", 0), "seed")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-
     variants = {}
     for vname, v in (raw.get("variants") or {}).items():
         known_keys(v, f"variants.{vname}", _KEYS["variant"])
@@ -370,71 +374,59 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
             _parse_intervention(iv, f"variants.{vname}.interventions[{i}]")
             for i, iv in enumerate(_req(v, "interventions", f"variants.{vname}"))
         )
-
-    for label, where in [
-        (goal.target_group, "declared_goal.target_group"),
-        (rule.target_group, "policy_rule.target_group"),
-        *[(iv.group, f"interventions[{i}].group") for i, iv in enumerate(interventions)],
-        (metric_groups[0], "metric_groups[0]"),
-        (metric_groups[1], "metric_groups[1]"),
-        *[
-            (iv.group, f"variants.{vname}.interventions[{i}].group")
-            for vname, ivs in variants.items()
-            for i, iv in enumerate(ivs)
-        ],
-    ]:
-        if label is not None and label not in known:
-            raise ConfigError(f"{where}: unknown group label {label!r}")
-
     return ScenarioConfig(
         name=str(raw.get("name", name_hint)),
         declared_goal=goal,
-        population=population,
+        population=Population(grid, tuple(groups)),
         outcome=outcome,
         institution=institution,
         policy_rule=rule,
-        interventions=interventions,
-        horizon=horizon,
-        tolerances=tolerances,
-        seed=seed,
-        resolution=resolution,
-        metric_groups=metric_groups,
+        interventions=tuple(
+            _parse_intervention(iv, f"interventions[{i}]")
+            for i, iv in enumerate(raw.get("interventions", []))
+        ),
+        horizon=_as_int(_req(raw, "horizon", "scenario")),
+        tolerances=Tolerances(regime=float(tol_raw.get("regime", 1e-6))),
+        seed=_as_int(raw.get("seed", 0)),
+        resolution=float(raw.get("resolution", DEFAULT_RESOLUTION)),
+        metric_groups=tuple(
+            str(g) for g in raw.get("metric_groups", [g.group_id for g in groups[:2]])
+        ),
         variants=variants,
     )
 
 
 def load_scenario(path_or_name: str) -> ScenarioConfig:
-    """Load a scenario from a YAML file path or a built-in name."""
+    """Load a scenario from a YAML file path or a built-in name: parse it,
+    then check it as a run checks its config. An error names the file."""
     if path_or_name in BUILTIN_NAMES:
         source = importlib.resources.files("fairdyn.data") / f"{path_or_name}.yaml"
     else:
         source = Path(path_or_name)
     raw = read_yaml(source, path_or_name, "scenario file")
     try:
-        return _parse_config(raw, path_or_name)
+        cfg = _parse_config(raw, path_or_name)
+        _check_scenario(cfg)
+        _checked_horizon(cfg.horizon)
+        _check_regime_tol(cfg.tolerances.regime)
+        _require_valid(cfg.population)
+        _checked_pair(cfg.metric_groups, cfg.population.group_ids)
     except (ConfigError, DomainError) as exc:
         raise ConfigError(f"scenario file {path_or_name}: {exc}") from exc
     except (TypeError, ValueError, DimensionError) as exc:
         raise ConfigError(f"malformed scenario file {path_or_name}: {exc}") from exc
+    return cfg
 
 
 def _decision_rule(
-    cfg: ScenarioConfig, pop: Population, rule: PolicyRuleSpec, resolution: float
+    cfg: ScenarioConfig,
 ) -> Policy | ConstrainedPlan | OutcomeOptimalPlan:
-    """``rule``'s policy (``fixed``, ``max_utility``) or search plan for
-    populations with ``pop``'s groups and grid under ``cfg``'s models; a
-    search scans rates or TPRs at ``resolution``. A rule that ``_check_rule``
-    rejects, a group of ``pop`` without a success vector or, under a fixed
-    rule, an acceptance vector, or an outcome-optimal target outside ``pop``
-    raises ``DomainError``."""
-    _check_rule(rule)
-    for gid in pop.group_ids:
-        if gid not in cfg.outcome.rho:
-            raise DomainError(f"outcome.rho missing group {gid!r}")
+    """The policy (``fixed``, ``max_utility``) or search plan of the policy
+    rule of ``cfg``, a config that ``_check_scenario`` accepts, for
+    populations with its population's groups and grid; a search scans rates
+    or TPRs at its resolution."""
+    pop, rule, resolution = cfg.population, cfg.policy_rule, cfg.resolution
     if rule.kind == "fixed":
-        for gid in pop.group_ids:
-            if gid not in rule.tau:
-                raise DomainError(f"fixed: no acceptance vector for group {gid!r}")
         return Policy(rule.tau)
     if rule.kind == "max_utility":
         return max_utility_policy(pop, cfg.outcome, cfg.institution)
@@ -442,8 +434,6 @@ def _decision_rule(
         return constrained_plan(
             pop, cfg.outcome, cfg.institution, Constraint(rule.constraint), resolution
         )
-    if rule.target_group not in pop.group_ids:
-        raise DomainError(f"outcome_optimal: unknown group label {rule.target_group!r}")
     return outcome_optimal_plan(
         pop, cfg.outcome, cfg.institution, rule.target_group, rule.utility_floor,
         resolution,
@@ -454,8 +444,12 @@ def build_policy(
     cfg: ScenarioConfig, pop: Population, rule: PolicyRuleSpec, resolution: float
 ) -> Policy:
     """The policy that ``rule`` selects for ``pop`` under ``cfg``'s outcome and
-    institution models; the searches scan rates or TPRs at ``resolution``."""
-    decided = _decision_rule(cfg, pop, rule, resolution)
+    institution models; the searches scan rates or TPRs at ``resolution``.
+    ``cfg`` with ``pop``, ``rule`` and ``resolution`` is checked as a run
+    checks its config."""
+    cfg = replace(cfg, population=pop, policy_rule=rule, resolution=resolution)
+    _check_scenario(cfg)
+    decided = _decision_rule(cfg)
     return decided if isinstance(decided, Policy) else search(decided, pop)
 
 
@@ -483,25 +477,14 @@ class _ScenarioEngine:
     def __init__(self, cfg: ScenarioConfig, interventions, rule=None):
         self.cfg = cfg
         self.interventions = interventions
-        pop = cfg.population
-        self.group_ids = pop.group_ids
+        self.group_ids = cfg.population.group_ids
         self.index = {gid: i for i, gid in enumerate(self.group_ids)}
-        for i, iv in enumerate(interventions):
-            if iv.kind not in INTERVENTION_KINDS:
-                raise DomainError(
-                    f"interventions[{i}].kind: unknown intervention kind {iv.kind!r}"
-                )
-            if iv.group not in self.index:
-                raise DomainError(f"{iv.kind}: unknown group label {iv.group!r}")
-        # The scenario's ``_decision_rule``, built once for the run; another
-        # draw of the same scenario is given the first draw's ``rule``. A
-        # policy's vectors must have the grid's length; the pmfs' are
-        # ``_run``'s to check.
+        # The scenario, with the run's interventions, is checked and its
+        # ``_decision_rule`` built once for the run; another draw of the same
+        # scenario is given the first draw's ``rule``.
         if rule is None:
-            rule = _decision_rule(cfg, pop, cfg.policy_rule, cfg.resolution)
-            if isinstance(rule, Policy):
-                for gid, tau in zip(self.group_ids, rule._rows(self.group_ids)):
-                    _check_lengths(gid, tau=tau, grid=pop.grid.bin_scores)
+            _check_scenario(cfg, interventions)
+            rule = _decision_rule(cfg)
         self.rule = rule
         self.quota_active = [iv.kind == "quota" for iv in interventions]
         self.quota_streak = [0] * len(interventions)
@@ -674,22 +657,16 @@ def _goal_values(
     names: Callable[[int], str],
 ) -> np.ndarray:
     """The declared goal's metric at every step of every run of ``runs``, a
-    run's columns or a sweep block's, as an array (steps, runs).
+    run's columns or a sweep block's, as an array (steps, runs), for a goal
+    that ``_check_scenario`` accepts.
 
-    A goal that ``_check_goal`` rejects, or a ``delta_mu`` goal whose target
-    group is not the population's, raises ``DomainError``. A gap goal is NaN
-    at a step where a group has no qualified (or no unqualified) mass. Such
-    a value is neither met nor missed and has no order, so it raises
-    ``UndefinedConditionalError`` naming the first run that has one by
-    ``names(k)``, the metric and that run's first such step.
+    A gap goal is NaN at a step where a group has no qualified (or no
+    unqualified) mass. Such a value is neither met nor missed and has no
+    order, so it raises ``UndefinedConditionalError`` naming the first run
+    that has one by ``names(k)``, the metric and that run's first such step.
     """
     goal, ids = cfg.declared_goal, cfg.population.group_ids
-    _check_goal(goal)
     if goal.metric == "delta_mu":
-        if goal.target_group not in ids:
-            raise DomainError(
-                f"declared_goal.target_group: unknown group label {goal.target_group!r}"
-            )
         values = runs.delta_mu[:, ids.index(goal.target_group) :: len(ids)]
     else:
         values = getattr(runs, goal.metric)
@@ -726,7 +703,7 @@ def _sunset_occurred(traj: Trajectory, interventions) -> bool:
     """Whether some quota was active at a step and inactive at a later one."""
     flags = traj.columns.flags
     for i, iv in enumerate(interventions):
-        if iv.kind != "quota" or i >= flags.shape[1]:
+        if iv.kind != "quota":
             continue
         active = flags[:, i]
         if np.any(np.logical_or.accumulate(active) & ~active):
@@ -739,13 +716,13 @@ def compare_interventions(
 ) -> list[ComparisonRow]:
     """Run each variant from the same initial state and summarize outcomes.
 
-    The goal is read by ``_goal_values``: an unknown goal metric or a
-    ``delta_mu`` goal without a known target group raises ``DomainError``,
-    and a goal metric that is NaN at some step of a variant
-    ``UndefinedConditionalError``.
+    The scenario, with ``variants`` as its named variants, is checked by
+    ``_check_scenario`` before any variant runs. A goal metric that is NaN
+    at some step of a variant raises ``UndefinedConditionalError``.
     """
     if len(variants) < 2:
         raise ConfigError("comparison needs at least two variants")
+    _check_scenario(replace(cfg, variants=dict(variants)))
     rows = []
     for name, ivs in variants:
         traj = run_scenario(cfg, ivs)
@@ -918,7 +895,8 @@ def sensitivity_sweep(
     checked as ``run_scenario`` checks it, its population before it is
     perturbed, and its goal is read as ``compare_interventions`` reads it.
     An error of a draw is raised with the prefix ``sweep draw k: ``, for the
-    first draw that fails; a NaN goal names its draw already.
+    first draw that fails, so an error of the scenario's check names draw 0;
+    a NaN goal names its draw already.
 
     The draws run in blocks: one loop advances a block's draws together as
     one stacked state array, whose rows never mix, with one scenario engine
@@ -931,10 +909,10 @@ def sensitivity_sweep(
         raise ConfigError(f"perturbation size must be a real number, got {eps_p!r}")
     if not 0 <= eps_p < math.inf:
         raise ConfigError(f"perturbation size must be finite and >= 0, got {eps_p}")
-    n_draws = _integer(n_draws, "n_draws")
+    n_draws = _integer(n_draws, "n_draws", ConfigError)
     if n_draws < 1:
         raise ConfigError(f"need at least one draw, got {n_draws}")
-    seed = _integer(seed, "seed")
+    seed = _integer(seed, "seed", ConfigError)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     pop = cfg.population

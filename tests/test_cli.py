@@ -180,8 +180,9 @@ class TestValidation:
         "edit,message",
         [
             (lambda raw: raw["tolerances"].update(regime=float("nan")),
-             "tolerances.regime"),
-            (lambda raw: raw["tolerances"].update(regime=0.0), "tolerances.regime"),
+             "regime tolerance nan must be positive and finite"),
+            (lambda raw: raw["tolerances"].update(regime=0.0),
+             "regime tolerance 0.0 must be positive and finite"),
             (lambda raw: raw.update(
                 policy_rule={"kind": "fixed", "tau": {"men": [1.0], "women": [1.0]}}
             ), "policy_rule.tau[men]: length 1"),

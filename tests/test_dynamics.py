@@ -807,10 +807,17 @@ class TestAgainstOracle:
         ],
         ids=["shift_above_one", "shift_nan", "strength_negative", "strength_inf"],
     )
-    def test_invalid_intervention_raises_as_the_oracle(self, iv):
-        # The loader rejects these values; an engine built directly may hold
-        # them, and its in-place hook must fail as a checked population does.
-        traj, records = _both(replace(LENDING, interventions=(iv,)))
+    def test_invalid_intervention_raises_as_the_oracle(self, iv, monkeypatch):
+        # The scenario check rejects these values before a run, as the loader
+        # does; an engine that skips it must still fail in its in-place hook
+        # as a checked population does.
+        cfg = replace(LENDING, interventions=(iv,))
+        with pytest.raises(
+            DomainError, match=r"^interventions\[0\]\.(shift_fraction|strength) out of"
+        ):
+            scenarios.run_scenario(cfg)
+        monkeypatch.setattr(scenarios, "_check_scenario", lambda *args: None)
+        traj, records = _both(cfg)
         assert type(traj) is type(records) is DomainError
         assert str(traj) == str(records)
         assert str(traj).startswith("invalid population: group ")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fairdyn import dynamics, scenarios
-from fairdyn.dynamics import MASS_TOL, MAX_HORIZON, simulate
+from fairdyn.dynamics import MASS_TOL, MAX_HORIZON, simulate, trajectory_rows
 from fairdyn.errors import (
     ConfigError,
     DimensionError,
@@ -161,15 +161,18 @@ class TestLoadChecks:
         path = write_lending(
             tmp_path, lambda raw: raw["tolerances"].update(regime=regime)
         )
-        with pytest.raises(ConfigError, match="tolerances.regime"):
+        with pytest.raises(
+            ConfigError, match=r": regime tolerance \S+ must be positive and finite$"
+        ):
             load_scenario(path)
 
     @pytest.mark.parametrize(
         "edit,field",
         [
-            (lambda raw: raw["tolerances"].update(regime=0.0), "tolerances.regime"),
+            (lambda raw: raw["tolerances"].update(regime=0.0), "regime tolerance"),
             (lambda raw: raw["outcome"]["rho"].__setitem__(0, 1.5), "outcome.rho[A]"),
-            (lambda raw: raw.update(metric_groups=["A", "Z"]), "metric_groups[1]"),
+            (lambda raw: raw.update(metric_groups=["A", "Z"]),
+             "metric pair: unknown group label 'Z'"),
         ],
         ids=["regime", "rho", "metric_groups"],
     )
@@ -564,7 +567,7 @@ class TestSearchErrors:
         cfg = searching(
             LENDING, scenarios.PolicyRuleSpec("outcome_optimal", target_group="Z")
         )
-        message = "outcome_optimal: unknown group label 'Z'"
+        message = "policy_rule.target_group: unknown group label 'Z'"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             run_scenario(cfg)
         with pytest.raises(DomainError, match=f"^sweep draw 0: {re.escape(message)}$"):
@@ -678,7 +681,15 @@ class TestPipelineInvestment:
          (math.nan, "group 'women': pmf has a non-finite entry")],
     )
     def test_invalid_shift_is_rejected(self, fraction, message):
-        engine, _ = self.make_engine(fraction)
+        with pytest.raises(
+            DomainError,
+            match=r"^interventions\[0\]\.shift_fraction out of \[0,1\], got ",
+        ):
+            self.make_engine(fraction)
+        # An engine given its rule skips the scenario check, as a sweep's
+        # later engines do; its hook still checks the pmf it shifts.
+        iv = InterventionRule("pipeline_investment", "women", shift_fraction=fraction)
+        engine = _ScenarioEngine(BOARDS, (iv,), self.make_engine()[0].rule)
         pmfs, proportions = rows(BOARDS.population)
         with pytest.raises(DomainError, match=f"^invalid population: {message}"):
             engine.pre_step(0, pmfs, proportions)
@@ -711,7 +722,13 @@ class TestRoleModelFeedback:
         iv = InterventionRule(
             kind="role_model_feedback", group="women", strength=-3.0, active_from=0
         )
-        engine = _ScenarioEngine(BOARDS, (iv,))
+        with pytest.raises(
+            DomainError, match=r"^interventions\[0\]\.strength out of \[0,1\], got -3\.0$"
+        ):
+            _ScenarioEngine(BOARDS, (iv,))
+        # An engine given its rule skips the scenario check, as a sweep's
+        # later engines do; its hook still checks the proportions it rescales.
+        engine = _ScenarioEngine(BOARDS, (iv,), _ScenarioEngine(BOARDS, ()).rule)
         engine.last_share = {"women": 0.4, "men": 0.6}
         pmfs, proportions = rows(BOARDS.population)
         with pytest.raises(
@@ -1279,7 +1296,7 @@ class TestUnknownGroupLabels:
             shift_fraction=0.1,
             strength=0.5,
         )
-        message = f"{kind}: unknown group label 'Z'"
+        message = "interventions[0].group: unknown group label 'Z'"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             _ScenarioEngine(LENDING, (iv,))
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
@@ -1290,7 +1307,7 @@ class TestUnknownGroupLabels:
     def test_fixed_rule_without_a_groups_vector(self):
         rule = scenarios.PolicyRuleSpec("fixed", tau={"A": np.ones(6)})
         cfg = replace(LENDING, policy_rule=rule)
-        message = "fixed: no acceptance vector for group 'B'"
+        message = "policy_rule.tau: missing groups ['B']"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             run_scenario(cfg)
         with pytest.raises(DomainError, match=f"^sweep draw 0: {re.escape(message)}$"):
@@ -1301,7 +1318,7 @@ class TestUnknownGroupLabels:
     def test_fixed_rule_checked_against_the_grid(self):
         rule = scenarios.PolicyRuleSpec("fixed", tau={"A": np.ones(5), "B": np.ones(5)})
         with pytest.raises(
-            DimensionError, match=r"^group 'A': inconsistent lengths tau=5 grid=6$"
+            DomainError, match=r"^policy_rule\.tau\[A\]: length 5 != grid length 6$"
         ):
             run_scenario(replace(LENDING, policy_rule=rule))
 
@@ -1322,8 +1339,6 @@ _ENTRIES = {
         "",
     ),
     "compare": (lambda cfg: compare_interventions(cfg, [("a", ()), ("b", ())]), ""),
-    # The goal is read after a sweep's draws have run, outside any draw.
-    "sweep_goal": (lambda cfg: sensitivity_sweep(cfg, 0.01, 3, 0), ""),
     "simulate": (
         lambda cfg: simulate(
             cfg.population, lambda t, p: _LENDING_POLICY, cfg.outcome,
@@ -1335,28 +1350,46 @@ _ENTRIES = {
         lambda cfg: dynamics.classify_regime(0.0, cfg.tolerances.regime), ""
     ),
 }
+_QUOTA = InterventionRule("quota", "B", target_share=0.5, sunset=SunsetRule(0.01, 2))
+_RUNS = ("run", "sweep", "compare")
+
+
+def _with_intervention(iv):
+    return replace(LENDING, interventions=(iv,))
+
+
 # Configs built in code with a field that the scenario loader would reject,
 # the entries that read it and the error message each raises.
 _CODE_BUILT = {
     "fixed_rule_without_tau": (
         replace(LENDING, policy_rule=scenarios.PolicyRuleSpec("fixed")),
-        ("run", "sweep", "build_policy"),
+        (*_RUNS, "build_policy"),
         "policy_rule.tau required for a fixed rule",
+    ),
+    "fixed_rule_of_an_unknown_group": (
+        replace(
+            LENDING,
+            policy_rule=scenarios.PolicyRuleSpec(
+                "fixed", tau={gid: np.ones(6) for gid in ("A", "B", "Z")}
+            ),
+        ),
+        (*_RUNS, "build_policy"),
+        "policy_rule.tau[Z]: unknown group label 'Z'",
     ),
     "constrained_rule_without_constraint": (
         replace(LENDING, policy_rule=scenarios.PolicyRuleSpec("constrained")),
-        ("run", "sweep", "build_policy"),
+        (*_RUNS, "build_policy"),
         "policy_rule.constraint must be one of ('dp', 'eo')",
     ),
     "unknown_rule_kind": (
         replace(LENDING, policy_rule=scenarios.PolicyRuleSpec("bogus")),
-        ("run", "sweep", "build_policy"),
+        (*_RUNS, "build_policy"),
         "policy_rule.kind must be one of ('fixed', 'max_utility', 'constrained', "
         "'outcome_optimal'), got 'bogus'",
     ),
     "outcome_optimal_rule_without_target": (
         replace(LENDING, policy_rule=scenarios.PolicyRuleSpec("outcome_optimal")),
-        ("run", "sweep", "build_policy"),
+        (*_RUNS, "build_policy"),
         "policy_rule.target_group required for outcome_optimal",
     ),
     "rho_without_a_group": (
@@ -1364,46 +1397,177 @@ _CODE_BUILT = {
             LENDING,
             outcome=replace(LENDING.outcome, rho={"A": LENDING.outcome.rho["A"]}),
         ),
-        ("run", "sweep", "build_policy"),
+        (*_RUNS, "build_policy"),
         "outcome.rho missing group 'B'",
     ),
+    "rho_of_five_bins_on_six": (
+        replace(
+            LENDING,
+            outcome=replace(
+                LENDING.outcome,
+                rho={"A": LENDING.outcome.rho["A"][:5], "B": LENDING.outcome.rho["B"]},
+            ),
+        ),
+        (*_RUNS, "build_policy"),
+        "outcome.rho['A'] length != grid length",
+    ),
     "unknown_intervention_kind": (
-        replace(LENDING, interventions=(InterventionRule("bogus", "B"),)),
-        ("run", "sweep"),
+        _with_intervention(InterventionRule("bogus", "B")),
+        _RUNS,
         "interventions[0].kind: unknown intervention kind 'bogus'",
+    ),
+    "quota_sunset_window_zero": (
+        _with_intervention(replace(_QUOTA, sunset=SunsetRule(0.01, 0))),
+        _RUNS,
+        "interventions[0].sunset: eps must be >= 0 and window >= 1",
+    ),
+    "quota_sunset_window_fraction": (
+        _with_intervention(replace(_QUOTA, sunset=SunsetRule(0.01, 2.5))),
+        _RUNS,
+        "interventions[0].sunset.window must be an integer, got 2.5",
+    ),
+    "quota_sunset_eps_negative": (
+        _with_intervention(replace(_QUOTA, sunset=SunsetRule(-1.0, 2))),
+        _RUNS,
+        "interventions[0].sunset: eps must be >= 0 and window >= 1",
+    ),
+    "active_from_negative": (
+        _with_intervention(replace(_QUOTA, active_from=-3)),
+        _RUNS,
+        "interventions[0].active_from must be >= 0",
+    ),
+    "active_from_fraction": (
+        _with_intervention(replace(_QUOTA, active_from=2.5)),
+        _RUNS,
+        "interventions[0].active_from must be an integer, got 2.5",
+    ),
+    "quota_without_target_share": (
+        _with_intervention(replace(_QUOTA, target_share=None)),
+        _RUNS,
+        "missing field interventions[0].target_share",
+    ),
+    "quota_without_sunset": (
+        _with_intervention(replace(_QUOTA, sunset=None)),
+        _RUNS,
+        "missing field interventions[0].sunset",
+    ),
+    "pipeline_without_shift_fraction": (
+        _with_intervention(InterventionRule("pipeline_investment", "B")),
+        _RUNS,
+        "missing field interventions[0].shift_fraction",
+    ),
+    "role_model_without_strength": (
+        _with_intervention(InterventionRule("role_model_feedback", "B")),
+        _RUNS,
+        "missing field interventions[0].strength",
     ),
     "one_metric_group": (
         replace(LENDING, metric_groups=("A",)),
-        ("run", "sweep", "simulate"),
+        (*_RUNS, "simulate"),
         "metric pair must name exactly two groups, got ('A',)",
     ),
     "three_metric_groups": (
         replace(LENDING, metric_groups=("A", "B", "A")),
-        ("run", "sweep", "simulate"),
+        (*_RUNS, "simulate"),
         "metric pair must name exactly two groups, got ('A', 'B', 'A')",
     ),
     "infinite_regime_tolerance": (
         replace(LENDING, tolerances=scenarios.Tolerances(math.inf)),
-        ("run", "sweep", "simulate", "classify_regime"),
+        (*_RUNS, "simulate", "classify_regime"),
         "regime tolerance inf must be positive and finite",
     ),
     "unknown_goal_metric": (
         _with_goal(metric="bogus"),
-        ("compare", "sweep_goal"),
+        _RUNS,
         "declared_goal.metric must be one of ('dp_gap', 'eo_gap', 'eodds_gap', "
         "'delta_mu'), got 'bogus'",
     ),
+    "nan_goal_tolerance": (
+        _with_goal(tolerance=math.nan),
+        _RUNS,
+        "declared_goal.tolerance must be a number, got nan",
+    ),
     "delta_mu_goal_without_target": (
         _with_goal(target_group=None),
-        ("compare", "sweep_goal"),
+        _RUNS,
         "declared_goal.target_group required for delta_mu goal",
     ),
     "delta_mu_goal_of_unknown_group": (
         _with_goal(target_group="Z"),
-        ("compare", "sweep_goal"),
+        _RUNS,
         "declared_goal.target_group: unknown group label 'Z'",
     ),
 }
+_GOAL_CASES = (
+    "unknown_goal_metric", "nan_goal_tolerance", "delta_mu_goal_without_target",
+    "delta_mu_goal_of_unknown_group",
+)
+
+
+def _present(**fields):
+    """``fields`` without those that are None, as a file leaves them out."""
+    return {key: value for key, value in fields.items() if value is not None}
+
+
+def _as_file(cfg: scenarios.ScenarioConfig) -> dict:
+    """``cfg`` as the parsed YAML of a scenario file that declares it."""
+
+    def intervention(iv):
+        sunset = iv.sunset and {"eps": iv.sunset.eps, "window": iv.sunset.window}
+        return _present(
+            kind=iv.kind, group=iv.group, active_from=iv.active_from,
+            target_share=iv.target_share, sunset=sunset,
+            shift_fraction=iv.shift_fraction, strength=iv.strength,
+        )
+
+    goal, rule, pop = cfg.declared_goal, cfg.policy_rule, cfg.population
+    tau = rule.tau and {gid: np.asarray(t).tolist() for gid, t in rule.tau.items()}
+    return {
+        "name": cfg.name,
+        "declared_goal": _present(
+            label=goal.label, metric=goal.metric, tolerance=goal.tolerance,
+            target_group=goal.target_group,
+        ),
+        "population": {
+            "bin_scores": pop.grid.bin_scores.tolist(),
+            "bin_width": pop.grid.bin_width,
+            "groups": [
+                {"group_id": g.group_id, "proportion": g.proportion,
+                 "pmf": g.pmf.tolist()}
+                for g in pop.groups
+            ],
+        },
+        "outcome": {
+            "rho": {gid: r.tolist() for gid, r in cfg.outcome.rho.items()},
+            "steps_up": cfg.outcome.steps_up,
+            "steps_down": cfg.outcome.steps_down,
+        },
+        "institution": {
+            "u_plus": cfg.institution.u_plus, "u_minus": cfg.institution.u_minus
+        },
+        "policy_rule": _present(
+            kind=rule.kind, tau=tau, constraint=rule.constraint,
+            target_group=rule.target_group, utility_floor=rule.utility_floor,
+        ),
+        "interventions": [intervention(iv) for iv in cfg.interventions],
+        "horizon": cfg.horizon,
+        "tolerances": {"regime": cfg.tolerances.regime},
+        "seed": cfg.seed,
+        "resolution": cfg.resolution,
+        "metric_groups": list(cfg.metric_groups),
+        "variants": {
+            name: {"interventions": [intervention(iv) for iv in ivs]}
+            for name, ivs in cfg.variants.items()
+        },
+    }
+
+
+def _write_file(tmp_path, cfg) -> str:
+    import yaml
+
+    path = tmp_path / "code_built.yaml"
+    path.write_text(yaml.safe_dump(_as_file(cfg)), encoding="utf-8")
+    return str(path)
 
 
 class TestCodeBuiltConfigs:
@@ -1419,6 +1583,45 @@ class TestCodeBuiltConfigs:
         with pytest.raises(FairdynError) as info:
             call(cfg)
         assert str(info.value) == prefix + message
+
+    def test_a_file_declares_the_config_it_is_written_from(self, tmp_path):
+        for cfg in (LENDING, BOARDS):
+            loaded = load_scenario(_write_file(tmp_path, cfg))
+            assert trajectory_rows(run_scenario(loaded)) == trajectory_rows(
+                run_scenario(cfg)
+            )
+            assert loaded.variants == cfg.variants
+
+    @pytest.mark.parametrize("case", _CODE_BUILT)
+    def test_a_file_fails_with_the_message_of_the_run(self, tmp_path, case):
+        # Every case can be written as a file; the loader's message is the
+        # run's, prefixed with the file.
+        cfg, _, message = _CODE_BUILT[case]
+        path = _write_file(tmp_path, cfg)
+        with pytest.raises(ConfigError) as info:
+            load_scenario(path)
+        assert str(info.value) == f"scenario file {path}: {message}"
+
+    @pytest.mark.parametrize("entry", ["compare", "sweep"])
+    @pytest.mark.parametrize("case", _GOAL_CASES)
+    def test_a_bad_goal_raises_before_any_run(self, monkeypatch, case, entry):
+        calls = []
+        real = dynamics._run
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_run", counted)
+        monkeypatch.setattr(scenarios, "_run", counted)
+        cfg, _, message = _CODE_BUILT[case]
+        call, prefix = _ENTRIES[entry]
+        with pytest.raises(DomainError) as info:
+            call(cfg)
+        assert str(info.value) == prefix + message
+        assert calls == []
+        call(LENDING)
+        assert calls
 
 
 class TestSweepChecksAsRunScenario:
