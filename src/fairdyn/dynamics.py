@@ -227,13 +227,13 @@ def _checked_pair(
 ) -> tuple[Optional[tuple[str, str]], list[int]]:
     """The metric pair, the first two of ``group_ids`` when None, as a tuple
     with its groups' indices; (None, []) when None and there are fewer than
-    two groups. A pair that is not two of ``group_ids`` raises
-    ``DomainError``."""
+    two groups. A pair that is not a tuple or list of two of ``group_ids``
+    raises ``DomainError``."""
     if metric_pair is None and len(group_ids) >= 2:
         metric_pair = group_ids[:2]
     if metric_pair is None:
         return None, []
-    if len(metric_pair) != 2:
+    if not isinstance(metric_pair, (tuple, list)) or len(metric_pair) != 2:
         raise DomainError(
             f"metric pair must name exactly two groups, got {metric_pair!r}"
         )

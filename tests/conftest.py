@@ -61,6 +61,15 @@ def random_instance(rng, n_bins=None, rho_low=0.05, rho_high=0.95,
     return pop, outcome, policy
 
 
+def unchecked_config(cfg, **changes):
+    """``cfg`` with ``changes``, built without ``ScenarioConfig``'s check:
+    a config that construction would reject, for a test that reaches past
+    it to a run's own checks or writes it as a scenario file."""
+    new = object.__new__(type(cfg))
+    new.__dict__.update(vars(cfg), **changes)
+    return new
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

@@ -42,7 +42,7 @@ from fairdyn.population import (
     validate_population,
 )
 
-from conftest import make_grid, make_population, random_instance
+from conftest import make_grid, make_population, random_instance, unchecked_config
 
 INST = InstitutionModel(1.0, -1.0)
 LENDING = scenarios.load_scenario("lending_liu")
@@ -807,17 +807,15 @@ class TestAgainstOracle:
         ],
         ids=["shift_above_one", "shift_nan", "strength_negative", "strength_inf"],
     )
-    def test_invalid_intervention_raises_as_the_oracle(self, iv, monkeypatch):
-        # The scenario check rejects these values before a run, as the loader
-        # does; an engine that skips it must still fail in its in-place hook
-        # as a checked population does.
-        cfg = replace(LENDING, interventions=(iv,))
+    def test_invalid_intervention_raises_as_the_oracle(self, iv):
+        # The config's check rejects these values when it is built, as the
+        # loader does; an engine of a config that skipped it must still fail
+        # in its in-place hook as a checked population does.
         with pytest.raises(
             DomainError, match=r"^interventions\[0\]\.(shift_fraction|strength) out of"
         ):
-            scenarios.run_scenario(cfg)
-        monkeypatch.setattr(scenarios, "_check_scenario", lambda *args: None)
-        traj, records = _both(cfg)
+            replace(LENDING, interventions=(iv,))
+        traj, records = _both(unchecked_config(LENDING, interventions=(iv,)))
         assert type(traj) is type(records) is DomainError
         assert str(traj) == str(records)
         assert str(traj).startswith("invalid population: group ")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairdyn import dynamics, scenarios
 from fairdyn.dynamics import MASS_TOL, MAX_HORIZON, simulate, trajectory_rows
@@ -32,6 +35,8 @@ from fairdyn.scenarios import (
     run_scenario,
     sensitivity_sweep,
 )
+
+from conftest import unchecked_config
 
 BOARDS = load_scenario("boards_quota")
 LENDING = load_scenario("lending_liu")
@@ -562,16 +567,13 @@ class TestSearchErrors:
             run_scenario(cfg)
 
     def test_unknown_target(self):
-        # The scenario checks the target before the search plan is built, so
-        # the plan's own KeyError is never reached.
-        cfg = searching(
-            LENDING, scenarios.PolicyRuleSpec("outcome_optimal", target_group="Z")
-        )
+        # The config checks the target when it is built, so the search
+        # plan's own KeyError is never reached.
         message = "policy_rule.target_group: unknown group label 'Z'"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            run_scenario(cfg)
-        with pytest.raises(DomainError, match=f"^sweep draw 0: {re.escape(message)}$"):
-            sensitivity_sweep(cfg, 0.01, 3, 0)
+            searching(
+                LENDING, scenarios.PolicyRuleSpec("outcome_optimal", target_group="Z")
+            )
 
     @pytest.mark.parametrize(
         "floor,message",
@@ -681,15 +683,15 @@ class TestPipelineInvestment:
          (math.nan, "group 'women': pmf has a non-finite entry")],
     )
     def test_invalid_shift_is_rejected(self, fraction, message):
+        iv = InterventionRule("pipeline_investment", "women", shift_fraction=fraction)
         with pytest.raises(
             DomainError,
             match=r"^interventions\[0\]\.shift_fraction out of \[0,1\], got ",
         ):
-            self.make_engine(fraction)
-        # An engine given its rule skips the scenario check, as a sweep's
-        # later engines do; its hook still checks the pmf it shifts.
-        iv = InterventionRule("pipeline_investment", "women", shift_fraction=fraction)
-        engine = _ScenarioEngine(BOARDS, (iv,), self.make_engine()[0].rule)
+            run_scenario(BOARDS, [iv])
+        # An engine does not check its interventions, as a config's are
+        # checked when it is built; its hook still checks the pmf it shifts.
+        engine = _ScenarioEngine(BOARDS, (iv,))
         pmfs, proportions = rows(BOARDS.population)
         with pytest.raises(DomainError, match=f"^invalid population: {message}"):
             engine.pre_step(0, pmfs, proportions)
@@ -725,10 +727,11 @@ class TestRoleModelFeedback:
         with pytest.raises(
             DomainError, match=r"^interventions\[0\]\.strength out of \[0,1\], got -3\.0$"
         ):
-            _ScenarioEngine(BOARDS, (iv,))
-        # An engine given its rule skips the scenario check, as a sweep's
-        # later engines do; its hook still checks the proportions it rescales.
-        engine = _ScenarioEngine(BOARDS, (iv,), _ScenarioEngine(BOARDS, ()).rule)
+            run_scenario(BOARDS, [iv])
+        # An engine does not check its interventions, as a config's are
+        # checked when it is built; its hook still checks the proportions it
+        # rescales.
+        engine = _ScenarioEngine(BOARDS, (iv,))
         engine.last_share = {"women": 0.4, "men": 0.6}
         pmfs, proportions = rows(BOARDS.population)
         with pytest.raises(
@@ -1247,47 +1250,24 @@ class TestSweepArguments:
             load_scenario(path)
 
 
-def _lending_with(**groups):
-    """``LENDING`` with some of its groups, named by label, replaced."""
-    pop = LENDING.population
-    new = [groups.get(g.group_id, g) for g in pop.groups]
-    return replace(LENDING, population=pop.with_groups(new))
-
-
 _A, _B = LENDING.population.groups
-# Scenarios that ``run_scenario`` rejects. A sweep starts its draws where
-# ``simulate`` starts its run, so it rejects each of them alike.
-_REJECTED = {
-    "proportions_sum_to_half": _lending_with(A=_A.with_proportion(0.4)),
-    "bin_score_off_the_spacing": replace(
-        LENDING,
-        population=Population(
-            ScoreGrid((300, 400, 500, 600, 700, 850), 100), LENDING.population.groups
-        ),
-    ),
-    "pmf_sums_to_0.9": _lending_with(B=_B.with_pmf(_B.pmf * 0.9)),
-    "negative_horizon": replace(LENDING, horizon=-1),
-    "horizon_over_the_cap": replace(LENDING, horizon=MAX_HORIZON + 1),
-    "zero_regime_tolerance": replace(LENDING, tolerances=scenarios.Tolerances(0.0)),
-    "nan_regime_tolerance": replace(LENDING, tolerances=scenarios.Tolerances(math.nan)),
-    "negative_regime_tolerance": replace(
-        LENDING, tolerances=scenarios.Tolerances(-1.0)
-    ),
-    "unknown_metric_group": replace(LENDING, metric_groups=("A", "Z")),
-}
+
+
+def _population_with(**groups):
+    """``LENDING``'s population with some of its groups, named by label,
+    replaced."""
+    pop = LENDING.population
+    return pop.with_groups([groups.get(g.group_id, g) for g in pop.groups])
 
 
 class TestUnknownGroupLabels:
     def test_metric_pair(self):
-        cfg = replace(LENDING, metric_groups=("A", "Z"))
         message = "metric pair: unknown group label 'Z'"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            run_scenario(cfg)
-        with pytest.raises(DomainError, match=f"^sweep draw 0: {re.escape(message)}$"):
-            sensitivity_sweep(cfg, 0.01, 3, 0)
+            replace(LENDING, metric_groups=("A", "Z"))
 
     @pytest.mark.parametrize("kind", INTERVENTION_KINDS)
-    def test_intervention_group_rejected_when_the_engine_is_built(self, kind):
+    def test_intervention_group_rejected_before_a_run(self, kind):
         iv = InterventionRule(
             kind=kind,
             group="Z",
@@ -1298,22 +1278,19 @@ class TestUnknownGroupLabels:
         )
         message = "interventions[0].group: unknown group label 'Z'"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            _ScenarioEngine(LENDING, (iv,))
+            replace(LENDING, interventions=(iv,))
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             run_scenario(LENDING, [iv])
-        with pytest.raises(DomainError, match=re.escape(message)):
-            sensitivity_sweep(replace(LENDING, interventions=(iv,)), 0.01, 3, 0)
+        with pytest.raises(DomainError, match=f"^variants.b.{re.escape(message)}$"):
+            compare_interventions(LENDING, [("a", ()), ("b", [iv])])
 
     def test_fixed_rule_without_a_groups_vector(self):
         rule = scenarios.PolicyRuleSpec("fixed", tau={"A": np.ones(6)})
-        cfg = replace(LENDING, policy_rule=rule)
         message = "policy_rule.tau: missing groups ['B']"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            run_scenario(cfg)
-        with pytest.raises(DomainError, match=f"^sweep draw 0: {re.escape(message)}$"):
-            sensitivity_sweep(cfg, 0.01, 3, 0)
+            replace(LENDING, policy_rule=rule)
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            scenarios.build_policy(cfg, cfg.population, rule, cfg.resolution)
+            scenarios.build_policy(LENDING, LENDING.population, rule, LENDING.resolution)
 
     def test_fixed_rule_checked_against_the_grid(self):
         rule = scenarios.PolicyRuleSpec("fixed", tau={"A": np.ones(5), "B": np.ones(5)})
@@ -1323,184 +1300,275 @@ class TestUnknownGroupLabels:
             run_scenario(replace(LENDING, policy_rule=rule))
 
 
-def _with_goal(**fields):
-    return replace(LENDING, declared_goal=replace(LENDING.declared_goal, **fields))
-
-
 _LENDING_POLICY = initial_policy(LENDING)
-# Each way into a run of a config, with the prefix its error message takes.
+
+
+def _simulate(changes):
+    """``simulate`` on the start of ``LENDING`` with ``changes``, which
+    construction would reject."""
+    cfg = unchecked_config(LENDING, **changes)
+    return simulate(
+        cfg.population, lambda t, p: _LENDING_POLICY, cfg.outcome,
+        cfg.institution, cfg.horizon, cfg.tolerances.regime, cfg.metric_groups,
+    )
+
+
+# Each way to meet a field that construction rejects, a call on the changes
+# to ``LENDING`` that hold it, with its message given construction's.
 _ENTRIES = {
-    "run": (run_scenario, ""),
-    "sweep": (lambda cfg: sensitivity_sweep(cfg, 0.01, 3, 0), "sweep draw 0: "),
+    "init": (
+        lambda changes: scenarios.ScenarioConfig(**{**vars(LENDING), **changes}),
+        str,
+    ),
+    "replace": (lambda changes: replace(LENDING, **changes), str),
+    # A run's own list of interventions, and a variant of a comparison.
+    "run": (lambda changes: run_scenario(LENDING, changes["interventions"]), str),
+    "compare": (
+        lambda changes: compare_interventions(
+            LENDING, [("a", ()), ("b", changes["interventions"])]
+        ),
+        lambda message: message.replace("interventions[", "variants.b.interventions["),
+    ),
     "build_policy": (
-        lambda cfg: scenarios.build_policy(
-            cfg, cfg.population, cfg.policy_rule, cfg.resolution
+        lambda changes: scenarios.build_policy(
+            LENDING, LENDING.population,
+            changes.get("policy_rule", LENDING.policy_rule),
+            changes.get("resolution", LENDING.resolution),
         ),
-        "",
+        str,
     ),
-    "compare": (lambda cfg: compare_interventions(cfg, [("a", ()), ("b", ())]), ""),
-    "simulate": (
-        lambda cfg: simulate(
-            cfg.population, lambda t, p: _LENDING_POLICY, cfg.outcome,
-            cfg.institution, cfg.horizon, cfg.tolerances.regime, cfg.metric_groups,
-        ),
-        "",
-    ),
+    "simulate": (_simulate, str),
     "classify_regime": (
-        lambda cfg: dynamics.classify_regime(0.0, cfg.tolerances.regime), ""
+        lambda changes: dynamics.classify_regime(0.0, changes["tolerances"].regime),
+        str,
     ),
 }
+_BUILT = ("init", "replace")
+_LISTS = (*_BUILT, "run", "compare")
+_RULES = (*_BUILT, "build_policy")
+_STARTS = (*_BUILT, "simulate")
+_TOLERANCES = (*_STARTS, "classify_regime")
 _QUOTA = InterventionRule("quota", "B", target_share=0.5, sunset=SunsetRule(0.01, 2))
-_RUNS = ("run", "sweep", "compare")
 
 
-def _with_intervention(iv):
-    return replace(LENDING, interventions=(iv,))
+def _goal(**fields):
+    return {"declared_goal": replace(LENDING.declared_goal, **fields)}
 
 
-# Configs built in code with a field that the scenario loader would reject,
-# the entries that read it and the error message each raises.
+def _rule(kind, **fields):
+    return {"policy_rule": scenarios.PolicyRuleSpec(kind, **fields)}
+
+
+def _intervention(iv):
+    return {"interventions": (iv,)}
+
+
+# Changes to ``LENDING`` that its construction rejects, the entries that
+# meet them and the error message each raises.
 _CODE_BUILT = {
     "fixed_rule_without_tau": (
-        replace(LENDING, policy_rule=scenarios.PolicyRuleSpec("fixed")),
-        (*_RUNS, "build_policy"),
-        "policy_rule.tau required for a fixed rule",
+        _rule("fixed"), _RULES, "policy_rule.tau required for a fixed rule"
     ),
     "fixed_rule_of_an_unknown_group": (
-        replace(
-            LENDING,
-            policy_rule=scenarios.PolicyRuleSpec(
-                "fixed", tau={gid: np.ones(6) for gid in ("A", "B", "Z")}
-            ),
-        ),
-        (*_RUNS, "build_policy"),
+        _rule("fixed", tau={gid: np.ones(6) for gid in ("A", "B", "Z")}),
+        _RULES,
         "policy_rule.tau[Z]: unknown group label 'Z'",
     ),
     "constrained_rule_without_constraint": (
-        replace(LENDING, policy_rule=scenarios.PolicyRuleSpec("constrained")),
-        (*_RUNS, "build_policy"),
+        _rule("constrained"),
+        _RULES,
         "policy_rule.constraint must be one of ('dp', 'eo')",
     ),
     "unknown_rule_kind": (
-        replace(LENDING, policy_rule=scenarios.PolicyRuleSpec("bogus")),
-        (*_RUNS, "build_policy"),
+        _rule("bogus"),
+        _RULES,
         "policy_rule.kind must be one of ('fixed', 'max_utility', 'constrained', "
         "'outcome_optimal'), got 'bogus'",
     ),
     "outcome_optimal_rule_without_target": (
-        replace(LENDING, policy_rule=scenarios.PolicyRuleSpec("outcome_optimal")),
-        (*_RUNS, "build_policy"),
+        _rule("outcome_optimal"),
+        _RULES,
         "policy_rule.target_group required for outcome_optimal",
     ),
     "rho_without_a_group": (
-        replace(
-            LENDING,
-            outcome=replace(LENDING.outcome, rho={"A": LENDING.outcome.rho["A"]}),
-        ),
-        (*_RUNS, "build_policy"),
+        {"outcome": replace(LENDING.outcome, rho={"A": LENDING.outcome.rho["A"]})},
+        _BUILT,
         "outcome.rho missing group 'B'",
     ),
     "rho_of_five_bins_on_six": (
-        replace(
-            LENDING,
-            outcome=replace(
+        {
+            "outcome": replace(
                 LENDING.outcome,
                 rho={"A": LENDING.outcome.rho["A"][:5], "B": LENDING.outcome.rho["B"]},
-            ),
-        ),
-        (*_RUNS, "build_policy"),
+            )
+        },
+        _BUILT,
         "outcome.rho['A'] length != grid length",
     ),
     "unknown_intervention_kind": (
-        _with_intervention(InterventionRule("bogus", "B")),
-        _RUNS,
+        _intervention(InterventionRule("bogus", "B")),
+        _LISTS,
         "interventions[0].kind: unknown intervention kind 'bogus'",
     ),
     "quota_sunset_window_zero": (
-        _with_intervention(replace(_QUOTA, sunset=SunsetRule(0.01, 0))),
-        _RUNS,
+        _intervention(replace(_QUOTA, sunset=SunsetRule(0.01, 0))),
+        _LISTS,
         "interventions[0].sunset: eps must be >= 0 and window >= 1",
     ),
     "quota_sunset_window_fraction": (
-        _with_intervention(replace(_QUOTA, sunset=SunsetRule(0.01, 2.5))),
-        _RUNS,
+        _intervention(replace(_QUOTA, sunset=SunsetRule(0.01, 2.5))),
+        _LISTS,
         "interventions[0].sunset.window must be an integer, got 2.5",
     ),
     "quota_sunset_eps_negative": (
-        _with_intervention(replace(_QUOTA, sunset=SunsetRule(-1.0, 2))),
-        _RUNS,
+        _intervention(replace(_QUOTA, sunset=SunsetRule(-1.0, 2))),
+        _LISTS,
         "interventions[0].sunset: eps must be >= 0 and window >= 1",
     ),
     "active_from_negative": (
-        _with_intervention(replace(_QUOTA, active_from=-3)),
-        _RUNS,
+        _intervention(replace(_QUOTA, active_from=-3)),
+        _LISTS,
         "interventions[0].active_from must be >= 0",
     ),
     "active_from_fraction": (
-        _with_intervention(replace(_QUOTA, active_from=2.5)),
-        _RUNS,
+        _intervention(replace(_QUOTA, active_from=2.5)),
+        _LISTS,
         "interventions[0].active_from must be an integer, got 2.5",
     ),
     "quota_without_target_share": (
-        _with_intervention(replace(_QUOTA, target_share=None)),
-        _RUNS,
+        _intervention(replace(_QUOTA, target_share=None)),
+        _LISTS,
         "missing field interventions[0].target_share",
     ),
     "quota_without_sunset": (
-        _with_intervention(replace(_QUOTA, sunset=None)),
-        _RUNS,
+        _intervention(replace(_QUOTA, sunset=None)),
+        _LISTS,
         "missing field interventions[0].sunset",
     ),
     "pipeline_without_shift_fraction": (
-        _with_intervention(InterventionRule("pipeline_investment", "B")),
-        _RUNS,
+        _intervention(InterventionRule("pipeline_investment", "B")),
+        _LISTS,
         "missing field interventions[0].shift_fraction",
     ),
     "role_model_without_strength": (
-        _with_intervention(InterventionRule("role_model_feedback", "B")),
-        _RUNS,
+        _intervention(InterventionRule("role_model_feedback", "B")),
+        _LISTS,
         "missing field interventions[0].strength",
     ),
     "one_metric_group": (
-        replace(LENDING, metric_groups=("A",)),
-        (*_RUNS, "simulate"),
+        {"metric_groups": ("A",)},
+        _STARTS,
         "metric pair must name exactly two groups, got ('A',)",
     ),
     "three_metric_groups": (
-        replace(LENDING, metric_groups=("A", "B", "A")),
-        (*_RUNS, "simulate"),
+        {"metric_groups": ("A", "B", "A")},
+        _STARTS,
         "metric pair must name exactly two groups, got ('A', 'B', 'A')",
     ),
+    "unknown_metric_group": (
+        {"metric_groups": ("A", "Z")},
+        _STARTS,
+        "metric pair: unknown group label 'Z'",
+    ),
     "infinite_regime_tolerance": (
-        replace(LENDING, tolerances=scenarios.Tolerances(math.inf)),
-        (*_RUNS, "simulate", "classify_regime"),
+        {"tolerances": scenarios.Tolerances(math.inf)},
+        _TOLERANCES,
         "regime tolerance inf must be positive and finite",
     ),
+    "zero_regime_tolerance": (
+        {"tolerances": scenarios.Tolerances(0.0)},
+        _TOLERANCES,
+        "regime tolerance 0.0 must be positive and finite",
+    ),
+    "nan_regime_tolerance": (
+        {"tolerances": scenarios.Tolerances(math.nan)},
+        _TOLERANCES,
+        "regime tolerance nan must be positive and finite",
+    ),
+    "negative_regime_tolerance": (
+        {"tolerances": scenarios.Tolerances(-1.0)},
+        _TOLERANCES,
+        "regime tolerance -1.0 must be positive and finite",
+    ),
+    "negative_horizon": ({"horizon": -1}, _STARTS, "horizon -1 outside [0, 100000]"),
+    "horizon_over_the_cap": (
+        {"horizon": MAX_HORIZON + 1}, _STARTS, "horizon 100001 outside [0, 100000]"
+    ),
+    "proportions_sum_to_half": (
+        {"population": _population_with(A=_A.with_proportion(0.4))},
+        _STARTS,
+        "invalid population: proportions sum 0.5 != 1",
+    ),
+    "bin_score_off_the_spacing": (
+        {
+            "population": Population(
+                ScoreGrid((300, 400, 500, 600, 700, 850), 100),
+                LENDING.population.groups,
+            )
+        },
+        _STARTS,
+        "invalid population: bin spacing deviates from bin_width by up to 50",
+    ),
+    "pmf_sums_to_0.9": (
+        {"population": _population_with(B=_B.with_pmf(_B.pmf * 0.9))},
+        _STARTS,
+        "invalid population: group 'B': pmf sum 0.9 != 1",
+    ),
     "unknown_goal_metric": (
-        _with_goal(metric="bogus"),
-        _RUNS,
+        _goal(metric="bogus"),
+        _BUILT,
         "declared_goal.metric must be one of ('dp_gap', 'eo_gap', 'eodds_gap', "
         "'delta_mu'), got 'bogus'",
     ),
     "nan_goal_tolerance": (
-        _with_goal(tolerance=math.nan),
-        _RUNS,
+        _goal(tolerance=math.nan),
+        _BUILT,
         "declared_goal.tolerance must be a number, got nan",
     ),
     "delta_mu_goal_without_target": (
-        _with_goal(target_group=None),
-        _RUNS,
+        _goal(target_group=None),
+        _BUILT,
         "declared_goal.target_group required for delta_mu goal",
     ),
     "delta_mu_goal_of_unknown_group": (
-        _with_goal(target_group="Z"),
-        _RUNS,
+        _goal(target_group="Z"),
+        _BUILT,
         "declared_goal.target_group: unknown group label 'Z'",
     ),
+    # A field of the wrong type.
+    "goal_tolerance_none": (
+        _goal(tolerance=None),
+        _BUILT,
+        "declared_goal.tolerance must be a real number, got None",
+    ),
+    "resolution_none": (
+        {"resolution": None}, _RULES, "resolution must be a real number, got None"
+    ),
+    "resolution_string": (
+        {"resolution": "0.5"}, _RULES, "resolution must be a real number, got '0.5'"
+    ),
+    "quota_share_string": (
+        _intervention(replace(_QUOTA, target_share="0.5")),
+        _LISTS,
+        "interventions[0].target_share must be a real number, got '0.5'",
+    ),
+    "quota_sunset_tuple": (
+        _intervention(replace(_QUOTA, sunset=(0.1, 2))),
+        _LISTS,
+        "interventions[0].sunset must be a SunsetRule, got (0.1, 2)",
+    ),
+    "quota_share_bool": (
+        _intervention(replace(_QUOTA, target_share=True)),
+        _LISTS,
+        "interventions[0].target_share must be a real number, got True",
+    ),
 }
-_GOAL_CASES = (
-    "unknown_goal_metric", "nan_goal_tolerance", "delta_mu_goal_without_target",
-    "delta_mu_goal_of_unknown_group",
+# Cases that a scenario file cannot hold: it leaves out a None field, which
+# is then missing; it holds a list, not a tuple; and its float fields read a
+# numeric string as the number, since PyYAML reads ``1e-6`` as a string.
+_NOT_IN_A_FILE = (
+    "goal_tolerance_none", "quota_sunset_tuple", "resolution_string",
+    "quota_share_string",
 )
 
 
@@ -1570,6 +1638,8 @@ def _write_file(tmp_path, cfg) -> str:
     return str(path)
 
 
+
+
 class TestCodeBuiltConfigs:
     @pytest.mark.parametrize(
         "case,entry",
@@ -1578,11 +1648,11 @@ class TestCodeBuiltConfigs:
         ids=lambda value: value,
     )
     def test_fails_with_a_package_error_naming_the_field(self, case, entry):
-        cfg, _, message = _CODE_BUILT[case]
-        call, prefix = _ENTRIES[entry]
+        changes, _, message = _CODE_BUILT[case]
+        call, expected = _ENTRIES[entry]
         with pytest.raises(FairdynError) as info:
-            call(cfg)
-        assert str(info.value) == prefix + message
+            call(changes)
+        assert str(info.value) == expected(message)
 
     def test_a_file_declares_the_config_it_is_written_from(self, tmp_path):
         for cfg in (LENDING, BOARDS):
@@ -1592,19 +1662,22 @@ class TestCodeBuiltConfigs:
             )
             assert loaded.variants == cfg.variants
 
-    @pytest.mark.parametrize("case", _CODE_BUILT)
-    def test_a_file_fails_with_the_message_of_the_run(self, tmp_path, case):
-        # Every case can be written as a file; the loader's message is the
-        # run's, prefixed with the file.
-        cfg, _, message = _CODE_BUILT[case]
-        path = _write_file(tmp_path, cfg)
+    @pytest.mark.parametrize(
+        "case", [case for case in _CODE_BUILT if case not in _NOT_IN_A_FILE]
+    )
+    def test_a_file_fails_with_the_message_of_the_construction(self, tmp_path, case):
+        # The loader's message is construction's, prefixed with the file.
+        changes, _, message = _CODE_BUILT[case]
+        path = _write_file(tmp_path, unchecked_config(LENDING, **changes))
         with pytest.raises(ConfigError) as info:
             load_scenario(path)
         assert str(info.value) == f"scenario file {path}: {message}"
 
-    @pytest.mark.parametrize("entry", ["compare", "sweep"])
-    @pytest.mark.parametrize("case", _GOAL_CASES)
-    def test_a_bad_goal_raises_before_any_run(self, monkeypatch, case, entry):
+    @pytest.mark.parametrize(
+        "case",
+        [case for case, (_, entries, _) in _CODE_BUILT.items() if "compare" in entries],
+    )
+    def test_a_bad_variant_raises_before_any_run(self, monkeypatch, case):
         calls = []
         real = dynamics._run
 
@@ -1614,37 +1687,17 @@ class TestCodeBuiltConfigs:
 
         monkeypatch.setattr(dynamics, "_run", counted)
         monkeypatch.setattr(scenarios, "_run", counted)
-        cfg, _, message = _CODE_BUILT[case]
-        call, prefix = _ENTRIES[entry]
+        changes, _, message = _CODE_BUILT[case]
+        call, expected = _ENTRIES["compare"]
         with pytest.raises(DomainError) as info:
-            call(cfg)
-        assert str(info.value) == prefix + message
+            call(changes)
+        assert str(info.value) == expected(message)
         assert calls == []
-        call(LENDING)
+        call({"interventions": ()})
         assert calls
 
 
-class TestSweepChecksAsRunScenario:
-    @pytest.mark.parametrize("cfg", _REJECTED.values(), ids=_REJECTED.keys())
-    def test_same_error_as_run_scenario(self, cfg):
-        with pytest.raises(Exception) as alone:
-            run_scenario(cfg)
-        with pytest.raises(type(alone.value)) as swept:
-            sensitivity_sweep(cfg, 0.01, 3, 0)
-        assert type(swept.value) is type(alone.value)
-        assert str(swept.value) in (str(alone.value), f"sweep draw 0: {alone.value}")
-
-    def test_horizon_over_the_cap_raises_before_allocating(self):
-        tracemalloc.start()
-        try:
-            with pytest.raises(DomainError, match=r"^horizon 100001 outside"):
-                sensitivity_sweep(_REJECTED["horizon_over_the_cap"], 0.01, 3, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # One draw's state would take 9.6 MB.
-        assert peak < 2**20
-
+class TestConfigChecksAsSimulate:
     @pytest.mark.parametrize(
         "rule",
         [
@@ -1659,9 +1712,216 @@ class TestSweepChecksAsRunScenario:
     )
     def test_template_pmf_of_the_wrong_length_names_its_group(self, rule):
         # One error whatever the rule: the population check decides.
-        cfg = replace(_lending_with(B=_B.with_pmf(_B.pmf[:5])), policy_rule=rule)
+        changes = {
+            "population": _population_with(B=_B.with_pmf(_B.pmf[:5])),
+            "policy_rule": rule,
+        }
         message = "invalid population: group 'B': pmf length 5 != grid length 6"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            run_scenario(cfg)
+            replace(LENDING, **changes)
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            sensitivity_sweep(cfg, 0.01, 3, 0)
+            _simulate(changes)
+
+
+_IR = InterventionRule
+# ``BOARDS`` with one intervention of each kind and a short horizon.
+_FUZZ_BASE = replace(
+    BOARDS,
+    horizon=6,
+    interventions=(
+        BOARDS.interventions[0],
+        _IR("pipeline_investment", "women", shift_fraction=0.25),
+        _IR("role_model_feedback", "women", active_from=2, strength=0.5),
+    ),
+)
+_SHARES = (0.0, 0.25, 1.0, -0.0, -1e-9, 1.0000001)
+_COUNTS = (0, 1, 3, 3.0, -1, 2.5)
+# Valid and boundary values of every field, by its path with an
+# intervention's index left out. A horizon of ``MAX_HORIZON`` is left out
+# for its run time.
+_FUZZ_VALUES = {
+    ("name",): ("boards",),
+    ("declared_goal",): (
+        scenarios.DeclaredGoal("g", "eo_gap", 0.1),
+        scenarios.DeclaredGoal("g", "delta_mu", 0.0, "women"),
+        scenarios.DeclaredGoal("g", "delta_mu", 0.0),
+    ),
+    ("population",): (
+        BOARDS.population,
+        LENDING.population,
+        BOARDS.population.with_groups(
+            [g.with_proportion(p) for g, p in zip(BOARDS.population.groups, (1, 0))]
+        ),
+    ),
+    ("outcome",): (
+        OutcomeModel(BOARDS.outcome.rho, 1, 2),
+        OutcomeModel({"men": BOARDS.outcome.rho["men"]}, 0, 0),
+    ),
+    ("institution",): (scenarios.InstitutionModel(1.0, -4.0),),
+    ("policy_rule",): (
+        scenarios.PolicyRuleSpec("constrained", constraint="eo"),
+        scenarios.PolicyRuleSpec("outcome_optimal", target_group="women"),
+        scenarios.PolicyRuleSpec(
+            "fixed", tau={"men": np.ones(5), "women": np.zeros(5)}
+        ),
+        scenarios.PolicyRuleSpec("fixed"),
+    ),
+    ("interventions",): ((), BOARDS.interventions),
+    ("horizon",): (0, 1, 6, 6.0, -1, MAX_HORIZON + 1, 2.5),
+    ("tolerances",): (scenarios.Tolerances(1e-3),),
+    ("seed",): (0, 2**40, 3.0, -1, 1.5),
+    ("resolution",): (1.0, 0.25, 0.0, -0.0, 1.0000001),
+    ("metric_groups",): (
+        ("women", "women"), ["women", "men"], ("men",), ("men", "zz"),
+    ),
+    ("variants",): ({}, {"v": [BOARDS.interventions[0]]}),
+    ("declared_goal", "label"): ("",),
+    ("declared_goal", "metric"): (*scenarios.GOAL_METRICS, "bogus"),
+    ("declared_goal", "tolerance"): (0.0, -1.0, 1e300),
+    ("declared_goal", "target_group"): ("women", "zz"),
+    ("policy_rule", "kind"): (*scenarios.POLICY_KINDS, "bogus"),
+    ("policy_rule", "tau"): (
+        {"men": np.ones(5), "women": np.zeros(5)}, {"men": np.ones(5)}
+    ),
+    ("policy_rule", "constraint"): ("dp", "bogus"),
+    ("policy_rule", "target_group"): ("women", "zz"),
+    ("policy_rule", "utility_floor"): (0.0, -1.0),
+    ("tolerances", "regime"): (1e-3, 1.0, 0.0, -1.0, 5e-324),
+    ("interventions", "kind"): (*INTERVENTION_KINDS, "bogus"),
+    ("interventions", "group"): ("men", "zz"),
+    ("interventions", "active_from"): (*_COUNTS, 10**6),
+    ("interventions", "target_share"): _SHARES,
+    ("interventions", "shift_fraction"): _SHARES,
+    ("interventions", "strength"): _SHARES,
+    ("interventions", "sunset"): (
+        SunsetRule(0.0, 1), SunsetRule(-1.0, 3), SunsetRule(0.1, 0)
+    ),
+    ("interventions", "sunset", "eps"): (0.0, 1.0, -1e-9),
+    ("interventions", "sunset", "window"): _COUNTS,
+}
+_JUNK = (None, "x", "0.5", True, (0.1, 2), math.nan, math.inf)
+# Names a rejected field's message may give it.
+_FIELD_NAMES = (
+    *(f.name for f in dataclasses.fields(scenarios.ScenarioConfig) if f.name != "name"),
+    "metric pair", "regime tolerance",
+)
+# How ``_as_file`` writes a field and the loader reads it: a string field
+# is read with ``str``, a float field also takes a numeric string, and a
+# field ``_as_file`` leaves out when None is then missing, unless the
+# loader reads its absence as None.
+_STR_FIELDS = {
+    ("declared_goal", "label"), ("declared_goal", "metric"),
+    ("declared_goal", "target_group"), ("policy_rule", "kind"),
+    ("policy_rule", "constraint"), ("policy_rule", "target_group"),
+    ("interventions", "kind"), ("interventions", "group"),
+}
+_FLOAT_FIELDS = {
+    ("declared_goal", "tolerance"), ("policy_rule", "utility_floor"),
+    ("resolution",), ("tolerances", "regime"), ("interventions", "target_share"),
+    ("interventions", "shift_fraction"), ("interventions", "strength"),
+    ("interventions", "sunset", "eps"),
+}
+_INT_FIELDS = {
+    ("horizon",), ("seed",), ("interventions", "active_from"),
+    ("interventions", "sunset", "window"),
+}
+_LEFT_OUT_IF_NONE = {
+    key for key in _FUZZ_VALUES
+    if key[0] in ("declared_goal", "policy_rule")
+    or (key[0] == "interventions" and len(key) == 2)
+}
+_ABSENT_IS_NONE = {
+    ("declared_goal", "target_group"), ("policy_rule", "constraint"),
+    ("policy_rule", "target_group"), ("interventions", "target_share"),
+    ("interventions", "shift_fraction"), ("interventions", "strength"),
+    ("interventions", "sunset"),
+}
+
+
+def _numeric(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _file_holds(key, value) -> bool:
+    """Whether a file written by ``_as_file`` with ``value`` at the field
+    ``key`` reads back ``value``; a tuple is written as a list."""
+    if key not in _STR_FIELDS | _FLOAT_FIELDS | _INT_FIELDS:
+        return False
+    if value is None:
+        return key not in _LEFT_OUT_IF_NONE or key in _ABSENT_IS_NONE
+    if key in _STR_FIELDS:
+        return isinstance(value, str)
+    if isinstance(value, str) and key in _FLOAT_FIELDS:
+        return not _numeric(value)
+    return not isinstance(value, tuple)
+
+
+def _kind_fits(iv) -> bool:
+    """Whether a file can hold ``iv``: it holds only its kind's parameter
+    keys, or any kind's for an unknown kind."""
+    params = ("target_share", "sunset", "shift_fraction", "strength")
+    own = scenarios._KEYS[iv.kind] if iv.kind in INTERVENTION_KINDS else params
+    return all(getattr(iv, key) is None or key in own for key in params)
+
+
+def _set(record, path, value):
+    """``record`` with the field at ``path`` set to ``value``, unchecked."""
+    head, *rest = path
+    if isinstance(head, int):
+        items = list(record)
+        items[head] = _set(items[head], rest, value)
+        return tuple(items)
+    if rest:
+        value = _set(getattr(record, head), rest, value)
+    if isinstance(record, scenarios.ScenarioConfig):
+        return unchecked_config(record, **{head: value})
+    return replace(record, **{head: value})
+
+
+@st.composite
+def _field_draws(draw):
+    """A field's path, its key in ``_FUZZ_VALUES`` and a value for it."""
+    key = draw(st.sampled_from(sorted(_FUZZ_VALUES)))
+    value = draw(st.sampled_from(_FUZZ_VALUES[key] + _JUNK))
+    path = key
+    if key[0] == "interventions" and len(key) > 1:
+        # Only the quota (intervention 0) has a sunset.
+        index = 0 if "sunset" in key else draw(st.integers(0, 2))
+        path = (key[0], index, *key[1:])
+    return path, key, value
+
+
+class TestConfigFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(draw=_field_draws())
+    def test_a_config_is_rejected_naming_a_field_or_runs(self, tmp_path_factory, draw):
+        # One field of a valid config set to a valid, boundary or junk value.
+        path, key, value = draw
+        cfg = _set(_FUZZ_BASE, path, value)
+        file = None
+        if _file_holds(key, value) and all(map(_kind_fits, cfg.interventions)):
+            file = _write_file(tmp_path_factory.getbasetemp(), cfg)
+        try:
+            built = scenarios.ScenarioConfig(**vars(cfg))
+        except FairdynError as exc:
+            message = str(exc)
+            assert any(name in message for name in _FIELD_NAMES), message
+            if file is not None:
+                with pytest.raises(ConfigError) as info:
+                    load_scenario(file)
+                assert str(info.value) == f"scenario file {file}: {message}"
+            return
+        if file is not None:
+            load_scenario(file)
+        try:
+            c = run_scenario(built).columns
+        except InfeasibilityError:
+            # A quota whose share the accepted mass cannot reach, reported
+            # at its step: the dynamics', not the declaration's, failure.
+            return
+        assert np.abs(c.states.sum(axis=2) - 1.0).max() <= MASS_TOL
+        assert np.abs(c.proportions.sum(axis=1) - 1.0).max() <= MASS_TOL
