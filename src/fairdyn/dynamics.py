@@ -66,8 +66,8 @@ class TrajectoryColumns:
     ``group_ids``.
 
     ``states`` (steps, groups, bins) and ``proportions`` hold the population
-    after the hook; ``initial`` is the population ``policy_fn`` saw at step
-    0, ``pop`` itself in a run without hooks. ``policies`` holds each step's
+    after the hook; ``initial`` is the population of step 0 after the hook,
+    ``pop`` itself in a run without hooks. ``policies`` holds each step's
     policy, one shared object for the steps a policy serves. ``mean_score``,
     ``acceptance``, ``tpr``, ``fpr`` and ``delta_mu`` are (steps, groups);
     ``tpr``/``fpr`` are NaN where a group has no qualified/unqualified mass.
@@ -393,9 +393,10 @@ def step(
     The result is a population over read-only views of a fresh (groups,
     bins) matrix, or of ``out`` when given: ``simulate`` passes the next
     row of its state array, so the step writes the next state in place. It
-    also passes the row that ``pop``'s groups view as ``_pmfs``, so the step
-    does not stack them again, and the step's ``_PolicyTerms`` as
-    ``_terms``, built once per policy object of the run.
+    also passes the step's row as ``_pmfs``, which the step advances in
+    place of ``pop``'s pmfs, and the step's ``_PolicyTerms`` as ``_terms``,
+    built once per policy object of the run; ``pop`` then gives only the
+    grid, the groups and the proportions of the result.
     """
     ids = pop.group_ids
     pmf = np.array([g.pmf for g in pop.groups]) if _pmfs is None else _pmfs
@@ -561,7 +562,7 @@ def simulate(
     pre_step: Optional[PreStepFn] = None,
     flags_fn: Optional[FlagsFn] = None,
     *,
-    _row_hook: Optional[RowHook] = None,
+    _engine=None,
 ) -> Trajectory:
     """Run the feedback model for ``horizon`` transitions.
 
@@ -580,18 +581,34 @@ def simulate(
 
     The checks and the loop are ``_run``'s; this run is its one-draw case.
     Its one hook slot is a ``RowHook`` that edits row ``t`` of the state in
-    place before ``policy_fn`` runs: ``pre_step`` is wrapped into it, and
-    ``run_scenario`` passes its engine's hook as ``_row_hook``. ``policy_fn``
-    sees a population over read-only views of row ``t``, and ``step``
-    writes each transition into the next row. The per-step columns are
-    computed after the loop, bit for bit as per-row ``pmf.dot`` calls would
-    give them; a non-finite ``delta_mu``, utility or mean score then raises
-    ``DomainError`` naming its step.
+    place before the step's policy is decided; ``pre_step`` is wrapped into
+    it. ``policy_fn`` sees a population over read-only views of row ``t``:
+    the one ``step`` returned at the step before, or one rebuilt after the
+    hook changed the proportions. ``step`` writes each transition into the
+    next row.
+
+    ``run_scenario`` passes its scenario engine as ``_engine``, in place of
+    ``policy_fn``, ``pre_step`` and ``flags_fn``: the engine's ``policy``
+    decides from the step's (pmfs, proportions) rows, as in a sweep block,
+    and with interventions its ``pre_step`` is the row hook and its
+    ``flags_fn`` gives the flags. No population is built for the engine.
+
+    The per-step columns are computed after the loop, bit for bit as per-row
+    ``pmf.dot`` calls would give them; a non-finite ``delta_mu``, utility or
+    mean score then raises ``DomainError`` naming its step.
     """
-    hook = _row_hook if pre_step is None else _pre_step_rows(pre_step, pop)
-    c = _run(
-        pop, policy_fn, outcome, inst, horizon, regime_tol, metric_pair, flags_fn, hook
-    )
+    if _engine is None:
+        hook = None if pre_step is None else _pre_step_rows(pre_step, pop)
+        c = _run(
+            pop, policy_fn, outcome, inst, horizon, regime_tol, metric_pair,
+            flags_fn, hook, views=True,
+        )
+    else:
+        hooks = bool(_engine.interventions)
+        c = _run(
+            pop, _engine.policy, outcome, inst, horizon, regime_tol, metric_pair,
+            _engine.flags_fn if hooks else None, _engine.pre_step if hooks else None,
+        )
     columns = TrajectoryColumns(
         pop.grid, pop.group_ids, c.metric_pair, c.initial, c.states, c.proportions,
         tuple(c.policies), c.mean_score, c.acceptance, c.tpr, c.fpr,
@@ -612,6 +629,7 @@ def _run(
     flags_fn: Optional[Callable] = None,
     hook: Optional[RowHook] = None,
     starts: Optional[np.ndarray] = None,
+    views: bool = False,
 ) -> _Runs:
     """Check a run's start, then run it over the stacked rows of one or more
     draws of ``pop``.
@@ -624,12 +642,14 @@ def _run(
     and in the order of a run of that draw on its own, so a draw gives bit
     for bit the numbers of its own run.
 
-    With ``starts`` None, the run of ``simulate``, the one draw starts from
-    ``pop``: ``policy_fn(t, pop)`` gets the step's population and returns a
-    ``Policy``, ``flags_fn(t)`` a tuple of flags, and each transition is one
-    call of ``step``. A sweep block's ``starts`` (draws, groups, bins) are
-    checked as ``pop`` is: ``policy_fn`` gets the step's (pmfs, proportions)
-    rows and returns each draw's policy, there are no flags, and
+    ``policy_fn(t, rows)`` gets the step's (pmfs, proportions) rows and
+    returns the step's policy; only with ``views``, the run of a user's
+    ``policy_fn``, does it get a ``Population`` over read-only views of the
+    rows instead. With ``starts`` None, the run of ``simulate``, the one draw
+    starts from ``pop``: ``policy_fn`` returns a ``Policy``, ``flags_fn(t)``
+    a tuple of flags, and each transition is one call of ``step``. A sweep
+    block's ``starts`` (draws, groups, bins) are checked as ``pop`` is:
+    ``policy_fn`` returns each draw's policy, there are no flags, and
     ``_advance`` moves every row.
     """
     horizon = _checked_horizon(horizon)
@@ -649,7 +669,7 @@ def _run(
     shares = proportions[0, :groups].tolist()
     if one:
         states[0] = [g.pmf for g in pop.groups]
-        if hook is not None:
+        if views and hook is not None:
             # The hook edits row 0 in place, which ``pop`` does not show.
             pop = _population_view(grid, group_ids, shares, states[0])
     else:
@@ -658,7 +678,9 @@ def _run(
             for lo in range(0, width, groups):
                 own = states[0, lo : lo + groups]
                 _require_valid(_population_view(grid, group_ids, shares, own))
+    # The population ``step`` is given; with ``views``, ``policy_fn``'s too.
     cur = pop
+    initial = None
     flags = []
     policies = []
     pol = None
@@ -674,17 +696,20 @@ def _run(
     for t in range(rows):
         if hook is not None and hook(t, states[t], proportions[t]):
             rescaled = True
-            if one:
+            if views:
                 cur = _population_view(
                     grid, group_ids, proportions[t].tolist(), states[t]
                 )
-        if not one:
-            cur = (states[t], proportions[t])
-        if t == 0:
-            initial = cur if one else None
+        if t == 0 and one:
+            initial = cur
+            if hook is not None and not views:
+                # Step 0 after the hook, which edited row 0 in place.
+                initial = _population_view(
+                    grid, group_ids, proportions[0].tolist(), states[0]
+                )
         last = pol
         try:
-            pol = policy_fn(t, cur)
+            pol = policy_fn(t, cur if views else (states[t], proportions[t]))
         except InfeasibilityError as exc:
             raise InfeasibilityError(f"step {t}: {exc}") from exc
         if pol is not last:
@@ -699,9 +724,16 @@ def _run(
         policies.append(pol)
         if t < horizon:
             if one:
-                cur = step(
+                # Each transition of a one-draw run stays one call of
+                # ``step``: the benchmark's tracer (bench/spans.py) counts a
+                # run's transitions and bin steps from its calls. Without
+                # ``views`` the population it returns is dropped, and
+                # ``cur`` stays ``pop``, read only for its grid and groups.
+                new = step(
                     cur, pol, outcome, out=states[t + 1], _pmfs=states[t], _terms=terms
                 )
+                if views:
+                    cur = new
             else:
                 up, down = outcome.steps_up, outcome.steps_down
                 _advance(terms, states[t], up, down, states[t + 1])

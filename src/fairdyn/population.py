@@ -44,10 +44,15 @@ def _integer(value, name: str, error: type[Exception] = DomainError) -> int:
     return int(value)
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number and not a bool; NaN and inf are
+    real numbers."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
 def _real(value, name: str, error: type[Exception] = DomainError):
-    """``value`` if it is a real number and not a bool, else ``error`` naming
-    it; NaN and inf are real numbers."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """``value`` if ``_is_real``, else ``error`` naming it."""
+    if not _is_real(value):
         raise error(f"{name} must be a real number, got {value!r}")
     return value
 
@@ -203,13 +208,20 @@ def _violations(p: Population) -> tuple[str, ...]:
             out.append(f"group {g.group_id!r}: pmf has a non-finite entry")
         elif abs(s - 1.0) > PROB_TOL:
             out.append(f"group {g.group_id!r}: pmf sum {s:.12g} != 1")
-        if not 0.0 <= g.proportion <= 1.0:
+        if not _is_real(g.proportion):
+            out.append(
+                f"group {g.group_id!r}: proportion must be a real number, "
+                f"got {g.proportion!r}"
+            )
+        elif not 0.0 <= g.proportion <= 1.0:
             out.append(
                 f"group {g.group_id!r}: proportion {g.proportion} outside [0,1]"
             )
-    total = sum(g.proportion for g in p.groups)
-    if p.groups and abs(total - 1.0) > PROB_TOL:
-        out.append(f"proportions sum {total:.12g} != 1")
+    # The sum of proportions that are not all real numbers is not checked.
+    if p.groups and all(_is_real(g.proportion) for g in p.groups):
+        total = sum(g.proportion for g in p.groups)
+        if abs(total - 1.0) > PROB_TOL:
+            out.append(f"proportions sum {total:.12g} != 1")
     return tuple(out)
 
 

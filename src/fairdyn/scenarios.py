@@ -21,7 +21,7 @@ from __future__ import annotations
 import importlib.resources
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -101,6 +101,13 @@ _KEYS = {
     "pipeline_investment": ("shift_fraction",),
     "role_model_feedback": ("strength",),
 }
+# The fields of a policy rule that each kind reads besides ``kind``.
+_RULE_READS = {
+    "fixed": ("tau",),
+    "max_utility": (),
+    "constrained": ("constraint",),
+    "outcome_optimal": ("target_group", "utility_floor"),
+}
 
 
 @dataclass(frozen=True)
@@ -151,6 +158,21 @@ def _typed(value, cls: type, name: str):
     return value
 
 
+def _check_unread(record, path: str, what: str, reads: Sequence[str]) -> None:
+    """Raise ``DomainError`` naming the first field of ``record``, a policy
+    rule or an intervention, that is not in ``reads`` and does not hold its
+    default: its kind does not read it."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.name in reads or value is f.default:
+            continue
+        if f.default is None or value != f.default:
+            raise DomainError(
+                f"{path}.{f.name}: a {record.kind} {what} does not read it; "
+                f"leave it unset"
+            )
+
+
 def _check_interventions(
     ivs: Sequence[InterventionRule], where: str, ids: tuple[str, ...]
 ) -> None:
@@ -182,6 +204,9 @@ def _check_interventions(
             window = _integer(sunset.window, path + ".sunset.window")
             if not eps >= 0 or window < 1:  # NaN fails too
                 raise DomainError(f"{path}.sunset: eps must be >= 0 and window >= 1")
+        _check_unread(
+            iv, path, "intervention", _KEYS["intervention"] + _KEYS[iv.kind]
+        )
 
 
 @dataclass(frozen=True)
@@ -267,6 +292,7 @@ class ScenarioConfig:
             raise DomainError("policy_rule.target_group required for outcome_optimal")
         if math.isnan(_real(rule.utility_floor, "policy_rule.utility_floor")):
             raise DomainError("policy_rule.utility_floor must be a number, got nan")
+        _check_unread(rule, "policy_rule", "rule", ("kind", *_RULE_READS[rule.kind]))
         if not 0.0 < _real(self.resolution, "resolution") <= 1.0:
             raise DomainError(f"resolution must be in (0, 1], got {self.resolution}")
         for label, where in [
@@ -512,8 +538,9 @@ def _shares(mass: list[float]) -> list[float]:
 
 class _ScenarioEngine:
     """Stateful hooks plugged into the dynamics loop to apply interventions:
-    ``pre_step``, the loop's row hook, and ``policy``, its ``policy_fn``,
-    which ``decide``s from the step's rows."""
+    ``pre_step``, the loop's row hook, ``policy``, which ``decide``s from
+    the step's rows, and ``flags_fn``. ``run_scenario`` hands the engine to
+    ``simulate``."""
 
     def __init__(self, cfg: ScenarioConfig, interventions, rule=None):
         self.cfg = cfg
@@ -576,11 +603,11 @@ class _ScenarioEngine:
             )
         return rescaled
 
-    def policy(self, t: int, pop: Population) -> Policy:
-        """The policy of step ``t`` for ``pop``, whose groups come in the
-        scenario's order: ``decide`` on its rows."""
-        groups = pop.groups
-        return self.decide(t, [g.pmf for g in groups], [g.proportion for g in groups])
+    def policy(self, t: int, step_rows: tuple[np.ndarray, np.ndarray]) -> Policy:
+        """The policy of step ``t``, which ``decide``s from the step's
+        (pmfs, proportions) rows, the groups in the scenario's order."""
+        pmfs, proportions = step_rows
+        return self.decide(t, pmfs, proportions.tolist())
 
     def decide(self, t: int, pmfs, proportions) -> Policy:
         """The policy of step ``t`` for the groups' ``pmfs`` and
@@ -663,7 +690,10 @@ class _ScenarioEngine:
 def initial_policy(cfg: ScenarioConfig) -> Policy:
     """The policy the scenario applies at step 0: its rule on the initial
     population, with the interventions that are active at step 0."""
-    return _ScenarioEngine(cfg, cfg.interventions).policy(0, cfg.population)
+    groups = cfg.population.groups
+    pmfs = np.array([g.pmf for g in groups])
+    proportions = np.array([g.proportion for g in groups], dtype=float)
+    return _ScenarioEngine(cfg, cfg.interventions).policy(0, (pmfs, proportions))
 
 
 def run_scenario(
@@ -680,17 +710,15 @@ def run_scenario(
     if interventions is not None:
         ivs = tuple(interventions)
         _check_interventions(ivs, "interventions", cfg.population.group_ids)
-    engine = _ScenarioEngine(cfg, ivs)
     return simulate(
         cfg.population,
-        engine.policy,
+        None,
         cfg.outcome,
         cfg.institution,
         cfg.horizon,
         regime_tol=cfg.tolerances.regime,
         metric_pair=cfg.metric_groups,
-        flags_fn=engine.flags_fn if ivs else None,
-        _row_hook=engine.pre_step if ivs else None,
+        _engine=_ScenarioEngine(cfg, ivs),
     )
 
 

@@ -18,8 +18,8 @@ from fairdyn.optimize import Constraint, constrained_policy, max_utility_policy
 from fairdyn.policy import Policy, institution_utility
 from fairdyn.population import group_mean, validate_population
 from fairdyn.scenarios import (
-    _ScenarioEngine,
     compare_interventions,
+    initial_policy,
     load_scenario,
     named_variants,
     run_scenario,
@@ -139,8 +139,7 @@ def test_ac4_dynamics_consistency(rng):
 def test_ac5_monte_carlo_agreement():
     start = time.perf_counter()
     cfg = load_scenario("lending_liu")
-    engine = _ScenarioEngine(cfg, cfg.interventions)
-    policy = engine.policy(0, cfg.population)
+    policy = initial_policy(cfg)
     n = 10**6
     rep = monte_carlo_validate(cfg.population, policy, cfg.outcome, n, cfg.seed)
     rep2 = monte_carlo_validate(cfg.population, policy, cfg.outcome, n, cfg.seed)

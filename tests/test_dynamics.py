@@ -718,9 +718,14 @@ def _hooked(run, cfg):
     the exception it raised."""
     engine = scenarios._ScenarioEngine(cfg, cfg.interventions)
     hooks = bool(cfg.interventions)
+
+    def policy_fn(t, pop):
+        groups = pop.groups
+        return engine.decide(t, [g.pmf for g in groups], [g.proportion for g in groups])
+
     try:
         return run(
-            cfg.population, engine.policy, cfg.outcome, cfg.institution,
+            cfg.population, policy_fn, cfg.outcome, cfg.institution,
             cfg.horizon, regime_tol=cfg.tolerances.regime,
             metric_pair=cfg.metric_groups,
             pre_step=dynamics_oracle.intervention_hook(engine) if hooks else None,
@@ -1071,6 +1076,62 @@ class TestHandedOutPopulations:
         first = traj.steps[0].population
         assert first is not cfg.population
         assert not np.array_equal(first.group("B").pmf, cfg.population.group("B").pmf)
+
+
+class TestViewsPerRun:
+    """A scenario's engine decides from the step's rows, so a run builds no
+    population for it; a user's ``policy_fn`` gets the population ``step``
+    returned, or one rebuilt after its ``pre_step`` changed the proportions."""
+
+    def test_scenario_run_builds_one_view_per_step_and_the_initial_one(
+        self, monkeypatch
+    ):
+        views = []
+        real = dynamics._population_view
+        monkeypatch.setattr(
+            dynamics, "_population_view", lambda *a: views.append(a) or real(*a)
+        )
+        iv = scenarios.InterventionRule("role_model_feedback", "B", strength=0.5)
+        traj = scenarios.run_scenario(replace(LENDING, horizon=50), (iv,))
+        # Every step rescales the proportions.
+        assert np.all(np.diff(traj.columns.proportions[:, 0]) != 0)
+        # One per call of ``step``, 50, and the initial population.
+        assert len(views) <= 51
+
+    def test_policy_fn_gets_the_population_step_returned(self, monkeypatch):
+        pop, out = two_groups()
+        pol = Policy.from_arrays({"a": np.full(3, 0.5), "b": np.ones(3)})
+        returned, seen = [], []
+
+        def recording(*args, **kwargs):
+            returned.append(step(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(dynamics, "step", recording)
+        simulate(pop, lambda t, p: seen.append(p) or pol, out, INST, 6)
+        assert len(returned) == 6 and len(seen) == 7
+        assert seen[0] is pop
+        for t, result in enumerate(returned):
+            assert seen[t + 1] is result
+
+    def test_policy_fn_sees_the_proportions_pre_step_rescaled(self):
+        pop, out = two_groups()
+        pol = Policy.from_arrays({"a": np.full(3, 0.5), "b": np.ones(3)})
+        seen = []
+
+        def pre_step(t, p):
+            shares = (0.3, 0.7) if t % 2 else (0.6, 0.4)
+            return p.with_groups(
+                [g.with_proportion(s) for g, s in zip(p.groups, shares)]
+            )
+
+        def policy_fn(t, p):
+            seen.append([g.proportion for g in p.groups])
+            return pol
+
+        traj = simulate(pop, policy_fn, out, INST, 5, pre_step=pre_step)
+        assert seen == [[0.3, 0.7] if t % 2 else [0.6, 0.4] for t in range(6)]
+        assert seen == traj.columns.proportions.tolist()
 
 
 def _draw_columns(runs, d, groups):

@@ -37,6 +37,17 @@ def test_proportion_sum_violation():
     assert any("0.6" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("proportion", ["0.9", None, True], ids=["string", "none", "bool"])
+def test_proportion_that_is_not_a_real_number(proportion):
+    pop = Population(
+        make_grid(2),
+        (GroupState("a", proportion, (0.5, 0.5)), GroupState("b", 0.1, (0.5, 0.5))),
+    )
+    assert validate_population(pop).violations == (
+        f"group 'a': proportion must be a real number, got {proportion!r}",
+    )
+
+
 def test_duplicate_labels_rejected():
     grid = make_grid(2)
     pop = Population(

@@ -401,7 +401,7 @@ class TestRunScenario:
         engine = _ScenarioEngine(LENDING, ())
         bare = simulate(
             LENDING.population,
-            engine.policy,
+            lambda t, pop: engine.policy(t, rows(pop)),
             LENDING.outcome,
             LENDING.institution,
             LENDING.horizon,
@@ -891,7 +891,7 @@ class TestAcceptedMass:
             or real(pmfs, proportions, taus),
         )
         engine = _ScenarioEngine(BOARDS, interventions)
-        engine.policy(t, BOARDS.population)
+        engine.policy(t, rows(BOARDS.population))
         return engine, len(calls)
 
     def test_no_mass_without_quota_or_role_model(self, monkeypatch):
@@ -1562,13 +1562,64 @@ _CODE_BUILT = {
         _LISTS,
         "interventions[0].target_share must be a real number, got True",
     ),
+    # A field that the kind of its rule or intervention does not read.
+    "max_utility_rule_with_tau_and_constraint": (
+        _rule("max_utility", tau="x", constraint="bogus"),
+        _RULES,
+        "policy_rule.tau: a max_utility rule does not read it; leave it unset",
+    ),
+    "max_utility_rule_with_constraint": (
+        _rule("max_utility", constraint="dp"),
+        _RULES,
+        "policy_rule.constraint: a max_utility rule does not read it; leave it unset",
+    ),
+    "constrained_rule_with_target_group": (
+        _rule("constrained", constraint="dp", target_group="B"),
+        _RULES,
+        "policy_rule.target_group: a constrained rule does not read it; "
+        "leave it unset",
+    ),
+    "fixed_rule_with_utility_floor": (
+        _rule("fixed", tau={"A": np.ones(6), "B": np.ones(6)}, utility_floor=0.0),
+        _RULES,
+        "policy_rule.utility_floor: a fixed rule does not read it; leave it unset",
+    ),
+    "quota_with_strength": (
+        _intervention(replace(_QUOTA, strength=0.5)),
+        _LISTS,
+        "interventions[0].strength: a quota intervention does not read it; "
+        "leave it unset",
+    ),
+    "role_model_with_sunset": (
+        _intervention(
+            InterventionRule(
+                "role_model_feedback", "B", strength=0.5, sunset=SunsetRule(0.01, 2)
+            )
+        ),
+        _LISTS,
+        "interventions[0].sunset: a role_model_feedback intervention does not "
+        "read it; leave it unset",
+    ),
+    **{
+        f"proportion_{name}": (
+            {"population": _population_with(A=GroupState("A", value, _A.pmf))},
+            _STARTS,
+            f"invalid population: group 'A': proportion must be a real number, "
+            f"got {value!r}",
+        )
+        for name, value in (("string", "0.9"), ("none", None), ("bool", True))
+    },
 }
 # Cases that a scenario file cannot hold: it leaves out a None field, which
-# is then missing; it holds a list, not a tuple; and its float fields read a
-# numeric string as the number, since PyYAML reads ``1e-6`` as a string.
+# is then missing; it holds a list, not a tuple; its float fields read a
+# numeric string as the number, since PyYAML reads ``1e-6`` as a string; the
+# loader reads a group's proportion with ``float``; and it rejects an
+# intervention's key of another kind as an unknown key.
 _NOT_IN_A_FILE = (
     "goal_tolerance_none", "quota_sunset_tuple", "resolution_string",
-    "quota_share_string",
+    "quota_share_string", "proportion_string", "proportion_none", "proportion_bool",
+    "max_utility_rule_with_tau_and_constraint", "quota_with_strength",
+    "role_model_with_sunset",
 )
 
 
