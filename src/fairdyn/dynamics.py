@@ -28,6 +28,7 @@ from .population import (
     _check_lengths,
     _integer,
     _pmfs_valid,
+    _real,
     validate_population,
 )
 
@@ -217,8 +218,10 @@ def _checked_horizon(horizon) -> int:
     return horizon
 
 
-def _check_regime_tol(tol: float) -> None:
-    if not 0 < tol < math.inf:  # NaN fails too
+def _check_regime_tol(tol: float, name: str) -> None:
+    """``DomainError`` unless ``tol``, the argument ``name``, is a real number
+    in (0, inf)."""
+    if not 0 < _real(tol, name) < math.inf:  # NaN fails too
         raise DomainError(f"regime tolerance {tol} must be positive and finite")
 
 
@@ -255,9 +258,9 @@ def _regime_codes(delta_mu: np.ndarray, tol: float) -> np.ndarray:
 
 
 def classify_regime(delta_mu: float, tol: float) -> RegimeLabel:
-    if not math.isfinite(delta_mu):
+    if not math.isfinite(_real(delta_mu, "delta_mu")):
         raise DomainError(f"delta mu {delta_mu} is not finite")
-    _check_regime_tol(tol)
+    _check_regime_tol(tol, "tol")
     return _REGIMES[int(_regime_codes(np.array([delta_mu], dtype=float), tol)[0])]
 
 
@@ -382,7 +385,7 @@ def step(
     out: Optional[np.ndarray] = None,
     _pmfs: Optional[np.ndarray] = None,
     _terms: Optional[_PolicyTerms] = None,
-) -> Population:
+) -> Optional[Population]:
     """Advance the population by one decision round.
 
     Accepted mass at each bin splits into a success part moving up and a
@@ -391,20 +394,22 @@ def step(
     rechecked, and on a valid population the step conserves each group's mass.
 
     The result is a population over read-only views of a fresh (groups,
-    bins) matrix, or of ``out`` when given: ``simulate`` passes the next
-    row of its state array, so the step writes the next state in place. It
-    also passes the step's row as ``_pmfs``, which the step advances in
-    place of ``pop``'s pmfs, and the step's ``_PolicyTerms`` as ``_terms``,
-    built once per policy object of the run; ``pop`` then gives only the
-    grid, the groups and the proportions of the result.
+    bins) matrix, or of ``out`` when given.
+
+    ``simulate`` passes the step's row of its state array as ``_pmfs``, the
+    next row as ``out`` and the step's ``_PolicyTerms``, built once per
+    policy object of the run, as ``_terms``: the step then advances
+    ``_pmfs`` into ``out`` and returns None, and ``pop`` is not read.
     """
+    if _terms is not None:
+        _advance(_terms, _pmfs, outcome.steps_up, outcome.steps_down, out)
+        return None
     ids = pop.group_ids
-    pmf = np.array([g.pmf for g in pop.groups]) if _pmfs is None else _pmfs
-    if _terms is None:
-        _terms = _PolicyTerms(policy, ids, pmf, *_success_rows(outcome, ids, pmf))
+    pmf = np.array([g.pmf for g in pop.groups])
+    terms = _PolicyTerms(policy, ids, pmf, *_success_rows(outcome, ids, pmf))
     if out is None:
         out = np.empty_like(pmf)
-    _advance(_terms, pmf, outcome.steps_up, outcome.steps_down, out)
+    _advance(terms, pmf, outcome.steps_up, outcome.steps_down, out)
     return _population_view(pop.grid, ids, [g.proportion for g in pop.groups], out)
 
 
@@ -525,7 +530,8 @@ def _pre_step_rows(pre_step: PreStepFn, pop: Population) -> RowHook:
     over a copy of the row, so a population it keeps never changes. The
     population it returns must be over a grid of equal values with the same
     groups in the same order, and pass ``validate_population``; its pmfs and
-    proportions are then copied into the row.
+    proportions are then copied into the row. The hook returns whether that
+    changed the row's proportions.
     """
     grid, ids = pop.grid, pop.group_ids
 
@@ -545,8 +551,9 @@ def _pre_step_rows(pre_step: PreStepFn, pop: Population) -> RowHook:
             )
         _require_valid(new)
         pmfs[:] = [g.pmf for g in new.groups]
+        before = proportions.tobytes()
         proportions[:] = [g.proportion for g in new.groups]
-        return True
+        return proportions.tobytes() != before
 
     return hook
 
@@ -582,10 +589,10 @@ def simulate(
     The checks and the loop are ``_run``'s; this run is its one-draw case.
     Its one hook slot is a ``RowHook`` that edits row ``t`` of the state in
     place before the step's policy is decided; ``pre_step`` is wrapped into
-    it. ``policy_fn`` sees a population over read-only views of row ``t``:
-    the one ``step`` returned at the step before, or one rebuilt after the
-    hook changed the proportions. ``step`` writes each transition into the
-    next row.
+    it. ``step`` writes each transition into the next row and returns
+    nothing. ``policy_fn`` sees ``pop`` at step 0 of a run without
+    ``pre_step``, and otherwise a population over read-only views of row
+    ``t`` that the loop builds after the hook, one per step.
 
     ``run_scenario`` passes its scenario engine as ``_engine``, in place of
     ``policy_fn``, ``pre_step`` and ``flags_fn``: the engine's ``policy``
@@ -645,15 +652,17 @@ def _run(
     ``policy_fn(t, rows)`` gets the step's (pmfs, proportions) rows and
     returns the step's policy; only with ``views``, the run of a user's
     ``policy_fn``, does it get a ``Population`` over read-only views of the
-    rows instead. With ``starts`` None, the run of ``simulate``, the one draw
-    starts from ``pop``: ``policy_fn`` returns a ``Policy``, ``flags_fn(t)``
-    a tuple of flags, and each transition is one call of ``step``. A sweep
+    rows instead, built once per step after the hook. With ``starts``
+    None, the run of ``simulate``, the one draw starts from ``pop``:
+    ``policy_fn`` returns a ``Policy``, ``flags_fn(t)`` a tuple of flags,
+    and each transition is one call of ``step`` that writes the next row
+    and builds no population. A sweep
     block's ``starts`` (draws, groups, bins) are checked as ``pop`` is:
     ``policy_fn`` returns each draw's policy, there are no flags, and
     ``_advance`` moves every row.
     """
     horizon = _checked_horizon(horizon)
-    _check_regime_tol(regime_tol)
+    _check_regime_tol(regime_tol, "regime_tol")
     _require_valid(pop)
     grid, group_ids = pop.grid, pop.group_ids
     metric_pair, pair = _checked_pair(metric_pair, group_ids)
@@ -669,9 +678,6 @@ def _run(
     shares = proportions[0, :groups].tolist()
     if one:
         states[0] = [g.pmf for g in pop.groups]
-        if views and hook is not None:
-            # The hook edits row 0 in place, which ``pop`` does not show.
-            pop = _population_view(grid, group_ids, shares, states[0])
     else:
         states[0] = starts.reshape(width, -1)
         if not _pmfs_valid(states[0]):
@@ -696,17 +702,15 @@ def _run(
     for t in range(rows):
         if hook is not None and hook(t, states[t], proportions[t]):
             rescaled = True
-            if views:
-                cur = _population_view(
-                    grid, group_ids, proportions[t].tolist(), states[t]
-                )
+        # A view of row ``t`` after the hook: ``policy_fn``'s at every later
+        # step, and at step 0 of a one-draw run with a hook, which may have
+        # edited the row in place, which ``pop`` does not show.
+        if (views and t > 0) or (t == 0 and one and hook is not None):
+            cur = _population_view(
+                grid, group_ids, proportions[t].tolist(), states[t]
+            )
         if t == 0 and one:
             initial = cur
-            if hook is not None and not views:
-                # Step 0 after the hook, which edited row 0 in place.
-                initial = _population_view(
-                    grid, group_ids, proportions[0].tolist(), states[0]
-                )
         last = pol
         try:
             pol = policy_fn(t, cur if views else (states[t], proportions[t]))
@@ -725,15 +729,14 @@ def _run(
         if t < horizon:
             if one:
                 # Each transition of a one-draw run stays one call of
-                # ``step``: the benchmark's tracer (bench/spans.py) counts a
-                # run's transitions and bin steps from its calls. Without
-                # ``views`` the population it returns is dropped, and
-                # ``cur`` stays ``pop``, read only for its grid and groups.
-                new = step(
+                # ``step`` with a population first: the benchmark's tracer
+                # (bench/spans.py) counts a run's transitions from its calls
+                # and their bin steps from that population's grid and groups.
+                # Given the rows, ``step`` reads no population and builds
+                # none.
+                step(
                     cur, pol, outcome, out=states[t + 1], _pmfs=states[t], _terms=terms
                 )
-                if views:
-                    cur = new
             else:
                 up, down = outcome.steps_up, outcome.steps_down
                 _advance(terms, states[t], up, down, states[t + 1])
@@ -780,7 +783,7 @@ def is_stationary(traj: Trajectory, window: int, eps: float) -> bool:
     window = _integer(window, "window")
     if window <= 0:
         raise DomainError(f"window {window} must be positive")
-    if not eps > 0:  # NaN fails too
+    if not _real(eps, "eps") > 0:  # NaN fails too
         raise DomainError(f"eps {eps} must be positive")
     if len(traj) < window + 1:
         raise DomainError(

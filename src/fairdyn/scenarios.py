@@ -310,7 +310,7 @@ class ScenarioConfig:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
 
         _checked_horizon(self.horizon)
-        _check_regime_tol(_real(tolerances.regime, "tolerances.regime"))
+        _check_regime_tol(tolerances.regime, "tolerances.regime")
         violations = _violations(pop)
         if violations:
             raise DomainError("invalid population: " + "; ".join(violations))

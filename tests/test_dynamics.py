@@ -122,6 +122,18 @@ class TestClassifyRegime:
         with pytest.raises(DomainError):
             classify_regime(0.5, float("nan"))
 
+    @pytest.mark.parametrize("value", [True, "0.5", None])
+    def test_delta_mu_must_be_a_real_number(self, value):
+        message = f"delta_mu must be a real number, got {value!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            classify_regime(value, 1e-6)
+
+    @pytest.mark.parametrize("value", [True, "1e-6", None])
+    def test_tol_must_be_a_real_number(self, value):
+        message = f"tol must be a real number, got {value!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            classify_regime(0.5, value)
+
 
 class TestStep:
     def test_reject_all_is_identity(self):
@@ -329,6 +341,13 @@ class TestIsStationary:
     def test_integral_float_window_counts(self):
         traj = self.make_traj(6, (0.0, 0.0, 0.0))
         assert is_stationary(traj, 3.0, 1e-12) is is_stationary(traj, 3, 1e-12)
+
+    @pytest.mark.parametrize("eps", [True, "0.1", None])
+    def test_eps_must_be_a_real_number(self, eps):
+        traj = self.make_traj(6, (0.0, 0.0, 0.0))
+        message = f"eps must be a real number, got {eps!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            is_stationary(traj, 2, eps)
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
     def test_eps_not_positive(self, eps):
@@ -567,6 +586,17 @@ class TestColumnarTrajectory:
             raise AssertionError("policy_fn called")
 
         with pytest.raises(DomainError, match="regime tolerance"):
+            simulate(pop, policy_fn, out, INST, 3, regime_tol=tol)
+
+    @pytest.mark.parametrize("tol", [True, "1e-6", None])
+    def test_regime_tolerance_must_be_a_real_number(self, tol):
+        pop, out = single_group((0.5, 0.5), (0.3, 0.9))
+
+        def policy_fn(t, p):
+            raise AssertionError("policy_fn called")
+
+        message = f"regime_tol must be a real number, got {tol!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             simulate(pop, policy_fn, out, INST, 3, regime_tol=tol)
 
     def test_non_finite_score_change_raises_after_the_loop(self):
@@ -1029,20 +1059,20 @@ class TestHandedOutPopulations:
         assert traj.columns.proportions[1].tolist() == [0.4, 0.6]
         assert not np.array_equal(pre[1][1][0][0], traj.columns.states[1, 0])
 
-    def test_populations_step_returns_in_a_run(self, monkeypatch):
+    def test_populations_policy_fn_gets_in_a_run(self):
+        # Without hooks, every population after step 0 is a view the loop
+        # builds over a row of the state array that ``step`` writes.
         pop, out = two_groups()
         pol = Policy.from_arrays({"a": np.full(3, 0.5), "b": np.ones(3)})
-        returned = []
+        seen = []
 
-        def recording(*args, **kwargs):
-            result = step(*args, **kwargs)
-            returned.append(self.kept(result))
-            return result
+        def policy_fn(t, p):
+            seen.append(self.kept(p))
+            return pol
 
-        monkeypatch.setattr(dynamics, "step", recording)
-        simulate(pop, lambda t, p: pol, out, INST, 6)
-        assert len(returned) == 6
-        self.assert_unchanged(returned)
+        simulate(pop, policy_fn, out, INST, 6)
+        assert len(seen) == 7
+        self.assert_unchanged(seen)
 
     def test_step_without_out_returns_a_fresh_array(self):
         pop, out = two_groups()
@@ -1079,40 +1109,69 @@ class TestHandedOutPopulations:
 
 
 class TestViewsPerRun:
-    """A scenario's engine decides from the step's rows, so a run builds no
-    population for it; a user's ``policy_fn`` gets the population ``step``
-    returned, or one rebuilt after its ``pre_step`` changed the proportions."""
+    """A scenario's engine decides from the step's rows and ``step`` returns
+    nothing in a run, so a scenario run builds no population per step; a
+    user's ``policy_fn`` gets one view per step, built after its
+    ``pre_step``."""
 
-    def test_scenario_run_builds_one_view_per_step_and_the_initial_one(
-        self, monkeypatch
-    ):
+    @staticmethod
+    def counting(monkeypatch):
         views = []
         real = dynamics._population_view
         monkeypatch.setattr(
             dynamics, "_population_view", lambda *a: views.append(a) or real(*a)
         )
+        return views
+
+    def test_scenario_run_builds_only_the_initial_view(self, monkeypatch):
+        views = self.counting(monkeypatch)
         iv = scenarios.InterventionRule("role_model_feedback", "B", strength=0.5)
         traj = scenarios.run_scenario(replace(LENDING, horizon=50), (iv,))
         # Every step rescales the proportions.
         assert np.all(np.diff(traj.columns.proportions[:, 0]) != 0)
-        # One per call of ``step``, 50, and the initial population.
-        assert len(views) <= 51
+        # Only the initial population, step 0 after the hook.
+        assert len(views) == 1
 
-    def test_policy_fn_gets_the_population_step_returned(self, monkeypatch):
+    def test_user_run_builds_one_view_per_transition(self, monkeypatch):
         pop, out = two_groups()
         pol = Policy.from_arrays({"a": np.full(3, 0.5), "b": np.ones(3)})
-        returned, seen = [], []
+        views = self.counting(monkeypatch)
+        simulate(pop, lambda t, p: pol, out, INST, 50)
+        assert len(views) == 50
 
-        def recording(*args, **kwargs):
-            returned.append(step(*args, **kwargs))
-            return returned[-1]
+    @pytest.mark.parametrize("rescale", [False, True])
+    def test_pre_step_run_builds_one_view_per_step_after_the_hook(
+        self, monkeypatch, rescale
+    ):
+        # Row 0's view, and from step 1 the hook's input and one view of the
+        # row after the hook, whether or not the hook keeps the proportions.
+        pop, out = two_groups()
+        pol = Policy.from_arrays({"a": np.full(3, 0.5), "b": np.ones(3)})
 
-        monkeypatch.setattr(dynamics, "step", recording)
-        simulate(pop, lambda t, p: seen.append(p) or pol, out, INST, 6)
-        assert len(returned) == 6 and len(seen) == 7
-        assert seen[0] is pop
-        for t, result in enumerate(returned):
-            assert seen[t + 1] is result
+        def pre_step(t, p):
+            if not rescale:
+                return p
+            shares = (0.3, 0.7) if t % 2 else (0.6, 0.4)
+            return p.with_groups(
+                [g.with_proportion(s) for g, s in zip(p.groups, shares)]
+            )
+
+        views = self.counting(monkeypatch)
+        simulate(pop, lambda t, p: pol, out, INST, 50, pre_step=pre_step)
+        assert len(views) == 101
+
+    def test_policy_fn_gets_read_only_views_of_the_next_row(self):
+        pop, out = two_groups()
+        pol = Policy.from_arrays({"a": np.full(3, 0.5), "b": np.ones(3)})
+        seen = []
+        traj = simulate(pop, lambda t, p: seen.append(p) or pol, out, INST, 6)
+        states = traj.columns.states
+        assert len(seen) == 7 and seen[0] is pop
+        for t, p in enumerate(seen[1:]):
+            for i, g in enumerate(p.groups):
+                assert not g.pmf.flags.writeable
+                assert np.shares_memory(g.pmf, states[t + 1, i])
+                assert np.array_equal(g.pmf, states[t + 1, i])
 
     def test_policy_fn_sees_the_proportions_pre_step_rescaled(self):
         pop, out = two_groups()
