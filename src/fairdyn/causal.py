@@ -336,10 +336,12 @@ def _ancestral_set(
     return sorted(seen)
 
 
-def _check_size(size: int, what: str) -> None:
+def _check_size(size: int, what: str, *args) -> None:
+    """``CapacityError`` naming ``what.format(*args)`` when ``size`` exceeds
+    the cap; the name is formatted only then."""
     if size > JOINT_STATE_CAP:
         raise CapacityError(
-            f"{what} of {size} entries exceeds cap of {JOINT_STATE_CAP}"
+            f"{what.format(*args)} of {size} entries exceeds cap of {JOINT_STATE_CAP}"
         )
 
 
@@ -387,7 +389,7 @@ def _contract(
         if node == drop:
             continue
         values = factor_of[node]
-        _check_size(values.size, f"CPT of {node!r}")
+        _check_size(values.size, "CPT of {!r}", node)
         scope = (*parents[node], node)
         factors.append((scope, values))
         for v in scope:
@@ -397,7 +399,7 @@ def _contract(
     }
     while cost:
         v = min(zip(cost.values(), cost))[1]
-        _check_size(cost.pop(v), f"factor joined to eliminate {v!r}")
+        _check_size(cost.pop(v), "factor joined to eliminate {!r}", v)
         joined = near.pop(v)
         joined.discard(v)
         out = tuple(sorted(joined))

@@ -264,26 +264,6 @@ def classify_regime(delta_mu: float, tol: float) -> RegimeLabel:
     return _REGIMES[int(_regime_codes(np.array([delta_mu], dtype=float), tol)[0])]
 
 
-def _add_in_order(column: np.ndarray, terms: np.ndarray) -> None:
-    """``column[r] += terms[r, 0]``, then ``terms[r, 1]``, and so on for
-    every row ``r``: one rounded float64 add at a time, as ``np.add.at``
-    adds repeated indices.
-
-    With more rows than terms, each add is one numpy add of a column of
-    ``terms``; otherwise the adds are Python float adds, which for a few rows
-    cost less than a numpy call each. Both add in the same order."""
-    rows, count = terms.shape
-    if rows > count:
-        for j in range(count):
-            column += terms[:, j]
-        return
-    sums = column.tolist()
-    for r, row in enumerate(terms.tolist()):
-        for term in row:
-            sums[r] += term
-    column[:] = sums
-
-
 # A step's policy: one ``Policy``, or in a run of several draws a tuple of
 # each draw's policy.
 _StepPolicy = Union[Policy, tuple[Policy, ...]]
@@ -299,69 +279,71 @@ def _acceptance_rows(policy: _StepPolicy, group_ids: tuple[str, ...]) -> np.ndar
 
 def _success_rows(
     outcome: OutcomeModel, group_ids: tuple[str, ...], pmfs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """``rho`` and ``1 - rho`` of every row of the stacked pmfs (draws *
-    groups, bins), each group's success vector repeated for every draw, once
-    every group's has the pmfs' length."""
+    groups, bins), stacked as (rows, 2, bins), each group's success vector
+    repeated for every draw, once every group's has the pmfs' length."""
     rhos = [outcome.rho_for(gid) for gid in group_ids]
     for gid, pmf, rho in zip(group_ids, pmfs, rhos):
         _check_lengths(gid, pmf=pmf, rho=rho)
     rho = np.tile(rhos, (len(pmfs) // len(group_ids), 1))
-    return rho, 1.0 - rho
+    return np.stack((rho, 1.0 - rho), axis=1)
+
+
+def _scatter_index(rows: int, bins: int, outcome: OutcomeModel) -> np.ndarray:
+    """Where ``_advance`` adds each moved term in the flattened (rows, bins)
+    pmfs: row ``r``'s success destinations ``min(j + steps_up, bins - 1)``
+    for every bin ``j``, then its failure destinations ``max(j - steps_down,
+    0)``, each offset by ``r * bins``."""
+    j = np.arange(bins)
+    dest = np.stack(
+        (
+            np.minimum(j + min(outcome.steps_up, bins), bins - 1),
+            np.maximum(j - min(outcome.steps_down, bins), 0),
+        )
+    )
+    return (dest + bins * np.arange(rows)[:, None, None]).reshape(-1)
 
 
 class _PolicyTerms:
-    """The per-bin vectors ``_advance`` reads for a policy, one row per group
-    of each draw in the order of the stacked pmfs: ``tau`` and ``keep = 1 -
-    tau``, built here, and the run's ``rho`` and ``fail = 1 - rho`` of
-    ``_success_rows``. Acceptance vectors of another length than the pmfs'
-    raise, naming the first group that has one."""
+    """What ``_advance`` reads for a policy, one row per group of each draw
+    in the order of the stacked pmfs: ``tau`` and ``keep = 1 - tau``, built
+    here, and the run's ``rf`` of ``_success_rows`` and its
+    ``_scatter_index``, both shared by every policy of the run. Acceptance
+    vectors of another length than the pmfs' raise, naming the first group
+    that has one."""
 
     def __init__(
         self,
         policy: _StepPolicy,
         group_ids: tuple[str, ...],
         pmfs: np.ndarray,
-        rho: np.ndarray,
-        fail: np.ndarray,
+        rf: np.ndarray,
+        index: np.ndarray,
     ):
         self.tau = _acceptance_rows(policy, group_ids)
         if self.tau.shape != pmfs.shape:
             draws = len(pmfs) // len(group_ids)
-            for gid, pmf, tau, r in zip(group_ids * draws, pmfs, self.tau, rho):
+            for gid, pmf, tau, r in zip(group_ids * draws, pmfs, self.tau, rf[:, 0]):
                 _check_lengths(gid, pmf=pmf, tau=tau, rho=r)
         self.keep = 1.0 - self.tau
-        self.rho, self.fail = rho, fail
+        self.rf, self.index = rf, index
 
 
-def _advance(
-    terms: _PolicyTerms,
-    pmf: np.ndarray,
-    steps_up: int,
-    steps_down: int,
-    out: np.ndarray,
-) -> None:
+def _advance(terms: _PolicyTerms, pmf: np.ndarray, out: np.ndarray) -> None:
     """Write the next pmfs of every row of ``pmf`` (each group of each draw)
-    into ``out``; every row is advanced on its own.
+    into ``out``, a C-contiguous array of its shape; every row is advanced
+    on its own.
 
-    Bit for bit the sum ``pmf * (1 - tau)``, then
-    ``np.add.at(new, up, pmf * tau * rho)``, then
-    ``np.add.at(new, down, pmf * tau * (1 - rho))`` with clamped shifts
-    ``up``/``down``: each bin below the top receives one success term, so a
-    slice add gives it, and the top bin receives the rest, added one by one in
-    index order; failures likewise, with the bottom bin.
+    Per row this is ``pmf * (1 - tau)``, then ``np.add.at(new, up, pmf * tau
+    * rho)``, then ``np.add.at(new, down, pmf * tau * (1 - rho))`` with the
+    clamped shifts ``up``/``down``: one ``np.add.at`` over the flattened rows
+    with ``terms.index`` adds the same terms, unbuffered and in index order,
+    so it gives those sums bit for bit.
     """
-    n = pmf.shape[1]
-    accepted = pmf * terms.tau
-    success = accepted * terms.rho
-    failure = accepted * terms.fail
+    moved = (pmf * terms.tau)[:, None, :] * terms.rf
     np.multiply(pmf, terms.keep, out=out)
-    single = max(n - 1 - steps_up, 0)
-    out[:, n - 1 - single : n - 1] += success[:, :single]
-    _add_in_order(out[:, n - 1], success[:, single:])
-    single = max(n - 1 - steps_down, 0)
-    out[:, 1 : 1 + single] += failure[:, n - single :]
-    _add_in_order(out[:, 0], failure[:, : n - single])
+    np.add.at(out.reshape(-1), terms.index, moved.reshape(-1))
 
 
 def _population_view(
@@ -397,20 +379,24 @@ def step(
     bins) matrix, or of ``out`` when given.
 
     ``simulate`` passes the step's row of its state array as ``_pmfs``, the
-    next row as ``out`` and the step's ``_PolicyTerms``, built once per
-    policy object of the run, as ``_terms``: the step then advances
-    ``_pmfs`` into ``out`` and returns None, and ``pop`` is not read.
+    next row as ``out`` and the step's ``_PolicyTerms`` as ``_terms``, built
+    once per policy object of the run over the run's one scatter index: the
+    step then advances ``_pmfs`` into ``out`` and returns None, and ``pop``
+    is not read. Called without them, the step builds its own terms and
+    index.
     """
     if _terms is not None:
-        _advance(_terms, _pmfs, outcome.steps_up, outcome.steps_down, out)
+        _advance(_terms, _pmfs, out)
         return None
     ids = pop.group_ids
     pmf = np.array([g.pmf for g in pop.groups])
-    terms = _PolicyTerms(policy, ids, pmf, *_success_rows(outcome, ids, pmf))
-    if out is None:
-        out = np.empty_like(pmf)
-    _advance(terms, pmf, outcome.steps_up, outcome.steps_down, out)
-    return _population_view(pop.grid, ids, [g.proportion for g in pop.groups], out)
+    rf, index = _success_rows(outcome, ids, pmf), _scatter_index(*pmf.shape, outcome)
+    new = np.empty_like(pmf)
+    _advance(_PolicyTerms(policy, ids, pmf, rf, index), pmf, new)
+    if out is not None:
+        out[...] = new  # ``out`` may have any layout, ``new`` is C-contiguous
+        new = out
+    return _population_view(pop.grid, ids, [g.proportion for g in pop.groups], new)
 
 
 def _require_valid(pop: Population) -> None:
@@ -693,11 +679,16 @@ def _run(
     # The run's vectors: ``rho``, ``1 - rho``, the score change and the
     # per-bin utility of every row. A score change past the largest float is
     # inf, no warning, and the finiteness check after the loop names it.
-    rho, fail = _success_rows(outcome, group_ids, states[0])
+    rf = _success_rows(outcome, group_ids, states[0])
+    rho = rf[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):
         change = [outcome.score_change(gid, grid) for gid in group_ids]
     change = np.tile(change, (draws, 1))
-    run = np.stack((rho, fail, change, inst.per_bin_utility(rho)), axis=1)
+    run = np.stack((rho, rf[:, 1], change, inst.per_bin_utility(rho)), axis=1)
+    # What every transition reads: ``rf``, a contiguous (rows, 2, bins) array
+    # the kernel multiplies faster than the strided ``run[:, :2]``, and the
+    # run's one scatter index.
+    index = _scatter_index(width, len(grid), outcome)
     rescaled = False  # whether the hook has changed the proportions yet
     for t in range(rows):
         if hook is not None and hook(t, states[t], proportions[t]):
@@ -717,7 +708,7 @@ def _run(
         except InfeasibilityError as exc:
             raise InfeasibilityError(f"step {t}: {exc}") from exc
         if pol is not last:
-            terms = _PolicyTerms(pol, group_ids, states[t], rho, fail)
+            terms = _PolicyTerms(pol, group_ids, states[t], rf, index)
         active = flags_fn(t) if flags_fn is not None else ()
         if flags and len(active) != len(flags[0]):
             raise DomainError(
@@ -738,8 +729,7 @@ def _run(
                     cur, pol, outcome, out=states[t + 1], _pmfs=states[t], _terms=terms
                 )
             else:
-                up, down = outcome.steps_up, outcome.steps_down
-                _advance(terms, states[t], up, down, states[t + 1])
+                _advance(terms, states[t], states[t + 1])
             if rescaled:
                 proportions[t + 1] = proportions[t]
     mean_score, acceptance, tpr, fpr, delta_mu, utility = _step_columns(

@@ -89,7 +89,10 @@ class TestJointDistribution:
             protected="N0",
             outcome="N1",
         )
-        with pytest.raises(CapacityError):
+        with pytest.raises(
+            CapacityError,
+            match=r"^output factor of 2097152 entries exceeds cap of 1000000$",
+        ):
             joint_distribution(m)
 
     def test_cycle_rejected(self):
@@ -1252,7 +1255,10 @@ def einsum_sizes(monkeypatch):
 class TestFactorCap:
     def test_grid_raises_before_allocating(self, einsum_sizes):
         m = grid_model(25)
-        with pytest.raises(CapacityError):
+        with pytest.raises(
+            CapacityError,
+            match=r"^factor joined to eliminate 'g05_22' of 2097152 entries exceeds",
+        ):
             counterfactual_fairness_gap(m)
         assert einsum_sizes and max(einsum_sizes) <= JOINT_STATE_CAP
 

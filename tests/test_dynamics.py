@@ -490,6 +490,36 @@ class TestColumnarTrajectory:
         assert built == [pol]
         assert all(rec.policy is pol for rec in traj.steps)
 
+    def test_one_scatter_index_per_run(self, monkeypatch):
+        # A quota decides a new policy object at every step; the run builds
+        # its scatter index once for all of them, and a public ``step`` call
+        # builds its own.
+        built, terms = [], []
+        scatter_index = dynamics._scatter_index
+
+        def counting(*args):
+            built.append(args)
+            return scatter_index(*args)
+
+        class Counting(dynamics._PolicyTerms):
+            def __init__(self, *args, **kwargs):
+                terms.append(args[0])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_scatter_index", counting)
+        monkeypatch.setattr(dynamics, "_PolicyTerms", Counting)
+        quota = scenarios.InterventionRule(
+            "quota", "B", target_share=0.15, sunset=scenarios.SunsetRule(1e-6, 60)
+        )
+        traj = scenarios.run_scenario(
+            replace(LENDING, horizon=50, interventions=(quota,))
+        )
+        assert len(terms) == len({id(pol) for pol in traj.columns.policies}) == 51
+        assert len(built) == 1
+        rec = traj.steps[3]
+        step(rec.population, rec.policy, LENDING.outcome)
+        assert len(built) == 2
+
     def test_only_the_last_policy_keeps_its_products(self):
         pop, out = single_group((0.5, 0.5), (0.3, 0.9))
         pol = Policy.from_arrays({"a": np.ones(2)})
@@ -894,6 +924,65 @@ class TestAgainstOracle:
         assert accepted == validate_population(hooked).ok
 
 
+class TestKernelAgainstOracle:
+    """The step kernel against the oracle's per-group ``np.add.at`` step,
+    byte for byte: shifts of 0, within the grid and of at least its length,
+    and pmfs, acceptance and success vectors with exact zeros."""
+
+    @staticmethod
+    def rows(rng, rows, n):
+        """``rows`` pmfs, acceptance and success vectors over ``n`` bins,
+        about a third of their entries exactly 0 and some exactly 1."""
+
+        def zeroed():
+            v = rng.random((rows, n)) * (rng.random((rows, n)) >= 0.3)
+            v[rng.random((rows, n)) < 0.1] = 1.0
+            return v
+
+        pmfs = zeroed()
+        pmfs[np.arange(rows), rng.integers(n, size=rows)] += 1.0
+        pmfs /= pmfs.sum(axis=1, keepdims=True)
+        return pmfs, zeroed(), zeroed()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        groups=st.integers(1, 3),
+        n=st.integers(2, 60),
+        up=st.integers(0, 5),
+        down=st.integers(0, 5),
+    )
+    def test_step_and_a_stacked_block(self, seed, groups, n, up, down):
+        rng = np.random.default_rng(seed)
+        shifts = (0, 1, 2, n - 1, n, n + 3)
+        up, down = shifts[up], shifts[down]
+        grid = make_grid(n)
+        # The public step over a population of ``groups`` groups.
+        ids = [f"g{i}" for i in range(groups)]
+        pmfs, tau, rho = self.rows(rng, groups, n)
+        pop = make_population(grid, dict(zip(ids, pmfs)))
+        pol = Policy.from_arrays(dict(zip(ids, tau)))
+        out = OutcomeModel(dict(zip(ids, rho)), up, down)
+        new, ref = step(pop, pol, out), dynamics_oracle.step(pop, pol, out)
+        for g, h in zip(new.groups, ref.groups):
+            assert g.pmf.tobytes() == h.pmf.tobytes()
+        # One kernel call over a block of 64 rows, each row with a policy and
+        # success vector of its own.
+        pmfs, tau, rho = self.rows(rng, 64, n)
+        pols = tuple(Policy.from_arrays({"a": row}) for row in tau)
+        rf = np.stack((rho, 1.0 - rho), axis=1)
+        out = OutcomeModel({"a": rho[0]}, up, down)
+        terms = dynamics._PolicyTerms(
+            pols, ("a",), pmfs, rf, dynamics._scatter_index(64, n, out)
+        )
+        block = np.empty_like(pmfs)
+        dynamics._advance(terms, pmfs, block)
+        for pmf, pol, r, row in zip(pmfs, pols, rho, block):
+            one = make_population(grid, {"a": pmf})
+            ref = dynamics_oracle.step(one, pol, OutcomeModel({"a": r}, up, down))
+            assert row.tobytes() == ref.groups[0].pmf.tobytes()
+
+
 @st.composite
 def direct_runs(draw):
     """``simulate`` arguments without hooks: 1-3 groups, a horizon that ends
@@ -1087,12 +1176,13 @@ class TestHandedOutPopulations:
     def test_step_into_out_writes_the_row(self):
         pop, out = two_groups()
         pol = Policy.from_arrays({"a": np.full(3, 0.5), "b": np.ones(3)})
-        row = np.zeros((2, 3))
-        into = step(pop, pol, out, out=row)
         fresh = step(pop, pol, out)
-        for i, (g, h) in enumerate(zip(into.groups, fresh.groups)):
-            assert np.array_equal(g.pmf, h.pmf) and np.shares_memory(g.pmf, row)
-            assert np.array_equal(row[i], h.pmf)
+        # ``out`` of either memory layout.
+        for row in (np.zeros((2, 3)), np.zeros((2, 3), order="F")):
+            into = step(pop, pol, out, out=row)
+            for i, (g, h) in enumerate(zip(into.groups, fresh.groups)):
+                assert np.array_equal(g.pmf, h.pmf) and np.shares_memory(g.pmf, row)
+                assert np.array_equal(row[i], h.pmf)
 
     def test_engine_edits_never_reach_the_initial_population(self):
         cfg = LENDING
