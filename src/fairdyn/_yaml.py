@@ -71,6 +71,14 @@ def mapping(raw, path: str) -> dict:
     return raw
 
 
+def sequence(raw, path: str) -> list:
+    """``raw``, the value at ``path`` in a loaded file, once it is a list;
+    anything else raises ``ConfigError`` naming ``path``."""
+    if not isinstance(raw, list):
+        raise ConfigError(f"{path} must be a list")
+    return raw
+
+
 def known_keys(raw, path: str, allowed) -> dict:
     """``raw``, the mapping at ``path`` in a loaded file, once it holds no key
     outside ``allowed``; a misspelt key raises ``ConfigError`` naming both."""

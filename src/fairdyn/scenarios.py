@@ -21,13 +21,13 @@ from __future__ import annotations
 import importlib.resources
 import math
 import operator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from ._yaml import known_keys, mapping, read_yaml
+from ._yaml import known_keys, mapping, read_yaml, sequence
 from .dynamics import (
     Trajectory,
     TrajectoryColumns,
@@ -78,36 +78,19 @@ BUILTIN_NAMES = ("lending_liu", "boards_quota")
 GOAL_METRICS = ("dp_gap", "eo_gap", "eodds_gap", "delta_mu")
 POLICY_KINDS = ("fixed", "max_utility", "constrained", "outcome_optimal")
 INTERVENTION_KINDS = ("quota", "pipeline_investment", "role_model_feedback")
-# The keys each mapping of a scenario file may hold. An intervention holds
-# the keys every intervention has and those of its kind, whose first key is
-# its parameter, a number in [0, 1].
-_KEYS = {
-    "scenario": (
-        "name", "declared_goal", "population", "outcome", "institution",
-        "policy_rule", "interventions", "horizon", "tolerances", "seed",
-        "resolution", "metric_groups", "variants",
-    ),
-    "declared_goal": ("label", "metric", "tolerance", "target_group"),
-    "population": ("bin_scores", "bin_width", "groups"),
-    "group": ("group_id", "proportion", "pmf"),
-    "outcome": ("rho", "steps_up", "steps_down"),
-    "institution": ("u_plus", "u_minus"),
-    "policy_rule": ("kind", "tau", "constraint", "target_group", "utility_floor"),
-    "tolerances": ("regime",),
-    "variant": ("interventions",),
-    "intervention": ("kind", "group", "active_from"),
-    "quota": ("target_share", "sunset"),
-    "sunset": ("eps", "window"),
-    "pipeline_investment": ("shift_fraction",),
-    "role_model_feedback": ("strength",),
-}
-# The fields of a policy rule that each kind reads besides ``kind``.
-_RULE_READS = {
+# The fields of a policy rule or an intervention that each kind reads beyond
+# those that every rule or intervention reads, which no kind names here. An
+# intervention's first is its parameter, a number in [0, 1].
+_READS = {
     "fixed": ("tau",),
     "max_utility": (),
     "constrained": ("constraint",),
     "outcome_optimal": ("target_group", "utility_floor"),
+    "quota": ("target_share", "sunset"),
+    "pipeline_investment": ("shift_fraction",),
+    "role_model_feedback": ("strength",),
 }
+_KIND_READS = {name for reads in _READS.values() for name in reads}
 
 
 @dataclass(frozen=True)
@@ -158,13 +141,14 @@ def _typed(value, cls: type, name: str):
     return value
 
 
-def _check_unread(record, path: str, what: str, reads: Sequence[str]) -> None:
+def _check_unread(record, path: str, what: str) -> None:
     """Raise ``DomainError`` naming the first field of ``record``, a policy
-    rule or an intervention, that is not in ``reads`` and does not hold its
-    default: its kind does not read it."""
+    rule or an intervention of a known kind, that its kind does not read
+    (``_READS``) and that does not hold its default."""
+    reads = _READS[record.kind]
     for f in fields(record):
         value = getattr(record, f.name)
-        if f.name in reads or value is f.default:
+        if f.name not in _KIND_READS or f.name in reads or value is f.default:
             continue
         if f.default is None or value != f.default:
             raise DomainError(
@@ -189,10 +173,10 @@ def _check_interventions(
             raise DomainError(f"{path}.group: unknown group label {iv.group!r}")
         if _integer(iv.active_from, path + ".active_from") < 0:
             raise DomainError(f"{path}.active_from must be >= 0")
-        for key in _KEYS[iv.kind]:
+        for key in _READS[iv.kind]:
             if getattr(iv, key) is None:
                 raise DomainError(f"missing field {path}.{key}")
-        name = _KEYS[iv.kind][0]
+        name = _READS[iv.kind][0]
         value = _real(getattr(iv, name), f"{path}.{name}")
         if not 0.0 <= value <= 1.0:  # NaN fails too
             if iv.kind == "quota":
@@ -204,9 +188,7 @@ def _check_interventions(
             window = _integer(sunset.window, path + ".sunset.window")
             if not eps >= 0 or window < 1:  # NaN fails too
                 raise DomainError(f"{path}.sunset: eps must be >= 0 and window >= 1")
-        _check_unread(
-            iv, path, "intervention", _KEYS["intervention"] + _KEYS[iv.kind]
-        )
+        _check_unread(iv, path, "intervention")
 
 
 @dataclass(frozen=True)
@@ -292,7 +274,7 @@ class ScenarioConfig:
             raise DomainError("policy_rule.target_group required for outcome_optimal")
         if math.isnan(_real(rule.utility_floor, "policy_rule.utility_floor")):
             raise DomainError("policy_rule.utility_floor must be a number, got nan")
-        _check_unread(rule, "policy_rule", "rule", ("kind", *_RULE_READS[rule.kind]))
+        _check_unread(rule, "policy_rule", "rule")
         if not 0.0 < _real(self.resolution, "resolution") <= 1.0:
             raise DomainError(f"resolution must be in (0, 1], got {self.resolution}")
         for label, where in [
@@ -317,19 +299,10 @@ class ScenarioConfig:
         _checked_pair(self.metric_groups, ids)
 
 
-def _req(mapping, key, path):
-    if not isinstance(mapping, dict) or key not in mapping:
+def _req(raw: dict, key: str, path: str):
+    if key not in raw:
         raise ConfigError(f"missing field {path}.{key}")
-    return mapping[key]
-
-
-def _section(raw: dict, key: str) -> dict:
-    """The scenario's mapping ``key``, holding no key outside ``_KEYS[key]``."""
-    return known_keys(_req(raw, key, "scenario"), key, _KEYS[key])
-
-
-def _optional(mapping: dict, key: str, cast: Callable = str):
-    return cast(mapping[key]) if key in mapping else None
+    return raw[key]
 
 
 def _as_int(value):
@@ -350,123 +323,119 @@ def _as_float(value):
         return value
 
 
-def _parse_intervention(raw, path) -> InterventionRule:
-    kind = str(_req(raw, "kind", path))
-    # An unknown kind takes any kind's keys: the config's check names it.
-    kinds = (kind,) if kind in INTERVENTION_KINDS else INTERVENTION_KINDS
-    known_keys(raw, path, _KEYS["intervention"] + sum((_KEYS[k] for k in kinds), ()))
-    sunset = raw.get("sunset")
-    if sunset is not None:
-        where = path + ".sunset"
-        known_keys(sunset, where, _KEYS["sunset"])
-        sunset = SunsetRule(
-            eps=_as_float(_req(sunset, "eps", where)),
-            window=_as_int(_req(sunset, "window", where)),
-        )
-    return InterventionRule(
-        kind=kind,
-        group=str(_req(raw, "group", path)),
-        active_from=_as_int(raw.get("active_from", 0)),
-        target_share=_optional(raw, "target_share", _as_float),
-        sunset=sunset,
-        shift_fraction=_optional(raw, "shift_fraction", _as_float),
-        strength=_optional(raw, "strength", _as_float),
+# The loader's cast of a field by its declared type, optional or not. A field
+# of another type is read as it is, for its record's check to judge.
+_CASTS = {"str": str, "float": _as_float, "int": _as_int}
+# The fields of each record of a scenario file, in order, with each one's
+# default and cast.
+_FIELDS = {
+    cls: {
+        f.name: (f.default, _CASTS.get(f.type.removeprefix("Optional[").rstrip("]")))
+        for f in fields(cls)
+    }
+    for cls in (
+        ScenarioConfig, DeclaredGoal, ScoreGrid, GroupState, OutcomeModel,
+        InstitutionModel, PolicyRuleSpec, InterventionRule, SunsetRule, Tolerances,
     )
+}
+
+
+def _record(cls, raw, path: str, keys=None, **casts):
+    """The ``cls`` that the mapping ``raw`` at ``path`` in a scenario file
+    declares. ``raw`` holds no key outside ``keys``, by default the fields
+    of ``cls``. A field that it holds is cast by its entry in ``casts``, else
+    by its declared type; an absent field takes its default, and one with no
+    default is missing. The ``DomainError`` of a model's construction, whose
+    message starts with the field's name, is raised prefixed with ``path``."""
+    known_keys(raw, path, keys or _FIELDS[cls])
+    values = {}
+    for name, (default, cast) in _FIELDS[cls].items():
+        if name in raw:
+            cast = casts.get(name, cast)
+            values[name] = raw[name] if cast is None else cast(raw[name])
+        elif default is MISSING:
+            raise ConfigError(f"missing field {path}.{name}")
+        else:
+            values[name] = default
+    try:
+        return cls(**values)
+    except DomainError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
+
+
+def _interventions(raw, path: str) -> tuple[InterventionRule, ...]:
+    """The interventions of the list ``raw`` at ``path`` in a scenario file.
+    Each holds the keys that every intervention reads and its kind's; one
+    of an unknown kind may hold any kind's, for the config's check to name
+    its kind."""
+    ivs = []
+    for i, iv in enumerate(sequence(raw, path)):
+        where = f"{path}[{i}]"
+        kind = str(mapping(iv, where).get("kind"))
+        own = _READS[kind] if kind in INTERVENTION_KINDS else _KIND_READS
+        keys = [
+            key for key in _FIELDS[InterventionRule]
+            if key in own or key not in _KIND_READS
+        ]
+        sunset = lambda s: s if s is None else _record(SunsetRule, s, where + ".sunset")
+        ivs.append(_record(InterventionRule, iv, where, keys, sunset=sunset))
+    return tuple(ivs)
 
 
 def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
     """The config that the parsed scenario file ``raw`` declares; its
     construction checks it."""
-    known_keys(raw, "scenario", _KEYS["scenario"])
-    goal_raw = _section(raw, "declared_goal")
-    goal = DeclaredGoal(
-        label=str(_req(goal_raw, "label", "declared_goal")),
-        metric=str(_req(goal_raw, "metric", "declared_goal")),
-        tolerance=_as_float(_req(goal_raw, "tolerance", "declared_goal")),
-        target_group=_optional(goal_raw, "target_group"),
+    known_keys(raw, "scenario", _FIELDS[ScenarioConfig])
+
+    def section(cls, key, keys=None, **casts):
+        return _record(cls, _req(raw, key, "scenario"), key, keys, **casts)
+
+    goal = section(DeclaredGoal, "declared_goal")
+    grid = section(
+        ScoreGrid, "population", (*_FIELDS[ScoreGrid], "groups"), bin_width=float
     )
-
-    pop_raw = _section(raw, "population")
-    grid = ScoreGrid(
-        bin_scores=_req(pop_raw, "bin_scores", "population"),
-        bin_width=float(_req(pop_raw, "bin_width", "population")),
+    groups_raw = _req(raw["population"], "groups", "population")
+    groups = tuple(
+        _record(GroupState, g, f"population.groups[{i}]", proportion=float)
+        for i, g in enumerate(sequence(groups_raw, "population.groups"))
     )
-    groups = []
-    for i, g in enumerate(_req(pop_raw, "groups", "population")):
-        path = f"population.groups[{i}]"
-        known_keys(g, path, _KEYS["group"])
-        groups.append(
-            GroupState(
-                group_id=str(_req(g, "group_id", path)),
-                proportion=float(_req(g, "proportion", path)),
-                pmf=_req(g, "pmf", path),
-            )
-        )
-
-    out_raw = _section(raw, "outcome")
-    rho_raw = _req(out_raw, "rho", "outcome")
-    if isinstance(rho_raw, dict):
-        rho = {str(k): vs for k, vs in rho_raw.items()}
-    else:
-        rho = {g.group_id: rho_raw for g in groups}
-    # The models' DomainError messages start with the field's name.
-    try:
-        outcome = OutcomeModel(
-            rho=rho,
-            steps_up=_req(out_raw, "steps_up", "outcome"),
-            steps_down=_req(out_raw, "steps_down", "outcome"),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"outcome.{exc}") from exc
-
-    inst_raw = _section(raw, "institution")
-    try:
-        institution = InstitutionModel(
-            u_plus=float(_req(inst_raw, "u_plus", "institution")),
-            u_minus=float(_req(inst_raw, "u_minus", "institution")),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"institution.{exc}") from exc
-
-    rule_raw = _section(raw, "policy_rule")
-    tau = None
-    if "tau" in rule_raw:
-        tau_raw = mapping(rule_raw["tau"], "policy_rule.tau")
-        tau = {str(k): _vector(vs) for k, vs in tau_raw.items()}
-    rule = PolicyRuleSpec(
-        kind=str(_req(rule_raw, "kind", "policy_rule")),
-        tau=tau,
-        constraint=_optional(rule_raw, "constraint"),
-        target_group=_optional(rule_raw, "target_group"),
-        utility_floor=_as_float(rule_raw.get("utility_floor", float("-inf"))),
+    ids = [g.group_id for g in groups]
+    outcome = section(
+        OutcomeModel, "outcome",
+        rho=lambda rho: (
+            {str(k): vs for k, vs in rho.items()} if isinstance(rho, dict)
+            else dict.fromkeys(ids, rho)
+        ),
     )
-
-    tol_raw = known_keys(raw.get("tolerances", {}), "tolerances", _KEYS["tolerances"])
+    institution = section(InstitutionModel, "institution", u_plus=float, u_minus=float)
+    rule = section(
+        PolicyRuleSpec, "policy_rule",
+        tau=lambda tau: {
+            str(k): _vector(vs) for k, vs in mapping(tau, "policy_rule.tau").items()
+        },
+    )
+    tolerances = _record(Tolerances, raw.get("tolerances", {}), "tolerances")
     variants = {}
-    for vname, v in (raw.get("variants") or {}).items():
-        known_keys(v, f"variants.{vname}", _KEYS["variant"])
-        variants[str(vname)] = tuple(
-            _parse_intervention(iv, f"variants.{vname}.interventions[{i}]")
-            for i, iv in enumerate(_req(v, "interventions", f"variants.{vname}"))
-        )
+    for name, v in mapping(raw.get("variants", {}), "variants").items():
+        where = f"variants.{name}"
+        known_keys(v, where, ("interventions",))
+        ivs = _req(v, "interventions", where)
+        variants[str(name)] = _interventions(ivs, where + ".interventions")
+    # A pair that is not a list is the config's to reject.
+    pair = raw.get("metric_groups", ids[:2])
     return ScenarioConfig(
         name=str(raw.get("name", name_hint)),
         declared_goal=goal,
-        population=Population(grid, tuple(groups)),
+        population=Population(grid, groups),
         outcome=outcome,
         institution=institution,
         policy_rule=rule,
-        interventions=tuple(
-            _parse_intervention(iv, f"interventions[{i}]")
-            for i, iv in enumerate(raw.get("interventions", []))
-        ),
+        interventions=_interventions(raw.get("interventions", []), "interventions"),
         horizon=_as_int(_req(raw, "horizon", "scenario")),
-        tolerances=Tolerances(regime=_as_float(tol_raw.get("regime", 1e-6))),
+        tolerances=tolerances,
         seed=_as_int(raw.get("seed", 0)),
         resolution=_as_float(raw.get("resolution", DEFAULT_RESOLUTION)),
-        metric_groups=tuple(
-            str(g) for g in raw.get("metric_groups", [g.group_id for g in groups[:2]])
-        ),
+        metric_groups=tuple(map(str, pair)) if isinstance(pair, list) else pair,
         variants=variants,
     )
 
@@ -710,14 +679,14 @@ def run_scenario(
     if interventions is not None:
         ivs = tuple(interventions)
         _check_interventions(ivs, "interventions", cfg.population.group_ids)
+    return _run_checked(cfg, ivs)
+
+
+def _run_checked(cfg: ScenarioConfig, ivs: Sequence[InterventionRule]) -> Trajectory:
+    """``run_scenario`` of ``cfg`` with the checked interventions ``ivs``."""
     return simulate(
-        cfg.population,
-        None,
-        cfg.outcome,
-        cfg.institution,
-        cfg.horizon,
-        regime_tol=cfg.tolerances.regime,
-        metric_pair=cfg.metric_groups,
+        cfg.population, None, cfg.outcome, cfg.institution, cfg.horizon,
+        regime_tol=cfg.tolerances.regime, metric_pair=cfg.metric_groups,
         _engine=_ScenarioEngine(cfg, ivs),
     )
 
@@ -791,6 +760,7 @@ def compare_interventions(
     metric that is NaN at some step of a variant raises
     ``UndefinedConditionalError``.
     """
+    variants = [(name, tuple(ivs)) for name, ivs in variants]
     if len(variants) < 2:
         raise ConfigError("comparison needs at least two variants")
     for name, ivs in variants:
@@ -798,7 +768,7 @@ def compare_interventions(
         _check_interventions(ivs, where, cfg.population.group_ids)
     rows = []
     for name, ivs in variants:
-        traj = run_scenario(cfg, ivs)
+        traj = _run_checked(cfg, ivs)
         values = _goal_values(cfg, traj.columns, lambda k: f"variant {name!r}")
         values = values[:, 0].tolist()
         steps_to_goal = next(

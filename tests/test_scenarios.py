@@ -1,9 +1,11 @@
+import copy
 import dataclasses
 import math
 import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -132,16 +134,23 @@ class TestLoadScenario:
             load_scenario(str(p))
 
 
+def _builtin_tree(name):
+    """The parsed YAML of the built-in scenario file ``name``."""
+    import yaml
+
+    return yaml.safe_load(
+        __import__("importlib.resources", fromlist=["files"])
+        .files("fairdyn.data")
+        .joinpath(f"{name}.yaml")
+        .read_text()
+    )
+
+
 def write_lending(tmp_path, edit):
     """The shipped lending scenario with ``edit`` applied to its parsed YAML."""
     import yaml
 
-    raw = yaml.safe_load(
-        __import__("importlib.resources", fromlist=["files"])
-        .files("fairdyn.data")
-        .joinpath("lending_liu.yaml")
-        .read_text()
-    )
+    raw = _builtin_tree("lending_liu")
     edit(raw)
     p = tmp_path / "edited.yaml"
     p.write_text(yaml.safe_dump(raw))
@@ -227,11 +236,31 @@ class TestLoadChecks:
             f"scenario file {file}: {path}: unknown key {key!r}; expected one of "
         )
 
-    @pytest.mark.parametrize("field", ["tolerances", "outcome"])
+    @pytest.mark.parametrize("field", ["tolerances", "outcome", "variants"])
     def test_field_that_is_not_a_mapping(self, tmp_path, field):
         file = write_lending(tmp_path, lambda raw: raw.update({field: [1.0]}))
         with pytest.raises(ConfigError, match=f": {field} must be a mapping$"):
             load_scenario(file)
+
+    @pytest.mark.parametrize(
+        "value", [QUOTA_B, {}, "x", 0], ids=["mapping", "empty", "string", "number"]
+    )
+    @pytest.mark.parametrize(
+        "place,path",
+        [
+            (lambda raw, value: raw.update(interventions=value), "interventions"),
+            (lambda raw, value: raw.update(variants={"q": {"interventions": value}}),
+             "variants.q.interventions"),
+            (lambda raw, value: raw["population"].update(groups=value),
+             "population.groups"),
+        ],
+        ids=["interventions", "variant", "groups"],
+    )
+    def test_field_that_is_not_a_list(self, tmp_path, place, path, value):
+        file = write_lending(tmp_path, lambda raw: place(raw, value))
+        with pytest.raises(ConfigError) as info:
+            load_scenario(file)
+        assert str(info.value) == f"scenario file {file}: {path} must be a list"
 
     def test_nan_utility_floor_rejected(self, tmp_path):
         rule = {"kind": "outcome_optimal", "target_group": "B", "utility_floor": math.nan}
@@ -393,6 +422,45 @@ class TestLoadChecks:
         )
         with pytest.raises(ConfigError, match="malformed scenario file"):
             load_scenario(path)
+
+
+def _tree_paths(node, path=()):
+    """The path of ``node``, a parsed YAML tree, and of every node in it."""
+    yield path
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _tree_paths(child, (*path, key))
+
+
+_TREES = {name: _builtin_tree(name) for name in scenarios.BUILTIN_NAMES}
+_TREE_PATHS = [
+    (name, path) for name, tree in _TREES.items() for path in _tree_paths(tree)
+]
+_TREE_JUNK = (None, "x", [1], {"k": 1}, 0, 2.5, -1, True)
+
+
+class TestJunkInAFile:
+    # As many examples as there are (path, junk) pairs: Hypothesis draws each
+    # pair once before it repeats one, so every pair is loaded.
+    @settings(max_examples=len(_TREE_PATHS) * len(_TREE_JUNK), deadline=None)
+    @given(where=st.sampled_from(_TREE_PATHS), junk=st.sampled_from(_TREE_JUNK))
+    def test_loads_or_raises_a_config_error(self, where, junk):
+        # One node of a built-in file's parsed tree set to a junk value.
+        name, path = where
+        raw = copy.deepcopy(_TREES[name])
+        if path:
+            node = raw
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = junk
+        else:
+            raw = junk
+        with mock.patch.object(scenarios, "read_yaml", lambda *args: raw):
+            try:
+                load_scenario(name)
+            except ConfigError:
+                pass
 
 
 class TestRunScenario:
@@ -781,6 +849,29 @@ class TestCompare:
         by_name = {r.variant: r for r in rows}
         assert by_name["quota_only"].persists_after_sunset is False
         assert by_name["quota_pipeline"].persists_after_sunset is True
+
+    def test_checks_each_variant_once(self, monkeypatch):
+        checked = []
+        real = scenarios._check_interventions
+
+        def counted(ivs, where, ids):
+            checked.append(where)
+            return real(ivs, where, ids)
+
+        monkeypatch.setattr(scenarios, "_check_interventions", counted)
+        compare_interventions(
+            BOARDS, named_variants(BOARDS, ["quota_only", "quota_pipeline"])
+        )
+        assert checked == [
+            "variants.quota_only.interventions", "variants.quota_pipeline.interventions"
+        ]
+
+    def test_a_variant_may_be_an_iterator(self):
+        ivs = BOARDS.variants["quota_pipeline"]
+        rows = compare_interventions(BOARDS, [("list", ivs), ("iterator", iter(ivs))])
+        assert trajectory_rows(rows[0].trajectory) == trajectory_rows(
+            rows[1].trajectory
+        )
 
     def test_needs_two_variants(self):
         with pytest.raises(ConfigError):
@@ -1465,6 +1556,11 @@ _CODE_BUILT = {
         _STARTS,
         "metric pair must name exactly two groups, got ('A', 'B', 'A')",
     ),
+    "metric_groups_string": (
+        {"metric_groups": "BA"},
+        _STARTS,
+        "metric pair must name exactly two groups, got 'BA'",
+    ),
     "unknown_metric_group": (
         {"metric_groups": ("A", "Z")},
         _STARTS,
@@ -1610,75 +1706,45 @@ _CODE_BUILT = {
         for name, value in (("string", "0.9"), ("none", None), ("bool", True))
     },
 }
-# Cases that a scenario file cannot hold: it leaves out a None field, which
-# is then missing; it holds a list, not a tuple; its float fields read a
-# numeric string as the number, since PyYAML reads ``1e-6`` as a string; the
-# loader reads a group's proportion with ``float``; and it rejects an
-# intervention's key of another kind as an unknown key.
+# Cases that a scenario file cannot hold: it holds a list, not a tuple, and
+# a mapping for a rule's ``tau``; its float fields read a numeric string as
+# the number, since PyYAML reads ``1e-6`` as a string; the loader reads a
+# group's proportion with ``float``; and it rejects an intervention's key of
+# another kind as an unknown key.
 _NOT_IN_A_FILE = (
-    "goal_tolerance_none", "quota_sunset_tuple", "resolution_string",
+    "quota_sunset_tuple", "resolution_string",
     "quota_share_string", "proportion_string", "proportion_none", "proportion_bool",
     "max_utility_rule_with_tau_and_constraint", "quota_with_strength",
     "role_model_with_sunset",
 )
 
 
-def _present(**fields):
-    """``fields`` without those that are None, as a file leaves them out."""
-    return {key: value for key, value in fields.items() if value is not None}
-
-
 def _as_file(cfg: scenarios.ScenarioConfig) -> dict:
-    """``cfg`` as the parsed YAML of a scenario file that declares it."""
+    """``cfg`` as the parsed YAML of a scenario file that declares it: each
+    record a mapping of its fields, without those at a default of None; a
+    population holds its grid's fields and its groups, and a variant its
+    interventions."""
 
-    def intervention(iv):
-        sunset = iv.sunset and {"eps": iv.sunset.eps, "window": iv.sunset.window}
-        return _present(
-            kind=iv.kind, group=iv.group, active_from=iv.active_from,
-            target_share=iv.target_share, sunset=sunset,
-            shift_fraction=iv.shift_fraction, strength=iv.strength,
-        )
+    def plain(value):
+        if isinstance(value, Population):
+            return {**plain(value.grid), "groups": plain(value.groups)}
+        if dataclasses.is_dataclass(value):
+            return {
+                f.name: plain(getattr(value, f.name))
+                for f in dataclasses.fields(value)
+                if not (f.default is None and getattr(value, f.name) is None)
+            }
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        if isinstance(value, (tuple, list)):
+            return [plain(item) for item in value]
+        return value.tolist() if isinstance(value, np.ndarray) else value
 
-    goal, rule, pop = cfg.declared_goal, cfg.policy_rule, cfg.population
-    tau = rule.tau and {gid: np.asarray(t).tolist() for gid, t in rule.tau.items()}
-    return {
-        "name": cfg.name,
-        "declared_goal": _present(
-            label=goal.label, metric=goal.metric, tolerance=goal.tolerance,
-            target_group=goal.target_group,
-        ),
-        "population": {
-            "bin_scores": pop.grid.bin_scores.tolist(),
-            "bin_width": pop.grid.bin_width,
-            "groups": [
-                {"group_id": g.group_id, "proportion": g.proportion,
-                 "pmf": g.pmf.tolist()}
-                for g in pop.groups
-            ],
-        },
-        "outcome": {
-            "rho": {gid: r.tolist() for gid, r in cfg.outcome.rho.items()},
-            "steps_up": cfg.outcome.steps_up,
-            "steps_down": cfg.outcome.steps_down,
-        },
-        "institution": {
-            "u_plus": cfg.institution.u_plus, "u_minus": cfg.institution.u_minus
-        },
-        "policy_rule": _present(
-            kind=rule.kind, tau=tau, constraint=rule.constraint,
-            target_group=rule.target_group, utility_floor=rule.utility_floor,
-        ),
-        "interventions": [intervention(iv) for iv in cfg.interventions],
-        "horizon": cfg.horizon,
-        "tolerances": {"regime": cfg.tolerances.regime},
-        "seed": cfg.seed,
-        "resolution": cfg.resolution,
-        "metric_groups": list(cfg.metric_groups),
-        "variants": {
-            name: {"interventions": [intervention(iv) for iv in ivs]}
-            for name, ivs in cfg.variants.items()
-        },
+    file = plain(cfg)
+    file["variants"] = {
+        name: {"interventions": ivs} for name, ivs in file["variants"].items()
     }
+    return file
 
 
 def _write_file(tmp_path, cfg) -> str:
@@ -1787,9 +1853,9 @@ _FUZZ_BASE = replace(
 )
 _SHARES = (0.0, 0.25, 1.0, -0.0, -1e-9, 1.0000001)
 _COUNTS = (0, 1, 3, 3.0, -1, 2.5)
-# Valid and boundary values of every field, by its path with an
-# intervention's index left out. A horizon of ``MAX_HORIZON`` is left out
-# for its run time.
+# Valid and boundary values of the fields of ``_RECORDS``, by path with an
+# intervention's index left out; the fuzzer draws every field with ``_JUNK``
+# too. A horizon of ``MAX_HORIZON`` is left out for its run time.
 _FUZZ_VALUES = {
     ("name",): ("boards",),
     ("declared_goal",): (
@@ -1856,37 +1922,26 @@ _FIELD_NAMES = (
     *(f.name for f in dataclasses.fields(scenarios.ScenarioConfig) if f.name != "name"),
     "metric pair", "regime tolerance",
 )
-# How ``_as_file`` writes a field and the loader reads it: a string field
-# is read with ``str``, a float field also takes a numeric string, and a
-# field ``_as_file`` leaves out when None is then missing, unless the
-# loader reads its absence as None.
-_STR_FIELDS = {
-    ("declared_goal", "label"), ("declared_goal", "metric"),
-    ("declared_goal", "target_group"), ("policy_rule", "kind"),
-    ("policy_rule", "constraint"), ("policy_rule", "target_group"),
-    ("interventions", "kind"), ("interventions", "group"),
+# The records whose fields the fuzzer sets, by their path, with an
+# intervention's index left out.
+_RECORDS = {
+    (): scenarios.ScenarioConfig,
+    ("declared_goal",): scenarios.DeclaredGoal,
+    ("policy_rule",): scenarios.PolicyRuleSpec,
+    ("tolerances",): scenarios.Tolerances,
+    ("interventions",): InterventionRule,
+    ("interventions", "sunset"): SunsetRule,
 }
-_FLOAT_FIELDS = {
-    ("declared_goal", "tolerance"), ("policy_rule", "utility_floor"),
-    ("resolution",), ("tolerances", "regime"), ("interventions", "target_share"),
-    ("interventions", "shift_fraction"), ("interventions", "strength"),
-    ("interventions", "sunset", "eps"),
-}
-_INT_FIELDS = {
-    ("horizon",), ("seed",), ("interventions", "active_from"),
-    ("interventions", "sunset", "window"),
-}
-_LEFT_OUT_IF_NONE = {
-    key for key in _FUZZ_VALUES
-    if key[0] in ("declared_goal", "policy_rule")
-    or (key[0] == "interventions" and len(key) == 2)
-}
-_ABSENT_IS_NONE = {
-    ("declared_goal", "target_group"), ("policy_rule", "constraint"),
-    ("policy_rule", "target_group"), ("interventions", "target_share"),
-    ("interventions", "shift_fraction"), ("interventions", "strength"),
-    ("interventions", "sunset"),
-}
+_FUZZ_KEYS = sorted(
+    (*path, f.name) for path, cls in _RECORDS.items() for f in dataclasses.fields(cls)
+)
+
+
+def _declared(key):
+    """The declared type, optional or not, and the default of the field at
+    ``key``."""
+    f = {f.name: f for f in dataclasses.fields(_RECORDS[key[:-1]])}[key[-1]]
+    return f.type.removeprefix("Optional[").rstrip("]"), f.default
 
 
 def _numeric(text: str) -> bool:
@@ -1899,14 +1954,18 @@ def _numeric(text: str) -> bool:
 
 def _file_holds(key, value) -> bool:
     """Whether a file written by ``_as_file`` with ``value`` at the field
-    ``key`` reads back ``value``; a tuple is written as a list."""
-    if key not in _STR_FIELDS | _FLOAT_FIELDS | _INT_FIELDS:
+    ``key`` reads back ``value``. The loader reads a string field with
+    ``str`` and a float field also from a numeric string. ``_as_file``
+    writes None as null, or leaves it out at a default of None, and a tuple
+    as a list."""
+    declared, default = _declared(key)
+    if declared not in ("str", "float", "int"):
         return False
     if value is None:
-        return key not in _LEFT_OUT_IF_NONE or key in _ABSENT_IS_NONE
-    if key in _STR_FIELDS:
+        return declared != "str" or default is None
+    if declared == "str":
         return isinstance(value, str)
-    if isinstance(value, str) and key in _FLOAT_FIELDS:
+    if isinstance(value, str) and declared == "float":
         return not _numeric(value)
     return not isinstance(value, tuple)
 
@@ -1914,8 +1973,8 @@ def _file_holds(key, value) -> bool:
 def _kind_fits(iv) -> bool:
     """Whether a file can hold ``iv``: it holds only its kind's parameter
     keys, or any kind's for an unknown kind."""
-    params = ("target_share", "sunset", "shift_fraction", "strength")
-    own = scenarios._KEYS[iv.kind] if iv.kind in INTERVENTION_KINDS else params
+    params = {key for kind in INTERVENTION_KINDS for key in scenarios._READS[kind]}
+    own = scenarios._READS[iv.kind] if iv.kind in INTERVENTION_KINDS else params
     return all(getattr(iv, key) is None or key in own for key in params)
 
 
@@ -1936,8 +1995,8 @@ def _set(record, path, value):
 @st.composite
 def _field_draws(draw):
     """A field's path, its key in ``_FUZZ_VALUES`` and a value for it."""
-    key = draw(st.sampled_from(sorted(_FUZZ_VALUES)))
-    value = draw(st.sampled_from(_FUZZ_VALUES[key] + _JUNK))
+    key = draw(st.sampled_from(_FUZZ_KEYS))
+    value = draw(st.sampled_from(_FUZZ_VALUES.get(key, ()) + _JUNK))
     path = key
     if key[0] == "interventions" and len(key) > 1:
         # Only the quota (intervention 0) has a sunset.
