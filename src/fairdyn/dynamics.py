@@ -277,17 +277,13 @@ def _acceptance_rows(policy: _StepPolicy, group_ids: tuple[str, ...]) -> np.ndar
     return np.concatenate([pol._rows(group_ids) for pol in policy])
 
 
-def _success_rows(
-    outcome: OutcomeModel, group_ids: tuple[str, ...], pmfs: np.ndarray
-) -> np.ndarray:
-    """``rho`` and ``1 - rho`` of every row of the stacked pmfs (draws *
-    groups, bins), stacked as (rows, 2, bins), each group's success vector
-    repeated for every draw, once every group's has the pmfs' length."""
-    rhos = [outcome.rho_for(gid) for gid in group_ids]
-    for gid, pmf, rho in zip(group_ids, pmfs, rhos):
+def _checked_rho(outcome: OutcomeModel, ids: tuple[str, ...], pmfs) -> list:
+    """Each group's ``rho``; ``DimensionError`` names the first group whose
+    ``rho`` is not as long as its pmf, once every group has one."""
+    rhos = [outcome.rho_for(gid) for gid in ids]
+    for gid, pmf, rho in zip(ids, pmfs, rhos):
         _check_lengths(gid, pmf=pmf, rho=rho)
-    rho = np.tile(rhos, (len(pmfs) // len(group_ids), 1))
-    return np.stack((rho, 1.0 - rho), axis=1)
+    return rhos
 
 
 def _scatter_index(rows: int, bins: int, outcome: OutcomeModel) -> np.ndarray:
@@ -308,10 +304,10 @@ def _scatter_index(rows: int, bins: int, outcome: OutcomeModel) -> np.ndarray:
 class _PolicyTerms:
     """What ``_advance`` reads for a policy, one row per group of each draw
     in the order of the stacked pmfs: ``tau`` and ``keep = 1 - tau``, built
-    here, and the run's ``rf`` of ``_success_rows`` and its
-    ``_scatter_index``, both shared by every policy of the run. Acceptance
-    vectors of another length than the pmfs' raise, naming the first group
-    that has one."""
+    here, and the run's ``rf``, ``rho`` and ``1 - rho`` stacked as (rows,
+    2, bins), and its ``_scatter_index``, both shared by every policy of the
+    run. Acceptance vectors of another length than the pmfs' raise, naming
+    the first group that has one."""
 
     def __init__(
         self,
@@ -390,7 +386,8 @@ def step(
         return None
     ids = pop.group_ids
     pmf = np.array([g.pmf for g in pop.groups])
-    rf, index = _success_rows(outcome, ids, pmf), _scatter_index(*pmf.shape, outcome)
+    rho = np.array(_checked_rho(outcome, ids, pmf))
+    rf, index = np.stack((rho, 1.0 - rho), axis=1), _scatter_index(*pmf.shape, outcome)
     new = np.empty_like(pmf)
     _advance(_PolicyTerms(policy, ids, pmf, rf, index), pmf, new)
     if out is not None:
@@ -572,36 +569,42 @@ def simulate(
     ``flags_fn`` returns the same number of flags at every step. The
     populations the hooks receive never change afterwards.
 
-    The checks and the loop are ``_run``'s; this run is its one-draw case.
-    Its one hook slot is a ``RowHook`` that edits row ``t`` of the state in
-    place before the step's policy is decided; ``pre_step`` is wrapped into
-    it. ``step`` writes each transition into the next row and returns
-    nothing. ``policy_fn`` sees ``pop`` at step 0 of a run without
-    ``pre_step``, and otherwise a population over read-only views of row
-    ``t`` that the loop builds after the hook, one per step.
+    The horizon, ``regime_tol``, ``pop``, the pair and each group's ``rho``
+    length are checked here, in that order; ``_run`` runs the one draw, with
+    ``pre_step`` wrapped into its ``RowHook``, which edits row ``t`` of the
+    state in place before the step's policy is decided. ``step`` writes each
+    transition into the next row. ``policy_fn`` sees ``pop`` at step 0 of a
+    run without ``pre_step``, and otherwise a population over read-only
+    views of row ``t`` that the loop builds after the hook, one per step.
 
     ``run_scenario`` passes its scenario engine as ``_engine``, in place of
-    ``policy_fn``, ``pre_step`` and ``flags_fn``: the engine's ``policy``
-    decides from the step's (pmfs, proportions) rows, as in a sweep block,
-    and with interventions its ``pre_step`` is the row hook and its
-    ``flags_fn`` gives the flags. No population is built for the engine.
+    ``policy_fn``, ``pre_step`` and ``flags_fn``, with a checked config's
+    values, so no start check runs again. The engine's ``policy`` decides
+    from the step's (pmfs, proportions) rows, as in a sweep block; with
+    interventions its ``pre_step`` is the row hook and ``flags_fn`` gives
+    the flags. No population is built for the engine.
 
     The per-step columns are computed after the loop, bit for bit as per-row
     ``pmf.dot`` calls would give them; a non-finite ``delta_mu``, utility or
     mean score then raises ``DomainError`` naming its step.
     """
+    hook = None
     if _engine is None:
-        hook = None if pre_step is None else _pre_step_rows(pre_step, pop)
-        c = _run(
-            pop, policy_fn, outcome, inst, horizon, regime_tol, metric_pair,
-            flags_fn, hook, views=True,
-        )
+        horizon = _checked_horizon(horizon)
+        _check_regime_tol(regime_tol, "regime_tol")
+        _require_valid(pop)
+        _checked_pair(metric_pair, pop.group_ids)
+        _checked_rho(outcome, pop.group_ids, [g.pmf for g in pop.groups])
+        if pre_step is not None:
+            hook = _pre_step_rows(pre_step, pop)
     else:
-        hooks = bool(_engine.interventions)
-        c = _run(
-            pop, _engine.policy, outcome, inst, horizon, regime_tol, metric_pair,
-            _engine.flags_fn if hooks else None, _engine.pre_step if hooks else None,
-        )
+        policy_fn = _engine.policy
+        if _engine.interventions:
+            flags_fn, hook = _engine.flags_fn, _engine.pre_step
+    c = _run(
+        pop, policy_fn, outcome, inst, horizon, regime_tol, metric_pair, flags_fn,
+        hook, views=_engine is None,
+    )
     columns = TrajectoryColumns(
         pop.grid, pop.group_ids, c.metric_pair, c.initial, c.states, c.proportions,
         tuple(c.policies), c.mean_score, c.acceptance, c.tpr, c.fpr,
@@ -624,32 +627,27 @@ def _run(
     starts: Optional[np.ndarray] = None,
     views: bool = False,
 ) -> _Runs:
-    """Check a run's start, then run it over the stacked rows of one or more
-    draws of ``pop``.
+    """Run ``pop`` over the stacked rows of one or more draws; the state
+    (steps, draws * groups, bins) holds each draw's groups in ``pop``'s
+    order, draw by draw. Draws never mix: each value of a draw is computed
+    from its own rows alone, with the operations and in the order of its
+    own run, so a draw gives bit for bit the numbers of that run.
 
-    The horizon, the regime tolerance, ``pop`` and the metric pair (the
-    first two groups when None) are checked before the state (steps, draws
-    * groups, bins) is allocated; it holds each draw's groups in ``pop``'s
-    order, draw by draw. The rows of different draws never mix: each value
-    of a draw is computed from that draw's rows alone, with the operations
-    and in the order of a run of that draw on its own, so a draw gives bit
-    for bit the numbers of its own run.
+    The caller checked the start as ``simulate`` does, and ``horizon`` is an
+    int; the metric pair (the first two groups when None) is only resolved
+    here. Checked here is what the run makes: a sweep block's ``starts``,
+    each policy's acceptance lengths, the hook's populations, the flags.
 
     ``policy_fn(t, rows)`` gets the step's (pmfs, proportions) rows and
-    returns the step's policy; only with ``views``, the run of a user's
-    ``policy_fn``, does it get a ``Population`` over read-only views of the
-    rows instead, built once per step after the hook. With ``starts``
-    None, the run of ``simulate``, the one draw starts from ``pop``:
-    ``policy_fn`` returns a ``Policy``, ``flags_fn(t)`` a tuple of flags,
-    and each transition is one call of ``step`` that writes the next row
-    and builds no population. A sweep
-    block's ``starts`` (draws, groups, bins) are checked as ``pop`` is:
-    ``policy_fn`` returns each draw's policy, there are no flags, and
+    returns the step's policy, or with ``views`` (a user's ``policy_fn``)
+    gets a ``Population`` over read-only views of the rows, built once per
+    step after the hook. With ``starts`` None (``simulate``) the one draw
+    starts from ``pop``, ``flags_fn(t)`` gives a tuple of flags and each
+    transition is one ``step`` call that writes the next row and builds no
+    population. With a sweep block's ``starts`` (draws, groups, bins),
+    ``policy_fn`` gives each draw's policy, there are no flags, and
     ``_advance`` moves every row.
     """
-    horizon = _checked_horizon(horizon)
-    _check_regime_tol(regime_tol, "regime_tol")
-    _require_valid(pop)
     grid, group_ids = pop.grid, pop.group_ids
     metric_pair, pair = _checked_pair(metric_pair, group_ids)
     one = starts is None
@@ -679,8 +677,8 @@ def _run(
     # The run's vectors: ``rho``, ``1 - rho``, the score change and the
     # per-bin utility of every row. A score change past the largest float is
     # inf, no warning, and the finiteness check after the loop names it.
-    rf = _success_rows(outcome, group_ids, states[0])
-    rho = rf[:, 0]
+    rho = np.tile([outcome.rho_for(gid) for gid in group_ids], (draws, 1))
+    rf = np.stack((rho, 1.0 - rho), axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         change = [outcome.score_change(gid, grid) for gid in group_ids]
     change = np.tile(change, (draws, 1))

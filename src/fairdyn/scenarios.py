@@ -199,10 +199,10 @@ class ScenarioConfig:
     at the first field that breaks a rule, naming it by its path in a
     scenario file: each field's type, the goal, each group's success vector,
     the policy rule and its resolution, the interventions and the variants',
-    the seed, and then the checks a run makes of its start (the horizon, the
-    regime tolerance, the population and the metric pair), with the run's
-    messages. So a file and a code-built config fail with one message, and
-    a config that exists is one that a run accepts.
+    the seed (stored as an int), and then ``simulate``'s start checks (the
+    horizon, stored as an int, the regime tolerance, the population and the
+    metric pair), with its messages. So a file and a code-built config fail
+    with one message, and a run of a config that exists checks none again.
     """
 
     name: str
@@ -288,10 +288,12 @@ class ScenarioConfig:
         for name, ivs in self.variants.items():
             where = f"variants.{name}.interventions"
             _check_interventions(_typed(ivs, tuple, where), where, ids)
-        if _integer(self.seed, "seed") < 0:
+        seed = _integer(self.seed, "seed")
+        if seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
 
-        _checked_horizon(self.horizon)
+        object.__setattr__(self, "horizon", _checked_horizon(self.horizon))
+        object.__setattr__(self, "seed", seed)
         _check_regime_tol(tolerances.regime, "tolerances.regime")
         violations = _violations(pop)
         if violations:
@@ -888,8 +890,8 @@ class _DrawEngines:
 
 def _run_draws(cfg: ScenarioConfig, pmfs: np.ndarray) -> _Runs:
     """The scenario's runs from each start of ``pmfs`` (draws, groups, bins),
-    advanced together by ``_run``, which checks the scenario as it checks a
-    run of ``run_scenario``: each draw's columns are bit for bit those of
+    advanced together by ``_run`` with the config's checked values, which
+    checks only the starts: each draw's columns are bit for bit those of
     ``run_scenario`` on its start. The runs keep no intervention flags."""
     hooks = _DrawEngines(cfg, len(pmfs))
     return _run(
@@ -955,7 +957,7 @@ def sensitivity_sweep(
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     pop = cfg.population
-    state_bytes = (int(cfg.horizon) + 1) * len(pop.groups) * len(pop.grid) * 8
+    state_bytes = (cfg.horizon + 1) * len(pop.groups) * len(pop.grid) * 8
     block = max(1, _SWEEP_STATE_BYTES // state_bytes)
     values = []
     for first in range(0, n_draws, block):
