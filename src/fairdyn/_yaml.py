@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 import yaml
 
 from .errors import ConfigError
@@ -88,3 +90,23 @@ def known_keys(raw, path: str, allowed) -> dict:
                 f"{path}: unknown key {key!r}; expected one of {', '.join(allowed)}"
             )
     return raw
+
+
+def as_float(value):
+    """``value`` as a float if it is a number that is not a bool, or a
+    numeric string (PyYAML follows YAML 1.1 and reads ``1e-6`` as a
+    string), else as it is, for the caller to reject."""
+    if isinstance(value, bool):
+        return value
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return value
+
+
+def as_text(value):
+    """``value`` as its text if it is a number that is not a bool (YAML reads
+    ``1`` as a number), else as it is, for the caller to reject."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return str(value)
+    return value

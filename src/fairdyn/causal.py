@@ -39,7 +39,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from ._yaml import known_keys, mapping, read_yaml
+from ._yaml import as_float, as_text, known_keys, mapping, read_yaml
 from .errors import CapacityError, ConfigError, DomainError, StructureError
 
 JOINT_STATE_CAP = 10**6
@@ -547,6 +547,26 @@ def unresolved_discrimination(m: CausalModel, resolving: set[str]) -> bool:
     return False
 
 
+def _domain_value(value, path: str) -> str:
+    """A domain value of a causal model file as text: a string, or a number
+    read as its text; anything else raises ``ConfigError`` naming ``path``."""
+    value = as_text(value)
+    if not isinstance(value, str):
+        raise ConfigError(
+            f"{path}: domain value {value!r} must be a string or a number"
+        )
+    return value
+
+
+def _probability(value, path: str) -> float:
+    """A CPT entry of a causal model file as a float: a number or a numeric
+    string; anything else raises ``ConfigError`` naming ``path``."""
+    value = as_float(value)
+    if not isinstance(value, float):
+        raise ConfigError(f"{path}: entry {value!r} must be a number")
+    return value
+
+
 def load_causal_model(path) -> CausalModel:
     """Read a model from a YAML file.
 
@@ -554,7 +574,10 @@ def load_causal_model(path) -> CausalModel:
     [parent, child] pairs; ``protected`` and ``outcome`` name nodes; ``cpts``
     maps node name to rows keyed by a parent assignment string such as
     ``"A=0,B=1"`` (parents in sorted name order; ``""`` for root nodes), with
-    probabilities given as decimal strings.
+    probabilities given as numbers or decimal strings. A domain value is a
+    string or a number, read as its text; a bool, null, list or mapping
+    there, or where a probability belongs, is a ``ConfigError`` naming
+    ``nodes.A`` or ``cpts.A."<key>"``.
     """
     raw = read_yaml(Path(path), path, "causal model file")
     keys = ("nodes", "edges", "protected", "outcome", "cpts")
@@ -562,7 +585,7 @@ def load_causal_model(path) -> CausalModel:
     known_keys(raw, where, keys)
     try:
         domains = {
-            str(k): tuple(str(v) for v in vs)
+            str(k): tuple(_domain_value(v, f"{where}: nodes.{k}") for v in vs)
             for k, vs in mapping(raw["nodes"], f"{where}: nodes").items()
         }
         edges = tuple((str(u), str(v)) for u, v in raw.get("edges", []))
@@ -596,7 +619,8 @@ def load_causal_model(path) -> CausalModel:
                         f"cpts.{node}: row key {key!r} repeats the parent "
                         "assignment of an earlier row"
                     )
-                table[pk] = tuple(float(x) for x in row)
+                at = f'{where}: cpts.{node}."{key}"'
+                table[pk] = tuple(_probability(x, at) for x in row)
             cpts[node] = table
         model = CausalModel(domains, edges, cpts, protected, outcome)
         model.validate()

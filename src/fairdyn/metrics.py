@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, UndefinedConditionalError
 from .policy import Policy, _acceptance
-from .population import Population, ScoreGrid, _check_lengths, _integer, _vector
+from .population import Population, ScoreGrid, _check_lengths, _integer, _real_vector
 
 EQ_TOL = 1e-12
 
@@ -41,7 +41,7 @@ class OutcomeModel:
             if steps < 0:
                 raise DomainError(f"{name} {steps} must be nonnegative")
             object.__setattr__(self, name, steps)
-        rho = {gid: _vector(r) for gid, r in self.rho.items()}
+        rho = {gid: _real_vector(r, f"rho[{gid}]") for gid, r in self.rho.items()}
         for gid, r in rho.items():
             # Written so that NaN fails the check too.
             if not np.all((r >= 0) & (r <= 1)):

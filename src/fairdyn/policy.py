@@ -15,7 +15,14 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .population import GroupState, Population, ScoreGrid, _check_lengths, _vector
+from .population import (
+    GroupState,
+    Population,
+    ScoreGrid,
+    _check_lengths,
+    _real,
+    _vector,
+)
 
 if TYPE_CHECKING:
     from .metrics import OutcomeModel
@@ -135,7 +142,7 @@ class InstitutionModel:
     def __post_init__(self):
         # Messages start with the field, so a loader can prefix its section.
         for name in ("u_plus", "u_minus"):
-            if not np.isfinite(getattr(self, name)):
+            if not np.isfinite(_real(getattr(self, name), name)):
                 raise DomainError(f"{name} {getattr(self, name)} is not finite")
 
     def per_bin_utility(self, rho: np.ndarray) -> np.ndarray:

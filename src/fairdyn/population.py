@@ -28,6 +28,17 @@ def _vector(values: Sequence[float]) -> np.ndarray:
     return arr
 
 
+def _real_vector(values: Sequence[float], name: str) -> np.ndarray:
+    """``_vector(values)`` once no entry is a bool; entry ``i`` that is one
+    raises ``DomainError`` naming it ``name[i]``."""
+    vector = _vector(values)
+    if not isinstance(values, np.ndarray) or values.dtype.kind in "bO":
+        for i, value in enumerate(values):
+            if isinstance(value, (bool, np.bool_)):
+                raise DomainError(f"{name}[{i}] must be a real number, got {value!r}")
+    return vector
+
+
 def _is_integer(value) -> bool:
     """Whether ``value`` is an integer or an integral float such as 20.0; a
     bool, a string, a fraction, NaN and inf are not."""
@@ -75,7 +86,8 @@ class ScoreGrid:
     bin_width: float
 
     def __post_init__(self):
-        object.__setattr__(self, "bin_scores", _vector(self.bin_scores))
+        scores = _real_vector(self.bin_scores, "bin_scores")
+        object.__setattr__(self, "bin_scores", scores)
 
     def __len__(self) -> int:
         return len(self.bin_scores)
@@ -88,6 +100,9 @@ class ScoreGrid:
         out = []
         if len(self.bin_scores) < 2:
             out.append(f"grid has {len(self.bin_scores)} bins, need at least 2")
+            return out
+        if not _is_real(self.bin_width):
+            out.append(f"bin_width must be a real number, got {self.bin_width!r}")
             return out
         if not (np.isfinite(self.bin_width) and self.bin_width > 0):
             out.append(f"bin_width {self.bin_width} is not positive and finite")
@@ -114,7 +129,7 @@ class GroupState:
     pmf: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pmf", _vector(self.pmf))
+        object.__setattr__(self, "pmf", _real_vector(self.pmf, "pmf"))
 
     def __reduce__(self):
         # Through the constructor, so a loaded group's pmf is read-only.

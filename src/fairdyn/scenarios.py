@@ -27,7 +27,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from ._yaml import known_keys, mapping, read_yaml, sequence
+from ._yaml import as_float, as_text, known_keys, mapping, read_yaml, sequence
 from .dynamics import (
     Trajectory,
     TrajectoryColumns,
@@ -69,7 +69,7 @@ from .population import (
     _pmfs_valid,
     _proportions_valid,
     _real,
-    _vector,
+    _real_vector,
     _violations,
 )
 
@@ -232,6 +232,10 @@ class ScenarioConfig:
         _typed(self.interventions, tuple, "interventions")
         tolerances = _typed(self.tolerances, Tolerances, "tolerances")
         _typed(self.variants, Mapping, "variants")
+        _typed(self.name, str, "name")
+        _typed(goal.label, str, "declared_goal.label")
+        for i, g in enumerate(pop.groups):
+            _typed(g.group_id, str, f"population.groups[{i}].group_id")
         ids, bins = pop.group_ids, len(pop.grid)
         if goal.metric not in GOAL_METRICS:
             raise DomainError(
@@ -260,7 +264,8 @@ class ScenarioConfig:
             if missing:
                 raise DomainError(f"policy_rule.tau: missing groups {sorted(missing)}")
             for gid, t in rule.tau.items():
-                path, t = f"policy_rule.tau[{gid}]", _vector(t)
+                path = f"policy_rule.tau[{gid}]"
+                t = _real_vector(t, path)
                 if gid not in ids:
                     raise DomainError(f"{path}: unknown group label {gid!r}")
                 if len(t) != bins:
@@ -313,21 +318,9 @@ def _as_int(value):
     return int(value) if _is_integer(value) else value
 
 
-def _as_float(value):
-    """``value`` as a float if it is a number that is not a bool, or a
-    numeric string (PyYAML follows YAML 1.1 and reads ``1e-6`` as a
-    string), else as it is, for the check of its field to reject."""
-    if isinstance(value, bool):
-        return value
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return value
-
-
 # The loader's cast of a field by its declared type, optional or not. A field
 # of another type is read as it is, for its record's check to judge.
-_CASTS = {"str": str, "float": _as_float, "int": _as_int}
+_CASTS = {"str": as_text, "float": as_float, "int": _as_int}
 # The fields of each record of a scenario file, in order, with each one's
 # default and cast.
 _FIELDS = {
@@ -393,12 +386,10 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
         return _record(cls, _req(raw, key, "scenario"), key, keys, **casts)
 
     goal = section(DeclaredGoal, "declared_goal")
-    grid = section(
-        ScoreGrid, "population", (*_FIELDS[ScoreGrid], "groups"), bin_width=float
-    )
+    grid = section(ScoreGrid, "population", (*_FIELDS[ScoreGrid], "groups"))
     groups_raw = _req(raw["population"], "groups", "population")
     groups = tuple(
-        _record(GroupState, g, f"population.groups[{i}]", proportion=float)
+        _record(GroupState, g, f"population.groups[{i}]")
         for i, g in enumerate(sequence(groups_raw, "population.groups"))
     )
     ids = [g.group_id for g in groups]
@@ -406,14 +397,16 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
         OutcomeModel, "outcome",
         rho=lambda rho: (
             {str(k): vs for k, vs in rho.items()} if isinstance(rho, dict)
-            else dict.fromkeys(ids, rho)
+            # A label that is not a string is the config's to reject.
+            else {gid: rho for gid in ids if isinstance(gid, str)}
         ),
     )
-    institution = section(InstitutionModel, "institution", u_plus=float, u_minus=float)
+    institution = section(InstitutionModel, "institution")
     rule = section(
         PolicyRuleSpec, "policy_rule",
         tau=lambda tau: {
-            str(k): _vector(vs) for k, vs in mapping(tau, "policy_rule.tau").items()
+            str(k): _real_vector(vs, f"policy_rule.tau[{k}]")
+            for k, vs in mapping(tau, "policy_rule.tau").items()
         },
     )
     tolerances = _record(Tolerances, raw.get("tolerances", {}), "tolerances")
@@ -426,7 +419,7 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
     # A pair that is not a list is the config's to reject.
     pair = raw.get("metric_groups", ids[:2])
     return ScenarioConfig(
-        name=str(raw.get("name", name_hint)),
+        name=as_text(raw.get("name", name_hint)),
         declared_goal=goal,
         population=Population(grid, groups),
         outcome=outcome,
@@ -436,8 +429,8 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
         horizon=_as_int(_req(raw, "horizon", "scenario")),
         tolerances=tolerances,
         seed=_as_int(raw.get("seed", 0)),
-        resolution=_as_float(raw.get("resolution", DEFAULT_RESOLUTION)),
-        metric_groups=tuple(map(str, pair)) if isinstance(pair, list) else pair,
+        resolution=as_float(raw.get("resolution", DEFAULT_RESOLUTION)),
+        metric_groups=tuple(map(as_text, pair)) if isinstance(pair, list) else pair,
         variants=variants,
     )
 

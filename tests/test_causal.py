@@ -616,6 +616,70 @@ cpts:
         with pytest.raises(ConfigError):
             load_causal_model(path)
 
+    MODEL = """
+nodes:
+  A: {a}
+  F: [0, 1]
+protected: A
+outcome: F
+edges: [[A, F]]
+cpts:
+  A:
+    "": {row}
+  F:
+    "A=0": [0.9, 0.1]
+    "A=1": [0.1, 0.9]
+"""
+
+    @pytest.mark.parametrize(
+        "a,row,message",
+        [
+            ("[no, yes]", "[0.5, 0.5]", "nodes.A: domain value False"),
+            ("[0, ~]", "[0.5, 0.5]", "nodes.A: domain value None"),
+            ("[0, [1]]", "[0.5, 0.5]", "nodes.A: domain value [1]"),
+            ("[0, {k: 1}]", "[0.5, 0.5]", "nodes.A: domain value {'k': 1}"),
+            ("[0, 1]", "[true, false]", 'cpts.A."": entry True'),
+            ("[0, 1]", "[0.5, ~]", 'cpts.A."": entry None'),
+            ("[0, 1]", "[0.5, x]", "cpts.A.\"\": entry 'x'"),
+            ("[0, 1]", "[[0.5], 0.5]", 'cpts.A."": entry [0.5]'),
+        ],
+        ids=["domain_bool", "domain_null", "domain_list", "domain_mapping",
+             "entry_bool", "entry_null", "entry_text", "entry_list"],
+    )
+    def test_junk_value_names_its_field(self, tmp_path, a, row, message):
+        # YAML 1.1 reads no/yes and true/false as booleans: a loader that read
+        # them with str and float would declare 'False'/'True' or load 1.0.
+        path = self.write(tmp_path, self.MODEL.format(a=a, row=row))
+        kind = "a string or a number" if "domain" in message else "a number"
+        with pytest.raises(ConfigError) as info:
+            load_causal_model(path)
+        assert str(info.value) == f"causal model file {path}: {message} must be {kind}"
+
+    def test_numbers_and_numeric_strings_load(self, tmp_path):
+        text = self.MODEL.format(a='[0, "1"]', row='["0.5", 5e-1]')
+        path = self.write(tmp_path, text)
+        m = load_causal_model(path)
+        assert m.domains["A"] == ("0", "1")
+        assert m.cpts["A"][()] == (0.5, 0.5)
+        assert m.cpts["F"][("0",)] == (0.9, 0.1)
+
+    def test_structure_error_after_the_rows_names_the_file(self, tmp_path):
+        text = self.MODEL.format(a="[0, 1]", row="[0.5, 0.5]")
+        path = self.write(tmp_path, text.replace("protected: A", "protected: Z"))
+        with pytest.raises(ConfigError) as info:
+            load_causal_model(path)
+        assert str(info.value) == (
+            f"invalid causal model in {path}: protected node 'Z' not in model"
+        )
+
+    def test_a_yaml_boolean_row_fails_the_cli(self, tmp_path, capsys):
+        from fairdyn.cli import main
+
+        path = self.write(tmp_path, self.MODEL.format(a="[0, 1]", row="[true, false]"))
+        assert main(["causal", "--model", str(path), "--check", "cf"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 1 and 'cpts.A."": entry True' in err
+
 
 class TestValidate:
     def test_nan_cpt_entry(self):

@@ -222,6 +222,12 @@ def test_non_finite_utilities_rejected():
         InstitutionModel(float("inf"), 0.0)
 
 
+@pytest.mark.parametrize("value", [True, None, "1.0", [1.0]])
+def test_utility_that_is_not_a_real_number_rejected(value):
+    with pytest.raises(DomainError, match=r"^u_minus must be a real number, got "):
+        InstitutionModel(1.0, value)
+
+
 def test_policy_entries_validated():
     with pytest.raises(DomainError):
         Policy.from_arrays({"a": np.array([0.5, 1.5])})

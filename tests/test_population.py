@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fairdyn.errors import DimensionError
+from fairdyn.errors import DimensionError, DomainError
 from fairdyn.metrics import OutcomeModel
 from fairdyn.policy import Policy
 from fairdyn.population import (
@@ -173,3 +175,28 @@ def test_with_proportion_keeps_the_pmf_array():
 def test_vector_must_be_one_dimensional():
     with pytest.raises(DimensionError, match="1-D"):
         GroupState("a", 1.0, [[0.5, 0.5]])
+
+
+@pytest.mark.parametrize("entries", [(0.5, True), np.array([False, True])])
+@pytest.mark.parametrize(
+    "build,name",
+    [
+        (lambda v: GroupState("a", 1.0, v), "pmf"),
+        (lambda v: ScoreGrid(v, 1.0), "bin_scores"),
+        (lambda v: OutcomeModel({"a": v}, 1, 1), "rho[a]"),
+    ],
+    ids=["pmf", "bin_scores", "rho"],
+)
+def test_a_bool_vector_entry_is_rejected_naming_it(build, name, entries):
+    # ``np.array(..., dtype=float)`` would read it as 0.0 or 1.0.
+    i = 1 if isinstance(entries, tuple) else 0
+    with pytest.raises(DomainError, match=rf"^{re.escape(name)}\[{i}\] must be a real"):
+        build(entries)
+
+
+@pytest.mark.parametrize("width", [True, "1", None])
+def test_a_bin_width_that_is_not_a_real_number_is_a_violation(width):
+    pop = make_population(ScoreGrid((0.0, 1.0), width), {"a": (0.5, 0.5)})
+    assert validate_population(pop).violations == (
+        f"bin_width must be a real number, got {width!r}",
+    )

@@ -236,6 +236,48 @@ class TestLoadChecks:
             f"scenario file {file}: {path}: unknown key {key!r}; expected one of "
         )
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda raw: raw["institution"].update(u_plus=True),
+             "institution.u_plus must be a real number, got True"),
+            (lambda raw: raw["institution"].update(u_minus=[1]),
+             "institution.u_minus must be a real number, got [1]"),
+            (lambda raw: raw["population"].update(bin_width="x"),
+             "invalid population: bin_width must be a real number, got 'x'"),
+            (lambda raw: raw["population"]["groups"][0].update(proportion=None),
+             "invalid population: group 'A': proportion must be a real number, "
+             "got None"),
+            (lambda raw: raw["outcome"]["rho"].__setitem__(2, True),
+             "outcome.rho[A][2] must be a real number, got True"),
+            (lambda raw: raw["population"]["groups"][0].update(group_id=[1]),
+             "population.groups[0].group_id must be a str, got [1]"),
+            (lambda raw: raw["population"]["groups"][1].update(group_id={"k": 1}),
+             "population.groups[1].group_id must be a str, got {'k': 1}"),
+        ],
+        ids=["u_plus_bool", "u_minus_list", "bin_width_text", "proportion_null",
+             "rho_entry_bool", "group_id_list", "group_id_mapping"],
+    )
+    def test_junk_in_a_field_is_named(self, tmp_path, edit, message):
+        # Each of these loaded, or failed naming no field, when the loader
+        # read floats with float(), vectors with np.array and strings with str().
+        path = write_lending(tmp_path, edit)
+        with pytest.raises(ConfigError) as info:
+            load_scenario(path)
+        assert str(info.value) == f"scenario file {path}: {message}"
+
+    def test_a_number_in_a_str_field_is_read_as_its_text(self, tmp_path):
+        def edit(raw):
+            raw.update(name=12, metric_groups=[1, "B"])
+            raw["population"]["groups"][0]["group_id"] = 1
+            rho = raw["outcome"]["rho"]
+            raw["outcome"]["rho"] = {1: rho, "B": rho}
+
+        cfg = load_scenario(write_lending(tmp_path, edit))
+        assert (cfg.name, cfg.population.group_ids, cfg.metric_groups) == (
+            "12", ("1", "B"), ("1", "B")
+        )
+
     @pytest.mark.parametrize("field", ["tolerances", "outcome", "variants"])
     def test_field_that_is_not_a_mapping(self, tmp_path, field):
         file = write_lending(tmp_path, lambda raw: raw.update({field: [1.0]}))
@@ -866,6 +908,36 @@ class TestCompare:
             "variants.quota_only.interventions", "variants.quota_pipeline.interventions"
         ]
 
+    def test_runs_of_a_built_config_validate_no_population(self, monkeypatch):
+        # The config checked its population when it was built; its runs,
+        # variants and sweep blocks do not check it again. ``simulate``
+        # checks the population it is given.
+        calls = []
+        real = dynamics.validate_population
+        monkeypatch.setattr(
+            dynamics, "validate_population", lambda pop: calls.append(pop) or real(pop)
+        )
+        blocks = []
+        block = scenarios._sweep_block
+        monkeypatch.setattr(
+            scenarios, "_sweep_block",
+            lambda cfg, pmfs, draws: blocks.append(draws) or block(cfg, pmfs, draws),
+        )
+        monkeypatch.setattr(scenarios, "_SWEEP_STATE_BYTES", 1)  # a draw per block
+        run_scenario(BOARDS)
+        compare_interventions(
+            BOARDS, named_variants(BOARDS, ["quota_only", "quota_pipeline"])
+        )
+        sensitivity_sweep(BOARDS, 0.01, 3, seed=1)
+        assert len(blocks) == 3
+        assert calls == []
+        policy = initial_policy(BOARDS)
+        simulate(
+            BOARDS.population, lambda t, p: policy, BOARDS.outcome,
+            BOARDS.institution, 2,
+        )
+        assert calls == [BOARDS.population]
+
     def test_a_variant_may_be_an_iterator(self):
         ivs = BOARDS.variants["quota_pipeline"]
         rows = compare_interventions(BOARDS, [("list", ivs), ("iterator", iter(ivs))])
@@ -1122,6 +1194,39 @@ class TestInvariants:
         assert c.proportions[-1, 1] > c.proportions[0, 1]
         assert np.abs(c.states.sum(axis=2) - 1.0).max() <= MASS_TOL
         assert np.abs(c.proportions.sum(axis=1) - 1.0).max() <= MASS_TOL
+
+    @pytest.mark.parametrize(
+        "vector,name",
+        [
+            (("population", "bin_scores"), "population.bin_scores"),
+            (("population", "groups", 1, "pmf"), "population.groups[1].pmf"),
+            (("outcome", "rho", "women"), "outcome.rho[women]"),
+            (("policy_rule", "tau", "men"), "policy_rule.tau[men]"),
+        ],
+        ids=["bin_scores", "pmf", "rho", "tau"],
+    )
+    @pytest.mark.parametrize("entry", [0, 4])
+    def test_a_bool_vector_entry_is_rejected_naming_it(
+        self, tmp_path, vector, name, entry
+    ):
+        # ``np.array(..., dtype=float)`` reads ``true`` as 1.0.
+        import yaml
+
+        rule = scenarios.PolicyRuleSpec(
+            "fixed", tau={"men": np.ones(5), "women": np.zeros(5)}
+        )
+        file = _as_file(replace(_FUZZ_BASE, policy_rule=rule))
+        node = file
+        for key in vector:
+            node = node[key]
+        node[entry] = True
+        path = tmp_path / "bool_entry.yaml"
+        path.write_text(yaml.safe_dump(file), encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            load_scenario(str(path))
+        assert str(info.value) == (
+            f"scenario file {path}: {name}[{entry}] must be a real number, got True"
+        )
 
 
 class TestBatchedSweep:
@@ -1705,17 +1810,34 @@ _CODE_BUILT = {
         )
         for name, value in (("string", "0.9"), ("none", None), ("bool", True))
     },
+    "bin_width_bool": (
+        {
+            "population": Population(
+                ScoreGrid(LENDING.population.grid.bin_scores, True), (_A, _B)
+            )
+        },
+        _STARTS,
+        "invalid population: bin_width must be a real number, got True",
+    ),
+    # A str field that holds no string.
+    "name_list": ({"name": [1]}, _BUILT, "name must be a str, got [1]"),
+    "goal_label_none": (
+        _goal(label=None), _BUILT, "declared_goal.label must be a str, got None"
+    ),
+    "group_id_bool": (
+        {"population": _population_with(B=GroupState(True, _B.proportion, _B.pmf))},
+        _BUILT,
+        "population.groups[1].group_id must be a str, got True",
+    ),
 }
 # Cases that a scenario file cannot hold: it holds a list, not a tuple, and
 # a mapping for a rule's ``tau``; its float fields read a numeric string as
-# the number, since PyYAML reads ``1e-6`` as a string; the loader reads a
-# group's proportion with ``float``; and it rejects an intervention's key of
-# another kind as an unknown key.
+# the number, since PyYAML reads ``1e-6`` as a string; and it rejects an
+# intervention's key of another kind as an unknown key.
 _NOT_IN_A_FILE = (
-    "quota_sunset_tuple", "resolution_string",
-    "quota_share_string", "proportion_string", "proportion_none", "proportion_bool",
-    "max_utility_rule_with_tau_and_constraint", "quota_with_strength",
-    "role_model_with_sunset",
+    "quota_sunset_tuple", "resolution_string", "quota_share_string",
+    "proportion_string", "max_utility_rule_with_tau_and_constraint",
+    "quota_with_strength", "role_model_with_sunset",
 )
 
 
@@ -1770,6 +1892,11 @@ class TestCodeBuiltConfigs:
         with pytest.raises(FairdynError) as info:
             call(changes)
         assert str(info.value) == expected(message)
+
+    def test_horizon_and_seed_are_stored_as_ints(self):
+        cfg = replace(LENDING, horizon=6.0, seed=3.0)
+        assert (cfg.horizon, cfg.seed) == (6, 3)
+        assert type(cfg.horizon) is type(cfg.seed) is int
 
     def test_a_file_declares_the_config_it_is_written_from(self, tmp_path):
         for cfg in (LENDING, BOARDS):
@@ -1954,20 +2081,38 @@ def _numeric(text: str) -> bool:
 
 def _file_holds(key, value) -> bool:
     """Whether a file written by ``_as_file`` with ``value`` at the field
-    ``key`` reads back ``value``. The loader reads a string field with
-    ``str`` and a float field also from a numeric string. ``_as_file``
-    writes None as null, or leaves it out at a default of None, and a tuple
-    as a list."""
+    ``key`` reads back ``value``. The loader reads a number in a str field
+    as its text and a numeric string in a float field as the number, and
+    any other value as it is. ``_as_file`` writes None as null, or leaves it
+    out at a default of None, and a tuple as a list."""
+    declared, _ = _declared(key)
+    if declared not in ("str", "float", "int") or isinstance(value, tuple):
+        return False
+    if declared == "str":
+        return isinstance(value, bool) or not isinstance(value, (int, float))
+    return declared != "float" or not isinstance(value, str) or not _numeric(value)
+
+
+def _junk(key, value) -> bool:
+    """Whether ``value`` at the str or float field ``key`` is one that no file
+    may hold there: a bool, a list, a mapping, null where the default is not
+    None, and in a float field a string that is not a number."""
     declared, default = _declared(key)
-    if declared not in ("str", "float", "int"):
+    if declared not in ("str", "float"):
         return False
     if value is None:
-        return declared != "str" or default is None
-    if declared == "str":
-        return isinstance(value, str)
-    if isinstance(value, str) and declared == "float":
-        return not _numeric(value)
-    return not isinstance(value, tuple)
+        return default is not None
+    if isinstance(value, str):
+        return declared == "float" and not _numeric(value)
+    return isinstance(value, (bool, tuple, list, dict))
+
+
+def _where(path) -> str:
+    """The field at ``path`` as messages name it: ``interventions[1].group``."""
+    return "".join(
+        f"[{key}]" if isinstance(key, int) else f".{key}" if i else key
+        for i, key in enumerate(path)
+    )
 
 
 def _kind_fits(iv) -> bool:
@@ -2010,21 +2155,28 @@ class TestConfigFuzz:
     @given(draw=_field_draws())
     def test_a_config_is_rejected_naming_a_field_or_runs(self, tmp_path_factory, draw):
         # One field of a valid config set to a valid, boundary or junk value.
+        # Junk in a str or float field is rejected, naming the field, from
+        # code and from a file, which then holds it as a list if a tuple.
         path, key, value = draw
         cfg = _set(_FUZZ_BASE, path, value)
+        held, junk = _file_holds(key, value), _junk(key, value)
         file = None
-        if _file_holds(key, value) and all(map(_kind_fits, cfg.interventions)):
+        if (held or junk) and all(map(_kind_fits, cfg.interventions)):
             file = _write_file(tmp_path_factory.getbasetemp(), cfg)
         try:
             built = scenarios.ScenarioConfig(**vars(cfg))
         except FairdynError as exc:
             message = str(exc)
-            assert any(name in message for name in _FIELD_NAMES), message
+            assert any(name in message for name in (*_FIELD_NAMES, _where(path)))
+            assert not junk or _where(path) in message, message
             if file is not None:
                 with pytest.raises(ConfigError) as info:
                     load_scenario(file)
-                assert str(info.value) == f"scenario file {file}: {message}"
+                if held:
+                    assert str(info.value) == f"scenario file {file}: {message}"
+                assert _where(path) in str(info.value) or not junk, str(info.value)
             return
+        assert not junk, f"{_where(path)} = {value!r} accepted"
         if file is not None:
             load_scenario(file)
         try:
@@ -2035,3 +2187,36 @@ class TestConfigFuzz:
             return
         assert np.abs(c.states.sum(axis=2) - 1.0).max() <= MASS_TOL
         assert np.abs(c.proportions.sum(axis=1) - 1.0).max() <= MASS_TOL
+
+    @pytest.mark.parametrize(
+        "vector,name",
+        [
+            (("population", "bin_scores"), "population.bin_scores"),
+            (("population", "groups", 1, "pmf"), "population.groups[1].pmf"),
+            (("outcome", "rho", "women"), "outcome.rho[women]"),
+            (("policy_rule", "tau", "men"), "policy_rule.tau[men]"),
+        ],
+        ids=["bin_scores", "pmf", "rho", "tau"],
+    )
+    @pytest.mark.parametrize("entry", [0, 4])
+    def test_a_bool_vector_entry_is_rejected_naming_it(
+        self, tmp_path, vector, name, entry
+    ):
+        # ``np.array(..., dtype=float)`` reads ``true`` as 1.0.
+        import yaml
+
+        rule = scenarios.PolicyRuleSpec(
+            "fixed", tau={"men": np.ones(5), "women": np.zeros(5)}
+        )
+        file = _as_file(replace(_FUZZ_BASE, policy_rule=rule))
+        node = file
+        for key in vector:
+            node = node[key]
+        node[entry] = True
+        path = tmp_path / "bool_entry.yaml"
+        path.write_text(yaml.safe_dump(file), encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            load_scenario(str(path))
+        assert str(info.value) == (
+            f"scenario file {path}: {name}[{entry}] must be a real number, got True"
+        )
