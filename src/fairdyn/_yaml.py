@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import numbers
-
 import yaml
 
 from .errors import ConfigError
+from .population import _is_real
 
 _MERGE_TAG = "tag:yaml.org,2002:merge"
 
@@ -107,6 +106,4 @@ def as_float(value):
 def as_text(value):
     """``value`` as its text if it is a number that is not a bool (YAML reads
     ``1`` as a number), else as it is, for the caller to reject."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return str(value)
-    return value
+    return str(value) if _is_real(value) else value

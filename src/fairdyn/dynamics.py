@@ -588,17 +588,15 @@ def simulate(
     ``pmf.dot`` calls would give them; a non-finite ``delta_mu``, utility or
     mean score then raises ``DomainError`` naming its step.
     """
-    hook = None
     if _engine is None:
         horizon = _checked_horizon(horizon)
         _check_regime_tol(regime_tol, "regime_tol")
         _require_valid(pop)
         _checked_pair(metric_pair, pop.group_ids)
         _checked_rho(outcome, pop.group_ids, [g.pmf for g in pop.groups])
-        if pre_step is not None:
-            hook = _pre_step_rows(pre_step, pop)
+        hook = None if pre_step is None else _pre_step_rows(pre_step, pop)
     else:
-        policy_fn = _engine.policy
+        policy_fn, hook = _engine.policy, None
         if _engine.interventions:
             flags_fn, hook = _engine.flags_fn, _engine.pre_step
     c = _run(
