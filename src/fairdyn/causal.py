@@ -547,15 +547,19 @@ def unresolved_discrimination(m: CausalModel, resolving: set[str]) -> bool:
     return False
 
 
-def _domain_value(value, path: str) -> str:
-    """A domain value of a causal model file as text: a string, or a number
-    read as its text; anything else raises ``ConfigError`` naming ``path``."""
+def _text(value, path: str, what: str = "domain value") -> str:
+    """A domain value or node name (``what``) of a causal model file as
+    text: a string, or a number read as its text; anything else raises
+    ``ConfigError`` naming ``path``."""
     value = as_text(value)
     if not isinstance(value, str):
-        raise ConfigError(
-            f"{path}: domain value {value!r} must be a string or a number"
-        )
+        raise ConfigError(f"{path}: {what} {value!r} must be a string or a number")
     return value
+
+
+def _name(value, path: str) -> str:
+    """A node name of a causal model file, read as ``_text`` reads it."""
+    return _text(value, path, "node name")
 
 
 def _probability(value, path: str) -> float:
@@ -574,10 +578,11 @@ def load_causal_model(path) -> CausalModel:
     [parent, child] pairs; ``protected`` and ``outcome`` name nodes; ``cpts``
     maps node name to rows keyed by a parent assignment string such as
     ``"A=0,B=1"`` (parents in sorted name order; ``""`` for root nodes), with
-    probabilities given as numbers or decimal strings. A domain value is a
-    string or a number, read as its text; a bool, null, list or mapping
-    there, or where a probability belongs, is a ``ConfigError`` naming
-    ``nodes.A`` or ``cpts.A."<key>"``.
+    probabilities given as numbers or decimal strings. A node name or a
+    domain value is a string or a number, read as its text; a bool, null,
+    list or mapping there, or where a probability belongs, is a
+    ``ConfigError`` naming ``nodes``, ``edges[i]``, ``protected``,
+    ``outcome``, ``cpts``, ``nodes.A`` or ``cpts.A."<key>"``.
     """
     raw = read_yaml(Path(path), path, "causal model file")
     keys = ("nodes", "edges", "protected", "outcome", "cpts")
@@ -585,16 +590,21 @@ def load_causal_model(path) -> CausalModel:
     known_keys(raw, where, keys)
     try:
         domains = {
-            str(k): tuple(_domain_value(v, f"{where}: nodes.{k}") for v in vs)
+            _name(k, f"{where}: nodes"): tuple(
+                _text(v, f"{where}: nodes.{k}") for v in vs
+            )
             for k, vs in mapping(raw["nodes"], f"{where}: nodes").items()
         }
-        edges = tuple((str(u), str(v)) for u, v in raw.get("edges", []))
-        protected = str(raw["protected"])
-        outcome = str(raw["outcome"])
+        edges = tuple(
+            (_name(u, f"{where}: edges[{i}]"), _name(v, f"{where}: edges[{i}]"))
+            for i, (u, v) in enumerate(raw.get("edges", []))
+        )
+        protected = _name(raw["protected"], f"{where}: protected")
+        outcome = _name(raw["outcome"], f"{where}: outcome")
         parent_map, _ = _graph(domains, edges)
         cpts = {}
         for node, rows in mapping(raw["cpts"], f"{where}: cpts").items():
-            node = str(node)
+            node = _name(node, f"{where}: cpts")
             parents = parent_map.get(node, ())
             table = {}
             for key, row in mapping(rows, f"{where}: cpts.{node}").items():

@@ -582,12 +582,20 @@ def simulate(
     values, so no start check runs again. The engine's ``policy`` decides
     from the step's (pmfs, proportions) rows, as in a sweep block; with
     interventions its ``pre_step`` is the row hook and ``flags_fn`` gives
-    the flags. No population is built for the engine.
+    the flags. No population is built for the engine. A ``deferred``
+    engine (a ``fixed`` or ``max_utility`` rule, with role-model feedback
+    as its only interventions) takes no row hook: its ``policy`` returns
+    the rule at every step and its ``feedback`` rescales the proportions
+    after the loop. No decision of such a run reads the proportions, and
+    the states do not depend on them, so the pass gives the hook's
+    proportions bit for bit: it applies the hook's own rescale, to shares
+    of acceptance rates that ``_dots`` takes as the hook's ``pmf.dot(tau)``.
 
     The per-step columns are computed after the loop, bit for bit as per-row
     ``pmf.dot`` calls would give them; a non-finite ``delta_mu``, utility or
     mean score then raises ``DomainError`` naming its step.
     """
+    feedback = None
     if _engine is None:
         horizon = _checked_horizon(horizon)
         _check_regime_tol(regime_tol, "regime_tol")
@@ -597,11 +605,13 @@ def simulate(
         hook = None if pre_step is None else _pre_step_rows(pre_step, pop)
     else:
         policy_fn, hook = _engine.policy, None
-        if _engine.interventions:
+        if _engine.deferred:
+            flags_fn, feedback = _engine.flags_fn, _engine.feedback
+        elif _engine.interventions:
             flags_fn, hook = _engine.flags_fn, _engine.pre_step
     c = _run(
         pop, policy_fn, outcome, inst, horizon, regime_tol, metric_pair, flags_fn,
-        hook, views=_engine is None,
+        hook, views=_engine is None, feedback=feedback,
     )
     columns = TrajectoryColumns(
         pop.grid, pop.group_ids, c.metric_pair, c.initial, c.states, c.proportions,
@@ -624,6 +634,7 @@ def _run(
     hook: Optional[RowHook] = None,
     starts: Optional[np.ndarray] = None,
     views: bool = False,
+    feedback: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
 ) -> _Runs:
     """Run ``pop`` over the stacked rows of one or more draws; the state
     (steps, draws * groups, bins) holds each draw's groups in ``pop``'s
@@ -644,7 +655,10 @@ def _run(
     transition is one ``step`` call that writes the next row and builds no
     population. With a sweep block's ``starts`` (draws, groups, bins),
     ``policy_fn`` gives each draw's policy, there are no flags, and
-    ``_advance`` moves every row.
+    ``_advance`` moves every row. ``feedback(states, proportions)``, for
+    a one-draw run whose decisions never read the proportions, runs after
+    the loop and before the columns are computed, and fills the proportion
+    rows after row 0 in place.
     """
     grid, group_ids = pop.grid, pop.group_ids
     metric_pair, pair = _checked_pair(metric_pair, group_ids)
@@ -728,6 +742,8 @@ def _run(
                 _advance(terms, states[t], states[t + 1])
             if rescaled:
                 proportions[t + 1] = proportions[t]
+    if feedback is not None:
+        feedback(states, proportions)
     mean_score, acceptance, tpr, fpr, delta_mu, utility = _step_columns(
         states, proportions, policies, group_ids, run, grid.bin_scores
     )

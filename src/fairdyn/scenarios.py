@@ -34,6 +34,7 @@ from .dynamics import (
     _check_regime_tol,
     _checked_horizon,
     _checked_pair,
+    _dots,
     _population_view,
     _require_valid,
     _run,
@@ -318,6 +319,31 @@ def _as_int(value):
     return int(value) if _is_integer(value) else value
 
 
+def _floats(raw, path: str):
+    """The vector ``raw`` at ``path`` in a scenario file as a list of floats,
+    each entry cast with ``as_float``; an entry that is not then a float (a
+    bool, null, list, mapping or non-numeric string) raises ``ConfigError``
+    naming ``path[i]``. A value that is not a list is returned as it is, for
+    its record's check to reject."""
+    if not isinstance(raw, list):
+        return raw
+    out = [as_float(value) for value in raw]
+    for i, value in enumerate(out):
+        if not isinstance(value, float):
+            raise ConfigError(f"{path}[{i}] must be a real number, got {value!r}")
+    return out
+
+
+def _label(key, path: str) -> str:
+    """A key of the mapping at ``path`` in a scenario file, a group label or
+    a variant name, as text: a string, or a number read as its text; a bool
+    or null raises ``ConfigError`` naming ``path``."""
+    label = as_text(key)
+    if not isinstance(label, str):
+        raise ConfigError(f"{path}: key {key!r} must be a string or a number")
+    return label
+
+
 # The loader's cast of a field by its declared type, optional or not. A field
 # of another type is read as it is, for its record's check to judge.
 _CASTS = {"str": as_text, "float": as_float, "int": _as_int}
@@ -386,36 +412,49 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
         return _record(cls, _req(raw, key, "scenario"), key, keys, **casts)
 
     goal = section(DeclaredGoal, "declared_goal")
-    grid = section(ScoreGrid, "population", (*_FIELDS[ScoreGrid], "groups"))
+    grid = section(
+        ScoreGrid, "population", (*_FIELDS[ScoreGrid], "groups"),
+        bin_scores=lambda scores: _floats(scores, "population.bin_scores"),
+    )
     groups_raw = _req(raw["population"], "groups", "population")
     groups = tuple(
-        _record(GroupState, g, f"population.groups[{i}]")
+        _record(
+            GroupState, g, f"population.groups[{i}]",
+            pmf=lambda pmf, i=i: _floats(pmf, f"population.groups[{i}].pmf"),
+        )
         for i, g in enumerate(sequence(groups_raw, "population.groups"))
     )
     ids = [g.group_id for g in groups]
-    outcome = section(
-        OutcomeModel, "outcome",
-        rho=lambda rho: (
-            {str(k): vs for k, vs in rho.items()} if isinstance(rho, dict)
-            # A label that is not a string is the config's to reject.
-            else {gid: rho for gid in ids if isinstance(gid, str)}
-        ),
-    )
+
+    def rho_vectors(rho):
+        if not isinstance(rho, dict):
+            # One vector for every group; a label that is not a string is
+            # the config's to reject.
+            rho = {gid: rho for gid in ids if isinstance(gid, str)}
+        return {
+            _label(k, "outcome.rho"): _floats(vs, f"outcome.rho[{k}]")
+            for k, vs in rho.items()
+        }
+
+    outcome = section(OutcomeModel, "outcome", rho=rho_vectors)
     institution = section(InstitutionModel, "institution")
     rule = section(
         PolicyRuleSpec, "policy_rule",
         tau=lambda tau: {
-            str(k): _real_vector(vs, f"policy_rule.tau[{k}]")
+            _label(k, "policy_rule.tau"): _real_vector(
+                _floats(vs, f"policy_rule.tau[{k}]"), f"policy_rule.tau[{k}]"
+            )
             for k, vs in mapping(tau, "policy_rule.tau").items()
         },
     )
     tolerances = _record(Tolerances, raw.get("tolerances", {}), "tolerances")
     variants = {}
     for name, v in mapping(raw.get("variants", {}), "variants").items():
+        name = _label(name, "variants")
         where = f"variants.{name}"
         known_keys(v, where, ("interventions",))
         ivs = _req(v, "interventions", where)
-        variants[str(name)] = _interventions(ivs, where + ".interventions")
+        variants[name] = _interventions(ivs, where + ".interventions")
     # A pair that is not a list is the config's to reject.
     pair = raw.get("metric_groups", ids[:2])
     return ScenarioConfig(
@@ -504,7 +543,15 @@ class _ScenarioEngine:
     """Stateful hooks plugged into the dynamics loop to apply interventions:
     ``pre_step``, the loop's row hook, ``policy``, which ``decide``s from
     the step's rows, and ``flags_fn``. ``run_scenario`` hands the engine to
-    ``simulate``."""
+    ``simulate``.
+
+    Under a ``fixed`` or ``max_utility`` rule whose interventions are all
+    role-model feedback (``deferred``), no step's decision reads the
+    proportions, so a run of one draw takes no row hook: ``policy`` returns
+    the rule, ``flags_fn`` reads each flag off its ``active_from``, and
+    ``feedback`` rescales the proportions after the loop. It applies each
+    step's rescale with ``_rescale``, as ``pre_step`` does, to shares that
+    ``_shares`` takes of the masses ``decide`` would have computed."""
 
     def __init__(self, cfg: ScenarioConfig, interventions, rule=None):
         self.cfg = cfg
@@ -518,12 +565,40 @@ class _ScenarioEngine:
         self.rule = rule
         self.quota_active = [iv.kind == "quota" for iv in interventions]
         self.quota_streak = [0] * len(interventions)
-        # Only role-model feedback reads the accepted shares of the last step.
-        self.keeps_shares = any(
-            iv.kind == "role_model_feedback" for iv in interventions
+        # Each role-model feedback, in order, as (active_from, group index,
+        # strength). Only these read the accepted shares of the last step.
+        self.feedbacks = [
+            (iv.active_from, self.index[iv.group], iv.strength)
+            for iv in interventions
+            if iv.kind == "role_model_feedback"
+        ]
+        self.deferred = isinstance(rule, Policy) and (
+            0 < len(self.feedbacks) == len(interventions)
         )
         self.last_share: dict[str, float] = {}
         self.flags: dict[int, tuple[bool, ...]] = {}
+
+    def _rescale(
+        self, t: int, proportions: list[float], shares: list[float]
+    ) -> Optional[list[float]]:
+        """``proportions`` after the role-model feedback active at step ``t``,
+        on each group's ``shares`` of the mass accepted at the last step; None
+        when none is active. Each, in order, scales its group's proportion by
+        ``1 + strength * share`` and renormalizes."""
+        rescaled = None
+        for start, j, strength in self.feedbacks:
+            if t >= start:
+                scaled = list(proportions if rescaled is None else rescaled)
+                scaled[j] *= 1.0 + strength * shares[j]
+                total = sum(scaled)
+                rescaled = [p / total for p in scaled]
+        return rescaled
+
+    def _raise_invalid(self, pmfs: np.ndarray, proportions: list[float]) -> None:
+        """Raise the ``DomainError`` of ``_require_valid`` for the population
+        of these rows."""
+        pop = self.cfg.population
+        _require_valid(_population_view(pop.grid, pop.group_ids, proportions, pmfs))
 
     def pre_step(self, t: int, pmfs: np.ndarray, proportions: np.ndarray) -> bool:
         """Apply the interventions active at step ``t`` in place to the
@@ -531,45 +606,64 @@ class _ScenarioEngine:
         proportions changed.
 
         The pipeline moves ``shift_fraction`` of each non-top bin's mass one
-        bin up; role-model feedback scales its group's proportion by ``1 +
-        strength * share``, with the share accepted at the last step, and
-        renormalizes. A shifted pmf and rescaled proportions are then checked
-        as ``validate_population`` checks them; on failure it raises its
-        ``DomainError("invalid population: ...")``.
+        bin up; then role-model feedback (``_rescale``) scales its group's
+        proportion by ``1 + strength * share``, with the share accepted at
+        the last step, and renormalizes. The two edit different rows, so
+        their order changes no value. A shifted pmf and rescaled proportions
+        are then checked as ``validate_population`` checks them; on failure
+        it raises its ``DomainError("invalid population: ...")``.
         """
         valid = True
-        rescaled = False
         for iv in self.interventions:
-            if t < iv.active_from:
-                continue
-            if iv.kind == "pipeline_investment":
+            if iv.kind == "pipeline_investment" and t >= iv.active_from:
                 i = self.index[iv.group]
                 row = pmfs[i]
                 moved = row[:-1] * iv.shift_fraction
                 row[:-1] -= moved
                 row[1:] += moved
                 valid = _pmfs_valid(pmfs[i : i + 1]) and valid
-            elif iv.kind == "role_model_feedback":
-                share = self.last_share.get(iv.group)
-                if share is None:
-                    continue
-                scaled = proportions.tolist()
-                scaled[self.index[iv.group]] *= 1.0 + iv.strength * share
-                total = sum(scaled)
-                proportions[:] = [p / total for p in scaled]
-                rescaled = True
-        if rescaled:
-            valid = _proportions_valid(proportions.tolist()) and valid
+        rescaled = None
+        if self.last_share:  # none before the first decision
+            shares = [self.last_share[gid] for gid in self.group_ids]
+            rescaled = self._rescale(t, proportions.tolist(), shares)
+        if rescaled is not None:
+            proportions[:] = rescaled
+            valid = _proportions_valid(rescaled) and valid
         if not valid:
-            pop = self.cfg.population
-            _require_valid(
-                _population_view(pop.grid, pop.group_ids, proportions.tolist(), pmfs)
-            )
-        return rescaled
+            self._raise_invalid(pmfs, proportions.tolist())
+        return rescaled is not None
+
+    def feedback(self, states: np.ndarray, proportions: np.ndarray) -> None:
+        """Fill rows 1 on of ``proportions`` (steps, groups), all equal to
+        row 0, with the role-model feedback of a ``deferred`` engine's run
+        whose states (steps, groups, bins) are ``states``.
+
+        Each step's accepted masses are its proportions times ``_dots`` of
+        its pmfs and the rule's acceptance vectors, which equal the
+        ``pmf.dot(tau)`` that ``decide`` computes bit for bit, so every row
+        is that of the in-loop hook. A step whose rescaled proportions fail
+        ``validate_population`` raises its error, naming that step's
+        population."""
+        acceptance = _dots(states, self.rule._rows(self.group_ids)[:, None])
+        props = proportions[0].tolist()
+        rows = []
+        for t, accepted in enumerate(acceptance[:-1, :, 0].tolist(), 1):
+            shares = _shares([p * a for p, a in zip(props, accepted)])
+            rescaled = self._rescale(t, props, shares)
+            if rescaled is not None:
+                if not _proportions_valid(rescaled):
+                    self._raise_invalid(states[t], rescaled)
+                props = rescaled
+            rows.append(props)
+        if rows:
+            proportions[1:] = rows
 
     def policy(self, t: int, step_rows: tuple[np.ndarray, np.ndarray]) -> Policy:
         """The policy of step ``t``, which ``decide``s from the step's
-        (pmfs, proportions) rows, the groups in the scenario's order."""
+        (pmfs, proportions) rows, the groups in the scenario's order; a
+        ``deferred`` engine's rule, which no row changes."""
+        if self.deferred:
+            return self.rule
         pmfs, proportions = step_rows
         return self.decide(t, pmfs, proportions.tolist())
 
@@ -602,7 +696,7 @@ class _ScenarioEngine:
                 self.quota_streak[i] = 0
             if self.quota_streak[i] >= iv.sunset.window:
                 self.quota_active[i] = False  # permanent
-        if self.keeps_shares:
+        if self.feedbacks:
             if mass is None:
                 mass = _accepted_mass(pmfs, proportions, pol._rows(self.group_ids))
             self.last_share = dict(zip(self.index, _shares(mass)))
@@ -648,6 +742,8 @@ class _ScenarioEngine:
         return pol._with_tau(iv.group, tau)
 
     def flags_fn(self, t: int) -> tuple[bool, ...]:
+        if self.deferred:
+            return tuple(t >= iv.active_from for iv in self.interventions)
         return self.flags.get(t, ())
 
 

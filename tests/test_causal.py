@@ -655,6 +655,41 @@ cpts:
             load_causal_model(path)
         assert str(info.value) == f"causal model file {path}: {message} must be {kind}"
 
+    @pytest.mark.parametrize(
+        "old,new,path,value",
+        [
+            ("protected: A", "protected: no", "protected", "False"),
+            ("outcome: F", "outcome: ~", "outcome", "None"),
+            ("outcome: F", "outcome: [F]", "outcome", "['F']"),
+            ("edges: [[A, F]]", "edges: [[A, F], [yes, F]]", "edges[1]", "True"),
+            ("edges: [[A, F]]", "edges: [[A, {F: 1}]]", "edges[0]", "{'F': 1}"),
+            ("  F: [0, 1]", "  F: [0, 1]\n  ~: [0, 1]", "nodes", "None"),
+            ("  A:\n    \"\"", "  off:\n    \"\"", "cpts", "False"),
+        ],
+        ids=["protected_bool", "outcome_null", "outcome_list", "edge_bool",
+             "edge_mapping", "node_null", "cpt_node_bool"],
+    )
+    def test_junk_name_names_its_field(self, tmp_path, old, new, path, value):
+        # YAML 1.1 reads no/yes/off as booleans and ~ as null: a loader that
+        # read names with str would look for a node 'False' or 'None'.
+        text = self.MODEL.format(a="[0, 1]", row="[0.5, 0.5]")
+        assert old in text
+        path_ = self.write(tmp_path, text.replace(old, new))
+        with pytest.raises(ConfigError) as info:
+            load_causal_model(path_)
+        assert str(info.value) == (
+            f"causal model file {path_}: {path}: node name {value} must be a "
+            "string or a number"
+        )
+
+    def test_a_number_as_a_name_is_read_as_its_text(self, tmp_path):
+        text = self.MODEL.format(a="[0, 1]", row="[0.5, 0.5]")
+        for old, new in [("A", "1"), ("F", "2")]:
+            text = re.sub(rf"\b{old}\b", new, text)
+        m = load_causal_model(self.write(tmp_path, text))
+        assert (m.protected, m.outcome, m.edges) == ("1", "2", (("1", "2"),))
+        assert set(m.domains) == set(m.cpts) == {"1", "2"}
+
     def test_numbers_and_numeric_strings_load(self, tmp_path):
         text = self.MODEL.format(a='[0, "1"]', row='["0.5", 5e-1]')
         path = self.write(tmp_path, text)

@@ -701,7 +701,9 @@ def _same(a, b):
 @st.composite
 def runs(draw):
     """A random scenario: 1-3 groups, 2-60 bins, shifts of 0, small and at
-    least n - 1, each policy rule and any set of interventions."""
+    least n - 1, each policy rule and any set of interventions, in any
+    order: at most one quota and one pipeline, and up to three role-model
+    feedbacks, on the same or different groups."""
     groups = draw(st.integers(1, 3))
     n = draw(st.integers(2, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -746,11 +748,15 @@ def runs(draw):
         IR("pipeline_investment", draw(st.sampled_from(ids)),
            active_from=draw(st.integers(0, 3)),
            shift_fraction=draw(st.floats(0.0, 1.0))),
+    ]
+    interventions = [iv for iv in options if draw(st.booleans())]
+    interventions += [
         IR("role_model_feedback", draw(st.sampled_from(ids)),
            active_from=draw(st.integers(0, 3)),
-           strength=draw(st.floats(0.0, 1.0))),
+           strength=draw(st.floats(0.0, 1.0)))
+        for _ in range(draw(st.integers(0, 3)))
     ]
-    interventions = tuple(iv for iv in options if draw(st.booleans()))
+    interventions = tuple(draw(st.permutations(interventions)))
     grid = ScoreGrid(tuple(300.0 + 10.0 * i for i in range(n)), 10.0)
     pop = Population(
         grid,
@@ -869,22 +875,35 @@ class TestAgainstOracle:
             ),
             scenarios.InterventionRule("role_model_feedback", "B", strength=-100.0),
             scenarios.InterventionRule("role_model_feedback", "B", strength=math.inf),
+            scenarios.InterventionRule(
+                "role_model_feedback", "B", active_from=3, strength=-100.0
+            ),
         ],
-        ids=["shift_above_one", "shift_nan", "strength_negative", "strength_inf"],
+        ids=[
+            "shift_above_one", "shift_nan", "strength_negative", "strength_inf",
+            "strength_negative_from_step_3",
+        ],
     )
     def test_invalid_intervention_raises_as_the_oracle(self, iv):
         # The config's check rejects these values when it is built, as the
         # loader does; an engine of a config that skipped it must still fail
-        # in its in-place hook as a checked population does.
+        # in its in-place hook, or in the role-model pass after the loop, as
+        # a checked population does, and at the same step.
         with pytest.raises(
             DomainError, match=r"^interventions\[0\]\.(shift_fraction|strength) out of"
         ):
             replace(LENDING, interventions=(iv,))
-        traj, records = _both(unchecked_config(LENDING, interventions=(iv,)))
+        horizon = 8 if iv.active_from == 3 else LENDING.horizon
+        cfg = unchecked_config(LENDING, interventions=(iv,), horizon=horizon)
+        traj, records = _both(cfg)
         assert type(traj) is type(records) is DomainError
         assert str(traj) == str(records)
         assert str(traj).startswith("invalid population: group ")
         assert "group 'B': " in str(traj)
+        if iv.active_from == 3:
+            # A run that ends before the feedback starts does not fail.
+            short = unchecked_config(cfg, horizon=2)
+            assert not isinstance(_both(short)[0], Exception)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1213,13 +1232,18 @@ class TestViewsPerRun:
         )
         return views
 
-    def test_scenario_run_builds_only_the_initial_view(self, monkeypatch):
+    def test_scenario_run_builds_a_view_only_when_a_hook_edits_row_0(
+        self, monkeypatch
+    ):
         views = self.counting(monkeypatch)
         iv = scenarios.InterventionRule("role_model_feedback", "B", strength=0.5)
         traj = scenarios.run_scenario(replace(LENDING, horizon=50), (iv,))
-        # Every step rescales the proportions.
+        # Every step rescales the proportions, after the loop: no hook runs.
         assert np.all(np.diff(traj.columns.proportions[:, 0]) != 0)
-        # Only the initial population, step 0 after the hook.
+        assert views == []
+        # A pipeline's hook edits row 0: one view, the initial population.
+        iv = scenarios.InterventionRule("pipeline_investment", "B", shift_fraction=0.1)
+        scenarios.run_scenario(replace(LENDING, horizon=50), (iv,))
         assert len(views) == 1
 
     def test_user_run_builds_one_view_per_transition(self, monkeypatch):

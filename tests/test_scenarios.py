@@ -263,6 +263,69 @@ class TestLoadChecks:
             load_scenario(path)
         assert str(info.value) == f"scenario file {path}: {message}"
 
+    @pytest.mark.parametrize(
+        "vector,name",
+        [
+            (("population", "bin_scores"), "population.bin_scores"),
+            (("population", "groups", 1, "pmf"), "population.groups[1].pmf"),
+            (("outcome", "rho"), "outcome.rho[A]"),
+            (("policy_rule", "tau", "B"), "policy_rule.tau[B]"),
+        ],
+        ids=["bin_scores", "pmf", "rho", "tau"],
+    )
+    @pytest.mark.parametrize(
+        "junk", ["x", None, [0.25], {"k": 1}], ids=["text", "null", "list", "mapping"]
+    )
+    def test_junk_vector_entry_is_named(self, tmp_path, vector, name, junk):
+        # np.array(..., dtype=float) failed naming no field, or read null as
+        # NaN, which the checks then reported as a non-finite entry.
+        def edit(raw):
+            fixed_rule(raw, {"A": [0, 0, 0, 1, 1, 1], "B": [0, 0, 1, 1, 1, 1]})
+            node = raw
+            for key in vector:
+                node = node[key]
+            node[0] = junk
+
+        path = write_lending(tmp_path, edit)
+        with pytest.raises(ConfigError) as info:
+            load_scenario(path)
+        assert str(info.value) == (
+            f"scenario file {path}: {name}[0] must be a real number, got {junk!r}"
+        )
+
+    def test_numeric_text_in_a_vector_is_read_as_the_number(self, tmp_path):
+        def edit(raw):
+            raw["population"]["groups"][1]["pmf"][0] = "0.25"
+
+        cfg = load_scenario(write_lending(tmp_path, edit))
+        assert cfg.population.groups[1].pmf.tolist() == (
+            LENDING.population.groups[1].pmf.tolist()
+        )
+
+    @pytest.mark.parametrize(
+        "edit,path,key",
+        [
+            (lambda raw: raw.update(variants={True: {"interventions": []}}),
+             "variants", True),
+            (lambda raw: raw["outcome"].update(
+                rho={"A": raw["outcome"]["rho"], "B": raw["outcome"]["rho"],
+                     None: raw["outcome"]["rho"]}),
+             "outcome.rho", None),
+            (lambda raw: fixed_rule(
+                raw, {"A": [1] * 6, "B": [1] * 6, False: [1] * 6}),
+             "policy_rule.tau", False),
+        ],
+        ids=["variant_bool", "rho_null", "tau_bool"],
+    )
+    def test_a_bool_or_null_key_is_rejected(self, tmp_path, edit, path, key):
+        # Keys were read with str: ``yes`` loaded as the variant 'True'.
+        file = write_lending(tmp_path, edit)
+        with pytest.raises(ConfigError) as info:
+            load_scenario(file)
+        assert str(info.value) == (
+            f"scenario file {file}: {path}: key {key!r} must be a string or a number"
+        )
+
     def test_a_number_in_a_str_field_is_read_as_its_text(self, tmp_path):
         def edit(raw):
             raw.update(name=12, metric_groups=[1, "B"])
@@ -804,6 +867,10 @@ class TestPipelineInvestment:
             engine.pre_step(0, pmfs, proportions)
 
 
+# A ``fixed`` rule's acceptance vectors for ``BOARDS``.
+FIXED_TAU = {"men": np.array([0, 0, 0.5, 1, 1]), "women": np.array([0, 0.5, 1, 1, 1])}
+
+
 class TestRoleModelFeedback:
     def test_proportion_grows_with_accepted_share(self):
         iv = InterventionRule(
@@ -847,6 +914,38 @@ class TestRoleModelFeedback:
             r"\[0,1\]; group 'women': proportion -0\.25\d* outside \[0,1\]$",
         ):
             engine.pre_step(1, pmfs, proportions)
+
+    @pytest.mark.parametrize(
+        "rule, extra, calls",
+        [
+            (scenarios.PolicyRuleSpec("max_utility"), (), 0),
+            (scenarios.PolicyRuleSpec("fixed", tau=FIXED_TAU), (), 0),
+            (scenarios.PolicyRuleSpec("constrained", constraint="dp"), (), 7),
+            (scenarios.PolicyRuleSpec("max_utility"), BOARDS.interventions, 7),
+        ],
+        ids=["max_utility", "fixed", "searched", "with_a_quota"],
+    )
+    def test_static_rule_runs_no_hook(self, monkeypatch, rule, extra, calls):
+        # Under a rule no step changes, role-model feedback runs after the
+        # loop: the row hook is never called, the policy hook at every step.
+        counts = {"pre_step": 0, "policy": 0}
+        for name in counts:
+            real = getattr(_ScenarioEngine, name)
+
+            def counted(self, *args, real=real, name=name):
+                counts[name] += 1
+                return real(self, *args)
+
+            monkeypatch.setattr(_ScenarioEngine, name, counted)
+        ivs = (
+            *extra,
+            InterventionRule("role_model_feedback", "women", strength=0.5),
+            InterventionRule("role_model_feedback", "men", active_from=2, strength=0.2),
+        )
+        cfg = replace(BOARDS, policy_rule=rule, horizon=6)
+        traj = run_scenario(cfg, ivs)
+        assert counts == {"pre_step": calls, "policy": 7}
+        assert traj.columns.flags[:, -2:].tolist() == [[True, t >= 2] for t in range(7)]
 
     def test_full_run_keeps_population_valid(self):
         from fairdyn.population import validate_population
@@ -1034,12 +1133,12 @@ class TestGoalSemantics:
 
 
 class TestAcceptedMass:
-    """The engine computes each group's accepted mass once per step, and
-    again for the quota group only after enforcing its quota."""
+    """The engine's ``decide`` computes each group's accepted mass once per
+    step, and again for the quota group only after enforcing its quota."""
 
-    def count_calls(self, monkeypatch, interventions, t=0):
-        """The engine and the number of groups whose accepted mass its policy
-        hook computed at step ``t``."""
+    def count_calls(self, monkeypatch, interventions, t=0, hook="decide"):
+        """The engine and the number of groups whose accepted mass its
+        ``decide``, or its ``policy`` hook, computed at step ``t``."""
         import fairdyn.scenarios as scn
 
         calls = []
@@ -1051,7 +1150,11 @@ class TestAcceptedMass:
             or real(pmfs, proportions, taus),
         )
         engine = _ScenarioEngine(BOARDS, interventions)
-        engine.policy(t, rows(BOARDS.population))
+        pmfs, proportions = rows(BOARDS.population)
+        if hook == "decide":
+            engine.decide(t, pmfs, proportions.tolist())
+        else:
+            engine.policy(t, (pmfs, proportions))
         return engine, len(calls)
 
     def test_no_mass_without_quota_or_role_model(self, monkeypatch):
@@ -1074,6 +1177,10 @@ class TestAcceptedMass:
         assert calls == len(BOARDS.population.groups)
         assert sum(engine.last_share.values()) == pytest.approx(1.0)
         assert set(engine.last_share) == set(BOARDS.population.group_ids)
+        # Under the static rule the policy hook computes no mass: a run
+        # rescales after its loop.
+        engine, calls = self.count_calls(monkeypatch, (iv,), hook="policy")
+        assert engine.deferred and calls == 0 and engine.last_share == {}
 
 
 def with_three_interventions(
