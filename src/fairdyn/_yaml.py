@@ -107,3 +107,13 @@ def as_text(value):
     """``value`` as its text if it is a number that is not a bool (YAML reads
     ``1`` as a number), else as it is, for the caller to reject."""
     return str(value) if _is_real(value) else value
+
+
+def checked_text(value, path: str, what: str) -> str:
+    """``value``, a ``what`` (say, "node name") at ``path`` in a loaded file,
+    as text: a string, or a number read as its text; anything else raises
+    ``ConfigError`` naming ``path``."""
+    value = as_text(value)
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: {what} {value!r} must be a string or a number")
+    return value

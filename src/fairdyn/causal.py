@@ -39,7 +39,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from ._yaml import as_float, as_text, known_keys, mapping, read_yaml
+from ._yaml import as_float, checked_text, known_keys, mapping, read_yaml, sequence
 from .errors import CapacityError, ConfigError, DomainError, StructureError
 
 JOINT_STATE_CAP = 10**6
@@ -547,19 +547,17 @@ def unresolved_discrimination(m: CausalModel, resolving: set[str]) -> bool:
     return False
 
 
-def _text(value, path: str, what: str = "domain value") -> str:
-    """A domain value or node name (``what``) of a causal model file as
-    text: a string, or a number read as its text; anything else raises
-    ``ConfigError`` naming ``path``."""
-    value = as_text(value)
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}: {what} {value!r} must be a string or a number")
-    return value
-
-
 def _name(value, path: str) -> str:
-    """A node name of a causal model file, read as ``_text`` reads it."""
-    return _text(value, path, "node name")
+    """A node name of a causal model file, read as ``checked_text`` reads it."""
+    return checked_text(value, path, "node name")
+
+
+def _edge(value, path: str) -> tuple[str, str]:
+    """An ``edges`` entry of a causal model file, a list of two node names,
+    as a pair; anything else raises ``ConfigError`` naming ``path``."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{path}: edge {value!r} must be a list of two node names")
+    return _name(value[0], path), _name(value[1], path)
 
 
 def _probability(value, path: str) -> float:
@@ -591,13 +589,13 @@ def load_causal_model(path) -> CausalModel:
     try:
         domains = {
             _name(k, f"{where}: nodes"): tuple(
-                _text(v, f"{where}: nodes.{k}") for v in vs
+                checked_text(v, f"{where}: nodes.{k}", "domain value") for v in vs
             )
             for k, vs in mapping(raw["nodes"], f"{where}: nodes").items()
         }
         edges = tuple(
-            (_name(u, f"{where}: edges[{i}]"), _name(v, f"{where}: edges[{i}]"))
-            for i, (u, v) in enumerate(raw.get("edges", []))
+            _edge(edge, f"{where}: edges[{i}]")
+            for i, edge in enumerate(sequence(raw.get("edges", []), f"{where}: edges"))
         )
         protected = _name(raw["protected"], f"{where}: protected")
         outcome = _name(raw["outcome"], f"{where}: outcome")
@@ -609,10 +607,16 @@ def load_causal_model(path) -> CausalModel:
             table = {}
             for key, row in mapping(rows, f"{where}: cpts.{node}").items():
                 key = "" if key is None else str(key)
+                at = f'{where}: cpts.{node}."{key}"'
                 if key == "":
                     pk: Assignment = ()
                 else:
                     items = [item.split("=", 1) for item in key.split(",")]
+                    for item in items:
+                        if len(item) != 2:
+                            raise ConfigError(
+                                f"{at}: row key item {item[0]!r} must be parent=value"
+                            )
                     parts = dict(items)
                     if len(parts) != len(items):
                         raise ConfigError(
@@ -629,7 +633,6 @@ def load_causal_model(path) -> CausalModel:
                         f"cpts.{node}: row key {key!r} repeats the parent "
                         "assignment of an earlier row"
                     )
-                at = f'{where}: cpts.{node}."{key}"'
                 table[pk] = tuple(_probability(x, at) for x in row)
             cpts[node] = table
         model = CausalModel(domains, edges, cpts, protected, outcome)

@@ -27,7 +27,6 @@ from .population import (
     ScoreGrid,
     _check_lengths,
     _integer,
-    _pmfs_valid,
     _real,
     validate_population,
 )
@@ -374,12 +373,13 @@ def step(
     The result is a population over read-only views of a fresh (groups,
     bins) matrix, or of ``out`` when given.
 
-    ``simulate`` passes the step's row of its state array as ``_pmfs``, the
-    next row as ``out`` and the step's ``_PolicyTerms`` as ``_terms``, built
-    once per policy object of the run over the run's one scatter index: the
-    step then advances ``_pmfs`` into ``out`` and returns None, and ``pop``
-    is not read. Called without them, the step builds its own terms and
-    index.
+    A run's loop passes the step's row of its state array as ``_pmfs`` (one
+    draw's groups, or a sweep block's every draw's), the next row as
+    ``out`` and the step's ``_PolicyTerms`` as ``_terms``, built once per
+    policy object of the run over the run's one scatter index: the step
+    then advances ``_pmfs`` into ``out`` and returns None, and neither
+    ``pop`` nor ``policy`` is read. Called without them, the step builds its
+    own terms and index.
     """
     if _terms is not None:
         _advance(_terms, _pmfs, out)
@@ -409,6 +409,7 @@ def _step_columns(
     group_ids: tuple[str, ...],
     run: np.ndarray,
     scores: np.ndarray,
+    feedback: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = None,
 ):
     """The mean score, acceptance, TPR, FPR and ``delta_mu`` columns of every
     group of every draw (steps, draws * groups), and the utility column of
@@ -422,6 +423,11 @@ def _step_columns(
     multiplies them by the run's vectors and reduces each row against the
     products with ``_dots``, bit for bit as per-row ``pmf.dot`` calls. An
     overflow gives inf, no warning.
+
+    ``feedback(states, acceptance, proportions)``, when given, runs after
+    that pass and before the utility sum, the only column that reads the
+    proportions: it gets the acceptance column (steps, draws * groups) and
+    fills the proportion rows after row 0 in place.
     """
     rows, width, n = states.shape
     groups = len(group_ids)
@@ -441,6 +447,8 @@ def _step_columns(
             w[:, :, 0] = tau
             np.multiply(tau[:, :, None], run, out=w[:, :, 1:])
             dots[a:b] = _dots(states[a:b], w)
+        if feedback is not None:
+            feedback(states, dots[..., 0], proportions)
         # Per row and group: qualified mass, unqualified mass and mean score,
         # none of which depends on the policy.
         scores = np.broadcast_to(scores, (width, 1, n))
@@ -484,7 +492,7 @@ class _Runs(NamedTuple):
     states: np.ndarray  # (steps, draws * groups, bins)
     proportions: np.ndarray  # (steps, draws * groups)
     policies: list  # one _StepPolicy per step
-    initial: Optional[Population]  # of a run of ``simulate``
+    initial: Population  # step 0's after the hook; of a block, its first draw's
     mean_score: np.ndarray
     acceptance: np.ndarray
     tpr: np.ndarray
@@ -570,12 +578,13 @@ def simulate(
     populations the hooks receive never change afterwards.
 
     The horizon, ``regime_tol``, ``pop``, the pair and each group's ``rho``
-    length are checked here, in that order; ``_run`` runs the one draw, with
-    ``pre_step`` wrapped into its ``RowHook``, which edits row ``t`` of the
-    state in place before the step's policy is decided. ``step`` writes each
-    transition into the next row. ``policy_fn`` sees ``pop`` at step 0 of a
-    run without ``pre_step``, and otherwise a population over read-only
-    views of row ``t`` that the loop builds after the hook, one per step.
+    length are checked here, in that order; ``_run`` runs ``pop``'s pmfs as
+    a block of one draw, with ``pre_step`` wrapped into its ``RowHook``,
+    which edits row ``t`` of the state in place before the step's policy is
+    decided. ``step`` writes each transition into the next row.
+    ``policy_fn`` sees ``pop`` at step 0 of a run without ``pre_step``, and
+    otherwise a population over read-only views of row ``t`` that the loop
+    builds after the hook, one per step.
 
     ``run_scenario`` passes its scenario engine as ``_engine``, in place of
     ``policy_fn``, ``pre_step`` and ``flags_fn``, with a checked config's
@@ -585,11 +594,13 @@ def simulate(
     the flags. No population is built for the engine. A ``deferred``
     engine (a ``fixed`` or ``max_utility`` rule, with role-model feedback
     as its only interventions) takes no row hook: its ``policy`` returns
-    the rule at every step and its ``feedback`` rescales the proportions
-    after the loop. No decision of such a run reads the proportions, and
-    the states do not depend on them, so the pass gives the hook's
-    proportions bit for bit: it applies the hook's own rescale, to shares
-    of acceptance rates that ``_dots`` takes as the hook's ``pmf.dot(tau)``.
+    the rule at every step, and its ``feedback`` rescales the proportions
+    once the loop has ended, from the acceptance column that
+    ``_step_columns`` computes before it sums the utility. No decision of
+    such a run reads the proportions, and the states do not depend on them,
+    so the pass gives the hook's proportions bit for bit: it applies the
+    hook's own rescale, to shares of acceptance rates that ``_dots`` takes
+    as the hook's ``pmf.dot(tau)``.
 
     The per-step columns are computed after the loop, bit for bit as per-row
     ``pmf.dot`` calls would give them; a non-finite ``delta_mu``, utility or
@@ -610,8 +621,9 @@ def simulate(
         elif _engine.interventions:
             flags_fn, hook = _engine.flags_fn, _engine.pre_step
     c = _run(
-        pop, policy_fn, outcome, inst, horizon, regime_tol, metric_pair, flags_fn,
-        hook, views=_engine is None, feedback=feedback,
+        pop, policy_fn, outcome, inst, horizon, regime_tol, metric_pair,
+        np.array([[g.pmf for g in pop.groups]]), flags_fn, hook,
+        views=_engine is None, feedback=feedback,
     )
     columns = TrajectoryColumns(
         pop.grid, pop.group_ids, c.metric_pair, c.initial, c.states, c.proportions,
@@ -630,59 +642,48 @@ def _run(
     horizon: int,
     regime_tol: float,
     metric_pair: Optional[tuple[str, str]],
+    starts: np.ndarray,
     flags_fn: Optional[Callable] = None,
     hook: Optional[RowHook] = None,
-    starts: Optional[np.ndarray] = None,
     views: bool = False,
-    feedback: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
+    feedback: Optional[Callable] = None,
 ) -> _Runs:
-    """Run ``pop`` over the stacked rows of one or more draws; the state
-    (steps, draws * groups, bins) holds each draw's groups in ``pop``'s
-    order, draw by draw. Draws never mix: each value of a draw is computed
-    from its own rows alone, with the operations and in the order of its
-    own run, so a draw gives bit for bit the numbers of that run.
+    """Run the draws of ``starts`` (draws, groups, bins) over ``pop``'s grid
+    and groups as stacked rows; the state (steps, draws * groups, bins)
+    holds each draw's groups in ``pop``'s order, draw by draw, and a run of
+    ``simulate`` is a block of one draw. Draws never mix: each value of a
+    draw is computed from its own rows alone, with the operations and in the
+    order of its own run, so a draw gives bit for bit the numbers of that
+    run.
 
-    The caller checked the start as ``simulate`` does, and ``horizon`` is an
-    int; the metric pair (the first two groups when None) is only resolved
-    here. Checked here is what the run makes: a sweep block's ``starts``,
+    The caller checked the starts, and the rest of the start as ``simulate``
+    does, and ``horizon`` is an int; the metric pair (the first two groups
+    when None) is only resolved here. Checked here is what the run makes:
     each policy's acceptance lengths, the hook's populations, the flags.
 
     ``policy_fn(t, rows)`` gets the step's (pmfs, proportions) rows and
-    returns the step's policy, or with ``views`` (a user's ``policy_fn``)
-    gets a ``Population`` over read-only views of the rows, built once per
-    step after the hook. With ``starts`` None (``simulate``) the one draw
-    starts from ``pop``, ``flags_fn(t)`` gives a tuple of flags and each
-    transition is one ``step`` call that writes the next row and builds no
-    population. With a sweep block's ``starts`` (draws, groups, bins),
-    ``policy_fn`` gives each draw's policy, there are no flags, and
-    ``_advance`` moves every row. ``feedback(states, proportions)``, for
-    a one-draw run whose decisions never read the proportions, runs after
-    the loop and before the columns are computed, and fills the proportion
-    rows after row 0 in place.
+    returns the step's policy (a tuple of each draw's for several draws),
+    or with ``views`` (a user's ``policy_fn``) gets a ``Population`` over
+    read-only views of the rows, built once per step after the hook.
+    ``flags_fn(t)`` gives the step's tuple of flags; without it a step has
+    none. Each transition is one ``step`` call that advances every row into
+    the next and builds no population. ``feedback`` goes to
+    ``_step_columns``, for a run whose decisions never read the
+    proportions.
     """
     grid, group_ids = pop.grid, pop.group_ids
     metric_pair, pair = _checked_pair(metric_pair, group_ids)
-    one = starts is None
     groups = len(group_ids)
-    draws = 1 if one else len(starts)
+    draws = len(starts)
     rows, width = horizon + 1, draws * groups
     states = np.empty((rows, width, len(grid)))
     proportions = np.empty((rows, width))
     # Every row; from the first step whose hook changes them, each row is
     # copied from the one before.
     proportions[:] = [g.proportion for g in pop.groups] * draws
-    shares = proportions[0, :groups].tolist()
-    if one:
-        states[0] = [g.pmf for g in pop.groups]
-    else:
-        states[0] = starts.reshape(width, -1)
-        if not _pmfs_valid(states[0]):
-            for lo in range(0, width, groups):
-                own = states[0, lo : lo + groups]
-                _require_valid(_population_view(grid, group_ids, shares, own))
+    states[0] = starts.reshape(width, -1)
     # The population ``step`` is given; with ``views``, ``policy_fn``'s too.
     cur = pop
-    initial = None
     flags = []
     policies = []
     pol = None
@@ -704,13 +705,14 @@ def _run(
         if hook is not None and hook(t, states[t], proportions[t]):
             rescaled = True
         # A view of row ``t`` after the hook: ``policy_fn``'s at every later
-        # step, and at step 0 of a one-draw run with a hook, which may have
-        # edited the row in place, which ``pop`` does not show.
-        if (views and t > 0) or (t == 0 and one and hook is not None):
+        # step, and at step 0 of a run with a hook, which may have edited the
+        # row in place, which ``pop`` does not show (of a block, over its
+        # first draw's rows).
+        if (views and t > 0) or (t == 0 and hook is not None):
             cur = _population_view(
                 grid, group_ids, proportions[t].tolist(), states[t]
             )
-        if t == 0 and one:
+        if t == 0:
             initial = cur
         last = pol
         try:
@@ -728,24 +730,16 @@ def _run(
         flags.append(tuple(active))
         policies.append(pol)
         if t < horizon:
-            if one:
-                # Each transition of a one-draw run stays one call of
-                # ``step`` with a population first: the benchmark's tracer
-                # (bench/spans.py) counts a run's transitions from its calls
-                # and their bin steps from that population's grid and groups.
-                # Given the rows, ``step`` reads no population and builds
-                # none.
-                step(
-                    cur, pol, outcome, out=states[t + 1], _pmfs=states[t], _terms=terms
-                )
-            else:
-                _advance(terms, states[t], states[t + 1])
+            # Each transition stays one call of ``step`` with a population
+            # first: the benchmark's tracer (bench/spans.py) counts a run's
+            # transitions from its calls and their bin steps from that
+            # population's grid and groups, one draw's. Given the rows,
+            # ``step`` reads no population and builds none.
+            step(cur, pol, outcome, out=states[t + 1], _pmfs=states[t], _terms=terms)
             if rescaled:
                 proportions[t + 1] = proportions[t]
-    if feedback is not None:
-        feedback(states, proportions)
     mean_score, acceptance, tpr, fpr, delta_mu, utility = _step_columns(
-        states, proportions, policies, group_ids, run, grid.bin_scores
+        states, proportions, policies, group_ids, run, grid.bin_scores, feedback
     )
     _check_finite(
         (

@@ -27,14 +27,15 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from ._yaml import as_float, as_text, known_keys, mapping, read_yaml, sequence
+from ._yaml import (
+    as_float, as_text, checked_text, known_keys, mapping, read_yaml, sequence,
+)
 from .dynamics import (
     Trajectory,
     TrajectoryColumns,
     _check_regime_tol,
     _checked_horizon,
     _checked_pair,
-    _dots,
     _population_view,
     _require_valid,
     _run,
@@ -321,27 +322,15 @@ def _as_int(value):
 
 def _floats(raw, path: str):
     """The vector ``raw`` at ``path`` in a scenario file as a list of floats,
-    each entry cast with ``as_float``; an entry that is not then a float (a
-    bool, null, list, mapping or non-numeric string) raises ``ConfigError``
-    naming ``path[i]``. A value that is not a list is returned as it is, for
-    its record's check to reject."""
-    if not isinstance(raw, list):
-        return raw
-    out = [as_float(value) for value in raw]
+    each entry cast with ``as_float``. A value that is not a list raises
+    ``ConfigError`` naming ``path``, and an entry that is not then a float
+    (a bool, null, list, mapping or non-numeric string) one naming
+    ``path[i]``."""
+    out = [as_float(value) for value in sequence(raw, path)]
     for i, value in enumerate(out):
         if not isinstance(value, float):
             raise ConfigError(f"{path}[{i}] must be a real number, got {value!r}")
     return out
-
-
-def _label(key, path: str) -> str:
-    """A key of the mapping at ``path`` in a scenario file, a group label or
-    a variant name, as text: a string, or a number read as its text; a bool
-    or null raises ``ConfigError`` naming ``path``."""
-    label = as_text(key)
-    if not isinstance(label, str):
-        raise ConfigError(f"{path}: key {key!r} must be a string or a number")
-    return label
 
 
 # The loader's cast of a field by its declared type, optional or not. A field
@@ -432,7 +421,7 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
             # the config's to reject.
             rho = {gid: rho for gid in ids if isinstance(gid, str)}
         return {
-            _label(k, "outcome.rho"): _floats(vs, f"outcome.rho[{k}]")
+            checked_text(k, "outcome.rho", "key"): _floats(vs, f"outcome.rho[{k}]")
             for k, vs in rho.items()
         }
 
@@ -441,7 +430,7 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
     rule = section(
         PolicyRuleSpec, "policy_rule",
         tau=lambda tau: {
-            _label(k, "policy_rule.tau"): _real_vector(
+            checked_text(k, "policy_rule.tau", "key"): _real_vector(
                 _floats(vs, f"policy_rule.tau[{k}]"), f"policy_rule.tau[{k}]"
             )
             for k, vs in mapping(tau, "policy_rule.tau").items()
@@ -450,7 +439,7 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
     tolerances = _record(Tolerances, raw.get("tolerances", {}), "tolerances")
     variants = {}
     for name, v in mapping(raw.get("variants", {}), "variants").items():
-        name = _label(name, "variants")
+        name = checked_text(name, "variants", "key")
         where = f"variants.{name}"
         known_keys(v, where, ("interventions",))
         ivs = _req(v, "interventions", where)
@@ -549,9 +538,10 @@ class _ScenarioEngine:
     role-model feedback (``deferred``), no step's decision reads the
     proportions, so a run of one draw takes no row hook: ``policy`` returns
     the rule, ``flags_fn`` reads each flag off its ``active_from``, and
-    ``feedback`` rescales the proportions after the loop. It applies each
-    step's rescale with ``_rescale``, as ``pre_step`` does, to shares that
-    ``_shares`` takes of the masses ``decide`` would have computed."""
+    ``feedback`` rescales the proportions after the loop, from the run's
+    acceptance column. It applies each step's rescale with ``_rescale``, as
+    ``pre_step`` does, to shares that ``_shares`` takes of the masses
+    ``decide`` would have computed."""
 
     def __init__(self, cfg: ScenarioConfig, interventions, rule=None):
         self.cfg = cfg
@@ -633,21 +623,23 @@ class _ScenarioEngine:
             self._raise_invalid(pmfs, proportions.tolist())
         return rescaled is not None
 
-    def feedback(self, states: np.ndarray, proportions: np.ndarray) -> None:
+    def feedback(
+        self, states: np.ndarray, acceptance: np.ndarray, proportions: np.ndarray
+    ) -> None:
         """Fill rows 1 on of ``proportions`` (steps, groups), all equal to
         row 0, with the role-model feedback of a ``deferred`` engine's run
-        whose states (steps, groups, bins) are ``states``.
+        whose states (steps, groups, bins) are ``states`` and whose
+        acceptance column (steps, groups) is ``acceptance``.
 
-        Each step's accepted masses are its proportions times ``_dots`` of
-        its pmfs and the rule's acceptance vectors, which equal the
+        Each step's accepted masses are its proportions times its acceptance
+        rates, which ``_step_columns`` takes with ``_dots``, equal to the
         ``pmf.dot(tau)`` that ``decide`` computes bit for bit, so every row
         is that of the in-loop hook. A step whose rescaled proportions fail
         ``validate_population`` raises its error, naming that step's
         population."""
-        acceptance = _dots(states, self.rule._rows(self.group_ids)[:, None])
         props = proportions[0].tolist()
         rows = []
-        for t, accepted in enumerate(acceptance[:-1, :, 0].tolist(), 1):
+        for t, accepted in enumerate(acceptance[:-1].tolist(), 1):
             shares = _shares([p * a for p, a in zip(props, accepted)])
             rescaled = self._rescale(t, props, shares)
             if rescaled is not None:
@@ -916,21 +908,24 @@ _SWEEP_STATE_BYTES = 2**20
 def _perturbed_pmfs(pop: Population, eps_p: float, seed: int, draw: int) -> np.ndarray:
     """Draw ``draw``'s start: each group's pmf plus zero-sum noise of total
     variation ``eps_p`` from ``default_rng([seed, draw])``, clipped at 0 and
-    renormalized, as a (groups, bins) array, for a valid ``pop``."""
+    renormalized, as a (groups, bins) array, for a valid ``pop``. A size so
+    large that the noise overflows gives inf or NaN entries, no warning, for
+    the start check of ``_run_draws`` to reject."""
     rng = np.random.default_rng([seed, draw])
     pmfs = []
-    for g in pop.groups:
-        pmf = g.pmf
-        noise = rng.standard_normal(len(pmf))
-        noise -= noise.mean()
-        norm = np.abs(noise).sum()
-        if eps_p > 0 and norm > 0:
-            noise *= 2.0 * eps_p / norm
-        else:
-            noise[:] = 0.0
-        perturbed = np.clip(pmf + noise, 0.0, None)
-        perturbed /= perturbed.sum()
-        pmfs.append(perturbed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in pop.groups:
+            pmf = g.pmf
+            noise = rng.standard_normal(len(pmf))
+            noise -= noise.mean()
+            norm = np.abs(noise).sum()
+            if eps_p > 0 and norm > 0:
+                noise *= 2.0 * eps_p / norm
+            else:
+                noise[:] = 0.0
+            perturbed = np.clip(pmf + noise, 0.0, None)
+            perturbed /= perturbed.sum()
+            pmfs.append(perturbed)
     return np.array(pmfs)
 
 
@@ -979,14 +974,21 @@ class _DrawEngines:
 
 def _run_draws(cfg: ScenarioConfig, pmfs: np.ndarray) -> _Runs:
     """The scenario's runs from each start of ``pmfs`` (draws, groups, bins),
-    advanced together by ``_run`` with the config's checked values, which
-    checks only the starts: each draw's columns are bit for bit those of
-    ``run_scenario`` on its start. The runs keep no intervention flags."""
+    advanced together by ``_run`` with the config's checked values: each
+    draw's columns are bit for bit those of ``run_scenario`` on its start.
+    Only the starts are checked here; the first that fails
+    ``validate_population``, with the config's proportions, raises its
+    ``DomainError``. The runs keep no intervention flags."""
+    pop = cfg.population
+    if not _pmfs_valid(pmfs.reshape(-1, pmfs.shape[-1])):
+        shares = [g.proportion for g in pop.groups]
+        for own in pmfs:
+            _require_valid(_population_view(pop.grid, pop.group_ids, shares, own))
     hooks = _DrawEngines(cfg, len(pmfs))
     return _run(
-        cfg.population, hooks.policy, cfg.outcome, cfg.institution, cfg.horizon,
-        cfg.tolerances.regime, cfg.metric_groups,
-        hook=hooks.pre_step if cfg.interventions else None, starts=pmfs,
+        pop, hooks.policy, cfg.outcome, cfg.institution, cfg.horizon,
+        cfg.tolerances.regime, cfg.metric_groups, pmfs,
+        hook=hooks.pre_step if cfg.interventions else None,
     )
 
 

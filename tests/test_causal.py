@@ -682,6 +682,38 @@ cpts:
             "string or a number"
         )
 
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            ("[AF]", "edges[0]: edge 'AF' must be a list of two node names"),
+            ("[[A]]", "edges[0]: edge ['A'] must be a list of two node names"),
+            ("[[A, F], A]", "edges[1]: edge 'A' must be a list of two node names"),
+            ("[{A: F}]", "edges[0]: edge {'A': 'F'} must be a list of two node names"),
+            ("[[A, F, A]]",
+             "edges[0]: edge ['A', 'F', 'A'] must be a list of two node names"),
+            ("{AF: 1}", "edges must be a list"),
+        ],
+        ids=["text", "one_name", "bare_name", "mapping", "three_names",
+             "edges_mapping"],
+    )
+    def test_an_edge_that_is_not_a_pair_is_named(self, tmp_path, edges, message):
+        # ``AF`` once unpacked into the edge A -> F without a word.
+        text = self.MODEL.format(a="[0, 1]", row="[0.5, 0.5]")
+        path = self.write(tmp_path, text.replace("edges: [[A, F]]", f"edges: {edges}"))
+        with pytest.raises(ConfigError) as info:
+            load_causal_model(path)
+        assert str(info.value) == f"causal model file {path}: {message}"
+
+    def test_a_row_key_item_without_a_value_is_named(self, tmp_path):
+        text = self.MODEL.format(a="[0, 1]", row="[0.5, 0.5]")
+        path = self.write(tmp_path, text.replace('"A=0"', '"A0"'))
+        with pytest.raises(ConfigError) as info:
+            load_causal_model(path)
+        assert str(info.value) == (
+            f'causal model file {path}: cpts.F."A0": row key item \'A0\' must be '
+            "parent=value"
+        )
+
     def test_a_number_as_a_name_is_read_as_its_text(self, tmp_path):
         text = self.MODEL.format(a="[0, 1]", row="[0.5, 0.5]")
         for old, new in [("A", "1"), ("F", "2")]:

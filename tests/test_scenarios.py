@@ -522,8 +522,9 @@ class TestLoadChecks:
         path = write_lending(
             tmp_path, lambda raw: raw["outcome"].update(rho=0.5)
         )
-        with pytest.raises(ConfigError, match="malformed scenario file"):
+        with pytest.raises(ConfigError) as info:
             load_scenario(path)
+        assert str(info.value) == f"scenario file {path}: outcome.rho[A] must be a list"
 
 
 def _tree_paths(node, path=()):
@@ -947,6 +948,28 @@ class TestRoleModelFeedback:
         assert counts == {"pre_step": calls, "policy": 7}
         assert traj.columns.flags[:, -2:].tolist() == [[True, t >= 2] for t in range(7)]
 
+    def test_static_rule_reduces_the_states_as_a_bare_run(self, monkeypatch):
+        # The pass after the loop reads the acceptance column that the run's
+        # columns compute: a role-model run takes as many stacked dot
+        # products over its states as the same run without interventions.
+        calls = []
+        real = dynamics._dots
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(dynamics, "_dots", counted)
+        monkeypatch.setattr(scenarios, "_dots", counted, raising=False)
+        cfg = replace(BOARDS, policy_rule=scenarios.PolicyRuleSpec("max_utility"),
+                      horizon=40)
+        run_scenario(cfg, ())
+        bare = len(calls)
+        iv = InterventionRule("role_model_feedback", "women", strength=0.5)
+        traj = run_scenario(cfg, (iv,))
+        assert np.all(np.diff(traj.columns.proportions[:, 0]) != 0)
+        assert len(calls) == 2 * bare
+
     def test_full_run_keeps_population_valid(self):
         from fairdyn.population import validate_population
 
@@ -1319,6 +1342,21 @@ class TestBatchedSweep:
         assert reports[0] == reports[1] == reports[2]
         assert len(set(reports[0].values)) > 1
 
+    def test_every_transition_of_a_block_is_one_step_call(self, monkeypatch):
+        # Seven draws in blocks of three: three blocks, each advanced by one
+        # call of ``step`` per transition, as the benchmark's tracer counts.
+        calls = []
+        real = dynamics.step
+        monkeypatch.setattr(
+            dynamics, "step", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        cfg = replace(BOARDS, horizon=9)
+        monkeypatch.setattr(
+            scenarios, "_SWEEP_STATE_BYTES", 3 * self.state_bytes(cfg)
+        )
+        sensitivity_sweep(cfg, 0.05, 7, seed=11)
+        assert len(calls) == 3 * cfg.horizon
+
     def test_a_block_holds_at_least_one_draw(self, monkeypatch):
         monkeypatch.setattr(scenarios, "_SWEEP_STATE_BYTES", 1)
         blocks = []
@@ -1488,6 +1526,17 @@ class TestSweepErrors:
             sensitivity_sweep(cfg, 0.01, 4, seed=2)
         assert "is not finite at step 0" in str(alone.value)
         assert str(swept.value) == f"sweep draw 0: {alone.value}"
+
+    def test_overflowing_perturbation_fails_the_start_check(self):
+        # Noise of total variation 1e308 overflows to inf, and renormalizing
+        # gives NaN entries, with no numpy warning (pyproject makes one an
+        # error): the start check of the block rejects draw 0.
+        with pytest.raises(DomainError) as info:
+            sensitivity_sweep(LENDING, 1e308, 2, seed=0)
+        assert str(info.value) == (
+            "sweep draw 0: invalid population: group 'A': pmf has a non-finite "
+            "entry; group 'B': pmf has a non-finite entry"
+        )
 
 
 class TestSweepArguments:
