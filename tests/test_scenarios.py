@@ -961,12 +961,11 @@ class TestRoleModelFeedback:
 
         monkeypatch.setattr(dynamics, "_dots", counted)
         monkeypatch.setattr(scenarios, "_dots", counted, raising=False)
-        cfg = replace(BOARDS, policy_rule=scenarios.PolicyRuleSpec("max_utility"),
-                      horizon=40)
-        run_scenario(cfg, ())
+        # ``boards_quota``'s rule is ``max_utility``; 41 steps span two blocks.
+        run_scenario(BOARDS, ())
         bare = len(calls)
         iv = InterventionRule("role_model_feedback", "women", strength=0.5)
-        traj = run_scenario(cfg, (iv,))
+        traj = run_scenario(BOARDS, (iv,))
         assert np.all(np.diff(traj.columns.proportions[:, 0]) != 0)
         assert len(calls) == 2 * bare
 
