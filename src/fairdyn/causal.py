@@ -620,18 +620,19 @@ def load_causal_model(path) -> CausalModel:
                     parts = dict(items)
                     if len(parts) != len(items):
                         raise ConfigError(
-                            f"cpts.{node}: row key {key!r} names a parent twice"
+                            f"{where}: cpts.{node}: row key {key!r} names a "
+                            "parent twice"
                         )
                     if set(parts) != set(parents):
                         raise ConfigError(
-                            f"cpts.{node}: row key {key!r} does not name "
+                            f"{where}: cpts.{node}: row key {key!r} does not name "
                             f"parents {sorted(parents)}"
                         )
                     pk = tuple(parts[p] for p in parents)
                 if pk in table:
                     raise ConfigError(
-                        f"cpts.{node}: row key {key!r} repeats the parent "
-                        "assignment of an earlier row"
+                        f"{where}: cpts.{node}: row key {key!r} repeats the "
+                        "parent assignment of an earlier row"
                     )
                 table[pk] = tuple(_probability(x, at) for x in row)
             cpts[node] = table

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
@@ -300,13 +302,29 @@ def _scatter_index(rows: int, bins: int, outcome: OutcomeModel) -> np.ndarray:
     return (dest + bins * np.arange(rows)[:, None, None]).reshape(-1)
 
 
+class _KernelBuffers:
+    """The arrays that ``_advance`` writes a transition's products into, for
+    (rows, bins) pmfs: the ``pmf * tau`` rows (rows, bins) and the moved
+    terms (rows, 2, bins), with the (rows, 1, bins) and flat views it reads
+    them through. A run builds one, so its transitions allocate none."""
+
+    __slots__ = ("accepted", "accepted_rows", "moved", "moved_flat")
+
+    def __init__(self, rows: int, bins: int):
+        self.accepted = np.empty((rows, bins))
+        self.accepted_rows = self.accepted[:, None, :]
+        self.moved = np.empty((rows, 2, bins))
+        self.moved_flat = self.moved.reshape(-1)
+
+
 class _PolicyTerms:
     """What ``_advance`` reads for a policy, one row per group of each draw
     in the order of the stacked pmfs: ``tau`` and ``keep = 1 - tau``, built
     here, and the run's ``rf``, ``rho`` and ``1 - rho`` stacked as (rows,
-    2, bins), and its ``_scatter_index``, both shared by every policy of the
-    run. Acceptance vectors of another length than the pmfs' raise, naming
-    the first group that has one."""
+    2, bins), its ``_scatter_index`` and its ``_KernelBuffers``, all shared
+    by every policy of the run; without ``buffers`` the terms get their own.
+    Acceptance vectors of another length than the pmfs' raise, naming the
+    first group that has one."""
 
     def __init__(
         self,
@@ -315,6 +333,7 @@ class _PolicyTerms:
         pmfs: np.ndarray,
         rf: np.ndarray,
         index: np.ndarray,
+        buffers: Optional[_KernelBuffers] = None,
     ):
         self.tau = _acceptance_rows(policy, group_ids)
         if self.tau.shape != pmfs.shape:
@@ -323,6 +342,7 @@ class _PolicyTerms:
                 _check_lengths(gid, pmf=pmf, tau=tau, rho=r)
         self.keep = 1.0 - self.tau
         self.rf, self.index = rf, index
+        self.buffers = _KernelBuffers(*pmfs.shape) if buffers is None else buffers
 
 
 def _advance(terms: _PolicyTerms, pmf: np.ndarray, out: np.ndarray) -> None:
@@ -334,11 +354,14 @@ def _advance(terms: _PolicyTerms, pmf: np.ndarray, out: np.ndarray) -> None:
     * rho)``, then ``np.add.at(new, down, pmf * tau * (1 - rho))`` with the
     clamped shifts ``up``/``down``: one ``np.add.at`` over the flattened rows
     with ``terms.index`` adds the same terms, unbuffered and in index order,
-    so it gives those sums bit for bit.
+    so it gives those sums bit for bit. The products go into the terms'
+    ``buffers``, the run's, so a transition of a run allocates no array.
     """
-    moved = (pmf * terms.tau)[:, None, :] * terms.rf
+    buf = terms.buffers
+    np.multiply(pmf, terms.tau, out=buf.accepted)
+    np.multiply(buf.accepted_rows, terms.rf, out=buf.moved)
     np.multiply(pmf, terms.keep, out=out)
-    np.add.at(out.reshape(-1), terms.index, moved.reshape(-1))
+    np.add.at(out.reshape(-1), terms.index, buf.moved_flat)
 
 
 def _population_view(
@@ -376,10 +399,10 @@ def step(
     A run's loop passes the step's row of its state array as ``_pmfs`` (one
     draw's groups, or a sweep block's every draw's), the next row as
     ``out`` and the step's ``_PolicyTerms`` as ``_terms``, built once per
-    policy object of the run over the run's one scatter index: the step
-    then advances ``_pmfs`` into ``out`` and returns None, and neither
-    ``pop`` nor ``policy`` is read. Called without them, the step builds its
-    own terms and index.
+    policy object of the run over the run's one scatter index and kernel
+    buffers: the step then advances ``_pmfs`` into ``out`` and returns None,
+    and neither ``pop`` nor ``policy`` is read. Called without them, the
+    step builds its own terms, index and buffers.
     """
     if _terms is not None:
         _advance(_terms, _pmfs, out)
@@ -421,8 +444,10 @@ def _step_columns(
     ``scores`` are the grid's bin scores. The rows go in blocks of
     ``_BLOCK`` steps: a block stacks its steps' acceptance matrices,
     multiplies them by the run's vectors and reduces each row against the
-    products with ``_dots``, bit for bit as per-row ``pmf.dot`` calls. An
-    overflow gives inf, no warning.
+    products with ``_dots``, bit for bit as per-row ``pmf.dot`` calls. A run
+    whose steps all have the same policy object is one block of every row,
+    against one (1, draws * groups, 5, bins) weight array. An overflow gives
+    inf, no warning.
 
     ``feedback(states, acceptance, proportions)``, when given, runs after
     that pass and before the utility sum, the only column that reads the
@@ -435,8 +460,12 @@ def _step_columns(
         # Per row and group: acceptance, true positives, false positives,
         # delta_mu and utility.
         dots = np.empty((rows, width, 5))
-        for a in range(0, rows, _BLOCK):
-            b = min(a + _BLOCK, rows)
+        # One block for a run whose steps share one policy object: its one
+        # weight matrix broadcasts over every row.
+        one = all(map(operator.is_, policies, repeat(policies[0])))
+        block = rows if one else _BLOCK
+        for a in range(0, rows, block):
+            b = min(a + block, rows)
             # Each policy object's vectors once, then one set per step.
             slot: dict[_StepPolicy, int] = {}
             index = [slot.setdefault(pol, len(slot)) for pol in policies[a:b]]
@@ -593,14 +622,14 @@ def simulate(
     interventions its ``pre_step`` is the row hook and ``flags_fn`` gives
     the flags. No population is built for the engine. A ``deferred``
     engine (a ``fixed`` or ``max_utility`` rule, with role-model feedback
-    as its only interventions) takes no row hook: its ``policy`` returns
-    the rule at every step, and its ``feedback`` rescales the proportions
-    once the loop has ended, from the acceptance column that
-    ``_step_columns`` computes before it sums the utility. No decision of
-    such a run reads the proportions, and the states do not depend on them,
-    so the pass gives the hook's proportions bit for bit: it applies the
-    hook's own rescale, to shares of acceptance rates that ``_dots`` takes
-    as the hook's ``pmf.dot(tau)``.
+    as its only interventions, or none) takes no row hook: its ``policy``
+    returns the rule at every step without deciding, and with interventions
+    its ``feedback`` rescales the proportions once the loop has ended, from
+    the acceptance column that ``_step_columns`` computes before it sums the
+    utility. No decision of such a run reads the proportions, and the states
+    do not depend on them, so the pass gives the hook's proportions bit for
+    bit: it applies the hook's own rescale, to shares of acceptance rates
+    that ``_dots`` takes as the hook's ``pmf.dot(tau)``.
 
     The per-step columns are computed after the loop, bit for bit as per-row
     ``pmf.dot`` calls would give them; a non-finite ``delta_mu``, utility or
@@ -616,10 +645,12 @@ def simulate(
         hook = None if pre_step is None else _pre_step_rows(pre_step, pop)
     else:
         policy_fn, hook = _engine.policy, None
-        if _engine.deferred:
-            flags_fn, feedback = _engine.flags_fn, _engine.feedback
-        elif _engine.interventions:
-            flags_fn, hook = _engine.flags_fn, _engine.pre_step
+        if _engine.interventions:
+            flags_fn = _engine.flags_fn
+            if _engine.deferred:
+                feedback = _engine.feedback
+            else:
+                hook = _engine.pre_step
     c = _run(
         pop, policy_fn, outcome, inst, horizon, regime_tol, metric_pair,
         np.array([[g.pmf for g in pop.groups]]), flags_fn, hook,
@@ -697,9 +728,10 @@ def _run(
     change = np.tile(change, (draws, 1))
     run = np.stack((rho, rf[:, 1], change, inst.per_bin_utility(rho)), axis=1)
     # What every transition reads: ``rf``, a contiguous (rows, 2, bins) array
-    # the kernel multiplies faster than the strided ``run[:, :2]``, and the
-    # run's one scatter index.
+    # the kernel multiplies faster than the strided ``run[:, :2]``, the run's
+    # one scatter index and the buffers the kernel writes into.
     index = _scatter_index(width, len(grid), outcome)
+    buffers = _KernelBuffers(width, len(grid))
     rescaled = False  # whether the hook has changed the proportions yet
     for t in range(rows):
         if hook is not None and hook(t, states[t], proportions[t]):
@@ -720,7 +752,7 @@ def _run(
         except InfeasibilityError as exc:
             raise InfeasibilityError(f"step {t}: {exc}") from exc
         if pol is not last:
-            terms = _PolicyTerms(pol, group_ids, states[t], rf, index)
+            terms = _PolicyTerms(pol, group_ids, states[t], rf, index, buffers)
         active = flags_fn(t) if flags_fn is not None else ()
         if flags and len(active) != len(flags[0]):
             raise DomainError(

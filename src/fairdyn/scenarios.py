@@ -535,13 +535,13 @@ class _ScenarioEngine:
     ``simulate``.
 
     Under a ``fixed`` or ``max_utility`` rule whose interventions are all
-    role-model feedback (``deferred``), no step's decision reads the
-    proportions, so a run of one draw takes no row hook: ``policy`` returns
-    the rule, ``flags_fn`` reads each flag off its ``active_from``, and
-    ``feedback`` rescales the proportions after the loop, from the run's
-    acceptance column. It applies each step's rescale with ``_rescale``, as
-    ``pre_step`` does, to shares that ``_shares`` takes of the masses
-    ``decide`` would have computed."""
+    role-model feedback, or that has none (``deferred``), no step's decision
+    reads the rows, so a run of one draw takes no row hook: ``policy``
+    returns the rule without calling ``decide``, ``flags_fn`` reads each
+    flag off its ``active_from``, and ``feedback`` rescales the proportions
+    after the loop, from the run's acceptance column. It applies each step's
+    rescale with ``_rescale``, as ``pre_step`` does, to shares that
+    ``_shares`` takes of the masses ``decide`` would have computed."""
 
     def __init__(self, cfg: ScenarioConfig, interventions, rule=None):
         self.cfg = cfg
@@ -562,11 +562,14 @@ class _ScenarioEngine:
             for iv in interventions
             if iv.kind == "role_model_feedback"
         ]
-        self.deferred = isinstance(rule, Policy) and (
-            0 < len(self.feedbacks) == len(interventions)
+        self.deferred = (
+            isinstance(rule, Policy) and len(self.feedbacks) == len(interventions)
         )
         self.last_share: dict[str, float] = {}
         self.flags: dict[int, tuple[bool, ...]] = {}
+        # A deferred engine's flags from its last ``active_from`` on.
+        self.all_on = (True,) * len(interventions)
+        self.last_start = max((iv.active_from for iv in interventions), default=0)
 
     def _rescale(
         self, t: int, proportions: list[float], shares: list[float]
@@ -653,7 +656,9 @@ class _ScenarioEngine:
     def policy(self, t: int, step_rows: tuple[np.ndarray, np.ndarray]) -> Policy:
         """The policy of step ``t``, which ``decide``s from the step's
         (pmfs, proportions) rows, the groups in the scenario's order; a
-        ``deferred`` engine's rule, which no row changes."""
+        ``deferred`` engine's rule itself, which no row changes, with no
+        ``decide`` call, so no step of its run updates the shares or the
+        flags."""
         if self.deferred:
             return self.rule
         pmfs, proportions = step_rows
@@ -734,7 +739,12 @@ class _ScenarioEngine:
         return pol._with_tau(iv.group, tau)
 
     def flags_fn(self, t: int) -> tuple[bool, ...]:
+        """The intervention flags of step ``t``: those ``decide`` recorded,
+        or, for a ``deferred`` engine, each intervention's ``t >=
+        active_from``, one cached tuple from the last ``active_from`` on."""
         if self.deferred:
+            if t >= self.last_start:
+                return self.all_on
             return tuple(t >= iv.active_from for iv in self.interventions)
         return self.flags.get(t, ())
 

@@ -714,6 +714,34 @@ cpts:
             "parent=value"
         )
 
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            (
+                '"A=0"', '"A=0,A=1"',
+                "cpts.F: row key 'A=0,A=1' names a parent twice",
+            ),
+            (
+                '"A=0"', '"B=0"',
+                "cpts.F: row key 'B=0' does not name parents ['A']",
+            ),
+            (
+                '  F:\n', '    ~: [0.5, 0.5]\n  F:\n',
+                "cpts.A: row key '' repeats the parent assignment of an "
+                "earlier row",
+            ),
+        ],
+        ids=["parent_twice", "other_parents", "repeated_assignment"],
+    )
+    def test_a_row_key_error_names_the_file(self, tmp_path, old, new, message):
+        # The null key of the last case reads as "", as the root row's does.
+        text = self.MODEL.format(a="[0, 1]", row="[0.5, 0.5]")
+        assert old in text
+        path = self.write(tmp_path, text.replace(old, new, 1))
+        with pytest.raises(ConfigError) as info:
+            load_causal_model(path)
+        assert str(info.value) == f"causal model file {path}: {message}"
+
     def test_a_number_as_a_name_is_read_as_its_text(self, tmp_path):
         text = self.MODEL.format(a="[0, 1]", row="[0.5, 0.5]")
         for old, new in [("A", "1"), ("F", "2")]:

@@ -980,6 +980,69 @@ class TestRoleModelFeedback:
             assert validate_population(rec.population).ok
 
 
+class TestStaticRuleRun:
+    """A run under a rule that no step changes does its per-run work once."""
+
+    @pytest.mark.parametrize(
+        "rule, feedback",
+        [
+            (scenarios.PolicyRuleSpec("max_utility"), False),
+            (scenarios.PolicyRuleSpec("fixed", tau=FIXED_TAU), False),
+            (scenarios.PolicyRuleSpec("max_utility"), True),
+        ],
+        ids=["max_utility", "fixed", "role_model"],
+    )
+    def test_policy_hook_returns_the_rule_without_deciding(
+        self, monkeypatch, rule, feedback
+    ):
+        counts = {"decide": 0, "policy": 0}
+        for name in counts:
+            real = getattr(_ScenarioEngine, name)
+
+            def counted(self, *args, real=real, name=name):
+                counts[name] += 1
+                return real(self, *args)
+
+            monkeypatch.setattr(_ScenarioEngine, name, counted)
+        ivs = ()
+        if feedback:
+            ivs = (InterventionRule("role_model_feedback", "women", strength=0.5),)
+        cfg = replace(BOARDS, policy_rule=rule, horizon=9)
+        traj = run_scenario(cfg, ivs)
+        assert counts == {"decide": 0, "policy": cfg.horizon + 1}
+        assert len({id(pol) for pol in traj.columns.policies}) == 1
+
+    def test_columns_reduce_every_row_in_one_pass(self, monkeypatch):
+        # One stacked pass for the policy's products and one for the masses,
+        # however many blocks of ``_BLOCK`` steps the run spans.
+        calls = []
+        real = dynamics._dots
+        monkeypatch.setattr(
+            dynamics, "_dots", lambda *args: calls.append(1) or real(*args)
+        )
+        traj = run_scenario(replace(LENDING, horizon=999), ())
+        assert len(traj) == 1000 > 30 * dynamics._BLOCK
+        assert len(calls) == 2
+
+    def test_every_policy_of_a_run_writes_into_its_buffers(self, monkeypatch):
+        built = []
+
+        class Recorded(dynamics._PolicyTerms):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(dynamics, "_PolicyTerms", Recorded)
+        traj = run_scenario(BOARDS)
+        # The quota binds at more than one step, each with a policy of its own.
+        assert len({id(pol) for pol in traj.columns.policies}) >= 3
+        assert len(built) >= 3
+        buffers = built[0].buffers
+        assert all(terms.buffers is buffers for terms in built)
+        assert buffers.moved_flat.base is buffers.moved
+        assert buffers.accepted_rows.base is buffers.accepted
+
+
 class TestCompare:
     def test_variant_against_itself_identical(self):
         ivs = BOARDS.variants["quota_only"]
