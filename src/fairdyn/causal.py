@@ -580,16 +580,24 @@ def load_causal_model(path) -> CausalModel:
     domain value is a string or a number, read as its text; a bool, null,
     list or mapping there, or where a probability belongs, is a
     ``ConfigError`` naming ``nodes``, ``edges[i]``, ``protected``,
-    ``outcome``, ``cpts``, ``nodes.A`` or ``cpts.A."<key>"``.
+    ``outcome``, ``cpts``, ``nodes.A`` or ``cpts.A."<key>"``. A domain or a
+    CPT row that is not a list (a string is not read letter by letter) is
+    one naming ``nodes.A`` or ``cpts.A."<key>"``, and a missing ``nodes``,
+    ``protected``, ``outcome`` or ``cpts`` is ``ConfigError("causal model
+    file F: missing field protected")``; ``edges`` may be left out.
     """
     raw = read_yaml(Path(path), path, "causal model file")
     keys = ("nodes", "edges", "protected", "outcome", "cpts")
     where = f"causal model file {path}"
     known_keys(raw, where, keys)
+    for key in ("nodes", "protected", "outcome", "cpts"):
+        if key not in raw:
+            raise ConfigError(f"{where}: missing field {key}")
     try:
         domains = {
             _name(k, f"{where}: nodes"): tuple(
-                checked_text(v, f"{where}: nodes.{k}", "domain value") for v in vs
+                checked_text(v, f"{where}: nodes.{k}", "domain value")
+                for v in sequence(vs, f"{where}: nodes.{k}")
             )
             for k, vs in mapping(raw["nodes"], f"{where}: nodes").items()
         }
@@ -634,7 +642,7 @@ def load_causal_model(path) -> CausalModel:
                         f"{where}: cpts.{node}: row key {key!r} repeats the "
                         "parent assignment of an earlier row"
                     )
-                table[pk] = tuple(_probability(x, at) for x in row)
+                table[pk] = tuple(_probability(x, at) for x in sequence(row, at))
             cpts[node] = table
         model = CausalModel(domains, edges, cpts, protected, outcome)
         model.validate()

@@ -16,7 +16,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from itertools import repeat
-from typing import Callable, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -73,9 +73,18 @@ class TrajectoryColumns:
     policy, one shared object for the steps a policy serves. ``mean_score``,
     ``acceptance``, ``tpr``, ``fpr`` and ``delta_mu`` are (steps, groups);
     ``tpr``/``fpr`` are NaN where a group has no qualified/unqualified mass.
-    The gap columns are those of the two groups of ``metric_pair``, NaN
-    without a pair. ``regime`` holds indices into ``tuple(RegimeLabel)`` and
-    ``flags`` the intervention flags (steps, flags).
+    ``utility`` and the gap columns are (steps,); the gap columns are those
+    of the two groups of ``metric_pair``, NaN without a pair. ``regime``
+    holds indices into ``tuple(RegimeLabel)`` and ``flags`` the intervention
+    flags (steps, flags).
+
+    A sweep block of several draws is recorded draw-major: each per-group
+    array has one column per group of each draw, draw by draw, (steps,
+    draws * groups), ``states`` is (steps, draws * groups, bins), and
+    ``utility`` and the gap columns are (steps, draws), even for one draw.
+    Draw ``d``'s columns are the slices ``[:, d * groups:(d + 1) * groups]``
+    and ``[:, d]``. A step's policy is a tuple of each draw's, ``initial``
+    is the first draw's and a block keeps no flags (steps, 0).
     """
 
     grid: ScoreGrid
@@ -510,31 +519,6 @@ def _check_finite(columns, group_ids: tuple[str, ...]) -> None:
             raise DomainError(f"{name} {column[t, j]} is not finite at {at}")
 
 
-class _Runs(NamedTuple):
-    """The columns of a run of one or more draws, stacked as ``_run`` fills
-    them: a per-group array has one column per group of each draw, draw by
-    draw, and a per-draw array one column per draw. Draw ``d``'s columns are
-    the slices ``[:, d * groups:(d + 1) * groups]`` and ``[:, d]``; for one
-    draw they are those of ``TrajectoryColumns``."""
-
-    metric_pair: Optional[tuple[str, str]]  # resolved; None for no pair
-    states: np.ndarray  # (steps, draws * groups, bins)
-    proportions: np.ndarray  # (steps, draws * groups)
-    policies: list  # one _StepPolicy per step
-    initial: Population  # step 0's after the hook; of a block, its first draw's
-    mean_score: np.ndarray
-    acceptance: np.ndarray
-    tpr: np.ndarray
-    fpr: np.ndarray
-    delta_mu: np.ndarray
-    regime: np.ndarray
-    utility: np.ndarray  # (steps, draws)
-    dp_gap: np.ndarray  # (steps, draws)
-    eo_gap: np.ndarray
-    eodds_gap: np.ndarray
-    flags: np.ndarray  # (steps, flags); a block of draws keeps none
-
-
 PolicyFn = Callable[[int, Population], Policy]
 PreStepFn = Callable[[int, Population], Population]
 FlagsFn = Callable[[int], tuple[bool, ...]]
@@ -617,19 +601,10 @@ def simulate(
 
     ``run_scenario`` passes its scenario engine as ``_engine``, in place of
     ``policy_fn``, ``pre_step`` and ``flags_fn``, with a checked config's
-    values, so no start check runs again. The engine's ``policy`` decides
-    from the step's (pmfs, proportions) rows, as in a sweep block; with
-    interventions its ``pre_step`` is the row hook and ``flags_fn`` gives
-    the flags. No population is built for the engine. A ``deferred``
-    engine (a ``fixed`` or ``max_utility`` rule, with role-model feedback
-    as its only interventions, or none) takes no row hook: its ``policy``
-    returns the rule at every step without deciding, and with interventions
-    its ``feedback`` rescales the proportions once the loop has ended, from
-    the acceptance column that ``_step_columns`` computes before it sums the
-    utility. No decision of such a run reads the proportions, and the states
-    do not depend on them, so the pass gives the hook's proportions bit for
-    bit: it applies the hook's own rescale, to shares of acceptance rates
-    that ``_dots`` takes as the hook's ``pmf.dot(tau)``.
+    values, so no start check runs again. The engine's ``hooks`` give the
+    run's policy, row hook, flags and feedback; its ``policy`` decides from
+    the step's (pmfs, proportions) rows, as in a sweep block, and no
+    population is built for it.
 
     The per-step columns are computed after the loop, bit for bit as per-row
     ``pmf.dot`` calls would give them; a non-finite ``delta_mu``, utility or
@@ -644,23 +619,11 @@ def simulate(
         _checked_rho(outcome, pop.group_ids, [g.pmf for g in pop.groups])
         hook = None if pre_step is None else _pre_step_rows(pre_step, pop)
     else:
-        policy_fn, hook = _engine.policy, None
-        if _engine.interventions:
-            flags_fn = _engine.flags_fn
-            if _engine.deferred:
-                feedback = _engine.feedback
-            else:
-                hook = _engine.pre_step
-    c = _run(
+        policy_fn, hook, flags_fn, feedback = _engine.hooks()
+    columns = _run(
         pop, policy_fn, outcome, inst, horizon, regime_tol, metric_pair,
-        np.array([[g.pmf for g in pop.groups]]), flags_fn, hook,
+        np.array([g.pmf for g in pop.groups]), flags_fn, hook,
         views=_engine is None, feedback=feedback,
-    )
-    columns = TrajectoryColumns(
-        pop.grid, pop.group_ids, c.metric_pair, c.initial, c.states, c.proportions,
-        tuple(c.policies), c.mean_score, c.acceptance, c.tpr, c.fpr,
-        c.delta_mu, c.regime, c.utility[:, 0], c.dp_gap[:, 0], c.eo_gap[:, 0],
-        c.eodds_gap[:, 0], c.flags,
     )
     return Trajectory(_StepViews(columns))
 
@@ -678,11 +641,14 @@ def _run(
     hook: Optional[RowHook] = None,
     views: bool = False,
     feedback: Optional[Callable] = None,
-) -> _Runs:
-    """Run the draws of ``starts`` (draws, groups, bins) over ``pop``'s grid
-    and groups as stacked rows; the state (steps, draws * groups, bins)
-    holds each draw's groups in ``pop``'s order, draw by draw, and a run of
-    ``simulate`` is a block of one draw. Draws never mix: each value of a
+) -> TrajectoryColumns:
+    """The record of the draws of ``starts`` run over ``pop``'s grid and
+    groups as stacked rows; the state (steps, draws * groups, bins) holds
+    each draw's groups in ``pop``'s order, draw by draw. A sweep block's
+    ``starts`` are (draws, groups, bins) and its record keeps per-draw
+    columns (steps, draws), as ``TrajectoryColumns`` lays a block out;
+    ``simulate``'s are its (groups, bins) pmfs, run as a block of one draw
+    whose per-draw columns are (steps,). Draws never mix: each value of a
     draw is computed from its own rows alone, with the operations and in the
     order of its own run, so a draw gives bit for bit the numbers of that
     run.
@@ -705,7 +671,7 @@ def _run(
     grid, group_ids = pop.grid, pop.group_ids
     metric_pair, pair = _checked_pair(metric_pair, group_ids)
     groups = len(group_ids)
-    draws = len(starts)
+    draws = 1 if starts.ndim == 2 else len(starts)
     rows, width = horizon + 1, draws * groups
     states = np.empty((rows, width, len(grid)))
     proportions = np.empty((rows, width))
@@ -787,20 +753,12 @@ def _run(
         gaps = _gaps(
             *(col[:, k::groups] for col in (acceptance, tpr, fpr) for k in pair)
         )
-    return _Runs(
-        metric_pair,
-        states,
-        proportions,
-        policies,
-        initial,
-        mean_score,
-        acceptance,
-        tpr,
-        fpr,
-        delta_mu,
-        _regime_codes(delta_mu, regime_tol),
-        utility,
-        *gaps,
+    # The per-draw columns: (steps,) for ``simulate``'s run, else (steps, draws).
+    per_draw = [col.reshape(rows, *starts.shape[:-2]) for col in (utility, *gaps)]
+    return TrajectoryColumns(
+        grid, group_ids, metric_pair, initial, states, proportions, tuple(policies),
+        mean_score, acceptance, tpr, fpr, delta_mu,
+        _regime_codes(delta_mu, regime_tol), *per_draw,
         np.array(flags, dtype=bool).reshape(rows, -1),
     )
 

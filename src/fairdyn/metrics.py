@@ -16,7 +16,9 @@ import numpy as np
 
 from .errors import DomainError, UndefinedConditionalError
 from .policy import Policy, _acceptance
-from .population import Population, ScoreGrid, _check_lengths, _integer, _real_vector
+from .population import (
+    Population, ScoreGrid, _check_lengths, _integer, _is_integer, _real, _real_vector,
+)
 
 EQ_TOL = 1e-12
 
@@ -178,13 +180,20 @@ def individual_fairness_violations(
     Output distance is the absolute acceptance-probability difference;
     input distance is ``lipschitz * |score difference|``. This is one
     admissible instantiation of the abstract distance pair.
+
+    ``lipschitz`` is a positive, finite real number and each bin an integer
+    in [0, bins); else ``DomainError``, naming the pair for a bin.
     """
-    if lipschitz <= 0:
-        raise DomainError(f"lipschitz constant {lipschitz} must be positive")
+    if not 0 < _real(lipschitz, "lipschitz constant") < math.inf:  # NaN fails too
+        raise DomainError(f"lipschitz constant {lipschitz} must be positive and finite")
     scores = pop.grid.bin_scores
+    n = len(scores)
     out = []
     for pair in pairs:
         (g1, b1), (g2, b2) = pair
+        if not all(_is_integer(b) and 0 <= b < n for b in (b1, b2)):
+            raise DomainError(f"pair {pair!r}: bins must be integers in [0, {n})")
+        b1, b2 = int(b1), int(b2)
         d_out = abs(float(policy.tau(g1)[b1]) - float(policy.tau(g2)[b2]))
         d_in = lipschitz * abs(float(scores[b1]) - float(scores[b2]))
         slack = d_out - d_in

@@ -31,7 +31,7 @@ from .policy import (
     institution_utility,
     threshold_values,
 )
-from .population import GroupState, Population
+from .population import GroupState, Population, _check_lengths
 
 DEFAULT_RESOLUTION = 0.01
 # The most levels a search scans, as ``round(1 / resolution)`` counts them
@@ -83,12 +83,16 @@ def rates_for_tpr(
     The same top-down search as :func:`threshold_levels`, run over the
     qualified mass ``pmf * rho`` instead of the mass: bins that hold no
     qualified mass are never the threshold, and a target the cumulative
-    qualified mass does not reach accepts the whole group.
+    qualified mass does not reach accepts the whole group. A target outside
+    [0, 1], NaN included, raises ``DomainError``, and a ``rho`` of another
+    length than the pmf ``DimensionError``.
     """
     pmf = group.pmf
-    return _rates_for_tpr(
-        group.group_id, pmf, _top_sums(pmf), rho, np.asarray(tprs, dtype=float)
-    )
+    tprs = np.asarray(tprs, dtype=float)
+    if not np.all((tprs >= 0.0) & (tprs <= 1.0)):  # NaN fails too
+        raise DomainError(f"target TPR outside [0,1] in {tprs}")
+    _check_lengths(group.group_id, pmf=pmf, rho=rho)
+    return _rates_for_tpr(group.group_id, pmf, _top_sums(pmf), rho, tprs)
 
 
 def _rates_for_tpr(

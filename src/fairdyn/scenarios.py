@@ -23,7 +23,7 @@ import math
 import operator
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .dynamics import (
     _population_view,
     _require_valid,
     _run,
-    _Runs,
     simulate,
 )
 from .errors import (
@@ -532,7 +531,7 @@ class _ScenarioEngine:
     """Stateful hooks plugged into the dynamics loop to apply interventions:
     ``pre_step``, the loop's row hook, ``policy``, which ``decide``s from
     the step's rows, and ``flags_fn``. ``run_scenario`` hands the engine to
-    ``simulate``.
+    ``simulate``, which runs the hooks that ``hooks`` names.
 
     Under a ``fixed`` or ``max_utility`` rule whose interventions are all
     role-model feedback, or that has none (``deferred``), no step's decision
@@ -652,6 +651,27 @@ class _ScenarioEngine:
             rows.append(props)
         if rows:
             proportions[1:] = rows
+
+    def hooks(self) -> tuple:
+        """The ``(policy, row hook, flags_fn, feedback)`` that ``simulate``
+        runs the engine with, None for each hook the run does not take.
+
+        A run without interventions takes ``policy`` alone. A ``deferred``
+        engine (a ``fixed`` or ``max_utility`` rule, with role-model feedback
+        as its only interventions) takes no row hook: its ``policy`` returns
+        the rule at every step without deciding, and its ``feedback``
+        rescales the proportions once the loop has ended, from the
+        acceptance column that ``_step_columns`` computes before it sums the
+        utility. No decision of such a run reads the proportions, and the
+        states do not depend on them, so the pass gives the hook's
+        proportions bit for bit: it applies the hook's own rescale, to shares
+        of acceptance rates that ``_dots`` takes as the hook's
+        ``pmf.dot(tau)``. Any other engine's ``pre_step`` is the row hook."""
+        if not self.interventions:
+            return self.policy, None, None, None
+        if self.deferred:
+            return self.policy, None, self.flags_fn, self.feedback
+        return self.policy, self.pre_step, self.flags_fn, None
 
     def policy(self, t: int, step_rows: tuple[np.ndarray, np.ndarray]) -> Policy:
         """The policy of step ``t``, which ``decide``s from the step's
@@ -786,7 +806,7 @@ def _run_checked(cfg: ScenarioConfig, ivs: Sequence[InterventionRule]) -> Trajec
 
 def _goal_values(
     cfg: ScenarioConfig,
-    runs: Union[TrajectoryColumns, _Runs],
+    runs: TrajectoryColumns,
     names: Callable[[int], str],
 ) -> np.ndarray:
     """The declared goal's metric at every step of every run of ``runs``, a
@@ -982,13 +1002,14 @@ class _DrawEngines:
         return self.policies
 
 
-def _run_draws(cfg: ScenarioConfig, pmfs: np.ndarray) -> _Runs:
-    """The scenario's runs from each start of ``pmfs`` (draws, groups, bins),
-    advanced together by ``_run`` with the config's checked values: each
-    draw's columns are bit for bit those of ``run_scenario`` on its start.
-    Only the starts are checked here; the first that fails
-    ``validate_population``, with the config's proportions, raises its
-    ``DomainError``. The runs keep no intervention flags."""
+def _run_draws(cfg: ScenarioConfig, pmfs: np.ndarray) -> TrajectoryColumns:
+    """The block record of the scenario's runs from each start of ``pmfs``
+    (draws, groups, bins), advanced together by ``_run`` with the config's
+    checked values: each draw's columns are bit for bit those of
+    ``run_scenario`` on its start. Only the starts are checked here; the
+    first that fails ``validate_population``, with the config's
+    proportions, raises its ``DomainError``. The runs keep no intervention
+    flags."""
     pop = cfg.population
     if not _pmfs_valid(pmfs.reshape(-1, pmfs.shape[-1])):
         shares = [g.proportion for g in pop.groups]

@@ -704,6 +704,46 @@ cpts:
             load_causal_model(path)
         assert str(info.value) == f"causal model file {path}: {message}"
 
+    @pytest.mark.parametrize(
+        "a,row,message",
+        [
+            ('"01"', "[0.5, 0.5]", "nodes.A must be a list"),
+            ("5", "[0.5, 0.5]", "nodes.A must be a list"),
+            ("{0: 1}", "[0.5, 0.5]", "nodes.A must be a list"),
+            ("[0, 1]", "0.5", 'cpts.A."" must be a list'),
+            ("[0, 1]", '"0.5"', 'cpts.A."" must be a list'),
+            ("[0, 1]", "{0: 0.5}", 'cpts.A."" must be a list'),
+        ],
+        ids=["domain_text", "domain_number", "domain_mapping", "row_number",
+             "row_text", "row_mapping"],
+    )
+    def test_a_domain_or_row_that_is_not_a_list_is_named(
+        self, tmp_path, a, row, message
+    ):
+        # The text "01" once loaded as the domain ('0', '1'), letter by letter.
+        path = self.write(tmp_path, self.MODEL.format(a=a, row=row))
+        with pytest.raises(ConfigError) as info:
+            load_causal_model(path)
+        assert str(info.value) == f"causal model file {path}: {message}"
+
+    @pytest.mark.parametrize(
+        "field,cut",
+        [
+            ("nodes", "nodes:\n  A: [0, 1]\n  F: [0, 1]\n"),
+            ("protected", "protected: A\n"),
+            ("outcome", "outcome: F\n"),
+            ("cpts", None),
+        ],
+    )
+    def test_a_missing_field_is_named(self, tmp_path, field, cut):
+        text = self.MODEL.format(a="[0, 1]", row="[0.5, 0.5]")
+        text = text[: text.index("cpts:")] if cut is None else text.replace(cut, "")
+        assert f"{field}:" not in text
+        path = self.write(tmp_path, text)
+        with pytest.raises(ConfigError) as info:
+            load_causal_model(path)
+        assert str(info.value) == f"causal model file {path}: missing field {field}"
+
     def test_a_row_key_item_without_a_value_is_named(self, tmp_path):
         text = self.MODEL.format(a="[0, 1]", row="[0.5, 0.5]")
         path = self.write(tmp_path, text.replace('"A=0"', '"A0"'))

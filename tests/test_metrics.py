@@ -154,6 +154,44 @@ class TestIndividualFairness:
         with pytest.raises(DomainError):
             individual_fairness_violations(pop, shared_policy((0, 1)), 0.0, [])
 
+    @pytest.mark.parametrize(
+        "lipschitz, message",
+        [
+            (np.nan, "lipschitz constant nan must be positive and finite"),
+            (np.inf, "lipschitz constant inf must be positive and finite"),
+            (-1.0, "lipschitz constant -1.0 must be positive and finite"),
+            (True, "lipschitz constant must be a real number, got True"),
+            ("1", "lipschitz constant must be a real number, got '1'"),
+        ],
+    )
+    def test_lipschitz_must_be_a_positive_finite_real(self, lipschitz, message):
+        # NaN once passed every pair, as ``nan > EQ_TOL`` is false, and True
+        # was taken as 1.
+        pop = two_group_pop((0.5, 0.5), (0.5, 0.5))
+        pol = Policy.from_arrays({"a0": np.array([0.0, 1.0]), "a1": np.zeros(2)})
+        pairs = [(("a0", 1), ("a1", 1))]
+        with pytest.raises(DomainError) as info:
+            individual_fairness_violations(pop, pol, lipschitz, pairs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("bin_", [-1, 2, 0.5, True, "1", None])
+    def test_bin_must_be_an_integer_on_the_grid(self, bin_):
+        # A bin of -1 once audited the top bin.
+        pop = two_group_pop((0.5, 0.5), (0.5, 0.5))
+        pol = Policy.from_arrays({"a0": np.array([0.0, 1.0]), "a1": np.zeros(2)})
+        pair = (("a0", 1), ("a1", bin_))
+        pairs = [(("a0", 0), ("a1", 0)), pair]
+        with pytest.raises(DomainError) as info:
+            individual_fairness_violations(pop, pol, 0.001, pairs)
+        assert str(info.value) == f"pair {pair!r}: bins must be integers in [0, 2)"
+
+    def test_an_integral_float_bin_is_its_integer(self):
+        pop = two_group_pop((0.5, 0.5), (0.5, 0.5))
+        pol = Policy.from_arrays({"a0": np.array([0.0, 1.0]), "a1": np.zeros(2)})
+        pairs = [(("a0", 1.0), ("a1", np.int64(1)))]
+        out = individual_fairness_violations(pop, pol, 0.001, pairs)
+        assert out == [(pairs[0], pytest.approx(1.0))]
+
 
 class TestUnawareness:
     def test_identical_thresholds(self):

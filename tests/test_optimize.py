@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairdyn.dynamics import group_delta_mu
-from fairdyn.errors import CapacityError, DomainError, InfeasibilityError
+from fairdyn.errors import (
+    CapacityError,
+    DimensionError,
+    DomainError,
+    InfeasibilityError,
+)
 from fairdyn.metrics import (
     OutcomeModel,
     demographic_parity_gap,
@@ -165,6 +170,20 @@ class TestThresholdSearchOracles:
             assert abs(rate - bf_rate_for_tpr(pmf, rho, float(level))) <= 1e-12
             tau = expand_one(pmf, b, f)
             assert abs(float(pmf @ (tau * rho)) / qualified - level) <= 1e-12
+
+    @pytest.mark.parametrize("tpr", [np.nan, 2.0, -0.5, np.inf])
+    def test_tpr_map_rejects_a_target_outside_the_unit_interval(self, tpr):
+        # NaN once mapped to rate 1.0, 2.0 to 1.0 and -0.5 to a negative rate.
+        group = GroupState("a", 1.0, (0.2, 0.3, 0.5))
+        with pytest.raises(DomainError) as info:
+            rates_for_tpr(group, np.array([0.1, 0.5, 0.9]), [0.5, tpr])
+        assert str(info.value) == f"target TPR outside [0,1] in {np.array([0.5, tpr])}"
+
+    def test_tpr_map_rejects_a_short_rho(self):
+        group = GroupState("a", 1.0, (0.2, 0.3, 0.5))
+        with pytest.raises(DimensionError) as info:
+            rates_for_tpr(group, np.array([0.1, 0.5]), [0.5])
+        assert str(info.value) == "group 'a': inconsistent lengths pmf=3 rho=2"
 
 
 # --- max_utility_policy ----------------------------------------------------

@@ -1043,6 +1043,40 @@ class TestStaticRuleRun:
         assert buffers.accepted_rows.base is buffers.accepted
 
 
+class TestEngineHooks:
+    """The engine names the hooks a run of it takes, None for each it does
+    not, and ``simulate`` reads the engine through them alone."""
+
+    def test_no_interventions_take_the_policy_alone(self):
+        engine = _ScenarioEngine(BOARDS, ())
+        assert engine.hooks() == (engine.policy, None, None, None)
+
+    def test_static_role_model_run_rescales_after_its_loop(self):
+        assert BOARDS.policy_rule.kind == "max_utility"
+        iv = InterventionRule("role_model_feedback", "women", strength=0.5)
+        engine = _ScenarioEngine(BOARDS, (iv,))
+        assert engine.hooks() == (engine.policy, None, engine.flags_fn, engine.feedback)
+
+    def test_quota_run_takes_the_row_hook(self):
+        assert [iv.kind for iv in BOARDS.interventions] == ["quota"]
+        engine = _ScenarioEngine(BOARDS, BOARDS.interventions)
+        assert engine.hooks() == (engine.policy, engine.pre_step, engine.flags_fn, None)
+
+    @pytest.mark.parametrize("ivs", [(), None], ids=["none", "quota"])
+    def test_simulate_reads_the_engine_through_its_hooks(self, ivs):
+        ivs = BOARDS.interventions if ivs is None else ivs
+        only_hooks = mock.Mock(spec=["hooks"])
+        only_hooks.hooks = _ScenarioEngine(BOARDS, ivs).hooks
+        got = simulate(
+            BOARDS.population, None, BOARDS.outcome, BOARDS.institution,
+            BOARDS.horizon, regime_tol=BOARDS.tolerances.regime,
+            metric_pair=BOARDS.metric_groups, _engine=only_hooks,
+        ).columns
+        want = run_scenario(BOARDS, ivs).columns
+        for name in ("states", "proportions", "acceptance", "utility", "flags"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
 class TestCompare:
     def test_variant_against_itself_identical(self):
         ivs = BOARDS.variants["quota_only"]
@@ -1418,6 +1452,26 @@ class TestBatchedSweep:
         )
         sensitivity_sweep(cfg, 0.05, 7, seed=11)
         assert len(calls) == 3 * cfg.horizon
+
+    @pytest.mark.parametrize("draws", [1, 3])
+    def test_a_block_is_recorded_as_trajectory_columns(self, draws):
+        cfg = replace(BOARDS, horizon=9)
+        pop = cfg.population
+        starts = np.array(
+            [scenarios._perturbed_pmfs(pop, 0.05, 11, d) for d in range(draws)]
+        )
+        block = scenarios._run_draws(cfg, starts)
+        assert isinstance(block, dynamics.TrajectoryColumns)
+        assert block.grid is pop.grid and block.group_ids == pop.group_ids
+        steps = cfg.horizon + 1
+        for name in ("utility", "dp_gap", "eo_gap", "eodds_gap"):
+            assert getattr(block, name).shape == (steps, draws), name
+        assert block.acceptance.shape == (steps, draws * len(pop.groups))
+        assert block.flags.shape == (steps, 0)
+        assert isinstance(block.policies, tuple) and len(block.policies) == steps
+        arrays = [v for v in vars(block).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 13
+        assert not any(array.flags.writeable for array in arrays)
 
     def test_a_block_holds_at_least_one_draw(self, monkeypatch):
         monkeypatch.setattr(scenarios, "_SWEEP_STATE_BYTES", 1)
