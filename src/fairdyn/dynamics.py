@@ -610,7 +610,7 @@ def simulate(
     ``pmf.dot`` calls would give them; a non-finite ``delta_mu``, utility or
     mean score then raises ``DomainError`` naming its step.
     """
-    feedback = None
+    feedback = check = None
     if _engine is None:
         horizon = _checked_horizon(horizon)
         _check_regime_tol(regime_tol, "regime_tol")
@@ -619,11 +619,11 @@ def simulate(
         _checked_rho(outcome, pop.group_ids, [g.pmf for g in pop.groups])
         hook = None if pre_step is None else _pre_step_rows(pre_step, pop)
     else:
-        policy_fn, hook, flags_fn, feedback = _engine.hooks()
+        policy_fn, hook, flags_fn, feedback, check = _engine.hooks()
     columns = _run(
         pop, policy_fn, outcome, inst, horizon, regime_tol, metric_pair,
         np.array([g.pmf for g in pop.groups]), flags_fn, hook,
-        views=_engine is None, feedback=feedback,
+        views=_engine is None, feedback=feedback, check=check,
     )
     return Trajectory(_StepViews(columns))
 
@@ -641,6 +641,7 @@ def _run(
     hook: Optional[RowHook] = None,
     views: bool = False,
     feedback: Optional[Callable] = None,
+    check: Optional[Callable[[np.ndarray, np.ndarray, int], None]] = None,
 ) -> TrajectoryColumns:
     """The record of the draws of ``starts`` run over ``pop``'s grid and
     groups as stacked rows; the state (steps, draws * groups, bins) holds
@@ -666,7 +667,11 @@ def _run(
     none. Each transition is one ``step`` call that advances every row into
     the next and builds no population. ``feedback`` goes to
     ``_step_columns``, for a run whose decisions never read the
-    proportions.
+    proportions. ``check(states, proportions, upto)`` checks the rows the
+    hook edited, through step ``upto``, once per run: after the loop,
+    before the columns, or, when the loop raises, through the last step
+    whose hook returned, so that an invalid row raises its own error before
+    any that a later step meets.
     """
     grid, group_ids = pop.grid, pop.group_ids
     metric_pair, pair = _checked_pair(metric_pair, group_ids)
@@ -699,43 +704,58 @@ def _run(
     index = _scatter_index(width, len(grid), outcome)
     buffers = _KernelBuffers(width, len(grid))
     rescaled = False  # whether the hook has changed the proportions yet
-    for t in range(rows):
-        if hook is not None and hook(t, states[t], proportions[t]):
-            rescaled = True
-        # A view of row ``t`` after the hook: ``policy_fn``'s at every later
-        # step, and at step 0 of a run with a hook, which may have edited the
-        # row in place, which ``pop`` does not show (of a block, over its
-        # first draw's rows).
-        if (views and t > 0) or (t == 0 and hook is not None):
-            cur = _population_view(
-                grid, group_ids, proportions[t].tolist(), states[t]
-            )
-        if t == 0:
-            initial = cur
-        last = pol
-        try:
-            pol = policy_fn(t, cur if views else (states[t], proportions[t]))
-        except InfeasibilityError as exc:
-            raise InfeasibilityError(f"step {t}: {exc}") from exc
-        if pol is not last:
-            terms = _PolicyTerms(pol, group_ids, states[t], rf, index, buffers)
-        active = flags_fn(t) if flags_fn is not None else ()
-        if flags and len(active) != len(flags[0]):
-            raise DomainError(
-                f"flags_fn gave {len(active)} flags at step {t}, "
-                f"{len(flags[0])} at step 0"
-            )
-        flags.append(tuple(active))
-        policies.append(pol)
-        if t < horizon:
-            # Each transition stays one call of ``step`` with a population
-            # first: the benchmark's tracer (bench/spans.py) counts a run's
-            # transitions from its calls and their bin steps from that
-            # population's grid and groups, one draw's. Given the rows,
-            # ``step`` reads no population and builds none.
-            step(cur, pol, outcome, out=states[t + 1], _pmfs=states[t], _terms=terms)
-            if rescaled:
-                proportions[t + 1] = proportions[t]
+    # Step ``t``'s rows, one view each, which the hooks and ``step`` share.
+    pmfs, shares = states[0], proportions[0]
+    hooked = -1  # the last step whose hook has returned
+    try:
+        for t in range(rows):
+            if hook is not None and hook(t, pmfs, shares):
+                rescaled = True
+            hooked = t
+            # A view of row ``t`` after the hook: ``policy_fn``'s at every
+            # later step, and at step 0 of a run with a hook, which may have
+            # edited the row in place, which ``pop`` does not show (of a
+            # block, over its first draw's rows).
+            if (views and t > 0) or (t == 0 and hook is not None):
+                cur = _population_view(grid, group_ids, shares.tolist(), pmfs)
+            if t == 0:
+                initial = cur
+            last = pol
+            try:
+                pol = policy_fn(t, cur if views else (pmfs, shares))
+            except InfeasibilityError as exc:
+                raise InfeasibilityError(f"step {t}: {exc}") from exc
+            if pol is not last:
+                terms = _PolicyTerms(pol, group_ids, pmfs, rf, index, buffers)
+            active = flags_fn(t) if flags_fn is not None else ()
+            if flags and len(active) != len(flags[0]):
+                raise DomainError(
+                    f"flags_fn gave {len(active)} flags at step {t}, "
+                    f"{len(flags[0])} at step 0"
+                )
+            flags.append(tuple(active))
+            policies.append(pol)
+            if t < horizon:
+                # Each transition stays one call of ``step`` with a
+                # population first: the benchmark's tracer (bench/spans.py)
+                # counts a run's transitions from its calls and their bin
+                # steps from that population's grid and groups, one draw's.
+                # Given the rows, ``step`` reads no population and builds
+                # none.
+                nxt = states[t + 1]
+                step(cur, pol, outcome, out=nxt, _pmfs=pmfs, _terms=terms)
+                pmfs = nxt
+                if rescaled:
+                    proportions[t + 1] = shares
+                shares = proportions[t + 1]
+    except Exception:
+        # A row the hook made invalid fails the run at its step, before
+        # any later error: the check covers the rows whose hooks returned.
+        if check is not None:
+            check(states, proportions, hooked)
+        raise
+    if check is not None:
+        check(states, proportions, horizon)
     mean_score, acceptance, tpr, fpr, delta_mu, utility = _step_columns(
         states, proportions, policies, group_ids, run, grid.bin_scores, feedback
     )

@@ -181,8 +181,9 @@ def individual_fairness_violations(
     input distance is ``lipschitz * |score difference|``. This is one
     admissible instantiation of the abstract distance pair.
 
-    ``lipschitz`` is a positive, finite real number and each bin an integer
-    in [0, bins); else ``DomainError``, naming the pair for a bin.
+    ``lipschitz`` is a positive, finite real number, each pair two (group,
+    bin) entries, each group one of the policy's and each bin an integer in
+    [0, bins); else ``DomainError``, naming the pair for a pair's fault.
     """
     if not 0 < _real(lipschitz, "lipschitz constant") < math.inf:  # NaN fails too
         raise DomainError(f"lipschitz constant {lipschitz} must be positive and finite")
@@ -190,7 +191,15 @@ def individual_fairness_violations(
     n = len(scores)
     out = []
     for pair in pairs:
-        (g1, b1), (g2, b2) = pair
+        try:
+            (g1, b1), (g2, b2) = pair
+        except (TypeError, ValueError):
+            raise DomainError(
+                f"pair {pair!r}: must be two (group, bin) entries"
+            ) from None
+        for g in (g1, g2):
+            if g not in policy.group_ids:
+                raise DomainError(f"pair {pair!r}: policy has no group {g!r}")
         if not all(_is_integer(b) and 0 <= b < n for b in (b1, b2)):
             raise DomainError(f"pair {pair!r}: bins must be integers in [0, {n})")
         b1, b2 = int(b1), int(b2)

@@ -31,7 +31,7 @@ from .policy import (
     institution_utility,
     threshold_values,
 )
-from .population import GroupState, Population, _check_lengths
+from .population import GroupState, Population, _check_lengths, _real_vector
 
 DEFAULT_RESOLUTION = 0.01
 # The most levels a search scans, as ``round(1 / resolution)`` counts them
@@ -85,12 +85,15 @@ def rates_for_tpr(
     qualified mass are never the threshold, and a target the cumulative
     qualified mass does not reach accepts the whole group. A target outside
     [0, 1], NaN included, raises ``DomainError``, and a ``rho`` of another
-    length than the pmf ``DimensionError``.
+    length than the pmf ``DimensionError``. ``rho`` is read as a vector of
+    reals: one that is not 1-D raises ``DimensionError``, a bool entry
+    ``DomainError``.
     """
     pmf = group.pmf
     tprs = np.asarray(tprs, dtype=float)
     if not np.all((tprs >= 0.0) & (tprs <= 1.0)):  # NaN fails too
         raise DomainError(f"target TPR outside [0,1] in {tprs}")
+    rho = _real_vector(rho, "rho")
     _check_lengths(group.group_id, pmf=pmf, rho=rho)
     return _rates_for_tpr(group.group_id, pmf, _top_sums(pmf), rho, tprs)
 

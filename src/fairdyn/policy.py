@@ -59,9 +59,11 @@ class Policy:
         """This policy over the rows of ``matrix``, a fresh float64 (groups,
         bins) array kept read-only without a copy once its rows ``check`` lie
         in [0, 1]; ``object.__new__(Policy)._keep(...)`` builds a policy."""
-        # Written so that NaN fails the check too.
-        ok = ((matrix[check] >= 0) & (matrix[check] <= 1)).all(axis=1)
-        if not ok.all():
+        rows = matrix[check]
+        # Written so that NaN fails the check too: the extremes of rows that
+        # hold a NaN are NaN.
+        if rows.size and not (rows.min() >= 0 and rows.max() <= 1):
+            ok = ((rows >= 0) & (rows <= 1)).all(axis=1)
             bad = group_ids[check][int(ok.argmin())]
             raise DomainError(f"group {bad!r}: acceptance entries outside [0,1] or NaN")
         matrix.setflags(write=False)
@@ -187,7 +189,7 @@ def _top_sums(values: np.ndarray) -> np.ndarray:
     sequentially from the last entry down; ``out[0]`` is 0."""
     out = np.empty(len(values) + 1)
     out[0] = 0.0
-    values[::-1].cumsum(out=out[1:])
+    np.add.accumulate(values[::-1], out=out[1:])
     return out
 
 

@@ -62,6 +62,7 @@ from .optimize import (
 )
 from .policy import InstitutionModel, Policy, _fill_threshold, _threshold_levels
 from .population import (
+    PROB_TOL,
     GroupState,
     Population,
     ScoreGrid,
@@ -515,8 +516,12 @@ def _accepted_mass(
     pmfs: Sequence[np.ndarray], proportions: Sequence[float], taus: Sequence[np.ndarray]
 ) -> list[float]:
     """Each group's accepted mass, its proportion times its acceptance rate
-    ``pmf.dot(tau)``, for acceptance vectors of checked lengths."""
-    return [p * float(pmf.dot(tau)) for pmf, p, tau in zip(pmfs, proportions, taus)]
+    ``pmf.dot(tau)``, for acceptance vectors of checked lengths. The rates
+    are one stacked (rows, 1, bins) by (rows, bins, 1) ``np.matmul``, the
+    per-row BLAS dot of ``_dots``, so each equals ``pmf.dot(tau)`` bit for
+    bit."""
+    rates = np.matmul(np.asarray(pmfs)[:, None], np.asarray(taus)[..., None])
+    return [p * r for p, r in zip(proportions, rates[:, 0, 0].tolist())]
 
 
 def _shares(mass: list[float]) -> list[float]:
@@ -530,8 +535,15 @@ def _shares(mass: list[float]) -> list[float]:
 class _ScenarioEngine:
     """Stateful hooks plugged into the dynamics loop to apply interventions:
     ``pre_step``, the loop's row hook, ``policy``, which ``decide``s from
-    the step's rows, and ``flags_fn``. ``run_scenario`` hands the engine to
-    ``simulate``, which runs the hooks that ``hooks`` names.
+    the step's rows, ``flags_fn`` and ``check_shifts``. ``run_scenario``
+    hands the engine to ``simulate``, which runs the hooks that ``hooks``
+    names.
+
+    The interventions are compiled once, when the engine is built: each
+    one's start, the pipelines as (start, group index, shift fraction), the
+    quotas as (slot, group, group index, target share, sunset eps, sunset
+    window) and the role-model feedbacks as (start, group index, strength),
+    so no step reads an ``InterventionRule``.
 
     Under a ``fixed`` or ``max_utility`` rule whose interventions are all
     role-model feedback, or that has none (``deferred``), no step's decision
@@ -552,6 +564,20 @@ class _ScenarioEngine:
         if rule is None:
             rule = _decision_rule(cfg)
         self.rule = rule
+        self.starts = [iv.active_from for iv in interventions]
+        # A start is an integer, maybe an integral float, and slices the
+        # state in ``check_shifts``.
+        self.pipelines = [
+            (int(iv.active_from), self.index[iv.group], iv.shift_fraction)
+            for iv in interventions
+            if iv.kind == "pipeline_investment"
+        ]
+        self.quotas = [
+            (slot, iv.group, self.index[iv.group], iv.target_share,
+             iv.sunset.eps, iv.sunset.window)
+            for slot, iv in enumerate(interventions)
+            if iv.kind == "quota"
+        ]
         self.quota_active = [iv.kind == "quota" for iv in interventions]
         self.quota_streak = [0] * len(interventions)
         # Each role-model feedback, in order, as (active_from, group index,
@@ -568,7 +594,7 @@ class _ScenarioEngine:
         self.flags: dict[int, tuple[bool, ...]] = {}
         # A deferred engine's flags from its last ``active_from`` on.
         self.all_on = (True,) * len(interventions)
-        self.last_start = max((iv.active_from for iv in interventions), default=0)
+        self.last_start = max(self.starts, default=0)
 
     def _rescale(
         self, t: int, proportions: list[float], shares: list[float]
@@ -601,29 +627,53 @@ class _ScenarioEngine:
         bin up; then role-model feedback (``_rescale``) scales its group's
         proportion by ``1 + strength * share``, with the share accepted at
         the last step, and renormalizes. The two edit different rows, so
-        their order changes no value. A shifted pmf and rescaled proportions
-        are then checked as ``validate_population`` checks them; on failure
-        it raises its ``DomainError("invalid population: ...")``.
+        their order changes no value. Rescaled proportions are then checked
+        as ``validate_population`` checks them; on failure it raises its
+        ``DomainError("invalid population: ...")``. The shifted pmfs are
+        checked once per run, by ``check_shifts``.
         """
-        valid = True
-        for iv in self.interventions:
-            if iv.kind == "pipeline_investment" and t >= iv.active_from:
-                i = self.index[iv.group]
+        for start, i, fraction in self.pipelines:
+            if t >= start:
                 row = pmfs[i]
-                moved = row[:-1] * iv.shift_fraction
+                moved = row[:-1] * fraction
                 row[:-1] -= moved
                 row[1:] += moved
-                valid = _pmfs_valid(pmfs[i : i + 1]) and valid
-        rescaled = None
-        if self.last_share:  # none before the first decision
-            shares = [self.last_share[gid] for gid in self.group_ids]
-            rescaled = self._rescale(t, proportions.tolist(), shares)
-        if rescaled is not None:
-            proportions[:] = rescaled
-            valid = _proportions_valid(rescaled) and valid
-        if not valid:
+        if not self.last_share:  # none before the first decision
+            return False
+        shares = [self.last_share[gid] for gid in self.group_ids]
+        rescaled = self._rescale(t, proportions.tolist(), shares)
+        if rescaled is None:
+            return False
+        proportions[:] = rescaled
+        if not _proportions_valid(rescaled):
             self._raise_invalid(pmfs, proportions.tolist())
-        return rescaled is not None
+        return True
+
+    def check_shifts(
+        self, states: np.ndarray, proportions: np.ndarray, upto: int
+    ) -> None:
+        """Check the rows that the pipelines shifted, those of steps up to
+        ``upto`` of a run's states (steps, groups, bins) and proportions
+        (steps, groups), in one pass per pipeline, and raise at the first
+        step ``t`` whose shifted row fails, the error ``pre_step`` would
+        have raised there on a check of its own: ``validate_population``'s
+        ``DomainError`` for the population of row ``t``.
+
+        Each row is decided as ``_pmfs_valid`` decides it, with its
+        reductions: the row's minimum is at least 0 (NaN is not) and its
+        pairwise sum lies within ``PROB_TOL`` of 1. A sum that overflows is
+        inf, which fails, with no warning."""
+        first = None
+        for start, i, _ in self.pipelines:
+            rows = states[start : upto + 1, i]
+            with np.errstate(over="ignore", invalid="ignore"):
+                ok = np.minimum.reduce(rows, axis=1) >= 0
+                ok &= np.abs(np.add.reduce(rows, axis=1) - 1.0) <= PROB_TOL
+            if not ok.all():
+                t = start + int(ok.argmin())
+                first = t if first is None else min(first, t)
+        if first is not None:
+            self._raise_invalid(states[first], proportions[first].tolist())
 
     def feedback(
         self, states: np.ndarray, acceptance: np.ndarray, proportions: np.ndarray
@@ -653,8 +703,9 @@ class _ScenarioEngine:
             proportions[1:] = rows
 
     def hooks(self) -> tuple:
-        """The ``(policy, row hook, flags_fn, feedback)`` that ``simulate``
-        runs the engine with, None for each hook the run does not take.
+        """The ``(policy, row hook, flags_fn, feedback, check)`` that
+        ``simulate`` runs the engine with, None for each hook the run does
+        not take.
 
         A run without interventions takes ``policy`` alone. A ``deferred``
         engine (a ``fixed`` or ``max_utility`` rule, with role-model feedback
@@ -666,12 +717,14 @@ class _ScenarioEngine:
         states do not depend on them, so the pass gives the hook's
         proportions bit for bit: it applies the hook's own rescale, to shares
         of acceptance rates that ``_dots`` takes as the hook's
-        ``pmf.dot(tau)``. Any other engine's ``pre_step`` is the row hook."""
+        ``pmf.dot(tau)``. Any other engine's ``pre_step`` is the row hook,
+        and a run with a pipeline takes ``check_shifts`` as its check."""
         if not self.interventions:
-            return self.policy, None, None, None
+            return self.policy, None, None, None, None
         if self.deferred:
-            return self.policy, None, self.flags_fn, self.feedback
-        return self.policy, self.pre_step, self.flags_fn, None
+            return self.policy, None, self.flags_fn, self.feedback, None
+        check = self.check_shifts if self.pipelines else None
+        return self.policy, self.pre_step, self.flags_fn, None, check
 
     def policy(self, t: int, step_rows: tuple[np.ndarray, np.ndarray]) -> Policy:
         """The policy of step ``t``, which ``decide``s from the step's
@@ -691,50 +744,49 @@ class _ScenarioEngine:
         pol = self.rule
         if not isinstance(pol, Policy):
             pol = pol.score(pmfs, proportions)[0]
-        # Each group's accepted mass under ``pol``, computed on first use.
-        mass = None
-        flags = []
-        for i, iv in enumerate(self.interventions):
-            if iv.kind != "quota":
-                flags.append(t >= iv.active_from)
-                continue
-            active = self.quota_active[i] and t >= iv.active_from
-            flags.append(active)
-            if not active:
+        flags = [t >= start for start in self.starts]
+        # Each group's accepted mass under ``pol`` and its shares, computed
+        # on first use.
+        mass = shares = None
+        for slot, group, j, target, eps, window in self.quotas:
+            if not (self.quota_active[slot] and flags[slot]):
+                flags[slot] = False
                 continue
             if mass is None:
                 mass = _accepted_mass(pmfs, proportions, pol._rows(self.group_ids))
-            j = self.index[iv.group]
-            pol = self._enforce_quota(pmfs[j], proportions[j], pol, iv, j, mass)
-            share = _shares(mass)[j]
-            if abs(share - iv.target_share) <= iv.sunset.eps:
-                self.quota_streak[i] += 1
+                shares = _shares(mass)
+            pol = self._enforce_quota(
+                pmfs[j], proportions[j], pol, group, target, j, mass, shares
+            )
+            if abs(shares[j] - target) <= eps:
+                self.quota_streak[slot] += 1
             else:
-                self.quota_streak[i] = 0
-            if self.quota_streak[i] >= iv.sunset.window:
-                self.quota_active[i] = False  # permanent
+                self.quota_streak[slot] = 0
+            if self.quota_streak[slot] >= window:
+                self.quota_active[slot] = False  # permanent
         if self.feedbacks:
             if mass is None:
                 mass = _accepted_mass(pmfs, proportions, pol._rows(self.group_ids))
-            self.last_share = dict(zip(self.index, _shares(mass)))
+                shares = _shares(mass)
+            self.last_share = dict(zip(self.index, shares))
         self.flags[t] = tuple(flags)
         return pol
 
     def _enforce_quota(
-        self, pmf: np.ndarray, proportion: float, pol: Policy, iv: InterventionRule,
-        j: int, mass: list[float],
+        self, pmf: np.ndarray, proportion: float, pol: Policy, group: str,
+        q: float, j: int, mass: list[float], shares: list[float],
     ) -> Policy:
-        """``pol`` with the threshold of the quota group, group ``j`` with
-        ``pmf`` and ``proportion``, lowered until its accepted share reaches
-        the target, or ``pol`` itself when it already does. ``mass`` holds
-        each group's accepted mass under ``pol``; entry ``j`` is updated to
-        the returned policy."""
+        """``pol`` with the threshold of the quota group, ``group`` (index
+        ``j``) with ``pmf`` and ``proportion``, lowered until its accepted
+        share reaches the target ``q``, or ``pol`` itself when it already
+        does. ``mass`` holds each group's accepted mass under ``pol`` and
+        ``shares`` their ``_shares``; both are updated in place to the
+        returned policy."""
         if proportion <= 0:
             raise InfeasibilityError(
-                f"quota on group {iv.group!r} infeasible: zero population mass"
+                f"quota on group {group!r} infeasible: zero population mass"
             )
-        q = iv.target_share
-        if _shares(mass)[j] >= q:
+        if shares[j] >= q:
             return pol
         other_mass = sum(m for k, m in enumerate(mass) if k != j)
         if q >= 1.0:
@@ -746,7 +798,7 @@ class _ScenarioEngine:
         needed_rate = q * other_mass / (proportion * (1.0 - q))
         if needed_rate > 1.0:
             raise InfeasibilityError(
-                f"quota share {q} for group {iv.group!r} needs acceptance rate "
+                f"quota share {q} for group {group!r} needs acceptance rate "
                 f"{needed_rate:.6g} > 1"
             )
         # The randomized threshold policy at that rate, as the tau vector
@@ -755,8 +807,9 @@ class _ScenarioEngine:
         bins, fractions = _threshold_levels(pmf, np.array([needed_rate]))
         tau = np.zeros(len(pmf))
         _fill_threshold(tau, int(bins[0]), float(fractions[0]))
-        mass[j] = _accepted_mass((pmf,), (proportion,), (tau,))[0]
-        return pol._with_tau(iv.group, tau)
+        mass[j] = _accepted_mass(pmf[None], (proportion,), tau[None])[0]
+        shares[:] = _shares(mass)
+        return pol._with_tau(group, tau)
 
     def flags_fn(self, t: int) -> tuple[bool, ...]:
         """The intervention flags of step ``t``: those ``decide`` recorded,
@@ -765,7 +818,7 @@ class _ScenarioEngine:
         if self.deferred:
             if t >= self.last_start:
                 return self.all_on
-            return tuple(t >= iv.active_from for iv in self.interventions)
+            return tuple(t >= start for start in self.starts)
         return self.flags.get(t, ())
 
 
@@ -1001,6 +1054,17 @@ class _DrawEngines:
             self.policies = tuple(pols)
         return self.policies
 
+    def check_shifts(
+        self, states: np.ndarray, proportions: np.ndarray, upto: int
+    ) -> None:
+        """Each engine's ``check_shifts`` on its draw's rows of the states
+        (steps, draws * groups, bins) and proportions, in draw order."""
+        steps = len(states)
+        pmfs = states.reshape(steps, *self.shape, -1)
+        shares = proportions.reshape(steps, *self.shape)
+        for k, engine in enumerate(self.engines):
+            engine.check_shifts(pmfs[:, k], shares[:, k], upto)
+
 
 def _run_draws(cfg: ScenarioConfig, pmfs: np.ndarray) -> TrajectoryColumns:
     """The block record of the scenario's runs from each start of ``pmfs``
@@ -1020,6 +1084,7 @@ def _run_draws(cfg: ScenarioConfig, pmfs: np.ndarray) -> TrajectoryColumns:
         pop, hooks.policy, cfg.outcome, cfg.institution, cfg.horizon,
         cfg.tolerances.regime, cfg.metric_groups, pmfs,
         hook=hooks.pre_step if cfg.interventions else None,
+        check=hooks.check_shifts if hooks.engines[0].pipelines else None,
     )
 
 

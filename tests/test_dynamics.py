@@ -905,6 +905,31 @@ class TestAgainstOracle:
             short = unchecked_config(cfg, horizon=2)
             assert not isinstance(_both(short)[0], Exception)
 
+    def test_broken_shift_wins_over_a_later_infeasible_quota(self, monkeypatch):
+        # The shifted rows are checked once per run. A run whose loop a later
+        # step fails still raises the error of the first row that the shift
+        # broke, as the oracle's check at every step does: here the shift
+        # breaks step 0, and the quota becomes infeasible at step 2.
+        quota = scenarios.InterventionRule(
+            "quota", "B", target_share=0.9, active_from=2,
+            sunset=scenarios.SunsetRule(1e-6, 5),
+        )
+        shift = scenarios.InterventionRule("pipeline_investment", "B", shift_fraction=1.5)
+        cfg = unchecked_config(LENDING, interventions=(shift, quota))
+        traj, records = _both(cfg)
+        assert type(traj) is type(records) is DomainError
+        assert str(traj) == str(records)
+        assert str(traj) == "invalid population: group 'B': negative pmf entry -0.125"
+        with pytest.raises(DomainError) as info:
+            scenarios.sensitivity_sweep(cfg, 0.01, 3, seed=5)
+        assert str(info.value) == (
+            "sweep draw 0: invalid population: group 'B': negative pmf entry -0.124"
+        )
+        # Without the check the loop meets the quota's error.
+        monkeypatch.setattr(scenarios._ScenarioEngine, "check_shifts", lambda *a: None)
+        with pytest.raises(scenarios.InfeasibilityError, match=r"^step 2: quota share"):
+            scenarios.run_scenario(cfg)
+
     @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),

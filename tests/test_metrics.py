@@ -185,6 +185,29 @@ class TestIndividualFairness:
             individual_fairness_violations(pop, pol, 0.001, pairs)
         assert str(info.value) == f"pair {pair!r}: bins must be integers in [0, 2)"
 
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ((("zz", 0), ("a1", 1)), "policy has no group 'zz'"),
+            ((("a0", 0), ("zz", 1)), "policy has no group 'zz'"),
+            ((("a0", 0),), "must be two (group, bin) entries"),
+            ((("a0", 0), ("a1", 0), ("a1", 1)), "must be two (group, bin) entries"),
+            (("a0", 0), "must be two (group, bin) entries"),
+            (((("a0", 0, 1)), ("a1", 0)), "must be two (group, bin) entries"),
+            (None, "must be two (group, bin) entries"),
+        ],
+        ids=["unknown_first", "unknown_second", "one_entry", "three_entries",
+             "one_group_and_bin", "three_field_entry", "none"],
+    )
+    def test_a_malformed_pair_names_itself(self, pair, message):
+        # An unknown group once raised a raw KeyError, and a pair that is not
+        # two (group, bin) entries Python's unpacking ValueError.
+        pop = two_group_pop((0.5, 0.5), (0.5, 0.5))
+        pol = Policy.from_arrays({"a0": np.array([0.0, 1.0]), "a1": np.zeros(2)})
+        with pytest.raises(DomainError) as info:
+            individual_fairness_violations(pop, pol, 0.001, [pair])
+        assert str(info.value) == f"pair {pair!r}: {message}"
+
     def test_an_integral_float_bin_is_its_integer(self):
         pop = two_group_pop((0.5, 0.5), (0.5, 0.5))
         pol = Policy.from_arrays({"a0": np.array([0.0, 1.0]), "a1": np.zeros(2)})

@@ -179,6 +179,24 @@ class TestThresholdSearchOracles:
             rates_for_tpr(group, np.array([0.1, 0.5, 0.9]), [0.5, tpr])
         assert str(info.value) == f"target TPR outside [0,1] in {np.array([0.5, tpr])}"
 
+    @pytest.mark.parametrize(
+        "rho, error, message",
+        [
+            (0.5, DimensionError, "expected a 1-D vector, got shape ()"),
+            (np.array([[0.1], [0.5], [0.9]]), DimensionError,
+             "expected a 1-D vector, got shape (3, 1)"),
+            ([0.1, True, 0.9], DomainError, "rho[1] must be a real number, got True"),
+        ],
+        ids=["scalar", "column", "bool_entry"],
+    )
+    def test_tpr_map_reads_rho_as_a_vector_of_reals(self, rho, error, message):
+        # A scalar once raised TypeError from ``len``, and a (3, 1) array
+        # passed the length check and failed inside the search.
+        group = GroupState("a", 1.0, (0.2, 0.3, 0.5))
+        with pytest.raises(error) as info:
+            rates_for_tpr(group, rho, [0.5])
+        assert str(info.value) == message
+
     def test_tpr_map_rejects_a_short_rho(self):
         group = GroupState("a", 1.0, (0.2, 0.3, 0.5))
         with pytest.raises(DimensionError) as info:

@@ -861,11 +861,120 @@ class TestPipelineInvestment:
         ):
             run_scenario(BOARDS, [iv])
         # An engine does not check its interventions, as a config's are
-        # checked when it is built; its hook still checks the pmf it shifts.
+        # checked when it is built; its run still checks the pmfs it shifts.
         engine = _ScenarioEngine(BOARDS, (iv,))
-        pmfs, proportions = rows(BOARDS.population)
         with pytest.raises(DomainError, match=f"^invalid population: {message}"):
-            engine.pre_step(0, pmfs, proportions)
+            simulate(
+                BOARDS.population, None, BOARDS.outcome, BOARDS.institution,
+                BOARDS.horizon, regime_tol=BOARDS.tolerances.regime,
+                metric_pair=BOARDS.metric_groups, _engine=engine,
+            )
+
+
+class TestShiftCheck:
+    """The rows a pipeline shifts are checked once per run, by the engine's
+    ``check_shifts``, which decides each row as ``_pmfs_valid`` does."""
+
+    def engine(self, active_from=0):
+        iv = InterventionRule(
+            "pipeline_investment", "women", shift_fraction=0.25, active_from=active_from
+        )
+        return _ScenarioEngine(BOARDS, (iv,))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 6),
+        start=st.integers(0, 3),
+        scale=st.sampled_from([1.0, 1 + 5e-10, 1 - 5e-10, 1 + 1e-9, 1 - 1e-9,
+                               1 + 2e-9, 1 - 2e-9]),
+        entry=st.sampled_from([None, math.nan, -1e-12, math.inf, 0.0]),
+    )
+    def test_decides_each_row_as_pmfs_valid(self, seed, steps, start, scale, entry):
+        rng = np.random.default_rng(seed)
+        n = len(BOARDS.population.grid.bin_scores)
+        # About a third of the entries exactly 0, as a valid pmf may hold.
+        states = rng.random((steps, 2, n)) * (rng.random((steps, 2, n)) >= 0.3)
+        states[..., -1] += 0.1
+        states /= states.sum(axis=2, keepdims=True)
+        bad_step = int(rng.integers(steps))
+        states[bad_step, WOMEN] *= scale
+        if entry is not None:
+            states[bad_step, WOMEN, rng.integers(n)] = entry
+        # A bad row of the other group is not the pipeline's to check.
+        states[int(rng.integers(steps)), MEN, 0] = -1.0
+        proportions = np.tile([g.proportion for g in BOARDS.population.groups],
+                              (steps, 1))
+        upto = int(rng.integers(steps))
+        failing = [
+            t for t in range(start, upto + 1)
+            if not scenarios._pmfs_valid(states[t, WOMEN][None])
+        ]
+        engine = self.engine(start)
+        if not failing:
+            engine.check_shifts(states, proportions, upto)
+            return
+        t = failing[0]
+        with pytest.raises(DomainError) as want:
+            engine._raise_invalid(states[t], proportions[t].tolist())
+        with pytest.raises(DomainError) as got:
+            engine.check_shifts(states, proportions, upto)
+        assert str(got.value) == str(want.value)
+
+    def test_pipeline_run_checks_once_and_calls_no_pmfs_valid(self, monkeypatch):
+        calls, checks = [], []
+        monkeypatch.setattr(
+            scenarios, "_pmfs_valid", lambda pmfs: calls.append(pmfs) or True
+        )
+        real = _ScenarioEngine.check_shifts
+        monkeypatch.setattr(
+            _ScenarioEngine,
+            "check_shifts",
+            lambda self, *args: checks.append(args[2]) or real(self, *args),
+        )
+        ivs = BOARDS.variants["quota_pipeline"]
+        assert {iv.kind for iv in ivs} == {"quota", "pipeline_investment"}
+        traj = run_scenario(BOARDS, ivs)
+        assert calls == []
+        assert checks == [BOARDS.horizon]
+        assert len(traj) == BOARDS.horizon + 1
+
+    def test_hooks_name_the_check_of_a_pipeline_run(self):
+        engine = _ScenarioEngine(BOARDS, BOARDS.variants["quota_pipeline"])
+        assert engine.hooks()[4] == engine.check_shifts
+        assert engine.pipelines == [(0, WOMEN, engine.interventions[1].shift_fraction)]
+
+    @pytest.mark.parametrize("first", ["men", "women"])
+    def test_the_first_failing_step_of_any_pipeline_raises(self, first):
+        ivs = tuple(
+            InterventionRule("pipeline_investment", gid, shift_fraction=0.25)
+            for gid in ("men", "women")
+        )
+        engine = _ScenarioEngine(BOARDS, ivs)
+        pmfs, proportions = rows(BOARDS.population)
+        states = np.stack([pmfs] * 5)
+        early, late = (MEN, WOMEN) if first == "men" else (WOMEN, MEN)
+        states[2, early, 0] = math.nan
+        states[3, late, 0] = -1.0
+        shares = np.stack([proportions] * 5)
+        with pytest.raises(
+            DomainError,
+            match=f"^invalid population: group '{first}': pmf has a non-finite entry$",
+        ):
+            engine.check_shifts(states, shares, 4)
+        # Through step 1 no shifted row fails.
+        engine.check_shifts(states, shares, 1)
+
+    def test_an_integral_float_start_slices_as_its_integer(self):
+        iv = InterventionRule(
+            "pipeline_investment", "women", shift_fraction=0.25, active_from=2.0
+        )
+        engine = _ScenarioEngine(BOARDS, (iv,))
+        assert engine.pipelines[0][0] == 2 and type(engine.pipelines[0][0]) is int
+        pmfs, proportions = rows(BOARDS.population)
+        states = np.stack([pmfs] * 4)
+        states[1, WOMEN, 0] = -1.0  # before the start: not a shifted row
+        engine.check_shifts(states, np.stack([proportions] * 4), 3)
 
 
 # A ``fixed`` rule's acceptance vectors for ``BOARDS``.
@@ -1049,18 +1158,22 @@ class TestEngineHooks:
 
     def test_no_interventions_take_the_policy_alone(self):
         engine = _ScenarioEngine(BOARDS, ())
-        assert engine.hooks() == (engine.policy, None, None, None)
+        assert engine.hooks() == (engine.policy, None, None, None, None)
 
     def test_static_role_model_run_rescales_after_its_loop(self):
         assert BOARDS.policy_rule.kind == "max_utility"
         iv = InterventionRule("role_model_feedback", "women", strength=0.5)
         engine = _ScenarioEngine(BOARDS, (iv,))
-        assert engine.hooks() == (engine.policy, None, engine.flags_fn, engine.feedback)
+        assert engine.hooks() == (
+            engine.policy, None, engine.flags_fn, engine.feedback, None
+        )
 
     def test_quota_run_takes_the_row_hook(self):
         assert [iv.kind for iv in BOARDS.interventions] == ["quota"]
         engine = _ScenarioEngine(BOARDS, BOARDS.interventions)
-        assert engine.hooks() == (engine.policy, engine.pre_step, engine.flags_fn, None)
+        assert engine.hooks() == (
+            engine.policy, engine.pre_step, engine.flags_fn, None, None
+        )
 
     @pytest.mark.parametrize("ivs", [(), None], ids=["none", "quota"])
     def test_simulate_reads_the_engine_through_its_hooks(self, ivs):
