@@ -259,11 +259,10 @@ def _checked_pair(
 def _regime_codes(delta_mu: np.ndarray, tol: float) -> np.ndarray:
     """Index into ``tuple(RegimeLabel)`` of each expected score change, for
     finite changes and a positive, finite tolerance."""
-    codes = np.full(
-        delta_mu.shape, _REGIMES.index(RegimeLabel.STAGNATION), dtype=np.int8
-    )
-    codes[delta_mu > tol] = _REGIMES.index(RegimeLabel.IMPROVEMENT)
-    codes[delta_mu < -tol] = _REGIMES.index(RegimeLabel.DECLINE)
+    # Improvement, stagnation and decline are codes 0, 1 and 2: stagnation's
+    # plus whether the change is below -tol, minus whether it is above tol.
+    codes = np.subtract(delta_mu < -tol, delta_mu > tol, dtype=np.int8)
+    codes += _REGIMES.index(RegimeLabel.STAGNATION)
     return codes
 
 
@@ -301,14 +300,16 @@ def _scatter_index(rows: int, bins: int, outcome: OutcomeModel) -> np.ndarray:
     pmfs: row ``r``'s success destinations ``min(j + steps_up, bins - 1)``
     for every bin ``j``, then its failure destinations ``max(j - steps_down,
     0)``, each offset by ``r * bins``."""
-    j = np.arange(bins)
-    dest = np.stack(
+    up, down = min(outcome.steps_up, bins), min(outcome.steps_down, bins)
+    dest = np.concatenate(
         (
-            np.minimum(j + min(outcome.steps_up, bins), bins - 1),
-            np.maximum(j - min(outcome.steps_down, bins), 0),
+            np.arange(up, bins),  # j + up below the top
+            np.full(up, bins - 1),  # clamped at the top bin
+            np.zeros(down, dtype=int),  # clamped at the bottom bin
+            np.arange(bins - down),  # j - down above the bottom
         )
     )
-    return (dest + bins * np.arange(rows)[:, None, None]).reshape(-1)
+    return (dest + bins * np.arange(rows)[:, None]).reshape(-1)
 
 
 class _KernelBuffers:
@@ -334,6 +335,8 @@ class _PolicyTerms:
     by every policy of the run; without ``buffers`` the terms get their own.
     Acceptance vectors of another length than the pmfs' raise, naming the
     first group that has one."""
+
+    __slots__ = ("tau", "keep", "rf", "index", "buffers")
 
     def __init__(
         self,
@@ -479,7 +482,9 @@ def _step_columns(
             slot: dict[_StepPolicy, int] = {}
             index = [slot.setdefault(pol, len(slot)) for pol in policies[a:b]]
             tau = np.array([_acceptance_rows(pol, group_ids) for pol in slot])
-            if len(slot) > 1:
+            # Gathered per step unless one policy serves the block, which
+            # broadcasts, or each step has its own, already in step order.
+            if 1 < len(slot) < b - a:
                 tau = tau[index]
             w = np.empty((len(tau), width, 5, n))
             w[:, :, 0] = tau
@@ -489,11 +494,14 @@ def _step_columns(
             feedback(states, dots[..., 0], proportions)
         # Per row and group: qualified mass, unqualified mass and mean score,
         # none of which depends on the policy.
-        scores = np.broadcast_to(scores, (width, 1, n))
-        masses = _dots(states, np.concatenate((run[:, :2], scores), axis=1))
+        weights = np.empty((width, 3, n))
+        weights[:, :2] = run[:, :2]
+        weights[:, 2] = scores
+        masses = _dots(states, weights)
         # TPR and FPR: true (false) positives over qualified (unqualified)
         # mass, NaN where that mass is zero.
-        rates = np.full((rows, width, 2), math.nan)
+        rates = np.empty((rows, width, 2))
+        rates.fill(math.nan)
         np.divide(dots[..., 1:3], masses[..., :2], out=rates, where=masses[..., :2] > 0)
         # Each draw's proportion-weighted sum over its groups, in group order.
         utility = np.zeros((rows, width // groups))
@@ -689,18 +697,25 @@ def _run(
     flags = []
     policies = []
     pol = None
-    # The run's vectors: ``rho``, ``1 - rho``, the score change and the
-    # per-bin utility of every row. A score change past the largest float is
-    # inf, no warning, and the finiteness check after the loop names it.
-    rho = np.tile([outcome.rho_for(gid) for gid in group_ids], (draws, 1))
-    rf = np.stack((rho, 1.0 - rho), axis=1)
+    # The run's vectors, one (4, bins) matrix per row: ``rho``, ``1 - rho``,
+    # the score change and the per-bin utility, written for the first draw's
+    # groups and copied to every other draw's. A score change past the
+    # largest float is inf, no warning, and the finiteness check after the
+    # loop names it.
+    run = np.empty((width, 4, len(grid)))
+    first = run[:groups]
+    rho = first[:, 0]
+    for i, gid in enumerate(group_ids):
+        rho[i] = outcome.rho_for(gid)
+    np.subtract(1.0, rho, out=first[:, 1])
     with np.errstate(over="ignore", invalid="ignore"):
-        change = [outcome.score_change(gid, grid) for gid in group_ids]
-    change = np.tile(change, (draws, 1))
-    run = np.stack((rho, rf[:, 1], change, inst.per_bin_utility(rho)), axis=1)
-    # What every transition reads: ``rf``, a contiguous (rows, 2, bins) array
-    # the kernel multiplies faster than the strided ``run[:, :2]``, the run's
-    # one scatter index and the buffers the kernel writes into.
+        first[:, 2] = outcome._score_change(rho, grid)
+    first[:, 3] = inst.per_bin_utility(rho)
+    run.reshape(draws, groups, *first.shape[1:])[1:] = first
+    # What every transition reads: ``rf``, a contiguous (rows, 2, bins) copy
+    # that the kernel multiplies faster than the strided ``run[:, :2]``, the
+    # run's one scatter index and the buffers the kernel writes into.
+    rf = run[:, :2].copy()
     index = _scatter_index(width, len(grid), outcome)
     buffers = _KernelBuffers(width, len(grid))
     rescaled = False  # whether the hook has changed the proportions yet
@@ -725,7 +740,12 @@ def _run(
                 pol = policy_fn(t, cur if views else (pmfs, shares))
             except InfeasibilityError as exc:
                 raise InfeasibilityError(f"step {t}: {exc}") from exc
-            if pol is not last:
+            if pol is not last or t == 0:
+                if views and not isinstance(pol, Policy):
+                    raise DomainError(
+                        f"policy_fn gave {type(pol).__name__} at step {t}, "
+                        "not a Policy"
+                    )
                 terms = _PolicyTerms(pol, group_ids, pmfs, rf, index, buffers)
             active = flags_fn(t) if flags_fn is not None else ()
             if flags and len(active) != len(flags[0]):

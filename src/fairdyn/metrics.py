@@ -63,7 +63,11 @@ class OutcomeModel:
 
     def score_change(self, group_id: str, grid: ScoreGrid) -> np.ndarray:
         """Expected score change of a selected individual at each bin."""
-        rho = self.rho_for(group_id)
+        return self._score_change(self.rho_for(group_id), grid)
+
+    def _score_change(self, rho: np.ndarray, grid: ScoreGrid) -> np.ndarray:
+        """``score_change`` at success probabilities ``rho``, an array of any
+        shape: of several groups' rows, elementwise as of each group's."""
         return self.benefit(grid) * rho + self.cost(grid) * (1.0 - rho)
 
 

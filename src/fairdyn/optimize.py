@@ -14,6 +14,7 @@ policy functions build a plan and score it once.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -31,7 +32,7 @@ from .policy import (
     institution_utility,
     threshold_values,
 )
-from .population import GroupState, Population, _check_lengths, _real_vector
+from .population import GroupState, Population, _check_lengths, _real, _real_vector
 
 DEFAULT_RESOLUTION = 0.01
 # The most levels a search scans, as ``round(1 / resolution)`` counts them
@@ -59,8 +60,23 @@ def max_utility_policy(
 
 def rate_grid(resolution: float) -> np.ndarray:
     """The levels ``0, 1/n, ..., 1`` of a search at ``resolution``, with ``n =
-    round(1 / resolution)``; an ``n`` above ``MAX_LEVELS`` raises
-    ``CapacityError`` before anything is allocated."""
+    round(1 / resolution)``, as a fresh writable array; a ``resolution`` that
+    is not a real number or lies outside (0, 1] raises ``DomainError``, an
+    ``n`` above ``MAX_LEVELS`` ``CapacityError`` before anything is
+    allocated."""
+    return _levels(resolution).copy()
+
+
+def _levels(resolution: float) -> np.ndarray:
+    """:func:`rate_grid`'s levels as one read-only array per resolution,
+    shared by every plan at it. ``resolution`` is read with ``_real`` before
+    the cache, where ``True`` and ``1.0`` are one key."""
+    return _level_grid(_real(resolution, "resolution"))
+
+
+@functools.lru_cache(maxsize=4)
+def _level_grid(resolution: float) -> np.ndarray:
+    """The levels of a real ``resolution``, built once and kept read-only."""
     if not 0.0 < resolution <= 1.0:
         raise DomainError(f"resolution {resolution} outside (0, 1]")
     n = 1.0 / resolution  # inf for the smallest subnormals
@@ -71,7 +87,9 @@ def rate_grid(resolution: float) -> np.ndarray:
             f"resolution {resolution} asks for {n:.0f} rate levels, more than "
             f"the {MAX_LEVELS} a search scans"
         )
-    return np.linspace(0.0, 1.0, round(n) + 1)
+    levels = np.linspace(0.0, 1.0, round(n) + 1)
+    levels.setflags(write=False)
+    return levels
 
 
 def rates_for_tpr(
@@ -180,7 +198,7 @@ class ConstrainedPlan:
             )
             searched[gid] = (bins, fractions)
         # The largest of the levels with the highest utility.
-        best = len(levels) - 1 - int(np.argmax(utility[::-1]))
+        best = len(levels) - 1 - int(utility[::-1].argmax())
         policy = _threshold_policy(
             self.n_bins,
             {
@@ -203,7 +221,7 @@ def constrained_plan(
     the two-group and (for equal opportunity) monotone-``rho`` checks."""
     if len(pop.groups) != 2:
         raise DomainError("constrained optimization needs exactly two groups")
-    levels = rate_grid(resolution)
+    levels = _levels(resolution)
     eo = constraint is Constraint.EQUAL_OPPORTUNITY
     utility = []
     rhos = []
@@ -289,7 +307,7 @@ class OutcomeOptimalPlan:
             if i == self.target:
                 continue
             bins, fractions, utils = axis(i)
-            k = int(np.argmax(utils))
+            k = int(utils.argmax())
             thresholds[gid] = (int(bins[k]), float(fractions[k]))
             other_util += float(utils[k])
 
@@ -323,9 +341,9 @@ def outcome_optimal_plan(
     groups and grid: the known-target check, the level grid, each group's
     per-bin utility and the target's per-bin score change."""
     pop.group(target_group)  # raises KeyError if unknown
-    if math.isnan(utility_floor):
+    if math.isnan(_real(utility_floor, "utility_floor")):
         raise DomainError(f"utility floor {utility_floor} is not a number")
-    levels = rate_grid(resolution)
+    levels = _levels(resolution)
     ids = pop.group_ids
     return OutcomeOptimalPlan(
         ids,

@@ -237,7 +237,13 @@ def _threshold_policy(n: int, thresholds: Mapping[str, tuple[int, float]]) -> Po
     matrix = np.zeros((len(thresholds), n))
     for row, threshold in zip(matrix, thresholds.values()):
         _fill_threshold(row, *threshold)
-    return object.__new__(Policy)._keep(tuple(thresholds), matrix)
+    # A row holds zeros, ones and its boundary, so only the first row whose
+    # boundary is outside [0, 1] or NaN needs the check, which it fails.
+    bad = [i for i, (_, b) in enumerate(thresholds.values()) if not 0.0 <= b <= 1.0]
+    first = bad[0] if bad else len(matrix)
+    return object.__new__(Policy)._keep(
+        tuple(thresholds), matrix, slice(first, first + 1)
+    )
 
 
 def threshold_policy_for_rate(

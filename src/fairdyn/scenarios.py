@@ -807,7 +807,7 @@ class _ScenarioEngine:
         bins, fractions = _threshold_levels(pmf, np.array([needed_rate]))
         tau = np.zeros(len(pmf))
         _fill_threshold(tau, int(bins[0]), float(fractions[0]))
-        mass[j] = _accepted_mass(pmf[None], (proportion,), tau[None])[0]
+        mass[j] = proportion * float(pmf.dot(tau))
         shares[:] = _shares(mass)
         return pol._with_tau(group, tau)
 

@@ -297,6 +297,18 @@ class TestSimulate:
         with pytest.raises(DomainError, match=message):
             scenarios.sensitivity_sweep(replace(LENDING, horizon=horizon), 0.01, 2, 0)
 
+    @pytest.mark.parametrize(
+        "bad,at",
+        [(None, 0), (None, 1), ("x", 0), (3, 0)],
+        ids=["none_at_step_0", "none_at_step_1", "string", "int"],
+    )
+    def test_policy_fn_must_return_a_policy(self, bad, at):
+        pop, out = single_group((0.5, 0.5), (0.3, 0.9))
+        pol = Policy({"a": np.ones(2)})
+        message = rf"^policy_fn gave {type(bad).__name__} at step {at}, not a Policy$"
+        with pytest.raises(DomainError, match=message):
+            simulate(pop, lambda t, p: bad if t == at else pol, out, INST, 3)
+
     def test_integral_float_horizon_counts(self):
         pop, out = single_group((0.25, 0.75), (0.3, 0.9))
         pol = Policy({"a": np.ones(2)})
@@ -966,6 +978,25 @@ class TestAgainstOracle:
         except DomainError:
             accepted = False
         assert accepted == validate_population(hooked).ok
+
+
+class TestScatterIndex:
+    """``_scatter_index`` against a per-row construction, for shifts of 0,
+    within the grid and of at least its length."""
+
+    @pytest.mark.parametrize("up", [0, 1, 2, 5, 9])
+    @pytest.mark.parametrize("down", [0, 1, 2, 5, 9])
+    def test_against_a_naive_construction(self, up, down):
+        for bins in (1, 2, 5):
+            out = OutcomeModel({"a": np.full(bins, 0.5)}, up, down)
+            for rows in (1, 2, 3):
+                naive = []
+                for r in range(rows):
+                    naive += [r * bins + min(j + up, bins - 1) for j in range(bins)]
+                    naive += [r * bins + max(j - down, 0) for j in range(bins)]
+                index = dynamics._scatter_index(rows, bins, out)
+                assert index.dtype.kind == "i" and index.ndim == 1
+                assert index.tolist() == naive
 
 
 class TestKernelAgainstOracle:

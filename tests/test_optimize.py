@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -604,6 +605,80 @@ class TestGrid:
     def test_the_cap_itself_is_allowed(self):
         assert MAX_LEVELS == 10**6
         assert len(rate_grid(1e-6)) == MAX_LEVELS + 1
+
+    @pytest.mark.parametrize("n", [1, 3, 100, 101])
+    def test_rate_grid_is_a_fresh_writable_linspace(self, n):
+        first, second = rate_grid(1 / n), rate_grid(1 / n)
+        assert first is not second
+        assert first.flags.writeable and second.flags.writeable
+        assert first.tobytes() == np.linspace(0.0, 1.0, n + 1).tobytes()
+        first[:] = 5.0
+        assert second.tobytes() == rate_grid(1 / n).tobytes()
+        assert rate_grid(1 / n)[0] == 0.0
+
+    def test_plans_of_one_resolution_share_one_read_only_grid(self):
+        pop, out = two_group((0.2, 0.3, 0.5), (0.5, 0.3, 0.2), (0.2, 0.5, 0.9))
+        inst = InstitutionModel(1.0, -1.0)
+        dp = constrained_plan(pop, out, inst, Constraint.DEMOGRAPHIC_PARITY, 0.05)
+        eo = constrained_plan(pop, out, inst, Constraint.EQUAL_OPPORTUNITY, 0.05)
+        best = outcome_optimal_plan(pop, out, inst, "g1", resolution=0.05)
+        assert dp.levels is eo.levels is best.levels
+        assert not dp.levels.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            dp.levels[0] = 1.0
+        assert dp.levels.tobytes() == rate_grid(0.05).tobytes()
+        coarser = constrained_plan(pop, out, inst, Constraint.DEMOGRAPHIC_PARITY, 0.1)
+        assert len(coarser.levels) == 11 and coarser.levels is not dp.levels
+
+
+class TestRealArguments:
+    """The plan builders read ``resolution`` and ``utility_floor`` as real
+    numbers, as a scenario config does: a bool, a string or None raises
+    ``DomainError`` naming the argument."""
+
+    @staticmethod
+    def calls(resolution=0.1, utility_floor=0.0):
+        pop, out = two_group((0.2, 0.3, 0.5), (0.5, 0.3, 0.2), (0.2, 0.5, 0.9))
+        inst = InstitutionModel(1.0, -1.0)
+        dp = Constraint.DEMOGRAPHIC_PARITY
+        target = (pop, out, inst, "g1", utility_floor, resolution)
+        return [
+            lambda: constrained_plan(pop, out, inst, dp, resolution),
+            lambda: constrained_policy(pop, out, inst, dp, resolution),
+            lambda: outcome_optimal_plan(*target),
+            lambda: outcome_optimal_policy(*target),
+        ]
+
+    @pytest.mark.parametrize("resolution", [True, False, "0.5", None, [0.5]])
+    def test_resolution(self, resolution):
+        got = re.escape(repr(resolution))
+        message = rf"^resolution must be a real number, got {got}$"
+        with pytest.raises(DomainError, match=message):
+            rate_grid(resolution)
+        for call in self.calls(resolution=resolution):
+            with pytest.raises(DomainError, match=message):
+                call()
+
+    @pytest.mark.parametrize("floor", [True, "0.5", None])
+    def test_utility_floor(self, floor):
+        got = re.escape(repr(floor))
+        message = rf"^utility_floor must be a real number, got {got}$"
+        for call in self.calls(utility_floor=floor)[2:]:
+            with pytest.raises(DomainError, match=message):
+                call()
+
+    def test_integers_and_numpy_floats_count(self):
+        pop, out = two_group((0.2, 0.3, 0.5), (0.5, 0.3, 0.2), (0.2, 0.5, 0.9))
+        inst = InstitutionModel(1.0, -1.0)
+        dp = Constraint.DEMOGRAPHIC_PARITY
+        assert rate_grid(1).tolist() == [0.0, 1.0]
+        as_int = constrained_policy(pop, out, inst, dp, 1)
+        as_float = constrained_policy(pop, out, inst, dp, np.float64(1.0))
+        assert as_int.level == as_float.level
+        floor = outcome_optimal_policy(pop, out, inst, "g1", np.float64(-1), 0.1)
+        assert floor._matrix.tobytes() == outcome_optimal_policy(
+            pop, out, inst, "g1", -1, 0.1
+        )._matrix.tobytes()
 
 
 def test_boards_dp_tie_is_decided_by_rounding():

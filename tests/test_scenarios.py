@@ -1397,9 +1397,14 @@ class TestAcceptedMass:
         assert calls == 0
 
     def test_enforced_quota_recomputes_one_group(self, monkeypatch):
+        # One pass over every group; the enforced group's mass is then
+        # recomputed alone, as ``proportion * pmf.dot(tau)``, so its share
+        # (1/6 before) meets the 0.4 target within the sunset eps and the
+        # streak starts.
         quota = [iv for iv in BOARDS.interventions if iv.kind == "quota"]
         engine, calls = self.count_calls(monkeypatch, tuple(quota))
-        assert calls == len(BOARDS.population.groups) + 1
+        assert calls == len(BOARDS.population.groups)
+        assert engine.quota_streak == [1]
         assert engine.flags[0] == (True,)
         assert engine.last_share == {}
 
