@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .population import (
     Population,
     ScoreGrid,
     _check_lengths,
+    _integer,
     _real,
     _vector,
 )
@@ -78,15 +79,6 @@ class Policy:
         # the constructor, which checks the vectors and makes them read-only.
         return (Policy, (dict(self.acceptance),))
 
-    def _with_tau(self, group_id: str, tau: Sequence[float]) -> "Policy":
-        """This policy with ``group_id``'s vector replaced by ``tau``, in a
-        copy of the matrix. Only that row is checked: the others are this
-        policy's own, already checked."""
-        i = self.group_ids.index(group_id)
-        matrix = self._matrix.copy()
-        matrix[i] = tau
-        return object.__new__(Policy)._keep(self.group_ids, matrix, slice(i, i + 1))
-
     def tau(self, group_id: str) -> np.ndarray:
         if group_id not in self.acceptance:
             raise KeyError(f"policy has no acceptance vector for group {group_id!r}")
@@ -118,19 +110,25 @@ class RandomizedThresholdPolicy:
     thresholds: Mapping[str, GroupThreshold]
 
     def expand(self, grid: ScoreGrid) -> Policy:
+        """The policy of these thresholds on ``grid``. Each threshold bin is
+        read with ``_integer`` (an integral float is its integer) and must
+        lie on the grid; each boundary acceptance is read with ``_real`` and
+        must lie in [0, 1]. A bad value raises ``DomainError`` naming its
+        group."""
         n = len(grid.bin_scores)
         thresholds = {}
         for gid, th in self.thresholds.items():
-            if not 0 <= th.threshold_bin < n:
+            b = _integer(th.threshold_bin, f"group {gid!r}: threshold bin")
+            if not 0 <= b < n:
+                raise DomainError(f"group {gid!r}: threshold bin {b} outside grid")
+            boundary = _real(
+                th.boundary_acceptance, f"group {gid!r}: boundary acceptance"
+            )
+            if not 0.0 <= boundary <= 1.0:
                 raise DomainError(
-                    f"group {gid!r}: threshold bin {th.threshold_bin} outside grid"
+                    f"group {gid!r}: boundary acceptance {boundary} outside [0,1]"
                 )
-            if not 0.0 <= th.boundary_acceptance <= 1.0:
-                raise DomainError(
-                    f"group {gid!r}: boundary acceptance {th.boundary_acceptance} "
-                    "outside [0,1]"
-                )
-            thresholds[gid] = (th.threshold_bin, th.boundary_acceptance)
+            thresholds[gid] = (b, boundary)
         return _threshold_policy(n, thresholds)
 
 
@@ -176,7 +174,18 @@ def threshold_levels(
     sequential sum, so each threshold equals the one a bin-by-bin scan finds.
     Zero-mass bins repeat a cumulative value; the search takes the highest
     bin that reaches the rate. Memory is O(len(rates) + len(pmf)).
+
+    ``rates`` is a 1-D vector of real numbers: one that is not 1-D raises
+    ``DimensionError``, and an entry that is no real number (a bool, a
+    string, None) ``DomainError`` naming it.
     """
+    if not (isinstance(rates, np.ndarray) and rates.dtype.kind in "iuf"):
+        rates = np.array(rates, dtype=object)
+    if rates.ndim != 1:
+        raise DimensionError(f"rates must be a 1-D vector, got shape {rates.shape}")
+    if rates.dtype == object:
+        for i, value in enumerate(rates):
+            _real(value, f"rates[{i}]")
     rates = np.asarray(rates, dtype=float)
     # Written so that NaN fails the check too.
     if not np.all((rates >= 0.0) & (rates <= 1.0)):
@@ -197,7 +206,9 @@ def _threshold_levels(
     pmf: np.ndarray, rates: np.ndarray, reach: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`threshold_levels` for a float array of rates already known to
-    lie in [0, 1]; ``reach`` is ``_top_sums(pmf)`` if the caller has it."""
+    lie in [0, 1]; ``reach`` is ``_top_sums(pmf)`` if the caller has it.
+    The searches score many rates at once through it; one rate alone, as a
+    quota needs, takes ``_threshold_at``, which skips the array set-up."""
     n = len(pmf)
     if reach is None:
         reach = _top_sums(pmf)
@@ -223,27 +234,65 @@ def threshold_values(
     return _top_sums(pw)[len(pw) - 1 - bins] + fractions * pw[bins]
 
 
+def _threshold_at(pmf: np.ndarray, rate: float) -> tuple[int, float]:
+    """The threshold bin and boundary acceptance of :func:`_threshold_levels`
+    at the one rate ``rate``, a float already known to lie in [0, 1]. The
+    search is the same ``searchsorted`` over ``_top_sums(pmf)``, and the
+    boundary is computed in Python floats, the same IEEE double operations
+    as the array form's ufuncs, so the pair equals the array form's bit for
+    bit."""
+    n = len(pmf)
+    reach = _top_sums(pmf)
+    k = min(int(reach[1:].searchsorted(rate, side="left")), n - 1)
+    b = n - 1 - k
+    mass = pmf.item(b)
+    fraction = (rate - reach.item(k)) / mass if mass > 0 else 0.0
+    return b, min(fraction, 1.0)
+
+
 def _fill_threshold(row: np.ndarray, threshold_bin: int, boundary: float) -> None:
-    """Write the randomized threshold ``(threshold_bin, boundary)`` into
-    ``row``, a vector of zeros: every bin above ``threshold_bin`` accepted,
-    ``threshold_bin`` with probability ``boundary``, none below."""
+    """Write the randomized threshold ``(threshold_bin, boundary)`` over
+    ``row``: every bin above ``threshold_bin`` accepted, ``threshold_bin``
+    with probability ``boundary``, none below."""
+    row[:threshold_bin] = 0.0
     row[threshold_bin + 1 :] = 1.0
     row[threshold_bin] = boundary
+
+
+def _keep_thresholds(
+    group_ids: tuple[str, ...],
+    matrix: np.ndarray,
+    rows: Iterable[tuple[int, tuple[int, float]]],
+) -> Policy:
+    """The policy over ``matrix`` (groups, bins) with each row ``i`` of the
+    ``(i, (bin, boundary))`` pairs ``rows`` overwritten by that randomized
+    threshold, as ``_fill_threshold`` writes it; every other row must be
+    checked already. A written row holds zeros, ones and its boundary, so
+    only the first one whose boundary is outside [0, 1] or NaN needs the
+    check, which it fails."""
+    first = len(matrix)
+    for i, (b, boundary) in rows:
+        _fill_threshold(matrix[i], b, boundary)
+        if not 0.0 <= boundary <= 1.0:
+            first = min(first, i)
+    return object.__new__(Policy)._keep(group_ids, matrix, slice(first, first + 1))
 
 
 def _threshold_policy(n: int, thresholds: Mapping[str, tuple[int, float]]) -> Policy:
     """The policy of each group's randomized threshold ``(bin, boundary)``
     over ``n`` bins, as ``_fill_threshold`` writes it."""
-    matrix = np.zeros((len(thresholds), n))
-    for row, threshold in zip(matrix, thresholds.values()):
-        _fill_threshold(row, *threshold)
-    # A row holds zeros, ones and its boundary, so only the first row whose
-    # boundary is outside [0, 1] or NaN needs the check, which it fails.
-    bad = [i for i, (_, b) in enumerate(thresholds.values()) if not 0.0 <= b <= 1.0]
-    first = bad[0] if bad else len(matrix)
-    return object.__new__(Policy)._keep(
-        tuple(thresholds), matrix, slice(first, first + 1)
-    )
+    matrix = np.empty((len(thresholds), n))
+    return _keep_thresholds(tuple(thresholds), matrix, enumerate(thresholds.values()))
+
+
+def _with_threshold(
+    policy: Policy, group_id: str, threshold: tuple[int, float]
+) -> Policy:
+    """``policy`` with ``group_id``'s row the randomized threshold ``(bin,
+    boundary)``, in a copy of its matrix. The other rows are the policy's
+    own, already checked, so only the new row's boundary is."""
+    i = policy.group_ids.index(group_id)
+    return _keep_thresholds(policy.group_ids, policy._matrix.copy(), [(i, threshold)])
 
 
 def threshold_policy_for_rate(
@@ -252,12 +301,14 @@ def threshold_policy_for_rate(
     """Randomized threshold whose acceptance rate equals ``target_rate`` exactly.
 
     Acceptance mass is allocated from the highest score bin downward, so the
-    expanded policy is monotone nondecreasing in score.
+    expanded policy is monotone nondecreasing in score. ``target_rate`` is
+    read with ``_real`` and must lie in [0, 1]; else ``DomainError``.
     """
-    bins, fractions = threshold_levels(group.pmf, np.array([target_rate]))
-    return RandomizedThresholdPolicy(
-        {group.group_id: GroupThreshold(int(bins[0]), float(fractions[0]))}
-    )
+    rate = _real(target_rate, "target_rate")
+    if not 0.0 <= rate <= 1.0:  # NaN fails too
+        raise DomainError(f"target_rate {rate} outside [0,1]")
+    threshold = _threshold_at(group.pmf, float(rate))
+    return RandomizedThresholdPolicy({group.group_id: GroupThreshold(*threshold)})
 
 
 def institution_utility(

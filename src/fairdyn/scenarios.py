@@ -60,7 +60,7 @@ from .optimize import (
     outcome_optimal_plan,
     search,
 )
-from .policy import InstitutionModel, Policy, _fill_threshold, _threshold_levels
+from .policy import InstitutionModel, Policy, _threshold_at, _with_threshold
 from .population import (
     PROB_TOL,
     GroupState,
@@ -516,12 +516,9 @@ def _accepted_mass(
     pmfs: Sequence[np.ndarray], proportions: Sequence[float], taus: Sequence[np.ndarray]
 ) -> list[float]:
     """Each group's accepted mass, its proportion times its acceptance rate
-    ``pmf.dot(tau)``, for acceptance vectors of checked lengths. The rates
-    are one stacked (rows, 1, bins) by (rows, bins, 1) ``np.matmul``, the
-    per-row BLAS dot of ``_dots``, so each equals ``pmf.dot(tau)`` bit for
-    bit."""
-    rates = np.matmul(np.asarray(pmfs)[:, None], np.asarray(taus)[..., None])
-    return [p * r for p, r in zip(proportions, rates[:, 0, 0].tolist())]
+    ``pmf.dot(tau)``, for acceptance vectors of checked lengths: the BLAS
+    dot that ``_dots`` calls, so equal to its rates bit for bit."""
+    return [p * float(pmf.dot(tau)) for pmf, p, tau in zip(pmfs, proportions, taus)]
 
 
 def _shares(mass: list[float]) -> list[float]:
@@ -572,6 +569,8 @@ class _ScenarioEngine:
             for iv in interventions
             if iv.kind == "pipeline_investment"
         ]
+        # The mass each shift moves up, one buffer for every pipeline step.
+        self.moved = np.empty(max(len(cfg.population.grid) - 1, 0))
         self.quotas = [
             (slot, iv.group, self.index[iv.group], iv.target_share,
              iv.sunset.eps, iv.sunset.window)
@@ -632,12 +631,13 @@ class _ScenarioEngine:
         ``DomainError("invalid population: ...")``. The shifted pmfs are
         checked once per run, by ``check_shifts``.
         """
+        moved = self.moved
         for start, i, fraction in self.pipelines:
             if t >= start:
-                row = pmfs[i]
-                moved = row[:-1] * fraction
-                row[:-1] -= moved
-                row[1:] += moved
+                low, high = pmfs[i, :-1], pmfs[i, 1:]
+                np.multiply(low, fraction, out=moved)
+                np.subtract(low, moved, out=low)
+                np.add(high, moved, out=high)
         if not self.last_share:  # none before the first decision
             return False
         shares = [self.last_share[gid] for gid in self.group_ids]
@@ -804,12 +804,10 @@ class _ScenarioEngine:
         # The randomized threshold policy at that rate, as the tau vector
         # ``threshold_policy_for_rate(...).expand(grid)`` holds. The rate is
         # in [0, 1]: nonnegative by construction, and checked above.
-        bins, fractions = _threshold_levels(pmf, np.array([needed_rate]))
-        tau = np.zeros(len(pmf))
-        _fill_threshold(tau, int(bins[0]), float(fractions[0]))
-        mass[j] = proportion * float(pmf.dot(tau))
+        pol = _with_threshold(pol, group, _threshold_at(pmf, needed_rate))
+        mass[j] = proportion * float(pmf.dot(pol.acceptance[group]))
         shares[:] = _shares(mass)
-        return pol._with_tau(group, tau)
+        return pol
 
     def flags_fn(self, t: int) -> tuple[bool, ...]:
         """The intervention flags of step ``t``: those ``decide`` recorded,

@@ -4,7 +4,9 @@ Every step rebuilds the population through ``np.add.at``, evaluates the
 policy hook, and recomputes each per-step quantity from the group objects
 with the plain formulas. ``intervention_hook`` applies a scenario's
 pipeline and role-model interventions to population objects, as a
-``pre_step`` hook. The library's array loop and its in-place scenario hook
+``pre_step`` hook. ``QuotaRule`` decides a scenario's policy with its
+quotas enforced step by step from population objects, apart from the
+scenario engine. The library's array loop and its in-place scenario hook
 are checked against ``simulate`` here, record by record and bit for bit.
 """
 
@@ -13,7 +15,10 @@ import math
 import numpy as np
 
 from fairdyn.errors import DomainError, InfeasibilityError
+from fairdyn.policy import Policy
 from fairdyn.population import GroupState, validate_population
+from fairdyn.scenarios import build_policy
+from test_policy import scan_threshold
 
 
 def step(pop, policy, outcome):
@@ -64,6 +69,98 @@ def intervention_hook(engine):
         return pop.with_groups(groups)
 
     return pre_step
+
+
+def _shares(masses):
+    """Each group's share of the accepted masses; all zero when none is."""
+    total = sum(masses)
+    if total <= 0:
+        return [0.0] * len(masses)
+    return [m / total for m in masses]
+
+
+class QuotaRule:
+    """A scenario's decisions with its quotas enforced, as ``policy_fn``,
+    ``flags_fn`` and, for ``intervention_hook``, ``interventions`` and the
+    ``last_share`` of each group.
+
+    At step ``t`` the policy is the config's rule on the step's population
+    (``build_policy``). Each quota active at ``t``, in order, then takes the
+    accepted masses ``proportion * pmf @ tau`` in group order and its
+    group's share of them. A share short of the target ``q`` is lifted to
+    it: the group's acceptance rate becomes ``q * other / (proportion * (1
+    - q))``, with ``other`` the other groups' mass, and its acceptance
+    vector the randomized threshold that the bin-by-bin scan finds for
+    that rate. A quota whose share lies within its sunset ``eps`` of ``q``
+    at ``window`` steps in a row ends for good after that step. A step's
+    flags are each intervention's ``t >= active_from``, false for a quota
+    that has ended. ``enforced`` counts the rows replaced."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.interventions = cfg.interventions
+        self.streak = [0] * len(cfg.interventions)
+        self.ended = [False] * len(cfg.interventions)
+        self.last_share = {}
+        self.flags = {}
+        self.enforced = 0
+
+    def policy_fn(self, t, pop):
+        cfg = self.cfg
+        pol = build_policy(cfg, pop, cfg.policy_rule, cfg.resolution)
+        flags = []
+        for k, iv in enumerate(self.interventions):
+            on = t >= iv.active_from
+            if iv.kind == "quota":
+                on = on and not self.ended[k]
+                if on:
+                    pol = self._enforce(k, iv, pop, pol)
+            flags.append(on)
+        self.flags[t] = tuple(flags)
+        masses = [g.proportion * float(g.pmf @ pol.tau(g.group_id)) for g in pop.groups]
+        self.last_share = dict(zip(pop.group_ids, _shares(masses)))
+        return pol
+
+    def flags_fn(self, t):
+        return self.flags[t]
+
+    def _enforce(self, k, iv, pop, pol):
+        """``pol`` with quota ``k`` (``iv``) enforced on ``pop``, and its
+        streak and sunset updated."""
+        j = pop.group_ids.index(iv.group)
+        g, q = pop.groups[j], iv.target_share
+        if g.proportion <= 0:
+            raise InfeasibilityError(
+                f"quota on group {iv.group!r} infeasible: zero population mass"
+            )
+        masses = [h.proportion * float(h.pmf @ pol.tau(h.group_id)) for h in pop.groups]
+        share = _shares(masses)[j]
+        if share < q:
+            other = sum(m for i, m in enumerate(masses) if i != j)
+            if q >= 1.0:
+                if other > 0:
+                    raise InfeasibilityError(
+                        f"quota share {q} infeasible while other groups are accepted"
+                    )
+            else:
+                rate = q * other / (g.proportion * (1.0 - q))
+                if rate > 1.0:
+                    raise InfeasibilityError(
+                        f"quota share {q} for group {iv.group!r} needs acceptance "
+                        f"rate {rate:.6g} > 1"
+                    )
+                b, boundary = scan_threshold(g.pmf, rate)
+                tau = np.zeros(len(g.pmf))
+                tau[b + 1 :] = 1.0
+                tau[b] = boundary
+                pol = Policy({**pol.acceptance, iv.group: tau})
+                masses[j] = g.proportion * float(g.pmf @ tau)
+                share = _shares(masses)[j]
+                self.enforced += 1
+        self.streak[k] = self.streak[k] + 1 if abs(share - q) <= iv.sunset.eps else 0
+        if self.streak[k] >= iv.sunset.window:
+            self.ended[k] = True
+        return pol
 
 
 def rates(pmf, tau, rho):

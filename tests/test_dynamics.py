@@ -46,6 +46,7 @@ from conftest import make_grid, make_population, random_instance, unchecked_conf
 
 INST = InstitutionModel(1.0, -1.0)
 LENDING = scenarios.load_scenario("lending_liu")
+BOARDS = scenarios.load_scenario("boards_quota")
 
 
 def single_group(pmf, rho, steps_up=1, steps_down=1, width=100.0):
@@ -978,6 +979,89 @@ class TestAgainstOracle:
         except DomainError:
             accepted = False
         assert accepted == validate_population(hooked).ok
+
+
+def _quota_config(seed, kind):
+    """A 200-bin, two-group scenario with a reachable quota on B and a
+    pipeline for B under ``kind``'s rule: A's mass lies high and B's low,
+    with exact zeros inside and at A's bottom and B's top bin, sorted
+    success vectors, shifts of 1-5 bins and a sunset window of 2-8 steps."""
+    rng = np.random.default_rng([seed, 200])
+    n = 200
+    x = np.linspace(0.0, 1.0, n)
+    pmfs = {}
+    for gid, weight in (("A", x**2), ("B", (1.0 - x) ** 2)):
+        raw = rng.random(n) * (rng.random(n) < 0.8) * weight
+        raw[rng.integers(1, n - 1)] += 0.1
+        pmfs[gid] = raw / raw.sum()
+    p_a = float(rng.uniform(0.3, 0.7))
+    rule = scenarios.PolicyRuleSpec(kind)
+    if kind == "constrained":
+        rule = scenarios.PolicyRuleSpec(kind, constraint="eo")
+    elif kind == "outcome_optimal":
+        rule = scenarios.PolicyRuleSpec(kind, target_group="A")
+    IR = scenarios.InterventionRule
+    interventions = (
+        IR("quota", "B", active_from=int(rng.integers(0, 3)),
+           target_share=float(rng.uniform(0.8, 0.95) * (1.0 - p_a)),
+           sunset=scenarios.SunsetRule(1e-6, int(rng.integers(2, 40)))),
+        IR("pipeline_investment", "B", shift_fraction=float(rng.uniform(0.02, 0.1))),
+    )
+    grid = ScoreGrid(tuple(300.0 + 10.0 * i for i in range(n)), 10.0)
+    pop = Population(
+        grid, (GroupState("A", p_a, pmfs["A"]), GroupState("B", 1.0 - p_a, pmfs["B"]))
+    )
+    rho = {gid: np.sort(rng.random(n)) for gid in ("A", "B")}
+    return scenarios.ScenarioConfig(
+        name="quota200",
+        declared_goal=scenarios.DeclaredGoal("any", "dp_gap", 0.05),
+        population=pop,
+        outcome=OutcomeModel(rho, int(rng.integers(1, 6)), int(rng.integers(1, 6))),
+        institution=InstitutionModel(1.0, -float(rng.uniform(1.0, 4.0))),
+        policy_rule=rule,
+        interventions=interventions,
+        horizon=60,
+        tolerances=scenarios.Tolerances(regime=1e-9),
+        seed=0,
+        resolution=0.05,
+        metric_groups=("A", "B"),
+    )
+
+
+class TestQuotaAgainstOracle:
+    """Quota runs against the oracle's own quota rule, which decides every
+    step from population objects with a bin-by-bin threshold scan, apart
+    from the scenario engine, so a wrongly enforced row or a wrong streak or
+    sunset fails here."""
+
+    @staticmethod
+    def oracle(cfg):
+        rule = dynamics_oracle.QuotaRule(cfg)
+        records = dynamics_oracle.simulate(
+            cfg.population, rule.policy_fn, cfg.outcome, cfg.institution,
+            cfg.horizon, regime_tol=cfg.tolerances.regime,
+            metric_pair=cfg.metric_groups,
+            pre_step=dynamics_oracle.intervention_hook(rule),
+            flags_fn=rule.flags_fn,
+        )
+        return rule, records
+
+    @pytest.mark.parametrize("variant", ["quota_only", "quota_pipeline"])
+    def test_boards_quota_variants(self, variant):
+        cfg = replace(BOARDS, interventions=BOARDS.variants[variant])
+        rule, records = self.oracle(cfg)
+        # The quota binds, and its sunset ends it within the run.
+        assert rule.enforced > 0 and rule.ended[0]
+        assert not records[-1]["flags"][0]
+        _assert_same_run(scenarios.run_scenario(cfg), records)
+
+    @pytest.mark.parametrize("kind", ["max_utility", "constrained", "outcome_optimal"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_quota_pipeline_runs_on_200_bins(self, seed, kind):
+        cfg = _quota_config(seed, kind)
+        rule, records = self.oracle(cfg)
+        assert rule.enforced > 0 and rule.ended[0]
+        _assert_same_run(scenarios.run_scenario(cfg), records)
 
 
 class TestScatterIndex:

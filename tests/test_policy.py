@@ -6,14 +6,17 @@ from hypothesis import strategies as st
 from fairdyn.errors import DimensionError, DomainError
 from fairdyn.metrics import OutcomeModel
 from fairdyn.policy import (
+    GroupThreshold,
     InstitutionModel,
     Policy,
+    RandomizedThresholdPolicy,
     acceptance_rate,
     institution_utility,
     threshold_levels,
     threshold_policy_for_rate,
     threshold_values,
 )
+from fairdyn.policy import _threshold_at, _threshold_levels, _with_threshold
 from fairdyn.population import GroupState
 
 from conftest import make_grid, make_population
@@ -83,6 +86,15 @@ class TestThresholdForRate:
     def test_out_of_range_target(self):
         with pytest.raises(DomainError):
             threshold_policy_for_rate(group((0.5, 0.5)), 1.2)
+
+    @pytest.mark.parametrize("rate", [True, np.True_, "0.5", None, [0.5]])
+    def test_target_rate_that_is_not_a_real_number(self, rate):
+        with pytest.raises(DomainError, match=r"^target_rate must be a real number, got "):
+            threshold_policy_for_rate(group((0.5, 0.5)), rate)
+
+    def test_nan_target_rate(self):
+        with pytest.raises(DomainError, match=r"^target_rate nan outside \[0,1\]$"):
+            threshold_policy_for_rate(group((0.5, 0.5)), float("nan"))
 
     def test_expansion_monotone_in_score(self, rng):
         for _ in range(50):
@@ -168,6 +180,124 @@ class TestThresholdLevels:
     def test_nan_rate_rejected(self):
         with pytest.raises(DomainError):
             threshold_levels(np.array([0.5, 0.5]), np.array([0.2, np.nan]))
+
+    @pytest.mark.parametrize(
+        "rates, shape",
+        [(0.5, r"\(\)"), (np.float64(0.5), r"\(\)"), ([[0.5]], r"\(1, 1\)"),
+         (np.zeros((2, 1)), r"\(2, 1\)")],
+    )
+    def test_rates_that_are_not_a_vector(self, rates, shape):
+        with pytest.raises(
+            DimensionError, match=rf"^rates must be a 1-D vector, got shape {shape}$"
+        ):
+            threshold_levels(np.array([0.5, 0.5]), rates)
+
+    @pytest.mark.parametrize(
+        "rates, bad",
+        [(["0.5"], "'0.5'"), ([True], "True"), (np.array([True]), "True"),
+         ([0.2, None], "None"), ([0.2, 1j], "1j"), (np.array(["0.5"]), "'0.5'"),
+         ([[0.5], [0.5, 0.2]], r"\[0.5\]")],
+    )
+    def test_rate_entries_that_are_not_real_numbers(self, rates, bad):
+        i = 1 if len(rates) == 2 and not isinstance(rates[0], list) else 0
+        with pytest.raises(
+            DomainError, match=rf"^rates\[{i}\] must be a real number, got {bad}$"
+        ):
+            threshold_levels(np.array([0.5, 0.5]), rates)
+
+    def test_rates_of_integers_and_tuples(self):
+        pmf = np.array([0.5, 0.5])
+        for rates in ((0, 1), np.array([0, 1]), [np.float32(0.0), 1]):
+            bins, fractions = threshold_levels(pmf, rates)
+            assert bins.tolist() == [1, 0] and fractions.tolist() == [0.0, 1.0]
+
+
+@st.composite
+def zeroed_pmfs(draw):
+    """A pmf over 1-400 bins with exact zeros: at the top bin, the bottom
+    bin and inside, each or not, and a share of the rest."""
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.random(n) * (rng.random(n) < draw(st.sampled_from([0.3, 0.8, 1.0])))
+    for i, zero in ((n - 1, draw(st.booleans())), (0, draw(st.booleans()))):
+        if zero:
+            raw[i] = 0.0
+    if raw.sum() == 0:
+        raw[rng.integers(n)] = 1.0
+    return raw / raw.sum()
+
+
+def _bits(threshold):
+    """A threshold ``(bin, boundary)`` as ``(int, hex)``, so that equal
+    tuples are equal bit for bit, the sign of a zero included."""
+    b, boundary = threshold
+    return int(b), float(boundary).hex()
+
+
+class TestThresholdAtOneRate:
+    @settings(max_examples=200, deadline=None)
+    @given(pmf=zeroed_pmfs(), seed=st.integers(0, 2**31))
+    def test_equals_the_array_form_and_the_scan(self, pmf, seed):
+        # Each top-down cumulative mass sits exactly on a bin boundary; the
+        # rounded total can be just below 1, and a rate just above it then
+        # needs the bottom bin's whole mass and more.
+        reach = np.cumsum(pmf[::-1])
+        total = float(reach[-1])
+        rates = [0.0, 1.0, *np.random.default_rng(seed).random(20).tolist()]
+        rates += [r for r in reach.tolist() if r <= 1.0]
+        if np.nextafter(total, 2.0) <= 1.0:
+            rates.append(float(np.nextafter(total, 2.0)))
+        # The scan in Python floats, the same IEEE doubles, runs faster.
+        masses = pmf.tolist()
+        for rate in rates:
+            got = _threshold_at(pmf, rate)
+            assert type(got[0]) is int and type(got[1]) is float
+            bins, fractions = _threshold_levels(pmf, np.array([rate]))
+            assert _bits(got) == _bits((bins[0], fractions[0])), rate
+            assert _bits(got) == _bits(scan_threshold(masses, rate)), rate
+
+    def test_threshold_policy_for_rate_takes_it(self):
+        g = group((0.0, 0.8, 0.2, 0.0))
+        for rate in (0.0, 0.1, 0.2, 0.5, 1.0):
+            th = threshold_policy_for_rate(g, rate).thresholds["a"]
+            assert (th.threshold_bin, th.boundary_acceptance) == _threshold_at(g.pmf, rate)
+
+
+class TestExpand:
+    grid = make_grid(3)
+
+    def expand(self, threshold_bin, boundary):
+        rule = RandomizedThresholdPolicy({"a": GroupThreshold(threshold_bin, boundary)})
+        return rule.expand(self.grid).tau("a").tolist()
+
+    def test_an_integral_float_bin_is_its_integer(self):
+        assert self.expand(1.0, 0.5) == self.expand(1, 0.5) == [0.0, 0.5, 1.0]
+        assert self.expand(np.int64(2), np.float32(0.25)) == [0.0, 0.0, 0.25]
+
+    @pytest.mark.parametrize("value", [True, "1", 1.5, None, np.nan])
+    def test_bin_that_is_not_an_integer(self, value):
+        with pytest.raises(
+            DomainError, match=r"^group 'a': threshold bin must be an integer, got "
+        ):
+            self.expand(value, 0.5)
+
+    @pytest.mark.parametrize("value", [True, "0.5", None, [0.5]])
+    def test_boundary_that_is_not_a_real_number(self, value):
+        with pytest.raises(
+            DomainError,
+            match=r"^group 'a': boundary acceptance must be a real number, got ",
+        ):
+            self.expand(1, value)
+
+    @pytest.mark.parametrize(
+        "threshold_bin, boundary, message",
+        [(3, 0.5, "threshold bin 3 outside grid"), (-1, 0.5, "threshold bin -1 outside grid"),
+         (1, 1.5, r"boundary acceptance 1.5 outside \[0,1\]"),
+         (1, np.nan, r"boundary acceptance nan outside \[0,1\]")],
+    )
+    def test_values_out_of_range(self, threshold_bin, boundary, message):
+        with pytest.raises(DomainError, match=rf"^group 'a': {message}$"):
+            self.expand(threshold_bin, boundary)
 
 
 class TestInstitutionUtility:
@@ -305,23 +435,27 @@ def test_replacing_one_vector_checks_only_that_vector(monkeypatch):
         return keep(self, group_ids, matrix, check)
 
     monkeypatch.setattr(Policy, "_keep", spy)
-    tau = np.array([0.25, 1.0])
-    new = pol._with_tau("b", tau)
-    # The one row checked is the new one.
-    assert checked == [[[0.25, 1.0]]]
+    new = _with_threshold(pol, "b", (0, 0.25))
+    # The new row holds zeros, ones and its boundary, which lies in [0, 1],
+    # so no row needs the check: the others are the policy's own.
+    assert checked == [[]]
     assert new is not pol and new.group_ids == ("a", "b", "c")
     assert [new.tau(g).tolist() for g in new.group_ids] == [
         [0.5, 0.5], [0.25, 1.0], [0.0, 1.0]
     ]
-    # The original is unchanged, and the new policy keeps a copy of ``tau``.
+    # The original is unchanged: the new policy fills a copy of its matrix.
     assert [pol.tau(g).tolist() for g in pol.group_ids] == [
         [0.5, 0.5], [1.0, 0.0], [0.0, 1.0]
     ]
-    tau[0] = 0.5
-    assert new.tau("b").tolist() == [0.25, 1.0]
+    assert not np.shares_memory(new._rows(new.group_ids), pol._rows(pol.group_ids))
     assert not new._rows(new.group_ids).flags.writeable
     assert not any(new.tau(g).flags.writeable for g in new.group_ids)
     with pytest.raises(TypeError):
         new.acceptance["b"] = np.zeros(2)
+    # A boundary outside [0, 1] or NaN makes the new row, and only it, the
+    # one checked, which fails naming its group.
+    checked.clear()
     with pytest.raises(DomainError, match="group 'b'"):
-        pol._with_tau("b", [0.5, np.nan])
+        _with_threshold(pol, "b", (0, np.nan))
+    assert len(checked) == 1 and checked[0][0][1] == 1.0
+    assert np.isnan(checked[0][0][0]) and len(checked[0]) == 1
