@@ -842,7 +842,9 @@ def monte_carlo_validate(
     Draws n individuals per group (bin from the pmf, acceptance from tau,
     outcome from rho) and reports empirical acceptance rates and mean score
     change with standard errors. Deterministic given the seed, an integer
-    >= 0.
+    >= 0. An invalid population raises ``DomainError``, and a group whose
+    acceptance or success vector differs in length from its pmf
+    ``DimensionError`` naming the group.
     """
     n = _integer(n, "sample count n")
     if n < 1:
@@ -850,6 +852,7 @@ def monte_carlo_validate(
     seed = _integer(seed, "seed")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
+    _require_valid(pop)
     rng = np.random.default_rng(seed)
     grid = pop.grid
     acc = {}
@@ -860,6 +863,7 @@ def monte_carlo_validate(
         pmf = g.pmf
         tau = policy.tau(g.group_id)
         rho = outcome.rho_for(g.group_id)
+        _check_lengths(g.group_id, pmf=pmf, tau=tau, rho=rho)
         bins = rng.choice(len(pmf), size=n, p=pmf / pmf.sum())
         accepted = rng.random(n) < tau[bins]
         succeeded = rng.random(n) < rho[bins]

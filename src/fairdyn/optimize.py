@@ -55,7 +55,9 @@ def max_utility_policy(
     optimal. Zero-utility bins are rejected (strict-improvement rule).
     """
     ids = pop.group_ids
-    return Policy({g: inst.per_bin_utility(outcome.rho_for(g)) > 0 for g in ids})
+    return Policy(
+        {g: (inst.per_bin_utility(outcome.rho_for(g)) > 0).astype(float) for g in ids}
+    )
 
 
 def rate_grid(resolution: float) -> np.ndarray:
@@ -103,12 +105,12 @@ def rates_for_tpr(
     qualified mass are never the threshold, and a target the cumulative
     qualified mass does not reach accepts the whole group. A target outside
     [0, 1], NaN included, raises ``DomainError``, and a ``rho`` of another
-    length than the pmf ``DimensionError``. ``rho`` is read as a vector of
-    reals: one that is not 1-D raises ``DimensionError``, a bool entry
-    ``DomainError``.
+    length than the pmf ``DimensionError``. ``tprs`` and ``rho`` are read
+    with ``_real_vector``: one that is not 1-D raises ``DimensionError``, an
+    entry that is no real number ``DomainError`` naming it.
     """
     pmf = group.pmf
-    tprs = np.asarray(tprs, dtype=float)
+    tprs = _real_vector(tprs, "tprs")
     if not np.all((tprs >= 0.0) & (tprs <= 1.0)):  # NaN fails too
         raise DomainError(f"target TPR outside [0,1] in {tprs}")
     rho = _real_vector(rho, "rho")

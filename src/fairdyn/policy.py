@@ -22,7 +22,7 @@ from .population import (
     _check_lengths,
     _integer,
     _real,
-    _vector,
+    _real_vector,
 )
 
 if TYPE_CHECKING:
@@ -31,8 +31,10 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True, eq=False)
 class Policy:
-    """Acceptance probability per bin, keyed by group label; every entry is
-    checked to lie in [0, 1]. The vectors are the rows of one read-only
+    """Acceptance probability per bin, keyed by group label; each vector is
+    read with ``_real_vector`` (named ``acceptance[group]``, so a bool mask
+    is rejected: pass ``mask.astype(float)``) and every entry is checked to
+    lie in [0, 1]. The vectors are the rows of one read-only
     (groups, bins) matrix, so they have one length, and ``acceptance`` is a
     read-only mapping of its rows: the check holds for the policy's lifetime."""
 
@@ -41,18 +43,15 @@ class Policy:
     _matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ids = tuple(self.acceptance)
-        try:
-            matrix = np.array(list(self.acceptance.values()), dtype=float)
-        except ValueError:  # vectors of unequal lengths, named below
-            matrix = np.empty(0)
-        if matrix.ndim != 2 and ids:
-            # ``_vector`` raises for a vector that is not 1-D numbers.
-            sizes = " ".join(
-                f"{gid}={len(_vector(v))}" for gid, v in self.acceptance.items()
-            )
+        rows = {
+            gid: _real_vector(v, f"acceptance[{gid}]")
+            for gid, v in self.acceptance.items()
+        }
+        if len({len(row) for row in rows.values()}) > 1:
+            sizes = " ".join(f"{gid}={len(row)}" for gid, row in rows.items())
             raise DimensionError(f"policy vectors of unequal lengths {sizes}")
-        self._keep(ids, matrix if ids else np.empty((0, 0)))
+        matrix = np.array(list(rows.values())) if rows else np.empty((0, 0))
+        self._keep(tuple(rows), matrix)
 
     def _keep(
         self, group_ids: tuple[str, ...], matrix: np.ndarray, check=slice(None)
@@ -175,18 +174,11 @@ def threshold_levels(
     Zero-mass bins repeat a cumulative value; the search takes the highest
     bin that reaches the rate. Memory is O(len(rates) + len(pmf)).
 
-    ``rates`` is a 1-D vector of real numbers: one that is not 1-D raises
+    ``rates`` is read with ``_real_vector``: one that is not 1-D raises
     ``DimensionError``, and an entry that is no real number (a bool, a
     string, None) ``DomainError`` naming it.
     """
-    if not (isinstance(rates, np.ndarray) and rates.dtype.kind in "iuf"):
-        rates = np.array(rates, dtype=object)
-    if rates.ndim != 1:
-        raise DimensionError(f"rates must be a 1-D vector, got shape {rates.shape}")
-    if rates.dtype == object:
-        for i, value in enumerate(rates):
-            _real(value, f"rates[{i}]")
-    rates = np.asarray(rates, dtype=float)
+    rates = _real_vector(rates, "rates")
     # Written so that NaN fails the check too.
     if not np.all((rates >= 0.0) & (rates <= 1.0)):
         raise DomainError(f"target rate outside [0,1] in {rates}")

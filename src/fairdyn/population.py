@@ -19,23 +19,26 @@ from .errors import DimensionError, DomainError
 PROB_TOL = 1e-9
 
 
-def _vector(values: Sequence[float]) -> np.ndarray:
-    """A read-only float64 1-D copy of ``values``."""
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 1:
-        raise DimensionError(f"expected a 1-D vector, got shape {arr.shape}")
-    arr.setflags(write=False)
-    return arr
-
-
 def _real_vector(values: Sequence[float], name: str) -> np.ndarray:
-    """``_vector(values)`` once no entry is a bool; entry ``i`` that is one
-    raises ``DomainError`` naming it ``name[i]``."""
-    vector = _vector(values)
-    if not isinstance(values, np.ndarray) or values.dtype.kind in "bO":
-        for i, value in enumerate(values):
-            if isinstance(value, (bool, np.bool_)):
+    """A read-only float64 1-D copy of ``values``, a vector of real numbers.
+
+    One that is not 1-D raises ``DimensionError``, and an entry ``i`` that is
+    no real number by ``_is_real`` (a bool, a string, None, a list, a
+    ``Decimal``) raises ``DomainError`` naming it ``name[i]``. The entries
+    are read from an object array of ``values``, not a numeric conversion,
+    which would read ``True`` and ``'0.5'`` as numpy scalars; an int or
+    float array holds real numbers only and is not read entry by entry.
+    """
+    numeric = isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
+    entries = values if numeric else np.array(values, dtype=object)
+    if entries.ndim != 1:
+        raise DimensionError(f"{name} must be a 1-D vector, got shape {entries.shape}")
+    if not numeric:
+        for i, value in enumerate(entries):
+            if not _is_real(value):
                 raise DomainError(f"{name}[{i}] must be a real number, got {value!r}")
+    vector = np.array(entries, dtype=float)
+    vector.setflags(write=False)
     return vector
 
 

@@ -320,17 +320,12 @@ def _as_int(value):
     return int(value) if _is_integer(value) else value
 
 
-def _floats(raw, path: str):
-    """The vector ``raw`` at ``path`` in a scenario file as a list of floats,
-    each entry cast with ``as_float``. A value that is not a list raises
-    ``ConfigError`` naming ``path``, and an entry that is not then a float
-    (a bool, null, list, mapping or non-numeric string) one naming
-    ``path[i]``."""
-    out = [as_float(value) for value in sequence(raw, path)]
-    for i, value in enumerate(out):
-        if not isinstance(value, float):
-            raise ConfigError(f"{path}[{i}] must be a real number, got {value!r}")
-    return out
+def _floats(raw, path: str) -> list:
+    """The vector ``raw`` at ``path`` in a scenario file as a list, each
+    entry cast with ``as_float``, for the model's ``_real_vector`` to name
+    an entry that is then no real number. A value that is not a list raises
+    ``ConfigError`` naming ``path``."""
+    return [as_float(value) for value in sequence(raw, path)]
 
 
 # The loader's cast of a field by its declared type, optional or not. A field
@@ -355,8 +350,9 @@ def _record(cls, raw, path: str, keys=None, **casts):
     declares. ``raw`` holds no key outside ``keys``, by default the fields
     of ``cls``. A field that it holds is cast by its entry in ``casts``, else
     by its declared type; an absent field takes its default, and one with no
-    default is missing. The ``DomainError`` of a model's construction, whose
-    message starts with the field's name, is raised prefixed with ``path``."""
+    default is missing. The ``DomainError`` or ``DimensionError`` of a
+    model's construction, whose message starts with the field's name, is
+    raised as a ``ConfigError`` prefixed with ``path``."""
     known_keys(raw, path, keys or _FIELDS[cls])
     values = {}
     for name, (default, cast) in _FIELDS[cls].items():
@@ -369,7 +365,7 @@ def _record(cls, raw, path: str, keys=None, **casts):
             values[name] = default
     try:
         return cls(**values)
-    except DomainError as exc:
+    except (DomainError, DimensionError) as exc:
         raise ConfigError(f"{path}.{exc}") from exc
 
 
@@ -473,9 +469,9 @@ def load_scenario(path_or_name: str) -> ScenarioConfig:
     raw = read_yaml(source, path_or_name, "scenario file")
     try:
         return _parse_config(raw, path_or_name)
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, DimensionError) as exc:
         raise ConfigError(f"scenario file {path_or_name}: {exc}") from exc
-    except (TypeError, ValueError, DimensionError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed scenario file {path_or_name}: {exc}") from exc
 
 

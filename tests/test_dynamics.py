@@ -399,6 +399,42 @@ class TestMonteCarlo:
         exact = group_delta_mu(pop.groups[0], pol, out, pop.grid)
         assert abs(rep.delta_mu["a"] - exact) <= 4 * rep.delta_mu_se["a"]
 
+    def test_draws_of_a_valid_input(self):
+        # The checks draw nothing: these are the draws of the unchecked loop.
+        pop, out = two_groups()
+        pol = Policy({"a": [0.1, 0.6, 1.0], "b": [0.0, 0.5, 0.9]})
+        rep = monte_carlo_validate(pop, pol, out, 1000, 5)
+        assert (rep.acceptance, rep.delta_mu) == (
+            {"a": 0.695, "b": 0.251}, {"a": 33.5, "b": 3.1}
+        )
+
+    @pytest.mark.parametrize(
+        "tau, rho, sizes",
+        [
+            ((1.0, 1.0), (0.3, 0.6, 0.9), "pmf=3 tau=2 rho=3"),
+            ((1.0, 1.0, 1.0, 1.0), (0.3, 0.6, 0.9), "pmf=3 tau=4 rho=3"),
+            ((1.0, 1.0, 1.0), (0.3, 0.6), "pmf=3 tau=3 rho=2"),
+        ],
+        ids=["short_tau", "long_tau", "short_rho"],
+    )
+    def test_vectors_of_another_length_are_named(self, tau, rho, sizes):
+        # A short vector once raised a raw IndexError from the draws, and a
+        # long one was sampled as if it fitted.
+        pop, _ = single_group((0.2, 0.3, 0.5), (0.3, 0.6, 0.9))
+        out = OutcomeModel({"a": rho}, 1, 1)
+        with pytest.raises(DimensionError) as info:
+            monte_carlo_validate(pop, Policy({"a": tau}), out, 10, 0)
+        assert str(info.value) == f"group 'a': inconsistent lengths {sizes}"
+
+    def test_an_invalid_population_is_named(self):
+        # numpy's ``choice`` once raised ``Probabilities are not non-negative``.
+        pop, out = single_group((1.25, -0.25), (0.3, 0.9))
+        with pytest.raises(DomainError) as info:
+            monte_carlo_validate(pop, Policy({"a": (1.0, 1.0)}), out, 10, 0)
+        assert str(info.value) == (
+            "invalid population: group 'a': negative pmf entry -0.25"
+        )
+
     @pytest.mark.parametrize("n", [1.5, "3", True, False, None, math.inf])
     def test_sample_count_must_be_an_integer(self, n):
         pop, out = single_group((0.5, 0.5), (0.3, 0.9))

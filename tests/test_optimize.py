@@ -183,9 +183,9 @@ class TestThresholdSearchOracles:
     @pytest.mark.parametrize(
         "rho, error, message",
         [
-            (0.5, DimensionError, "expected a 1-D vector, got shape ()"),
+            (0.5, DimensionError, "rho must be a 1-D vector, got shape ()"),
             (np.array([[0.1], [0.5], [0.9]]), DimensionError,
-             "expected a 1-D vector, got shape (3, 1)"),
+             "rho must be a 1-D vector, got shape (3, 1)"),
             ([0.1, True, 0.9], DomainError, "rho[1] must be a real number, got True"),
         ],
         ids=["scalar", "column", "bool_entry"],

@@ -1,13 +1,19 @@
+import functools
 import re
+from dataclasses import replace
+from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fairdyn import optimize, policy, scenarios
 from fairdyn.errors import DimensionError, DomainError
 from fairdyn.metrics import OutcomeModel
-from fairdyn.policy import Policy
+from fairdyn.optimize import rates_for_tpr
+from fairdyn.policy import Policy, threshold_levels
 from fairdyn.population import (
     GroupState,
     Population,
@@ -192,6 +198,85 @@ def test_a_bool_vector_entry_is_rejected_naming_it(build, name, entries):
     i = 1 if isinstance(entries, tuple) else 0
     with pytest.raises(DomainError, match=rf"^{re.escape(name)}\[{i}\] must be a real"):
         build(entries)
+
+
+@functools.cache
+def _lending():
+    return scenarios.load_scenario("lending_liu")
+
+
+def _passed_on(module, core, position, call):
+    """The argument at ``position`` that ``call()`` passes to ``module.core``,
+    stubbed; ``call()`` raises if its reader rejects its input first."""
+    seen = []
+    with mock.patch.object(module, core, lambda *args: seen.append(args[position])):
+        call()
+    return seen[0]
+
+
+def _fixed_rule(v):
+    rule = scenarios.PolicyRuleSpec("fixed", tau={"A": v, "B": np.zeros(6)})
+    cfg = replace(_lending(), policy_rule=rule)
+    return scenarios._decision_rule(cfg).tau("A")
+
+
+_SIX = GroupState("a", 1.0, np.full(6, 1 / 6))
+# Every reader of a vector of reals: the name its messages give the vector,
+# and the array it keeps or passes on for a 6-entry vector ``v`` in [0, 1].
+_VECTOR_READERS = {
+    "bin_scores": lambda v: ScoreGrid(v, 1.0).bin_scores,
+    "pmf": lambda v: GroupState("a", 1.0, v).pmf,
+    "rho[a]": lambda v: OutcomeModel({"a": v}, 1, 1).rho_for("a"),
+    "acceptance[a]": lambda v: Policy({"a": v}).tau("a"),
+    "rates": lambda v: _passed_on(
+        policy, "_threshold_levels", 1, lambda: threshold_levels(_SIX.pmf, v)
+    ),
+    "tprs": lambda v: _passed_on(
+        optimize, "_rates_for_tpr", 4, lambda: rates_for_tpr(_SIX, np.ones(6), v)
+    ),
+    "rho": lambda v: _passed_on(
+        optimize, "_rates_for_tpr", 3, lambda: rates_for_tpr(_SIX, v, [0.5])
+    ),
+    "policy_rule.tau[A]": _fixed_rule,
+}
+_UNIT = st.floats(0.0, 1.0)
+_REAL_ENTRIES = st.one_of(
+    _UNIT, st.integers(0, 1), _UNIT.map(np.float64), _UNIT.map(np.float32),
+    st.integers(0, 1).map(np.int64),
+)
+_REAL_VECTORS = st.one_of(
+    st.lists(_REAL_ENTRIES, min_size=6, max_size=6),
+    st.tuples(*[_REAL_ENTRIES] * 6),
+    st.lists(_UNIT, min_size=6, max_size=6).map(np.array),
+    st.lists(_UNIT, min_size=6, max_size=6).map(lambda v: np.array(v, np.float32)),
+    st.lists(st.integers(0, 1), min_size=6, max_size=6).map(np.array),
+)
+_JUNK = ["0.5", "x", None, True, np.True_, [0.5], Decimal("0.5")]
+
+
+@given(
+    name=st.sampled_from(sorted(_VECTOR_READERS)),
+    values=st.lists(_UNIT, min_size=6, max_size=6),
+    index=st.integers(0, 5),
+    junk=st.sampled_from(_JUNK),
+)
+def test_every_vector_reader_names_a_junk_entry(name, values, index, junk):
+    # A string, None and a Decimal once loaded as numbers or NaN where only a
+    # bool was rejected, and a string was cast by ``Policy`` and ``tprs``.
+    values[index] = junk
+    with pytest.raises(DomainError) as info:
+        _VECTOR_READERS[name](values)
+    assert str(info.value) == f"{name}[{index}] must be a real number, got {junk!r}"
+
+
+@given(name=st.sampled_from(sorted(_VECTOR_READERS)), values=_REAL_VECTORS)
+def test_every_vector_reader_keeps_a_read_only_float64_copy(name, values):
+    got = _VECTOR_READERS[name](values)
+    want = np.array(values, dtype=float)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+    if isinstance(values, np.ndarray):
+        assert not np.shares_memory(got, values)
 
 
 @pytest.mark.parametrize("width", [True, "1", None])

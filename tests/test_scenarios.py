@@ -70,6 +70,24 @@ class TestLoadScenario:
         assert [iv.kind for iv in cfg.interventions] == list(INTERVENTION_KINDS)
         assert [iv.kind for iv in cfg.variants["quota_only"]] == ["quota"]
 
+    def test_readme_library_quick_start(self):
+        # The README's library block runs, and each line whose comment starts
+        # with a signed number evaluates to that number to two decimals.
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        block = re.search(
+            r"## Quick start \(library\)\n\n```python\n(.*?)```", text, re.S
+        ).group(1)
+        namespace, checked = {}, []
+        for line in block.splitlines():
+            code, _, comment = line.partition("#")
+            stated = re.match(r" ([+-]\d+\.\d\d) ", comment)
+            if stated:
+                checked.append((f"{eval(code, namespace):+.2f}", stated.group(1)))
+            else:
+                exec(code, namespace)
+        assert checked == [("+6.40", "+6.40"), ("-1.85", "-1.85")]
+
     def test_quota_out_of_range(self, tmp_path):
         import yaml
 
@@ -291,6 +309,33 @@ class TestLoadChecks:
             load_scenario(path)
         assert str(info.value) == (
             f"scenario file {path}: {name}[0] must be a real number, got {junk!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "vector,name",
+        [
+            (("population", "bin_scores"), "population.bin_scores"),
+            (("population", "groups", 1, "pmf"), "population.groups[1].pmf"),
+            (("outcome", "rho"), "outcome.rho[A]"),
+            (("policy_rule", "tau", "B"), "policy_rule.tau[B]"),
+        ],
+        ids=["bin_scores", "pmf", "rho", "tau"],
+    )
+    def test_a_vector_of_one_entry_lists_is_named(self, tmp_path, vector, name):
+        # The models read the entries, so a file's vector that is not 1-D
+        # is the models' dimension error, prefixed with the vector's path.
+        def edit(raw):
+            fixed_rule(raw, {"A": [0, 0, 0, 1, 1, 1], "B": [0, 0, 1, 1, 1, 1]})
+            node = raw
+            for key in vector[:-1]:
+                node = node[key]
+            node[vector[-1]] = [[value] for value in node[vector[-1]]]
+
+        path = write_lending(tmp_path, edit)
+        with pytest.raises(ConfigError) as info:
+            load_scenario(path)
+        assert str(info.value) == (
+            f"scenario file {path}: {name} must be a 1-D vector, got shape (6, 1)"
         )
 
     def test_numeric_text_in_a_vector_is_read_as_the_number(self, tmp_path):
