@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -41,6 +40,7 @@ import numpy as np
 
 from ._yaml import as_float, checked_text, known_keys, mapping, read_yaml, sequence
 from .errors import CapacityError, ConfigError, DomainError, StructureError
+from .population import _is_real
 
 JOINT_STATE_CAP = 10**6
 CPT_TOL = 1e-9
@@ -189,16 +189,11 @@ class CausalModel:
                 itertools.chain.from_iterable(by_width[w] for w in widths)
             )
         )
-        try:
-            values = np.array(entries)
-        except (TypeError, ValueError):
-            values = None
-        if values is None or values.dtype.kind not in "biuf":
-            # A string, None, complex or other entry that is not a real
-            # number; or reals numpy keeps as objects, such as Fractions.
+        if not set(map(type, entries)) <= {float, int}:
+            # A bool, a string, None or another entry that is no real number;
+            # or a real number of another type, such as a numpy scalar.
             self._raise_row_fault(placed)
-            values = np.array(entries, dtype=np.float64)
-        values = values.astype(np.float64, copy=False)
+        values = np.array(entries, dtype=np.float64)
         # A NaN minimum fails the comparison. An entry above 1 + CPT_TOL fails
         # its row's sum, and ruling it out keeps the sums below overflow.
         if values.size and not (
@@ -259,7 +254,7 @@ def _row_fault(key: Assignment, row: tuple, width: int) -> str | None:
     if len(row) != width:
         return f"CPT row {key} has wrong length"
     for entry in row:
-        if not isinstance(entry, (numbers.Real, np.bool_)):
+        if not _is_real(entry):
             return f"CPT row {key} has entry {entry!r}, which is not a real number"
     values = np.asarray(row, dtype=np.float64)
     if not np.isfinite(values).all():

@@ -30,7 +30,7 @@ from .population import (
     _check_lengths,
     _integer,
     _real,
-    validate_population,
+    _require_valid,
 )
 
 MAX_HORIZON = 10**5
@@ -429,12 +429,6 @@ def step(
         out[...] = new  # ``out`` may have any layout, ``new`` is C-contiguous
         new = out
     return _population_view(pop.grid, ids, [g.proportion for g in pop.groups], new)
-
-
-def _require_valid(pop: Population) -> None:
-    report = validate_population(pop)
-    if not report.ok:
-        raise DomainError("invalid population: " + "; ".join(report.violations))
 
 
 def _step_columns(

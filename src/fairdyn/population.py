@@ -251,19 +251,29 @@ def _proportions_valid(proportions: Sequence[float]) -> bool:
     )
 
 
-def _pmfs_valid(pmfs: np.ndarray) -> bool:
-    """Whether ``validate_population`` accepts every row of ``pmfs`` (k >= 1,
-    n) as the pmf of a group on an already accepted grid of ``n`` bins.
+def _require_valid(p: Population) -> None:
+    """Raise ``DomainError("invalid population: ...")`` with every violation
+    ``validate_population`` reports for ``p``, if it reports any."""
+    violations = _violations(p)
+    if violations:
+        raise DomainError("invalid population: " + "; ".join(violations))
 
-    The row sums are the same pairwise sums ``pmf.sum()`` takes, so the
-    tolerance decides exactly as there. A NaN entry makes the minimum NaN,
-    which fails the first test, where the other check rejects it by its sum.
-    The reductions are the ufuncs that ``min()`` and ``sum()`` call.
+
+def _valid_rows(pmfs: np.ndarray) -> np.ndarray:
+    """Whether ``validate_population`` accepts each row of the last axis of
+    ``pmfs`` as the pmf of a group on an already accepted grid of as many
+    bins: one bool per row.
+
+    A row passes when its minimum is at least 0 (NaN is not) and its sum lies
+    within ``PROB_TOL`` of 1. The reductions are the ufuncs that ``min()``
+    and ``sum()`` call, so each row's sum is the pairwise sum ``_violations``
+    takes and the tolerance decides exactly as there. A sum that overflows
+    is inf, which fails, with no warning.
     """
-    if not np.minimum.reduce(pmfs, axis=None) >= 0:
-        return False
-    sums = np.add.reduce(pmfs, axis=1).tolist()
-    return all(abs(s - 1.0) <= PROB_TOL for s in sums)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = np.minimum.reduce(pmfs, axis=-1) >= 0
+        ok &= np.abs(np.add.reduce(pmfs, axis=-1) - 1.0) <= PROB_TOL
+    return ok
 
 
 def group_mean(g: GroupState, grid: ScoreGrid) -> float:

@@ -37,7 +37,6 @@ from .dynamics import (
     _checked_horizon,
     _checked_pair,
     _population_view,
-    _require_valid,
     _run,
     simulate,
 )
@@ -62,17 +61,16 @@ from .optimize import (
 )
 from .policy import InstitutionModel, Policy, _threshold_at, _with_threshold
 from .population import (
-    PROB_TOL,
     GroupState,
     Population,
     ScoreGrid,
     _integer,
     _is_integer,
-    _pmfs_valid,
     _proportions_valid,
     _real,
     _real_vector,
-    _violations,
+    _require_valid,
+    _valid_rows,
 )
 
 BUILTIN_NAMES = ("lending_liu", "boards_quota")
@@ -265,15 +263,19 @@ class ScenarioConfig:
             missing = set(ids) - set(rule.tau)
             if missing:
                 raise DomainError(f"policy_rule.tau: missing groups {sorted(missing)}")
+            tau = {}
             for gid, t in rule.tau.items():
                 path = f"policy_rule.tau[{gid}]"
-                t = _real_vector(t, path)
+                t = tau[gid] = _real_vector(t, path)
                 if gid not in ids:
                     raise DomainError(f"{path}: unknown group label {gid!r}")
                 if len(t) != bins:
                     raise DomainError(f"{path}: length {len(t)} != grid length {bins}")
                 if not np.all((t >= 0) & (t <= 1)):  # NaN fails too
                     raise DomainError(f"{path}: entries outside [0,1] or NaN")
+            # The checked copies, so that no later edit of the caller's
+            # vectors reaches a run.
+            object.__setattr__(self, "policy_rule", replace(rule, tau=tau))
         constraints = tuple(c.value for c in Constraint)
         if rule.kind == "constrained" and rule.constraint not in constraints:
             raise DomainError(f"policy_rule.constraint must be one of {constraints}")
@@ -302,9 +304,7 @@ class ScenarioConfig:
         object.__setattr__(self, "horizon", _checked_horizon(self.horizon))
         object.__setattr__(self, "seed", seed)
         _check_regime_tol(tolerances.regime, "tolerances.regime")
-        violations = _violations(pop)
-        if violations:
-            raise DomainError("invalid population: " + "; ".join(violations))
+        _require_valid(pop)
         _checked_pair(self.metric_groups, ids)
 
 
@@ -426,9 +426,8 @@ def _parse_config(raw: dict, name_hint: str) -> ScenarioConfig:
     rule = section(
         PolicyRuleSpec, "policy_rule",
         tau=lambda tau: {
-            checked_text(k, "policy_rule.tau", "key"): _real_vector(
-                _floats(vs, f"policy_rule.tau[{k}]"), f"policy_rule.tau[{k}]"
-            )
+            checked_text(k, "policy_rule.tau", "key"):
+                _floats(vs, f"policy_rule.tau[{k}]")
             for k, vs in mapping(tau, "policy_rule.tau").items()
         },
     )
@@ -655,16 +654,10 @@ class _ScenarioEngine:
         have raised there on a check of its own: ``validate_population``'s
         ``DomainError`` for the population of row ``t``.
 
-        Each row is decided as ``_pmfs_valid`` decides it, with its
-        reductions: the row's minimum is at least 0 (NaN is not) and its
-        pairwise sum lies within ``PROB_TOL`` of 1. A sum that overflows is
-        inf, which fails, with no warning."""
+        Each row is decided by ``_valid_rows``."""
         first = None
         for start, i, _ in self.pipelines:
-            rows = states[start : upto + 1, i]
-            with np.errstate(over="ignore", invalid="ignore"):
-                ok = np.minimum.reduce(rows, axis=1) >= 0
-                ok &= np.abs(np.add.reduce(rows, axis=1) - 1.0) <= PROB_TOL
+            ok = _valid_rows(states[start : upto + 1, i])
             if not ok.all():
                 t = start + int(ok.argmin())
                 first = t if first is None else min(first, t)
@@ -1069,10 +1062,11 @@ def _run_draws(cfg: ScenarioConfig, pmfs: np.ndarray) -> TrajectoryColumns:
     proportions, raises its ``DomainError``. The runs keep no intervention
     flags."""
     pop = cfg.population
-    if not _pmfs_valid(pmfs.reshape(-1, pmfs.shape[-1])):
+    ok = _valid_rows(pmfs).all(axis=1)
+    if not ok.all():
         shares = [g.proportion for g in pop.groups]
-        for own in pmfs:
-            _require_valid(_population_view(pop.grid, pop.group_ids, shares, own))
+        own = pmfs[ok.argmin()]
+        _require_valid(_population_view(pop.grid, pop.group_ids, shares, own))
     hooks = _DrawEngines(cfg, len(pmfs))
     return _run(
         pop, hooks.policy, cfg.outcome, cfg.institution, cfg.horizon,

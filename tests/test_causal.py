@@ -939,17 +939,26 @@ class TestValidate:
                 m.validate()
 
     def test_real_entries_of_every_numeric_type(self):
-        # Python and numpy bools, ints and floats all read as float64.
+        # Python and numpy ints and floats all read as float64; a Python or
+        # numpy bool is no real number.
         m = binary_model(
             [("A", "F")],
             {
                 "A": {(): (np.int64(1), 0)},
                 "F": {
-                    (0,): (True, np.False_),
+                    (0,): (1, np.int64(0)),
                     (1,): (np.float32(0.25), np.float64(0.75)),
                 },
             },
         )
+        for row, entry in (((True, np.False_), True), ((1, np.False_), np.False_)):
+            bools = binary_model(
+                [("A", "F")],
+                {"A": {(): (1, 0)}, "F": {(0,): row, (1,): (0.25, 0.75)}},
+            )
+            want = f"CPT row (0,) has entry {entry!r}, which is not a real number"
+            with pytest.raises(StructureError, match=f"^node 'F': {re.escape(want)}$"):
+                bools.validate()
         floats = binary_model(
             [("A", "F")],
             {"A": {(): (1.0, 0.0)}, "F": {(0,): (1.0, 0.0), (1,): (0.25, 0.75)}},

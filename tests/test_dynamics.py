@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dynamics_oracle
-from fairdyn import dynamics, scenarios
+from fairdyn import dynamics, population, scenarios
 from fairdyn.dynamics import (
     RegimeLabel,
     classify_regime,
@@ -271,9 +271,9 @@ class TestSimulate:
         pop, out = single_group((0.25, 0.25, 0.5), (0.2, 0.5, 0.9))
         pol = Policy.from_arrays({"a": np.array([0.1, 0.5, 0.9])})
         seen = []
-        real = dynamics.validate_population
+        real = population._violations
         monkeypatch.setattr(
-            dynamics, "validate_population", lambda p: seen.append(p) or real(p)
+            population, "_violations", lambda p: seen.append(p) or real(p)
         )
         simulate(pop, lambda t, p: pol, out, INST, 10)
         assert seen == [pop]

@@ -1,12 +1,13 @@
 import functools
 import re
+import warnings
 from dataclasses import replace
 from decimal import Decimal
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairdyn import optimize, policy, scenarios
@@ -18,6 +19,7 @@ from fairdyn.population import (
     GroupState,
     Population,
     ScoreGrid,
+    _valid_rows,
     group_mean,
     validate_population,
 )
@@ -285,3 +287,51 @@ def test_a_bin_width_that_is_not_a_real_number_is_a_violation(width):
     assert validate_population(pop).violations == (
         f"bin_width must be a real number, got {width!r}",
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lead=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    bins=st.integers(2, 50),
+    scales=st.lists(
+        st.sampled_from([1.0, 1 + 5e-10, 1 - 5e-10, 1 + 2e-9, 1 - 2e-9]),
+        min_size=1, max_size=4,
+    ),
+    edges=st.lists(st.sampled_from([1e-9, -1e-9]), max_size=4),
+    entries=st.lists(
+        st.sampled_from([0.0, np.nan, np.inf, -np.inf, -1e-12, 1e308]),
+        max_size=4,
+    ),
+)
+def test_valid_rows_decides_each_row_as_validate_population(
+    seed, lead, bins, scales, edges, entries
+):
+    rng = np.random.default_rng(seed)
+    shape = (*lead, bins)
+    # About a third of the entries exactly 0, as a valid pmf may hold.
+    pmfs = rng.random(shape) * (rng.random(shape) >= 0.3)
+    pmfs[..., -1] += 0.1
+    pmfs /= pmfs.sum(axis=-1, keepdims=True)
+    rows = pmfs.reshape(-1, bins)
+    for scale in scales:
+        rows[rng.integers(len(rows))] *= scale
+    # A sum within a few ulps of 1 +- 1e-9, where only the same summation
+    # order as the reference's decides alike.
+    for edge in edges:
+        k = rng.integers(len(rows))
+        rows[k] *= (1.0 + edge) / rows[k].sum()
+    for entry in entries:
+        rows[rng.integers(len(rows)), rng.integers(bins)] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _valid_rows(pmfs)
+    assert got.shape == tuple(lead) and got.dtype == bool
+    grid = make_grid(bins)
+    # The reference's own sums may overflow; its verdict is what is compared.
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [
+            validate_population(make_population(grid, {"a": row})).ok
+            for row in rows
+        ]
+    assert got.reshape(-1).tolist() == want

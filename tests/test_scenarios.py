@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairdyn import dynamics, scenarios
+from fairdyn import dynamics, population, scenarios
 from fairdyn.dynamics import MASS_TOL, MAX_HORIZON, simulate, trajectory_rows
 from fairdyn.errors import (
     ConfigError,
@@ -918,7 +918,8 @@ class TestPipelineInvestment:
 
 class TestShiftCheck:
     """The rows a pipeline shifts are checked once per run, by the engine's
-    ``check_shifts``, which decides each row as ``_pmfs_valid`` does."""
+    ``check_shifts``, which decides each row by ``_valid_rows``, as
+    ``validate_population`` decides it."""
 
     def engine(self, active_from=0):
         iv = InterventionRule(
@@ -935,7 +936,9 @@ class TestShiftCheck:
                                1 + 2e-9, 1 - 2e-9]),
         entry=st.sampled_from([None, math.nan, -1e-12, math.inf, 0.0]),
     )
-    def test_decides_each_row_as_pmfs_valid(self, seed, steps, start, scale, entry):
+    def test_decides_each_row_as_validate_population(
+        self, seed, steps, start, scale, entry
+    ):
         rng = np.random.default_rng(seed)
         n = len(BOARDS.population.grid.bin_scores)
         # About a third of the entries exactly 0, as a valid pmf may hold.
@@ -951,9 +954,12 @@ class TestShiftCheck:
         proportions = np.tile([g.proportion for g in BOARDS.population.groups],
                               (steps, 1))
         upto = int(rng.integers(steps))
+        grid = BOARDS.population.grid
         failing = [
             t for t in range(start, upto + 1)
-            if not scenarios._pmfs_valid(states[t, WOMEN][None])
+            if not population.validate_population(
+                Population(grid, (GroupState("women", 1.0, states[t, WOMEN]),))
+            ).ok
         ]
         engine = self.engine(start)
         if not failing:
@@ -966,10 +972,11 @@ class TestShiftCheck:
             engine.check_shifts(states, proportions, upto)
         assert str(got.value) == str(want.value)
 
-    def test_pipeline_run_checks_once_and_calls_no_pmfs_valid(self, monkeypatch):
+    def test_pipeline_run_checks_its_rows_once(self, monkeypatch):
         calls, checks = [], []
+        real_rows = scenarios._valid_rows
         monkeypatch.setattr(
-            scenarios, "_pmfs_valid", lambda pmfs: calls.append(pmfs) or True
+            scenarios, "_valid_rows", lambda pmfs: calls.append(pmfs) or real_rows(pmfs)
         )
         real = _ScenarioEngine.check_shifts
         monkeypatch.setattr(
@@ -980,7 +987,10 @@ class TestShiftCheck:
         ivs = BOARDS.variants["quota_pipeline"]
         assert {iv.kind for iv in ivs} == {"quota", "pipeline_investment"}
         traj = run_scenario(BOARDS, ivs)
-        assert calls == []
+        # One call for the run's one pipeline, on its rows of every step.
+        assert [rows.shape for rows in calls] == [
+            (BOARDS.horizon + 1, len(BOARDS.population.grid))
+        ]
         assert checks == [BOARDS.horizon]
         assert len(traj) == BOARDS.horizon + 1
 
@@ -1286,9 +1296,9 @@ class TestCompare:
         # variants and sweep blocks do not check it again. ``simulate``
         # checks the population it is given.
         calls = []
-        real = dynamics.validate_population
+        real = population._violations
         monkeypatch.setattr(
-            dynamics, "validate_population", lambda pop: calls.append(pop) or real(pop)
+            population, "_violations", lambda pop: calls.append(pop) or real(pop)
         )
         blocks = []
         block = scenarios._sweep_block
@@ -1635,6 +1645,20 @@ class TestBatchedSweep:
         arrays = [v for v in vars(block).values() if isinstance(v, np.ndarray)]
         assert len(arrays) == 13
         assert not any(array.flags.writeable for array in arrays)
+
+    def test_the_first_invalid_start_of_a_block_raises(self):
+        # Draws 2 and 3 fail, each in another group: the block raises draw
+        # 2's error, as a sweep that ran its draws one by one would meet it.
+        cfg = replace(BOARDS, horizon=3)
+        pop = cfg.population
+        starts = np.array(
+            [scenarios._perturbed_pmfs(pop, 0.05, 11, d) for d in range(5)]
+        )
+        starts[2, MEN] *= 2.0
+        starts[3, WOMEN, 0] = -0.5
+        with pytest.raises(DomainError) as info:
+            scenarios._run_draws(cfg, starts)
+        assert str(info.value) == "invalid population: group 'men': pmf sum 2 != 1"
 
     def test_a_block_holds_at_least_one_draw(self, monkeypatch):
         monkeypatch.setattr(scenarios, "_SWEEP_STATE_BYTES", 1)
@@ -2296,6 +2320,26 @@ class TestCodeBuiltConfigs:
         cfg = replace(LENDING, horizon=6.0, seed=3.0)
         assert (cfg.horizon, cfg.seed) == (6, 3)
         assert type(cfg.horizon) is type(cfg.seed) is int
+
+    def test_a_fixed_rule_keeps_its_checked_tau(self):
+        # The config stores read-only copies of the vectors it checked, so
+        # editing the caller's dict or lists after the build changes no run.
+        def tau():
+            return {"A": [0.2, 0.4, 0.6, 0.8, 1.0, 1.0], "B": [0.0, 0.5, 1, 1, 1, 1]}
+
+        given = tau()
+        cfg = replace(LENDING, policy_rule=scenarios.PolicyRuleSpec("fixed", tau=given))
+        want = run_scenario(
+            replace(LENDING, policy_rule=scenarios.PolicyRuleSpec("fixed", tau=tau()))
+        )
+        given["A"][0] = 5
+        given["B"] = [2.0] * 6
+        assert trajectory_rows(run_scenario(cfg)) == trajectory_rows(want)
+        stored = cfg.policy_rule.tau
+        assert type(stored) is dict and list(stored) == ["A", "B"]
+        for gid, vector in stored.items():
+            assert vector.dtype == np.float64 and not vector.flags.writeable
+            assert vector.tolist() == tau()[gid]
 
     def test_a_file_declares_the_config_it_is_written_from(self, tmp_path):
         for cfg in (LENDING, BOARDS):
